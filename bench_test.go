@@ -196,11 +196,11 @@ func BenchmarkIndexedLinkingKGGrowth(b *testing.B) {
 // path: per-target batched fusion vs the per-entity baseline on
 // commit-dominated update batches whose payloads share target KG entities
 // (one graph round-trip and one truth-discovery pass per target instead of
-// one per payload), plus the pipelined vs barrier Consume schedule on the
-// linking-heavy load batch. All paths must construct byte-identical KGs, and
-// the batched path must not regress against the per-entity ablation
-// baseline. The name carries "PipelinedConsume" so the CI bench job records
-// fusion throughput per commit in BENCH_ci.json.
+// one per payload). Both paths must construct byte-identical KGs, and the
+// batched path must not regress against the per-entity ablation baseline.
+// The name still carries "PipelinedConsume" (the schedule it once also
+// compared is gone): the CI bench regex and the BENCH_baseline.json gate are
+// keyed on it, so the fusion trajectory in BENCH_ci.json stays continuous.
 func BenchmarkPipelinedConsumeBatchedFusion(b *testing.B) {
 	var last experiments.BatchedFusionResult
 	for i := 0; i < b.N; i++ {
@@ -209,7 +209,7 @@ func BenchmarkPipelinedConsumeBatchedFusion(b *testing.B) {
 			b.Fatal(err)
 		}
 		if !res.Identical {
-			b.Fatal("batched/pipelined consume KG diverged from per-entity barrier consume")
+			b.Fatal("batched-fusion KG diverged from per-entity fusion")
 		}
 		if res.FusionSpeedup < 1.15 {
 			b.Fatalf("batched fusion regressed against the per-entity baseline: %.2fx (want >= 1.15x)", res.FusionSpeedup)
@@ -217,7 +217,6 @@ func BenchmarkPipelinedConsumeBatchedFusion(b *testing.B) {
 		last = res
 	}
 	b.ReportMetric(last.FusionSpeedup, "batched-fusion-speedup-x")
-	b.ReportMetric(last.PipelineSpeedup, "pipelined-consume-speedup-x")
 	b.ReportMetric(float64(last.Payloads)/float64(last.Targets), "payloads-per-target")
 	b.Logf("\n%s", last)
 }

@@ -24,19 +24,15 @@ func main() {
 	backend := flag.String("backend", "", "storage backend (memory, disk; empty = memory)")
 	dataDir := flag.String("data", "", "data directory for a durable backend (required with -backend=disk)")
 	workers := flag.Int("workers", 0, "intra-delta construction workers (0 = GOMAXPROCS, 1 = sequential)")
-	fullScan := flag.Bool("fullscan", false, "link by scanning the full per-type KG view instead of probing the incremental block index")
-	perEntity := flag.Bool("perentity", false, "fuse payload entities one graph round-trip at a time instead of batching per target KG entity")
 	feedMode := flag.Bool("feed", false, "stream sources through the standing ingestion feed (async ordered publish) instead of synchronous per-delta consumes")
-	partitions := flag.Int("partitions", 1, "partition construction across N type-hash-routed pipeline instances (1 = single pipeline)")
+	partitions := flag.Int("partitions", 1, "partition the construction pipeline N ways by entity-type hash")
 	flag.Parse()
 
 	p, err := core.Open(core.Options{
 		Storage: core.StorageOptions{Backend: *backend, DataDir: *dataDir},
 		Construction: core.ConstructionOptions{
-			Workers:         *workers,
-			FullScanLinking: *fullScan,
-			PerEntityFusion: *perEntity,
-			Partitions:      *partitions,
+			Workers:    *workers,
+			Partitions: *partitions,
 		},
 		Durability: core.DurabilityOptions{Dir: *durDir},
 	})
@@ -107,14 +103,12 @@ func main() {
 	fmt.Printf("\nfinal KG: %d entities, %d facts, %d types, %d sources, %d links, log lsn %d, %d conflicts curated\n",
 		st.Graph.Entities, st.Graph.Facts, st.Graph.Types, st.Graph.Sources, st.Links, st.LogLSN, len(conflicts))
 	if st.Partitions > 1 {
-		fmt.Printf("partitions: %d type-hash pipelines; volatile exchange: %d enqueued, %d collapsed, %d applied in %d flushes\n",
+		fmt.Printf("partitions: %d by type hash; volatile exchange: %d enqueued, %d collapsed, %d applied in %d flushes\n",
 			st.Partitions, st.Volatile.Enqueued, st.Volatile.Collapsed, st.Volatile.Applied, st.Volatile.Flushes)
 	}
-	if !*fullScan {
-		fmt.Printf("block index: %d entities, %d keys across %d types; %d probes, %d refreshes\n",
-			st.BlockIndex.Entities, st.BlockIndex.Keys, st.BlockIndex.Types, st.BlockIndex.Probes, st.BlockIndex.Refreshes)
-	}
-	fmt.Printf("fusion: %d commits fused %d payloads into %d targets (%.1f payloads/target, perentity=%v)\n",
+	fmt.Printf("block index: %d entities, %d keys across %d types; %d probes, %d refreshes\n",
+		st.BlockIndex.Entities, st.BlockIndex.Keys, st.BlockIndex.Types, st.BlockIndex.Probes, st.BlockIndex.Refreshes)
+	fmt.Printf("fusion: %d commits fused %d payloads into %d targets (%.1f payloads/target)\n",
 		st.Fusion.Commits, st.Fusion.Payloads, st.Fusion.Targets,
-		float64(st.Fusion.Payloads)/float64(max(st.Fusion.Targets, 1)), *perEntity)
+		float64(st.Fusion.Payloads)/float64(max(st.Fusion.Targets, 1)))
 }

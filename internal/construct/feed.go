@@ -98,9 +98,9 @@ type FeedOptions struct {
 	Publish func(group []*FeedBatch) error
 	// OnClose, when set, runs exactly once inside the first Close call to
 	// finish — after both stage goroutines have exited and every submitted
-	// batch has settled, before Close returns. The platform's partitioned
-	// mode uses it to run the final cross-partition exchange, so Close
-	// returning implies fully exchanged, fully published serving stores.
+	// batch has settled, before Close returns. The platform uses it to run the
+	// final cross-partition exchange, so Close returning implies fully
+	// exchanged, fully published serving stores.
 	OnClose func()
 }
 
@@ -123,15 +123,6 @@ type feedItem struct {
 	err    error // commit-stage error, joined with the publish error at the end
 }
 
-// feedConsumer is the commit-side contract a feed drives: submission-time
-// validation plus ordered consumption of validated batches. Pipeline and
-// PartitionedPipeline both satisfy it; the ordering and identity contract
-// above binds whichever consumer the feed wraps.
-type feedConsumer interface {
-	validateDelta(d ingest.Delta) error
-	consumeValidated(deltas []ingest.Delta) ([]SourceStats, error)
-}
-
 // Feed is a standing ingestion loop over one Pipeline. Callers Submit
 // batches and receive a result channel per batch; internally a commit loop
 // consumes batches in submission order (batch N+1's snapshot and compute
@@ -143,7 +134,7 @@ type feedConsumer interface {
 // Consume/ConsumeDelta on the same pipeline concurrently with an open feed
 // (the platform layer enforces this by draining the feed first).
 type Feed struct {
-	p    feedConsumer
+	p    *Pipeline
 	opts FeedOptions
 
 	// submitMu serializes Submit so sequence numbers, commit order, and
@@ -176,18 +167,6 @@ type Feed struct {
 // NewFeed starts a standing feed over the pipeline. Close it when done; an
 // abandoned feed leaks its two stage goroutines.
 func NewFeed(p *Pipeline, opts FeedOptions) *Feed {
-	return newFeed(p, opts)
-}
-
-// NewPartitionedFeed starts a standing feed over a partitioned pipeline: the
-// commit loop drives the coordinator (which fans each commit's fusion across
-// partitions), and the publish stage is where the platform schedules the
-// batch-boundary exchange (FlushVolatile) between publishes.
-func NewPartitionedFeed(pp *PartitionedPipeline, opts FeedOptions) *Feed {
-	return newFeed(pp, opts)
-}
-
-func newFeed(p feedConsumer, opts FeedOptions) *Feed {
 	if opts.Queue <= 0 {
 		opts.Queue = DefaultFeedQueue
 	}
@@ -298,10 +277,8 @@ func (f *Feed) commitLoop() {
 }
 
 // runBatch drives one batch through the pipeline's commit stages. Submit
-// already validated the batch, so this enters past the validation pass;
-// single-delta batches take the barrier schedule inside consumeValidated
-// (no cross-delta pipelining to set up), and every error — necessarily a
-// commit failure — arrives typed as *BatchError.
+// already validated the batch, so this enters past the validation pass, and
+// every error — necessarily a commit failure — arrives typed as *BatchError.
 func (f *Feed) runBatch(item *feedItem) {
 	if !item.batch.Barrier {
 		item.batch.Stats, item.err = f.p.consumeValidated(item.batch.Deltas)

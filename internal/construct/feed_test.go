@@ -81,7 +81,7 @@ func reshape(batches [][]ingest.Delta, shape string) [][]ingest.Delta {
 
 func newFeedPipeline(workers int) (*KG, *Pipeline) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	p.Workers = workers
 	p.EnableBlockIndex()
 	return kg, p
@@ -148,8 +148,8 @@ func TestFeedMatchesSerialConsume(t *testing.T) {
 }
 
 // TestFeedEmptyAndSingleDeltaFastPath: an empty batch resolves immediately
-// without occupying the commit loop, and a single-delta batch takes the
-// inline path yet produces exactly ConsumeDelta's outcome.
+// without occupying the commit loop, and a single-delta batch produces
+// exactly ConsumeDelta's outcome.
 func TestFeedEmptyAndSingleDeltaFastPath(t *testing.T) {
 	refKG, ref := newFeedPipeline(2)
 	delta := feedWorkload(1, 1, 8)[0][0]
@@ -202,6 +202,14 @@ func addBatch(names ...string) []ingest.Delta {
 // order, error delivered with the prefix stats — while later batches keep
 // committing against consistent KG caches.
 func TestFeedFailedBatchQuiesces(t *testing.T) {
+	for _, partitions := range []int{1, 3} {
+		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
+			testFeedFailedBatchQuiesces(t, partitions)
+		})
+	}
+}
+
+func testFeedFailedBatchQuiesces(t *testing.T, partitions int) {
 	failErr := errors.New("injected commit failure")
 	hook := func(src string) error {
 		if src == "xbad" {
@@ -212,7 +220,7 @@ func TestFeedFailedBatchQuiesces(t *testing.T) {
 	b1, b2, b3 := addBatch("a0", "a1"), addBatch("x0", "xbad", "x2"), addBatch("y0", "y1")
 
 	// Reference: the same batches through Consume with the same failure.
-	refKG, ref := newFeedPipeline(2)
+	ref := newTestPipeline(partitions, 2, true)
 	ref.commitHook = hook
 	if _, err := ref.Consume(b1); err != nil {
 		t.Fatal(err)
@@ -224,7 +232,7 @@ func TestFeedFailedBatchQuiesces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kg, p := newFeedPipeline(2)
+	p := newTestPipeline(partitions, 2, true)
 	p.commitHook = hook
 	var published []uint64
 	f := NewFeed(p, FeedOptions{
@@ -261,7 +269,7 @@ func TestFeedFailedBatchQuiesces(t *testing.T) {
 	if !reflect.DeepEqual(published, []uint64{1, 2, 3}) {
 		t.Fatalf("publish order = %v", published)
 	}
-	if got, want := graphBytes(t, kg), graphBytes(t, refKG); got != want {
+	if got, want := graphBytes(t, p.KG), graphBytes(t, ref.KG); got != want {
 		t.Fatal("feed KG after failed batch diverged from reference prefix semantics")
 	}
 	st := f.Stats()
@@ -323,36 +331,30 @@ func TestFeedSubmitAfterClose(t *testing.T) {
 }
 
 // TestConsumeMidBatchCommitErrorPrefix pins the partial-prefix contract on
-// the batch consume paths themselves: a commit failure at delta i leaves
-// deltas [0, i) applied with stats filled, nothing at or after i applied,
-// the error typed as *BatchError, and the pipeline's caches consistent (the
-// remaining deltas re-consume cleanly afterwards).
+// the batch consume path itself, for every partition count: a commit failure
+// at delta i leaves deltas [0, i) applied with stats filled, nothing at or
+// after i applied, the error typed as *BatchError, and the pipeline's caches
+// consistent (the remaining deltas re-consume cleanly afterwards).
 func TestConsumeMidBatchCommitErrorPrefix(t *testing.T) {
 	failErr := errors.New("boom")
 	batch := addBatch("c0", "c1", "cbad", "c3")
-	consumes := []struct {
-		name string
-		run  func(p *Pipeline, ds []ingest.Delta) ([]SourceStats, error)
-	}{
-		{"pipelined", func(p *Pipeline, ds []ingest.Delta) ([]SourceStats, error) { return p.Consume(ds) }},
-		{"barrier", func(p *Pipeline, ds []ingest.Delta) ([]SourceStats, error) { return p.ConsumeBarrier(ds) }},
-	}
-	for _, c := range consumes {
-		t.Run(c.name, func(t *testing.T) {
+	for _, partitions := range []int{1, 3} {
+		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
 			// Expectation: just the prefix, on a clean pipeline.
-			wantKG, wantP := newFeedPipeline(2)
-			if _, err := wantP.Consume(batch[:2]); err != nil {
+			want := newTestPipeline(partitions, 2, true)
+			if _, err := want.Consume(batch[:2]); err != nil {
 				t.Fatal(err)
 			}
 
-			kg, p := newFeedPipeline(2)
+			p := newTestPipeline(partitions, 2, true)
+			kg := p.KG
 			p.commitHook = func(src string) error {
 				if src == "cbad" {
 					return failErr
 				}
 				return nil
 			}
-			stats, err := c.run(p, batch)
+			stats, err := p.Consume(batch)
 			var be *BatchError
 			if !errors.As(err, &be) || be.Index != 2 || !errors.Is(err, failErr) {
 				t.Fatalf("error = %v", err)
@@ -363,13 +365,13 @@ func TestConsumeMidBatchCommitErrorPrefix(t *testing.T) {
 			if stats[2].Source != "" || stats[3].Source != "" {
 				t.Fatalf("stats filled past the failure: %+v", stats[2:])
 			}
-			if got, want := graphBytes(t, kg), graphBytes(t, wantKG); got != want {
+			if got, want := graphBytes(t, kg), graphBytes(t, want.KG); got != want {
 				t.Fatal("KG does not equal the committed prefix")
 			}
 			// Caches stayed transactional with the prefix: the rest of the
 			// batch consumes cleanly once the failure clears.
 			p.commitHook = nil
-			if _, err := c.run(p, batch[2:]); err != nil {
+			if _, err := p.Consume(batch[2:]); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := kg.Lookup("cbad:e0"); !ok {

@@ -76,9 +76,8 @@ type typeResolution struct {
 // payload together with every KG-side candidate it needs, materialized from
 // the KG state at gather time. solve — blocking on the scan path, pair
 // scoring, clustering — is pure compute over the plan and never touches the
-// KG again, which is what lets the pipelined Consume overlap a later delta's
-// linking with an earlier delta's commit without the later delta observing
-// mid-batch graph state.
+// KG again, so no delta of a batch observes mid-batch graph state however
+// its compute is scheduled.
 type typeLinkPlan struct {
 	entityType string
 	src        []*triple.Entity

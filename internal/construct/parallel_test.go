@@ -183,7 +183,7 @@ func overlappingSpecs() []workload.SourceSpec {
 func TestPipelineWorkerCountByteIdentical(t *testing.T) {
 	run := func(workers int, indexed bool) *construct.KG {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ontology.Default())
+		p := construct.NewPipeline(kg, ontology.Default(), 1)
 		p.Workers = workers
 		if indexed {
 			p.EnableBlockIndex()
@@ -261,7 +261,7 @@ func TestConsumeParallelEqualsSequential(t *testing.T) {
 	}
 
 	kgSeq := construct.NewKG()
-	pSeq := construct.NewPipeline(kgSeq, ontology.Default())
+	pSeq := construct.NewPipeline(kgSeq, ontology.Default(), 1)
 	pSeq.Workers = 1
 	statsSeq, err := pSeq.ConsumeSequential(shuffle(independentDeltas(8)))
 	if err != nil {
@@ -269,7 +269,7 @@ func TestConsumeParallelEqualsSequential(t *testing.T) {
 	}
 
 	kgPar := construct.NewKG()
-	pPar := construct.NewPipeline(kgPar, ontology.Default())
+	pPar := construct.NewPipeline(kgPar, ontology.Default(), 1)
 	pPar.Workers = 8
 	statsPar, err := pPar.Consume(shuffle(independentDeltas(8)))
 	if err != nil {
@@ -310,7 +310,7 @@ func TestConcurrentConsumeDeltaRace(t *testing.T) {
 
 func testConcurrentConsumeDelta(t *testing.T, indexed bool) {
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ontology.Default())
+	p := construct.NewPipeline(kg, ontology.Default(), 1)
 	if indexed {
 		p.EnableBlockIndex()
 	}
@@ -336,7 +336,7 @@ func testConcurrentConsumeDelta(t *testing.T, indexed bool) {
 }
 
 // richDeltas extends independentDeltas with per-source update and delete
-// deltas (same batch), so the three consume paths are exercised across every
+// deltas (same batch), so the consume paths are exercised across every
 // payload kind, not just adds.
 func richDeltas(n int) []ingest.Delta {
 	deltas := independentDeltas(n)
@@ -354,29 +354,26 @@ func richDeltas(n int) []ingest.Delta {
 	return deltas
 }
 
-// TestConsumePipelinedBarrierSequentialByteIdentical: the pipelined Consume,
-// the barrier ConsumeBarrier, and ConsumeSequential must produce
-// byte-identical KGs and identical SourceStats over independent deltas, for
-// every worker count and in both linking modes. This is the property the
-// commit-pipeline invariants promise: overlapping prepare and fuse across
-// deltas never changes a single byte of output.
-func TestConsumePipelinedBarrierSequentialByteIdentical(t *testing.T) {
+// TestConsumeBatchedSequentialByteIdentical: the batched Consume and
+// ConsumeSequential must produce byte-identical KGs and identical SourceStats
+// over independent deltas, for every worker count and in both linking modes.
+// This is the property the commit-schedule invariants promise: preparing a
+// whole batch in parallel before its commits never changes a single byte of
+// output.
+func TestConsumeBatchedSequentialByteIdentical(t *testing.T) {
 	type consumeFn func(p *construct.Pipeline, deltas []ingest.Delta) ([]construct.SourceStats, error)
 	modes := []struct {
 		name    string
 		consume consumeFn
 	}{
-		{"pipelined", func(p *construct.Pipeline, d []ingest.Delta) ([]construct.SourceStats, error) { return p.Consume(d) }},
-		{"barrier", func(p *construct.Pipeline, d []ingest.Delta) ([]construct.SourceStats, error) {
-			return p.ConsumeBarrier(d)
-		}},
+		{"batched", func(p *construct.Pipeline, d []ingest.Delta) ([]construct.SourceStats, error) { return p.Consume(d) }},
 		{"sequential", func(p *construct.Pipeline, d []ingest.Delta) ([]construct.SourceStats, error) {
 			return p.ConsumeSequential(d)
 		}},
 	}
 	run := func(consume consumeFn, workers int, indexed bool) (string, []construct.SourceStats) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ontology.Default())
+		p := construct.NewPipeline(kg, ontology.Default(), 1)
 		p.Workers = workers
 		if indexed {
 			p.EnableBlockIndex()
@@ -395,7 +392,7 @@ func TestConsumePipelinedBarrierSequentialByteIdentical(t *testing.T) {
 		}
 		return kgFingerprint(kg), append(stats, tail...)
 	}
-	wantKG, wantStats := run(modes[2].consume, 1, false)
+	wantKG, wantStats := run(modes[1].consume, 1, false)
 	for _, mode := range modes {
 		for _, workers := range []int{1, 2, 8} {
 			for _, indexed := range []bool{false, true} {
@@ -414,14 +411,14 @@ func TestConsumePipelinedBarrierSequentialByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPipelinedConsumeConcurrentReaders drives a pipelined Consume while
-// other goroutines concurrently drain conflicts and read pipeline, index,
+// TestConsumeConcurrentReaders drives a multi-worker Consume while other
+// goroutines concurrently drain conflicts and read pipeline, index,
 // and graph statistics — the monitoring traffic a live platform generates —
 // under the race detector.
-func TestPipelinedConsumeConcurrentReaders(t *testing.T) {
+func TestConsumeConcurrentReaders(t *testing.T) {
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ontology.Default())
-	p.Workers = 4 // force the pipelined schedule even on single-CPU hosts
+	p := construct.NewPipeline(kg, ontology.Default(), 1)
+	p.Workers = 4 // parallel preparation even on single-CPU hosts
 	p.EnableBlockIndex()
 
 	done := make(chan struct{})
@@ -439,7 +436,7 @@ func TestPipelinedConsumeConcurrentReaders(t *testing.T) {
 				}
 				atomic.AddInt64(&drained, int64(len(p.DrainConflicts())))
 				_ = p.FusionStats()
-				_ = p.Index.Stats()
+				_ = p.BlockIndexStats()
 				_ = kg.LinkCount()
 				_ = kg.Graph.Stats()
 			}

@@ -1,9 +1,9 @@
 package construct
 
-// Byte-identity coverage for the partitioned pipeline: across partition
-// counts, worker counts, and linking modes, a PartitionedPipeline must leave
-// (after the trailing exchange) exactly the KG, link table, and per-delta
-// stats of a single Pipeline over the same stream — including the
+// Byte-identity coverage across partition counts: for every partition count,
+// worker count, and linking mode, a Pipeline must leave (after the trailing
+// exchange) exactly the KG, link table, and per-delta stats of the
+// one-partition pipeline over the same stream — including the
 // flush-on-conflict interleavings where stable writes land on targets with
 // deferred volatile ops, and the deferral counters that make the exchange
 // window observable.
@@ -103,23 +103,15 @@ func workloadSourceIDs(batches [][]ingest.Delta) []triple.EntityID {
 	return out
 }
 
-func newSinglePipeline(workers int, indexed bool) (*KG, *Pipeline) {
-	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+// newTestPipeline wires a pipeline of the given partition count over a fresh
+// KG.
+func newTestPipeline(partitions, workers int, indexed bool) *Pipeline {
+	p := NewPipeline(NewKG(), ontology.Default(), partitions)
 	p.Workers = workers
 	if indexed {
 		p.EnableBlockIndex()
 	}
-	return kg, p
-}
-
-func newPartitionedPipeline(partitions, workers int, indexed bool) *PartitionedPipeline {
-	pp := NewPartitionedPipeline(NewKG(), ontology.Default(), partitions)
-	pp.Workers = workers
-	if indexed {
-		pp.EnableBlockIndex()
-	}
-	return pp
+	return p
 }
 
 // assertSameKG compares final graph bytes and the full link table.
@@ -140,9 +132,9 @@ func assertSameKG(t *testing.T, got, want *KG, ids []triple.EntityID) {
 	}
 }
 
-// TestPartitionedMatchesSinglePipeline is the tentpole property: partitioned
-// construction is byte-identical to the single pipeline across partition
-// counts × worker counts × linking modes, per-delta stats included.
+// TestPartitionedMatchesSinglePipeline is the tentpole property: construction
+// at every partition count is byte-identical to one partition across worker
+// counts × linking modes, per-delta stats included.
 func TestPartitionedMatchesSinglePipeline(t *testing.T) {
 	batches := partitionedWorkload(7, 4, 10)
 	ids := workloadSourceIDs(batches)
@@ -152,8 +144,9 @@ func TestPartitionedMatchesSinglePipeline(t *testing.T) {
 			mode = "fullscan"
 		}
 		for _, workers := range []int{1, 4} {
-			// Reference: the single pipeline at the same worker count.
-			wantKG, single := newSinglePipeline(workers, indexed)
+			// Reference: one partition at the same worker count.
+			single := newTestPipeline(1, workers, indexed)
+			wantKG := single.KG
 			wantStats := make([][]SourceStats, len(batches))
 			for i, b := range batches {
 				stats, err := single.Consume(b)
@@ -164,7 +157,7 @@ func TestPartitionedMatchesSinglePipeline(t *testing.T) {
 			}
 			for _, parts := range []int{1, 2, 3, 4} {
 				t.Run(fmt.Sprintf("%s/workers=%d/parts=%d", mode, workers, parts), func(t *testing.T) {
-					pp := newPartitionedPipeline(parts, workers, indexed)
+					pp := newTestPipeline(parts, workers, indexed)
 					for i, b := range batches {
 						stats, err := pp.Consume(b)
 						if err != nil {
@@ -195,7 +188,7 @@ func TestPartitionedMatchesSinglePipeline(t *testing.T) {
 
 // TestPartitionedFlushOnConflict pins the non-commutativity interleavings
 // one by one: a deferred overwrite followed by a stable update, a stable
-// delete, and a delete-then-readd must each replay the single pipeline's
+// delete, and a delete-then-readd must each replay the one-partition pipeline's
 // order exactly.
 func TestPartitionedFlushOnConflict(t *testing.T) {
 	vol := func(src, local string, pop float64) *triple.Entity {
@@ -234,14 +227,15 @@ func TestPartitionedFlushOnConflict(t *testing.T) {
 	}
 	for name, deltas := range steps {
 		t.Run(name, func(t *testing.T) {
-			wantKG, single := newSinglePipeline(2, true)
+			single := newTestPipeline(1, 2, true)
+			wantKG := single.KG
 			for _, d := range deltas {
 				if _, err := single.ConsumeDelta(d); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for _, parts := range []int{1, 3} {
-				pp := newPartitionedPipeline(parts, 2, true)
+				pp := newTestPipeline(parts, 2, true)
 				for _, d := range deltas {
 					if _, err := pp.ConsumeDelta(d); err != nil {
 						t.Fatal(err)
@@ -258,7 +252,7 @@ func TestPartitionedFlushOnConflict(t *testing.T) {
 // consecutive same-source collapse, pending, flush — must add up, and
 // HasPending must expose exactly the held-back targets the publisher skips.
 func TestPartitionedVolatileCounters(t *testing.T) {
-	pp := newPartitionedPipeline(2, 2, true)
+	pp := newTestPipeline(2, 2, true)
 	if _, err := pp.ConsumeDelta(ingest.Delta{
 		Source: "s", Added: []*triple.Entity{sourceArtist("s", "a", "Vega")},
 	}); err != nil {
@@ -320,14 +314,14 @@ func TestPartitionedVolatileCounters(t *testing.T) {
 }
 
 // TestPartitionedFeedMatchesConsume: the partitioned feed must construct
-// exactly the KG of serial Consume calls on a partitioned pipeline — and
-// therefore of the single pipeline — with per-batch stats preserved through
+// exactly the KG of serial Consume calls at the same partition count — and
+// therefore of one partition — with per-batch stats preserved through
 // the feed's result channels.
 func TestPartitionedFeedMatchesConsume(t *testing.T) {
 	batches := partitionedWorkload(6, 3, 9)
 	ids := workloadSourceIDs(batches)
 
-	serial := newPartitionedPipeline(3, 2, true)
+	serial := newTestPipeline(3, 2, true)
 	serialStats := make([][]SourceStats, len(batches))
 	for i, b := range batches {
 		stats, err := serial.Consume(b)
@@ -338,7 +332,8 @@ func TestPartitionedFeedMatchesConsume(t *testing.T) {
 	}
 	serial.FlushVolatile()
 
-	wantKG, single := newSinglePipeline(2, true)
+	single := newTestPipeline(1, 2, true)
+	wantKG := single.KG
 	for _, b := range batches {
 		if _, err := single.Consume(b); err != nil {
 			t.Fatal(err)
@@ -346,8 +341,8 @@ func TestPartitionedFeedMatchesConsume(t *testing.T) {
 	}
 	assertSameKG(t, serial.KG, wantKG, ids)
 
-	pp := newPartitionedPipeline(3, 2, true)
-	f := NewPartitionedFeed(pp, FeedOptions{Queue: 2, PublishQueue: 1})
+	pp := newTestPipeline(3, 2, true)
+	f := NewFeed(pp, FeedOptions{Queue: 2, PublishQueue: 1})
 	results := make([]<-chan BatchResult, len(batches))
 	for i, b := range batches {
 		results[i] = f.Submit(b)
@@ -369,9 +364,9 @@ func TestPartitionedFeedMatchesConsume(t *testing.T) {
 }
 
 // TestPartitionedBadDeltaLeavesKGUntouched: validation failures abort the
-// whole batch before any commit, exactly as on the single pipeline.
+// whole batch before any commit, at every partition count.
 func TestPartitionedBadDeltaLeavesKGUntouched(t *testing.T) {
-	pp := newPartitionedPipeline(2, 2, true)
+	pp := newTestPipeline(2, 2, true)
 	if _, err := pp.ConsumeDelta(ingest.Delta{
 		Source: "seed", Added: []*triple.Entity{sourceArtist("seed", "a", "Seed Artist")},
 	}); err != nil {

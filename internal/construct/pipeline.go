@@ -14,7 +14,16 @@ import (
 // framework (§2.4, Figure 5). It always operates on source diffs: a brand-new
 // source arrives as a full Added payload.
 //
-// Commit-pipeline invariants (what may overlap, what serializes):
+// Construction is sharded across partitions ≥ 1 over the one KG: entity types
+// hash to an owner partition (PartitionOfType), each partition owns a block
+// index over its types, and a commit's fusion work fans out across partitions
+// on the worker budget while minting, linking, and object resolution stay in
+// canonical input order. With several partitions the volatile overwrites of a
+// commit are deferred to per-target backlogs and exchanged at batch boundaries
+// (partition.go); one partition writes them inline. Every partition count
+// constructs a byte-identical KG.
+//
+// Commit-schedule invariants (what may overlap, what serializes):
 //
 //   - Validation of every delta in a Consume batch completes before the first
 //     commit, so a batch containing a bad delta leaves the KG untouched.
@@ -23,20 +32,17 @@ import (
 //     loading) — runs for the whole batch against the KG state at batch
 //     start, before any commit. Deltas of one batch therefore never link
 //     against each other's output; with the block index enabled this phase is
-//     O(|delta|) per delta, which is what makes pipelining cheap.
+//     O(|delta|) per delta.
 //   - The compute phase (blocking on the scan path, pair scoring, component
 //     clustering) is pure and runs concurrently on the worker pool — across
 //     deltas and, within a delta, across type groups and candidate-graph
-//     components. It may overlap any commit.
-//   - Commits serialize under the fusion lock in input order: commit i starts
-//     as soon as compute i and commit i−1 are both done (pipelined Consume),
-//     so delta i's fusion overlaps delta j's compute for j > i. Every graph
+//     components. It finishes for the whole batch before the first commit.
+//   - Commits serialize under the commit lock in input order. Every graph
 //     write — minting, object resolution, stub creation, fusion, index and
-//     resolver-cache maintenance — happens inside a commit, in an order fixed
-//     by the input alone.
+//     resolver-cache maintenance — happens inside a commit (or a backlog
+//     flush under the same lock), in an order fixed by the input alone.
 //
-// A parallel, pipelined run therefore writes a KG byte-identical to a
-// sequential one.
+// A parallel run therefore writes a KG byte-identical to a sequential one.
 type Pipeline struct {
 	// KG is the graph under construction.
 	KG *KG
@@ -54,13 +60,6 @@ type Pipeline struct {
 	// preparation): 0 means GOMAXPROCS, 1 forces the sequential reference
 	// path. The produced KG is identical for every value.
 	Workers int
-	// Index, when non-nil, switches linking to the incremental path: deltas
-	// probe the block-key → entity-ID index for KG-side candidates instead
-	// of scanning the full per-type KG view, and every commit refreshes the
-	// index for exactly the entities it touched or removed. Enable through
-	// EnableBlockIndex so the index is populated and wired to the linking
-	// blocker; the constructed KG is byte-identical with and without it.
-	Index *BlockIndex
 	// PerEntityFusion opts the commit phase out of batched per-target fusion
 	// and fuses payload entities one Graph.Update round-trip at a time — the
 	// pre-batching reference path, kept as the ablation baseline the
@@ -68,14 +67,29 @@ type Pipeline struct {
 	PerEntityFusion bool
 
 	// commitHook, when set (tests only), runs at the start of every
-	// commitDelta under the fusion lock, before any graph write; a non-nil
+	// commitDelta under the commit lock, before any graph write; a non-nil
 	// error aborts that delta's commit cleanly, leaving the KG and the
 	// KG-derived caches exactly as the previous commit left them. It exists
 	// to exercise the mid-batch commit-error contract, which no production
 	// commit path currently triggers on its own.
 	commitHook func(source string) error
 
-	fuseMu      sync.Mutex
+	// partitions is the partition count (≥ 1), fixed at construction: the
+	// type → owner hash and the owned block indexes depend on it.
+	partitions int
+	// indexes, when non-nil, holds one block index per partition, each over
+	// the entity types its partition owns, and switches linking to the
+	// incremental path: deltas probe the owner's block-key → entity-ID index
+	// for KG-side candidates instead of scanning the full per-type KG view,
+	// and every commit refreshes the indexes for exactly the entities it
+	// wrote or removed. Nil links by full scan, the reference path; the
+	// constructed KG is byte-identical either way. Set by EnableBlockIndex.
+	indexes []*BlockIndex
+
+	// commitMu is the commit lock: commits and backlog flushes serialize
+	// under it (volatile overwrite and stable fusion on one target do not
+	// commute, so flushes cannot slide past commits).
+	commitMu    sync.Mutex
 	conflictsMu sync.Mutex
 	conflicts   []Conflict
 
@@ -85,8 +99,14 @@ type Pipeline struct {
 	resolverMu    sync.Mutex
 	aliasResolver *AliasResolver
 
-	fusionMu sync.Mutex
-	fusion   FusionStats
+	fusionMu   sync.Mutex
+	fusion     FusionStats
+	partFusion []FusionStats // per owner partition: the partition-balance signal
+
+	// volatileMu guards the deferred-overwrite backlog (partition.go).
+	volatileMu sync.Mutex
+	backlog    map[triple.EntityID]*deferredTarget
+	volStats   VolatileBacklogStats
 }
 
 // FusionStats counts the commit phase's fusion traffic. Payloads/Targets is
@@ -106,6 +126,13 @@ func (p *Pipeline) FusionStats() FusionStats {
 	return p.fusion
 }
 
+// PartitionFusionStats reports the fusion counters split by owner partition.
+func (p *Pipeline) PartitionFusionStats() []FusionStats {
+	p.fusionMu.Lock()
+	defer p.fusionMu.Unlock()
+	return append([]FusionStats(nil), p.partFusion...)
+}
+
 // workers resolves the pipeline's effective worker count.
 func (p *Pipeline) workers() int {
 	if p.Workers > 0 {
@@ -114,32 +141,67 @@ func (p *Pipeline) workers() int {
 	return effectiveWorkers(p.Link.Workers)
 }
 
-// NewPipeline wires a construction pipeline over the given KG and ontology
-// with default linking and fusion parameters.
-func NewPipeline(kg *KG, ont *ontology.Ontology) *Pipeline {
-	return &Pipeline{KG: kg, Ont: ont, Fuser: &Fuser{Ont: ont}}
+// NewPipeline wires a construction pipeline of the given partition count
+// (values below 1 mean 1) over the KG and ontology, with default linking and
+// fusion parameters.
+func NewPipeline(kg *KG, ont *ontology.Ontology, partitions int) *Pipeline {
+	if partitions < 1 {
+		partitions = 1
+	}
+	return &Pipeline{
+		KG: kg, Ont: ont, Fuser: &Fuser{Ont: ont},
+		partitions: partitions,
+		partFusion: make([]FusionStats, partitions),
+		backlog:    make(map[triple.EntityID]*deferredTarget),
+	}
 }
 
-// EnableBlockIndex builds the persistent block index from the KG's current
-// state (the one full scan it ever performs) over the pipeline's linking
+// Partitions returns the partition count.
+func (p *Pipeline) Partitions() int { return p.partitions }
+
+// EnableBlockIndex builds one block index per partition from the KG's current
+// state (the one full scan they ever perform) over the pipeline's linking
 // blocker and switches linking to the incremental path. Call after wiring
-// Link and before consuming deltas; every subsequent commit keeps the index
-// transactional with the KG.
-func (p *Pipeline) EnableBlockIndex() *BlockIndex {
-	ix := NewBlockIndex(p.Link.withDefaults().Blocker)
-	ix.Build(p.KG.Graph)
-	p.Index = ix
-	return ix
+// Link and before consuming deltas; every subsequent commit keeps the indexes
+// transactional with the KG. Every entity indexes in exactly the partitions
+// that own one of its types, so the per-commit refreshes together cost what a
+// single index's refresh would.
+func (p *Pipeline) EnableBlockIndex() {
+	blocker := p.Link.withDefaults().Blocker
+	p.indexes = make([]*BlockIndex, p.partitions)
+	for i := range p.indexes {
+		var owns func(entityType string) bool
+		if p.partitions > 1 {
+			owns = func(entityType string) bool { return p.partOfType(entityType) == i }
+		}
+		p.indexes[i] = NewOwnedBlockIndex(blocker, owns)
+		p.indexes[i].Build(p.KG.Graph)
+	}
+}
+
+// BlockIndexStats aggregates the partitions' block indexes into one view
+// (zero in full-scan mode).
+func (p *Pipeline) BlockIndexStats() BlockIndexStats {
+	var st BlockIndexStats
+	for _, ix := range p.indexes {
+		s := ix.Stats()
+		st.Entities += s.Entities
+		st.Types += s.Types
+		st.Keys += s.Keys
+		st.Probes += s.Probes
+		st.Refreshes += s.Refreshes
+	}
+	return st
 }
 
 // RefreshKGCaches re-derives the pipeline's KG-derived caches — the block
-// index and the cached alias resolver — for the given entities from the KG's
+// indexes and the cached alias resolver — for the given entities from the KG's
 // current state. The pipeline keeps both current for its own commits; callers
 // that mutate the graph directly (curation hot fixes, manual repairs) must
 // report the entities they touched or deleted here.
 func (p *Pipeline) RefreshKGCaches(ids ...triple.EntityID) {
-	if p.Index != nil {
-		p.Index.Refresh(p.KG.Graph, ids...)
+	for _, ix := range p.indexes {
+		ix.Refresh(p.KG.Graph, ids...)
 	}
 	p.resolverMu.Lock()
 	cached := p.aliasResolver
@@ -147,12 +209,6 @@ func (p *Pipeline) RefreshKGCaches(ids ...triple.EntityID) {
 	if cached != nil {
 		cached.Refresh(p.KG.Graph, ids...)
 	}
-}
-
-// RefreshBlockIndex is the pre-cache name of RefreshKGCaches, kept for
-// callers wired before the alias-resolver cache existed.
-func (p *Pipeline) RefreshBlockIndex(ids ...triple.EntityID) {
-	p.RefreshKGCaches(ids...)
 }
 
 // kgResolver returns the cached incremental alias resolver, building it from
@@ -167,12 +223,12 @@ func (p *Pipeline) kgResolver() *AliasResolver {
 	return p.aliasResolver
 }
 
-// BatchError reports a mid-batch commit failure inside Consume,
-// ConsumeBarrier, or a Feed batch. Commits are input-ordered and each delta's
+// BatchError reports a mid-batch commit failure inside Consume or a Feed
+// batch. Commits are input-ordered and each delta's
 // commit is all-or-nothing, so the failure splits the batch exactly: deltas
 // [0, Index) are fully applied — the partial-prefix contract — the delta at
 // Index failed before writing anything, and nothing at or after Index is
-// applied. The KG and its derived caches (block index, alias-resolver cache)
+// applied. The KG and its derived caches (block indexes, alias-resolver cache)
 // are byte-identical to consuming just the prefix, and the returned stats
 // carry exactly the prefix's entries.
 type BatchError struct {
@@ -254,8 +310,8 @@ type deleteLink struct {
 // preparedDelta carries a delta through the consume phases: snapshotDelta
 // fills the link lookups and per-type candidate plans (every KG read),
 // computeDelta solves the plans into resolutions (pure compute), and
-// commitDelta applies the result. Snapshots of a batch all run before its
-// first commit; computations overlap commits freely.
+// commitDelta applies the result. Snapshots and computations of a batch all
+// run before its first commit.
 type preparedDelta struct {
 	delta       ingest.Delta
 	updates     []linkedUpdate
@@ -266,20 +322,14 @@ type preparedDelta struct {
 	resolutions []typeResolution // one per addTypes entry, same order
 }
 
-// validateDelta checks the pipeline wiring and the delta payload before any
-// state changes. Consume validates every delta of a batch before the first
-// commit, so a batch containing a bad delta leaves the KG untouched instead
-// of half-applied.
+// validateDelta checks the pipeline wiring and the delta payload (nil
+// entities, empty IDs) before any state changes. Consume validates every
+// delta of a batch before the first commit, so a batch containing a bad delta
+// leaves the KG untouched instead of half-applied.
 func (p *Pipeline) validateDelta(d ingest.Delta) error {
 	if p.KG == nil || p.Ont == nil {
 		return fmt.Errorf("construct: pipeline missing KG or ontology")
 	}
-	return validateDeltaPayload(d)
-}
-
-// validateDeltaPayload checks the delta payload itself (nil entities, empty
-// IDs); shared by the single and partitioned pipelines.
-func validateDeltaPayload(d ingest.Delta) error {
 	check := func(kind string, ents []*triple.Entity) error {
 		for i, e := range ents {
 			if e == nil {
@@ -311,9 +361,9 @@ func validateDeltaPayload(d ingest.Delta) error {
 // snapshotDelta performs every KG read consuming the delta needs — update and
 // delete link lookups plus the per-type candidate gather (block-index probe
 // and candidate load, or KG-view materialization) — against the KG's current
-// state. With the block index enabled this is O(|delta|). The returned
-// preparedDelta is self-contained: computeDelta never touches the KG, which
-// is what lets commits of earlier deltas overlap it. b is the consume call's
+// state, each type group probing its owner partition's index. With the block
+// index enabled this is O(|delta|). The returned preparedDelta is
+// self-contained: computeDelta never touches the KG. b is the consume call's
 // shared helper-goroutine budget.
 func (p *Pipeline) snapshotDelta(d ingest.Delta, b *WorkerBudget) *preparedDelta {
 	pd := &preparedDelta{delta: d}
@@ -342,11 +392,10 @@ func (p *Pipeline) snapshotDelta(d ingest.Delta, b *WorkerBudget) *preparedDelta
 	pd.addGroups, pd.addTypes = GroupByType(adds)
 	pd.plans = make([]typeLinkPlan, len(pd.addTypes))
 	params := p.Link.withDefaults()
-	index := p.Index
 	runIndexedBudget(b, p.workers(), len(pd.addTypes), func(i int) {
 		typ := pd.addTypes[i]
-		if index != nil {
-			pd.plans[i] = gatherTypeGroupIndexed(pd.addGroups[typ], p.KG, index, typ, params)
+		if p.indexes != nil {
+			pd.plans[i] = gatherTypeGroupIndexed(pd.addGroups[typ], p.KG, p.indexes[p.partOfType(typ)], typ, params)
 		} else {
 			pd.plans[i] = gatherTypeGroup(pd.addGroups[typ], p.KG.KGViewShared(typ), typ)
 		}
@@ -356,9 +405,9 @@ func (p *Pipeline) snapshotDelta(d ingest.Delta, b *WorkerBudget) *preparedDelta
 
 // computeDelta runs the pure-compute half of the pipeline over a snapshotted
 // delta: per-type blocking (scan path), pair scoring, and component
-// clustering on the worker pool. It reads no KG state, so it may overlap any
-// commit; both paths produce identical resolutions for every cluster
-// containing source entities.
+// clustering on the worker pool. It reads no KG state; the scan and indexed
+// paths produce identical resolutions for every cluster containing source
+// entities.
 func (p *Pipeline) computeDelta(pd *preparedDelta, b *WorkerBudget) {
 	params := p.Link
 	if params.Workers == 0 {
@@ -369,17 +418,6 @@ func (p *Pipeline) computeDelta(pd *preparedDelta, b *WorkerBudget) {
 	runIndexedBudget(b, p.workers(), len(pd.addTypes), func(i int) {
 		pd.resolutions[i] = pd.plans[i].solve(params)
 	})
-}
-
-// prepareDelta runs the read-only half of the pipeline: validation, the KG
-// snapshot, and per-type blocking/matching/clustering on the worker pool.
-func (p *Pipeline) prepareDelta(d ingest.Delta, b *WorkerBudget) (*preparedDelta, error) {
-	if err := p.validateDelta(d); err != nil {
-		return nil, err
-	}
-	pd := p.snapshotDelta(d, b)
-	p.computeDelta(pd, b)
-	return pd, nil
 }
 
 // newBudget creates the shared helper-goroutine budget one top-level consume
@@ -398,19 +436,38 @@ func (p *Pipeline) newBudget() *WorkerBudget {
 type fuseGroup struct {
 	id  triple.EntityID
 	ops []FuseOp
-	// part is the owning partition on the partitioned commit path (always 0
-	// for the single pipeline). Distinct groups target distinct entities, so
-	// partition-parallel group application writes disjoint entity records.
+	// part is the owner partition of the type context that first created the
+	// group. Distinct groups target distinct entities, so partition-parallel
+	// group application writes disjoint entity records.
 	part int
 }
 
-// commitDelta applies a prepared delta to the KG under the fusion lock: KG
+// fuse applies one group to the graph and returns its conflicts.
+func (p *Pipeline) fuse(fuser *Fuser, g fuseGroup) []Conflict {
+	if !p.PerEntityFusion {
+		return fuser.FuseBatch(p.KG.Graph, g.id, g.ops)
+	}
+	// Reference path: one graph round-trip and one conflict pass per
+	// payload entity.
+	var conflicts []Conflict
+	for _, op := range g.ops {
+		if op.StripSource != "" {
+			removeSourceStable(p.KG.Graph, g.id, op.StripSource, p.Ont)
+		}
+		if op.Incoming != nil {
+			conflicts = append(conflicts, fuser.FuseEntity(p.KG.Graph, op.Incoming)...)
+		}
+	}
+	return conflicts
+}
+
+// commitDelta applies a prepared delta to the KG under the commit lock: KG
 // identifiers are minted in canonical type-then-cluster order, object
 // resolution runs (parallel over entities, with stub minting deferred to a
 // sequential canonical pass), and payloads fuse — grouped by target KG
-// entity, one batched fuse per target. Because every write happens here, in
-// an order fixed by the input alone, parallel and sequential runs produce
-// byte-identical KGs.
+// entity, one batched fuse per target, partitions in parallel. Because every
+// write happens here, in an order fixed by the input alone, parallel and
+// sequential runs at every partition count produce byte-identical KGs.
 func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats, error) {
 	d := pd.delta
 	stats := SourceStats{Source: d.Source}
@@ -419,8 +476,8 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 		fuser = &Fuser{Ont: p.Ont}
 	}
 
-	p.fuseMu.Lock()
-	defer p.fuseMu.Unlock()
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
 
 	if p.commitHook != nil {
 		if err := p.commitHook(d.Source); err != nil {
@@ -432,7 +489,7 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 	if resolver == nil {
 		// The cached incremental resolver replaces the former per-commit
 		// rebuild from a full Graph.Snapshot (O(|KG|) every commit); it is
-		// invalidated below from exactly this commit's touched/removed sets.
+		// invalidated below from exactly this commit's written/removed sets.
 		resolver = p.kgResolver()
 	}
 
@@ -456,6 +513,12 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 	for _, u := range pd.updates {
 		assignment[u.ent.ID] = u.kgID
 	}
+
+	// Flush-on-conflict: the assignment fixes this commit's stable write
+	// targets; any of them (or a delete target) carrying deferred volatile
+	// ops replays those first, restoring the volatile-before-next-stable-write
+	// order per target. With one partition nothing is ever deferred.
+	p.flushConflicts(assignment, pd.deleteLinks)
 
 	// Object resolution over adds and updates, parallel per entity; dangling
 	// references come back as deferred stub requests.
@@ -513,16 +576,17 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 	// merges).
 	groupIdx := make(map[triple.EntityID]int)
 	var groups []fuseGroup
-	addOp := func(id triple.EntityID, op FuseOp) {
+	addOp := func(id triple.EntityID, op FuseOp, part int) {
 		gi, ok := groupIdx[id]
 		if !ok {
 			gi = len(groups)
 			groupIdx[id] = gi
-			groups = append(groups, fuseGroup{id: id})
+			groups = append(groups, fuseGroup{id: id, part: part})
 		}
 		groups[gi].ops = append(groups[gi].ops, op)
 	}
-	for _, outcome := range outcomes {
+	for i, outcome := range outcomes {
+		part := p.partOfType(pd.addTypes[i])
 		for lo := 0; lo < len(outcome.SameAs); {
 			hi := lo + 1
 			for hi < len(outcome.SameAs) && outcome.SameAs[hi].Subject == outcome.SameAs[lo].Subject {
@@ -530,11 +594,12 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 			}
 			carrier := triple.NewEntity(outcome.SameAs[lo].Subject)
 			carrier.Add(outcome.SameAs[lo:hi]...)
-			addOp(carrier.ID, FuseOp{Incoming: carrier})
+			addOp(carrier.ID, FuseOp{Incoming: carrier}, part)
 			lo = hi
 		}
 	}
 	for _, typ := range pd.addTypes {
+		part := p.partOfType(typ)
 		for _, e := range pd.addGroups[typ] {
 			kgID, ok := assignment[e.ID]
 			if !ok {
@@ -542,36 +607,37 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 			}
 			linked := e.Clone()
 			linked.Rewrite(kgID, nil)
-			addOp(kgID, FuseOp{Incoming: linked})
+			addOp(kgID, FuseOp{Incoming: linked}, part)
 		}
 	}
 	for _, u := range pd.updates {
 		// Replace this source's stable contribution: strip, then re-fuse.
 		linked := u.ent.Clone()
 		linked.Rewrite(u.kgID, nil)
-		addOp(u.kgID, FuseOp{StripSource: d.Source, Incoming: linked})
+		addOp(u.kgID, FuseOp{StripSource: d.Source, Incoming: linked}, p.partOfEntity(u.ent))
 		stats.Updated++
 	}
+	// Partition-parallel group application: distinct groups write distinct
+	// entities (groupIdx dedupes globally), and within a partition groups
+	// apply in canonical creation order. Per-group conflict slices reassemble
+	// in group order, so the curation stream never depends on scheduling.
+	groupConflicts := make([][]Conflict, len(groups))
+	runIndexedBudget(b, p.workers(), p.partitions, func(part int) {
+		for gi, g := range groups {
+			if g.part == part {
+				groupConflicts[gi] = p.fuse(fuser, g)
+			}
+		}
+	})
 	var conflicts []Conflict
 	payloads := 0
-	for _, g := range groups {
-		payloads += len(g.ops)
-		if p.PerEntityFusion {
-			// Reference path: one graph round-trip and one conflict pass per
-			// payload entity.
-			for _, op := range g.ops {
-				if op.StripSource != "" {
-					removeSourceStable(p.KG.Graph, g.id, op.StripSource, p.Ont)
-				}
-				if op.Incoming != nil {
-					conflicts = append(conflicts, fuser.FuseEntity(p.KG.Graph, op.Incoming)...)
-				}
-			}
-			continue
-		}
-		conflicts = append(conflicts, fuser.FuseBatch(p.KG.Graph, g.id, g.ops)...)
-	}
 	p.fusionMu.Lock()
+	for gi, g := range groups {
+		payloads += len(g.ops)
+		p.partFusion[g.part].Targets++
+		p.partFusion[g.part].Payloads += len(g.ops)
+		conflicts = append(conflicts, groupConflicts[gi]...)
+	}
 	p.fusion.Commits++
 	p.fusion.Targets += len(groups)
 	p.fusion.Payloads += payloads
@@ -595,7 +661,17 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 		stats.addUnlink(dl.src)
 		stats.Deleted++
 	}
-	// Volatile partition overwrite runs after the stable payloads fused.
+	// written lists the entities this commit writes to the graph. Touched —
+	// the publish contract — additionally carries the targets whose volatile
+	// overwrite is only deferred below: they hold unpublished state, but the
+	// KG-derived caches refresh from what was actually written.
+	written := make([]triple.EntityID, 0, len(touched))
+	for id := range touched {
+		written = append(written, id)
+	}
+	// Volatile partition overwrite runs after the stable payloads fused: one
+	// partition writes it inline, several defer it to the target's backlog
+	// for the next exchange (FlushVolatile).
 	removed := make(map[triple.EntityID]bool, len(stats.Removed))
 	for _, id := range stats.Removed {
 		removed[id] = true
@@ -613,7 +689,14 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 			// no stable facts and put its id in both Touched and Removed.
 			continue
 		}
-		ApplyVolatileOverwrite(p.KG.Graph, kgID, d.Source, v, p.Ont)
+		if p.partitions > 1 {
+			p.enqueueVolatile(kgID, d.Source, v)
+		} else {
+			ApplyVolatileOverwrite(p.KG.Graph, kgID, d.Source, v, p.Ont)
+			if !touched[kgID] {
+				written = append(written, kgID)
+			}
+		}
 		touched[kgID] = true
 		stats.Volatile++
 	}
@@ -628,13 +711,13 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 		p.conflicts = append(p.conflicts, conflicts...)
 		p.conflictsMu.Unlock()
 	}
-	// Transactional cache maintenance: still under the fusion lock, re-index
+	// Transactional cache maintenance: still under the commit lock, re-index
 	// exactly the entities this commit wrote and drop the ones it removed —
-	// one refresh per target KG id — in both the block index and the cached
-	// alias resolver. The next prepare — whether of the next delta in this
-	// batch or a later batch — reads caches that match the graph it links
+	// one refresh per target KG id — in both the block indexes and the cached
+	// alias resolver. The next snapshot — whether of the next batch or a
+	// concurrent consume call — reads caches that match the graph it links
 	// against.
-	p.RefreshKGCaches(stats.Touched...)
+	p.RefreshKGCaches(written...)
 	p.RefreshKGCaches(stats.Removed...)
 	return stats, nil
 }
@@ -642,171 +725,64 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 // ConsumeDelta runs one source's payload through the construction pipeline:
 // ToAdd links fully (blocking, matching, resolution); ToUpdate and ToDelete
 // look up their existing links; volatile payloads overwrite their partition
-// after everything else fuses. Preparation (blocking, matching, clustering)
-// runs on the pipeline's worker pool; the commit phase serializes under the
-// fusion lock.
+// after everything else fuses. It is Consume of a one-delta batch.
 func (p *Pipeline) ConsumeDelta(d ingest.Delta) (SourceStats, error) {
-	b := p.newBudget()
-	pd, err := p.prepareDelta(d, b)
+	all, err := p.Consume([]ingest.Delta{d})
 	if err != nil {
 		return SourceStats{Source: d.Source}, err
 	}
-	return p.commitDelta(pd, b)
+	return all[0], nil
 }
 
-// batchRun carries a validated, snapshotted batch whose pure compute phase is
-// running on the worker pool: the reusable middle stage between beginBatch
-// and commitBatch that Consume and the standing Feed share.
-type batchRun struct {
-	pds      []*preparedDelta
-	computed []chan struct{} // computed[i] closes when delta i's compute is done
-	budget   *WorkerBudget
-}
-
-// wait blocks until every compute of the batch has settled. The commit path
-// calls it on errors so no compute goroutine outlives its batch.
-func (br *batchRun) wait() {
-	for _, ch := range br.computed {
-		<-ch
-	}
-}
-
-// beginBatch runs a validated batch's read stages: it snapshots each delta's
-// KG reads against the graph's current state on the worker pool and launches
-// the pure compute phase (blocking on the scan path, pair scoring, component
-// clustering) in the background. Callers must have validated the batch (so a
-// bad delta aborts before any commit, leaving the KG untouched). The
-// returned batchRun is ready for commitBatch; its computes overlap any
-// commits the caller interleaves.
-func (p *Pipeline) beginBatch(deltas []ingest.Delta) *batchRun {
-	b := p.newBudget()
-	pds := p.snapshotBatch(deltas, b)
-	br := &batchRun{pds: pds, budget: b, computed: make([]chan struct{}, len(pds))}
-	for i := range br.computed {
-		br.computed[i] = make(chan struct{})
-	}
-	//saga:longlived single overlap goroutine per batch; its inner workers are budgeted
-	go runIndexedBudget(b, p.workers(), len(pds), func(i int) {
-		p.computeDelta(pds[i], b)
-		close(br.computed[i])
-	})
-	return br
-}
-
-// commitBatch commits a begun batch's deltas in input order, filling stats[i]
-// as each commit lands; commit i starts as soon as delta i's compute and
-// commit i−1 are both done. On a commit error it first waits for the batch's
-// remaining in-flight computes to settle — no compute goroutine outlives the
-// batch — and returns a *BatchError carrying the partial-prefix contract:
-// deltas [0, Index) stay fully applied with their stats filled, nothing at or
-// after Index is applied.
-func (p *Pipeline) commitBatch(br *batchRun, stats []SourceStats) error {
-	for i := range br.pds {
-		<-br.computed[i]
-		s, err := p.commitDelta(br.pds[i], br.budget)
-		if err != nil {
-			br.wait()
-			return &BatchError{Index: i, Err: err}
-		}
-		stats[i] = s
-	}
-	return nil
-}
-
-// Consume processes multiple source deltas with a pipelined commit phase.
-// Every delta is validated, then every delta's KG reads are snapshotted
-// against the batch-start state, and then commit i — minting, object
-// resolution, fusion — starts as soon as delta i's compute and commit i−1
-// are both done, overlapping the commit of earlier deltas with the
-// compute-heavy linking of later ones. Commit order is fixed by the input,
-// never by goroutine scheduling, so a Consume over independent deltas
-// produces exactly the KG of ConsumeSequential over the same slice. (Each
-// delta of a batch links against the KG state at batch start; deltas of one
-// batch never link against each other's output.) A validation error commits
-// nothing. Results are ordered as the input.
+// Consume processes a batch of source deltas. Every delta is validated, then
+// every delta's KG reads are snapshotted against the batch-start state, every
+// delta's linking computes on the worker pool, and then the deltas commit —
+// minting, object resolution, fusion — in input order. Commit order is fixed
+// by the input, never by goroutine scheduling, so a Consume over independent
+// deltas produces exactly the KG of ConsumeSequential over the same slice.
+// (Each delta of a batch links against the KG state at batch start; deltas of
+// one batch never link against each other's output.) A validation error
+// commits nothing. Results are ordered as the input.
 //
 // A mid-batch commit error follows the partial-prefix contract: the returned
 // error is a *BatchError, deltas before its Index remain fully applied with
-// their stats entries filled (later entries are zero), the KG-derived caches
-// match the applied prefix, and every in-flight compute has settled before
-// Consume returns.
+// their stats entries filled (later entries are zero), and the KG-derived
+// caches match the applied prefix.
 func (p *Pipeline) Consume(deltas []ingest.Delta) ([]SourceStats, error) {
-	if err := p.validateBatch(deltas); err != nil {
-		return make([]SourceStats, len(deltas)), err
+	for i := range deltas {
+		if err := p.validateDelta(deltas[i]); err != nil {
+			return make([]SourceStats, len(deltas)), err
+		}
 	}
 	return p.consumeValidated(deltas)
 }
 
 // consumeValidated is Consume without the validation pass; the standing Feed
-// enters here because Submit already validated the batch. Single-delta
-// batches and single-worker pipelines take the barrier schedule — with
-// nothing to overlap it is the same computation without the cross-goroutine
-// handoff.
+// enters here because Submit already validated the batch.
 func (p *Pipeline) consumeValidated(deltas []ingest.Delta) ([]SourceStats, error) {
 	stats := make([]SourceStats, len(deltas))
-	if len(deltas) <= 1 || p.workers() <= 1 {
-		return stats, p.commitBarrier(deltas, stats)
-	}
-	return stats, p.commitBatch(p.beginBatch(deltas), stats)
-}
-
-// ConsumeBarrier is the pre-pipelining Consume: every delta's compute
-// finishes before the first commit starts. It produces exactly Consume's KG
-// and stats (including the *BatchError partial-prefix contract on commit
-// errors) and exists as the ablation comparator for the commit-pipeline
-// overlap.
-func (p *Pipeline) ConsumeBarrier(deltas []ingest.Delta) ([]SourceStats, error) {
-	stats := make([]SourceStats, len(deltas))
-	if err := p.validateBatch(deltas); err != nil {
-		return stats, err
-	}
-	return stats, p.commitBarrier(deltas, stats)
-}
-
-// commitBarrier runs a validated batch on the barrier schedule: snapshot
-// all, compute all, then commit in input order, filling stats[i] per commit
-// (prefix-only on a *BatchError).
-func (p *Pipeline) commitBarrier(deltas []ingest.Delta, stats []SourceStats) error {
 	b := p.newBudget()
-	pds := p.snapshotBatch(deltas, b)
+	pds := make([]*preparedDelta, len(deltas))
+	runIndexedBudget(b, p.workers(), len(deltas), func(i int) {
+		pds[i] = p.snapshotDelta(deltas[i], b)
+	})
 	runIndexedBudget(b, p.workers(), len(pds), func(i int) {
 		p.computeDelta(pds[i], b)
 	})
 	for i := range pds {
 		s, err := p.commitDelta(pds[i], b)
 		if err != nil {
-			return &BatchError{Index: i, Err: err}
+			return stats, &BatchError{Index: i, Err: err}
 		}
 		stats[i] = s
 	}
-	return nil
-}
-
-// validateBatch checks every delta of a batch before any state changes, so
-// a batch containing a bad delta commits nothing.
-func (p *Pipeline) validateBatch(deltas []ingest.Delta) error {
-	for i := range deltas {
-		if err := p.validateDelta(deltas[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// snapshotBatch snapshots each delta's KG reads against the batch-start
-// state on the worker pool. The batch must already be validated.
-func (p *Pipeline) snapshotBatch(deltas []ingest.Delta, b *WorkerBudget) []*preparedDelta {
-	pds := make([]*preparedDelta, len(deltas))
-	runIndexedBudget(b, p.workers(), len(deltas), func(i int) {
-		pds[i] = p.snapshotDelta(deltas[i], b)
-	})
-	return pds
+	return stats, nil
 }
 
 // ConsumeSequential processes deltas one at a time; the ablation comparator
 // for Consume's inter-source parallelism. Unlike Consume, each delta links
-// against the previous delta's output, so the two agree exactly (and with
-// ConsumeBarrier) on batches of independent deltas.
+// against the previous delta's output, so the two agree exactly on batches of
+// independent deltas.
 func (p *Pipeline) ConsumeSequential(deltas []ingest.Delta) ([]SourceStats, error) {
 	out := make([]SourceStats, 0, len(deltas))
 	for _, d := range deltas {

@@ -1,7 +1,7 @@
 package construct
 
 // Regression coverage for the commit-path bugfixes that rode along with the
-// pipelined Consume: batch validation before the first commit, the
+// batched Consume: batch validation before the first commit, the
 // Touched/Removed disjointness invariant, and the SourceStats rendering of
 // removals.
 
@@ -31,7 +31,7 @@ func graphBytes(t *testing.T, kg *KG) string {
 // half-applied with no way to tell which deltas landed.
 func TestConsumeBadDeltaLeavesKGUntouched(t *testing.T) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	if _, err := p.ConsumeDelta(ingest.Delta{
 		Source: "seed", Added: []*triple.Entity{sourceArtist("seed", "a", "Seed Artist")},
 	}); err != nil {
@@ -46,20 +46,14 @@ func TestConsumeBadDeltaLeavesKGUntouched(t *testing.T) {
 		bad,
 		{Source: "s3", Added: []*triple.Entity{sourceArtist("s3", "z", "Gamma")}},
 	}
-	consumes := map[string]func([]ingest.Delta) ([]SourceStats, error){
-		"pipelined": p.Consume,
-		"barrier":   p.ConsumeBarrier,
+	if _, err := p.Consume(batch); err == nil {
+		t.Fatal("batch with bad delta should error")
 	}
-	for name, consume := range consumes {
-		if _, err := consume(batch); err == nil {
-			t.Fatalf("%s: batch with bad delta should error", name)
-		}
-		if got := graphBytes(t, kg); got != before {
-			t.Fatalf("%s: KG changed although a delta of the batch was invalid", name)
-		}
-		if kg.LinkCount() != links {
-			t.Fatalf("%s: link index changed: %d vs %d", name, kg.LinkCount(), links)
-		}
+	if got := graphBytes(t, kg); got != before {
+		t.Fatal("KG changed although a delta of the batch was invalid")
+	}
+	if kg.LinkCount() != links {
+		t.Fatalf("link index changed: %d vs %d", kg.LinkCount(), links)
 	}
 	// The valid deltas still consume cleanly afterwards.
 	if _, err := p.Consume(batch[:1]); err != nil {
@@ -93,7 +87,7 @@ func TestDeleteThenReaddTouchedRemovedDisjoint(t *testing.T) {
 	// resurrect the removed entity as a ghost — the sole-source entity ends
 	// up removed, and must not also report as touched.
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	if _, err := p.ConsumeDelta(ingest.Delta{
 		Source: "s", Added: []*triple.Entity{sourceArtist("s", "a", "Phoenix")},
 	}); err != nil {
@@ -122,10 +116,10 @@ func TestDeleteThenReaddTouchedRemovedDisjoint(t *testing.T) {
 		t.Fatal("sole-source entity should be gone after delete-then-readd")
 	}
 
-	// Delete and re-add split across the deltas of one pipelined batch; every
+	// Delete and re-add split across the deltas of one batch; every
 	// delta's stats must keep the invariant.
 	kg2 := NewKG()
-	p2 := NewPipeline(kg2, ontology.Default())
+	p2 := NewPipeline(kg2, ontology.Default(), 1)
 	if _, err := p2.ConsumeDelta(ingest.Delta{
 		Source: "s", Added: []*triple.Entity{sourceArtist("s", "a", "Phoenix")},
 	}); err != nil {
@@ -151,7 +145,7 @@ func TestDeleteThenReaddTouchedRemovedDisjoint(t *testing.T) {
 // which used to be omitted entirely.
 func TestSourceStatsStringReportsRemovals(t *testing.T) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default())
+	p := NewPipeline(kg, ontology.Default(), 1)
 	if _, err := p.ConsumeDelta(ingest.Delta{
 		Source: "s1", Added: []*triple.Entity{sourceArtist("s1", "a", "Solo")},
 	}); err != nil {
@@ -188,7 +182,7 @@ func TestSourceStatsStringReportsRemovals(t *testing.T) {
 func TestCachedAliasResolverTracksCommits(t *testing.T) {
 	ont := ontology.Default()
 	kg := NewKG()
-	p := NewPipeline(kg, ont)
+	p := NewPipeline(kg, ont, 1)
 
 	label := triple.NewEntity("s:lbl")
 	addf := func(e *triple.Entity, pred string, v triple.Value) {

@@ -175,9 +175,9 @@ func (p *Platform) recover() error {
 // checkpoint's watermark and triggers background compaction when the prefix
 // has grown past the configured threshold.
 //
-// Callers must hold the platform's publish turn (the feed's publisher
-// goroutine, or the direct path with no concurrent producers): the capture
-// assumes no publish advances the log between the CatchUp and the save.
+// Callers must hold the platform's publish turn (publishGroup, or the direct
+// path with no concurrent producers): the capture assumes no publish advances
+// the log between the CatchUp and the save.
 func (p *Platform) runCheckpoint() (uint64, error) {
 	if _, err := p.Engine.Publish(oplog.OpCheckpoint, "construction", nil); err != nil {
 		return 0, err
@@ -216,38 +216,23 @@ func (p *Platform) runCheckpoint() (uint64, error) {
 	return w, nil
 }
 
-// maybeCheckpoint runs on the feed's publisher after each publish group:
-// force (a checkpoint barrier rode the group) always checkpoints; otherwise
-// the published-batch counter decides. In partitioned mode a periodic
-// checkpoint forces a full exchange first so the snapshot is a true
-// batch-boundary state (the barrier path already exchanged, under the same
-// publisher turn).
-func (p *Platform) maybeCheckpoint(published int, force bool) error {
-	run := force
-	if p.Checkpoints != nil && p.ckptEvery > 0 && published > 0 {
-		p.durMu.Lock()
-		p.ckptBatches += published
-		if p.ckptBatches >= p.ckptEvery {
-			p.ckptBatches = 0
-			run = true
-		}
-		p.durMu.Unlock()
+// checkpointDue counts a publish group's batches toward the periodic
+// checkpoint cadence and reports whether a checkpoint has come due. The
+// publish routine asks before it publishes, so a due checkpoint forces the
+// cross-partition exchange first and the snapshot is a true batch-boundary
+// state. Callers hold the publish turn.
+func (p *Platform) checkpointDue(published int) bool {
+	if p.Checkpoints == nil || p.ckptEvery <= 0 || published == 0 {
+		return false
 	}
-	if !run {
-		return nil
+	p.durMu.Lock()
+	defer p.durMu.Unlock()
+	p.ckptBatches += published
+	if p.ckptBatches < p.ckptEvery {
+		return false
 	}
-	if p.Partitioned != nil && !force {
-		p.pubMu.Lock()
-		p.Partitioned.FlushVolatile()
-		p.pubBatches = 0
-		err := p.publishCarryLocked(false)
-		p.pubMu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	_, err := p.runCheckpoint()
-	return err
+	p.ckptBatches = 0
+	return true
 }
 
 // Compact rewrites the log prefix at or below the compaction floor (the

@@ -143,7 +143,15 @@ func TestFeedDrainBeforeServing(t *testing.T) {
 // the failed delta's effects must re-sync from the KG at the next publish
 // point — RefreshServing and the agents never stay diverged.
 func TestConsumeDeltasPublishFailureHeals(t *testing.T) {
-	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
+	for _, partitions := range []int{1, 3} {
+		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
+			testConsumeDeltasPublishFailureHeals(t, partitions)
+		})
+	}
+}
+
+func testConsumeDeltasPublishFailureHeals(t *testing.T, partitions int) {
+	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2, Partitions: partitions}})
 	failErr := errors.New("injected publish failure")
 	p.publishHook = func(source string) error {
 		if source == "src01" {
@@ -181,7 +189,15 @@ func TestConsumeDeltasPublishFailureHeals(t *testing.T) {
 // commit and publish, and the failed batch's effects heal at the next
 // publish point.
 func TestFeedPublishFailureHealsLaterBatchesCommit(t *testing.T) {
-	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
+	for _, partitions := range []int{1, 3} {
+		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
+			testFeedPublishFailureHealsLaterBatchesCommit(t, partitions)
+		})
+	}
+}
+
+func testFeedPublishFailureHealsLaterBatchesCommit(t *testing.T, partitions int) {
+	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2, Partitions: partitions}})
 	failErr := errors.New("injected publish failure")
 	p.publishHook = func(source string) error {
 		if source == "src01" {

@@ -288,3 +288,68 @@ func TestPartitionedCurationAndConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLinkDeltasRideSettlingSource: for every partition count, a link-table
+// delta reaches the log on an op of a source that settled it — never
+// re-attributed to a synthetic producer — and every settled key reaches the
+// log at all (recovery replays the table from these ops alone).
+func TestLinkDeltasRideSettlingSource(t *testing.T) {
+	batches := partitionedStream(5, 3, 8)
+	for _, partitions := range []int{1, 3} {
+		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
+			p := newTestPlatform(t, Options{
+				Construction: ConstructionOptions{Workers: 2, Partitions: partitions, ExchangeInterval: 2},
+			})
+			f, err := p.Feed(FeedOptions{Queue: 2, PublishQueue: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := make([]<-chan construct.BatchResult, 0, len(batches))
+			for _, b := range batches {
+				results = append(results, f.Submit(b))
+			}
+			settledBy := make(map[triple.EntityID]map[string]bool)
+			settle := func(key triple.EntityID, source string) {
+				if settledBy[key] == nil {
+					settledBy[key] = make(map[string]bool)
+				}
+				settledBy[key][source] = true
+			}
+			for i, ch := range results {
+				res := <-ch
+				if res.Err != nil {
+					t.Fatalf("batch %d: %v", i, res.Err)
+				}
+				for _, st := range res.Stats {
+					for key := range st.Links {
+						settle(key, st.Source)
+					}
+					for _, key := range st.Unlinks {
+						settle(key, st.Source)
+					}
+				}
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			logged := make(map[triple.EntityID]bool)
+			for _, op := range p.Engine.Log.Read(0, 0) {
+				keys := append([]triple.EntityID(nil), op.Unlinks...)
+				for key := range op.Links {
+					keys = append(keys, key)
+				}
+				for _, key := range keys {
+					logged[key] = true
+					if !settledBy[key][op.Source] {
+						t.Fatalf("lsn %d: link delta %s rides an op of %q, settled by %v", op.LSN, key, op.Source, settledBy[key])
+					}
+				}
+			}
+			for key := range settledBy {
+				if !logged[key] {
+					t.Fatalf("settled link key %s never reached the log", key)
+				}
+			}
+		})
+	}
+}

@@ -54,27 +54,18 @@ type ConstructionOptions struct {
 	// GOMAXPROCS; 1 forces the sequential reference path. The constructed KG
 	// is identical for every value — workers only change wall-clock time.
 	Workers int
-	// FullScanLinking disables the incremental block index and links every
-	// delta by scanning the full per-type KG view, the pre-index reference
-	// path. The default (false) maintains a persistent block-key → entity-ID
-	// index alongside the KG so per-delta linking cost tracks the delta, not
-	// the accumulated graph. Both modes construct byte-identical KGs.
-	FullScanLinking bool
-	// PerEntityFusion disables batched per-target fusion in the commit phase
-	// and fuses payload entities one graph round-trip at a time, the
-	// pre-batching reference path kept as the ablation baseline.
-	PerEntityFusion bool
-	// Partitions shards construction across N concurrently fusing pipeline
-	// partitions over one shared KG (entity types hash to an owner
-	// partition; cross-partition volatile traffic exchanges at batch
-	// boundaries — see docs/INVARIANTS.md#cross-partition-linking). 0 or 1
-	// keeps the single pipeline; every value constructs a byte-identical KG.
+	// Partitions shards the construction pipeline across N concurrently
+	// fusing partitions over one shared KG (entity types hash to an owner
+	// partition; with N > 1 cross-partition volatile traffic exchanges at
+	// batch boundaries — see docs/INVARIANTS.md#cross-partition-linking). 0
+	// means 1; every value constructs a byte-identical KG.
 	Partitions int
-	// ExchangeInterval is the number of published feed batches between
-	// cross-partition exchanges (backlog flush + deferred publish) in
-	// partitioned mode; 0 means DefaultExchangeInterval. Entities with
-	// deferred volatile state publish at the next exchange (and always at
-	// drain), so the interval bounds serving staleness, never final state.
+	// ExchangeInterval is the number of published batches between
+	// cross-partition exchanges (backlog flush + deferred publish); 0 means
+	// DefaultExchangeInterval. Entities with deferred volatile state publish
+	// at the next exchange (and always at drain), so the interval bounds
+	// serving staleness, never final state. With one partition nothing is
+	// ever deferred and the exchange finds nothing to do.
 	ExchangeInterval int
 }
 
@@ -88,10 +79,10 @@ type DurabilityOptions struct {
 	// deployment where only replayable state survives a restart. Durable
 	// backends keep all of these under Storage.DataDir and ignore Dir.
 	Dir string
-	// CheckpointEvery takes a durable checkpoint every N published feed
-	// batches, on the feed's ordered publisher (so a checkpoint is one more
-	// publish unit and never stalls the commit loop). 0 disables periodic
-	// checkpoints; explicit Checkpoint calls still work.
+	// CheckpointEvery takes a durable checkpoint every N published batches,
+	// inside the publish routine (on the feed's ordered publisher a
+	// checkpoint is one more publish unit and never stalls the commit loop).
+	// 0 disables periodic checkpoints; explicit Checkpoint calls still work.
 	CheckpointEvery int
 	// CompactAfter triggers background log compaction once the prefix at or
 	// below the compaction floor (the penultimate checkpoint watermark)
@@ -116,17 +107,14 @@ type Options struct {
 	Storage StorageOptions
 	// Construction tunes the construction pipeline.
 	Construction ConstructionOptions
-	// Feed sets the default queue depths for feeds opened with Platform.Feed
-	// (per-call FeedOptions override them).
-	Feed FeedOptions
 	// Durability configures crash recovery, checkpoints, and log compaction.
 	Durability DurabilityOptions
 	// Serving configures the live serving tier.
 	Serving ServingOptions
 }
 
-// DefaultExchangeInterval is the default partitioned-mode exchange cadence,
-// in feed batches.
+// DefaultExchangeInterval is the default cross-partition exchange cadence, in
+// published batches.
 const DefaultExchangeInterval = 8
 
 // withDefaults resolves zero values to their documented defaults.
@@ -137,12 +125,6 @@ func (o Options) withDefaults() Options {
 	if o.Construction.ExchangeInterval <= 0 {
 		o.Construction.ExchangeInterval = DefaultExchangeInterval
 	}
-	if o.Feed.Queue <= 0 {
-		o.Feed.Queue = construct.DefaultFeedQueue
-	}
-	if o.Feed.PublishQueue <= 0 {
-		o.Feed.PublishQueue = construct.DefaultFeedPublishQueue
-	}
 	return o
 }
 
@@ -150,11 +132,9 @@ func (o Options) withDefaults() Options {
 type Platform struct {
 	Ont *ontology.Ontology
 	KG  *construct.KG
-	// Pipeline is the single construction pipeline; nil in partitioned mode.
+	// Pipeline is the construction pipeline (Construction.Partitions
+	// partitions), the sole producer into the Graph Engine's log.
 	Pipeline *construct.Pipeline
-	// Partitioned is the partitioned construction coordinator; nil in
-	// single-pipeline mode. Exactly one of Pipeline/Partitioned is non-nil.
-	Partitioned *construct.PartitionedPipeline
 
 	Engine       *graphengine.Engine
 	EntityStore  *entitystore.Store
@@ -201,21 +181,16 @@ type Platform struct {
 	// and can inject failures to exercise the retry path.
 	publishHook func(source string) error
 
-	// Partitioned-mode publish state (guarded by pubMu): the carry set maps
-	// each entity with unpublished committed effects to the source that last
-	// touched it. The publisher publishes carried entities whose state is
-	// final (no deferred volatile ops) immediately and holds the rest until
-	// the next exchange, when the backlog flushes and everything carried
-	// publishes at once; drain forces a final exchange.
+	// pubMu is the publish turn: publishGroup holds it end to end, so the
+	// feed's publisher and the inline callers (synchronous consumes, drains)
+	// never interleave their log appends. It also guards the carry set: each
+	// entity a commit touched while its volatile ops were still deferred,
+	// mapped to the source that last touched it. Carried entities publish at
+	// the next exchange, when the backlog has flushed; drain forces one.
 	pubMu         sync.Mutex
-	pubCarry      map[triple.EntityID]string // entity -> last-writing source
-	linkCarry     map[triple.EntityID]bool   // link-table keys with unpublished changes
-	pubBatches    int                        // published batches since the last exchange
+	pubCarry      map[triple.EntityID]string
+	pubBatches    int // published batches since the last exchange
 	exchangeEvery int
-
-	// feedDefaults are the Options.Feed queue depths, applied when a Feed
-	// call leaves its own FeedOptions zero.
-	feedDefaults FeedOptions
 
 	// linkReplica is the log-derived link table: a FuncAgent replays every
 	// op's Links/Unlinks into it, so after a CatchUp it is exactly the link
@@ -305,7 +280,7 @@ func Open(opts Options) (*Platform, error) {
 		if opts.Storage.DataDir == "" {
 			return nil, fmt.Errorf("core: backend %q needs Storage.DataDir", opts.Storage.Backend)
 		}
-		h, err := storage.Resolve(opts.Storage.Backend, storage.Options{Dir: opts.Storage.DataDir, Partitions: opts.Construction.Partitions})
+		h, err := storage.Resolve(opts.Storage.Backend, storage.Options{Dir: opts.Storage.DataDir})
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -354,35 +329,19 @@ func Open(opts Options) (*Platform, error) {
 	p.Engine.RegisterAgent(graphengine.GraphAgent{Graph: p.GraphReplica})
 	p.Engine.RegisterAgent(graphengine.FuncAgent{AgentName: "link-table", Fn: p.applyLinkOp})
 
-	// Recover before building the pipelines: the block index eagerly indexes
+	// Recover before building the pipeline: the block index eagerly indexes
 	// the KG at pipeline construction, so the KG must hold its restored state
 	// first.
 	if err = p.recover(); err != nil {
 		return nil, err
 	}
 
-	if opts.Construction.Partitions > 1 {
-		pp := construct.NewPartitionedPipeline(p.KG, opts.Ontology, opts.Construction.Partitions)
-		pp.Link = opts.Construction.LinkParams
-		pp.Workers = opts.Construction.Workers
-		pp.PerEntityFusion = opts.Construction.PerEntityFusion
-		if !opts.Construction.FullScanLinking {
-			pp.EnableBlockIndex()
-		}
-		p.Partitioned = pp
-	} else {
-		p.Pipeline = construct.NewPipeline(p.KG, opts.Ontology)
-		p.Pipeline.Link = opts.Construction.LinkParams
-		p.Pipeline.Workers = opts.Construction.Workers
-		p.Pipeline.PerEntityFusion = opts.Construction.PerEntityFusion
-		if !opts.Construction.FullScanLinking {
-			p.Pipeline.EnableBlockIndex()
-		}
-	}
+	p.Pipeline = construct.NewPipeline(p.KG, opts.Ontology, opts.Construction.Partitions)
+	p.Pipeline.Link = opts.Construction.LinkParams
+	p.Pipeline.Workers = opts.Construction.Workers
+	p.Pipeline.EnableBlockIndex()
 	p.exchangeEvery = opts.Construction.ExchangeInterval
 	p.pubCarry = make(map[triple.EntityID]string)
-	p.linkCarry = make(map[triple.EntityID]bool)
-	p.feedDefaults = opts.Feed
 	p.ckptEvery = opts.Durability.CheckpointEvery
 	p.compactAfter = opts.Durability.CompactAfter
 	p.ViewManager = views.NewManager(p.ViewCatalog)
@@ -414,71 +373,32 @@ func (p *Platform) IngestSource(src *ingest.Source, data io.Reader) (construct.S
 	return p.ConsumeDelta(res.Delta)
 }
 
-// ConsumeDelta runs one delta through construction and publishes the touched
-// entities to the Graph Engine, then replays agents so all stores converge.
-// With a standing feed open, the delta is routed through the feed instead —
-// submitted as a single-delta batch and awaited — so the feed's commit loop
-// and ordered publisher remain the engine's only producer and publishes can
-// never reorder against concurrently submitted batches.
+// ConsumeDelta consumes one delta: ConsumeDeltas over a batch of one.
 func (p *Platform) ConsumeDelta(d ingest.Delta) (construct.SourceStats, error) {
-	if f := p.openFeed(); f != nil {
-		res := <-f.Submit([]ingest.Delta{d})
-		if !errors.Is(res.Err, construct.ErrFeedClosed) {
-			if len(res.Stats) == 1 {
-				return res.Stats[0], res.Err
-			}
-			return construct.SourceStats{Source: d.Source}, res.Err
-		}
-		// Closed between openFeed and Submit: nothing consumed. Wait for
-		// the closing feed's backlog to finish publishing so the
-		// synchronous path below never runs as a second concurrent
-		// producer, then fall through.
-		f.Drain()
+	all, err := p.ConsumeDeltas([]ingest.Delta{d})
+	if len(all) == 1 {
+		return all[0], err
 	}
-	var (
-		stats construct.SourceStats
-		err   error
-	)
-	if p.Partitioned != nil {
-		// Synchronous partitioned consume: commit, then exchange immediately
-		// (flush the deferred backlog) so the publish below ships final
-		// state — the sync path has no later exchange point to defer to.
-		var all []construct.SourceStats
-		all, err = p.Partitioned.Consume([]ingest.Delta{d})
-		p.Partitioned.FlushVolatile()
-		if len(all) == 1 {
-			stats = all[0]
-		} else {
-			stats = construct.SourceStats{Source: d.Source}
-		}
-	} else {
-		stats, err = p.Pipeline.ConsumeDelta(d)
-	}
-	if err != nil {
-		return stats, err
-	}
-	pubErr := p.flushPending()
-	if err := p.publishStats(stats); err != nil && pubErr == nil {
-		pubErr = err
-	}
-	if err := p.Engine.CatchUp(); err != nil && pubErr == nil {
-		pubErr = err
-	}
-	return stats, pubErr
+	return construct.SourceStats{Source: d.Source}, err
 }
 
-// ConsumeDeltas consumes several sources through the pipelined commit path
-// (commit i overlaps the compute of deltas j > i), then publishes. Every
-// delta of the batch links against the KG state at batch start (that is what
-// makes the batch deterministic), so two sources in one batch that describe
-// the same real-world entity each mint their own KG entity — and resolution
-// never merges two existing KG entities afterwards (≤1 graph entity per
-// cluster). Batch only independent sources; consume related sources in
-// separate calls so the later one links against the earlier one's output.
-// For a continuously arriving stream of batches, prefer Feed: it overlaps
-// this call's publish tail with the next batch's construction. With a
-// standing feed open, the batch is routed through it (submitted and awaited)
-// so the feed stays the engine's only producer.
+// ConsumeDeltas consumes several sources as one batch, publishes its effects,
+// and replays agents so all stores converge. Every delta of the batch links
+// against the KG state at batch start (that is what makes the batch
+// deterministic), so two sources in one batch that describe the same
+// real-world entity each mint their own KG entity — and resolution never
+// merges two existing KG entities afterwards (≤1 graph entity per cluster).
+// Batch only independent sources; consume related sources in separate calls
+// so the later one links against the earlier one's output. For a continuously
+// arriving stream of batches, prefer Feed: it overlaps this call's publish
+// tail with the next batch's construction.
+//
+// With a standing feed open, the batch is routed through it (submitted and
+// awaited) so the feed's commit loop and ordered publisher stay the engine's
+// only producer. Without one, the call is a feed group of one run inline: the
+// same capture and the same publish routine, with the cross-partition
+// exchange forced first because a synchronous call has no later exchange
+// point to defer to.
 //
 // Error contract: a *construct.BatchError means the committed prefix (see
 // that type) stayed applied — its effects are still published so the stores
@@ -492,58 +412,23 @@ func (p *Platform) ConsumeDeltas(deltas []ingest.Delta) ([]construct.SourceStats
 			return res.Stats, res.Err
 		}
 		// Closed between openFeed and Submit: nothing consumed. Wait for
-		// the closing feed's backlog to finish publishing so the
-		// synchronous path below never runs as a second concurrent
-		// producer, then fall through.
+		// the closing feed's backlog to finish publishing so the inline
+		// path below never commits beside a running commit loop, then fall
+		// through.
 		f.Drain()
 	}
-	var (
-		all []construct.SourceStats
-		err error
-	)
-	if p.Partitioned != nil {
-		all, err = p.Partitioned.Consume(deltas)
-		// Exchange before publishing: the committed prefix's deferred
-		// volatile state must be in the graph when publishStats captures it.
-		p.Partitioned.FlushVolatile()
-	} else {
-		all, err = p.Pipeline.Consume(deltas)
-	}
-	pubErr := p.flushPending()
-	for i := range all {
-		// On a mid-batch commit error the uncommitted entries are zero
-		// (empty Touched/Removed), so exactly the applied prefix publishes.
-		if perr := p.publishStats(all[i]); perr != nil && pubErr == nil {
-			pubErr = perr
-		}
-	}
-	if cerr := p.Engine.CatchUp(); cerr != nil && pubErr == nil {
-		pubErr = cerr
-	}
+	b := &construct.FeedBatch{Deltas: deltas}
+	var err error
+	b.Stats, err = p.Pipeline.Consume(deltas)
+	// On a mid-batch commit error the uncommitted entries are zero (empty
+	// Touched/Removed), so exactly the applied prefix publishes.
+	p.Pipeline.FlushVolatile()
+	p.captureFeedBatch(b)
+	pubErr := p.publishGroup([]*construct.FeedBatch{b})
 	if err != nil {
-		return all, err
+		return b.Stats, err
 	}
-	return all, pubErr
-}
-
-// publishStats ships one commit's effects (upserts of its touched entities,
-// deletes of its removed ones, plus its link-table deltas) into the engine,
-// without catching agents up; callers batch one CatchUp per consume call.
-func (p *Platform) publishStats(stats construct.SourceStats) error {
-	linkSrcs := linkKeysOf(stats)
-	if len(stats.Touched) == 0 && len(stats.Removed) == 0 && len(linkSrcs) == 0 {
-		return nil
-	}
-	payload := make([]*triple.Entity, 0, len(stats.Touched))
-	for _, id := range stats.Touched {
-		// Shared records: Publish only serializes them into the staging
-		// store, and agents replay decoded copies, so the publish path
-		// pays no clone per touched entity.
-		if e := p.KG.Graph.GetShared(id); e != nil {
-			payload = append(payload, e)
-		}
-	}
-	return p.publishRaw(stats.Source, payload, stats.Removed, linkSrcs)
+	return b.Stats, pubErr
 }
 
 // linkKeysOf collects a commit's settled link-table keys (linked and
@@ -678,12 +563,6 @@ type FeedOptions struct {
 // curation decisions so hot-fix publishes cannot interleave with captured
 // batch publishes.
 func (p *Platform) Feed(opts FeedOptions) (*construct.Feed, error) {
-	if opts.Queue <= 0 {
-		opts.Queue = p.feedDefaults.Queue
-	}
-	if opts.PublishQueue <= 0 {
-		opts.PublishQueue = p.feedDefaults.PublishQueue
-	}
 	p.feedMu.Lock()
 	defer p.feedMu.Unlock()
 	if p.feed != nil && !p.feed.Terminated() {
@@ -692,43 +571,32 @@ func (p *Platform) Feed(opts FeedOptions) (*construct.Feed, error) {
 		// engine's single-producer ordering.
 		return nil, fmt.Errorf("core: a standing feed is already open")
 	}
-	var f *construct.Feed
-	if p.Partitioned != nil {
-		// Partitioned publish builds its events from batch stats and captures
-		// entity state at publish time (not commit time): entities with
-		// deferred volatile ops are carried to the next exchange, and carried
-		// state re-captures after the flush — capture-at-commit would pin the
-		// pre-flush bytes.
-		f = construct.NewPartitionedFeed(p.Partitioned, construct.FeedOptions{
-			Queue:        opts.Queue,
-			PublishQueue: opts.PublishQueue,
-			Publish:      p.publishPartitionedGroup,
-			// Close must leave nothing deferred: exchange and publish the
-			// whole carry set before it returns, so a closed feed means every
-			// store reflects every committed batch.
-			OnClose: p.finalExchange,
-		})
-	} else {
-		f = construct.NewFeed(p.Pipeline, construct.FeedOptions{
-			Queue:        opts.Queue,
-			PublishQueue: opts.PublishQueue,
-			OnCommit:     p.captureFeedBatch,
-			Publish:      p.publishFeedGroup,
-		})
-	}
+	f := construct.NewFeed(p.Pipeline, construct.FeedOptions{
+		Queue:        opts.Queue,
+		PublishQueue: opts.PublishQueue,
+		OnCommit:     p.captureFeedBatch,
+		Publish:      p.publishGroup,
+		// Close must leave nothing deferred: exchange and publish the whole
+		// carry set before it returns, so a closed feed means every store
+		// reflects every committed batch.
+		OnClose: p.finalExchange,
+	})
 	p.feed = f
 	return f, nil
 }
 
-// capturedOp is one delta's publish payload, captured on the feed's commit
-// loop right after its batch commits. Capturing there (shared records — no
-// clone, just pointer grabs) pins exactly the entity states the commit
-// produced, so the async publisher appends the same operations to the log
-// that the synchronous path would have, no matter how far construction has
-// advanced by the time the publish runs.
+// capturedOp is one delta's publish payload, captured right after its batch
+// commits (on the feed's commit loop, or inline on the synchronous path).
+// Capturing there (shared records — no clone, just pointer grabs) pins exactly
+// the entity states the commit produced, so the publisher appends the same
+// operations to the log no matter how far construction has advanced by the
+// time the publish runs. A touched entity whose volatile ops are still
+// deferred has no publishable state yet: it is recorded by id and carried to
+// the next exchange.
 type capturedOp struct {
 	source   string
 	upserts  []*triple.Entity
+	deferred []triple.EntityID
 	removed  []triple.EntityID
 	linkSrcs []triple.EntityID
 }
@@ -749,7 +617,9 @@ func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 		}
 		op := capturedOp{source: st.Source, removed: st.Removed, linkSrcs: linkSrcs}
 		for _, id := range st.Touched {
-			if e := p.KG.Graph.GetShared(id); e != nil {
+			if p.Pipeline.HasPending(id) {
+				op.deferred = append(op.deferred, id)
+			} else if e := p.KG.Graph.GetShared(id); e != nil {
 				op.upserts = append(op.upserts, e)
 			}
 		}
@@ -758,21 +628,33 @@ func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 	b.Payload = ops
 }
 
-// publishFeedGroup is the feed's Publish hook (publisher goroutine, ordered):
-// it retries any queued failed publishes, appends the group's captured
-// operations to the log, and catches every agent up — the expensive half of
-// the old synchronous publish path, now off the commit loop.
+// publishGroup is the platform's one publish routine: the feed's Publish hook
+// (publisher goroutine, ordered) hands it the publisher's whole backlog, and
+// the inline callers — a synchronous consume, a drain — a group of one. It
+// retries any queued failed publishes, appends the group's captured
+// operations to the log, catches every agent up, and takes the checkpoint a
+// barrier asked for or the periodic cadence has come due for.
 //
-// The group is the publisher's whole backlog, which enables conflation
-// (group commit): an entity touched by several batches of the group is
-// published once, at its final captured state, under the source that wrote
-// it last. The stores converge to exactly the state per-batch publishing
-// would have reached — captured records are immutable and the final state is
-// the last batch's — while the log carries one operation per entity per
-// drain instead of one per entity per batch. On an update-heavy stream this
-// is what lets a publisher that falls behind catch back up instead of
-// lagging forever.
-func (p *Platform) publishFeedGroup(group []*construct.FeedBatch) error {
+// Handing it the whole backlog enables conflation (group commit): an entity
+// touched by several batches of the group is published once, at its final
+// captured state, under the source that wrote it last. The stores converge to
+// exactly the state per-batch publishing would have reached — captured
+// records are immutable and the final state is the last batch's — while the
+// log carries one operation per entity per drain instead of one per entity
+// per batch. On an update-heavy stream this is what lets a publisher that
+// falls behind catch back up instead of lagging forever.
+//
+// Entities captured as deferred join the carry set instead of the log. Every
+// exchangeEvery batches — and whenever a barrier or a checkpoint wants a true
+// batch-boundary state — the routine runs the cross-partition exchange
+// (FlushVolatile) and publishes the whole carry set at its now-final state.
+// That deferral is the multi-partition win on churn-heavy streams: an entity
+// overwritten in every batch of an exchange window costs one graph write, one
+// log op, and one replay instead of one per batch. With one partition the
+// carry set stays empty and the exchange finds nothing to flush.
+func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
+	p.pubMu.Lock()
+	defer p.pubMu.Unlock()
 	// Retry failures belong to the batch that first reported them; they stay
 	// queued (flushPending re-queues what still fails) without failing this
 	// group's results.
@@ -789,9 +671,10 @@ func (p *Platform) publishFeedGroup(group []*construct.FeedBatch) error {
 	}
 	var evs []event
 	linkBySrc := make(map[string]map[triple.EntityID]bool)
-	published, wantCkpt := 0, false
+	published, exchange, wantCkpt := 0, false, false
 	for _, b := range group {
 		if b.Barrier {
+			exchange = true
 			if _, ok := b.Payload.(checkpointRequest); ok {
 				wantCkpt = true
 			}
@@ -800,11 +683,19 @@ func (p *Platform) publishFeedGroup(group []*construct.FeedBatch) error {
 		published++
 		ops, _ := b.Payload.([]capturedOp)
 		for _, op := range ops {
+			// A state captured with nothing deferred supersedes an older
+			// carry entry; a newer deferral supersedes nothing (the older
+			// captured state is still one the stores may see).
 			for _, e := range op.upserts {
 				evs = append(evs, event{source: op.source, id: e.ID, e: e})
+				delete(p.pubCarry, e.ID)
 			}
 			for _, id := range op.removed {
 				evs = append(evs, event{source: op.source, id: id})
+				delete(p.pubCarry, id)
+			}
+			for _, id := range op.deferred {
+				p.pubCarry[id] = op.source
 			}
 			for _, src := range op.linkSrcs {
 				set := linkBySrc[op.source]
@@ -814,6 +705,29 @@ func (p *Platform) publishFeedGroup(group []*construct.FeedBatch) error {
 				}
 				set[src] = true
 			}
+		}
+	}
+	wantCkpt = p.checkpointDue(published) || wantCkpt
+	p.pubBatches += published
+	if exchange || wantCkpt || p.pubBatches >= p.exchangeEvery {
+		p.pubBatches = 0
+		p.Pipeline.FlushVolatile()
+		// The carried entities' state is final now: they publish last, at
+		// the graph's current state (upsert if present, delete if gone),
+		// grouped by source so each source costs one op.
+		ids := make([]triple.EntityID, 0, len(p.pubCarry))
+		for id := range p.pubCarry {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool {
+			if si, sj := p.pubCarry[ids[i]], p.pubCarry[ids[j]]; si != sj {
+				return si < sj
+			}
+			return ids[i] < ids[j]
+		})
+		for _, id := range ids {
+			evs = append(evs, event{source: p.pubCarry[id], id: id, e: p.KG.Graph.GetShared(id)})
+			delete(p.pubCarry, id)
 		}
 	}
 	last := make(map[triple.EntityID]int, len(evs))
@@ -826,11 +740,10 @@ func (p *Platform) publishFeedGroup(group []*construct.FeedBatch) error {
 	// resolve cannot change the outcome).
 	takeLinks := func(source string) []triple.EntityID {
 		set := linkBySrc[source]
+		delete(linkBySrc, source)
 		if len(set) == 0 {
-			delete(linkBySrc, source)
 			return nil
 		}
-		delete(linkBySrc, source)
 		srcs := make([]triple.EntityID, 0, len(set))
 		for src := range set {
 			srcs = append(srcs, src)
@@ -867,8 +780,9 @@ func (p *Platform) publishFeedGroup(group []*construct.FeedBatch) error {
 		}
 	}
 	flush(runSource, runUpserts, runRemoved)
-	// A source whose entity events all conflated away still owes its link
-	// deltas: they ride a links-only op, one per source, in source order.
+	// A source whose entity events all conflated away (or are carried) still
+	// owes its link deltas: they ride a links-only op, one per source, in
+	// source order.
 	if len(linkBySrc) > 0 {
 		rest := make([]string, 0, len(linkBySrc))
 		for source := range linkBySrc {
@@ -884,141 +798,20 @@ func (p *Platform) publishFeedGroup(group []*construct.FeedBatch) error {
 	if err := p.Engine.CatchUp(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	if err := p.maybeCheckpoint(published, wantCkpt); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
-// publishPartitionedGroup is the partitioned feed's Publish hook (publisher
-// goroutine, ordered). It folds the group's per-entity events into the carry
-// set (last writer wins), then either publishes everything — after running a
-// cross-partition exchange, every exchangeEvery batches — or publishes only
-// the entities whose state is already final, carrying the volatile-deferred
-// rest to the next exchange. Deferral is the partitioned win on churn-heavy
-// streams: an entity overwritten in every batch of an exchange window costs
-// one graph write, one log op, and one replay instead of one per batch.
-func (p *Platform) publishPartitionedGroup(group []*construct.FeedBatch) error {
-	p.pubMu.Lock()
-	published, wantCkpt := 0, false
-	for _, b := range group {
-		if b.Barrier {
-			if _, ok := b.Payload.(checkpointRequest); ok {
-				wantCkpt = true
-			}
-			continue
-		}
-		published++
-		for i := range b.Stats {
-			st := &b.Stats[i]
-			for _, id := range st.Touched {
-				p.pubCarry[id] = st.Source
-			}
-			for _, id := range st.Removed {
-				p.pubCarry[id] = st.Source
-			}
-			for src := range st.Links {
-				p.linkCarry[src] = true
-			}
-			for _, src := range st.Unlinks {
-				p.linkCarry[src] = true
-			}
-		}
-	}
-	p.pubBatches += published
-	// A checkpoint turn forces a full exchange first: the snapshot then
-	// covers the deferred volatile backlog and the whole carry set, so the
-	// checkpoint is a true batch-boundary state.
-	exchange := p.pubBatches >= p.exchangeEvery || wantCkpt
-	if exchange {
-		p.Partitioned.FlushVolatile()
-		p.pubBatches = 0
-	}
-	firstErr := p.publishCarryLocked(!exchange)
-	p.pubMu.Unlock()
-	if err := p.maybeCheckpoint(published, wantCkpt); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
-// publishCarryLocked publishes carried entities at their current KG state
-// (upsert if present, delete if gone — the same convergent capture
-// flushPending uses) and catches every agent up. With skipPending, entities
-// whose volatile backlog has not flushed stay carried so the stores never
-// observe a state the single pipeline couldn't have published. Callers hold
-// pubMu.
-func (p *Platform) publishCarryLocked(skipPending bool) error {
-	firstErr := p.flushPending()
-	ids := make([]triple.EntityID, 0, len(p.pubCarry))
-	for id := range p.pubCarry {
-		if skipPending && p.Partitioned.HasPending(id) {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var (
-		runSource  string
-		runUpserts []*triple.Entity
-		runRemoved []triple.EntityID
-	)
-	flush := func() {
-		if len(runUpserts) == 0 && len(runRemoved) == 0 {
-			return
-		}
-		if err := p.publishRaw(runSource, runUpserts, runRemoved, nil); err != nil && firstErr == nil {
+	if wantCkpt {
+		if _, err := p.runCheckpoint(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
-	for _, id := range ids {
-		source := p.pubCarry[id]
-		if source != runSource {
-			flush()
-			runSource, runUpserts, runRemoved = source, nil, nil
-		}
-		if e := p.KG.Graph.GetShared(id); e != nil {
-			runUpserts = append(runUpserts, e)
-		} else {
-			runRemoved = append(runRemoved, id)
-		}
-		delete(p.pubCarry, id)
-	}
-	flush()
-	// Carried link-table deltas publish with every carry round (links settle
-	// at commit, so publish-time resolution is already final; deferral would
-	// only delay recovery's view of the table).
-	if len(p.linkCarry) > 0 {
-		srcs := make([]triple.EntityID, 0, len(p.linkCarry))
-		for src := range p.linkCarry {
-			srcs = append(srcs, src)
-			delete(p.linkCarry, src)
-		}
-		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-		if err := p.publishRaw("construction", nil, nil, srcs); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := p.Engine.CatchUp(); err != nil && firstErr == nil {
-		firstErr = err
 	}
 	return firstErr
 }
 
 // finalExchange forces a cross-partition exchange and publishes the whole
-// carry set; the partitioned drain path runs it so direct readers of the
-// serving stores observe fully exchanged, fully published state. Publish
-// errors stay queued for retry (flushPending), exactly like the single
-// pipeline's failed publishes.
+// carry set — a publish group holding one bare barrier — so direct readers of
+// the serving stores observe fully exchanged, fully published state. Publish
+// errors stay queued for retry (flushPending).
 func (p *Platform) finalExchange() {
-	if p.Partitioned == nil {
-		return
-	}
-	p.pubMu.Lock()
-	defer p.pubMu.Unlock()
-	p.Partitioned.FlushVolatile()
-	p.pubBatches = 0
-	_ = p.publishCarryLocked(false) //saga:errok failed publishes re-queue inside publishRaw and retry at the next publish point
+	_ = p.publishGroup([]*construct.FeedBatch{{Barrier: true}}) //saga:errok failed publishes re-queue inside publishRaw and retry at the next publish point
 }
 
 // openFeed returns the standing feed if one is open, nil otherwise.
@@ -1045,15 +838,17 @@ func (p *Platform) drainFeed() {
 	if f != nil {
 		f.Drain()
 	}
-	// Partitioned mode: the drained batches may have deferred volatile state
-	// and carried (unpublished) entities; exchange and publish them so the
-	// graph and every store reflect the drained batches completely.
+	// The drained batches may have deferred volatile state and carried
+	// (unpublished) entities; exchange and publish them so the graph and
+	// every store reflect the drained batches completely. As a publish turn
+	// this also retries queued failed publishes and catches every agent up on
+	// whatever reached the log.
 	p.finalExchange()
 }
 
 // Close shuts the platform down, in dependency order: the standing feed (if
-// open) is closed and its backlog published, deferred partitioned state is
-// settled, the background compactor is stopped and waited for, and only then
+// open) is closed and its backlog published, deferred cross-partition state
+// is settled, the background compactor is stopped and waited for, and only then
 // do the operation log, staging store, checkpoint store, entity store, and
 // text index release their storage backends (for durable backends that also
 // syncs and closes their files) — so no compaction or publish can race a
@@ -1070,7 +865,7 @@ func (p *Platform) Close() error {
 			firstErr = err
 		}
 	}
-	// Settle any deferred partitioned state before the log closes.
+	// Settle any deferred cross-partition state before the log closes.
 	p.finalExchange()
 	p.stopCompactor()
 	if p.Checkpoints != nil {
@@ -1129,7 +924,7 @@ func (p *Platform) checkpointNow() error {
 		// checkpoint directly.
 		f.Drain()
 	}
-	p.drainFeed() // also settles deferred partitioned state
+	p.drainFeed() // also settles deferred cross-partition state
 	if err := p.flushPending(); err != nil {
 		return err
 	}
@@ -1146,8 +941,6 @@ func (p *Platform) checkpointNow() error {
 // converged state).
 func (p *Platform) RefreshServing() {
 	p.drainFeed()
-	_ = p.flushPending()
-	_ = p.Engine.CatchUp() // converge agents on whatever reached the log
 	scores := importance.Compute(p.GraphReplica, importance.Options{})
 	boosts := make(map[triple.EntityID]float64, len(scores))
 	var stable []*triple.Entity
@@ -1170,16 +963,10 @@ func (p *Platform) RefreshServing() {
 // the graph or blocks replica writes for the duration.
 func (p *Platform) BuildNERD() *nerd.NERD {
 	p.drainFeed()
-	_ = p.flushPending()
-	_ = p.Engine.CatchUp()
 	scores := importance.Compute(p.GraphReplica, importance.Options{})
 	view := nerd.BuildEntityView(p.GraphReplica.Snapshot(), scores)
 	p.NERD = nerd.New(view, nerd.NewModel(nil))
-	if p.Partitioned != nil {
-		p.Partitioned.Resolver = p.NERD
-	} else {
-		p.Pipeline.Resolver = p.NERD
-	}
+	p.Pipeline.Resolver = p.NERD
 	p.LiveConstructor.Resolver = p.NERD
 	p.Intents.Resolver = p.NERD
 	return p.NERD
@@ -1242,7 +1029,7 @@ func (p *Platform) ApplyCurationDecisions() (int, error) {
 		// Curation writes bypass the construction pipeline, so report the
 		// touched entity to the pipeline's KG-derived caches (block index,
 		// alias-resolver cache) ourselves.
-		p.refreshKGCaches(d.Entity)
+		p.Pipeline.RefreshKGCaches(d.Entity)
 		// Publish the hot fix so every store converges.
 		if d.Kind == live.DecisionBlockEntity {
 			if _, err := p.Engine.PublishDelete(live.CurationSource, []triple.EntityID{d.Entity}); err != nil {
@@ -1257,22 +1044,9 @@ func (p *Platform) ApplyCurationDecisions() (int, error) {
 	return len(decisions), p.Engine.CatchUp()
 }
 
-// refreshKGCaches reports direct graph writes to whichever construction
-// pipeline owns the KG-derived caches.
-func (p *Platform) refreshKGCaches(ids ...triple.EntityID) {
-	if p.Partitioned != nil {
-		p.Partitioned.RefreshKGCaches(ids...)
-		return
-	}
-	p.Pipeline.RefreshKGCaches(ids...)
-}
-
 // DrainConflicts returns and clears the construction pipeline's accumulated
-// fusion conflicts, whichever pipeline mode the platform runs.
+// fusion conflicts.
 func (p *Platform) DrainConflicts() []construct.Conflict {
-	if p.Partitioned != nil {
-		return p.Partitioned.DrainConflicts()
-	}
 	return p.Pipeline.DrainConflicts()
 }
 
@@ -1282,47 +1056,29 @@ type Stats struct {
 	Links        int
 	LogLSN       uint64
 	LiveEntities int
-	// BlockIndex reports the incremental linking index (zero when the
-	// platform runs full-scan linking).
+	// BlockIndex reports the incremental linking index, aggregated over the
+	// partitions' owned indexes.
 	BlockIndex construct.BlockIndexStats
 	// Fusion reports the commit phase's fusion traffic; Payloads/Targets is
 	// the per-target batching amortization.
 	Fusion construct.FusionStats
-	// Partitions is the construction partition count (0 in single-pipeline
-	// mode); Volatile counts partitioned mode's deferred-overwrite traffic.
+	// Partitions is the construction partition count; Volatile counts the
+	// deferred-overwrite traffic of the cross-partition exchange (zero with
+	// one partition).
 	Partitions int
 	Volatile   construct.VolatileBacklogStats
 }
 
 // Stats gathers platform statistics.
 func (p *Platform) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Graph:        p.KG.Graph.Stats(),
 		Links:        p.KG.LinkCount(),
 		LogLSN:       p.Engine.Log.LastLSN(),
 		LiveEntities: p.Live.Len(),
+		BlockIndex:   p.Pipeline.BlockIndexStats(),
+		Fusion:       p.Pipeline.FusionStats(),
+		Partitions:   p.Pipeline.Partitions(),
+		Volatile:     p.Pipeline.VolatileStats(),
 	}
-	if p.Partitioned != nil {
-		st.Fusion = p.Partitioned.FusionStats()
-		st.Partitions = p.Partitioned.Partitions()
-		st.Volatile = p.Partitioned.VolatileStats()
-		// Aggregate the per-partition block indexes into one platform view.
-		for _, part := range p.Partitioned.Parts() {
-			if part.Index == nil {
-				continue
-			}
-			s := part.Index.Stats()
-			st.BlockIndex.Entities += s.Entities
-			st.BlockIndex.Types += s.Types
-			st.BlockIndex.Keys += s.Keys
-			st.BlockIndex.Probes += s.Probes
-			st.BlockIndex.Refreshes += s.Refreshes
-		}
-		return st
-	}
-	st.Fusion = p.Pipeline.FusionStats()
-	if p.Pipeline.Index != nil {
-		st.BlockIndex = p.Pipeline.Index.Stats()
-	}
-	return st
 }

@@ -251,7 +251,7 @@ func TestBatchedFusionShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Identical {
-		t.Fatal("per-entity, batched, and pipelined consume paths diverged")
+		t.Fatal("per-entity and batched fusion paths diverged")
 	}
 	// The workload piles several payload entities onto each target; batching
 	// must actually amortize (one fuse per target, several payloads each).

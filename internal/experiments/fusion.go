@@ -12,34 +12,24 @@ import (
 	"saga/internal/workload"
 )
 
-// BatchedFusionResult is the pipelined-consume / batched-fusion ablation: the
-// same commit-heavy workload (multi-delta batches whose payload entities pile
-// onto shared target KG entities) consumed by the per-entity-fusion barrier
-// baseline, the batched-fusion barrier path, and the batched-fusion pipelined
-// path. All three must construct byte-identical KGs; the speedups isolate the
-// two mechanisms of the post-index hot path: per-target fusion batching (one
-// graph round-trip and one truth-discovery pass per target instead of one per
-// payload) and prepare/commit overlap across the deltas of a batch.
+// BatchedFusionResult is the batched-fusion ablation: the same commit-heavy
+// workload (multi-delta batches whose payload entities pile onto shared
+// target KG entities) consumed with per-entity fusion, the reference path, and
+// with batched fusion. Both must construct byte-identical KGs; the speedup
+// isolates per-target fusion batching (one graph round-trip and one
+// truth-discovery pass per target instead of one per payload).
 type BatchedFusionResult struct {
 	Sources   int // deltas per batch
 	PerTarget int // payload entities sharing each target KG entity
 	Rounds    int // update rounds after the initial load
 
 	// Commit-phase comparison over the update rounds (linking there is pure
-	// ID lookup, so wall time is fusion-dominated); both sides use barrier
-	// scheduling, isolating per-target batching.
+	// ID lookup, so wall time is fusion-dominated).
 	PerEntityMS   float64 // per-entity fusion
 	BatchedMS     float64 // batched fusion
 	FusionSpeedup float64 // PerEntityMS / BatchedMS
 
-	// Consume-scheduling comparison over the add-heavy initial load (real
-	// linking compute per delta); both sides use batched fusion, isolating
-	// the prepare/commit overlap of the pipelined path.
-	LoadBarrierMS   float64
-	LoadPipelinedMS float64
-	PipelineSpeedup float64 // LoadBarrierMS / LoadPipelinedMS
-
-	// Identical reports that all three paths constructed byte-identical KGs.
+	// Identical reports that both paths constructed byte-identical KGs.
 	Identical bool
 	// Targets and Payloads are the batched run's fusion counters; their
 	// ratio is the per-target amortization the workload actually exercised.
@@ -48,10 +38,9 @@ type BatchedFusionResult struct {
 
 // String renders the ablation.
 func (r BatchedFusionResult) String() string {
-	return fmt.Sprintf("Batched-fusion ablation: %d sources x %d payloads/target, %d update rounds; commit phase per-entity=%.1fms batched=%.1fms (%.2fx); load barrier=%.1fms pipelined=%.1fms (%.2fx); %.1f payloads/target fused; identical=%v\n",
+	return fmt.Sprintf("Batched-fusion ablation: %d sources x %d payloads/target, %d update rounds; commit phase per-entity=%.1fms batched=%.1fms (%.2fx); %.1f payloads/target fused; identical=%v\n",
 		r.Sources, r.PerTarget, r.Rounds,
 		r.PerEntityMS, r.BatchedMS, r.FusionSpeedup,
-		r.LoadBarrierMS, r.LoadPipelinedMS, r.PipelineSpeedup,
 		float64(r.Payloads)/float64(maxInt(r.Targets, 1)), r.Identical)
 }
 
@@ -59,9 +48,9 @@ func (r BatchedFusionResult) String() string {
 // duplicate records per real-world entity (same name, so linking clusters
 // them onto one target KG entity), with enough facts that fusing each record
 // costs real work. Sources get disjoint entity types so the deltas of a
-// batch are independent — Consume, ConsumeBarrier, and ConsumeSequential
-// then agree exactly. offset shifts the universe range; round > 0 varies the
-// fact payload so updates replace real content.
+// batch are independent — Consume and ConsumeSequential then agree exactly.
+// offset shifts the universe range; round > 0 varies the fact payload so
+// updates replace real content.
 func fusionSource(src, typ string, offset, count, perTarget, richFacts, round int) []*triple.Entity {
 	var out []*triple.Entity
 	for u := offset; u < offset+count; u++ {
@@ -82,14 +71,13 @@ func fusionSource(src, typ string, offset, count, perTarget, richFacts, round in
 	return out
 }
 
-// BatchedFusion runs the batched-fusion / pipelined-consume ablation. Each
-// pipeline loads a batch of adds (clustered perTarget-to-one, so every target
-// fuses a same-as carrier plus perTarget payloads in one commit — the
-// linking-heavy phase the pipelined schedule overlaps), then consumes rounds
-// of whole-source update batches — the commit-dominated regime, since
-// updates link by ID lookup. Every timing is the minimum over reps
-// repetitions, and all consume paths must construct byte-identical KGs.
-// workers sizes the pipelines; 0 means GOMAXPROCS.
+// BatchedFusion runs the batched-fusion ablation. Each pipeline loads a batch
+// of adds (clustered perTarget-to-one, so every target fuses a same-as
+// carrier plus perTarget payloads in one commit), then consumes rounds of
+// whole-source update batches — the commit-dominated regime, since updates
+// link by ID lookup. Every timing is the minimum over reps repetitions, and
+// both fusion paths must construct byte-identical KGs. workers sizes the
+// pipelines; 0 means GOMAXPROCS.
 func BatchedFusion(workers int) (BatchedFusionResult, error) {
 	ont := ontology.Default()
 	if workers <= 0 {
@@ -113,34 +101,23 @@ func BatchedFusion(workers int) (BatchedFusionResult, error) {
 	}
 
 	type runResult struct {
-		loadMS, updMS float64
-		kg            *construct.KG
-		fusion        construct.FusionStats
+		updMS  float64
+		kg     *construct.KG
+		fusion construct.FusionStats
 	}
-	run := func(perEntity, pipelined bool) (runResult, error) {
+	run := func(perEntity bool) (runResult, error) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ont)
+		p := construct.NewPipeline(kg, ont, 1)
 		p.Workers = workers
 		p.PerEntityFusion = perEntity
 		p.EnableBlockIndex()
-		consume := func(deltas []ingest.Delta) error {
-			var err error
-			if pipelined {
-				_, err = p.Consume(deltas)
-			} else {
-				_, err = p.ConsumeBarrier(deltas)
-			}
-			return err
-		}
 		out := runResult{kg: kg}
-		start := time.Now()
-		if err := consume(batch(0)); err != nil {
+		if _, err := p.Consume(batch(0)); err != nil {
 			return out, err
 		}
-		out.loadMS = float64(time.Since(start).Microseconds()) / 1000
-		start = time.Now()
+		start := time.Now()
 		for r := 1; r <= rounds; r++ {
-			if err := consume(batch(r)); err != nil {
+			if _, err := p.Consume(batch(r)); err != nil {
 				return out, err
 			}
 		}
@@ -156,28 +133,21 @@ func BatchedFusion(workers int) (BatchedFusionResult, error) {
 		return cur
 	}
 	for rep := 0; rep < reps; rep++ {
-		perEnt, err := run(true, false)
+		perEnt, err := run(true)
 		if err != nil {
 			return res, err
 		}
-		barrier, err := run(false, false)
-		if err != nil {
-			return res, err
-		}
-		pipe, err := run(false, true)
+		batched, err := run(false)
 		if err != nil {
 			return res, err
 		}
 		res.PerEntityMS = minMS(res.PerEntityMS, perEnt.updMS)
-		res.BatchedMS = minMS(res.BatchedMS, barrier.updMS)
-		res.LoadBarrierMS = minMS(res.LoadBarrierMS, barrier.loadMS)
-		res.LoadPipelinedMS = minMS(res.LoadPipelinedMS, pipe.loadMS)
+		res.BatchedMS = minMS(res.BatchedMS, batched.updMS)
 		if rep == 0 {
-			res.Targets, res.Payloads = barrier.fusion.Targets, barrier.fusion.Payloads
-			res.Identical = graphsIdentical(perEnt.kg, barrier.kg) && graphsIdentical(barrier.kg, pipe.kg)
+			res.Targets, res.Payloads = batched.fusion.Targets, batched.fusion.Payloads
+			res.Identical = graphsIdentical(perEnt.kg, batched.kg)
 		}
 	}
 	res.FusionSpeedup = res.PerEntityMS / res.BatchedMS
-	res.PipelineSpeedup = res.LoadBarrierMS / res.LoadPipelinedMS
 	return res, nil
 }

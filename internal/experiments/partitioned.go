@@ -46,8 +46,8 @@ func dumpServing(p *core.Platform) (servingDump, error) {
 }
 
 // PartitionedIngestResult is the partitioned-construction scaling ablation:
-// the standing-feed workload ingested by a single-pipeline platform (N=1) and
-// by a partitioned platform (N=4), both through the standing feed over a
+// the standing-feed workload ingested by a one-partition platform (N=1) and by
+// a four-partition platform (N=4), both through the standing feed over a
 // durable operation log. Partitioning buys its throughput from the exchange
 // protocol's deferral — volatile overwrites enqueue into per-owner backlogs
 // and collapse per (target, source) across an exchange window instead of
@@ -84,7 +84,7 @@ func (r PartitionedIngestResult) String() string {
 
 // PartitionedIngest runs the scaling ablation. Timings are minima over three
 // repetitions; each run gets a fresh platform over a fresh durable log.
-// workers sizes the per-partition pipelines; 0 means GOMAXPROCS.
+// workers sizes the pipelines; 0 means GOMAXPROCS.
 func PartitionedIngest(workers int) (PartitionedIngestResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -297,8 +297,8 @@ func HotKeySkew(workers int) (HotKeySkewResult, error) {
 				res.PayloadsPerTarget = float64(fu.Payloads) / float64(fu.Targets)
 			}
 			total, max := 0, 0
-			for _, part := range many.Partitioned.Parts() {
-				pay := part.FusionStats().Payloads
+			for _, part := range many.Pipeline.PartitionFusionStats() {
+				pay := part.Payloads
 				total += pay
 				if pay > max {
 					max = pay

@@ -1,6 +1,9 @@
 package live
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,4 +168,57 @@ func TestReplicaSetLoadRouting(t *testing.T) {
 	if loads[0] != 0 || loads[1] != 0 {
 		t.Fatalf("loads = %v after release, want zeros", loads)
 	}
+}
+
+// TestPublishedSnapshotVersionMonotonic: racing republishers must never move
+// the published snapshot back — Current and Serving used to capture under the
+// publication gate but store the result outside it, so the older of two
+// racing captures could overwrite the newer and a reader saw the store
+// version go back. Every reader's observed versions must be non-decreasing
+// while writers stream Puts. Run with -race -count=20.
+func TestPublishedSnapshotVersionMonotonic(t *testing.T) {
+	// More Ps than cores, so the OS deschedules a republisher anywhere —
+	// also between its capture and its publish, the window the bug needed.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4 * runtime.NumCPU()))
+	s := NewStore()
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.Put(cityEntity(fmt.Sprintf("kg:C%d-%d", w, i%64), "City", "kg:US", int64(i)), 0.1)
+			}
+		}(w)
+	}
+	for r := 0; r < 4*runtime.NumCPU(); r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			var last uint64
+			for i := 0; i < 20000; i++ {
+				var sn *Snapshot
+				if i%2 == 0 {
+					sn = s.Current()
+				} else {
+					sn = s.Serving()
+				}
+				v := sn.Version()
+				if v < last {
+					t.Errorf("reader %d: published version went back: %d after %d", r, v, last)
+					return
+				}
+				last = v
+			}
+		}(r)
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
 }

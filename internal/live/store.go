@@ -381,6 +381,11 @@ func (s *Store) Boost(id triple.EntityID) float64 {
 func (s *Store) Snapshot() *Snapshot {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
+	return s.snapshotLocked()
+}
+
+// snapshotLocked captures a snapshot; the caller holds pubMu's write side.
+func (s *Store) snapshotLocked() *Snapshot {
 	s.snapEpoch++
 	sn := &Snapshot{
 		version:  s.version.Load(),
@@ -397,6 +402,17 @@ func (s *Store) Snapshot() *Snapshot {
 	return sn
 }
 
+// republish captures a snapshot and publishes it as cur in one step under
+// pubMu. Captures serialize there and the store version only grows, so cur
+// never moves back to an older snapshot when republishers race.
+func (s *Store) republish() *Snapshot {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	sn := s.snapshotLocked()
+	s.cur.Store(sn)
+	return sn
+}
+
 // Current returns the latest published snapshot, republishing first if the
 // store has advanced past it. The fast path is two atomic loads; the slow
 // path costs one snapshot capture (O(shards)). Freshness: read-your-writes —
@@ -405,8 +421,7 @@ func (s *Store) Current() *Snapshot {
 	if sn := s.cur.Load(); sn != nil && sn.version == s.version.Load() {
 		return sn
 	}
-	sn := s.Snapshot()
-	s.cur.Store(sn)
+	sn := s.republish()
 	s.snapAt.Store(time.Now().UnixNano())
 	return sn
 }
@@ -439,9 +454,7 @@ func (s *Store) Serving() *Snapshot {
 			return sn
 		}
 	}
-	sn = s.Snapshot()
-	s.cur.Store(sn)
-	return sn
+	return s.republish()
 }
 
 // Snapshot is an immutable view of a Store frozen at one version: reads are

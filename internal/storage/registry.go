@@ -22,13 +22,6 @@ type Options struct {
 	// default. Small values make the record log rotate often, which bounds
 	// how much tail a compaction has to copy.
 	SegmentBytes int64
-	// Partitions is the platform's construction partition count (0 or 1 =
-	// unpartitioned). Backends may shard their layout per construction
-	// partition — a per-shard directory, file, or remote endpoint — so a
-	// partitioned platform can mix storage characteristics per shard; the
-	// built-in memory and disk backends currently keep one shared layout and
-	// ignore the field.
-	Partitions int
 }
 
 // Backend bundles one implementation of each storage role under a name.
