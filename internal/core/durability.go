@@ -66,7 +66,7 @@ func (p *Platform) DurabilityStats() DurabilityStats {
 // applyLinkOp is the link-table agent: it replays each op's link deltas into
 // the platform's log-derived link replica, so after a CatchUp the replica is
 // exactly the link table at the agents' LSN — the state checkpoints embed.
-func (p *Platform) applyLinkOp(op oplog.Op, _ []*triple.Entity) error {
+func (p *Platform) applyLinkOp(op oplog.Op, _ graphengine.Payload) error {
 	if len(op.Links) == 0 && len(op.Unlinks) == 0 {
 		return nil
 	}
@@ -110,8 +110,10 @@ func (p *Platform) recover() error {
 		if lsn, payload, ok := p.Checkpoints.Latest(); ok {
 			meta, entities, err := graphengine.DecodeCheckpoint(payload)
 			if err == nil && meta.LSN == lsn {
+				// The KG and the agents' stores share the decoded records:
+				// nothing has seen them yet and every holder only reads.
 				for _, e := range entities {
-					p.KG.Graph.Put(e)
+					p.KG.Graph.PutOwned(e)
 				}
 				p.KG.RestoreLinks(meta.Links)
 				p.linkMu.Lock()
@@ -131,11 +133,11 @@ func (p *Platform) recover() error {
 		}
 	}
 	replayed := 0
-	err := p.Engine.Replay(w, func(op oplog.Op, entities []*triple.Entity) error {
+	err := p.Engine.Replay(w, func(op oplog.Op, pl graphengine.Payload) error {
 		switch op.Kind {
 		case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
-			for _, e := range entities {
-				p.KG.Graph.Put(e)
+			for _, e := range pl.Entities {
+				p.KG.Graph.PutOwned(e)
 			}
 		case oplog.OpDelete:
 			for _, id := range op.EntityIDs {

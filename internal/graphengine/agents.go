@@ -1,7 +1,6 @@
 package graphengine
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -12,37 +11,55 @@ import (
 	"saga/internal/triple"
 )
 
-// encodeEntities frames entity payloads with the CRC-checked record codec.
+// encodeEntities frames entity payloads with the CRC-checked record codec:
+// one exact-size allocation (the staging store takes ownership of it), every
+// entity encoded in place inside its frame.
 func encodeEntities(entities []*triple.Entity) ([]byte, error) {
-	var buf bytes.Buffer
-	for _, e := range entities {
-		data, err := e.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		if err := triple.WriteRecord(&buf, data); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
+	return appendEntityFrames(make([]byte, 0, framedLen(entities)), entities)
 }
 
-func decodeEntities(payload []byte) ([]*triple.Entity, error) {
-	r := bytes.NewReader(payload)
-	var out []*triple.Entity
+// framedLen returns the exact size of the entities' frames.
+func framedLen(entities []*triple.Entity) int {
+	n := 0
+	for _, e := range entities {
+		n += triple.RecordLen(e.EncodedLen())
+	}
+	return n
+}
+
+// appendEntityFrames appends one frame per entity to dst.
+func appendEntityFrames(dst []byte, entities []*triple.Entity) ([]byte, error) {
+	for _, e := range entities {
+		frame, mark := triple.BeginRecord(dst)
+		frame, err := e.AppendBinary(frame)
+		if err != nil {
+			return nil, fmt.Errorf("encode entity %s: %w", e.ID, err)
+		}
+		dst = triple.EndRecord(frame, mark)
+	}
+	return dst, nil
+}
+
+// decodeEntities decodes a staged payload, iterating its frames in place:
+// the returned records are sub-slices of payload.
+func decodeEntities(payload []byte) (Payload, error) {
+	n := triple.CountRecords(payload)
+	p := Payload{Entities: make([]*triple.Entity, 0, n), Records: make([][]byte, 0, n)}
 	for {
-		rec, err := triple.ReadRecord(r)
+		rec, rest, err := triple.NextRecord(payload)
 		if err == io.EOF {
-			return out, nil
+			return p, nil
 		}
 		if err != nil {
-			return nil, err
+			return Payload{}, err
 		}
-		var e triple.Entity
+		e := new(triple.Entity)
 		if err := e.UnmarshalBinary(rec); err != nil {
-			return nil, err
+			return Payload{}, err
 		}
-		out = append(out, &e)
+		p.Entities = append(p.Entities, e)
+		p.Records = append(p.Records, rec)
+		payload = rest
 	}
 }
 
@@ -57,11 +74,21 @@ func (EntityStoreAgent) Name() string { return "entity-store" }
 // Apply implements Agent: upserts and overwrites replace payload entities;
 // deletes remove them; checkpoints and unknown kinds are no-ops (agents must
 // tolerate new operation kinds for extensibility).
-func (a EntityStoreAgent) Apply(op oplog.Op, entities []*triple.Entity) error {
+//
+// The store keeps entities encoded, and the log's frames already are: a
+// replayed record goes to the KV as it is (the decoder accepts canonical
+// encodings only, so the bytes are what Put would marshal again).
+func (a EntityStoreAgent) Apply(op oplog.Op, p Payload) error {
 	switch op.Kind {
 	case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
-		for _, e := range entities {
-			if err := a.Store.Put(e); err != nil {
+		for i, e := range p.Entities {
+			var err error
+			if p.Records != nil {
+				err = a.Store.PutEncoded(e.ID, p.Records[i])
+			} else {
+				err = a.Store.Put(e)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -85,10 +112,10 @@ type TextIndexAgent struct {
 func (TextIndexAgent) Name() string { return "text-index" }
 
 // Apply implements Agent.
-func (a TextIndexAgent) Apply(op oplog.Op, entities []*triple.Entity) error {
+func (a TextIndexAgent) Apply(op oplog.Op, p Payload) error {
 	switch op.Kind {
 	case oplog.OpUpsert, oplog.OpCuration:
-		for _, e := range entities {
+		for _, e := range p.Entities {
 			if err := a.Index.Put(textindex.Doc{ID: string(e.ID), Text: EntityDocText(e)}); err != nil {
 				return err
 			}
@@ -129,12 +156,15 @@ type GraphAgent struct {
 // Name implements Agent.
 func (GraphAgent) Name() string { return "graph-replica" }
 
-// Apply implements Agent.
-func (a GraphAgent) Apply(op oplog.Op, entities []*triple.Entity) error {
+// Apply implements Agent. Replayed entities are installed as they are: the
+// replay decoded them for its agents alone and none of them writes to one
+// (Payload's contract), so the replica's frozen record can be the decoded
+// one instead of a clone of it.
+func (a GraphAgent) Apply(op oplog.Op, p Payload) error {
 	switch op.Kind {
 	case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
-		for _, e := range entities {
-			a.Graph.Put(e)
+		for _, e := range p.Entities {
+			a.Graph.PutOwned(e)
 		}
 	case oplog.OpDelete:
 		for _, id := range op.EntityIDs {
@@ -148,16 +178,16 @@ func (a GraphAgent) Apply(op oplog.Op, entities []*triple.Entity) error {
 // "reasonably small engineering effort" (§3.1).
 type FuncAgent struct {
 	AgentName string
-	Fn        func(op oplog.Op, entities []*triple.Entity) error
+	Fn        func(op oplog.Op, p Payload) error
 }
 
 // Name implements Agent.
 func (f FuncAgent) Name() string { return f.AgentName }
 
 // Apply implements Agent.
-func (f FuncAgent) Apply(op oplog.Op, entities []*triple.Entity) error {
+func (f FuncAgent) Apply(op oplog.Op, p Payload) error {
 	if f.Fn == nil {
 		return fmt.Errorf("graphengine: FuncAgent %s has no Fn", f.AgentName)
 	}
-	return f.Fn(op, entities)
+	return f.Fn(op, p)
 }

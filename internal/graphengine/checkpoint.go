@@ -1,10 +1,8 @@
 package graphengine
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"saga/internal/triple"
 )
@@ -24,34 +22,26 @@ type CheckpointMeta struct {
 // EncodeCheckpoint serializes a checkpoint payload: one CRC-framed JSON meta
 // record followed by one CRC-framed binary record per entity — the same
 // framing idiom as staged publish payloads, so a torn checkpoint fails its
-// frame check and recovery falls back to the previous one.
+// frame check and recovery falls back to the previous one. The payload is
+// one exact-size allocation.
 func EncodeCheckpoint(meta CheckpointMeta, entities []*triple.Entity) ([]byte, error) {
-	var buf bytes.Buffer
 	hdr, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("graphengine: encode checkpoint meta: %w", err)
 	}
-	if err := triple.WriteRecord(&buf, hdr); err != nil {
-		return nil, fmt.Errorf("graphengine: frame checkpoint meta: %w", err)
+	buf := make([]byte, 0, triple.RecordLen(len(hdr))+framedLen(entities))
+	buf, err = appendEntityFrames(triple.AppendRecord(buf, hdr), entities)
+	if err != nil {
+		return nil, fmt.Errorf("graphengine: checkpoint: %w", err)
 	}
-	for _, e := range entities {
-		data, err := e.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("graphengine: encode checkpoint entity %s: %w", e.ID, err)
-		}
-		if err := triple.WriteRecord(&buf, data); err != nil {
-			return nil, fmt.Errorf("graphengine: frame checkpoint entity %s: %w", e.ID, err)
-		}
-	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // DecodeCheckpoint parses a checkpoint payload back into its meta and
 // entities. Any framing or decoding error fails the whole checkpoint —
 // recovery treats it as absent rather than restoring partial state.
 func DecodeCheckpoint(payload []byte) (CheckpointMeta, []*triple.Entity, error) {
-	r := bytes.NewReader(payload)
-	hdr, err := triple.ReadRecord(r)
+	hdr, rest, err := triple.NextRecord(payload)
 	if err != nil {
 		return CheckpointMeta{}, nil, fmt.Errorf("graphengine: read checkpoint meta: %w", err)
 	}
@@ -59,19 +49,9 @@ func DecodeCheckpoint(payload []byte) (CheckpointMeta, []*triple.Entity, error) 
 	if err := json.Unmarshal(hdr, &meta); err != nil {
 		return CheckpointMeta{}, nil, fmt.Errorf("graphengine: decode checkpoint meta: %w", err)
 	}
-	var entities []*triple.Entity
-	for {
-		rec, err := triple.ReadRecord(r)
-		if err == io.EOF {
-			return meta, entities, nil
-		}
-		if err != nil {
-			return CheckpointMeta{}, nil, fmt.Errorf("graphengine: read checkpoint entity: %w", err)
-		}
-		var e triple.Entity
-		if err := e.UnmarshalBinary(rec); err != nil {
-			return CheckpointMeta{}, nil, fmt.Errorf("graphengine: decode checkpoint entity: %w", err)
-		}
-		entities = append(entities, &e)
+	p, err := decodeEntities(rest)
+	if err != nil {
+		return CheckpointMeta{}, nil, fmt.Errorf("graphengine: checkpoint entity: %w", err)
 	}
+	return meta, p.Entities, nil
 }

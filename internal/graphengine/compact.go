@@ -47,6 +47,15 @@ type CompactStats struct {
 // exactly the per-store state the original prefix produced, because every
 // store's apply rules are last-writer-wins per entity (and per link key).
 //
+// Compaction is byte-level: frame i of an op's staged payload is entity
+// op.EntityIDs[i] (docs/INVARIANTS.md#payload-frame-alignment), so choosing
+// each entity's last version means choosing a frame, and the rewritten
+// payload is the surviving frames concatenated — nothing is decoded or
+// encoded again, and because encodings are canonical the result is the very
+// payload a decode and re-encode would produce. The alignment is verified
+// frame by frame (count, CRC, and the ID at the head of each record); any
+// mismatch aborts the compaction with the log untouched.
+//
 // Concurrency: the swap itself is atomic under the log's lock. CompactThrough
 // must only be called when every registered agent has replayed to at least w
 // (the platform compacts at checkpoint watermarks, which follow a CatchUp),
@@ -68,8 +77,9 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 	// Pass 1: final state per entity and per link key, with the index of the
 	// op that settled it.
 	type entFinal struct {
-		idx int
-		ent *triple.Entity // nil: final op was a delete (tombstone)
+		idx   int32  // op that settled the entity
+		pos   int32  // where that op first lists it: an ID listed twice keeps its first place and its last frame
+		frame []byte // header and record, aliasing the staged blob; nil: final op was a delete (tombstone)
 	}
 	type linkFinal struct {
 		idx    int
@@ -81,16 +91,34 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 	for i, op := range ops {
 		switch op.Kind {
 		case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
-			entities, err := e.payloadOf(op)
-			if err != nil {
-				return stats, fmt.Errorf("graphengine: compact lsn %d: %w", op.LSN, err)
+			if op.StagingKey == "" {
+				break
 			}
-			for _, ent := range entities {
-				final[ent.ID] = entFinal{idx: i, ent: ent}
+			payload, ok := e.Staging.Get(op.StagingKey)
+			if !ok {
+				return stats, fmt.Errorf("graphengine: compact lsn %d: staged payload %s missing", op.LSN, op.StagingKey)
+			}
+			for j, id := range op.EntityIDs {
+				rec, rest, err := triple.NextRecord(payload)
+				if err != nil {
+					return stats, fmt.Errorf("graphengine: compact lsn %d: frame of %s: %w", op.LSN, id, err)
+				}
+				if got, err := triple.PeekID(rec); err != nil || string(got) != string(id) {
+					return stats, fmt.Errorf("graphengine: compact lsn %d: payload frame holds %q where the op lists %s (%v)", op.LSN, got, id, err)
+				}
+				ef := entFinal{idx: int32(i), pos: int32(j), frame: payload[:len(payload)-len(rest)]}
+				if prev, ok := final[id]; ok && prev.idx == ef.idx {
+					ef.pos = prev.pos
+				}
+				final[id] = ef
+				payload = rest
+			}
+			if len(payload) != 0 {
+				return stats, fmt.Errorf("graphengine: compact lsn %d: payload runs %d bytes past its %d listed entities", op.LSN, len(payload), len(op.EntityIDs))
 			}
 		case oplog.OpDelete:
 			for _, id := range op.EntityIDs {
-				final[id] = entFinal{idx: i}
+				final[id] = entFinal{idx: int32(i)}
 			}
 		}
 		for src, tgt := range op.Links {
@@ -115,10 +143,28 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 		m[src] = lf.target
 	}
 
+	// kept[i] counts the entities op i settles; an op that settles neither
+	// an entity nor a link drops out of the log.
+	kept := make([]int32, len(ops))
+	for _, ef := range final {
+		if ef.frame != nil {
+			stats.EntitiesKept++
+			kept[ef.idx]++
+		} else {
+			stats.Tombstoned++
+		}
+	}
+	survivors := 0
+	for i := range ops {
+		if kept[i] > 0 || len(linksByOp[i]) > 0 {
+			survivors++
+		}
+	}
+
 	// Pass 2: regroup survivors under their final-touch op, preserving that
 	// op's within-op entity order.
-	var rewritten []oplog.Op
-	var newKeys []string
+	rewritten := make([]oplog.Op, 0, survivors)
+	newKeys := make([]string, 0, survivors)
 	abort := func(err error) (CompactStats, error) {
 		for _, key := range newKeys {
 			e.Staging.Delete(key) //saga:errok — unreferenced blob, best effort
@@ -126,26 +172,23 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 		return stats, err
 	}
 	for i, op := range ops {
-		var keep []*triple.Entity
-		seen := make(map[triple.EntityID]bool)
-		for _, id := range op.EntityIDs {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if ef, ok := final[id]; ok && ef.idx == i && ef.ent != nil {
-				keep = append(keep, ef.ent)
-			}
-		}
 		opLinks := linksByOp[i]
-		if len(keep) == 0 && len(opLinks) == 0 {
+		if kept[i] == 0 && len(opLinks) == 0 {
 			continue
 		}
 		nop := oplog.Op{LSN: op.LSN, Kind: oplog.OpUpsert, Source: op.Source, Time: op.Time, Links: opLinks}
-		if len(keep) > 0 {
-			payload, err := encodeEntities(keep)
-			if err != nil {
-				return abort(fmt.Errorf("graphengine: encode compacted payload at lsn %d: %w", op.LSN, err))
+		if kept[i] > 0 {
+			nop.EntityIDs = make([]triple.EntityID, 0, kept[i])
+			size := 0
+			for j, id := range op.EntityIDs {
+				if ef := final[id]; int(ef.idx) == i && int(ef.pos) == j && ef.frame != nil {
+					nop.EntityIDs = append(nop.EntityIDs, id)
+					size += len(ef.frame)
+				}
+			}
+			payload := make([]byte, 0, size)
+			for _, id := range nop.EntityIDs {
+				payload = append(payload, final[id].frame...)
 			}
 			key, err := e.Staging.Stage(payload)
 			if err != nil {
@@ -153,18 +196,8 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 			}
 			newKeys = append(newKeys, key)
 			nop.StagingKey = key
-			for _, ent := range keep {
-				nop.EntityIDs = append(nop.EntityIDs, ent.ID)
-			}
 		}
 		rewritten = append(rewritten, nop)
-	}
-	for _, ef := range final {
-		if ef.ent != nil {
-			stats.EntitiesKept++
-		} else {
-			stats.Tombstoned++
-		}
 	}
 
 	if err := e.Log.ReplaceRange(w, rewritten); err != nil {

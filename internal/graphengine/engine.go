@@ -10,6 +10,7 @@ package graphengine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"saga/internal/oplog"
@@ -46,9 +47,25 @@ func NewDirObjectStore(dir string) (ObjectStore, error) {
 type Agent interface {
 	// Name identifies the agent in the metadata store.
 	Name() string
-	// Apply replays one operation. Entities is the decoded staged payload
-	// (nil for operations without payloads, such as deletes or checkpoints).
-	Apply(op oplog.Op, entities []*triple.Entity) error
+	// Apply replays one operation with its decoded staged payload (the zero
+	// Payload for operations without one, such as deletes or checkpoints).
+	Apply(op oplog.Op, p Payload) error
+}
+
+// Payload is an operation's staged payload as replay hands it to agents.
+// It is decoded once per replay and shared by every agent, so it is
+// read-only: an agent may retain the entities and hand them to a store that
+// takes ownership without copying (Graph.PutOwned), but must not mutate
+// them; record bytes alias the staged blob and must be copied to be kept.
+// See docs/INVARIANTS.md#cow-shared-records.
+type Payload struct {
+	// Entities are the decoded entities, in payload order (entity i is
+	// op.EntityIDs[i]; docs/INVARIANTS.md#payload-frame-alignment).
+	Entities []*triple.Entity
+	// Records[i] is the canonical binary encoding Entities[i] was decoded
+	// from, for stores that keep entities encoded. Nil when the payload did
+	// not come off the log (Restore's checkpoint entities).
+	Records [][]byte
 }
 
 // MetadataStore tracks each agent's replayed LSN; consumers read a store's
@@ -223,21 +240,17 @@ func (e *Engine) CatchUp() error {
 		return nil
 	}
 	from := make([]uint64, len(agents))
-	min := uint64(0)
 	for i, a := range agents {
 		from[i] = e.Metadata.LSN(a.Name())
-		if i == 0 || from[i] < min {
-			min = from[i]
-		}
 	}
-	ops := e.Log.Read(min, 0)
+	ops := e.Log.Read(slices.Min(from), 0)
 	var (
 		stopped  = make([]bool, len(agents))
 		agentErr = make([]error, len(agents))
 		errLSN   = make([]uint64, len(agents))
 	)
-	payloads := make([][]*triple.Entity, catchupChunk)
-	decodeErr := make([]error, catchupChunk)
+	payloads := make([]Payload, min(len(ops), catchupChunk))
+	decodeErr := make([]error, len(payloads))
 	for lo := 0; lo < len(ops); lo += catchupChunk {
 		hi := lo + catchupChunk
 		if hi > len(ops) {
@@ -247,9 +260,10 @@ func (e *Engine) CatchUp() error {
 		// Decode each staged payload once for the whole chunk — not once per
 		// agent, which multiplied the decode cost of the publish path by the
 		// agent count. Ops no live agent still needs skip decoding entirely.
-		// Agents replay decoded copies, so sharing the slices is safe.
+		// The decoded payload is private to this replay and read-only for
+		// every agent, so sharing it (and letting an agent keep it) is safe.
 		for ci := range chunk {
-			payloads[ci], decodeErr[ci] = nil, nil
+			payloads[ci], decodeErr[ci] = Payload{}, nil
 			for i := range agents {
 				if !stopped[i] && from[i] < chunk[ci].LSN {
 					payloads[ci], decodeErr[ci] = e.payloadOf(chunk[ci])
@@ -303,28 +317,29 @@ func (e *Engine) CatchUp() error {
 	return fmt.Errorf("graphengine: agent %s at lsn %d: %w", agents[best].Name(), errLSN[best], agentErr[best])
 }
 
-func (e *Engine) payloadOf(op oplog.Op) ([]*triple.Entity, error) {
+func (e *Engine) payloadOf(op oplog.Op) (Payload, error) {
 	if op.StagingKey == "" {
-		return nil, nil
+		return Payload{}, nil
 	}
 	payload, ok := e.Staging.Get(op.StagingKey)
 	if !ok {
-		return nil, fmt.Errorf("staged payload %s missing", op.StagingKey)
+		return Payload{}, fmt.Errorf("staged payload %s missing", op.StagingKey)
 	}
 	return decodeEntities(payload)
 }
 
 // Replay streams every op with LSN > after to fn, decoding each staged
-// payload once. Recovery uses it to re-apply the log suffix past a
+// payload once; fn is the payload's only holder, under the same terms as an
+// agent's Apply. Recovery uses it to re-apply the log suffix past a
 // checkpoint watermark into the construction KG (agents replay separately,
 // through CatchUp).
-func (e *Engine) Replay(after uint64, fn func(op oplog.Op, entities []*triple.Entity) error) error {
+func (e *Engine) Replay(after uint64, fn func(op oplog.Op, p Payload) error) error {
 	for _, op := range e.Log.Read(after, 0) {
-		entities, err := e.payloadOf(op)
+		p, err := e.payloadOf(op)
 		if err != nil {
 			return fmt.Errorf("graphengine: replay lsn %d: %w", op.LSN, err)
 		}
-		if err := fn(op, entities); err != nil {
+		if err := fn(op, p); err != nil {
 			return err
 		}
 	}
@@ -337,8 +352,9 @@ func (e *Engine) Replay(after uint64, fn func(op oplog.Op, entities []*triple.En
 // store retains that the checkpoint does not — e.g. a delete op at or below
 // the watermark that the store had not yet applied when the process died),
 // and has its LSN pinned to the watermark so the next CatchUp replays only
-// the suffix. Callers invoke Restore once, after registering agents and
-// before the first CatchUp.
+// the suffix. The entities are shared by every agent under Payload's terms
+// (read-only, retainable). Callers invoke Restore once, after registering
+// agents and before the first CatchUp.
 func (e *Engine) Restore(w uint64, entities []*triple.Entity, stale []triple.EntityID) error {
 	e.catchupMu.Lock()
 	defer e.catchupMu.Unlock()
@@ -356,13 +372,13 @@ func (e *Engine) Restore(w uint64, entities []*triple.Entity, stale []triple.Ent
 			for _, ent := range chunk {
 				op.EntityIDs = append(op.EntityIDs, ent.ID)
 			}
-			if err := a.Apply(op, chunk); err != nil {
+			if err := a.Apply(op, Payload{Entities: chunk}); err != nil {
 				return fmt.Errorf("graphengine: restore agent %s: %w", a.Name(), err)
 			}
 		}
 		if len(stale) > 0 {
 			op := oplog.Op{LSN: w, Kind: oplog.OpDelete, Source: "recovery", EntityIDs: stale}
-			if err := a.Apply(op, nil); err != nil {
+			if err := a.Apply(op, Payload{}); err != nil {
 				return fmt.Errorf("graphengine: restore agent %s: %w", a.Name(), err)
 			}
 		}

@@ -1,7 +1,9 @@
 package graphengine
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"saga/internal/oplog"
@@ -102,7 +104,7 @@ func TestFailingAgentDoesNotAdvance(t *testing.T) {
 	es := entitystore.New()
 	e.RegisterAgent(EntityStoreAgent{Store: es})
 	calls := 0
-	e.RegisterAgent(FuncAgent{AgentName: "flaky", Fn: func(op oplog.Op, _ []*triple.Entity) error {
+	e.RegisterAgent(FuncAgent{AgentName: "flaky", Fn: func(op oplog.Op, _ Payload) error {
 		calls++
 		return fmt.Errorf("store down")
 	}})
@@ -137,7 +139,7 @@ func TestCatchUpParallelOrderAcrossChunks(t *testing.T) {
 		records[i] = rec
 		e.RegisterAgent(FuncAgent{
 			AgentName: fmt.Sprintf("recorder%d", i),
-			Fn: func(op oplog.Op, _ []*triple.Entity) error {
+			Fn: func(op oplog.Op, _ Payload) error {
 				rec.lsns = append(rec.lsns, op.LSN)
 				return nil
 			},
@@ -175,7 +177,7 @@ func TestCatchUpParallelOrderAcrossChunks(t *testing.T) {
 func TestCatchUpDeterministicFirstError(t *testing.T) {
 	e := newEngine(t)
 	failAt := func(name string, lsn uint64) {
-		e.RegisterAgent(FuncAgent{AgentName: name, Fn: func(op oplog.Op, _ []*triple.Entity) error {
+		e.RegisterAgent(FuncAgent{AgentName: name, Fn: func(op oplog.Op, _ Payload) error {
 			if op.LSN == lsn {
 				return fmt.Errorf("%s down", name)
 			}
@@ -216,7 +218,7 @@ func TestCatchUpFailedAgentStopsMidChunk(t *testing.T) {
 	e := newEngine(t)
 	var applied []uint64
 	healthy := true
-	e.RegisterAgent(FuncAgent{AgentName: "flaky", Fn: func(op oplog.Op, _ []*triple.Entity) error {
+	e.RegisterAgent(FuncAgent{AgentName: "flaky", Fn: func(op oplog.Op, _ Payload) error {
 		if !healthy && op.LSN >= 2 {
 			return fmt.Errorf("store down")
 		}
@@ -273,11 +275,11 @@ func TestEncodeDecodeEntities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeEntities(payload)
+	p, err := decodeEntities(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[0].ID != "kg:E1" || out[1].Name() != "B" {
+	if out := p.Entities; len(out) != 2 || len(p.Records) != 2 || out[0].ID != "kg:E1" || out[1].Name() != "B" {
 		t.Fatalf("round trip = %+v", out)
 	}
 	if _, err := decodeEntities([]byte{1, 2, 3}); err == nil {
@@ -298,4 +300,99 @@ func TestCheckpointIsNoOpForStores(t *testing.T) {
 	if e.Metadata.LSN("entity-store") != 1 {
 		t.Fatal("checkpoint did not advance lsn")
 	}
+}
+
+// TestReplayedRecordsStayFrozen: GraphAgent installs the records replay
+// decoded without cloning them, so the replica, the other agents' view of
+// the payload and earlier snapshots all hold the same pointers. Writes to
+// the replica must go on replacing records, never touching them: run under
+// -race, an in-place write would race the readers below.
+func TestReplayedRecordsStayFrozen(t *testing.T) {
+	e := newEngine(t)
+	replica := triple.NewGraph()
+	held := make(map[triple.EntityID]*triple.Entity) // another agent's view, kept past Apply
+	e.RegisterAgent(GraphAgent{Graph: replica})
+	e.RegisterAgent(EntityStoreAgent{Store: entitystore.New()})
+	e.RegisterAgent(TextIndexAgent{Index: textindex.New()})
+	e.RegisterAgent(FuncAgent{AgentName: "holder", Fn: func(_ oplog.Op, p Payload) error {
+		for _, ent := range p.Entities {
+			held[ent.ID] = ent
+		}
+		return nil
+	}})
+	for k := 0; k < 40; k++ {
+		batch := make([]*triple.Entity, 8)
+		for j := range batch {
+			batch[j] = person(fmt.Sprintf("kg:E%03d", (k*5+j)%120), k)
+		}
+		if _, err := e.Publish(oplog.OpUpsert, "src00", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	snap := replica.Snapshot()
+	want := make(map[triple.EntityID][]byte, len(held))
+	for id, ent := range held {
+		if replica.GetShared(id) != ent {
+			t.Fatalf("%s: the replica holds a copy, not the replayed record", id)
+		}
+		want[id], _ = ent.MarshalBinary()
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for id := range want {
+			replica.Update(id, func(ent *triple.Entity) {
+				ent.Triples[0].Object = triple.String("rewritten")
+				ent.Triples[1].Sources[0] = "elsewhere"
+				ent.AddFact("touched", triple.Bool(true))
+			})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for id, ent := range held {
+			if got, _ := ent.MarshalBinary(); !bytes.Equal(got, want[id]) {
+				t.Errorf("%s: another agent's decoded view changed under a replica write", id)
+			}
+			if got, _ := snap.GetShared(id).MarshalBinary(); !bytes.Equal(got, want[id]) {
+				t.Errorf("%s: an earlier snapshot changed under a replica write", id)
+			}
+		}
+	}()
+	wg.Wait()
+	for id, ent := range held {
+		if got, _ := ent.MarshalBinary(); !bytes.Equal(got, want[id]) {
+			t.Errorf("%s: decoded view changed", id)
+		}
+		if got, _ := snap.GetShared(id).MarshalBinary(); !bytes.Equal(got, want[id]) {
+			t.Errorf("%s: snapshot changed", id)
+		}
+		if now := replica.GetShared(id); now == ent || now.First("touched").IsNull() {
+			t.Errorf("%s: the replica did not take the update", id)
+		}
+	}
+}
+
+// FuzzDecodeCheckpoint's seed corpus is under testdata/fuzz/.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, ents, err := DecodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		// What was accepted survives a round trip.
+		again, err := EncodeCheckpoint(meta, ents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta2, ents2, err := DecodeCheckpoint(again)
+		if err != nil || meta2.LSN != meta.LSN || len(meta2.Links) != len(meta.Links) || len(ents2) != len(ents) {
+			t.Fatalf("accepted checkpoint does not round-trip: %v", err)
+		}
+	})
 }

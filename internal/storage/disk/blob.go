@@ -1,15 +1,12 @@
 package disk
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-
-	"saga/internal/triple"
 )
 
 // DefaultSegmentBytes is the staging segment rotation threshold when
@@ -44,6 +41,7 @@ type SegmentBlobStore struct {
 	sizes    []int64    // valid bytes per segment
 	idx      map[string]blobLoc
 	seq      uint64
+	scratch  []byte // framing buffer, reused under mu
 	closed   bool
 }
 
@@ -168,14 +166,10 @@ func (s *SegmentBlobStore) appendLocked(op byte, key string, blob []byte, sync b
 		}
 		active = len(s.segs) - 1
 	}
-	payload := encodeKeyed(op, key, blob)
-	var buf bytes.Buffer
-	buf.Grow(8 + len(payload))
-	if err := triple.WriteRecord(&buf, payload); err != nil {
-		return blobLoc{}, fmt.Errorf("disk: frame blob record: %w", err)
-	}
+	frame, valOff := appendKeyedRecord(s.scratch, op, key, blob)
+	s.scratch = recycle(frame)
 	f, off := s.segs[active], s.sizes[active]
-	if _, err := f.WriteAt(buf.Bytes(), off); err != nil {
+	if _, err := f.WriteAt(frame, off); err != nil {
 		return blobLoc{}, fmt.Errorf("disk: write blob record: %w", err)
 	}
 	if sync {
@@ -183,12 +177,8 @@ func (s *SegmentBlobStore) appendLocked(op byte, key string, blob []byte, sync b
 			return blobLoc{}, fmt.Errorf("disk: sync segment: %w", err)
 		}
 	}
-	s.sizes[active] = off + int64(buf.Len())
-	return blobLoc{
-		seg: active,
-		off: off + 8 + int64(len(payload)-len(blob)),
-		n:   int32(len(blob)),
-	}, nil
+	s.sizes[active] = off + int64(len(frame))
+	return blobLoc{seg: active, off: off + int64(valOff), n: int32(len(blob))}, nil
 }
 
 // Stage implements storage.BlobStore: the blob is durable (record written

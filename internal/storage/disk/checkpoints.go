@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -61,14 +60,15 @@ func (c *Checkpoints) Save(lsn uint64, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("disk: create checkpoint temp: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Grow(8 + len(payload))
-	if err := triple.WriteRecord(&buf, payload); err != nil {
-		f.Close()
-		os.Remove(tmp) //saga:errok — unreferenced temp
-		return fmt.Errorf("disk: frame checkpoint: %w", err)
+	// Two writes, header then payload: the file only becomes a checkpoint at
+	// the rename below, so nothing reads a half-written frame, and the
+	// payload — the largest buffer the platform builds — is never copied.
+	hdr := triple.RecordHeader(payload)
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(payload)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if err != nil {
 		f.Close()
 		os.Remove(tmp) //saga:errok — unreferenced temp
 		return fmt.Errorf("disk: write checkpoint: %w", err)
@@ -148,7 +148,11 @@ func (c *Checkpoints) Latest() (uint64, []byte, bool) {
 		if err != nil {
 			continue
 		}
-		payload, err := triple.ReadRecord(f)
+		var payload []byte
+		st, err := f.Stat()
+		if err == nil {
+			payload, err = triple.ReadRecord(f, st.Size())
+		}
 		f.Close()
 		if err != nil {
 			continue // torn or corrupt — try the previous one

@@ -21,7 +21,7 @@
 // carved.
 //
 // Crash consistency: every file is a sequence of CRC-framed records
-// (triple.WriteRecord layout). Recovery replays a file and truncates at the
+// (triple.AppendRecord layout). Recovery replays a file and truncates at the
 // first torn or corrupt record — exactly the operation log's recovery
 // contract, now shared by every durable role. The entity KV additionally
 // leans on the platform's replay semantics: its content derives from the
@@ -37,6 +37,7 @@ import (
 
 	"saga/internal/storage"
 	"saga/internal/storage/memory"
+	"saga/internal/triple"
 )
 
 type backend struct{}
@@ -100,21 +101,36 @@ func (backend) OpenCheckpoints(o storage.Options) (storage.Checkpointer, error) 
 
 // Keyed-record payload layout, shared by the entity KV and the segment blob
 // store: [op byte][uvarint keyLen][key][value...], framed by the CRC record
-// codec (triple.WriteRecord). The value's offset within the payload is
-// recorded at scan time so reads go straight to the value bytes.
+// codec (triple.BeginRecord/EndRecord). The value's offset within the payload
+// is recorded at scan time so reads go straight to the value bytes.
 const (
 	opPut byte = 1
 	opDel byte = 2
 )
 
-// encodeKeyed builds a keyed-record payload.
-func encodeKeyed(op byte, key string, value []byte) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen64+len(key)+len(value))
-	buf = append(buf, op)
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = append(buf, key...)
-	buf = append(buf, value...)
-	return buf
+// appendKeyedRecord appends one framed keyed record to dst, building header,
+// keyed prefix and value in place, and returns the value's offset from the
+// start of the frame.
+func appendKeyedRecord(dst []byte, op byte, key string, value []byte) (out []byte, valOff int) {
+	dst, mark := triple.BeginRecord(dst)
+	dst = append(dst, op)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	valOff = len(dst) - mark
+	return triple.EndRecord(append(dst, value...), mark), valOff
+}
+
+// maxScratch bounds the framing buffer a store keeps between appends: one
+// outsized record (a compacted payload, say) must not pin its size forever.
+const maxScratch = 1 << 20
+
+// recycle returns buf emptied for the next append under the same lock, or
+// nil when it has grown past maxScratch.
+func recycle(buf []byte) []byte {
+	if cap(buf) > maxScratch {
+		return nil
+	}
+	return buf[:0]
 }
 
 // decodeKeyed parses a keyed-record payload, returning the op, the key, and

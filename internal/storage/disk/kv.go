@@ -1,12 +1,9 @@
 package disk
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"sync"
-
-	"saga/internal/triple"
 )
 
 // kvLoc locates an entity payload: byte offset of the value within the data
@@ -33,7 +30,8 @@ type EntityKV struct {
 	size      int64 // bytes of valid framed records
 	mapped    []byte
 	idx       map[string]kvLoc
-	liveBytes int64 // sum of live value lengths
+	liveBytes int64  // sum of live value lengths
+	scratch   []byte // framing buffer, reused under mu
 	closed    bool
 }
 
@@ -108,17 +106,13 @@ func (kv *EntityKV) remapLocked() error {
 // appendLocked frames and appends a keyed record, returning the value's
 // location. Callers hold the write lock.
 func (kv *EntityKV) appendLocked(op byte, key string, value []byte) (kvLoc, error) {
-	payload := encodeKeyed(op, key, value)
-	var buf bytes.Buffer
-	buf.Grow(8 + len(payload))
-	if err := triple.WriteRecord(&buf, payload); err != nil {
-		return kvLoc{}, fmt.Errorf("disk: frame entity record: %w", err)
-	}
-	if _, err := kv.f.WriteAt(buf.Bytes(), kv.size); err != nil {
+	frame, valOff := appendKeyedRecord(kv.scratch, op, key, value)
+	kv.scratch = recycle(frame)
+	if _, err := kv.f.WriteAt(frame, kv.size); err != nil {
 		return kvLoc{}, fmt.Errorf("disk: write entity record: %w", err)
 	}
-	loc := kvLoc{off: kv.size + 8 + int64(len(payload)-len(value)), n: int32(len(value))}
-	kv.size += int64(buf.Len())
+	loc := kvLoc{off: kv.size + int64(valOff), n: int32(len(value))}
+	kv.size += int64(len(frame))
 	return loc, nil
 }
 

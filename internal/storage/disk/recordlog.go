@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -43,6 +44,7 @@ type RecordLog struct {
 	sizes    []int64    // valid framed bytes per segment
 	counts   []int      // records per segment
 	nextSeg  uint64     // next segment sequence number (monotonic, never reused)
+	scratch  []byte     // framing buffer, reused under mu
 	closed   bool
 }
 
@@ -245,11 +247,6 @@ func (l *RecordLog) rotateLocked() error {
 // Append implements storage.RecordLog: frame, write, fsync (rotating first
 // when the active segment is full).
 func (l *RecordLog) Append(payload []byte) error {
-	var buf bytes.Buffer
-	buf.Grow(8 + len(payload))
-	if err := triple.WriteRecord(&buf, payload); err != nil {
-		return fmt.Errorf("disk: frame record: %w", err)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -262,14 +259,16 @@ func (l *RecordLog) Append(payload []byte) error {
 		}
 		active = len(l.segs) - 1
 	}
+	frame := triple.AppendRecord(l.scratch, payload)
+	l.scratch = recycle(frame)
 	f, off := l.segs[active], l.sizes[active]
-	if _, err := f.WriteAt(buf.Bytes(), off); err != nil {
+	if _, err := f.WriteAt(frame, off); err != nil {
 		return fmt.Errorf("disk: write record: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("disk: sync record log: %w", err)
 	}
-	l.sizes[active] = off + int64(buf.Len())
+	l.sizes[active] = off + int64(len(frame))
 	l.counts[active]++
 	return nil
 }
@@ -386,17 +385,20 @@ func (l *RecordLog) Compact(drop int, replacement [][]byte) error {
 		os.Remove(filepath.Join(l.dir, name)) //saga:errok — unreferenced staging file
 		return e
 	}
-	var buf bytes.Buffer
+	size := 0
 	for _, rec := range replacement {
-		if err := triple.WriteRecord(&buf, rec); err != nil {
-			return abort(fmt.Errorf("disk: frame compacted record: %w", err))
-		}
+		size += triple.RecordLen(len(rec))
 	}
+	frames := slices.Grow(l.scratch, size)
+	for _, rec := range replacement {
+		frames = triple.AppendRecord(frames, rec)
+	}
+	l.scratch = recycle(frames)
 	w := io.Writer(nf)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(frames); err != nil {
 		return abort(fmt.Errorf("disk: write compacted records: %w", err))
 	}
-	newSize := int64(buf.Len())
+	newSize := int64(len(frames))
 	if k < len(l.segs) && suffixOff < l.sizes[k] {
 		// Copy the boundary segment's kept tail verbatim — the records are
 		// already framed, so a byte copy preserves them exactly.

@@ -24,7 +24,9 @@ func scanFramed(f *os.File, size int64, fn func(frameOff int64, payload []byte) 
 	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 1<<16)
 	var off int64
 	for {
-		payload, err := triple.ReadRecord(r)
+		// What is left of the scanned size bounds the record: a torn or
+		// bit-flipped length prefix at the tail cannot size an allocation.
+		payload, err := triple.ReadRecord(r, size-off)
 		if err == io.EOF {
 			return off, nil
 		}

@@ -35,8 +35,15 @@ func (s *Store) Put(e *triple.Entity) error {
 	if err != nil {
 		return fmt.Errorf("entitystore: encode %s: %w", e.ID, err)
 	}
-	if err := s.kv.Put(string(e.ID), data); err != nil {
-		return fmt.Errorf("entitystore: put %s: %w", e.ID, err)
+	return s.PutEncoded(e.ID, data)
+}
+
+// PutEncoded stores (replacing) an entity payload the caller already holds
+// in the binary codec — log replay has each entity's record in hand. The
+// backend copies data before returning, so it may alias a larger buffer.
+func (s *Store) PutEncoded(id triple.EntityID, data []byte) error {
+	if err := s.kv.Put(string(id), data); err != nil {
+		return fmt.Errorf("entitystore: put %s: %w", id, err)
 	}
 	return nil
 }

@@ -295,17 +295,27 @@ func (g *Graph) Has(id EntityID) bool {
 
 // Put stores (replacing) an entity payload. The payload is cloned; the caller
 // keeps ownership of its argument.
-func (g *Graph) Put(e *Entity) {
-	clone := e.Clone()
-	s := g.shardFor(clone.ID)
+func (g *Graph) Put(e *Entity) { g.PutOwned(e.Clone()) }
+
+// PutOwned stores (replacing) an entity record without cloning it: the graph
+// takes ownership, and from this call on the record is frozen like every
+// stored record — the caller may keep reading it (and may hand the same
+// pointer to other read-only holders, as log replay does with its agents)
+// but nobody may mutate it again. For records the caller has just built and
+// shared with no writer: the payloads log replay and checkpoint restore
+// decode. Everyone else uses Put.
+//
+//saga:owns ownership of a freshly decoded, never-published record moves to the graph (docs/INVARIANTS.md#cow-shared-records)
+func (g *Graph) PutOwned(e *Entity) {
+	s := g.shardFor(e.ID)
 	s.mu.Lock()
 	s.ensureOwnedLocked()
-	old := s.entities[clone.ID]
+	old := s.entities[e.ID]
 	s.removeIndexLocked(old)
-	s.entities[clone.ID] = clone
-	s.addIndexLocked(clone)
+	s.entities[e.ID] = e
+	s.addIndexLocked(e)
 	s.mu.Unlock()
-	g.invalidateTypeCache(old, clone)
+	g.invalidateTypeCache(old, e)
 }
 
 // Delete removes an entity, reporting whether it existed.

@@ -98,6 +98,20 @@ var gates = []Gate{
 	{Bench: "ServeUnderIngest", Metric: "p99-ms", Higher: false, Threshold: 2.0},
 	{Bench: "ServeUnderIngest", Metric: "qps", Higher: true, Threshold: 0.6},
 	{Bench: "ServeUnderIngest", Metric: "cached-speedup-x", Higher: true, Threshold: 0.9},
+	// Allocation gates on the publish → replay → checkpoint → compact byte
+	// path (internal/graphengine micro-benchmarks). B/op and allocs/op are
+	// counts that repeat to the byte on any runner, so 10% is a real
+	// regression — a copy or a re-encode put back — never noise.
+	{Bench: "EncodeEntities", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "EncodeEntities", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	{Bench: "DecodeEntities", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "DecodeEntities", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	{Bench: "EncodeCheckpoint", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "EncodeCheckpoint", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	{Bench: "CatchUp", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "CatchUp", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	{Bench: "CompactThrough", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "CompactThrough", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	// Recorded but deliberately not gated here:
 	//   - snapshot-growth-x hovers around 1.0 (µs-scale measurements), so a
 	//     relative diff against the baseline amplifies noise; the benchmark
