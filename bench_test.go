@@ -383,8 +383,8 @@ func BenchmarkSnapshotUnderLoad(b *testing.B) {
 // BenchmarkServeUnderIngest measures the production serving tier (§4, §6.1):
 // concurrent mixed KGQ/entity/search traffic over the /v1 HTTP API while a
 // standing feed churns stable construction and a streaming writer updates
-// live entities. Queries execute on versioned immutable snapshots routed
-// across live replicas, with plan caching and (plan, version)-keyed result
+// live entities. Queries execute on versioned immutable snapshots of the
+// live store, with plan caching and (plan, version)-keyed result
 // caching. Gated metrics: p99 request latency and queries/sec (absolute,
 // generous thresholds for runner noise) plus the cached-vs-uncached fast-path
 // speedup. The correctness property — cached and uncached execution pinned to

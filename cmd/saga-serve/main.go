@@ -1,7 +1,7 @@
 // Command saga-serve builds a KG from synthetic sources and serves it over
 // HTTP through the production serving tier (internal/serve): versioned
 // /v1/query, /v1/entity, /v1/search, /v1/stats, and /v1/healthz routes with
-// snapshot-isolated reads, replica routing, and plan/result caching.
+// snapshot-isolated reads and plan/result caching.
 package main
 
 import (
@@ -20,14 +20,12 @@ func main() {
 	durDir := flag.String("durable", "", "durability directory for the memory backend (oplog + staging + checkpoints; empty = volatile)")
 	backend := flag.String("backend", "", "storage backend (memory, disk; empty = memory)")
 	dataDir := flag.String("data", "", "data directory for a durable backend (required with -backend=disk)")
-	replicas := flag.Int("replicas", 1, "live serving replicas (reads route across them)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request handling timeout")
 	flag.Parse()
 
 	p, err := core.Open(core.Options{
 		Storage:    core.StorageOptions{Backend: *backend, DataDir: *dataDir},
 		Durability: core.DurabilityOptions{Dir: *durDir},
-		Serving:    core.ServingOptions{LiveReplicas: *replicas},
 	})
 	if err != nil {
 		log.Fatalf("saga-serve: %v", err)

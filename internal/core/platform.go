@@ -33,7 +33,7 @@ import (
 )
 
 // StorageOptions selects the storage backend for the platform's serving
-// stores (entity KV, text postings, record log, staging blobs).
+// stores (entity KV, record log, staging blobs, checkpoints).
 type StorageOptions struct {
 	// Backend names the storage backend ("memory", "disk", or any backend
 	// registered with the storage package); empty means memory. The memory
@@ -91,14 +91,6 @@ type DurabilityOptions struct {
 	CompactAfter int
 }
 
-// ServingOptions configures the live serving tier.
-type ServingOptions struct {
-	// LiveReplicas sets the live serving replica count (§4): writes
-	// replicate to every replica, reads route across them with health,
-	// version, and load awareness. 0 or 1 means a single replica.
-	LiveReplicas int
-}
-
 // Options configures a platform, grouped by subsystem.
 type Options struct {
 	// Ontology defaults to ontology.Default().
@@ -109,8 +101,6 @@ type Options struct {
 	Construction ConstructionOptions
 	// Durability configures crash recovery, checkpoints, and log compaction.
 	Durability DurabilityOptions
-	// Serving configures the live serving tier.
-	Serving ServingOptions
 }
 
 // DefaultExchangeInterval is the default cross-partition exchange cadence, in
@@ -144,13 +134,9 @@ type Platform struct {
 	ViewCatalog *views.Catalog
 	ViewManager *views.Manager
 
-	// Live is the primary serving replica (Replicas.Replica(0)); direct
-	// reads against it are always valid. Writes go through Replicas so
-	// every replica stays in sync.
-	Live *live.Store
-	// Replicas is the live serving replica set; serving tiers route reads
-	// across it (live.ReplicaSet.RouteAcquire).
-	Replicas        *live.ReplicaSet
+	// Live is the live KG store every serving read reaches through a
+	// versioned snapshot.
+	Live            *live.Store
 	LiveConstructor *live.Constructor
 	LiveEngine      *kgq.Engine
 	Intents         *live.IntentHandler
@@ -244,7 +230,6 @@ func Open(opts Options) (*Platform, error) {
 		log     *oplog.Log
 		staging graphengine.ObjectStore
 		estore  *entitystore.Store
-		tindex  *textindex.Index
 		ckpts   storage.Checkpointer
 		err     error
 	)
@@ -275,7 +260,6 @@ func Open(opts Options) (*Platform, error) {
 			staging = graphengine.NewObjectStore()
 		}
 		estore = entitystore.New()
-		tindex = textindex.New()
 	} else {
 		if opts.Storage.DataDir == "" {
 			return nil, fmt.Errorf("core: backend %q needs Storage.DataDir", opts.Storage.Backend)
@@ -301,11 +285,6 @@ func Open(opts Options) (*Platform, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		estore = entitystore.NewWith(kv)
-		postings, err := h.Postings()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		tindex = textindex.NewWith(postings)
 		ckpts, err = h.Checkpoints()
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -316,7 +295,7 @@ func Open(opts Options) (*Platform, error) {
 		KG:           construct.NewKG(),
 		Engine:       graphengine.NewWithStaging(log, staging),
 		EntityStore:  estore,
-		TextIndex:    tindex,
+		TextIndex:    textindex.New(),
 		GraphReplica: triple.NewGraph(),
 		ViewCatalog:  views.NewCatalog(),
 		Curation:     live.NewQueue(),
@@ -345,13 +324,8 @@ func Open(opts Options) (*Platform, error) {
 	p.ckptEvery = opts.Durability.CheckpointEvery
 	p.compactAfter = opts.Durability.CompactAfter
 	p.ViewManager = views.NewManager(p.ViewCatalog)
-	replicas := opts.Serving.LiveReplicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	p.Replicas = live.NewReplicaSet(replicas)
-	p.Live = p.Replicas.Replica(0)
-	p.LiveConstructor = &live.Constructor{Store: p.Replicas}
+	p.Live = live.NewStore()
+	p.LiveConstructor = &live.Constructor{Store: p.Live}
 	p.LiveEngine = kgq.NewEngine(p.Live)
 	p.Intents = live.NewIntentHandler(p.Live, nil)
 
@@ -880,9 +854,6 @@ func (p *Platform) Close() error {
 		firstErr = err
 	}
 	if err := p.EntityStore.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := p.TextIndex.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -26,12 +26,11 @@ import (
 // /v1 HTTP API driven by concurrent mixed KGQ/entity/search traffic while a
 // standing construction feed churns the stable KG and a streaming source
 // writes live events — the paper's low-latency-serving-under-ingestion
-// regime (§4, §6.1). Queries read versioned immutable snapshots routed
-// across live replicas, so ingestion writes never block them.
+// regime (§4, §6.1). Queries read versioned immutable snapshots of the live
+// store, so ingestion writes never block them.
 type ServeUnderIngestResult struct {
 	Requests int // HTTP requests served
 	Clients  int // concurrent client goroutines
-	Replicas int // live serving replicas
 
 	P50MS, P99MS float64 // request latency percentiles over loopback HTTP
 	QPS          float64 // requests / wall seconds
@@ -46,8 +45,6 @@ type ServeUnderIngestResult struct {
 	// HitRate is the serving tier's result-cache hit fraction, read from
 	// /v1/stats after the traffic run.
 	HitRate float64
-	// ReplicaServed counts reads per replica (routing balance).
-	ReplicaServed []uint64
 	// LiveWrites counts live-store events applied during the traffic run —
 	// the ingestion the serving path never blocked on.
 	LiveWrites int
@@ -55,16 +52,16 @@ type ServeUnderIngestResult struct {
 
 // String renders the benchmark.
 func (r ServeUnderIngestResult) String() string {
-	return fmt.Sprintf("Serve under ingest: %d requests @ %d clients over %d replicas: p50=%.2fms p99=%.2fms (%.0f qps), cached fast path %.1fx vs uncached, result-cache hit rate %.2f, %d live writes during traffic, replica reads %v, cached==uncached: %v\n",
-		r.Requests, r.Clients, r.Replicas, r.P50MS, r.P99MS, r.QPS,
-		r.CachedSpeedup, r.HitRate, r.LiveWrites, r.ReplicaServed, r.CacheIdentical)
+	return fmt.Sprintf("Serve under ingest: %d requests @ %d clients: p50=%.2fms p99=%.2fms (%.0f qps), cached fast path %.1fx vs uncached, result-cache hit rate %.2f, %d live writes during traffic, cached==uncached: %v\n",
+		r.Requests, r.Clients, r.P50MS, r.P99MS, r.QPS,
+		r.CachedSpeedup, r.HitRate, r.LiveWrites, r.CacheIdentical)
 }
 
-// ServeUnderIngest builds a platform with a replicated live store, seeds it
-// from synthetic sources, then measures the serving tier under concurrent
-// ingestion: a standing feed churns volatile facts through stable
-// construction while a streaming writer updates live entities, and clients
-// hammer /v1/query, /v1/entity, and /v1/search over loopback HTTP.
+// ServeUnderIngest builds a platform, seeds it from synthetic sources, then
+// measures the serving tier under concurrent ingestion: a standing feed
+// churns volatile facts through stable construction while a streaming writer
+// updates live entities, and clients hammer /v1/query, /v1/entity, and
+// /v1/search over loopback HTTP.
 func ServeUnderIngest(requests, clients int) (ServeUnderIngestResult, error) {
 	if requests <= 0 {
 		requests = 3000
@@ -72,10 +69,9 @@ func ServeUnderIngest(requests, clients int) (ServeUnderIngestResult, error) {
 	if clients <= 0 {
 		clients = 8
 	}
-	const replicas = 3
-	res := ServeUnderIngestResult{Requests: requests, Clients: clients, Replicas: replicas}
+	res := ServeUnderIngestResult{Requests: requests, Clients: clients}
 
-	p, err := core.Open(core.Options{Serving: core.ServingOptions{LiveReplicas: replicas}})
+	p, err := core.Open(core.Options{})
 	if err != nil {
 		return res, err
 	}
@@ -124,10 +120,10 @@ func ServeUnderIngest(requests, clients int) (ServeUnderIngestResult, error) {
 
 	// Ingestion load. Construction half: a standing feed consuming
 	// volatile churn batches. Streaming half: live events rewriting scores
-	// through the replica set — the writes serving reads used to lock
-	// against. Both are paced: the benchmark measures the serving path
-	// under sustained realistic ingestion, not CPU starvation from an
-	// unbounded construction loop.
+	// in the live store — the writes serving reads used to lock against.
+	// Both are paced: the benchmark measures the serving path under
+	// sustained realistic ingestion, not CPU starvation from an unbounded
+	// construction loop.
 	stop := make(chan struct{})
 	var ingestWG sync.WaitGroup
 	feed, err := p.Feed(core.FeedOptions{})
@@ -314,7 +310,6 @@ func ServeUnderIngest(requests, clients int) (ServeUnderIngestResult, error) {
 	res.P99MS = pct(0.99)
 	res.QPS = float64(requests) / wall.Seconds()
 	res.LiveWrites = liveWrites
-	res.ReplicaServed = p.Replicas.Served()
 	return res, nil
 }
 

@@ -116,15 +116,11 @@ func (a TextIndexAgent) Apply(op oplog.Op, p Payload) error {
 	switch op.Kind {
 	case oplog.OpUpsert, oplog.OpCuration:
 		for _, e := range p.Entities {
-			if err := a.Index.Put(textindex.Doc{ID: string(e.ID), Text: EntityDocText(e)}); err != nil {
-				return err
-			}
+			a.Index.Put(textindex.Doc{ID: string(e.ID), Text: EntityDocText(e)})
 		}
 	case oplog.OpDelete:
 		for _, id := range op.EntityIDs {
-			if _, err := a.Index.Delete(string(id)); err != nil {
-				return err
-			}
+			a.Index.Delete(string(id))
 		}
 	}
 	return nil

@@ -49,9 +49,8 @@ type EntityResolver interface {
 // result is a KG where applications query streaming data (a sports score)
 // while using stable knowledge to reason about entity references (§4.1).
 type Constructor struct {
-	// Store is the live index maintained by the constructor: a single
-	// *Store, or a *ReplicaSet replicating writes across several.
-	Store Sink
+	// Store is the live index maintained by the constructor.
+	Store *Store
 	// Resolver resolves mentions to stable entities; nil leaves mentions as
 	// string literals.
 	Resolver EntityResolver

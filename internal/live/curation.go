@@ -136,18 +136,10 @@ func (q *Queue) Pending() []Suspect {
 	return out
 }
 
-// CurationStore is the read-modify-write surface Decide needs: a single
-// *Store, or a *ReplicaSet so hot fixes land on every serving replica.
-type CurationStore interface {
-	Get(id triple.EntityID) *triple.Entity
-	Boost(id triple.EntityID) float64
-	Sink
-}
-
 // Decide applies a curator decision as a hot fix to the live store and
 // records it for export to stable construction. The suspect is removed from
 // the queue.
-func (q *Queue) Decide(store CurationStore, d Decision) error {
+func (q *Queue) Decide(store *Store, d Decision) error {
 	ent := store.Get(d.Entity)
 	if ent == nil && d.Kind != DecisionBlockEntity {
 		return fmt.Errorf("live: curation target %s not found", d.Entity)

@@ -41,9 +41,8 @@ type Engine struct {
 	// parallel; default 64.
 	FanOutThreshold int
 	// Plans caches compiled plans by query text. NewEngine installs a
-	// private cache; replicated serving tiers may share one cache across
-	// per-replica engines, provided every engine registers the same virtual
-	// operators (plans bake virtuals in at compile time).
+	// private cache; engines may share one, provided every engine registers
+	// the same virtual operators (plans bake virtuals in at compile time).
 	Plans *PlanCache
 
 	mu       sync.RWMutex
@@ -359,13 +358,13 @@ func (x executor) applyStage(in Result, seeded bool, stage Stage) (Result, bool,
 		if !ok || !na.IsNum || na.Num < 0 {
 			return in, seeded, fmt.Errorf("kgq: limit() needs a non-negative count")
 		}
-		n := int(na.Num)
+		// Compare as floats: a count past the int range must not wrap.
 		out := in
-		if len(out.IDs) > n {
-			out.IDs = out.IDs[:n]
+		if float64(len(out.IDs)) > na.Num {
+			out.IDs = out.IDs[:int(na.Num)]
 		}
-		if len(out.Values) > n {
-			out.Values = out.Values[:n]
+		if float64(len(out.Values)) > na.Num {
+			out.Values = out.Values[:int(na.Num)]
 		}
 		return out, seeded, nil
 	case "attr":

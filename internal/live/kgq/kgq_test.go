@@ -1,6 +1,7 @@
 package kgq
 
 import (
+	"reflect"
 	"testing"
 
 	"saga/internal/live"
@@ -50,6 +51,21 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if len(q2.Stages) != 3 {
 		t.Fatalf("round trip stages = %d", len(q2.Stages))
+	}
+	// String() is KGQ text that parses back to the same query: control
+	// characters stay raw (the lexer reads "\n" as "n"), only quotes and
+	// backslashes are escaped, and exponents carry no '+'.
+	for _, src := range []string{
+		"search(\"a\nb\")", "search(\"tab\there, nul\x00\")", `search("say \"hi\" \\ bye")`,
+		`search('single "quoted"')`, `limit(1000000)`, `filter("population", gt=1e21, lt=-2.5e-7)`,
+	} {
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if back, err := Parse(q.String()); err != nil || !reflect.DeepEqual(back, q) {
+			t.Errorf("%q renders %q, which parses to %+v (%v)", src, q.String(), back, err)
+		}
 	}
 }
 
@@ -131,6 +147,27 @@ func TestPushdownEquivalence(t *testing.T) {
 	}
 	if len(a.IDs) != 1 || len(b.IDs) != 1 || a.IDs[0] != b.IDs[0] {
 		t.Fatalf("pushdown diverges: %v vs %v", a.IDs, b.IDs)
+	}
+}
+
+// TestPlanKeysUnambiguous: a pushed-down filter predicate that is not an
+// identifier must not render the plan key of a different query, or the
+// result cache would serve one query's result for the other.
+func TestPlanKeysUnambiguous(t *testing.T) {
+	e := NewEngine(worldStore())
+	odd, err := e.Query(`entity(type="city") | filter("name=\"Chicago\", type", eq="city")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(odd.IDs) != 0 {
+		t.Fatalf("odd predicate matched %v", odd.IDs)
+	}
+	plain, err := e.Query(`entity(type="city", name="Chicago", type="city")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain.IDs) != 1 || plain.IDs[0] != "kg:CHI" {
+		t.Fatalf("result cache served another plan's result: %v", plain.IDs)
 	}
 }
 
@@ -232,4 +269,41 @@ func TestCompositeAttrTraversal(t *testing.T) {
 	if len(res.Values) != 1 || res.Values[0].Text() != "UW" {
 		t.Fatalf("composite traversal = %v", res.Texts())
 	}
+}
+
+// FuzzParse drives the /v1/query entry point: Parse, Plan and ExecuteOn
+// against a small store. No input may panic, and accepted text must render
+// to KGQ that parses and renders back to the same text.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		`entity(type="city", name="Chicago") | follow("mayor") | attr("name")`,
+		`entity(type="city") | filter("population", gt=1500000) | rank() | limit(2)`,
+		`id("kg:CA") | in("located_in") | attr("name")`,
+		`search("justin trudeau", k=3) | filter("name", eq="Justin Trudeau")`,
+		`leader_of("Canada") | attr("name")`,
+	} {
+		f.Add(seed)
+	}
+	e := NewEngine(worldStore())
+	if err := e.RegisterVirtual("leader_of", `entity(name="$1") | follow("head_of_state")`); err != nil {
+		f.Fatal(err)
+	}
+	sn := e.Store.Current()
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := q.String()
+		back, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q renders %q, which does not parse: %v", src, text, err)
+		}
+		if again := back.String(); again != text {
+			t.Fatalf("%q renders %q, which renders back as %q", src, text, again)
+		}
+		if plan, err := e.Plan(q); err == nil {
+			_, _ = e.ExecuteOn(plan, sn)
+		}
+	})
 }

@@ -69,18 +69,26 @@ type Query struct {
 	Stages []Stage
 }
 
-// String renders the query back to KGQ text.
+// String renders the query back to KGQ text: Parse(q.String()) yields q.
+// A key that is not an identifier (only pushdown makes one) is written as a
+// quoted string; Parse rejects that, but the text stays unambiguous, which
+// is what the result cache keyed on Plan.String needs.
 func (q Query) String() string {
 	parts := make([]string, len(q.Stages))
 	for i, s := range q.Stages {
 		args := make([]string, len(s.Args))
 		for j, a := range s.Args {
-			v := a.Text()
-			if !a.IsNum {
-				v = strconv.Quote(a.Str)
+			v := quote(a.Str)
+			if a.IsNum {
+				// The lexer reads numbers without a '+' sign, so "1e+06" is
+				// written "1e06".
+				v = strings.Replace(a.Text(), "e+", "e", 1)
 			}
-			if a.Key != "" {
-				args[j] = a.Key + "=" + v
+			if key := a.Key; key != "" {
+				if !isIdent(key) {
+					key = quote(key)
+				}
+				args[j] = key + "=" + v
 			} else {
 				args[j] = v
 			}
@@ -88,6 +96,30 @@ func (q Query) String() string {
 		parts[i] = s.Name + "(" + strings.Join(args, ", ") + ")"
 	}
 	return strings.Join(parts, " | ")
+}
+
+// quote renders s as a KGQ string literal. The lexer reads a backslash as
+// "take the next character literally", so only the quote and the backslash
+// itself are escaped; every other character, control characters included,
+// is written raw.
+func quote(s string) string { return `"` + stringEscaper.Replace(s) + `"` }
+
+var stringEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
+// identRune reports whether r may appear in an identifier, at its start when
+// first is set.
+func identRune(r rune, first bool) bool {
+	return unicode.IsLetter(r) || r == '_' || r == '$' || (!first && unicode.IsDigit(r))
+}
+
+// isIdent reports whether the lexer reads s back as exactly one identifier.
+func isIdent(s string) bool {
+	for i, r := range s {
+		if !identRune(r, i == 0) {
+			return false
+		}
+	}
+	return s != ""
 }
 
 type tokenKind uint8
@@ -167,8 +199,8 @@ func (l *lexer) next() (token, error) {
 			return token{}, fmt.Errorf("kgq: bad number %q at %d", text, start)
 		}
 		return token{kind: tokNumber, num: n, pos: start}, nil
-	case unicode.IsLetter(c) || c == '_' || c == '$':
-		for l.pos < len(l.src) && (unicode.IsLetter(l.src[l.pos]) || unicode.IsDigit(l.src[l.pos]) || l.src[l.pos] == '_' || l.src[l.pos] == '$') {
+	case identRune(c, true):
+		for l.pos < len(l.src) && identRune(l.src[l.pos], false) {
 			l.pos++
 		}
 		return token{kind: tokIdent, text: string(l.src[start:l.pos]), pos: start}, nil

@@ -7,8 +7,7 @@ import (
 )
 
 // PlanCache is a bounded LRU cache of compiled plans keyed on query text,
-// safe for concurrent use. One cache can back several engines (a replicated
-// serving tier compiles each hot query once across all replicas) as long as
+// safe for concurrent use. One cache can back several engines as long as
 // every engine registers the same virtual operators — plans bake virtuals
 // in at compile time.
 type PlanCache struct {

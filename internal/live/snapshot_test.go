@@ -49,6 +49,17 @@ func TestSnapshotImmutable(t *testing.T) {
 	if len(sn.SearchText("Chicago", 3)) == 0 {
 		t.Fatal("snapshot text search lost the frozen doc")
 	}
+	// The rename: the snapshot still finds the old name and not the new one,
+	// in the attribute index and in text search alike.
+	if ids := sn.ByAttr(triple.PredName, "Chicago"); len(ids) != 1 || ids[0] != "kg:C1" {
+		t.Fatalf("snapshot lost the old name: %v", ids)
+	}
+	if len(sn.ByAttr(triple.PredName, "Second City")) != 0 || len(sn.SearchText("Second", 3)) != 0 {
+		t.Fatal("snapshot finds the name written after the cut")
+	}
+	if hits := s.SearchText("Second", 3); len(hits) != 1 || hits[0].ID != "kg:C1" {
+		t.Fatalf("live text search misses the new name: %v", hits)
+	}
 	// The live store sees everything.
 	if s.GetShared("kg:C2") != nil || s.GetShared("kg:C3") == nil {
 		t.Fatal("live store does not reflect the writes")
@@ -96,77 +107,6 @@ func TestServingBoundedStaleness(t *testing.T) {
 	a, b := s.Serving(), s.Serving()
 	if a != b {
 		t.Fatal("Serving republished with no writes")
-	}
-}
-
-// TestReplicaSetHealthRouting: reads never route to a replica marked
-// unhealthy, and routing degrades to the full set when none are healthy.
-func TestReplicaSetHealthRouting(t *testing.T) {
-	rs := NewReplicaSet(3)
-	rs.Put(cityEntity("kg:C1", "Chicago", "", 0), 0)
-	down := rs.Replica(1)
-	rs.SetHealthy(1, false)
-	for i := 0; i < 12; i++ {
-		if rs.Route() == down {
-			t.Fatal("routed a read to an unhealthy replica")
-		}
-	}
-	rs.SetHealthy(0, false)
-	rs.SetHealthy(2, false)
-	if rs.Route() == nil {
-		t.Fatal("routing must degrade, not fail, with zero healthy replicas")
-	}
-	rs.SetHealthy(1, true)
-	for i := 0; i < 6; i++ {
-		if rs.Route() != down {
-			t.Fatal("the only healthy replica must serve every read")
-		}
-	}
-}
-
-// TestReplicaSetVersionRouting: when replicas diverge, reads route to the
-// healthy replicas at the highest version.
-func TestReplicaSetVersionRouting(t *testing.T) {
-	rs := NewReplicaSet(3)
-	rs.Put(cityEntity("kg:C1", "Chicago", "", 0), 0)
-	ahead := rs.Replica(2)
-	ahead.Put(cityEntity("kg:C2", "Boston", "", 0), 0) // replica 2 pulls ahead
-	for i := 0; i < 9; i++ {
-		if rs.Route() != ahead {
-			t.Fatal("read routed to a replica behind the max version")
-		}
-	}
-	// Catch the others up: routing spreads out again.
-	rs.Replica(0).Put(cityEntity("kg:C2", "Boston", "", 0), 0)
-	rs.Replica(1).Put(cityEntity("kg:C2", "Boston", "", 0), 0)
-	seen := map[*Store]bool{}
-	for i := 0; i < 9; i++ {
-		seen[rs.Route()] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("routing hit %d replicas after catch-up, want 3", len(seen))
-	}
-}
-
-// TestReplicaSetLoadRouting: an in-flight read steers the next one to a
-// less-loaded replica, and release restores the balance.
-func TestReplicaSetLoadRouting(t *testing.T) {
-	rs := NewReplicaSet(2)
-	rs.Put(cityEntity("kg:C1", "Chicago", "", 0), 0)
-	st1, release1 := rs.RouteAcquire()
-	st2, release2 := rs.RouteAcquire()
-	if st1 == st2 {
-		t.Fatal("second read routed to the busy replica")
-	}
-	loads := rs.Loads()
-	if loads[0]+loads[1] != 2 {
-		t.Fatalf("loads = %v, want one in-flight read each", loads)
-	}
-	release1()
-	release2()
-	loads = rs.Loads()
-	if loads[0] != 0 || loads[1] != 0 {
-		t.Fatalf("loads = %v after release, want zeros", loads)
 	}
 }
 

@@ -55,16 +55,6 @@ type View interface {
 	SearchText(query string, k int) []textindex.Hit
 }
 
-// Sink is the write half of the live serving tier: a single store or a
-// replica set fanning writes out to several. Live construction and the
-// stable-view loader write through a Sink so replication is transparent.
-type Sink interface {
-	// Put indexes (replacing) an entity with a ranking boost.
-	Put(e *triple.Entity, boost float64)
-	// Delete removes an entity, reporting whether it existed.
-	Delete(id triple.EntityID) bool
-}
-
 // idSet is one posting list: an entity set plus the snapshot epoch it was
 // last cloned at, so writers copy it before mutating if a snapshot still
 // references it (copy-on-write).
@@ -234,8 +224,7 @@ func (s *Store) Put(e *triple.Entity, boost float64) {
 	s.indexLocked(clone, boost)
 	s.mu.Unlock()
 
-	// The live text index is memory-backed (see New): Put cannot fail.
-	_ = s.text.Put(textindex.Doc{ID: string(clone.ID), Text: docText(clone), Boost: 1 + boost})
+	s.text.Put(textindex.Doc{ID: string(clone.ID), Text: docText(clone), Boost: 1 + boost})
 	s.version.Add(1)
 }
 
@@ -258,8 +247,7 @@ func (s *Store) Delete(id triple.EntityID) bool {
 	s.cowIndexLocked()
 	s.unindexLocked(old)
 	s.mu.Unlock()
-	// The live text index is memory-backed (see New): Delete cannot fail.
-	_, _ = s.text.Delete(string(id))
+	s.text.Delete(string(id))
 	s.version.Add(1)
 	return true
 }
@@ -388,13 +376,12 @@ func (s *Store) Snapshot() *Snapshot {
 func (s *Store) snapshotLocked() *Snapshot {
 	s.snapEpoch++
 	sn := &Snapshot{
-		version:  s.version.Load(),
-		attr:     s.attr,
-		reverse:  s.reverse,
-		byType:   s.byType,
-		boost:    s.boost,
-		text:     s.text.Snapshot(),
-		textLive: s.text,
+		version: s.version.Load(),
+		attr:    s.attr,
+		reverse: s.reverse,
+		byType:  s.byType,
+		boost:   s.boost,
+		text:    s.text.Snapshot(),
 	}
 	for i, sh := range s.shards {
 		sn.shards[i] = sh.data
@@ -469,11 +456,7 @@ type Snapshot struct {
 	reverse map[string]*idSet
 	byType  map[string]*idSet
 	boost   map[triple.EntityID]float64
-	// text is the frozen text searcher; textLive is the fallback when the
-	// posting store cannot snapshot (non-memory backends) — those searches
-	// take the live index's read lock and may observe later writes.
-	text     *textindex.Snapshot
-	textLive *textindex.Index
+	text    *textindex.Snapshot
 }
 
 // Version implements View: the store version the snapshot is frozen at.
@@ -520,14 +503,9 @@ func (sn *Snapshot) InRefs(pred string, target triple.EntityID) []triple.EntityI
 // Boost implements View.
 func (sn *Snapshot) Boost(id triple.EntityID) float64 { return sn.boost[id] }
 
-// SearchText implements View: ranked token search frozen at the snapshot
-// when the text index supports snapshots (it does on the memory backend the
-// live store uses), else a locked live search.
+// SearchText implements View: ranked token search frozen at the snapshot.
 func (sn *Snapshot) SearchText(query string, k int) []textindex.Hit {
-	if sn.text != nil {
-		return sn.text.Search(query, k)
-	}
-	return sn.textLive.Search(query, k)
+	return sn.text.Search(query, k)
 }
 
 func setToSlice(set *idSet) []triple.EntityID {

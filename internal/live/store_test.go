@@ -113,26 +113,3 @@ func TestStoreConcurrency(t *testing.T) {
 		t.Fatalf("len = %d", s.Len())
 	}
 }
-
-func TestReplicaSet(t *testing.T) {
-	rs := NewReplicaSet(3)
-	rs.Put(cityEntity("kg:C1", "Chicago", "", 0), 0)
-	if rs.Size() != 3 {
-		t.Fatalf("size = %d", rs.Size())
-	}
-	seen := map[*Store]bool{}
-	for i := 0; i < 6; i++ {
-		r := rs.Route()
-		seen[r] = true
-		if r.Get("kg:C1") == nil {
-			t.Fatal("replica missing entity")
-		}
-	}
-	if len(seen) != 3 {
-		t.Fatalf("routing hit %d replicas, want 3", len(seen))
-	}
-	rs.Delete("kg:C1")
-	if rs.Route().Get("kg:C1") != nil {
-		t.Fatal("delete not replicated")
-	}
-}

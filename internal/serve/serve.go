@@ -1,10 +1,9 @@
 // Package serve implements Saga's production serving tier (§4): a
 // constructor-injected HTTP server over an assembled platform, exposing the
-// live knowledge graph on versioned /v1 routes. Query reads run against
-// immutable store snapshots routed across the live replica set, KGQ text
-// compiles once through a plan cache shared by every replica's engine, and
-// results are cached per (plan, store version) so hot queries invalidate
-// exactly when ingestion advances the KG.
+// live knowledge graph on versioned /v1 routes. Reads run against immutable
+// snapshots of the platform's one live store, KGQ text compiles once through
+// the server engine's plan cache, and results are cached per (plan, store
+// version) so hot queries invalidate exactly when ingestion advances the KG.
 //
 // Routes:
 //
@@ -29,11 +28,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
 	"saga/internal/core"
-	"saga/internal/live"
 	"saga/internal/live/kgq"
 	"saga/internal/triple"
 )
@@ -47,21 +47,16 @@ type Options struct {
 	// ReadHeaderTimeout bounds how long a client may dribble request
 	// headers; default 5s.
 	ReadHeaderTimeout time.Duration
-	// PlanCacheSize bounds the plan cache shared across replica engines;
-	// 0 means the kgq default.
-	PlanCacheSize int
 }
 
 // Server serves the live KG over HTTP. Construct with New; the zero value
 // is not usable.
 type Server struct {
 	platform *core.Platform
-	replicas *live.ReplicaSet
-	// engines holds one query engine per replica, all sharing one plan
-	// cache: a hot query text compiles once for the whole set, while each
-	// engine keeps its own result cache keyed on its replica's versions.
-	engines map[*live.Store]*kgq.Engine
-	plans   *kgq.PlanCache
+	// engine serves /v1/query over p.Live. It is the server's own, not the
+	// platform's LiveEngine, so /v1/stats cache counters count HTTP traffic
+	// only.
+	engine  *kgq.Engine
 	opts    Options
 	handler http.Handler
 	srv     *http.Server
@@ -78,24 +73,7 @@ func New(p *core.Platform, opts Options) *Server {
 	if opts.ReadHeaderTimeout <= 0 {
 		opts.ReadHeaderTimeout = 5 * time.Second
 	}
-	s := &Server{
-		platform: p,
-		replicas: p.Replicas,
-		engines:  make(map[*live.Store]*kgq.Engine),
-		plans:    kgq.NewPlanCache(opts.PlanCacheSize),
-		opts:     opts,
-	}
-	if s.replicas != nil {
-		for i := 0; i < s.replicas.Size(); i++ {
-			st := s.replicas.Replica(i)
-			eng := kgq.NewEngine(st)
-			eng.Plans = s.plans
-			s.engines[st] = eng
-		}
-	} else {
-		s.engines[p.Live] = p.LiveEngine
-		s.plans = p.LiveEngine.Plans
-	}
+	s := &Server{platform: p, engine: kgq.NewEngine(p.Live), opts: opts}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.handleQuery)
 	mux.HandleFunc("/v1/entity", s.handleEntity)
@@ -136,21 +114,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.srv.Shutdown(ctx)
 }
 
-// route picks the replica to serve one read (health-, version-, and
-// load-aware) and returns its engine, a snapshot pinned for the request,
-// and the release that ends the read. The snapshot is the replica's Serving
-// view: immutable, lock-free, and with bounded staleness under sustained
-// ingestion, so request handling never republishes per request and never
-// contends with writers.
-func (s *Server) route() (*kgq.Engine, *live.Snapshot, func()) {
-	if s.replicas == nil {
-		eng := s.engines[s.platform.Live]
-		return eng, s.platform.Live.Serving(), func() {}
-	}
-	st, release := s.replicas.RouteAcquire()
-	return s.engines[st], st.Serving(), release
-}
-
 // errorEnvelope is the structured error body every non-2xx response carries.
 type errorEnvelope struct {
 	Error errorInfo `json:"error"`
@@ -174,26 +137,24 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 // checkRequest enforces a route's method and parameter contract: exactly the
 // given method (405 with Allow otherwise), and no unknown query parameters
 // (400) — a misspelled parameter fails loudly instead of silently serving the
-// unfiltered route.
-func checkRequest(w http.ResponseWriter, r *http.Request, method string, params ...string) bool {
+// unfiltered route. It returns the parsed query parameters, so handlers parse
+// the query string once.
+func checkRequest(w http.ResponseWriter, r *http.Request, method string, params ...string) (url.Values, bool) {
 	if r.Method != method {
 		w.Header().Set("Allow", method)
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
 			fmt.Sprintf("%s is not allowed; use %s", r.Method, method))
-		return false
+		return nil, false
 	}
-	allowed := make(map[string]bool, len(params))
-	for _, p := range params {
-		allowed[p] = true
-	}
-	for name := range r.URL.Query() {
-		if !allowed[name] {
+	query := r.URL.Query()
+	for name := range query {
+		if !slices.Contains(params, name) {
 			writeError(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("unknown query parameter %q", name))
-			return false
+			return nil, false
 		}
 	}
-	return true
+	return query, true
 }
 
 // queryResponse is /v1/query's success payload.
@@ -204,22 +165,22 @@ type queryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !checkRequest(w, r, http.MethodGet, "q") {
+	query, ok := checkRequest(w, r, http.MethodGet, "q")
+	if !ok {
 		return
 	}
-	q := r.URL.Query().Get("q")
+	q := query.Get("q")
 	if q == "" {
 		writeError(w, http.StatusBadRequest, "bad_request", "missing required parameter q")
 		return
 	}
-	eng, view, release := s.route()
-	defer release()
-	plan, err := eng.PlanText(q)
+	view := s.platform.Live.Serving()
+	plan, err := s.engine.PlanText(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_query", err.Error())
 		return
 	}
-	res, err := eng.ExecuteOn(plan, view)
+	res, err := s.engine.ExecuteOn(plan, view)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_query", err.Error())
 		return
@@ -232,19 +193,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
-	if !checkRequest(w, r, http.MethodGet, "id") {
+	query, ok := checkRequest(w, r, http.MethodGet, "id")
+	if !ok {
 		return
 	}
-	id := r.URL.Query().Get("id")
+	id := query.Get("id")
 	if id == "" {
 		writeError(w, http.StatusBadRequest, "bad_request", "missing required parameter id")
 		return
 	}
-	_, view, release := s.route()
-	defer release()
 	// Shared record: stored entities are immutable after insert, so the
 	// encoder reads it without a clone.
-	e := view.GetShared(triple.EntityID(id))
+	e := s.platform.Live.Serving().GetShared(triple.EntityID(id))
 	if e == nil {
 		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("entity %q is not in the live KG", id))
 		return
@@ -264,16 +224,17 @@ type searchHit struct {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if !checkRequest(w, r, http.MethodGet, "q", "k") {
+	query, ok := checkRequest(w, r, http.MethodGet, "q", "k")
+	if !ok {
 		return
 	}
-	q := r.URL.Query().Get("q")
+	q := query.Get("q")
 	if q == "" {
 		writeError(w, http.StatusBadRequest, "bad_request", "missing required parameter q")
 		return
 	}
 	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
+	if ks := query.Get("k"); ks != "" {
 		n, err := strconv.Atoi(ks)
 		if err != nil || n <= 0 {
 			writeError(w, http.StatusBadRequest, "bad_request", "parameter k must be a positive integer")
@@ -281,8 +242,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	_, view, release := s.route()
-	defer release()
+	view := s.platform.Live.Serving()
 	hits := view.SearchText(q, k)
 	out := searchResponse{Hits: make([]searchHit, len(hits)), Version: view.Version()}
 	for i, h := range hits {
@@ -294,15 +254,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // ServingStats reports the serving tier's own counters next to platform
 // statistics on /v1/stats.
 type ServingStats struct {
-	// Version is the primary replica's current store version.
+	// Version is the live store's current version.
 	Version uint64 `json:"version"`
-	// Replicas is the serving replica count.
-	Replicas int `json:"replicas"`
-	// ReplicaServed counts reads completed per replica (routing balance).
-	ReplicaServed []uint64 `json:"replica_served,omitempty"`
-	// PlanCacheLen is the number of compiled plans cached across replicas.
+	// PlanCacheLen is the number of compiled plans cached.
 	PlanCacheLen int `json:"plan_cache_len"`
-	// ResultHits / ResultMisses aggregate result-cache traffic.
+	// ResultHits / ResultMisses count result-cache traffic.
 	ResultHits   uint64 `json:"result_hits"`
 	ResultMisses uint64 `json:"result_misses"`
 }
@@ -313,32 +269,20 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !checkRequest(w, r, http.MethodGet) {
+	if _, ok := checkRequest(w, r, http.MethodGet); !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, statsResponse{Platform: s.platform.Stats(), Serving: s.servingStats()})
-}
-
-func (s *Server) servingStats() ServingStats {
-	st := ServingStats{
+	hits, misses := s.engine.CacheStats()
+	writeJSON(w, http.StatusOK, statsResponse{Platform: s.platform.Stats(), Serving: ServingStats{
 		Version:      s.platform.Live.Version(),
-		Replicas:     1,
-		PlanCacheLen: s.plans.Len(),
-	}
-	if s.replicas != nil {
-		st.Replicas = s.replicas.Size()
-		st.ReplicaServed = s.replicas.Served()
-	}
-	for _, eng := range s.engines {
-		h, m := eng.CacheStats()
-		st.ResultHits += h
-		st.ResultMisses += m
-	}
-	return st
+		PlanCacheLen: s.engine.Plans.Len(),
+		ResultHits:   hits,
+		ResultMisses: misses,
+	}})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !checkRequest(w, r, http.MethodGet) {
+	if _, ok := checkRequest(w, r, http.MethodGet); !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "version": s.platform.Live.Version()})
@@ -356,7 +300,7 @@ type checkpointResponse struct {
 }
 
 func (s *Server) handleAdminCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !checkRequest(w, r, http.MethodPost) {
+	if _, ok := checkRequest(w, r, http.MethodPost); !ok {
 		return
 	}
 	run, err := s.platform.Checkpoint()
@@ -390,7 +334,7 @@ type compactResponse struct {
 }
 
 func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
-	if !checkRequest(w, r, http.MethodPost) {
+	if _, ok := checkRequest(w, r, http.MethodPost); !ok {
 		return
 	}
 	stats, err := s.platform.Compact()
@@ -411,7 +355,7 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAdminRecovery(w http.ResponseWriter, r *http.Request) {
-	if !checkRequest(w, r, http.MethodGet) {
+	if _, ok := checkRequest(w, r, http.MethodGet); !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.platform.DurabilityStats())

@@ -1,7 +1,7 @@
 // Package conformance is the shared contract test for storage backends:
 // every backend registered with the storage package must pass the same
 // suite, so the platform's correctness never depends on which backend is
-// resolved. The suite covers round trips for all five roles, concurrent
+// resolved. The suite covers round trips for every role, concurrent
 // reader safety (meaningful under -race), and — for durable backends —
 // kill-and-reopen recovery with a torn final record plus a large-payload
 // test asserting that payload bytes stay off the Go heap.
@@ -10,6 +10,7 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,6 +18,8 @@ import (
 	"testing"
 
 	"saga/internal/storage"
+	"saga/internal/store/textindex"
+	"saga/internal/store/vectordb"
 )
 
 // Suite runs the backend contract against one named backend.
@@ -85,8 +88,8 @@ func (s Suite) Run(t *testing.T) {
 	t.Run("RecordLogCompact", func(t *testing.T) { s.recordLogCompact(t, durable) })
 	t.Run("BlobStore", func(t *testing.T) { s.blobStore(t, durable) })
 	t.Run("EntityKV", func(t *testing.T) { s.entityKV(t, durable) })
-	t.Run("Postings", func(t *testing.T) { s.postings(t) })
-	t.Run("Vectors", func(t *testing.T) { s.vectors(t) })
+	t.Run("Postings", postings)
+	t.Run("Vectors", vectors)
 	t.Run("Checkpoints", func(t *testing.T) { s.checkpoints(t, durable) })
 	if durable {
 		t.Run("RecordLogTornTail", func(t *testing.T) { s.recordLogTornTail(t) })
@@ -688,109 +691,109 @@ func (s Suite) entityKVOffHeap(t *testing.T) {
 	}
 }
 
-func (s Suite) postings(t *testing.T) {
-	p, err := s.open(t, t.TempDir()).Postings()
-	if err != nil {
-		t.Fatal(err)
+// Postings and vectors are not backend roles: on every backend the live
+// store serves text and vector search from the in-process textindex and
+// vectordb. postings and vectors pin the contract the live store relies on
+// from them, whichever backend is resolved.
+
+// bm25 is the single-term BM25 score of a document at the index defaults
+// (k1 = 1.2, b = 0.75), before the boost.
+func bm25(tf, docLen, df, docs, totalLen int) float64 {
+	const k1, b = 1.2, 0.75
+	idf := math.Log(1 + (float64(docs)-float64(df)+0.5)/(float64(df)+0.5))
+	avgLen := float64(totalLen) / float64(docs)
+	return idf * float64(tf) * (k1 + 1) / (float64(tf) + k1*(1-b+b*float64(docLen)/avgLen))
+}
+
+// checkScores asserts hits are exactly want's IDs, in order, with scores
+// equal to want's up to float rounding.
+func checkScores(t *testing.T, label string, hits []textindex.Hit, want []textindex.Hit) {
+	t.Helper()
+	if len(hits) != len(want) {
+		t.Fatalf("%s: hits = %v, want %v", label, hits, want)
 	}
-	defer p.Close()
-	if err := p.Put("d1", map[string]int{"alpha": 2, "beta": 1}, 3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Put("d2", map[string]int{"beta": 4}, 4, 2.0); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Docs(); got != 2 {
-		t.Fatalf("Docs = %d, want 2", got)
-	}
-	if err := p.Read(func(v storage.PostingsView) {
-		if m := v.Posting("beta"); len(m) != 2 || m["d2"] != 4 {
-			t.Errorf("Posting(beta) = %v", m)
+	for i := range want {
+		if hits[i].ID != want[i].ID || math.Abs(hits[i].Score-want[i].Score) > 1e-12*want[i].Score {
+			t.Fatalf("%s: hits = %v, want %v", label, hits, want)
 		}
-		if v.DocLen("d2") != 4 || v.TotalLen() != 7 {
-			t.Errorf("DocLen/TotalLen = %d/%d", v.DocLen("d2"), v.TotalLen())
-		}
-		if v.Boost("d1") != 1 || v.Boost("d2") != 2 {
-			t.Errorf("Boost = %v/%v (zero boost must default to 1)", v.Boost("d1"), v.Boost("d2"))
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Put replaces: d1's old terms must vanish from the postings.
-	if err := p.Put("d1", map[string]int{"gamma": 1}, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Read(func(v storage.PostingsView) {
-		if m := v.Posting("alpha"); len(m) != 0 {
-			t.Errorf("stale posting survived replace: %v", m)
-		}
-		if v.TotalLen() != 5 {
-			t.Errorf("TotalLen after replace = %d, want 5", v.TotalLen())
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := p.Delete("d2"); err != nil {
-		t.Fatal(err)
-	} else if !ok {
-		t.Fatal("delete reported false")
-	}
-	if ok, err := p.Delete("d2"); err != nil {
-		t.Fatal(err)
-	} else if ok {
-		t.Fatal("double delete reported true")
-	}
-	if got := p.Docs(); got != 1 {
-		t.Fatalf("Docs after delete = %d, want 1", got)
 	}
 }
 
-func (s Suite) vectors(t *testing.T) {
-	vs, err := s.open(t, t.TempDir()).Vectors()
+func postings(t *testing.T) {
+	ix := textindex.New()
+	ix.Put(textindex.Doc{ID: "d1", Text: "alpha alpha beta"})
+	ix.Put(textindex.Doc{ID: "d2", Text: "beta beta beta beta", Boost: 2})
+	if got := ix.Len(); got != 2 {
+		t.Fatalf("Len = %d, want 2", got)
+	}
+	// Both documents post "beta"; the scores pin each document's length,
+	// the total length (7) and the boosts (a zero boost defaults to 1).
+	checkScores(t, "Search(beta)", ix.Search("beta", 5), []textindex.Hit{
+		{ID: "d2", Score: 2 * bm25(4, 4, 2, 2, 7)},
+		{ID: "d1", Score: bm25(1, 3, 2, 2, 7)},
+	})
+	// Put replaces: d1's old terms must vanish from the postings.
+	ix.Put(textindex.Doc{ID: "d1", Text: "gamma"})
+	if hits := ix.Search("alpha", 5); len(hits) != 0 {
+		t.Fatalf("stale posting survived replace: %v", hits)
+	}
+	// The total length drops to 5 with d1's replacement.
+	checkScores(t, "Search(gamma)", ix.Search("gamma", 5), []textindex.Hit{
+		{ID: "d1", Score: bm25(1, 1, 1, 2, 5)},
+	})
+	if !ix.Delete("d2") {
+		t.Fatal("delete reported false")
+	}
+	if ix.Delete("d2") {
+		t.Fatal("double delete reported true")
+	}
+	if got := ix.Len(); got != 1 {
+		t.Fatalf("Len after delete = %d, want 1", got)
+	}
+}
+
+func vectors(t *testing.T) {
+	db, err := vectordb.New(vectordb.Options{Dim: 2, LSHTables: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer vs.Close()
-	prev, err := vs.Put("v1", []float64{1, 0}, map[string]string{"type": "human"})
-	if err != nil || prev != nil {
-		t.Fatalf("first Put prev = %v, %v", prev, err)
-	}
-	prev, err = vs.Put("v1", []float64{0, 1}, nil)
-	if err != nil || len(prev) != 2 || prev[0] != 1 {
-		t.Fatalf("replacing Put prev = %v, %v", prev, err)
-	}
-	got, err := vs.Get("v1")
-	if err != nil || len(got) != 2 || got[1] != 1 {
-		t.Fatalf("Get = %v, %v", got, err)
-	}
-	if _, err := vs.Put("v2", []float64{1, 1}, map[string]string{"type": "song"}); err != nil {
+	if err := db.Put("v1", []float64{1, 0}, map[string]string{"type": "human"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := vs.Len(); got != 2 {
+	if err := db.Put("v1", []float64{0, 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Get("v1"); len(got) != 2 || got[1] != 1 {
+		t.Fatalf("Get after replace = %v", got)
+	}
+	if err := db.Put("v2", []float64{1, 1}, map[string]string{"type": "song"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	if err := vs.Read(func(v storage.VectorsView) {
-		if vec := v.Vector("v2"); len(vec) != 2 {
-			t.Errorf("Vector(v2) = %v", vec)
-		}
-		if a := v.Attrs("v2"); a["type"] != "song" {
-			t.Errorf("Attrs(v2) = %v", a)
-		}
-		n := 0
-		v.Range(func(id string, vec []float64, attrs map[string]string) bool { n++; return true })
-		if n != 2 {
-			t.Errorf("Range saw %d vectors", n)
-		}
-	}); err != nil {
-		t.Fatal(err)
+	if hits, err := db.Search([]float64{1, 1}, 5, vectordb.AttrEquals("type", "song")); err != nil || len(hits) != 1 || hits[0].ID != "v2" {
+		t.Fatalf("Search(type=song) = %v, %v", hits, err)
 	}
-	removed, ok, err := vs.Delete("v1")
-	if err != nil || !ok || len(removed) != 2 {
-		t.Fatalf("Delete = %v, %v, %v", removed, ok, err)
+	// Replacing without attributes drops the old ones.
+	if hits, err := db.Search([]float64{0, 1}, 5, vectordb.AttrEquals("type", "human")); err != nil || len(hits) != 0 {
+		t.Fatalf("replaced attributes survived: %v, %v", hits, err)
 	}
-	if _, ok, err := vs.Delete("v1"); err != nil {
-		t.Fatal(err)
-	} else if ok {
+	if hits, err := db.Search([]float64{1, 0}, 5, nil); err != nil || len(hits) != 2 {
+		t.Fatalf("unfiltered Search saw %v, %v", hits, err)
+	}
+	// The replace reindexed v1: its new vector shares every bucket with an
+	// identical query.
+	if hits, err := db.SearchANN([]float64{0, 1}, 1, nil); err != nil || len(hits) != 1 || hits[0].ID != "v1" {
+		t.Fatalf("SearchANN after replace = %v, %v", hits, err)
+	}
+	if !db.Delete("v1") {
+		t.Fatal("delete reported false")
+	}
+	if db.Delete("v1") {
 		t.Fatal("double delete reported true")
+	}
+	if db.Get("v1") != nil || db.Len() != 1 {
+		t.Fatalf("after delete: Get = %v, Len = %d", db.Get("v1"), db.Len())
 	}
 }

@@ -14,12 +14,6 @@
 //     index and mmap-backed reads: entity payloads live in the page cache,
 //     not the Go heap, so the entity index can exceed RAM.
 //
-// Postings and Vectors delegate to the memory backend: both index derived
-// state that replays from the operation log, and neither holds the raw
-// payload bytes that dominate memory at scale. They move behind durable
-// implementations when a workload demands it; the interfaces are already
-// carved.
-//
 // Crash consistency: every file is a sequence of CRC-framed records
 // (triple.AppendRecord layout). Recovery replays a file and truncates at the
 // first torn or corrupt record — exactly the operation log's recovery
@@ -36,7 +30,6 @@ import (
 	"path/filepath"
 
 	"saga/internal/storage"
-	"saga/internal/storage/memory"
 	"saga/internal/triple"
 )
 
@@ -76,18 +69,6 @@ func (backend) OpenEntityKV(o storage.Options) (storage.EntityKV, error) {
 		return nil, fmt.Errorf("disk: %w", err)
 	}
 	return OpenEntityKV(filepath.Join(o.Dir, "entities.dat"))
-}
-
-// OpenPostings implements storage.Backend, delegating to the memory
-// implementation (see the package comment).
-func (backend) OpenPostings(storage.Options) (storage.Postings, error) {
-	return memory.NewPostings(), nil
-}
-
-// OpenVectors implements storage.Backend, delegating to the memory
-// implementation (see the package comment).
-func (backend) OpenVectors(storage.Options) (storage.Vectors, error) {
-	return memory.NewVectors(), nil
 }
 
 // OpenCheckpoints implements storage.Backend: checkpoint files root at

@@ -40,16 +40,6 @@ func (backend) OpenEntityKV(storage.Options) (storage.EntityKV, error) {
 	return NewEntityKV(), nil
 }
 
-// OpenPostings implements storage.Backend.
-func (backend) OpenPostings(storage.Options) (storage.Postings, error) {
-	return NewPostings(), nil
-}
-
-// OpenVectors implements storage.Backend.
-func (backend) OpenVectors(storage.Options) (storage.Vectors, error) {
-	return NewVectors(), nil
-}
-
 // OpenCheckpoints implements storage.Backend.
 func (backend) OpenCheckpoints(storage.Options) (storage.Checkpointer, error) {
 	return NewCheckpoints(), nil

@@ -35,8 +35,6 @@ type Backend interface {
 	OpenRecordLog(o Options) (RecordLog, error)
 	OpenBlobStore(o Options) (BlobStore, error)
 	OpenEntityKV(o Options) (EntityKV, error)
-	OpenPostings(o Options) (Postings, error)
-	OpenVectors(o Options) (Vectors, error)
 	OpenCheckpoints(o Options) (Checkpointer, error)
 }
 
@@ -106,12 +104,6 @@ func (h Handle) BlobStore() (BlobStore, error) { return h.backend.OpenBlobStore(
 
 // EntityKV opens the entity index's payload KV.
 func (h Handle) EntityKV() (EntityKV, error) { return h.backend.OpenEntityKV(h.opts) }
-
-// Postings opens the full-text index's posting storage.
-func (h Handle) Postings() (Postings, error) { return h.backend.OpenPostings(h.opts) }
-
-// Vectors opens the vector database's storage.
-func (h Handle) Vectors() (Vectors, error) { return h.backend.OpenVectors(h.opts) }
 
 // Checkpoints opens the recovery checkpoint store.
 func (h Handle) Checkpoints() (Checkpointer, error) { return h.backend.OpenCheckpoints(h.opts) }

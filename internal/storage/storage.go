@@ -4,9 +4,9 @@
 //
 // The paper's Graph Engine (§3.1) is a federation of *independent storage
 // engines* — entity index, search index, analytics store — all deriving
-// their state from one shared operation log. This package carves that
-// separation into five role interfaces the platform already consumes
-// implicitly:
+// their state from one shared operation log. This package carves the storage
+// those engines share, or that must survive a restart, into three role
+// interfaces plus the recovery checkpoint store:
 //
 //   - RecordLog — the operation log's record I/O (ordered, CRC-framed,
 //     torn-tail recoverable append storage; the oplog package layers LSNs,
@@ -15,20 +15,15 @@
 //     blobs keyed by generated staging keys).
 //   - EntityKV — the entity index's payload KV (serialized entity bytes by
 //     entity ID).
-//   - Postings — the full-text index's posting-list storage (the BM25
-//     scoring logic stays in textindex; backends store term→doc→tf).
-//   - Vectors — the vector database's id→vector storage (LSH acceleration
-//     stays in vectordb; backends store vectors and attributes).
+//   - Checkpointer — recovery checkpoints keyed by log watermark.
 //
 // A Backend bundles one implementation of each role under a name. Backends
 // register at init time (storage.Register) and are resolved at runtime by
 // name (storage.Resolve), in the style of named-backend runtime resolution:
-// the caller picks "memory" or "disk" from a flag, not an import. Backends
-// that do not yet provide a durable implementation of a role may delegate
-// that role to another backend's implementation (the disk backend keeps
-// postings and vectors in memory: those roles index derived state that
-// replays from the log, and they do not gate RAM the way staged payloads
-// and entity payloads do).
+// the caller picks "memory" or "disk" from a flag, not an import. The
+// in-memory indexes that only hold derived state replayed from the log (the
+// text index's postings, the vector database) own their maps directly and
+// are not storage roles.
 //
 // The conformance package (storage/conformance) holds the contract suite
 // every registered backend must pass.
@@ -132,73 +127,4 @@ type EntityKV interface {
 	Range(fn func(key string, value []byte) bool) error
 	// Close releases backing resources.
 	Close() error
-}
-
-// Postings is the full-text index's storage: per-document posting lists,
-// document lengths, and static boosts. The ranking logic (BM25) lives in the
-// textindex package; this interface is only the state it scores over.
-// Implementations are safe for concurrent use.
-type Postings interface {
-	// Put stores (replacing) one document's postings: its term frequencies,
-	// token length, and static rank boost.
-	Put(doc string, termFreqs map[string]int, length int, boost float64) error
-	// Delete removes a document, reporting whether it existed.
-	Delete(doc string) (bool, error)
-	// Docs returns the number of stored documents.
-	Docs() int
-	// Read runs fn with a consistent read view: no Put/Delete is observed
-	// mid-fn, so a scorer sees one index state end to end.
-	Read(fn func(v PostingsView)) error
-	// Close releases backing resources.
-	Close() error
-}
-
-// PostingsView is a consistent read view of a Postings store, valid only
-// inside Postings.Read. Returned maps are shared and must not be mutated.
-type PostingsView interface {
-	// Posting returns term's doc→frequency posting list (nil when the term
-	// is unindexed).
-	Posting(term string) map[string]int
-	// DocLen returns doc's token length.
-	DocLen(doc string) int
-	// TotalLen returns the sum of all document lengths.
-	TotalLen() int
-	// Boost returns doc's static rank boost (1 when unset).
-	Boost(doc string) float64
-	// Docs returns the number of stored documents.
-	Docs() int
-}
-
-// Vectors is the vector database's storage: vectors with optional string
-// attributes by id. ANN acceleration (LSH) lives in the vectordb package;
-// this interface is only the vector state. Implementations are safe for
-// concurrent use.
-type Vectors interface {
-	// Put stores (replacing) a vector with optional attributes, returning
-	// the replaced vector (nil when the id was absent) so index structures
-	// layered above can unindex it.
-	Put(id string, vec []float64, attrs map[string]string) ([]float64, error)
-	// Delete removes a vector, returning it (nil, false when absent).
-	Delete(id string) ([]float64, bool, error)
-	// Get returns a copy of the stored vector, or nil.
-	Get(id string) ([]float64, error)
-	// Len returns the number of stored vectors.
-	Len() int
-	// Read runs fn with a consistent read view: no Put/Delete is observed
-	// mid-fn.
-	Read(fn func(v VectorsView)) error
-	// Close releases backing resources.
-	Close() error
-}
-
-// VectorsView is a consistent read view of a Vectors store, valid only
-// inside Vectors.Read. Returned slices/maps are shared and must not be
-// mutated.
-type VectorsView interface {
-	// Vector returns the stored vector (nil when absent).
-	Vector(id string) []float64
-	// Attrs returns the stored attributes (nil when none).
-	Attrs(id string) map[string]string
-	// Range calls fn for every stored vector until fn returns false.
-	Range(fn func(id string, vec []float64, attrs map[string]string) bool)
 }

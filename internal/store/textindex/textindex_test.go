@@ -42,33 +42,43 @@ func TestBoost(t *testing.T) {
 	ix := New()
 	ix.Put(Doc{ID: "tail", Text: "paris hotel", Boost: 1})
 	ix.Put(Doc{ID: "head", Text: "paris hotel", Boost: 5})
-	hits := ix.Search("paris", 2)
+	ix.Put(Doc{ID: "unset", Text: "paris hotel"})
+	hits := ix.Search("paris", 3)
 	if hits[0].ID != "head" {
 		t.Fatalf("boost ignored: %v", hits)
+	}
+	// A zero boost defaults to 1: "unset" ties "tail" exactly.
+	if hits[1].ID != "tail" || hits[2].ID != "unset" || hits[1].Score != hits[2].Score {
+		t.Fatalf("zero boost did not default to 1: %v", hits)
 	}
 }
 
 func TestDeleteAndReplace(t *testing.T) {
 	ix := New()
 	ix.Put(Doc{ID: "e1", Text: "original text"})
-	ix.Put(Doc{ID: "e1", Text: "replaced words"})
+	ix.Put(Doc{ID: "e2", Text: "kept document here"})
+	ix.Put(Doc{ID: "e1", Text: "replaced words now"})
 	if got := ix.Search("original", 5); len(got) != 0 {
 		t.Fatalf("stale postings: %v", got)
 	}
 	if got := ix.Search("replaced", 5); len(got) != 1 {
 		t.Fatalf("new postings missing: %v", got)
 	}
-	if ok, _ := ix.Delete("e1"); !ok {
+	// The replace swaps e1's length 2 for 3 in the total BM25 averages over.
+	if ix.totalLen != 6 {
+		t.Fatalf("total length after replace = %d, want 6", ix.totalLen)
+	}
+	if !ix.Delete("e1") {
 		t.Fatal("delete false")
 	}
-	if ok, _ := ix.Delete("e1"); ok {
+	if ix.Delete("e1") {
 		t.Fatal("double delete true")
 	}
 	if got := ix.Search("replaced", 5); len(got) != 0 {
 		t.Fatalf("deleted doc returned: %v", got)
 	}
-	if ix.Len() != 0 {
-		t.Fatalf("len = %d", ix.Len())
+	if ix.Len() != 1 || ix.totalLen != 3 {
+		t.Fatalf("len = %d, total length = %d after delete", ix.Len(), ix.totalLen)
 	}
 }
 

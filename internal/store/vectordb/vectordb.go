@@ -4,8 +4,6 @@
 // uses random-hyperplane locality-sensitive hashing (LSH) with multiple
 // tables. Attribute filters restrict search to a subset (the "people
 // embeddings" view of Figure 7 is a type filter over the full index).
-// Vector storage lives behind storage.Vectors; the LSH structure stays here
-// and is kept consistent with the backend under the DB's own lock.
 package vectordb
 
 import (
@@ -14,9 +12,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-
-	"saga/internal/storage"
-	"saga/internal/storage/memory"
 )
 
 // Hit is one nearest-neighbour result.
@@ -26,14 +21,15 @@ type Hit struct {
 }
 
 // DB is a vector store with optional LSH acceleration, safe for concurrent
-// use. The mutex guards the LSH structure and keeps it consistent with the
-// backing store across the mutate-both operations.
+// use: one RWMutex guards the vectors, their attributes and the LSH
+// structure, so the three stay consistent across every mutation.
 type DB struct {
 	dim int
 
-	mu  sync.RWMutex
-	vs  storage.Vectors
-	lsh *lshIndex
+	mu    sync.RWMutex
+	vecs  map[string][]float64
+	attrs map[string]map[string]string
+	lsh   *lshIndex
 }
 
 // Options configures the store.
@@ -49,15 +45,16 @@ type Options struct {
 	Seed int64
 }
 
-// New constructs an empty vector DB over in-memory storage.
-func New(opts Options) (*DB, error) { return NewWith(opts, memory.NewVectors()) }
-
-// NewWith constructs a vector DB over an explicit backend.
-func NewWith(opts Options, vs storage.Vectors) (*DB, error) {
+// New constructs an empty vector DB.
+func New(opts Options) (*DB, error) {
 	if opts.Dim <= 0 {
 		return nil, fmt.Errorf("vectordb: dimension must be positive")
 	}
-	db := &DB{dim: opts.Dim, vs: vs}
+	db := &DB{
+		dim:   opts.Dim,
+		vecs:  make(map[string][]float64),
+		attrs: make(map[string]map[string]string),
+	}
 	if opts.LSHTables > 0 {
 		bits := opts.LSHBits
 		if bits == 0 {
@@ -68,22 +65,33 @@ func NewWith(opts Options, vs storage.Vectors) (*DB, error) {
 	return db, nil
 }
 
-// Put stores (replacing) a vector with optional attributes.
+// Put stores (replacing) a copy of a vector with optional attributes.
 func (db *DB) Put(id string, vec []float64, attrs map[string]string) error {
 	if len(vec) != db.dim {
 		return fmt.Errorf("vectordb: vector %s has dim %d, want %d", id, len(vec), db.dim)
 	}
+	v := append([]float64(nil), vec...)
+	var a map[string]string
+	if attrs != nil {
+		a = make(map[string]string, len(attrs))
+		for k, val := range attrs {
+			a[k] = val
+		}
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	prev, err := db.vs.Put(id, vec, attrs)
-	if err != nil {
-		return fmt.Errorf("vectordb: put %s: %w", id, err)
+	prev := db.vecs[id]
+	db.vecs[id] = v
+	if a != nil {
+		db.attrs[id] = a
+	} else {
+		delete(db.attrs, id)
 	}
 	if db.lsh != nil {
 		if prev != nil {
 			db.lsh.remove(id, prev)
 		}
-		db.lsh.insert(id, vec)
+		db.lsh.insert(id, v)
 	}
 	return nil
 }
@@ -92,10 +100,12 @@ func (db *DB) Put(id string, vec []float64, attrs map[string]string) error {
 func (db *DB) Delete(id string) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	v, ok, err := db.vs.Delete(id)
-	if err != nil || !ok {
+	v, ok := db.vecs[id]
+	if !ok {
 		return false
 	}
+	delete(db.vecs, id)
+	delete(db.attrs, id)
 	if db.lsh != nil {
 		db.lsh.remove(id, v)
 	}
@@ -104,18 +114,21 @@ func (db *DB) Delete(id string) bool {
 
 // Get returns a copy of the stored vector, or nil.
 func (db *DB) Get(id string) []float64 {
-	v, err := db.vs.Get(id)
-	if err != nil {
-		return nil // a failed backend read degrades to a miss
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	v, ok := db.vecs[id]
+	if !ok {
+		return nil
 	}
-	return v
+	return append([]float64(nil), v...)
 }
 
 // Len returns the number of stored vectors.
-func (db *DB) Len() int { return db.vs.Len() }
-
-// Close releases the backend.
-func (db *DB) Close() error { return db.vs.Close() }
+func (db *DB) Len() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return len(db.vecs)
+}
 
 // Filter restricts a search to vectors whose attributes satisfy the
 // predicate. A nil Filter admits everything.
@@ -135,19 +148,12 @@ func (db *DB) Search(query []float64, k int, filter Filter) ([]Hit, error) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var hits []Hit
-	err := db.vs.Read(func(v storage.VectorsView) {
-		hits = make([]Hit, 0, 64)
-		v.Range(func(id string, vec []float64, attrs map[string]string) bool {
-			if filter != nil && !filter(attrs) {
-				return true
-			}
-			hits = append(hits, Hit{ID: id, Score: Cosine(query, vec)})
-			return true
-		})
-	})
-	if err != nil {
-		return nil, fmt.Errorf("vectordb: search: %w", err)
+	hits := make([]Hit, 0, 64)
+	for id, vec := range db.vecs {
+		if filter != nil && !filter(db.attrs[id]) {
+			continue
+		}
+		hits = append(hits, Hit{ID: id, Score: Cosine(query, vec)})
 	}
 	return topK(hits, k), nil
 }
@@ -164,27 +170,21 @@ func (db *DB) SearchANN(query []float64, k int, filter Filter) ([]Hit, error) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var hits []Hit
-	err := db.vs.Read(func(v storage.VectorsView) {
-		seen := make(map[string]bool)
-		hits = make([]Hit, 0, 64)
-		for _, id := range db.lsh.candidates(query) {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			vec := v.Vector(id)
-			if vec == nil {
-				continue
-			}
-			if filter != nil && !filter(v.Attrs(id)) {
-				continue
-			}
-			hits = append(hits, Hit{ID: id, Score: Cosine(query, vec)})
+	seen := make(map[string]bool)
+	hits := make([]Hit, 0, 64)
+	for _, id := range db.lsh.candidates(query) {
+		if seen[id] {
+			continue
 		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("vectordb: ann search: %w", err)
+		seen[id] = true
+		vec := db.vecs[id]
+		if vec == nil {
+			continue
+		}
+		if filter != nil && !filter(db.attrs[id]) {
+			continue
+		}
+		hits = append(hits, Hit{ID: id, Score: Cosine(query, vec)})
 	}
 	return topK(hits, k), nil
 }

@@ -38,6 +38,14 @@ func TestPutGetSearch(t *testing.T) {
 	if db.Get("missing") != nil {
 		t.Fatal("phantom vector")
 	}
+	// Replacing without attributes drops the old ones.
+	db.Put("c", []float64{0, 0, 1}, nil)
+	if hits, _ := db.Search([]float64{0, 0, 1}, 5, AttrEquals("type", "song")); len(hits) != 0 {
+		t.Fatalf("replaced attributes survived: %v", hits)
+	}
+	if db.Len() != 3 {
+		t.Fatalf("len = %d, want 3", db.Len())
+	}
 }
 
 func TestDimensionChecks(t *testing.T) {
@@ -66,6 +74,11 @@ func TestDelete(t *testing.T) {
 	if len(hits) != 0 {
 		t.Fatalf("deleted vector returned: %v", hits)
 	}
+	for i, buckets := range db.lsh.buckets {
+		if len(buckets) != 0 {
+			t.Fatalf("table %d still indexes the deleted vector: %v", i, buckets)
+		}
+	}
 }
 
 func TestPutReplacesInLSH(t *testing.T) {
@@ -87,6 +100,16 @@ func TestPutReplacesInLSH(t *testing.T) {
 	}
 	if db.Len() != 1 {
 		t.Fatalf("len = %d", db.Len())
+	}
+	// The replace unindexed the previous vector: each table holds "a" once.
+	for i, buckets := range db.lsh.buckets {
+		n := 0
+		for _, ids := range buckets {
+			n += len(ids)
+		}
+		if n != 1 {
+			t.Fatalf("table %d holds %d entries after a replace, want 1", i, n)
+		}
 	}
 }
 
