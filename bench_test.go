@@ -310,9 +310,9 @@ func BenchmarkHotKeySkewFusion(b *testing.B) {
 }
 
 // BenchmarkStandingFeedDiskBackend measures what the disk storage backend
-// (segment-file staging, mmap-read entity store, shared record log) costs on
-// the standing-feed workload against the memory backend's historical
-// configuration. The two runs must leave the KG, replica, entity store, and
+// costs on the standing-feed workload against the hybrid configuration
+// (memory backend over the same durable layout): both stage through the same
+// segment store, so the ratio isolates the mmap-read entity KV. The two runs must leave the KG, replica, entity store, and
 // text index byte-identical, and the disk platform must rebuild its replica
 // from its files after a reopen — the correctness bar always holds. The
 // disk-overhead ratio is the tracked metric; the name carries "StandingFeed"

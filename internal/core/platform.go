@@ -32,16 +32,17 @@ import (
 	"saga/internal/views"
 )
 
-// StorageOptions selects the storage backend for the platform's serving
-// stores (entity KV, record log, staging blobs, checkpoints).
+// StorageOptions selects the storage medium for the platform's stores
+// (entity KV, record log, staging blobs, checkpoints).
 type StorageOptions struct {
-	// Backend names the storage backend ("memory", "disk", or any backend
-	// registered with the storage package); empty means memory. The memory
-	// backend keeps volatile stores; durability for the log, staging store,
-	// and checkpoints can still be layered on via DurabilityOptions.Dir.
+	// Backend is "memory" (or empty) or "disk". The memory backend keeps
+	// the entity KV in memory, and the log, staging store, and checkpoints
+	// too unless DurabilityOptions.Dir makes them durable. The disk backend
+	// keeps all four under DataDir.
 	Backend string
-	// DataDir roots a durable backend's files. Required for non-memory
-	// backends; ignored by memory.
+	// DataDir roots the disk backend's files: the durable layout of
+	// DurabilityOptions.Dir plus the entity KV (DataDir/entities.dat).
+	// Required by disk; ignored by memory.
 	DataDir string
 }
 
@@ -73,11 +74,12 @@ type ConstructionOptions struct {
 // state lives when the store backend itself is volatile, and the cadence of
 // checkpoints and log compaction.
 type DurabilityOptions struct {
-	// Dir, with the memory backend, roots a durable operation log (segmented,
-	// under Dir/oplog), staging store (Dir/staging), and checkpoint files
-	// (Dir/checkpoints) while the serving stores stay volatile — the hybrid
-	// deployment where only replayable state survives a restart. Durable
-	// backends keep all of these under Storage.DataDir and ignore Dir.
+	// Dir, with the memory backend, roots the durable layout — a segmented
+	// operation log (Dir/oplog), the segment staging store (Dir/staging),
+	// and checkpoint files (Dir/checkpoints) — while the serving stores stay
+	// volatile: the hybrid deployment where only replayable state survives a
+	// restart. The disk backend opens the same layout under Storage.DataDir
+	// and ignores Dir.
 	Dir string
 	// CheckpointEvery takes a durable checkpoint every N published batches,
 	// inside the publish routine (on the feed's ordered publisher a
@@ -224,77 +226,51 @@ type pendingPublish struct {
 // not the log's age. A platform with no durable state opens empty. Close the
 // platform when done; recovery is Open's job alone — nothing else replays
 // the log implicitly.
-func Open(opts Options) (*Platform, error) {
+func Open(opts Options) (_ *Platform, err error) {
 	opts = opts.withDefaults()
+	// opened holds every store that owns files, closed again if Open fails.
+	var opened []io.Closer
+	defer func() {
+		if err != nil {
+			for i := len(opened) - 1; i >= 0; i-- {
+				err = errors.Join(err, opened[i].Close())
+			}
+		}
+	}()
 	var (
-		log     *oplog.Log
-		staging graphengine.ObjectStore
-		estore  *entitystore.Store
+		log     = oplog.NewVolatile()
+		staging = graphengine.NewObjectStore()
 		ckpts   storage.Checkpointer
-		err     error
+		kv      storage.EntityKV
+		dir     = opts.Durability.Dir
 	)
-	if opts.Storage.Backend == "" || opts.Storage.Backend == storage.DefaultBackend {
-		// The hybrid configuration: volatile in-memory stores, with the
-		// oplog, staging store, and checkpoints made durable under
-		// Durability.Dir when set. The stores rebuild from checkpoint + log
-		// suffix at Open.
-		if dir := opts.Durability.Dir; dir != "" {
-			rec, err := disk.OpenRecordLog(filepath.Join(dir, "oplog"), 0)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			log, err = oplog.OpenStore(rec)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			staging, err = graphengine.NewDirObjectStore(filepath.Join(dir, "staging"))
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			ckpts, err = disk.OpenCheckpoints(filepath.Join(dir, "checkpoints"))
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-		} else {
-			log = oplog.NewVolatile()
-			staging = graphengine.NewObjectStore()
-		}
-		estore = entitystore.New()
-	} else {
+	switch opts.Storage.Backend {
+	case "", "memory":
+		kv = entitystore.NewMemKV()
+	case "disk":
 		if opts.Storage.DataDir == "" {
-			return nil, fmt.Errorf("core: backend %q needs Storage.DataDir", opts.Storage.Backend)
+			return nil, fmt.Errorf("core: the disk backend needs Storage.DataDir")
 		}
-		h, err := storage.Resolve(opts.Storage.Backend, storage.Options{Dir: opts.Storage.DataDir})
-		if err != nil {
+		dir = opts.Storage.DataDir
+	default:
+		return nil, fmt.Errorf("core: unknown storage backend %q (want \"memory\" or \"disk\")", opts.Storage.Backend)
+	}
+	if dir != "" {
+		if log, staging, ckpts, err = openDurable(dir, &opened); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		rec, err := h.RecordLog()
-		if err != nil {
+	}
+	if kv == nil { // disk: the entity KV lives beside the durable layout
+		if kv, err = disk.OpenEntityKV(filepath.Join(dir, "entities.dat")); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		log, err = oplog.OpenStore(rec)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		staging, err = h.BlobStore()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		kv, err := h.EntityKV()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		estore = entitystore.NewWith(kv)
-		ckpts, err = h.Checkpoints()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+		opened = append(opened, kv)
 	}
 	p := &Platform{
 		Ont:          opts.Ontology,
 		KG:           construct.NewKG(),
 		Engine:       graphengine.NewWithStaging(log, staging),
-		EntityStore:  estore,
+		EntityStore:  entitystore.NewWith(kv),
 		TextIndex:    textindex.New(),
 		GraphReplica: triple.NewGraph(),
 		ViewCatalog:  views.NewCatalog(),
@@ -333,6 +309,33 @@ func Open(opts Options) (*Platform, error) {
 	p.compactDone = make(chan struct{})
 	go p.compactorLoop() //saga:longlived stopped by Close before the stores shut
 	return p, nil
+}
+
+// openDurable opens the one durable layout under dir: the segmented record
+// log (dir/oplog), the segment staging store (dir/staging) and the checkpoint
+// files (dir/checkpoints). Each store joins opened as soon as it is open, so
+// Open's cleanup closes it if a later step fails.
+func openDurable(dir string, opened *[]io.Closer) (*oplog.Log, graphengine.ObjectStore, storage.Checkpointer, error) {
+	rec, err := disk.OpenRecordLog(filepath.Join(dir, "oplog"), 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	log, err := oplog.OpenStore(rec) // closes rec when it fails
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	*opened = append(*opened, log)
+	staging, err := disk.OpenSegmentBlobStore(filepath.Join(dir, "staging"), 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	*opened = append(*opened, staging)
+	ckpts, err := disk.OpenCheckpoints(filepath.Join(dir, "checkpoints"))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	*opened = append(*opened, ckpts)
+	return log, staging, ckpts, nil
 }
 
 // IngestSource runs a source's ingestion pipeline over a published data
@@ -909,7 +912,9 @@ func (p *Platform) checkpointNow() error {
 // built. An open standing feed is drained first and queued publish retries
 // are flushed, so the stable view includes every batch submitted before this
 // call (best-effort: a still-failing engine leaves the replica at its last
-// converged state).
+// converged state). The refreshed view is published before the call returns,
+// so a serving read that starts afterwards sees it: live.Store.Serving
+// would otherwise reuse the previous snapshot for up to its staleness bound.
 func (p *Platform) RefreshServing() {
 	p.drainFeed()
 	scores := importance.Compute(p.GraphReplica, importance.Options{})
@@ -925,6 +930,7 @@ func (p *Platform) RefreshServing() {
 		boosts[id] = s.Importance
 	}
 	p.LiveConstructor.LoadStableView(stable, boosts)
+	p.Live.Current()
 }
 
 // BuildNERD materializes the NERD Entity View over the current replica and

@@ -240,3 +240,23 @@ func TestStats(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestRefreshServingVisibleAtReturn: a serving read that starts after
+// RefreshServing returns sees the refreshed view. live.Store.Serving reuses a
+// snapshot younger than its staleness bound, so a read right after a refresh
+// used to serve the view from before it.
+func TestRefreshServingVisibleAtReturn(t *testing.T) {
+	p := newTestPlatform(t, Options{})
+	for r := 0; r < 2; r++ {
+		spec := workload.SourceSpec{Name: "s", Count: 4, Offset: 4 * r, Seed: 5}
+		if _, err := p.ConsumeDelta(spec.Delta()); err != nil {
+			t.Fatal(err)
+		}
+		p.RefreshServing()
+		// The read publishes (or reuses) a snapshot, so the next refresh
+		// lands within the staleness bound of a serving snapshot.
+		if got, want := p.Live.Serving().Len(), p.GraphReplica.Stats().Entities; got != want {
+			t.Fatalf("refresh %d: serving view has %d entities, the replica %d", r, got, want)
+		}
+	}
+}

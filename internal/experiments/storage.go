@@ -14,20 +14,21 @@ import (
 )
 
 // StorageBackendsResult is the storage-backend ablation: the same stream of
-// feed batches ingested by a platform on the memory backend (the platform's
-// historical configuration, durable oplog + directory staging) and by one on
-// the disk backend (segment-file staging, mmap-read entity store). The two
-// runs must leave the KG, the graph replica, the entity store, and the text
-// index byte-identical — the backend may only change where bytes live, never
-// what they are — and the disk platform must recover its replica from its
-// files alone after a reopen. The overhead ratio tracks what the disk path
-// costs on the standing-feed workload.
+// feed batches ingested by a hybrid platform (memory backend with
+// Durability.Dir: the durable layout, in-memory entity KV) and by one on the
+// disk backend (the same durable layout, mmap-read entity KV). The two runs
+// must leave the KG, the graph replica, the entity store, and the text index
+// byte-identical — the medium may only change where bytes live, never what
+// they are — and the disk platform must recover its replica from its files
+// alone after a reopen. Both stage through the same segment store, so the
+// overhead ratio isolates what the disk entity KV costs on the standing-feed
+// workload.
 type StorageBackendsResult struct {
 	Batches int // batches in the stream
 	Sources int // type-disjoint sources per batch
 	Count   int // entities per source per batch
 
-	MemoryMS      float64 // memory backend feed run, min over reps
+	MemoryMS      float64 // hybrid (memory backend) feed run, min over reps
 	DiskMS        float64 // disk backend feed run, min over reps
 	DiskOverheadX float64 // DiskMS / MemoryMS
 

@@ -15,30 +15,65 @@ import (
 
 	"saga/internal/oplog"
 	"saga/internal/storage"
-	"saga/internal/storage/disk"
-	"saga/internal/storage/memory"
 	"saga/internal/triple"
 )
 
 // ObjectStore is the staging store for ingest payloads: a durable,
 // high-throughput blob store keyed by staging key — write once, read by any
 // agent, delete after retention. It is the storage.BlobStore role; the
-// memory backend serves tests and ephemeral deployments, durable backends
-// persist payloads so a durable operation log can be replayed after a
-// restart.
+// in-memory store serves tests and volatile platforms, the disk medium's
+// segment store persists payloads so a durable operation log can be replayed
+// after a restart.
 type ObjectStore = storage.BlobStore
 
-// NewObjectStore constructs an empty in-memory staging store.
-func NewObjectStore() ObjectStore { return memory.NewBlobStore() }
-
-// NewDirObjectStore opens (creating if needed) a directory-backed staging
-// store (one file per payload — the layout durable deployments shipped
-// with). Existing payloads are retained and the key sequence resumes past
-// them. The disk backend's segment-file store supersedes this for new
-// deployments.
-func NewDirObjectStore(dir string) (ObjectStore, error) {
-	return disk.OpenDirBlobStore(dir)
+// memObjectStore is the in-memory staging store: a map of payloads under a
+// RWMutex, with sequential key generation.
+type memObjectStore struct {
+	mu   sync.RWMutex
+	data map[string][]byte
+	seq  uint64
 }
+
+// NewObjectStore constructs an empty in-memory staging store.
+func NewObjectStore() ObjectStore {
+	return &memObjectStore{data: make(map[string][]byte)}
+}
+
+// Stage implements storage.BlobStore.
+func (s *memObjectStore) Stage(payload []byte) (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	key := fmt.Sprintf("staging/%08d", s.seq)
+	s.data[key] = payload
+	return key, nil
+}
+
+// Get implements storage.BlobStore.
+func (s *memObjectStore) Get(key string) ([]byte, bool) {
+	s.mu.RLock()
+	p, ok := s.data[key]
+	s.mu.RUnlock()
+	return p, ok
+}
+
+// Delete implements storage.BlobStore.
+func (s *memObjectStore) Delete(key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.data, key)
+	return nil
+}
+
+// Len implements storage.BlobStore.
+func (s *memObjectStore) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.data)
+}
+
+// Close implements storage.BlobStore.
+func (s *memObjectStore) Close() error { return nil }
 
 // Agent is one orchestration agent: it encapsulates all store-specific logic
 // for applying a KG update to its engine. The rest of the framework is
@@ -142,7 +177,8 @@ func New(log *oplog.Log) *Engine {
 }
 
 // NewWithStaging constructs an engine with an explicit staging store; pair a
-// durable log with NewDirObjectStore so replay survives restarts.
+// durable log with a durable staging store (disk.OpenSegmentBlobStore) so
+// replay survives restarts.
 func NewWithStaging(log *oplog.Log, staging ObjectStore) *Engine {
 	return &Engine{Log: log, Staging: staging, Metadata: NewMetadataStore()}
 }

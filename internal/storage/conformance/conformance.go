@@ -1,16 +1,15 @@
-// Package conformance is the shared contract test for storage backends:
-// every backend registered with the storage package must pass the same
-// suite, so the platform's correctness never depends on which backend is
-// resolved. The suite covers round trips for every role, concurrent
-// reader safety (meaningful under -race), and — for durable backends —
-// kill-and-reopen recovery with a torn final record plus a large-payload
-// test asserting that payload bytes stay off the Go heap.
+// Package conformance is the shared contract test for the storage roles:
+// every implementation of a role must pass the same suite, so the platform's
+// correctness never depends on which medium holds its bytes. The suite covers
+// round trips for every role, concurrent reader safety (meaningful under
+// -race), and — for durable media — kill-and-reopen recovery with a torn
+// final record plus a large-payload test asserting that payload bytes stay
+// off the Go heap.
 package conformance
 
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,24 +17,31 @@ import (
 	"testing"
 
 	"saga/internal/storage"
-	"saga/internal/store/textindex"
-	"saga/internal/store/vectordb"
 )
 
-// Suite runs the backend contract against one named backend.
+// Suite runs the storage contract against one medium's stores. Each field
+// opens a fresh store of its role rooted at dir, a directory the store may
+// fill as it likes; for a durable medium, opening the same dir again recovers
+// what the earlier store left there. A nil field means the medium lacks that
+// role, and its subtests do not run.
 type Suite struct {
-	// Backend is the registered backend name ("memory", "disk").
-	Backend string
+	RecordLog   func(dir string) (storage.RecordLog, error)
+	BlobStore   func(dir string) (storage.BlobStore, error)
+	EntityKV    func(dir string) (storage.EntityKV, error)
+	Checkpoints func(dir string) (storage.Checkpointer, error)
+	// Durable adds the reopen checks to the round trips and runs the crash
+	// subtests.
+	Durable bool
 }
 
-// open resolves a fresh handle rooted at dir.
-func (s Suite) open(t testing.TB, dir string) storage.Handle {
+// mustOpen opens a store through one of the Suite's open functions.
+func mustOpen[T any](t testing.TB, open func(string) (T, error), dir string) T {
 	t.Helper()
-	h, err := storage.Resolve(s.Backend, storage.Options{Dir: dir})
+	st, err := open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
+	return st
 }
 
 // tearNewestFile simulates a crash mid-append: it truncates a few bytes off
@@ -77,39 +83,43 @@ func tearNewestFile(t *testing.T, dir string) {
 	}
 }
 
-// Run executes the full contract as subtests.
+// Run executes the contract for every role the medium has, as subtests.
 func (s Suite) Run(t *testing.T) {
-	h, err := storage.Resolve(s.Backend, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
+	if s.RecordLog != nil {
+		t.Run("RecordLog", s.recordLog)
+		t.Run("RecordLogCompact", s.recordLogCompact)
+		if s.Durable {
+			t.Run("RecordLogTornTail", s.recordLogTornTail)
+			t.Run("RecordLogCompactCrash", s.recordLogCompactCrash)
+		}
 	}
-	durable := h.Durable()
-	t.Run("RecordLog", func(t *testing.T) { s.recordLog(t, durable) })
-	t.Run("RecordLogCompact", func(t *testing.T) { s.recordLogCompact(t, durable) })
-	t.Run("BlobStore", func(t *testing.T) { s.blobStore(t, durable) })
-	t.Run("EntityKV", func(t *testing.T) { s.entityKV(t, durable) })
-	t.Run("Postings", postings)
-	t.Run("Vectors", vectors)
-	t.Run("Checkpoints", func(t *testing.T) { s.checkpoints(t, durable) })
-	if durable {
-		t.Run("RecordLogTornTail", func(t *testing.T) { s.recordLogTornTail(t) })
-		t.Run("RecordLogCompactCrash", func(t *testing.T) { s.recordLogCompactCrash(t) })
-		t.Run("BlobStoreTornTail", func(t *testing.T) { s.blobStoreTornTail(t) })
-		t.Run("EntityKVTornTail", func(t *testing.T) { s.entityKVTornTail(t) })
-		t.Run("EntityKVLargePayloadOffHeap", func(t *testing.T) { s.entityKVOffHeap(t) })
-		t.Run("CheckpointsCrash", func(t *testing.T) { s.checkpointsCrash(t) })
+	if s.BlobStore != nil {
+		t.Run("BlobStore", s.blobStore)
+		if s.Durable {
+			t.Run("BlobStoreTornTail", s.blobStoreTornTail)
+		}
+	}
+	if s.EntityKV != nil {
+		t.Run("EntityKV", s.entityKV)
+		if s.Durable {
+			t.Run("EntityKVTornTail", s.entityKVTornTail)
+			t.Run("EntityKVLargePayloadOffHeap", s.entityKVOffHeap)
+		}
+	}
+	if s.Checkpoints != nil {
+		t.Run("Checkpoints", s.checkpoints)
+		if s.Durable {
+			t.Run("CheckpointsCrash", s.checkpointsCrash)
+		}
 	}
 }
 
 // recordLogCompact exercises the atomic-prefix-replacement contract: the
 // prefix shrinks to the replacement, the suffix survives unchanged, appends
-// continue, and (durable backends) the compacted state survives reopen.
-func (s Suite) recordLogCompact(t *testing.T, durable bool) {
+// continue, and (durable media) the compacted state survives reopen.
+func (s Suite) recordLogCompact(t *testing.T) {
 	dir := t.TempDir()
-	l, err := s.open(t, dir).RecordLog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := mustOpen(t, s.RecordLog, dir)
 	for i := 0; i < 10; i++ {
 		if err := l.Append([]byte(fmt.Sprintf("old-%02d", i))); err != nil {
 			t.Fatal(err)
@@ -155,11 +165,8 @@ func (s Suite) recordLogCompact(t *testing.T, durable bool) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if durable {
-		re, err := s.open(t, dir).RecordLog()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if s.Durable {
+		re := mustOpen(t, s.RecordLog, dir)
 		defer re.Close()
 		check(re, []string{"fresh"})
 		if err := re.Append([]byte("after-reopen")); err != nil {
@@ -176,10 +183,7 @@ func (s Suite) recordLogCompact(t *testing.T, durable bool) {
 // prefix).
 func (s Suite) recordLogCompactCrash(t *testing.T) {
 	dir := t.TempDir()
-	l, err := s.open(t, dir).RecordLog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := mustOpen(t, s.RecordLog, dir)
 	for i := 0; i < 8; i++ {
 		if err := l.Append([]byte(fmt.Sprintf("r-%02d", i))); err != nil {
 			t.Fatal(err)
@@ -189,10 +193,7 @@ func (s Suite) recordLogCompactCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash immediately after compact: no Close, reopen the same dir.
-	re, err := s.open(t, dir).RecordLog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := mustOpen(t, s.RecordLog, dir)
 	var got []string
 	if err := re.Replay(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
 		t.Fatal(err)
@@ -214,13 +215,10 @@ func (s Suite) recordLogCompactCrash(t *testing.T) {
 }
 
 // checkpoints exercises the Checkpointer round trip: Latest returns the
-// newest Save; durable backends survive reopen.
-func (s Suite) checkpoints(t *testing.T, durable bool) {
+// newest Save; durable media survive reopen.
+func (s Suite) checkpoints(t *testing.T) {
 	dir := t.TempDir()
-	c, err := s.open(t, dir).Checkpoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustOpen(t, s.Checkpoints, dir)
 	if _, _, ok := c.Latest(); ok {
 		t.Fatal("empty store reported a checkpoint")
 	}
@@ -237,11 +235,8 @@ func (s Suite) checkpoints(t *testing.T, durable bool) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if durable {
-		re, err := s.open(t, dir).Checkpoints()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if s.Durable {
+		re := mustOpen(t, s.Checkpoints, dir)
 		defer re.Close()
 		lsn, payload, ok := re.Latest()
 		if !ok || lsn != 25 || string(payload) != "snap-25" {
@@ -255,10 +250,7 @@ func (s Suite) checkpoints(t *testing.T, durable bool) {
 // corrupt bytes.
 func (s Suite) checkpointsCrash(t *testing.T) {
 	dir := t.TempDir()
-	c, err := s.open(t, dir).Checkpoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustOpen(t, s.Checkpoints, dir)
 	if err := c.Save(10, []byte("snap-10")); err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +261,7 @@ func (s Suite) checkpointsCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	tearNewestFile(t, dir)
-	re, err := s.open(t, dir).Checkpoints()
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := mustOpen(t, s.Checkpoints, dir)
 	defer re.Close()
 	lsn, payload, ok := re.Latest()
 	if !ok || lsn != 10 || string(payload) != "snap-10" {
@@ -280,12 +269,9 @@ func (s Suite) checkpointsCrash(t *testing.T) {
 	}
 }
 
-func (s Suite) recordLog(t *testing.T, durable bool) {
+func (s Suite) recordLog(t *testing.T) {
 	dir := t.TempDir()
-	l, err := s.open(t, dir).RecordLog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := mustOpen(t, s.RecordLog, dir)
 	const n = 20
 	for i := 0; i < n; i++ {
 		if err := l.Append([]byte(fmt.Sprintf("record-%03d", i))); err != nil {
@@ -314,11 +300,8 @@ func (s Suite) recordLog(t *testing.T, durable bool) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("close not idempotent: %v", err)
 	}
-	if durable {
-		re, err := s.open(t, dir).RecordLog()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if s.Durable {
+		re := mustOpen(t, s.RecordLog, dir)
 		defer re.Close()
 		if got := re.Len(); got != n {
 			t.Fatalf("reopened Len = %d, want %d", got, n)
@@ -328,10 +311,7 @@ func (s Suite) recordLog(t *testing.T, durable bool) {
 
 func (s Suite) recordLogTornTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := s.open(t, dir).RecordLog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := mustOpen(t, s.RecordLog, dir)
 	for i := 0; i < 5; i++ {
 		if err := l.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatal(err)
@@ -341,10 +321,7 @@ func (s Suite) recordLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	tearNewestFile(t, dir)
-	re, err := s.open(t, dir).RecordLog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := mustOpen(t, s.RecordLog, dir)
 	defer re.Close()
 	if got := re.Len(); got != 4 {
 		t.Fatalf("Len after torn tail = %d, want 4", got)
@@ -376,12 +353,9 @@ func (s Suite) recordLogTornTail(t *testing.T) {
 	}
 }
 
-func (s Suite) blobStore(t *testing.T, durable bool) {
+func (s Suite) blobStore(t *testing.T) {
 	dir := t.TempDir()
-	b, err := s.open(t, dir).BlobStore()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustOpen(t, s.BlobStore, dir)
 	keys := make([]string, 10)
 	for i := range keys {
 		k, err := b.Stage([]byte(fmt.Sprintf("payload-%03d", i)))
@@ -434,11 +408,8 @@ func (s Suite) blobStore(t *testing.T, durable bool) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if durable {
-		re, err := s.open(t, dir).BlobStore()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if s.Durable {
+		re := mustOpen(t, s.BlobStore, dir)
 		defer re.Close()
 		got, ok := re.Get(keys[3])
 		if !ok || string(got) != "payload-003" {
@@ -462,12 +433,10 @@ func (s Suite) blobStore(t *testing.T, durable bool) {
 
 func (s Suite) blobStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
-	b, err := s.open(t, dir).BlobStore()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustOpen(t, s.BlobStore, dir)
 	keys := make([]string, 5)
 	for i := range keys {
+		var err error
 		if keys[i], err = b.Stage([]byte(fmt.Sprintf("blob-%d", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -476,10 +445,7 @@ func (s Suite) blobStoreTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	tearNewestFile(t, dir)
-	re, err := s.open(t, dir).BlobStore()
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := mustOpen(t, s.BlobStore, dir)
 	defer re.Close()
 	if _, ok := re.Get(keys[4]); ok {
 		t.Fatal("torn final blob still readable")
@@ -495,12 +461,9 @@ func (s Suite) blobStoreTornTail(t *testing.T) {
 	}
 }
 
-func (s Suite) entityKV(t *testing.T, durable bool) {
+func (s Suite) entityKV(t *testing.T) {
 	dir := t.TempDir()
-	kv, err := s.open(t, dir).EntityKV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	kv := mustOpen(t, s.EntityKV, dir)
 	const n = 100
 	for i := 0; i < n; i++ {
 		if err := kv.Put(fmt.Sprintf("kg:E%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -580,11 +543,8 @@ func (s Suite) entityKV(t *testing.T, durable bool) {
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if durable {
-		re, err := s.open(t, dir).EntityKV()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if s.Durable {
+		re := mustOpen(t, s.EntityKV, dir)
 		defer re.Close()
 		v, ok, err := re.Get("kg:E0")
 		if err != nil || !ok || string(v) != "v0-new" {
@@ -600,10 +560,7 @@ func (s Suite) entityKV(t *testing.T, durable bool) {
 
 func (s Suite) entityKVTornTail(t *testing.T) {
 	dir := t.TempDir()
-	kv, err := s.open(t, dir).EntityKV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	kv := mustOpen(t, s.EntityKV, dir)
 	for i := 0; i < 5; i++ {
 		if err := kv.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -613,10 +570,7 @@ func (s Suite) entityKVTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	tearNewestFile(t, dir)
-	re, err := s.open(t, dir).EntityKV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := mustOpen(t, s.EntityKV, dir)
 	defer re.Close()
 	if _, ok, err := re.Get("k4"); err != nil {
 		t.Fatal(err)
@@ -646,10 +600,7 @@ func (s Suite) entityKVOffHeap(t *testing.T) {
 		t.Skip("large-payload test skipped in -short mode")
 	}
 	dir := t.TempDir()
-	kv, err := s.open(t, dir).EntityKV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	kv := mustOpen(t, s.EntityKV, dir)
 	defer kv.Close()
 
 	const valSize = 256 << 10 // 256 KiB per entity payload
@@ -688,112 +639,5 @@ func (s Suite) entityKVOffHeap(t *testing.T) {
 	}
 	if kv.Bytes() != total {
 		t.Fatalf("Bytes = %d, want %d", kv.Bytes(), total)
-	}
-}
-
-// Postings and vectors are not backend roles: on every backend the live
-// store serves text and vector search from the in-process textindex and
-// vectordb. postings and vectors pin the contract the live store relies on
-// from them, whichever backend is resolved.
-
-// bm25 is the single-term BM25 score of a document at the index defaults
-// (k1 = 1.2, b = 0.75), before the boost.
-func bm25(tf, docLen, df, docs, totalLen int) float64 {
-	const k1, b = 1.2, 0.75
-	idf := math.Log(1 + (float64(docs)-float64(df)+0.5)/(float64(df)+0.5))
-	avgLen := float64(totalLen) / float64(docs)
-	return idf * float64(tf) * (k1 + 1) / (float64(tf) + k1*(1-b+b*float64(docLen)/avgLen))
-}
-
-// checkScores asserts hits are exactly want's IDs, in order, with scores
-// equal to want's up to float rounding.
-func checkScores(t *testing.T, label string, hits []textindex.Hit, want []textindex.Hit) {
-	t.Helper()
-	if len(hits) != len(want) {
-		t.Fatalf("%s: hits = %v, want %v", label, hits, want)
-	}
-	for i := range want {
-		if hits[i].ID != want[i].ID || math.Abs(hits[i].Score-want[i].Score) > 1e-12*want[i].Score {
-			t.Fatalf("%s: hits = %v, want %v", label, hits, want)
-		}
-	}
-}
-
-func postings(t *testing.T) {
-	ix := textindex.New()
-	ix.Put(textindex.Doc{ID: "d1", Text: "alpha alpha beta"})
-	ix.Put(textindex.Doc{ID: "d2", Text: "beta beta beta beta", Boost: 2})
-	if got := ix.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-	// Both documents post "beta"; the scores pin each document's length,
-	// the total length (7) and the boosts (a zero boost defaults to 1).
-	checkScores(t, "Search(beta)", ix.Search("beta", 5), []textindex.Hit{
-		{ID: "d2", Score: 2 * bm25(4, 4, 2, 2, 7)},
-		{ID: "d1", Score: bm25(1, 3, 2, 2, 7)},
-	})
-	// Put replaces: d1's old terms must vanish from the postings.
-	ix.Put(textindex.Doc{ID: "d1", Text: "gamma"})
-	if hits := ix.Search("alpha", 5); len(hits) != 0 {
-		t.Fatalf("stale posting survived replace: %v", hits)
-	}
-	// The total length drops to 5 with d1's replacement.
-	checkScores(t, "Search(gamma)", ix.Search("gamma", 5), []textindex.Hit{
-		{ID: "d1", Score: bm25(1, 1, 1, 2, 5)},
-	})
-	if !ix.Delete("d2") {
-		t.Fatal("delete reported false")
-	}
-	if ix.Delete("d2") {
-		t.Fatal("double delete reported true")
-	}
-	if got := ix.Len(); got != 1 {
-		t.Fatalf("Len after delete = %d, want 1", got)
-	}
-}
-
-func vectors(t *testing.T) {
-	db, err := vectordb.New(vectordb.Options{Dim: 2, LSHTables: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put("v1", []float64{1, 0}, map[string]string{"type": "human"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put("v1", []float64{0, 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Get("v1"); len(got) != 2 || got[1] != 1 {
-		t.Fatalf("Get after replace = %v", got)
-	}
-	if err := db.Put("v2", []float64{1, 1}, map[string]string{"type": "song"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-	if hits, err := db.Search([]float64{1, 1}, 5, vectordb.AttrEquals("type", "song")); err != nil || len(hits) != 1 || hits[0].ID != "v2" {
-		t.Fatalf("Search(type=song) = %v, %v", hits, err)
-	}
-	// Replacing without attributes drops the old ones.
-	if hits, err := db.Search([]float64{0, 1}, 5, vectordb.AttrEquals("type", "human")); err != nil || len(hits) != 0 {
-		t.Fatalf("replaced attributes survived: %v, %v", hits, err)
-	}
-	if hits, err := db.Search([]float64{1, 0}, 5, nil); err != nil || len(hits) != 2 {
-		t.Fatalf("unfiltered Search saw %v, %v", hits, err)
-	}
-	// The replace reindexed v1: its new vector shares every bucket with an
-	// identical query.
-	if hits, err := db.SearchANN([]float64{0, 1}, 1, nil); err != nil || len(hits) != 1 || hits[0].ID != "v1" {
-		t.Fatalf("SearchANN after replace = %v, %v", hits, err)
-	}
-	if !db.Delete("v1") {
-		t.Fatal("delete reported false")
-	}
-	if db.Delete("v1") {
-		t.Fatal("double delete reported true")
-	}
-	if db.Get("v1") != nil || db.Len() != 1 {
-		t.Fatalf("after delete: Get = %v, Len = %d", db.Get("v1"), db.Len())
 	}
 }

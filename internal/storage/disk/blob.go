@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// DefaultSegmentBytes is the staging segment rotation threshold when
-// Options.SegmentBytes is zero.
+// DefaultSegmentBytes is the segment rotation threshold of the staging store
+// and the record log when their segBytes argument is zero.
 const DefaultSegmentBytes = 4 << 20
 
 // blobLoc locates a staged blob: segment index (into segs), byte offset of
@@ -262,124 +262,4 @@ func (s *SegmentBlobStore) Close() error {
 	}
 	s.segs = nil
 	return firstErr
-}
-
-// DirBlobStore persists each payload as its own file under a directory —
-// the staging layout the platform shipped with for durable-oplog
-// deployments, kept for on-disk compatibility (`<oplog>.staging/` dirs).
-// New deployments should prefer SegmentBlobStore (the "disk" backend's
-// default), which avoids a file create + two fsyncs per staged payload.
-type DirBlobStore struct {
-	mu     sync.Mutex
-	dir    string
-	seq    uint64
-	closed bool
-}
-
-// OpenDirBlobStore opens (creating if needed) a directory-backed staging
-// store. Existing payloads are retained and the key sequence resumes past
-// them.
-func OpenDirBlobStore(dir string) (*DirBlobStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("disk: staging dir %s: %w", dir, err)
-	}
-	s := &DirBlobStore{dir: dir}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("disk: scan staging dir: %w", err)
-	}
-	for _, ent := range entries {
-		var n uint64
-		if _, err := fmt.Sscanf(ent.Name(), "%d.blob", &n); err == nil && n > s.seq {
-			s.seq = n
-		}
-	}
-	return s, nil
-}
-
-func (s *DirBlobStore) path(key string) string {
-	return filepath.Join(s.dir, strings.TrimPrefix(key, "staging/")+".blob")
-}
-
-// Stage implements storage.BlobStore. The payload must be durable before
-// the log records an operation that references it: a recovered log pointing
-// at a lost payload would stall every agent at that LSN, so a failed write
-// aborts the publish instead of poisoning the log.
-func (s *DirBlobStore) Stage(payload []byte) (string, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return "", fmt.Errorf("disk: stage to closed blob store")
-	}
-	s.seq++
-	key := fmt.Sprintf("staging/%08d", s.seq)
-	s.mu.Unlock()
-	f, err := os.OpenFile(s.path(key), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", fmt.Errorf("disk: stage %s: %w", key, err)
-	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		return "", fmt.Errorf("disk: stage %s: %w", key, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return "", fmt.Errorf("disk: stage %s: %w", key, err)
-	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("disk: stage %s: %w", key, err)
-	}
-	// Sync the directory too: the file's fsync persists its contents, but
-	// the new directory entry needs its own fsync, or a crash can recover a
-	// log op whose payload file never became visible.
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return "", fmt.Errorf("disk: stage %s: %w", key, err)
-	}
-	serr := d.Sync()
-	d.Close()
-	if serr != nil {
-		return "", fmt.Errorf("disk: stage %s: sync dir: %w", key, serr)
-	}
-	return key, nil
-}
-
-// Get implements storage.BlobStore.
-func (s *DirBlobStore) Get(key string) ([]byte, bool) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// Delete implements storage.BlobStore.
-func (s *DirBlobStore) Delete(key string) error {
-	if err := os.Remove(s.path(key)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("disk: delete %s: %w", key, err)
-	}
-	return nil
-}
-
-// Len implements storage.BlobStore.
-func (s *DirBlobStore) Len() int {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, ent := range entries {
-		if strings.HasSuffix(ent.Name(), ".blob") {
-			n++
-		}
-	}
-	return n
-}
-
-// Close implements storage.BlobStore.
-func (s *DirBlobStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	return nil
 }

@@ -1,6 +1,5 @@
-// Package disk implements the durable storage backend: CRC-framed,
-// torn-tail-recoverable files for the roles that gate RAM or durability.
-// It registers as "disk".
+// Package disk implements the durable storage medium: CRC-framed,
+// torn-tail-recoverable files for every storage role.
 //
 //   - RecordLog — CRC-framed records in rotating segment files under a
 //     manifest (the torn-tail recovery idiom the operation log shipped
@@ -26,59 +25,10 @@ package disk
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
+	"math/bits"
 
-	"saga/internal/storage"
 	"saga/internal/triple"
 )
-
-type backend struct{}
-
-func init() { storage.Register("disk", backend{}) }
-
-// Name implements storage.Backend.
-func (backend) Name() string { return "disk" }
-
-// Durable implements storage.Backend.
-func (backend) Durable() bool { return true }
-
-// OpenRecordLog implements storage.Backend: the segmented log roots at
-// Dir/oplog/.
-func (backend) OpenRecordLog(o storage.Options) (storage.RecordLog, error) {
-	if o.Dir == "" {
-		return nil, fmt.Errorf("disk: record log needs Options.Dir")
-	}
-	return OpenRecordLog(filepath.Join(o.Dir, "oplog"), o.SegmentBytes)
-}
-
-// OpenBlobStore implements storage.Backend.
-func (backend) OpenBlobStore(o storage.Options) (storage.BlobStore, error) {
-	if o.Dir == "" {
-		return nil, fmt.Errorf("disk: blob store needs Options.Dir")
-	}
-	return OpenSegmentBlobStore(filepath.Join(o.Dir, "staging"), o.SegmentBytes)
-}
-
-// OpenEntityKV implements storage.Backend.
-func (backend) OpenEntityKV(o storage.Options) (storage.EntityKV, error) {
-	if o.Dir == "" {
-		return nil, fmt.Errorf("disk: entity kv needs Options.Dir")
-	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("disk: %w", err)
-	}
-	return OpenEntityKV(filepath.Join(o.Dir, "entities.dat"))
-}
-
-// OpenCheckpoints implements storage.Backend: checkpoint files root at
-// Dir/checkpoints/.
-func (backend) OpenCheckpoints(o storage.Options) (storage.Checkpointer, error) {
-	if o.Dir == "" {
-		return nil, fmt.Errorf("disk: checkpoint store needs Options.Dir")
-	}
-	return OpenCheckpoints(filepath.Join(o.Dir, "checkpoints"))
-}
 
 // Keyed-record payload layout, shared by the entity KV and the segment blob
 // store: [op byte][uvarint keyLen][key][value...], framed by the CRC record
@@ -115,14 +65,17 @@ func recycle(buf []byte) []byte {
 }
 
 // decodeKeyed parses a keyed-record payload, returning the op, the key, and
-// the value's offset within the payload.
+// the value's offset within the payload. The key length is bounded by the
+// bytes left before it becomes an int (a length of 2^63 or more would wrap
+// negative), and only its minimal varint is accepted, so an accepted payload
+// is exactly what appendKeyedRecord writes for it.
 func decodeKeyed(payload []byte) (op byte, key string, valOff int, err error) {
 	if len(payload) < 2 {
 		return 0, "", 0, fmt.Errorf("disk: keyed record too short (%d bytes)", len(payload))
 	}
 	op = payload[0]
 	klen, n := binary.Uvarint(payload[1:])
-	if n <= 0 || 1+n+int(klen) > len(payload) {
+	if n <= 0 || klen > uint64(len(payload)-1-n) || n != (bits.Len64(klen|1)+6)/7 {
 		return 0, "", 0, fmt.Errorf("disk: keyed record has corrupt key length")
 	}
 	valOff = 1 + n + int(klen)

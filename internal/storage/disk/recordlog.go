@@ -76,8 +76,7 @@ func OpenRecordLog(dir string, segBytes int64) (*RecordLog, error) {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
-		var n uint64
-		if _, err := fmt.Sscanf(name, "%d.seg", &n); err == nil {
+		if n, ok := segmentNumber(name); ok {
 			if n >= l.nextSeg {
 				l.nextSeg = n + 1
 			}
@@ -150,8 +149,7 @@ func (l *RecordLog) closeAll() {
 }
 
 // readManifest returns the listed segment names (absent manifest = empty
-// log). Names are validated against the %d.seg pattern and kept in manifest
-// order.
+// log).
 func (l *RecordLog) readManifest() ([]string, error) {
 	data, err := os.ReadFile(filepath.Join(l.dir, manifestName))
 	if os.IsNotExist(err) {
@@ -160,19 +158,40 @@ func (l *RecordLog) readManifest() ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disk: read log manifest: %w", err)
 	}
+	return parseManifest(data)
+}
+
+// parseManifest parses a manifest's segment list, in manifest order. Every
+// name must be a segment name (segmentNumber) listed once: a name with any
+// other text in it could reach outside the log directory.
+func parseManifest(data []byte) ([]string, error) {
 	var names []string
+	seen := make(map[string]bool)
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
-		var n uint64
-		if _, err := fmt.Sscanf(line, "%d.seg", &n); err != nil {
+		if _, ok := segmentNumber(line); !ok || seen[line] {
 			return nil, fmt.Errorf("disk: log manifest lists invalid segment %q", line)
 		}
+		seen[line] = true
 		names = append(names, line)
 	}
 	return names, nil
+}
+
+// segmentName is the file name of record log segment n.
+func segmentName(n uint64) string { return fmt.Sprintf("%06d.seg", n) }
+
+// segmentNumber parses a segment file name, accepting exactly the names
+// segmentName produces.
+func segmentNumber(name string) (uint64, bool) {
+	var n uint64
+	if _, err := fmt.Sscanf(name, "%d.seg", &n); err != nil || name != segmentName(n) {
+		return 0, false
+	}
+	return n, true
 }
 
 // writeManifestLocked durably publishes a new segment list: temp file, fsync,
@@ -223,7 +242,7 @@ func (l *RecordLog) syncDirLocked() error {
 // BEFORE any record lands in it: a crash between file creation and manifest
 // publish leaves an orphan holding no acknowledged data.
 func (l *RecordLog) rotateLocked() error {
-	name := fmt.Sprintf("%06d.seg", l.nextSeg)
+	name := segmentName(l.nextSeg)
 	f, err := os.OpenFile(filepath.Join(l.dir, name), os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("disk: create log segment %s: %w", name, err)
@@ -375,7 +394,7 @@ func (l *RecordLog) Compact(drop int, replacement [][]byte) error {
 	}
 
 	// Stage the rewritten prefix in a fresh, not-yet-adopted segment.
-	name := fmt.Sprintf("%06d.seg", l.nextSeg)
+	name := segmentName(l.nextSeg)
 	nf, err := os.OpenFile(filepath.Join(l.dir, name), os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("disk: create compaction segment %s: %w", name, err)

@@ -1,6 +1,5 @@
-// Package storage defines the narrow backend contracts behind the Graph
-// Engine's storage roles and a registration/resolution registry that makes a
-// backend a runtime choice rather than a compile-time import.
+// Package storage defines the narrow contracts behind the Graph Engine's
+// storage roles.
 //
 // The paper's Graph Engine (§3.1) is a federation of *independent storage
 // engines* — entity index, search index, analytics store — all deriving
@@ -17,16 +16,17 @@
 //     entity ID).
 //   - Checkpointer — recovery checkpoints keyed by log watermark.
 //
-// A Backend bundles one implementation of each role under a name. Backends
-// register at init time (storage.Register) and are resolved at runtime by
-// name (storage.Resolve), in the style of named-backend runtime resolution:
-// the caller picks "memory" or "disk" from a flag, not an import. The
-// in-memory indexes that only hold derived state replayed from the log (the
-// text index's postings, the vector database) own their maps directly and
-// are not storage roles.
+// There are two media. The disk package implements every role durably; the
+// in-memory entity KV lives in entitystore and the in-memory staging store
+// behind graphengine.NewObjectStore, while a volatile log is an oplog.Log
+// with no record log and a volatile platform keeps no checkpoints. core.Open
+// picks the medium with a switch on StorageOptions.Backend. The in-memory
+// indexes that only hold derived state replayed from the log (the text
+// index's postings, the vector database) own their maps directly and are not
+// storage roles.
 //
 // The conformance package (storage/conformance) holds the contract suite
-// every registered backend must pass.
+// every implementation of a role must pass.
 package storage
 
 // RecordLog is append-ordered durable record storage: the operation log's

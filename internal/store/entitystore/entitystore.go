@@ -2,31 +2,30 @@
 // low-latency key-value store of serialized entity payloads supporting the
 // entity-retrieval workload (Entity Cards need the full payload of one entity
 // in microseconds). Values are stored in the compact binary codec of the
-// triple package; the raw bytes live in a storage.EntityKV backend — the
-// in-memory backend shards by entity ID hash so concurrent readers on
-// different shards never contend, the disk backend keeps payloads in the OS
-// page cache so the index can exceed RAM. Encoding and decoding happen here,
-// outside whatever synchronization the backend uses internally.
+// triple package; the raw bytes live in a storage.EntityKV — the in-memory
+// MemKV shards by entity ID hash so concurrent readers on different shards
+// never contend, the disk medium's KV keeps payloads in the OS page cache so
+// the index can exceed RAM. Encoding and decoding happen here, outside
+// whatever synchronization the KV uses internally.
 package entitystore
 
 import (
 	"fmt"
 
 	"saga/internal/storage"
-	"saga/internal/storage/memory"
 	"saga/internal/triple"
 )
 
-// Store is an entity KV store over a pluggable byte-level backend. The zero
+// Store is an entity KV store over a byte-level storage.EntityKV. The zero
 // value is not usable; call New or NewWith.
 type Store struct {
 	kv storage.EntityKV
 }
 
 // New constructs an empty in-memory store.
-func New() *Store { return NewWith(memory.NewEntityKV()) }
+func New() *Store { return NewWith(NewMemKV()) }
 
-// NewWith constructs a store over an explicit backend.
+// NewWith constructs a store over an explicit KV.
 func NewWith(kv storage.EntityKV) *Store { return &Store{kv: kv} }
 
 // Put stores (replacing) an entity payload.
@@ -65,8 +64,8 @@ func (s *Store) Get(id triple.EntityID) (*triple.Entity, error) {
 }
 
 // MultiGet retrieves several entities in one call; absent IDs are skipped.
-// The backend amortizes per-key synchronization (the in-memory backend locks
-// each touched shard once, not once per ID) and decoding happens out here,
+// The KV amortizes per-key synchronization (MemKV locks each touched shard
+// once, not once per ID) and decoding happens out here,
 // outside any backend lock.
 func (s *Store) MultiGet(ids []triple.EntityID) ([]*triple.Entity, error) {
 	keys := make([]string, len(ids))

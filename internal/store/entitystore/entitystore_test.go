@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"saga/internal/storage/memory"
 	"saga/internal/triple"
 )
 
@@ -75,7 +74,7 @@ func TestMultiGet(t *testing.T) {
 }
 
 func TestMultiGetLocksOncePerShard(t *testing.T) {
-	kv := memory.NewEntityKV()
+	kv := NewMemKV()
 	s := NewWith(kv)
 	ids := make([]triple.EntityID, 512)
 	for i := range ids {
@@ -95,9 +94,9 @@ func TestMultiGetLocksOncePerShard(t *testing.T) {
 	locks := kv.ReadLocks() - before
 	// 512 IDs spread over 64 shards: one acquisition per touched shard, not
 	// one per ID.
-	if locks > memory.KVShardCount {
+	if locks > kvShardCount {
 		t.Fatalf("MultiGet took %d read locks for %d ids; want <= %d (once per shard)",
-			locks, len(ids), memory.KVShardCount)
+			locks, len(ids), kvShardCount)
 	}
 }
 
@@ -106,8 +105,8 @@ func TestMultiGetLocksOncePerShard(t *testing.T) {
 // locks/op metric makes the reduction visible next to ns/op.
 func BenchmarkMultiGet(b *testing.B) {
 	const n = 256
-	setup := func() (*Store, *memory.EntityKV, []triple.EntityID) {
-		kv := memory.NewEntityKV()
+	setup := func() (*Store, *MemKV, []triple.EntityID) {
+		kv := NewMemKV()
 		s := NewWith(kv)
 		ids := make([]triple.EntityID, n)
 		for i := range ids {

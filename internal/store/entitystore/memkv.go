@@ -1,32 +1,32 @@
-package memory
+package entitystore
 
 import (
 	"sync"
 	"sync/atomic"
 )
 
-// KVShardCount shards the entity KV by key hash so concurrent readers on
+// kvShardCount shards the in-memory KV by key hash so concurrent readers on
 // different shards never contend.
-const KVShardCount = 64
+const kvShardCount = 64
 
 type kvShard struct {
 	mu   sync.RWMutex
 	data map[string][]byte
 }
 
-// EntityKV is the sharded in-memory entity payload store (the entity index
-// implementation the platform shipped with, now behind storage.EntityKV).
-type EntityKV struct {
-	shards [KVShardCount]*kvShard
+// MemKV is the in-memory storage.EntityKV: payload copies in maps sharded by
+// key hash, one RWMutex per shard.
+type MemKV struct {
+	shards [kvShardCount]*kvShard
 	// readLocks counts read-path lock acquisitions (Get, MultiGet), backing
 	// the MultiGet benchmark's locks/op metric: grouping a MultiGet by shard
 	// takes each touched shard's lock once instead of one lock per key.
 	readLocks atomic.Uint64
 }
 
-// NewEntityKV constructs an empty sharded entity KV.
-func NewEntityKV() *EntityKV {
-	s := &EntityKV{}
+// NewMemKV constructs an empty in-memory KV.
+func NewMemKV() *MemKV {
+	s := &MemKV{}
 	for i := range s.shards {
 		s.shards[i] = &kvShard{data: make(map[string][]byte)}
 	}
@@ -42,15 +42,15 @@ func kvShardIndex(key string) uint64 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return h % KVShardCount
+	return h % kvShardCount
 }
 
-func (s *EntityKV) shardFor(key string) *kvShard {
+func (s *MemKV) shardFor(key string) *kvShard {
 	return s.shards[kvShardIndex(key)]
 }
 
 // Put implements storage.EntityKV.
-func (s *EntityKV) Put(key string, value []byte) error {
+func (s *MemKV) Put(key string, value []byte) error {
 	v := append([]byte(nil), value...)
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -60,7 +60,7 @@ func (s *EntityKV) Put(key string, value []byte) error {
 }
 
 // Get implements storage.EntityKV.
-func (s *EntityKV) Get(key string) ([]byte, bool, error) {
+func (s *MemKV) Get(key string) ([]byte, bool, error) {
 	sh := s.shardFor(key)
 	s.readLocks.Add(1)
 	sh.mu.RLock()
@@ -76,11 +76,11 @@ func (s *EntityKV) Get(key string) ([]byte, bool, error) {
 // shard and each touched shard's read lock is taken once — len(distinct
 // shards) acquisitions instead of len(keys) — with the copies made inside
 // the lock and any decoding left to the caller outside it.
-func (s *EntityKV) MultiGet(keys []string) ([][]byte, error) {
+func (s *MemKV) MultiGet(keys []string) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	// Group key positions by shard. The common case touches a handful of
 	// shards; a fixed-size bucket table avoids allocating a map per call.
-	var buckets [KVShardCount][]int
+	var buckets [kvShardCount][]int
 	for i, key := range keys {
 		sh := kvShardIndex(key)
 		buckets[sh] = append(buckets[sh], i)
@@ -103,7 +103,7 @@ func (s *EntityKV) MultiGet(keys []string) ([][]byte, error) {
 }
 
 // Delete implements storage.EntityKV.
-func (s *EntityKV) Delete(key string) (bool, error) {
+func (s *MemKV) Delete(key string) (bool, error) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -113,7 +113,7 @@ func (s *EntityKV) Delete(key string) (bool, error) {
 }
 
 // Len implements storage.EntityKV.
-func (s *EntityKV) Len() int {
+func (s *MemKV) Len() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -124,7 +124,7 @@ func (s *EntityKV) Len() int {
 }
 
 // Bytes implements storage.EntityKV.
-func (s *EntityKV) Bytes() int64 {
+func (s *MemKV) Bytes() int64 {
 	var n int64
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -138,7 +138,7 @@ func (s *EntityKV) Bytes() int64 {
 
 // Range implements storage.EntityKV. Each shard is read-locked in turn, so
 // the iteration is per-shard consistent, not globally consistent.
-func (s *EntityKV) Range(fn func(key string, value []byte) bool) error {
+func (s *MemKV) Range(fn func(key string, value []byte) bool) error {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for k, v := range sh.data {
@@ -153,8 +153,8 @@ func (s *EntityKV) Range(fn func(key string, value []byte) bool) error {
 }
 
 // Close implements storage.EntityKV.
-func (s *EntityKV) Close() error { return nil }
+func (s *MemKV) Close() error { return nil }
 
 // ReadLocks returns the cumulative read-path lock acquisitions (Get and
 // MultiGet), for the MultiGet sharding benchmark.
-func (s *EntityKV) ReadLocks() uint64 { return s.readLocks.Load() }
+func (s *MemKV) ReadLocks() uint64 { return s.readLocks.Load() }
