@@ -253,62 +253,6 @@ func BenchmarkStandingFeedCrossBatch(b *testing.B) {
 	b.Logf("\n%s", last)
 }
 
-// BenchmarkPartitionedIngestScaling measures partitioned construction on the
-// standing-feed workload: N=4 type-hash partitions ingesting through the
-// standing feed versus the single-pipeline platform, both over durable logs.
-// The partitioned gain comes from the exchange protocol's window deferral
-// (volatile backlog collapse, once-per-window publishing, skipped cache
-// refreshes), so it holds on a single core. Both platforms must leave the KG,
-// replica, entity store, and text index byte-identical — the cross-partition
-// linking contract — and the scaling factor hard-fails below 2.5x. The name
-// carries "PartitionedIngest" so the CI bench job records the trajectory per
-// commit in BENCH_ci.json, where the metric is regression-gated against
-// BENCH_baseline.json.
-func BenchmarkPartitionedIngestScaling(b *testing.B) {
-	var last experiments.PartitionedIngestResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.PartitionedIngest(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Identical {
-			b.Fatal("partitioned serving state diverged from the single pipeline")
-		}
-		if res.ScalingX < 2.5 {
-			b.Fatalf("partitioned ingest scaling regressed: %.2fx (want >= 2.5x)", res.ScalingX)
-		}
-		last = res
-	}
-	b.ReportMetric(last.ScalingX, "ingest-scaling-x")
-	b.ReportMetric(last.SingleMS, "single-ms")
-	b.ReportMetric(last.PartitionedMS, "partitioned-ms")
-	b.Logf("\n%s", last)
-}
-
-// BenchmarkHotKeySkewFusion measures the adversarial counterpart: a
-// Zipf-skewed celebrity mention stream mass-fusing into a few hot targets of
-// one type, so type-hash partitioning pins the whole fusion load on one
-// partition. Byte identity must survive the skew; the scaling factor is
-// recorded (expected near 1x) but deliberately not gated — its collapse is
-// the finding, not a regression.
-func BenchmarkHotKeySkewFusion(b *testing.B) {
-	var last experiments.HotKeySkewResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.HotKeySkew(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Identical {
-			b.Fatal("partitioned serving state diverged from the single pipeline under skew")
-		}
-		last = res
-	}
-	b.ReportMetric(last.SkewScalingX, "skew-scaling-x")
-	b.ReportMetric(last.PayloadsPerTarget, "payloads-per-target")
-	b.ReportMetric(last.MaxPartitionShare, "max-partition-share")
-	b.Logf("\n%s", last)
-}
-
 // BenchmarkStandingFeedDiskBackend measures what the disk storage backend
 // costs on the standing-feed workload against the hybrid configuration
 // (memory backend over the same durable layout): both stage through the same

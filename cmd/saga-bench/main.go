@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run only the named experiment (fig8, reuse, fig12, fig14a, fig14b, latency, simrecall, embedding, construction, indexedlinking, batchedfusion, standingfeed, partitionedingest, hotkeyskew, storagebackends, recovery, graphstore, serving, blocking, resolution, volatile, pruning)")
+	only := flag.String("only", "", "run only the named experiment (fig8, reuse, fig12, fig14a, fig14b, latency, simrecall, embedding, construction, indexedlinking, batchedfusion, standingfeed, storagebackends, recovery, graphstore, serving, blocking, resolution, volatile, pruning)")
 	workers := flag.Int("workers", 0, "worker count for the construction/resolution/indexed-linking ablations (0 = GOMAXPROCS)")
 	flag.Parse()
 
@@ -35,8 +35,6 @@ func main() {
 		{"indexedlinking", func() (fmt.Stringer, error) { return experiments.IndexedLinking(*workers) }},
 		{"batchedfusion", func() (fmt.Stringer, error) { return experiments.BatchedFusion(*workers) }},
 		{"standingfeed", func() (fmt.Stringer, error) { return experiments.StandingFeed(*workers) }},
-		{"partitionedingest", func() (fmt.Stringer, error) { return experiments.PartitionedIngest(*workers) }},
-		{"hotkeyskew", func() (fmt.Stringer, error) { return experiments.HotKeySkew(*workers) }},
 		{"storagebackends", func() (fmt.Stringer, error) { return experiments.StorageBackends(*workers) }},
 		{"recovery", func() (fmt.Stringer, error) { return experiments.RecoveryColdStart(*workers) }},
 		{"graphstore", func() (fmt.Stringer, error) { return experiments.GraphStore() }},

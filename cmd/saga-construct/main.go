@@ -25,16 +25,12 @@ func main() {
 	dataDir := flag.String("data", "", "data directory for a durable backend (required with -backend=disk)")
 	workers := flag.Int("workers", 0, "intra-delta construction workers (0 = GOMAXPROCS, 1 = sequential)")
 	feedMode := flag.Bool("feed", false, "stream sources through the standing ingestion feed (async ordered publish) instead of synchronous per-delta consumes")
-	partitions := flag.Int("partitions", 1, "partition the construction pipeline N ways by entity-type hash")
 	flag.Parse()
 
 	p, err := core.Open(core.Options{
-		Storage: core.StorageOptions{Backend: *backend, DataDir: *dataDir},
-		Construction: core.ConstructionOptions{
-			Workers:    *workers,
-			Partitions: *partitions,
-		},
-		Durability: core.DurabilityOptions{Dir: *durDir},
+		Storage:      core.StorageOptions{Backend: *backend, DataDir: *dataDir},
+		Construction: core.ConstructionOptions{Workers: *workers},
+		Durability:   core.DurabilityOptions{Dir: *durDir},
 	})
 	if err != nil {
 		log.Fatalf("saga-construct: %v", err)
@@ -102,10 +98,6 @@ func main() {
 	st := p.Stats()
 	fmt.Printf("\nfinal KG: %d entities, %d facts, %d types, %d sources, %d links, log lsn %d, %d conflicts curated\n",
 		st.Graph.Entities, st.Graph.Facts, st.Graph.Types, st.Graph.Sources, st.Links, st.LogLSN, len(conflicts))
-	if st.Partitions > 1 {
-		fmt.Printf("partitions: %d by type hash; volatile exchange: %d enqueued, %d collapsed, %d applied in %d flushes\n",
-			st.Partitions, st.Volatile.Enqueued, st.Volatile.Collapsed, st.Volatile.Applied, st.Volatile.Flushes)
-	}
 	fmt.Printf("block index: %d entities, %d keys across %d types; %d probes, %d refreshes\n",
 		st.BlockIndex.Entities, st.BlockIndex.Keys, st.BlockIndex.Types, st.BlockIndex.Probes, st.BlockIndex.Refreshes)
 	fmt.Printf("fusion: %d commits fused %d payloads into %d targets (%.1f payloads/target)\n",

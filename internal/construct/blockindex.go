@@ -53,12 +53,6 @@ type BlockIndex struct {
 	// entries remembers what each entity is currently indexed under so a
 	// refresh can invalidate its stale postings without rescanning the graph.
 	entries map[triple.EntityID]indexEntry
-	// owns, when set, restricts the index to the entity types it reports
-	// true for: partitioned pipelines give every partition an index over its
-	// owned types only, so N per-partition refreshes of one commit cost what
-	// the single index's one refresh did. An entity with no owned type is
-	// skipped before its blocking keys are even computed.
-	owns func(entityType string) bool
 
 	// monitoring counters (guarded by mu)
 	probes    int
@@ -84,16 +78,6 @@ func NewBlockIndex(blocker Blocker) *BlockIndex {
 		postings: make(map[string]map[string]map[triple.EntityID]int),
 		entries:  make(map[triple.EntityID]indexEntry),
 	}
-}
-
-// NewOwnedBlockIndex constructs an index restricted to the entity types owns
-// reports true for; probes for non-owned types find empty postings. The
-// partitioned pipeline builds one per partition over the shared KG so each
-// partition's linking probes only its owned slice of the type space.
-func NewOwnedBlockIndex(blocker Blocker, owns func(entityType string) bool) *BlockIndex {
-	ix := NewBlockIndex(blocker)
-	ix.owns = owns
-	return ix
 }
 
 // Build populates the index from every entity currently in the graph: the
@@ -128,20 +112,10 @@ func (ix *BlockIndex) Refresh(g *triple.Graph, ids ...triple.EntityID) {
 	}
 }
 
-// insertLocked posts the entity under every owned (type, key) combination.
-// Types are filtered before key computation so an index that owns none of the
-// entity's types pays no blocker work for it.
+// insertLocked posts the entity under every (type, key) combination. An
+// untyped entity is skipped before its blocking keys are computed.
 func (ix *BlockIndex) insertLocked(e *triple.Entity) {
 	types := e.Types()
-	if ix.owns != nil {
-		owned := make([]string, 0, len(types))
-		for _, t := range types {
-			if ix.owns(t) {
-				owned = append(owned, t)
-			}
-		}
-		types = owned
-	}
 	if len(types) == 0 {
 		return
 	}
@@ -149,10 +123,7 @@ func (ix *BlockIndex) insertLocked(e *triple.Entity) {
 	if len(keys) == 0 {
 		return
 	}
-	ix.entries[e.ID] = indexEntry{
-		types: append([]string(nil), types...),
-		keys:  append([]string(nil), keys...),
-	}
+	ix.entries[e.ID] = indexEntry{types: types, keys: append([]string(nil), keys...)}
 	for _, typ := range types {
 		byKey := ix.postings[typ]
 		if byKey == nil {

@@ -76,13 +76,13 @@ func TestBlockIndexEquivalenceProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(7 + int64(cap)))
 			ont := ontology.Default()
 			kgScan := NewKG()
-			scan := NewPipeline(kgScan, ont, 1)
+			scan := NewPipeline(kgScan, ont)
 			scan.Link.MaxBlockSize = cap
 			kgIdx := NewKG()
-			idx := NewPipeline(kgIdx, ont, 1)
+			idx := NewPipeline(kgIdx, ont)
 			idx.Link.MaxBlockSize = cap
 			idx.EnableBlockIndex()
-			ix := idx.indexes[0]
+			ix := idx.index
 
 			var pool []triple.EntityID // consumed source IDs eligible for update/delete
 			for cycle := 0; cycle < 8; cycle++ {
@@ -164,7 +164,7 @@ func TestBlockIndexEquivalenceProperty(t *testing.T) {
 func TestLinkAgainstKGMatchesLinkEntities(t *testing.T) {
 	ont := ontology.Default()
 	kg := NewKG()
-	p := NewPipeline(kg, ont, 1)
+	p := NewPipeline(kg, ont)
 	seed := workloadDelta("base", 0, 30)
 	if _, err := p.ConsumeDelta(seed); err != nil {
 		t.Fatal(err)

@@ -98,9 +98,9 @@ type FeedOptions struct {
 	Publish func(group []*FeedBatch) error
 	// OnClose, when set, runs exactly once inside the first Close call to
 	// finish — after both stage goroutines have exited and every submitted
-	// batch has settled, before Close returns. The platform uses it to run the
-	// final cross-partition exchange, so Close returning implies fully
-	// exchanged, fully published serving stores.
+	// batch has settled, before Close returns. The platform uses it to retry
+	// queued failed publishes and catch every agent up, so Close returning
+	// implies fully published serving stores.
 	OnClose func()
 }
 

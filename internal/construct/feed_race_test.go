@@ -22,7 +22,7 @@ import (
 
 func TestFeedConcurrentWithServingReaders(t *testing.T) {
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ontology.Default(), 1)
+	p := construct.NewPipeline(kg, ontology.Default())
 	p.Workers = 4
 	p.EnableBlockIndex()
 

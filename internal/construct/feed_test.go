@@ -81,7 +81,7 @@ func reshape(batches [][]ingest.Delta, shape string) [][]ingest.Delta {
 
 func newFeedPipeline(workers int) (*KG, *Pipeline) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default(), 1)
+	p := NewPipeline(kg, ontology.Default())
 	p.Workers = workers
 	p.EnableBlockIndex()
 	return kg, p
@@ -200,16 +200,13 @@ func addBatch(names ...string) []ingest.Delta {
 // TestFeedFailedBatchQuiesces: a mid-batch commit failure must settle the
 // batch cleanly — committed prefix applied and handed to the publish stage in
 // order, error delivered with the prefix stats — while later batches keep
-// committing against consistent KG caches.
+// committing against consistent KG caches. The pipeline is one partition; the
+// case keeps the subtest name it has always been reported under.
 func TestFeedFailedBatchQuiesces(t *testing.T) {
-	for _, partitions := range []int{1, 3} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			testFeedFailedBatchQuiesces(t, partitions)
-		})
-	}
+	t.Run("partitions=1", testFeedFailedBatchQuiesces)
 }
 
-func testFeedFailedBatchQuiesces(t *testing.T, partitions int) {
+func testFeedFailedBatchQuiesces(t *testing.T) {
 	failErr := errors.New("injected commit failure")
 	hook := func(src string) error {
 		if src == "xbad" {
@@ -220,7 +217,7 @@ func testFeedFailedBatchQuiesces(t *testing.T, partitions int) {
 	b1, b2, b3 := addBatch("a0", "a1"), addBatch("x0", "xbad", "x2"), addBatch("y0", "y1")
 
 	// Reference: the same batches through Consume with the same failure.
-	ref := newTestPipeline(partitions, 2, true)
+	_, ref := newFeedPipeline(2)
 	ref.commitHook = hook
 	if _, err := ref.Consume(b1); err != nil {
 		t.Fatal(err)
@@ -232,7 +229,7 @@ func testFeedFailedBatchQuiesces(t *testing.T, partitions int) {
 		t.Fatal(err)
 	}
 
-	p := newTestPipeline(partitions, 2, true)
+	_, p := newFeedPipeline(2)
 	p.commitHook = hook
 	var published []uint64
 	f := NewFeed(p, FeedOptions{
@@ -331,52 +328,52 @@ func TestFeedSubmitAfterClose(t *testing.T) {
 }
 
 // TestConsumeMidBatchCommitErrorPrefix pins the partial-prefix contract on
-// the batch consume path itself, for every partition count: a commit failure
-// at delta i leaves deltas [0, i) applied with stats filled, nothing at or
-// after i applied, the error typed as *BatchError, and the pipeline's caches
-// consistent (the remaining deltas re-consume cleanly afterwards).
+// the batch consume path itself: a commit failure at delta i leaves deltas
+// [0, i) applied with stats filled, nothing at or after i applied, the error
+// typed as *BatchError, and the pipeline's caches consistent (the remaining
+// deltas re-consume cleanly afterwards). The pipeline is one partition; the
+// case keeps the subtest name it has always been reported under.
 func TestConsumeMidBatchCommitErrorPrefix(t *testing.T) {
+	t.Run("partitions=1", testConsumeMidBatchCommitErrorPrefix)
+}
+
+func testConsumeMidBatchCommitErrorPrefix(t *testing.T) {
 	failErr := errors.New("boom")
 	batch := addBatch("c0", "c1", "cbad", "c3")
-	for _, partitions := range []int{1, 3} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			// Expectation: just the prefix, on a clean pipeline.
-			want := newTestPipeline(partitions, 2, true)
-			if _, err := want.Consume(batch[:2]); err != nil {
-				t.Fatal(err)
-			}
+	// Expectation: just the prefix, on a clean pipeline.
+	_, want := newFeedPipeline(2)
+	if _, err := want.Consume(batch[:2]); err != nil {
+		t.Fatal(err)
+	}
 
-			p := newTestPipeline(partitions, 2, true)
-			kg := p.KG
-			p.commitHook = func(src string) error {
-				if src == "cbad" {
-					return failErr
-				}
-				return nil
-			}
-			stats, err := p.Consume(batch)
-			var be *BatchError
-			if !errors.As(err, &be) || be.Index != 2 || !errors.Is(err, failErr) {
-				t.Fatalf("error = %v", err)
-			}
-			if stats[0].LinkedAdds == 0 || stats[1].LinkedAdds == 0 {
-				t.Fatalf("prefix stats missing: %+v", stats[:2])
-			}
-			if stats[2].Source != "" || stats[3].Source != "" {
-				t.Fatalf("stats filled past the failure: %+v", stats[2:])
-			}
-			if got, want := graphBytes(t, kg), graphBytes(t, want.KG); got != want {
-				t.Fatal("KG does not equal the committed prefix")
-			}
-			// Caches stayed transactional with the prefix: the rest of the
-			// batch consumes cleanly once the failure clears.
-			p.commitHook = nil
-			if _, err := p.Consume(batch[2:]); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := kg.Lookup("cbad:e0"); !ok {
-				t.Fatal("failed delta did not consume after the error cleared")
-			}
-		})
+	kg, p := newFeedPipeline(2)
+	p.commitHook = func(src string) error {
+		if src == "cbad" {
+			return failErr
+		}
+		return nil
+	}
+	stats, err := p.Consume(batch)
+	var be *BatchError
+	if !errors.As(err, &be) || be.Index != 2 || !errors.Is(err, failErr) {
+		t.Fatalf("error = %v", err)
+	}
+	if stats[0].LinkedAdds == 0 || stats[1].LinkedAdds == 0 {
+		t.Fatalf("prefix stats missing: %+v", stats[:2])
+	}
+	if stats[2].Source != "" || stats[3].Source != "" {
+		t.Fatalf("stats filled past the failure: %+v", stats[2:])
+	}
+	if got, want := graphBytes(t, kg), graphBytes(t, want.KG); got != want {
+		t.Fatal("KG does not equal the committed prefix")
+	}
+	// Caches stayed transactional with the prefix: the rest of the batch
+	// consumes cleanly once the failure clears.
+	p.commitHook = nil
+	if _, err := p.Consume(batch[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := kg.Lookup("cbad:e0"); !ok {
+		t.Fatal("failed delta did not consume after the error cleared")
 	}
 }

@@ -183,7 +183,7 @@ func overlappingSpecs() []workload.SourceSpec {
 func TestPipelineWorkerCountByteIdentical(t *testing.T) {
 	run := func(workers int, indexed bool) *construct.KG {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ontology.Default(), 1)
+		p := construct.NewPipeline(kg, ontology.Default())
 		p.Workers = workers
 		if indexed {
 			p.EnableBlockIndex()
@@ -261,7 +261,7 @@ func TestConsumeParallelEqualsSequential(t *testing.T) {
 	}
 
 	kgSeq := construct.NewKG()
-	pSeq := construct.NewPipeline(kgSeq, ontology.Default(), 1)
+	pSeq := construct.NewPipeline(kgSeq, ontology.Default())
 	pSeq.Workers = 1
 	statsSeq, err := pSeq.ConsumeSequential(shuffle(independentDeltas(8)))
 	if err != nil {
@@ -269,7 +269,7 @@ func TestConsumeParallelEqualsSequential(t *testing.T) {
 	}
 
 	kgPar := construct.NewKG()
-	pPar := construct.NewPipeline(kgPar, ontology.Default(), 1)
+	pPar := construct.NewPipeline(kgPar, ontology.Default())
 	pPar.Workers = 8
 	statsPar, err := pPar.Consume(shuffle(independentDeltas(8)))
 	if err != nil {
@@ -310,7 +310,7 @@ func TestConcurrentConsumeDeltaRace(t *testing.T) {
 
 func testConcurrentConsumeDelta(t *testing.T, indexed bool) {
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ontology.Default(), 1)
+	p := construct.NewPipeline(kg, ontology.Default())
 	if indexed {
 		p.EnableBlockIndex()
 	}
@@ -373,7 +373,7 @@ func TestConsumeBatchedSequentialByteIdentical(t *testing.T) {
 	}
 	run := func(consume consumeFn, workers int, indexed bool) (string, []construct.SourceStats) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ontology.Default(), 1)
+		p := construct.NewPipeline(kg, ontology.Default())
 		p.Workers = workers
 		if indexed {
 			p.EnableBlockIndex()
@@ -417,7 +417,7 @@ func TestConsumeBatchedSequentialByteIdentical(t *testing.T) {
 // under the race detector.
 func TestConsumeConcurrentReaders(t *testing.T) {
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ontology.Default(), 1)
+	p := construct.NewPipeline(kg, ontology.Default())
 	p.Workers = 4 // parallel preparation even on single-CPU hosts
 	p.EnableBlockIndex()
 

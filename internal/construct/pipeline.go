@@ -14,15 +14,6 @@ import (
 // framework (§2.4, Figure 5). It always operates on source diffs: a brand-new
 // source arrives as a full Added payload.
 //
-// Construction is sharded across partitions ≥ 1 over the one KG: entity types
-// hash to an owner partition (PartitionOfType), each partition owns a block
-// index over its types, and a commit's fusion work fans out across partitions
-// on the worker budget while minting, linking, and object resolution stay in
-// canonical input order. With several partitions the volatile overwrites of a
-// commit are deferred to per-target backlogs and exchanged at batch boundaries
-// (partition.go); one partition writes them inline. Every partition count
-// constructs a byte-identical KG.
-//
 // Commit-schedule invariants (what may overlap, what serializes):
 //
 //   - Validation of every delta in a Consume batch completes before the first
@@ -39,8 +30,8 @@ import (
 //     components. It finishes for the whole batch before the first commit.
 //   - Commits serialize under the commit lock in input order. Every graph
 //     write — minting, object resolution, stub creation, fusion, index and
-//     resolver-cache maintenance — happens inside a commit (or a backlog
-//     flush under the same lock), in an order fixed by the input alone.
+//     resolver-cache maintenance — happens inside a commit, in an order fixed
+//     by the input alone.
 //
 // A parallel run therefore writes a KG byte-identical to a sequential one.
 type Pipeline struct {
@@ -74,21 +65,15 @@ type Pipeline struct {
 	// commit path currently triggers on its own.
 	commitHook func(source string) error
 
-	// partitions is the partition count (≥ 1), fixed at construction: the
-	// type → owner hash and the owned block indexes depend on it.
-	partitions int
-	// indexes, when non-nil, holds one block index per partition, each over
-	// the entity types its partition owns, and switches linking to the
-	// incremental path: deltas probe the owner's block-key → entity-ID index
-	// for KG-side candidates instead of scanning the full per-type KG view,
-	// and every commit refreshes the indexes for exactly the entities it
-	// wrote or removed. Nil links by full scan, the reference path; the
-	// constructed KG is byte-identical either way. Set by EnableBlockIndex.
-	indexes []*BlockIndex
+	// index, when non-nil, switches linking to the incremental path: deltas
+	// probe its block-key → entity-ID postings for KG-side candidates instead
+	// of scanning the full per-type KG view, and every commit refreshes it
+	// for exactly the entities it wrote or removed. Nil links by full scan,
+	// the reference path; the constructed KG is byte-identical either way.
+	// Set by EnableBlockIndex.
+	index *BlockIndex
 
-	// commitMu is the commit lock: commits and backlog flushes serialize
-	// under it (volatile overwrite and stable fusion on one target do not
-	// commute, so flushes cannot slide past commits).
+	// commitMu is the commit lock: commits serialize under it.
 	commitMu    sync.Mutex
 	conflictsMu sync.Mutex
 	conflicts   []Conflict
@@ -99,14 +84,8 @@ type Pipeline struct {
 	resolverMu    sync.Mutex
 	aliasResolver *AliasResolver
 
-	fusionMu   sync.Mutex
-	fusion     FusionStats
-	partFusion []FusionStats // per owner partition: the partition-balance signal
-
-	// volatileMu guards the deferred-overwrite backlog (partition.go).
-	volatileMu sync.Mutex
-	backlog    map[triple.EntityID]*deferredTarget
-	volStats   VolatileBacklogStats
+	fusionMu sync.Mutex
+	fusion   FusionStats
 }
 
 // FusionStats counts the commit phase's fusion traffic. Payloads/Targets is
@@ -126,13 +105,6 @@ func (p *Pipeline) FusionStats() FusionStats {
 	return p.fusion
 }
 
-// PartitionFusionStats reports the fusion counters split by owner partition.
-func (p *Pipeline) PartitionFusionStats() []FusionStats {
-	p.fusionMu.Lock()
-	defer p.fusionMu.Unlock()
-	return append([]FusionStats(nil), p.partFusion...)
-}
-
 // workers resolves the pipeline's effective worker count.
 func (p *Pipeline) workers() int {
 	if p.Workers > 0 {
@@ -141,68 +113,37 @@ func (p *Pipeline) workers() int {
 	return effectiveWorkers(p.Link.Workers)
 }
 
-// NewPipeline wires a construction pipeline of the given partition count
-// (values below 1 mean 1) over the KG and ontology, with default linking and
-// fusion parameters.
-func NewPipeline(kg *KG, ont *ontology.Ontology, partitions int) *Pipeline {
-	if partitions < 1 {
-		partitions = 1
-	}
-	return &Pipeline{
-		KG: kg, Ont: ont, Fuser: &Fuser{Ont: ont},
-		partitions: partitions,
-		partFusion: make([]FusionStats, partitions),
-		backlog:    make(map[triple.EntityID]*deferredTarget),
-	}
+// NewPipeline wires a construction pipeline over the KG and ontology, with
+// default linking and fusion parameters.
+func NewPipeline(kg *KG, ont *ontology.Ontology) *Pipeline {
+	return &Pipeline{KG: kg, Ont: ont, Fuser: &Fuser{Ont: ont}}
 }
 
-// Partitions returns the partition count.
-func (p *Pipeline) Partitions() int { return p.partitions }
-
-// EnableBlockIndex builds one block index per partition from the KG's current
-// state (the one full scan they ever perform) over the pipeline's linking
-// blocker and switches linking to the incremental path. Call after wiring
-// Link and before consuming deltas; every subsequent commit keeps the indexes
-// transactional with the KG. Every entity indexes in exactly the partitions
-// that own one of its types, so the per-commit refreshes together cost what a
-// single index's refresh would.
+// EnableBlockIndex builds the block index from the KG's current state (the
+// one full scan it ever performs) over the pipeline's linking blocker and
+// switches linking to the incremental path. Call after wiring Link and before
+// consuming deltas; every subsequent commit keeps the index transactional
+// with the KG.
 func (p *Pipeline) EnableBlockIndex() {
-	blocker := p.Link.withDefaults().Blocker
-	p.indexes = make([]*BlockIndex, p.partitions)
-	for i := range p.indexes {
-		var owns func(entityType string) bool
-		if p.partitions > 1 {
-			owns = func(entityType string) bool { return p.partOfType(entityType) == i }
-		}
-		p.indexes[i] = NewOwnedBlockIndex(blocker, owns)
-		p.indexes[i].Build(p.KG.Graph)
-	}
+	p.index = NewBlockIndex(p.Link.withDefaults().Blocker)
+	p.index.Build(p.KG.Graph)
 }
 
-// BlockIndexStats aggregates the partitions' block indexes into one view
-// (zero in full-scan mode).
+// BlockIndexStats reports the block index (zero in full-scan mode).
 func (p *Pipeline) BlockIndexStats() BlockIndexStats {
-	var st BlockIndexStats
-	for _, ix := range p.indexes {
-		s := ix.Stats()
-		st.Entities += s.Entities
-		st.Types += s.Types
-		st.Keys += s.Keys
-		st.Probes += s.Probes
-		st.Refreshes += s.Refreshes
+	if p.index == nil {
+		return BlockIndexStats{}
 	}
-	return st
+	return p.index.Stats()
 }
 
 // RefreshKGCaches re-derives the pipeline's KG-derived caches — the block
-// indexes and the cached alias resolver — for the given entities from the KG's
+// index and the cached alias resolver — for the given entities from the KG's
 // current state. The pipeline keeps both current for its own commits; callers
 // that mutate the graph directly (curation hot fixes, manual repairs) must
 // report the entities they touched or deleted here.
 func (p *Pipeline) RefreshKGCaches(ids ...triple.EntityID) {
-	for _, ix := range p.indexes {
-		ix.Refresh(p.KG.Graph, ids...)
-	}
+	p.index.Refresh(p.KG.Graph, ids...)
 	p.resolverMu.Lock()
 	cached := p.aliasResolver
 	p.resolverMu.Unlock()
@@ -228,7 +169,7 @@ func (p *Pipeline) kgResolver() *AliasResolver {
 // commit is all-or-nothing, so the failure splits the batch exactly: deltas
 // [0, Index) are fully applied — the partial-prefix contract — the delta at
 // Index failed before writing anything, and nothing at or after Index is
-// applied. The KG and its derived caches (block indexes, alias-resolver cache)
+// applied. The KG and its derived caches (block index, alias-resolver cache)
 // are byte-identical to consuming just the prefix, and the returned stats
 // carry exactly the prefix's entries.
 type BatchError struct {
@@ -361,10 +302,9 @@ func (p *Pipeline) validateDelta(d ingest.Delta) error {
 // snapshotDelta performs every KG read consuming the delta needs — update and
 // delete link lookups plus the per-type candidate gather (block-index probe
 // and candidate load, or KG-view materialization) — against the KG's current
-// state, each type group probing its owner partition's index. With the block
-// index enabled this is O(|delta|). The returned preparedDelta is
-// self-contained: computeDelta never touches the KG. b is the consume call's
-// shared helper-goroutine budget.
+// state. With the block index enabled this is O(|delta|). The returned
+// preparedDelta is self-contained: computeDelta never touches the KG. b is
+// the consume call's shared helper-goroutine budget.
 func (p *Pipeline) snapshotDelta(d ingest.Delta, b *WorkerBudget) *preparedDelta {
 	pd := &preparedDelta{delta: d}
 
@@ -394,8 +334,8 @@ func (p *Pipeline) snapshotDelta(d ingest.Delta, b *WorkerBudget) *preparedDelta
 	params := p.Link.withDefaults()
 	runIndexedBudget(b, p.workers(), len(pd.addTypes), func(i int) {
 		typ := pd.addTypes[i]
-		if p.indexes != nil {
-			pd.plans[i] = gatherTypeGroupIndexed(pd.addGroups[typ], p.KG, p.indexes[p.partOfType(typ)], typ, params)
+		if p.index != nil {
+			pd.plans[i] = gatherTypeGroupIndexed(pd.addGroups[typ], p.KG, p.index, typ, params)
 		} else {
 			pd.plans[i] = gatherTypeGroup(pd.addGroups[typ], p.KG.KGViewShared(typ), typ)
 		}
@@ -436,10 +376,6 @@ func (p *Pipeline) newBudget() *WorkerBudget {
 type fuseGroup struct {
 	id  triple.EntityID
 	ops []FuseOp
-	// part is the owner partition of the type context that first created the
-	// group. Distinct groups target distinct entities, so partition-parallel
-	// group application writes disjoint entity records.
-	part int
 }
 
 // fuse applies one group to the graph and returns its conflicts.
@@ -465,9 +401,9 @@ func (p *Pipeline) fuse(fuser *Fuser, g fuseGroup) []Conflict {
 // identifiers are minted in canonical type-then-cluster order, object
 // resolution runs (parallel over entities, with stub minting deferred to a
 // sequential canonical pass), and payloads fuse — grouped by target KG
-// entity, one batched fuse per target, partitions in parallel. Because every
-// write happens here, in an order fixed by the input alone, parallel and
-// sequential runs at every partition count produce byte-identical KGs.
+// entity, one batched fuse per target, targets in canonical order. Because
+// every write happens here, in an order fixed by the input alone, parallel and
+// sequential runs produce byte-identical KGs.
 func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats, error) {
 	d := pd.delta
 	stats := SourceStats{Source: d.Source}
@@ -513,12 +449,6 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 	for _, u := range pd.updates {
 		assignment[u.ent.ID] = u.kgID
 	}
-
-	// Flush-on-conflict: the assignment fixes this commit's stable write
-	// targets; any of them (or a delete target) carrying deferred volatile
-	// ops replays those first, restoring the volatile-before-next-stable-write
-	// order per target. With one partition nothing is ever deferred.
-	p.flushConflicts(assignment, pd.deleteLinks)
 
 	// Object resolution over adds and updates, parallel per entity; dangling
 	// references come back as deferred stub requests.
@@ -576,17 +506,16 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 	// merges).
 	groupIdx := make(map[triple.EntityID]int)
 	var groups []fuseGroup
-	addOp := func(id triple.EntityID, op FuseOp, part int) {
+	addOp := func(id triple.EntityID, op FuseOp) {
 		gi, ok := groupIdx[id]
 		if !ok {
 			gi = len(groups)
 			groupIdx[id] = gi
-			groups = append(groups, fuseGroup{id: id, part: part})
+			groups = append(groups, fuseGroup{id: id})
 		}
 		groups[gi].ops = append(groups[gi].ops, op)
 	}
-	for i, outcome := range outcomes {
-		part := p.partOfType(pd.addTypes[i])
+	for _, outcome := range outcomes {
 		for lo := 0; lo < len(outcome.SameAs); {
 			hi := lo + 1
 			for hi < len(outcome.SameAs) && outcome.SameAs[hi].Subject == outcome.SameAs[lo].Subject {
@@ -594,12 +523,11 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 			}
 			carrier := triple.NewEntity(outcome.SameAs[lo].Subject)
 			carrier.Add(outcome.SameAs[lo:hi]...)
-			addOp(carrier.ID, FuseOp{Incoming: carrier}, part)
+			addOp(carrier.ID, FuseOp{Incoming: carrier})
 			lo = hi
 		}
 	}
 	for _, typ := range pd.addTypes {
-		part := p.partOfType(typ)
 		for _, e := range pd.addGroups[typ] {
 			kgID, ok := assignment[e.ID]
 			if !ok {
@@ -607,37 +535,23 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 			}
 			linked := e.Clone()
 			linked.Rewrite(kgID, nil)
-			addOp(kgID, FuseOp{Incoming: linked}, part)
+			addOp(kgID, FuseOp{Incoming: linked})
 		}
 	}
 	for _, u := range pd.updates {
 		// Replace this source's stable contribution: strip, then re-fuse.
 		linked := u.ent.Clone()
 		linked.Rewrite(u.kgID, nil)
-		addOp(u.kgID, FuseOp{StripSource: d.Source, Incoming: linked}, p.partOfEntity(u.ent))
+		addOp(u.kgID, FuseOp{StripSource: d.Source, Incoming: linked})
 		stats.Updated++
 	}
-	// Partition-parallel group application: distinct groups write distinct
-	// entities (groupIdx dedupes globally), and within a partition groups
-	// apply in canonical creation order. Per-group conflict slices reassemble
-	// in group order, so the curation stream never depends on scheduling.
-	groupConflicts := make([][]Conflict, len(groups))
-	runIndexedBudget(b, p.workers(), p.partitions, func(part int) {
-		for gi, g := range groups {
-			if g.part == part {
-				groupConflicts[gi] = p.fuse(fuser, g)
-			}
-		}
-	})
 	var conflicts []Conflict
 	payloads := 0
-	p.fusionMu.Lock()
-	for gi, g := range groups {
+	for _, g := range groups {
 		payloads += len(g.ops)
-		p.partFusion[g.part].Targets++
-		p.partFusion[g.part].Payloads += len(g.ops)
-		conflicts = append(conflicts, groupConflicts[gi]...)
+		conflicts = append(conflicts, p.fuse(fuser, g)...)
 	}
+	p.fusionMu.Lock()
 	p.fusion.Commits++
 	p.fusion.Targets += len(groups)
 	p.fusion.Payloads += payloads
@@ -661,17 +575,7 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 		stats.addUnlink(dl.src)
 		stats.Deleted++
 	}
-	// written lists the entities this commit writes to the graph. Touched —
-	// the publish contract — additionally carries the targets whose volatile
-	// overwrite is only deferred below: they hold unpublished state, but the
-	// KG-derived caches refresh from what was actually written.
-	written := make([]triple.EntityID, 0, len(touched))
-	for id := range touched {
-		written = append(written, id)
-	}
-	// Volatile partition overwrite runs after the stable payloads fused: one
-	// partition writes it inline, several defer it to the target's backlog
-	// for the next exchange (FlushVolatile).
+	// Volatile partition overwrite runs after the stable payloads fused.
 	removed := make(map[triple.EntityID]bool, len(stats.Removed))
 	for _, id := range stats.Removed {
 		removed[id] = true
@@ -689,14 +593,7 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 			// no stable facts and put its id in both Touched and Removed.
 			continue
 		}
-		if p.partitions > 1 {
-			p.enqueueVolatile(kgID, d.Source, v)
-		} else {
-			ApplyVolatileOverwrite(p.KG.Graph, kgID, d.Source, v, p.Ont)
-			if !touched[kgID] {
-				written = append(written, kgID)
-			}
-		}
+		ApplyVolatileOverwrite(p.KG.Graph, kgID, d.Source, v, p.Ont)
 		touched[kgID] = true
 		stats.Volatile++
 	}
@@ -713,11 +610,11 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 	}
 	// Transactional cache maintenance: still under the commit lock, re-index
 	// exactly the entities this commit wrote and drop the ones it removed —
-	// one refresh per target KG id — in both the block indexes and the cached
+	// one refresh per target KG id — in both the block index and the cached
 	// alias resolver. The next snapshot — whether of the next batch or a
 	// concurrent consume call — reads caches that match the graph it links
 	// against.
-	p.RefreshKGCaches(written...)
+	p.RefreshKGCaches(stats.Touched...)
 	p.RefreshKGCaches(stats.Removed...)
 	return stats, nil
 }

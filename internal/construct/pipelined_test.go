@@ -31,7 +31,7 @@ func graphBytes(t *testing.T, kg *KG) string {
 // half-applied with no way to tell which deltas landed.
 func TestConsumeBadDeltaLeavesKGUntouched(t *testing.T) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default(), 1)
+	p := NewPipeline(kg, ontology.Default())
 	if _, err := p.ConsumeDelta(ingest.Delta{
 		Source: "seed", Added: []*triple.Entity{sourceArtist("seed", "a", "Seed Artist")},
 	}); err != nil {
@@ -87,7 +87,7 @@ func TestDeleteThenReaddTouchedRemovedDisjoint(t *testing.T) {
 	// resurrect the removed entity as a ghost — the sole-source entity ends
 	// up removed, and must not also report as touched.
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default(), 1)
+	p := NewPipeline(kg, ontology.Default())
 	if _, err := p.ConsumeDelta(ingest.Delta{
 		Source: "s", Added: []*triple.Entity{sourceArtist("s", "a", "Phoenix")},
 	}); err != nil {
@@ -119,7 +119,7 @@ func TestDeleteThenReaddTouchedRemovedDisjoint(t *testing.T) {
 	// Delete and re-add split across the deltas of one batch; every
 	// delta's stats must keep the invariant.
 	kg2 := NewKG()
-	p2 := NewPipeline(kg2, ontology.Default(), 1)
+	p2 := NewPipeline(kg2, ontology.Default())
 	if _, err := p2.ConsumeDelta(ingest.Delta{
 		Source: "s", Added: []*triple.Entity{sourceArtist("s", "a", "Phoenix")},
 	}); err != nil {
@@ -145,7 +145,7 @@ func TestDeleteThenReaddTouchedRemovedDisjoint(t *testing.T) {
 // which used to be omitted entirely.
 func TestSourceStatsStringReportsRemovals(t *testing.T) {
 	kg := NewKG()
-	p := NewPipeline(kg, ontology.Default(), 1)
+	p := NewPipeline(kg, ontology.Default())
 	if _, err := p.ConsumeDelta(ingest.Delta{
 		Source: "s1", Added: []*triple.Entity{sourceArtist("s1", "a", "Solo")},
 	}); err != nil {
@@ -182,7 +182,7 @@ func TestSourceStatsStringReportsRemovals(t *testing.T) {
 func TestCachedAliasResolverTracksCommits(t *testing.T) {
 	ont := ontology.Default()
 	kg := NewKG()
-	p := NewPipeline(kg, ont, 1)
+	p := NewPipeline(kg, ont)
 
 	label := triple.NewEntity("s:lbl")
 	addf := func(e *triple.Entity, pred string, v triple.Value) {

@@ -23,7 +23,7 @@ import (
 func TestConsumeConcurrentWithSnapshotAndRangeReaders(t *testing.T) {
 	ont := ontology.Default()
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ont, 1)
+	p := construct.NewPipeline(kg, ont)
 	p.Workers = 4
 	p.EnableBlockIndex()
 
@@ -113,7 +113,7 @@ func TestSnapshotMatchesSequentialStateBetweenBatches(t *testing.T) {
 	ont := ontology.Default()
 	build := func(workers int) (*construct.KG, *construct.Pipeline) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ont, 1)
+		p := construct.NewPipeline(kg, ont)
 		p.Workers = workers
 		p.EnableBlockIndex()
 		return kg, p

@@ -220,9 +220,9 @@ func (p *Platform) runCheckpoint() (uint64, error) {
 
 // checkpointDue counts a publish group's batches toward the periodic
 // checkpoint cadence and reports whether a checkpoint has come due. The
-// publish routine asks before it publishes, so a due checkpoint forces the
-// cross-partition exchange first and the snapshot is a true batch-boundary
-// state. Callers hold the publish turn.
+// publish routine asks before it publishes and checkpoints after the group's
+// ops, so the snapshot is a batch-boundary state. Callers hold the publish
+// turn.
 func (p *Platform) checkpointDue(published int) bool {
 	if p.Checkpoints == nil || p.ckptEvery <= 0 || published == 0 {
 		return false

@@ -53,33 +53,21 @@ func durabilityBatches(rounds int) [][]ingest.Delta {
 	return out
 }
 
-// durabilityConfigs enumerates the recovery matrix: both durable layouts
-// (hybrid memory-backend-with-durability-dir, full disk backend), single and
-// partitioned construction.
-func durabilityConfigs() []struct {
+// durabilityConfig is one cell of the recovery matrix.
+type durabilityConfig struct {
 	name    string
-	parts   int
 	backend string
-} {
-	return []struct {
-		name    string
-		parts   int
-		backend string
-	}{
-		{"hybrid", 1, ""},
-		{"hybrid-partitioned", 3, ""},
-		{"disk", 1, "disk"},
-		{"disk-partitioned", 3, "disk"},
-	}
+}
+
+// durabilityConfigs enumerates the recovery matrix: both durable layouts
+// (hybrid memory-backend-with-durability-dir, full disk backend).
+func durabilityConfigs() []durabilityConfig {
+	return []durabilityConfig{{"hybrid", ""}, {"disk", "disk"}}
 }
 
 // durableOptions builds the Options for one matrix cell rooted at dir.
-func durableOptions(cfg struct {
-	name    string
-	parts   int
-	backend string
-}, dir string) Options {
-	opts := Options{Construction: ConstructionOptions{Workers: 2, Partitions: cfg.parts}}
+func durableOptions(cfg durabilityConfig, dir string) Options {
+	opts := Options{Construction: ConstructionOptions{Workers: 2}}
 	if cfg.backend == "" {
 		opts.Durability.Dir = dir
 	} else {
@@ -190,11 +178,7 @@ func snapshotTree(t *testing.T, src string) string {
 
 // reopenState opens a platform over dir with the given config, captures its
 // full recovered state, and closes it.
-func reopenState(t *testing.T, cfg struct {
-	name    string
-	parts   int
-	backend string
-}, dir string) durableState {
+func reopenState(t *testing.T, cfg durabilityConfig, dir string) durableState {
 	t.Helper()
 	p, err := Open(durableOptions(cfg, dir))
 	if err != nil {
@@ -211,11 +195,7 @@ func reopenState(t *testing.T, cfg struct {
 // from the snapshot with its checkpoints must be byte-identical to one
 // reopened from the same snapshot with the checkpoints deleted (pure log
 // replay from genesis). Checkpoints are an accelerator, never a fork.
-func assertSnapshotConverges(t *testing.T, cfg struct {
-	name    string
-	parts   int
-	backend string
-}, snap, label string) {
+func assertSnapshotConverges(t *testing.T, cfg durabilityConfig, snap, label string) {
 	t.Helper()
 	bare := snapshotTree(t, snap)
 	if err := os.RemoveAll(filepath.Join(bare, "checkpoints")); err != nil {
@@ -295,7 +275,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 // a standing feed, periodic checkpoints, and background compaction are all
 // running — the file-level state a kill -9 leaves — and requires every
 // snapshot to reopen successfully and converge: recovery via checkpoint
-// byte-identical to full log replay, on every backend and partitioning.
+// byte-identical to full log replay, on every backend.
 func TestKillPointRecovery(t *testing.T) {
 	for _, cfg := range durabilityConfigs() {
 		cfg := cfg
@@ -480,9 +460,9 @@ func TestPeriodicCheckpointAndCompaction(t *testing.T) {
 
 // TestCloseWithInFlightFeedAndCompaction: Close while the feed still has
 // unpublished backlog and the background compactor may be mid-run must settle
-// everything in order — every submitted batch commits and publishes, no
-// deferred exchanges survive, and the reopened platform matches the closed
-// one exactly (orphaned state would surface as a diff or a reopen error).
+// everything in order — every submitted batch commits and publishes, and the
+// reopened platform matches the closed one exactly (orphaned state would
+// surface as a diff or a reopen error).
 func TestCloseWithInFlightFeedAndCompaction(t *testing.T) {
 	for _, cfg := range durabilityConfigs() {
 		cfg := cfg

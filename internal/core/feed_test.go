@@ -11,10 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"saga/internal/construct"
 	"saga/internal/ingest"
+	"saga/internal/triple"
 	"saga/internal/views"
 	"saga/internal/workload"
 )
@@ -141,17 +143,15 @@ func TestFeedDrainBeforeServing(t *testing.T) {
 // TestConsumeDeltasPublishFailureHeals: an Engine.Publish failure for one
 // delta must not stop the batch's other deltas from reaching the stores, and
 // the failed delta's effects must re-sync from the KG at the next publish
-// point — RefreshServing and the agents never stay diverged.
+// point — RefreshServing and the agents never stay diverged. Construction is
+// one partition; the case keeps the subtest name it has always been reported
+// under.
 func TestConsumeDeltasPublishFailureHeals(t *testing.T) {
-	for _, partitions := range []int{1, 3} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			testConsumeDeltasPublishFailureHeals(t, partitions)
-		})
-	}
+	t.Run("partitions=1", testConsumeDeltasPublishFailureHeals)
 }
 
-func testConsumeDeltasPublishFailureHeals(t *testing.T, partitions int) {
-	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2, Partitions: partitions}})
+func testConsumeDeltasPublishFailureHeals(t *testing.T) {
+	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
 	failErr := errors.New("injected publish failure")
 	p.publishHook = func(source string) error {
 		if source == "src01" {
@@ -187,17 +187,14 @@ func testConsumeDeltasPublishFailureHeals(t *testing.T, partitions int) {
 // TestFeedPublishFailureHealsLaterBatchesCommit: a publish failure inside
 // the feed's async publisher fails that batch's result only; later batches
 // commit and publish, and the failed batch's effects heal at the next
-// publish point.
+// publish point. Construction is one partition; the case keeps the subtest
+// name it has always been reported under.
 func TestFeedPublishFailureHealsLaterBatchesCommit(t *testing.T) {
-	for _, partitions := range []int{1, 3} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			testFeedPublishFailureHealsLaterBatchesCommit(t, partitions)
-		})
-	}
+	t.Run("partitions=1", testFeedPublishFailureHealsLaterBatchesCommit)
 }
 
-func testFeedPublishFailureHealsLaterBatchesCommit(t *testing.T, partitions int) {
-	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2, Partitions: partitions}})
+func testFeedPublishFailureHealsLaterBatchesCommit(t *testing.T) {
+	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
 	failErr := errors.New("injected publish failure")
 	p.publishHook = func(source string) error {
 		if source == "src01" {
@@ -303,5 +300,176 @@ func TestPlatformFeedEmptyBatch(t *testing.T) {
 	}
 	if got := p.Engine.Log.LastLSN(); got != 0 {
 		t.Fatalf("empty batch published %d ops", got)
+	}
+}
+
+// churnStream builds a mixed stream over sources sharing entity types
+// (cross-source fusion): adds, shifted-window updates, deletes, and rounds of
+// volatile popularity churn with a stable update every third round.
+func churnStream(rounds, sources, count int) [][]ingest.Delta {
+	batches := make([][]ingest.Delta, rounds)
+	for r := range batches {
+		deltas := make([]ingest.Delta, 0, sources)
+		for s := 0; s < sources; s++ {
+			src := fmt.Sprintf("src%02d", s)
+			offset := 0
+			if r >= 1 {
+				offset = 4
+			}
+			spec := workload.SourceSpec{
+				Name: src, Type: fmt.Sprintf("kind%02d", s%2),
+				Offset: offset, Count: count,
+				DupRate: 0.1, TypoRate: 0.1, RichFacts: 2,
+				Seed: int64(r*100 + s + 1),
+			}
+			switch {
+			case r == 0:
+				deltas = append(deltas, spec.Delta())
+			case r == 1:
+				deltas = append(deltas, ingest.Delta{Source: src, Updated: spec.Entities()})
+			default:
+				d := ingest.Delta{Source: src}
+				if r == 2 {
+					d.Deleted = []triple.EntityID{
+						triple.EntityID(fmt.Sprintf("%s:e%d", src, s+4)),
+					}
+				}
+				for u := 0; u < count+4; u++ {
+					vol := triple.NewEntity(triple.EntityID(fmt.Sprintf("%s:e%d", src, u)))
+					vol.Add(triple.New("", "popularity",
+						triple.Float(float64(r)+float64(u)/1000)).WithSource(src, 0.9))
+					d.Volatile = append(d.Volatile, vol)
+				}
+				if r%3 == 0 {
+					d.Updated = spec.Entities()
+				}
+				deltas = append(deltas, d)
+			}
+		}
+		batches[r] = deltas
+	}
+	return batches
+}
+
+// TestFeedConcurrentServingReaders hammers the serving surfaces — platform
+// stats, COW snapshots, text search, entity store scans, replica ranges, KGQ
+// queries — while a feed ingests volatile-heavy batches. Run with -race; the
+// assertions are liveness plus a fully published final state.
+func TestFeedConcurrentServingReaders(t *testing.T) {
+	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
+	batches := churnStream(8, 3, 8)
+	f, err := p.Feed(FeedOptions{Queue: 2, PublishQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				switch r {
+				case 0:
+					_ = p.Stats()
+					snap := p.KG.Graph.Snapshot()
+					_ = snap.Len()
+				case 1:
+					_ = p.TextIndex.Search("okafor", 5)
+					_ = p.EntityStore.Range(func(e *triple.Entity) bool { return true })
+				case 2:
+					p.GraphReplica.RangeShared(func(e *triple.Entity) bool { return true })
+					_, _ = p.Query(`entity(type="kind00") | attr("popularity")`)
+				}
+			}
+		}(r)
+	}
+
+	results := make([]<-chan construct.BatchResult, 0, len(batches))
+	for _, b := range batches {
+		results = append(results, f.Submit(b))
+	}
+	for i, ch := range results {
+		if res := <-ch; res.Err != nil {
+			t.Fatalf("batch %d: %v", i, res.Err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.GraphReplica.Triples(), p.KG.Graph.Triples(); !reflect.DeepEqual(got, want) {
+		t.Fatal("replica diverged from the KG after the feed closed")
+	}
+}
+
+// TestLinkDeltasRideSettlingSource: a link-table delta reaches the log on an
+// op of a source that settled it — never re-attributed to a synthetic
+// producer — and every settled key reaches the log at all (recovery replays
+// the table from these ops alone). Construction is one partition; the case
+// keeps the subtest name it has always been reported under.
+func TestLinkDeltasRideSettlingSource(t *testing.T) {
+	t.Run("partitions=1", testLinkDeltasRideSettlingSource)
+}
+
+func testLinkDeltasRideSettlingSource(t *testing.T) {
+	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
+	batches := churnStream(5, 3, 8)
+	f, err := p.Feed(FeedOptions{Queue: 2, PublishQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]<-chan construct.BatchResult, 0, len(batches))
+	for _, b := range batches {
+		results = append(results, f.Submit(b))
+	}
+	settledBy := make(map[triple.EntityID]map[string]bool)
+	settle := func(key triple.EntityID, source string) {
+		if settledBy[key] == nil {
+			settledBy[key] = make(map[string]bool)
+		}
+		settledBy[key][source] = true
+	}
+	for i, ch := range results {
+		res := <-ch
+		if res.Err != nil {
+			t.Fatalf("batch %d: %v", i, res.Err)
+		}
+		for _, st := range res.Stats {
+			for key := range st.Links {
+				settle(key, st.Source)
+			}
+			for _, key := range st.Unlinks {
+				settle(key, st.Source)
+			}
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logged := make(map[triple.EntityID]bool)
+	for _, op := range p.Engine.Log.Read(0, 0) {
+		keys := append([]triple.EntityID(nil), op.Unlinks...)
+		for key := range op.Links {
+			keys = append(keys, key)
+		}
+		for _, key := range keys {
+			logged[key] = true
+			if !settledBy[key][op.Source] {
+				t.Fatalf("lsn %d: link delta %s rides an op of %q, settled by %v", op.LSN, key, op.Source, settledBy[key])
+			}
+		}
+	}
+	for key := range settledBy {
+		if !logged[key] {
+			t.Fatalf("settled link key %s never reached the log", key)
+		}
 	}
 }

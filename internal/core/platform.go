@@ -55,19 +55,6 @@ type ConstructionOptions struct {
 	// GOMAXPROCS; 1 forces the sequential reference path. The constructed KG
 	// is identical for every value — workers only change wall-clock time.
 	Workers int
-	// Partitions shards the construction pipeline across N concurrently
-	// fusing partitions over one shared KG (entity types hash to an owner
-	// partition; with N > 1 cross-partition volatile traffic exchanges at
-	// batch boundaries — see docs/INVARIANTS.md#cross-partition-linking). 0
-	// means 1; every value constructs a byte-identical KG.
-	Partitions int
-	// ExchangeInterval is the number of published batches between
-	// cross-partition exchanges (backlog flush + deferred publish); 0 means
-	// DefaultExchangeInterval. Entities with deferred volatile state publish
-	// at the next exchange (and always at drain), so the interval bounds
-	// serving staleness, never final state. With one partition nothing is
-	// ever deferred and the exchange finds nothing to do.
-	ExchangeInterval int
 }
 
 // DurabilityOptions configures crash recovery: where durable log/checkpoint
@@ -105,17 +92,10 @@ type Options struct {
 	Durability DurabilityOptions
 }
 
-// DefaultExchangeInterval is the default cross-partition exchange cadence, in
-// published batches.
-const DefaultExchangeInterval = 8
-
 // withDefaults resolves zero values to their documented defaults.
 func (o Options) withDefaults() Options {
 	if o.Ontology == nil {
 		o.Ontology = ontology.Default()
-	}
-	if o.Construction.ExchangeInterval <= 0 {
-		o.Construction.ExchangeInterval = DefaultExchangeInterval
 	}
 	return o
 }
@@ -124,8 +104,8 @@ func (o Options) withDefaults() Options {
 type Platform struct {
 	Ont *ontology.Ontology
 	KG  *construct.KG
-	// Pipeline is the construction pipeline (Construction.Partitions
-	// partitions), the sole producer into the Graph Engine's log.
+	// Pipeline is the construction pipeline, the sole producer into the
+	// Graph Engine's log.
 	Pipeline *construct.Pipeline
 
 	Engine       *graphengine.Engine
@@ -171,14 +151,8 @@ type Platform struct {
 
 	// pubMu is the publish turn: publishGroup holds it end to end, so the
 	// feed's publisher and the inline callers (synchronous consumes, drains)
-	// never interleave their log appends. It also guards the carry set: each
-	// entity a commit touched while its volatile ops were still deferred,
-	// mapped to the source that last touched it. Carried entities publish at
-	// the next exchange, when the backlog has flushed; drain forces one.
-	pubMu         sync.Mutex
-	pubCarry      map[triple.EntityID]string
-	pubBatches    int // published batches since the last exchange
-	exchangeEvery int
+	// never interleave their log appends.
+	pubMu sync.Mutex
 
 	// linkReplica is the log-derived link table: a FuncAgent replays every
 	// op's Links/Unlinks into it, so after a CatchUp it is exactly the link
@@ -291,12 +265,10 @@ func Open(opts Options) (_ *Platform, err error) {
 		return nil, err
 	}
 
-	p.Pipeline = construct.NewPipeline(p.KG, opts.Ontology, opts.Construction.Partitions)
+	p.Pipeline = construct.NewPipeline(p.KG, opts.Ontology)
 	p.Pipeline.Link = opts.Construction.LinkParams
 	p.Pipeline.Workers = opts.Construction.Workers
 	p.Pipeline.EnableBlockIndex()
-	p.exchangeEvery = opts.Construction.ExchangeInterval
-	p.pubCarry = make(map[triple.EntityID]string)
 	p.ckptEvery = opts.Durability.CheckpointEvery
 	p.compactAfter = opts.Durability.CompactAfter
 	p.ViewManager = views.NewManager(p.ViewCatalog)
@@ -373,9 +345,7 @@ func (p *Platform) ConsumeDelta(d ingest.Delta) (construct.SourceStats, error) {
 // With a standing feed open, the batch is routed through it (submitted and
 // awaited) so the feed's commit loop and ordered publisher stay the engine's
 // only producer. Without one, the call is a feed group of one run inline: the
-// same capture and the same publish routine, with the cross-partition
-// exchange forced first because a synchronous call has no later exchange
-// point to defer to.
+// same capture and the same publish routine.
 //
 // Error contract: a *construct.BatchError means the committed prefix (see
 // that type) stayed applied — its effects are still published so the stores
@@ -399,7 +369,6 @@ func (p *Platform) ConsumeDeltas(deltas []ingest.Delta) ([]construct.SourceStats
 	b.Stats, err = p.Pipeline.Consume(deltas)
 	// On a mid-batch commit error the uncommitted entries are zero (empty
 	// Touched/Removed), so exactly the applied prefix publishes.
-	p.Pipeline.FlushVolatile()
 	p.captureFeedBatch(b)
 	pubErr := p.publishGroup([]*construct.FeedBatch{b})
 	if err != nil {
@@ -553,10 +522,10 @@ func (p *Platform) Feed(opts FeedOptions) (*construct.Feed, error) {
 		PublishQueue: opts.PublishQueue,
 		OnCommit:     p.captureFeedBatch,
 		Publish:      p.publishGroup,
-		// Close must leave nothing deferred: exchange and publish the whole
-		// carry set before it returns, so a closed feed means every store
-		// reflects every committed batch.
-		OnClose: p.finalExchange,
+		// Close retries queued failed publishes and catches every agent up
+		// before it returns, so a closed feed means every store reflects
+		// every committed batch the engine accepted.
+		OnClose: p.retryAndCatchUp,
 	})
 	p.feed = f
 	return f, nil
@@ -567,13 +536,10 @@ func (p *Platform) Feed(opts FeedOptions) (*construct.Feed, error) {
 // Capturing there (shared records — no clone, just pointer grabs) pins exactly
 // the entity states the commit produced, so the publisher appends the same
 // operations to the log no matter how far construction has advanced by the
-// time the publish runs. A touched entity whose volatile ops are still
-// deferred has no publishable state yet: it is recorded by id and carried to
-// the next exchange.
+// time the publish runs.
 type capturedOp struct {
 	source   string
 	upserts  []*triple.Entity
-	deferred []triple.EntityID
 	removed  []triple.EntityID
 	linkSrcs []triple.EntityID
 }
@@ -594,9 +560,7 @@ func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 		}
 		op := capturedOp{source: st.Source, removed: st.Removed, linkSrcs: linkSrcs}
 		for _, id := range st.Touched {
-			if p.Pipeline.HasPending(id) {
-				op.deferred = append(op.deferred, id)
-			} else if e := p.KG.Graph.GetShared(id); e != nil {
+			if e := p.KG.Graph.GetShared(id); e != nil {
 				op.upserts = append(op.upserts, e)
 			}
 		}
@@ -620,15 +584,6 @@ func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 // log carries one operation per entity per drain instead of one per entity
 // per batch. On an update-heavy stream this is what lets a publisher that
 // falls behind catch back up instead of lagging forever.
-//
-// Entities captured as deferred join the carry set instead of the log. Every
-// exchangeEvery batches — and whenever a barrier or a checkpoint wants a true
-// batch-boundary state — the routine runs the cross-partition exchange
-// (FlushVolatile) and publishes the whole carry set at its now-final state.
-// That deferral is the multi-partition win on churn-heavy streams: an entity
-// overwritten in every batch of an exchange window costs one graph write, one
-// log op, and one replay instead of one per batch. With one partition the
-// carry set stays empty and the exchange finds nothing to flush.
 func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 	p.pubMu.Lock()
 	defer p.pubMu.Unlock()
@@ -648,10 +603,9 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 	}
 	var evs []event
 	linkBySrc := make(map[string]map[triple.EntityID]bool)
-	published, exchange, wantCkpt := 0, false, false
+	published, wantCkpt := 0, false
 	for _, b := range group {
 		if b.Barrier {
-			exchange = true
 			if _, ok := b.Payload.(checkpointRequest); ok {
 				wantCkpt = true
 			}
@@ -660,19 +614,11 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 		published++
 		ops, _ := b.Payload.([]capturedOp)
 		for _, op := range ops {
-			// A state captured with nothing deferred supersedes an older
-			// carry entry; a newer deferral supersedes nothing (the older
-			// captured state is still one the stores may see).
 			for _, e := range op.upserts {
 				evs = append(evs, event{source: op.source, id: e.ID, e: e})
-				delete(p.pubCarry, e.ID)
 			}
 			for _, id := range op.removed {
 				evs = append(evs, event{source: op.source, id: id})
-				delete(p.pubCarry, id)
-			}
-			for _, id := range op.deferred {
-				p.pubCarry[id] = op.source
 			}
 			for _, src := range op.linkSrcs {
 				set := linkBySrc[op.source]
@@ -685,28 +631,6 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 		}
 	}
 	wantCkpt = p.checkpointDue(published) || wantCkpt
-	p.pubBatches += published
-	if exchange || wantCkpt || p.pubBatches >= p.exchangeEvery {
-		p.pubBatches = 0
-		p.Pipeline.FlushVolatile()
-		// The carried entities' state is final now: they publish last, at
-		// the graph's current state (upsert if present, delete if gone),
-		// grouped by source so each source costs one op.
-		ids := make([]triple.EntityID, 0, len(p.pubCarry))
-		for id := range p.pubCarry {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool {
-			if si, sj := p.pubCarry[ids[i]], p.pubCarry[ids[j]]; si != sj {
-				return si < sj
-			}
-			return ids[i] < ids[j]
-		})
-		for _, id := range ids {
-			evs = append(evs, event{source: p.pubCarry[id], id: id, e: p.KG.Graph.GetShared(id)})
-			delete(p.pubCarry, id)
-		}
-	}
 	last := make(map[triple.EntityID]int, len(evs))
 	for i, ev := range evs {
 		last[ev.id] = i
@@ -757,9 +681,8 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 		}
 	}
 	flush(runSource, runUpserts, runRemoved)
-	// A source whose entity events all conflated away (or are carried) still
-	// owes its link deltas: they ride a links-only op, one per source, in
-	// source order.
+	// A source whose entity events all conflated away still owes its link
+	// deltas: they ride a links-only op, one per source, in source order.
 	if len(linkBySrc) > 0 {
 		rest := make([]string, 0, len(linkBySrc))
 		for source := range linkBySrc {
@@ -783,11 +706,11 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 	return firstErr
 }
 
-// finalExchange forces a cross-partition exchange and publishes the whole
-// carry set — a publish group holding one bare barrier — so direct readers of
-// the serving stores observe fully exchanged, fully published state. Publish
-// errors stay queued for retry (flushPending).
-func (p *Platform) finalExchange() {
+// retryAndCatchUp takes a publish turn with nothing new to publish — a group
+// holding one bare barrier — which retries queued failed publishes and
+// catches every agent up, so direct readers of the serving stores observe
+// fully published state. Still-failing publishes stay queued (flushPending).
+func (p *Platform) retryAndCatchUp() {
 	_ = p.publishGroup([]*construct.FeedBatch{{Barrier: true}}) //saga:errok failed publishes re-queue inside publishRaw and retry at the next publish point
 }
 
@@ -815,23 +738,20 @@ func (p *Platform) drainFeed() {
 	if f != nil {
 		f.Drain()
 	}
-	// The drained batches may have deferred volatile state and carried
-	// (unpublished) entities; exchange and publish them so the graph and
-	// every store reflect the drained batches completely. As a publish turn
-	// this also retries queued failed publishes and catches every agent up on
-	// whatever reached the log.
-	p.finalExchange()
+	// Retry queued failed publishes and catch every agent up on whatever
+	// reached the log, so every store reflects the drained batches.
+	p.retryAndCatchUp()
 }
 
 // Close shuts the platform down, in dependency order: the standing feed (if
-// open) is closed and its backlog published, deferred cross-partition state
-// is settled, the background compactor is stopped and waited for, and only then
+// open) is closed and its backlog published, queued failed publishes are
+// retried, the background compactor is stopped and waited for, and only then
 // do the operation log, staging store, checkpoint store, entity store, and
 // text index release their storage backends (for durable backends that also
 // syncs and closes their files) — so no compaction or publish can race a
-// closing store, and a clean Close leaves no deferred exchanges or orphaned
-// segments behind. Close is not safe concurrently with other platform calls;
-// the platform is unusable afterwards. Reopen with Open to recover.
+// closing store, and a clean Close leaves no orphaned segments behind. Close
+// is not safe concurrently with other platform calls; the platform is
+// unusable afterwards. Reopen with Open to recover.
 func (p *Platform) Close() error {
 	p.feedMu.Lock()
 	f := p.feed
@@ -842,8 +762,8 @@ func (p *Platform) Close() error {
 			firstErr = err
 		}
 	}
-	// Settle any deferred cross-partition state before the log closes.
-	p.finalExchange()
+	// Retry queued failed publishes before the log closes.
+	p.retryAndCatchUp()
 	p.stopCompactor()
 	if p.Checkpoints != nil {
 		if err := p.Checkpoints.Close(); err != nil && firstErr == nil {
@@ -898,7 +818,7 @@ func (p *Platform) checkpointNow() error {
 		// checkpoint directly.
 		f.Drain()
 	}
-	p.drainFeed() // also settles deferred cross-partition state
+	p.drainFeed()
 	if err := p.flushPending(); err != nil {
 		return err
 	}
@@ -1033,17 +953,11 @@ type Stats struct {
 	Links        int
 	LogLSN       uint64
 	LiveEntities int
-	// BlockIndex reports the incremental linking index, aggregated over the
-	// partitions' owned indexes.
+	// BlockIndex reports the incremental linking index.
 	BlockIndex construct.BlockIndexStats
 	// Fusion reports the commit phase's fusion traffic; Payloads/Targets is
 	// the per-target batching amortization.
 	Fusion construct.FusionStats
-	// Partitions is the construction partition count; Volatile counts the
-	// deferred-overwrite traffic of the cross-partition exchange (zero with
-	// one partition).
-	Partitions int
-	Volatile   construct.VolatileBacklogStats
 }
 
 // Stats gathers platform statistics.
@@ -1055,7 +969,5 @@ func (p *Platform) Stats() Stats {
 		LiveEntities: p.Live.Len(),
 		BlockIndex:   p.Pipeline.BlockIndexStats(),
 		Fusion:       p.Pipeline.FusionStats(),
-		Partitions:   p.Pipeline.Partitions(),
-		Volatile:     p.Pipeline.VolatileStats(),
 	}
 }

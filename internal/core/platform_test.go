@@ -198,6 +198,45 @@ func TestCurationFlowsToStableKG(t *testing.T) {
 	}
 }
 
+// TestCurationRenameReachesLinking: a curation hot fix writes the graph
+// directly, so it must refresh the pipeline's KG-derived caches; a new source
+// entity carrying the corrected name then links to the renamed entity through
+// the block index.
+func TestCurationRenameReachesLinking(t *testing.T) {
+	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
+	if _, err := p.ConsumeDelta(workload.SourceSpec{Name: "s", Count: 4, Seed: 5}.Delta()); err != nil {
+		t.Fatal(err)
+	}
+	p.RefreshServing()
+	kgID, ok := p.KG.Lookup("s:e0")
+	if !ok {
+		t.Fatal("link missing")
+	}
+	var nameFact triple.Triple
+	for _, tr := range p.Live.Get(kgID).Triples {
+		if tr.Predicate == triple.PredName {
+			nameFact = tr
+		}
+	}
+	if err := p.Curation.Decide(p.Live, live.Decision{
+		Kind: live.DecisionEdit, Entity: kgID, Fact: nameFact, NewValue: triple.String("Corrected Name"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.ApplyCurationDecisions(); err != nil || n != 1 {
+		t.Fatalf("applied = %d, err = %v", n, err)
+	}
+	e := triple.NewEntity("s2:x")
+	e.Add(triple.New("", triple.PredType, triple.String("human")).WithSource("s2", 0.9))
+	e.Add(triple.New("", triple.PredName, triple.String("Corrected Name")).WithSource("s2", 0.9))
+	if _, err := p.ConsumeDelta(ingest.Delta{Source: "s2", Added: []*triple.Entity{e}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := p.KG.Lookup("s2:x"); got != kgID {
+		t.Fatalf("corrected-name entity linked to %q, want the renamed %q", got, kgID)
+	}
+}
+
 func TestDurableOplogRecovery(t *testing.T) {
 	dir := t.TempDir()
 	p, err := Open(Options{Durability: DurabilityOptions{Dir: dir}})

@@ -64,7 +64,7 @@ func ConstructionPipeline(workers int) (ConstructionResult, error) {
 	}
 	build := func(consume func(p *construct.Pipeline, deltas []ingest.Delta) error, deltas []ingest.Delta) (float64, error) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ont, 1)
+		p := construct.NewPipeline(kg, ont)
 		start := time.Now()
 		err := consume(p, deltas)
 		return float64(time.Since(start).Microseconds()) / 1000, err
@@ -94,7 +94,7 @@ func ConstructionPipeline(workers int) (ConstructionResult, error) {
 	// Delta vs rebuild: after the initial load, a new version changes 5% of
 	// one source. Rebuild re-consumes everything; delta consumes the diff.
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ont, 1)
+	p := construct.NewPipeline(kg, ont)
 	if _, err := p.ConsumeSequential(fullDeltas); err != nil {
 		return ConstructionResult{}, err
 	}
@@ -124,7 +124,7 @@ func ConstructionPipeline(workers int) (ConstructionResult, error) {
 	}
 	intra := func(w int) (float64, *construct.KG, error) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ont, 1)
+		p := construct.NewPipeline(kg, ont)
 		p.Workers = w
 		delta := bigSpec.Delta()
 		start := time.Now()
@@ -223,7 +223,7 @@ func IndexedLinking(workers int) (IndexedLinkingResult, error) {
 	}
 	newPipeline := func(indexed bool) (*construct.KG, *construct.Pipeline) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ont, 1)
+		p := construct.NewPipeline(kg, ont)
 		p.Workers = workers
 		if indexed {
 			p.EnableBlockIndex()
@@ -536,7 +536,7 @@ func VolatileOverwrite() (VolatileResult, error) {
 	ont := ontology.Default()
 	spec := workload.SourceSpec{Name: "s", Count: 600, Seed: 5}
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ont, 1)
+	p := construct.NewPipeline(kg, ont)
 	if _, err := p.ConsumeDelta(spec.Delta()); err != nil {
 		return VolatileResult{}, err
 	}

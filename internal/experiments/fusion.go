@@ -107,7 +107,7 @@ func BatchedFusion(workers int) (BatchedFusionResult, error) {
 	}
 	run := func(perEntity bool) (runResult, error) {
 		kg := construct.NewKG()
-		p := construct.NewPipeline(kg, ont, 1)
+		p := construct.NewPipeline(kg, ont)
 		p.Workers = workers
 		p.PerEntityFusion = perEntity
 		p.EnableBlockIndex()

@@ -58,7 +58,7 @@ func (r GrowthResult) String() string {
 // multi-source fusion attaching more facts per entity).
 func Fig12() (GrowthResult, error) {
 	kg := construct.NewKG()
-	p := construct.NewPipeline(kg, ontology.Default(), 1)
+	p := construct.NewPipeline(kg, ontology.Default())
 	var out GrowthResult
 	quarters := []string{
 		"2018Q1", "2018Q3", "2019Q1", "2019Q3",

@@ -97,10 +97,10 @@ type Log struct {
 func NewVolatile() *Log { return &Log{} }
 
 // OpenStore builds a log over an already-opened record log, replaying its
-// records to rebuild the in-memory op sequence. A record that fails to
-// decode is treated as the start of a torn tail: the record log truncates it
-// along with everything after (the storage.RecordLog Replay contract). The
-// LSN counter resumes past the last surviving op.
+// records to rebuild the in-memory op sequence; the LSN counter resumes past
+// the last op. A record that fails to decode or regresses the LSN fails the
+// open (and closes rec) without changing the record log: it passed its CRC,
+// so it is acknowledged data this reader cannot interpret, not a torn tail.
 func OpenStore(rec storage.RecordLog) (*Log, error) {
 	l := &Log{rec: rec}
 	err := rec.Replay(func(payload []byte) error {

@@ -1,6 +1,7 @@
 package oplog
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -117,6 +118,54 @@ func TestTornTailRecovery(t *testing.T) {
 	defer re2.Close()
 	if got := re2.LastLSN(); got != 4 {
 		t.Fatalf("LastLSN after re-append = %d, want 4", got)
+	}
+}
+
+// TestOpenStoreFailsOnUndecodableRecord: a record that passed its CRC but is
+// not an op (here a hand-appended non-JSON record in the middle of the log)
+// fails the open and leaves every record in place. Treating it as a torn tail
+// would silently drop it and every acknowledged op after it.
+func TestOpenStoreFailsOnUndecodableRecord(t *testing.T) {
+	dir := t.TempDir()
+	l := openDisk(t, dir)
+	for i := 0; i < 2; i++ {
+		if _, err := l.Append(Op{Kind: OpUpsert, Source: "s"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := disk.OpenRecordLog(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later, err := json.Marshal(Op{LSN: 3, Kind: OpUpsert, Source: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{[]byte("not json"), later} {
+		if err := rec.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if rec, err = disk.OpenRecordLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(rec); err == nil {
+		t.Fatal("OpenStore accepted a log with an undecodable record")
+	}
+	// OpenStore closed rec; the records are all still there.
+	if rec, err = disk.OpenRecordLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got := rec.Len(); got != 4 {
+		t.Fatalf("record log holds %d records after the failed open, want 4", got)
 	}
 }
 

@@ -9,6 +9,7 @@ package conformance
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -338,18 +339,23 @@ func (s Suite) recordLogTornTail(t *testing.T) {
 		t.Fatalf("last record = %q", last)
 	}
 
-	// A record the replay callback rejects is a torn tail too: the log
-	// truncates it and everything after.
+	// A record the replay callback rejects is not a torn tail: it passed its
+	// CRC, so it was acknowledged. Replay reports the callback's error and
+	// the log keeps every record.
+	rejected := errors.New("undecodable")
 	if err := re.Replay(func(p []byte) error {
 		if string(p) == "r3" {
-			return fmt.Errorf("undecodable")
+			return rejected
 		}
 		return nil
-	}); err != nil {
-		t.Fatal(err)
+	}); !errors.Is(err, rejected) {
+		t.Fatalf("rejected replay error = %v, want the callback's", err)
 	}
-	if got := re.Len(); got != 3 {
-		t.Fatalf("Len after rejected replay = %d, want 3", got)
+	if got := re.Len(); got != 5 {
+		t.Fatalf("Len after rejected replay = %d, want 5", got)
+	}
+	if err := re.Replay(func(p []byte) error { last = string(p); return nil }); err != nil || last != "r4-again" {
+		t.Fatalf("replay after a rejected one = %q, %v", last, err)
 	}
 }
 

@@ -80,10 +80,13 @@ func OpenSegmentBlobStore(dir string, segBytes int64) (*SegmentBlobStore, error)
 			return nil, fmt.Errorf("disk: stat segment %s: %w", name, err)
 		}
 		segIndex := len(s.segs)
-		good, err := scanFramed(f, st.Size(), func(frameOff int64, payload []byte) error {
+		// The scan fails only on a record decodeKeyed rejects, and that
+		// record ends the recovered prefix like a torn one: good stops
+		// before it and the truncation below drops it.
+		good, _ := scanFramed(f, st.Size(), func(frameOff int64, payload []byte) error {
 			op, key, valOff, err := decodeKeyed(payload)
 			if err != nil {
-				return errScanStop // treat as torn tail of this segment
+				return err
 			}
 			switch op {
 			case opPut:
@@ -101,11 +104,6 @@ func OpenSegmentBlobStore(dir string, segBytes int64) (*SegmentBlobStore, error)
 			}
 			return nil
 		})
-		if err != nil {
-			f.Close()
-			s.closeAll()
-			return nil, fmt.Errorf("disk: recover segment %s: %w", name, err)
-		}
 		if good != st.Size() {
 			if err := f.Truncate(good); err != nil {
 				f.Close()

@@ -47,10 +47,13 @@ func OpenEntityKV(path string) (*EntityKV, error) {
 		return nil, fmt.Errorf("disk: stat entity kv %s: %w", path, err)
 	}
 	kv := &EntityKV{f: f, path: path, idx: make(map[string]kvLoc)}
-	good, err := scanFramed(f, st.Size(), func(frameOff int64, payload []byte) error {
+	// The scan fails only on a record decodeKeyed rejects, and that record
+	// ends the recovered prefix like a torn one: good stops before it and the
+	// truncation below drops it.
+	good, _ := scanFramed(f, st.Size(), func(frameOff int64, payload []byte) error {
 		op, key, valOff, err := decodeKeyed(payload)
 		if err != nil {
-			return errScanStop // treat as torn tail
+			return err
 		}
 		switch op {
 		case opPut:
@@ -68,10 +71,6 @@ func OpenEntityKV(path string) (*EntityKV, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("disk: recover entity kv %s: %w", path, err)
-	}
 	kv.size = good
 	if good != st.Size() {
 		if err := f.Truncate(good); err != nil {

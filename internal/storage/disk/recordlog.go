@@ -17,7 +17,7 @@ import (
 // per line, oldest first. The manifest is the log's single source of truth —
 // a .seg file not listed in it does not exist (it is a leftover from a
 // crashed compaction or rotation and is removed at open). Every structural
-// change (rotation, compaction, cross-segment truncation) writes a fresh
+// change (rotation, compaction) writes a fresh
 // manifest to a temp file, fsyncs it, renames it over the old one, and fsyncs
 // the directory, so readers reopening after a crash see either the old
 // segment set or the new one — never a mix.
@@ -293,8 +293,8 @@ func (l *RecordLog) Append(payload []byte) error {
 }
 
 // Replay implements storage.RecordLog: records stream to fn segment by
-// segment in append order; a record fn rejects truncates the log at that
-// record (torn-tail semantics — any later segments are dropped too).
+// segment in append order. A record fn rejects stops the replay with fn's
+// error, naming the segment and offset; the log's files are left as they are.
 func (l *RecordLog) Replay(fn func(payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -302,44 +302,12 @@ func (l *RecordLog) Replay(fn func(payload []byte) error) error {
 		return fmt.Errorf("disk: replay of closed record log %s", l.dir)
 	}
 	for i := range l.segs {
-		accepted := 0
-		good, err := scanFramed(l.segs[i], l.sizes[i], func(_ int64, payload []byte) error {
-			if err := fn(payload); err != nil {
-				return errScanStop
-			}
-			accepted++
-			return nil
+		off, err := scanFramed(l.segs[i], l.sizes[i], func(_ int64, payload []byte) error {
+			return fn(payload)
 		})
 		if err != nil {
-			return err
+			return fmt.Errorf("disk: replay %s at offset %d: %w", l.names[i], off, err)
 		}
-		if good == l.sizes[i] {
-			continue
-		}
-		// fn rejected a record: truncate this segment there and drop every
-		// later segment — everything past a rejected record is tail.
-		if err := l.segs[i].Truncate(good); err != nil {
-			return fmt.Errorf("disk: truncate rejected tail of %s: %w", l.names[i], err)
-		}
-		l.sizes[i] = good
-		l.counts[i] = accepted
-		if i < len(l.segs)-1 {
-			dropped := append([]string(nil), l.names[i+1:]...)
-			if err := l.writeManifestLocked(append([]string(nil), l.names[:i+1]...)); err != nil {
-				return err
-			}
-			for j := i + 1; j < len(l.segs); j++ {
-				l.segs[j].Close()
-			}
-			l.names = l.names[:i+1]
-			l.segs = l.segs[:i+1]
-			l.sizes = l.sizes[:i+1]
-			l.counts = l.counts[:i+1]
-			for _, name := range dropped {
-				os.Remove(filepath.Join(l.dir, name)) //saga:errok — already unreferenced by the manifest
-			}
-		}
-		return nil
 	}
 	return nil
 }
@@ -382,12 +350,12 @@ func (l *RecordLog) Compact(drop int, replacement [][]byte) error {
 		var err error
 		suffixOff, err = scanFramed(l.segs[k], l.sizes[k], func(int64, []byte) error {
 			if seen == skip {
-				return errScanStop
+				return io.EOF // the first kept record: stop before it
 			}
 			seen++
 			return nil
 		})
-		if err != nil {
+		if err != nil && err != io.EOF {
 			return fmt.Errorf("disk: locate compaction boundary in %s: %w", l.names[k], err)
 		}
 		suffixCount = l.counts[k] - skip

@@ -1,10 +1,13 @@
 package disk
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -98,5 +101,68 @@ func TestRecoveryBoundsRecordLength(t *testing.T) {
 		}
 	}); n > 1<<20 {
 		t.Errorf("skipping a hostile checkpoint allocated %d bytes", n)
+	}
+}
+
+// TestReplayRejectionKeepsLog: a record the replay callback rejects passed its
+// CRC, so it is acknowledged data. Replay must report the callback's error
+// with where it stopped and leave every segment file and record in place (it
+// used to truncate there, rewrite the manifest and delete every later
+// segment).
+func TestReplayRejectionKeepsLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	l, err := OpenRecordLog(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 20; i++ {
+		if err := l.Append([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listFiles := func() map[string]int64 {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]int64, len(entries))
+		for _, ent := range entries {
+			info, err := ent.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[ent.Name()] = info.Size()
+		}
+		return files
+	}
+	before := listFiles()
+	if len(l.Segments()) < 3 {
+		t.Fatalf("want several segments, have %v", l.Segments())
+	}
+
+	rejected := errors.New("undecodable")
+	err = l.Replay(func(p []byte) error {
+		if string(p) == "record-02" {
+			return rejected
+		}
+		return nil
+	})
+	if !errors.Is(err, rejected) || !strings.Contains(err.Error(), ".seg at offset") {
+		t.Fatalf("Replay error = %v, want the callback's error with segment and offset", err)
+	}
+	if got := l.Len(); got != 20 {
+		t.Fatalf("Len after rejected replay = %d, want 20", got)
+	}
+	if after := listFiles(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected replay changed the files:\nbefore %v\nafter  %v", before, after)
+	}
+	var got []string
+	if err := l.Replay(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 20 || got[19] != "record-19" {
+		t.Fatalf("replay after rejection = %q", got)
 	}
 }

@@ -38,12 +38,13 @@ type RecordLog interface {
 	// Append durably appends one record. The payload is owned by the caller
 	// and copied (or written out) before return.
 	Append(payload []byte) error
-	// Replay calls fn for every record in append order. A record rejected by
-	// fn (fn returns an error) is treated as the start of a torn tail: the
-	// log truncates itself to the last accepted record and Replay returns
-	// nil. This mirrors crash recovery — a record that fails its integrity
-	// check at the layer above (e.g. op decoding) is indistinguishable from
-	// tail corruption in an append-only log.
+	// Replay calls fn for every record in append order. A record fn rejects
+	// (fn returns an error) stops the replay, and Replay returns fn's error
+	// with the record's position; the log is left unchanged. Every record
+	// Replay sees passed its CRC, so it was acknowledged: a record the layer
+	// above cannot decode (an op format newer than the reader, a bug) is an
+	// error to report, never a torn tail to cut away with everything after
+	// it. Torn tails are dropped when the log is opened.
 	Replay(fn func(payload []byte) error) error
 	// Compact atomically replaces the first drop records with replacement
 	// (which may be shorter — compaction conflates per entity and elides

@@ -138,38 +138,6 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
-func TestSkewSpecDeterministicAndHeadHeavy(t *testing.T) {
-	spec := SkewSpec{Name: "hot", Count: 400, Seed: 7}
-	a, b := spec.Entities(), spec.Entities()
-	if len(a) != 400 || len(b) != 400 {
-		t.Fatalf("counts = %d/%d", len(a), len(b))
-	}
-	head, tail := 0, 0
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Name() != b[i].Name() {
-			t.Fatalf("entity %d nondeterministic", i)
-		}
-		if a[i].Type() != "celebrity" {
-			t.Fatalf("type = %q", a[i].Type())
-		}
-		switch a[i].Name() {
-		case PersonName(0):
-			head++
-		case PersonName(7):
-			tail++
-		}
-	}
-	// The Zipf head must dominate the tail by a wide margin — that imbalance
-	// is the whole point of the workload.
-	if head < 10*tail || head < len(a)/3 {
-		t.Fatalf("head=%d tail=%d of %d: not skewed", head, tail, len(a))
-	}
-	d := spec.Delta()
-	if d.Source != "hot" || len(d.Added) != 400 {
-		t.Fatalf("delta = %s/%d", d.Source, len(d.Added))
-	}
-}
-
 func TestNameGenerators(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 500; i++ {

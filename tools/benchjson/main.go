@@ -83,7 +83,6 @@ var gates = []Gate{
 	{Bench: "PipelinedConsumeBatchedFusion", Metric: "batched-fusion-speedup-x", Higher: true},
 	{Bench: "SnapshotUnderLoad", Metric: "shared-read-speedup-x", Higher: true},
 	{Bench: "StandingFeedCrossBatch", Metric: "feed-speedup-x", Higher: true},
-	{Bench: "PartitionedIngestScaling", Metric: "ingest-scaling-x", Higher: true},
 	{Bench: "StandingFeedDiskBackend", Metric: "disk-overhead-x", Higher: false},
 	// Serving-tier gates: p99 latency and throughput are absolute, so their
 	// thresholds are generous (catch the serving path falling off a cliff —
