@@ -283,14 +283,14 @@ func BenchmarkStandingFeedDiskBackend(b *testing.B) {
 	b.Logf("\n%s", last)
 }
 
-// BenchmarkSnapshotUnderLoad measures the sharded copy-on-write graph on the
+// BenchmarkSnapshotUnderLoad measures the copy-on-write graph on the
 // serving path: Snapshot() latency must stay roughly flat as the KG grows 5x
 // (the deep-copy comparator grows linearly — that was the pre-COW Snapshot
 // the view manager and NERD builds paid per refresh), and clone-free shared
 // reads must beat the clone-per-read baseline by at least 1.15x while a
 // writer ingests concurrently. Both claims gate the CI bench job; the
 // correctness bits (snapshots frozen at their cut, byte-identical content
-// across shard counts and copies) must always hold. The name carries
+// across copies and snapshots) must always hold. The name carries
 // "SnapshotUnderLoad" so the CI bench regex records the trajectory per
 // commit in BENCH_ci.json.
 func BenchmarkSnapshotUnderLoad(b *testing.B) {
@@ -301,7 +301,7 @@ func BenchmarkSnapshotUnderLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		if !res.Identical {
-			b.Fatal("sharded/COW graph content diverged across shard counts, deep copies, or snapshots")
+			b.Fatal("COW graph content diverged across deep copies or snapshots")
 		}
 		if !res.SnapshotFrozen {
 			b.Fatal("snapshot moved while the live graph advanced")
@@ -320,7 +320,6 @@ func BenchmarkSnapshotUnderLoad(b *testing.B) {
 	b.ReportMetric(last.DeepCopyGrowth, "deepcopy-growth-x")
 	b.ReportMetric(last.SnapshotLargeUS, "snapshot-us")
 	b.ReportMetric(last.SharedReadSpeedup, "shared-read-speedup-x")
-	b.ReportMetric(last.ShardSpeedup, "shard-scaling-x")
 	b.Logf("\n%s", last)
 }
 

@@ -24,7 +24,6 @@ import (
 
 	"saga/internal/lint/budgetgo"
 	"saga/internal/lint/errdrop"
-	"saga/internal/lint/locksafe"
 	"saga/internal/lint/sharedmut"
 )
 
@@ -36,7 +35,7 @@ func main() {
 	// with ourselves as the vettool.
 	args := os.Args[1:]
 	if len(args) > 0 && (strings.HasPrefix(args[0], "-") || strings.HasSuffix(args[0], ".cfg")) {
-		unitchecker.Main(sharedmut.Analyzer, budgetgo.Analyzer, errdrop.Analyzer, locksafe.Analyzer)
+		unitchecker.Main(sharedmut.Analyzer, budgetgo.Analyzer, errdrop.Analyzer)
 		return
 	}
 	self, err := os.Executable()

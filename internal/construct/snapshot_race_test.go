@@ -1,6 +1,6 @@
 package construct_test
 
-// Serving-path concurrency coverage for the sharded copy-on-write graph:
+// Serving-path concurrency coverage for the copy-on-write graph:
 // Consume runs while snapshot and range readers hammer the same KG. Run with
 // -race. The assertions are the COW contract the serving side relies on —
 // every snapshot is frozen at its cut (a snapshot taken before a batch stays

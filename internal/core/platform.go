@@ -785,7 +785,7 @@ func (p *Platform) Close() error {
 // Checkpoint publishes a construction checkpoint — durably snapshotting the
 // KG when the platform has a checkpoint store — and materializes all
 // registered views over a consistent snapshot of the graph replica. The
-// snapshot is copy-on-write (O(shards), not O(|KG|)), so a view refresh on a
+// snapshot is copy-on-write (O(1), not O(|KG|)), so a view refresh on a
 // large graph neither pays a deep copy nor stalls concurrent commits. With a
 // standing feed open the checkpoint rides the feed's ordered publisher (a
 // barrier turn), covering every batch submitted before this call without

@@ -295,7 +295,7 @@ func TestGraphStoreShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Identical {
-		t.Fatal("single-shard, sharded, deep-copied, and snapshotted graphs diverged")
+		t.Fatal("live, deep-copied, and snapshotted graphs diverged")
 	}
 	if !res.SnapshotFrozen {
 		t.Fatal("snapshot moved while the live graph advanced")

@@ -11,10 +11,10 @@ import (
 	"saga/internal/workload"
 )
 
-// GraphStoreResult is the sharded copy-on-write graph ablation, measuring the
-// two serving-path claims of the store rework:
+// GraphStoreResult is the copy-on-write graph ablation, measuring the two
+// serving-path claims of the store rework:
 //
-//  1. Snapshot() is O(shards), not O(|KG|): its latency stays roughly flat as
+//  1. Snapshot() is O(1), not O(|KG|): its latency stays roughly flat as
 //     the KG grows 5x, while the pre-COW deep copy (rebuilt here as the
 //     comparator) grows linearly. View and NERD refreshes snapshot per run,
 //     so this is the cost that used to scale with the graph and stall the
@@ -23,14 +23,10 @@ import (
 //     GetShared throughput vs the Get baseline while a writer keeps
 //     committing — the serving-replica read path.
 //
-// Shard scaling (single-shard vs default-sharded read throughput under the
-// same concurrent load) is reported for multi-core hosts; on a single-CPU
-// container it hovers near 1x. Correctness bits — byte-identical content
-// across shard counts, deep copies, and snapshots, and snapshots staying
-// frozen while the live graph advances — are deterministic and asserted by
-// tests and the CI benchmark.
+// Correctness bits — byte-identical content across deep copies and
+// snapshots, and snapshots staying frozen while the live graph advances —
+// are deterministic and asserted by tests and the CI benchmark.
 type GraphStoreResult struct {
-	Shards        int
 	BaseEntities  int
 	GrownEntities int
 
@@ -46,26 +42,21 @@ type GraphStoreResult struct {
 	CloneReadsPerSec, SharedReadsPerSec float64
 	SharedReadSpeedup                   float64
 
-	// Same shared-read loop on a single-shard graph vs the default striping.
-	SingleShardReadsPerSec, ShardedReadsPerSec float64
-	ShardSpeedup                               float64
-
 	// SnapshotFrozen: a snapshot taken before a burst of writes stayed
 	// byte-identical while the live graph advanced past it.
 	SnapshotFrozen bool
-	// Identical: single-shard, default-sharded, deep-copied, and snapshotted
-	// graphs hold byte-identical triples.
+	// Identical: the live, deep-copied, and snapshotted graphs hold
+	// byte-identical triples.
 	Identical bool
 }
 
 // String renders the ablation.
 func (r GraphStoreResult) String() string {
-	return fmt.Sprintf("Graph-store ablation (%d shards): snapshot %0.1fus@%d -> %0.1fus@%d entities (%.2fx) vs deep copy %0.0fus -> %0.0fus (%.1fx), flat=%v; "+
-		"reads under ingestion: clone %.0f/s vs shared %.0f/s (%.2fx); shards 1 -> %d: %.0f/s -> %.0f/s (%.2fx); frozen=%v identical=%v\n",
-		r.Shards, r.SnapshotSmallUS, r.BaseEntities, r.SnapshotLargeUS, r.GrownEntities, r.SnapshotGrowth,
+	return fmt.Sprintf("Graph-store ablation: snapshot %0.1fus@%d -> %0.1fus@%d entities (%.2fx) vs deep copy %0.0fus -> %0.0fus (%.1fx), flat=%v; "+
+		"reads under ingestion: clone %.0f/s vs shared %.0f/s (%.2fx); frozen=%v identical=%v\n",
+		r.SnapshotSmallUS, r.BaseEntities, r.SnapshotLargeUS, r.GrownEntities, r.SnapshotGrowth,
 		r.DeepCopySmallUS, r.DeepCopyLargeUS, r.DeepCopyGrowth, r.SnapshotFlat,
 		r.CloneReadsPerSec, r.SharedReadsPerSec, r.SharedReadSpeedup,
-		r.Shards, r.SingleShardReadsPerSec, r.ShardedReadsPerSec, r.ShardSpeedup,
 		r.SnapshotFrozen, r.Identical)
 }
 
@@ -95,8 +86,8 @@ func fillGraphStore(g *triple.Graph, from, to int) {
 
 // deepCopyGraph is the pre-COW Snapshot semantics rebuilt as the ablation
 // comparator: a fresh graph receiving a clone of every entity, O(|KG|).
-func deepCopyGraph(g *triple.Graph, shards int) *triple.Graph {
-	out := triple.NewGraphWithShards(shards)
+func deepCopyGraph(g *triple.Graph) *triple.Graph {
+	out := triple.NewGraph()
 	g.RangeShared(func(e *triple.Entity) bool {
 		out.Put(e) // Put clones internally
 		return true
@@ -115,10 +106,10 @@ func snapshotUS(g *triple.Graph, iters int) float64 {
 }
 
 // deepCopyUS times iters deep copies and returns the mean latency in µs.
-func deepCopyUS(g *triple.Graph, shards, iters int) float64 {
+func deepCopyUS(g *triple.Graph, iters int) float64 {
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		_ = deepCopyGraph(g, shards)
+		_ = deepCopyGraph(g)
 	}
 	return float64(time.Since(start).Microseconds()) / float64(iters)
 }
@@ -189,7 +180,7 @@ type graphStoreConfig struct {
 	reps        int // best-of repetitions per timing
 }
 
-// GraphStore runs the sharded-COW graph ablation at benchmark size; every
+// GraphStore runs the COW graph ablation at benchmark size; every
 // timing is the best-of-reps to damp scheduler noise (the correctness bits
 // are deterministic). The shape test runs graphStoreRun with a slim config so
 // the race job stays fast.
@@ -201,22 +192,18 @@ func GraphStore() (GraphStoreResult, error) {
 }
 
 func graphStoreRun(cfg graphStoreConfig) (GraphStoreResult, error) {
-	const shards = 32
 	base := cfg.base
 	grown := 5 * base
 	snapIters, copyIters := cfg.snapIters, cfg.copyIters
 	reads, sharedReads, reps := cfg.reads, cfg.sharedReads, cfg.reps
-	res := GraphStoreResult{Shards: shards, BaseEntities: base, GrownEntities: grown}
+	res := GraphStoreResult{BaseEntities: base, GrownEntities: grown}
 
-	live := triple.NewGraphWithShards(shards)
+	live := triple.NewGraph()
 	fillGraphStore(live, 0, base)
 
-	// Correctness: identical content across shard counts, copies, snapshots.
-	single := triple.NewGraphWithShards(1)
-	fillGraphStore(single, 0, base)
+	// Correctness: identical content across copies and snapshots.
 	want := live.Triples()
-	res.Identical = reflect.DeepEqual(want, single.Triples()) &&
-		reflect.DeepEqual(want, deepCopyGraph(live, shards).Triples()) &&
+	res.Identical = reflect.DeepEqual(want, deepCopyGraph(live).Triples()) &&
 		reflect.DeepEqual(want, live.Snapshot().Triples())
 
 	// Frozen-snapshot check: write past the snapshot, it must not move.
@@ -242,13 +229,13 @@ func graphStoreRun(cfg graphStoreConfig) (GraphStoreResult, error) {
 	}
 	for rep := 0; rep < reps; rep++ {
 		res.SnapshotSmallUS = minF(res.SnapshotSmallUS, snapshotUS(live, snapIters))
-		res.DeepCopySmallUS = minF(res.DeepCopySmallUS, deepCopyUS(live, shards, copyIters))
+		res.DeepCopySmallUS = minF(res.DeepCopySmallUS, deepCopyUS(live, copyIters))
 	}
 
 	fillGraphStore(live, base, grown)
 	for rep := 0; rep < reps; rep++ {
 		res.SnapshotLargeUS = minF(res.SnapshotLargeUS, snapshotUS(live, snapIters))
-		res.DeepCopyLargeUS = minF(res.DeepCopyLargeUS, deepCopyUS(live, shards, copyIters))
+		res.DeepCopyLargeUS = minF(res.DeepCopyLargeUS, deepCopyUS(live, copyIters))
 	}
 	res.SnapshotGrowth = res.SnapshotLargeUS / res.SnapshotSmallUS
 	res.DeepCopyGrowth = res.DeepCopyLargeUS / res.DeepCopySmallUS
@@ -267,19 +254,5 @@ func graphStoreRun(cfg graphStoreConfig) (GraphStoreResult, error) {
 		}
 	}
 	res.SharedReadSpeedup = res.SharedReadsPerSec / res.CloneReadsPerSec
-
-	singleGrown := triple.NewGraphWithShards(1)
-	fillGraphStore(singleGrown, 0, grown)
-	for rep := 0; rep < reps; rep++ {
-		one := readsPerSec(singleGrown, grown, sharedReads, true)
-		many := readsPerSec(live, grown, sharedReads, true)
-		if one > res.SingleShardReadsPerSec {
-			res.SingleShardReadsPerSec = one
-		}
-		if many > res.ShardedReadsPerSec {
-			res.ShardedReadsPerSec = many
-		}
-	}
-	res.ShardSpeedup = res.ShardedReadsPerSec / res.SingleShardReadsPerSec
 	return res, nil
 }

@@ -142,7 +142,7 @@ func EntityDocText(e *triple.Entity) string {
 // GraphAgent replays updates into an in-memory graph replica — the base
 // "current KG" other stores and views read. Read-side consumers (analytics
 // refresh, view materialization, NERD builds) take copy-on-write snapshots of
-// this replica at checkpoints — O(shards), so refreshes neither deep-copy the
+// this replica at checkpoints — O(1), so refreshes neither deep-copy the
 // KG nor block replay — and read entities through the replica's clone-free
 // shared paths (the records are immutable after Put).
 type GraphAgent struct {

@@ -1,7 +1,6 @@
 // Package lint holds the shared infrastructure of saga-vet, the platform's
 // invariant analyzer suite (cmd/saga-vet): marker-comment indexing, the
-// durable-call matcher shared by the errdrop and locksafe analyzers, and
-// small type helpers.
+// durable-call matcher of the errdrop analyzer, and small type helpers.
 //
 // The analyzers machine-check contracts that used to live only in doc
 // comments — see docs/INVARIANTS.md for the invariant catalogue each
@@ -13,12 +12,10 @@
 //     (docs/INVARIANTS.md#bounded-goroutines)
 //   - errdrop: discarded errors from durable storage and publish paths
 //     (docs/INVARIANTS.md#durable-errors)
-//   - locksafe: blocking work under shard locks and unordered multi-shard
-//     acquisition (docs/INVARIANTS.md#shard-lock-discipline)
 //
 // Intentional exceptions are annotated in the source with marker comments
-// (//saga:owns, //saga:longlived, //saga:errok, //saga:locksafe,
-// //saga:lockorder), each with a one-line justification. A marker covers
+// (//saga:owns, //saga:longlived, //saga:errok), each with a one-line
+// justification. A marker covers
 // the line it is written on and, when it stands alone, the line below it.
 package lint
 
@@ -35,8 +32,6 @@ const (
 	MarkerOwns      = "saga:owns"      // sharedmut: ownership of the record was transferred
 	MarkerLonglived = "saga:longlived" // budgetgo: sanctioned out-of-budget goroutine
 	MarkerErrOK     = "saga:errok"     // errdrop: the dropped error is intentional
-	MarkerLockSafe  = "saga:locksafe"  // locksafe: the blocking call under lock is intentional
-	MarkerLockOrder = "saga:lockorder" // locksafe: multi-shard order is guaranteed by the caller
 )
 
 // Markers indexes //saga: marker comments of a package by file and line.
@@ -145,8 +140,7 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // DurableCall reports whether fn is one of the durable storage/publish
-// entry points whose errors must never be dropped (errdrop) and whose
-// latency must never run under a shard lock (locksafe): methods of types
+// entry points whose errors must never be dropped (errdrop): methods of types
 // declared under internal/storage (the role interfaces and every backend),
 // the entitystore wrapper, oplog.Log's append/close, graphengine's
 // Engine.Publish*, and os.File.Sync (the disk backend's fsync path). The

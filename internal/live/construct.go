@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"saga/internal/triple"
 )
@@ -56,6 +57,11 @@ type Constructor struct {
 	Resolver EntityResolver
 	// MinConfidence rejects resolutions below this confidence; default 0.5.
 	MinConfidence float64
+
+	// stableMu serializes LoadStableView; stable holds the IDs of the last
+	// stable view loaded, so the next load deletes the ones it no longer has.
+	stableMu sync.Mutex
+	stable   map[triple.EntityID]struct{}
 }
 
 // LiveID returns the live KG identifier of an event entity.
@@ -115,11 +121,24 @@ func (c *Constructor) Consume(ev Event) (triple.EntityID, error) {
 	return id, nil
 }
 
-// LoadStableView seeds the live store with a view of the stable graph: the
+// LoadStableView loads a view of the stable graph into the live store: the
 // live KG is the union of this view with the streaming sources (§4). boosts
-// carries entity importance for ranking (nil means no boosts).
+// carries entity importance for ranking (nil means no boosts). The view
+// replaces the previous one: a stable entity the last load put and this one
+// lacks is deleted. Streaming entities are never part of a stable view, so
+// a load leaves them alone.
 func (c *Constructor) LoadStableView(entities []*triple.Entity, boosts map[triple.EntityID]float64) {
+	c.stableMu.Lock()
+	defer c.stableMu.Unlock()
+	next := make(map[triple.EntityID]struct{}, len(entities))
 	for _, e := range entities {
 		c.Store.Put(e, boosts[e.ID])
+		next[e.ID] = struct{}{}
 	}
+	for id := range c.stable {
+		if _, ok := next[id]; !ok {
+			c.Store.Delete(id)
+		}
+	}
+	c.stable = next
 }

@@ -114,6 +114,38 @@ func TestLiveDeletion(t *testing.T) {
 	}
 }
 
+// TestLoadStableViewDropsRemovedEntities: a reload replaces the stable view,
+// so a stable entity the new view lacks leaves every index, while streaming
+// entities stay.
+func TestLoadStableViewDropsRemovedEntities(t *testing.T) {
+	c, store := liveWorld(t)
+	game, err := c.Consume(Event{Source: "sportsfeed", Type: "sports_game", ID: "g1",
+		Mentions: map[string]Mention{"home_team": {Text: "Warriors"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []*triple.Entity
+	for _, e := range stableWorld() {
+		if e.ID != "kg:LAL" {
+			kept = append(kept, e)
+		}
+	}
+	c.LoadStableView(kept, nil)
+
+	if store.Get("kg:LAL") != nil || store.Len() != len(kept)+1 {
+		t.Fatalf("reload kept the removed entity: Len = %d, want %d", store.Len(), len(kept)+1)
+	}
+	if ids := store.ByType("sports_team"); len(ids) != 1 || ids[0] != "kg:GSW" {
+		t.Fatalf("sports teams after reload = %v", ids)
+	}
+	if hits := store.SearchText("Lakers", 3); len(hits) != 0 {
+		t.Fatalf("search still hits the removed entity: %v", hits)
+	}
+	if store.Get(game) == nil {
+		t.Fatal("reload deleted a streaming entity")
+	}
+}
+
 func TestLiveUnresolvedMentionKeptAsLiteral(t *testing.T) {
 	c, store := liveWorld(t)
 	id, _ := c.Consume(Event{Source: "s", Type: "sports_game", ID: "g9",

@@ -69,6 +69,51 @@ func TestSnapshotImmutable(t *testing.T) {
 	}
 }
 
+// TestSnapshotDeleteFirst makes Delete the first write after a snapshot:
+// the delete must copy the entity map and the indexes it shares with the
+// snapshot before removing anything, so the snapshot keeps the entity, its
+// postings and its text hit while the store loses them.
+func TestSnapshotDeleteFirst(t *testing.T) {
+	s := NewStore()
+	s.Put(cityEntity("kg:C1", "Chicago", "kg:US", 2700000), 0.5)
+	s.Put(cityEntity("kg:C2", "Boston", "kg:US", 650000), 0.2)
+
+	sn := s.Snapshot()
+	if !s.Delete("kg:C1") {
+		t.Fatal("Delete(kg:C1) = false")
+	}
+
+	if sn.Len() != 2 || sn.GetShared("kg:C1") == nil {
+		t.Fatal("snapshot lost the entity deleted after the cut")
+	}
+	if ids := sn.ByAttr(triple.PredName, "Chicago"); len(ids) != 1 || ids[0] != "kg:C1" {
+		t.Fatalf("snapshot ByAttr lost the posting: %v", ids)
+	}
+	if ids := sn.InRefs("located_in", "kg:US"); len(ids) != 2 {
+		t.Fatalf("snapshot InRefs lost the reverse posting: %v", ids)
+	}
+	if ids := sn.ByType("city"); len(ids) != 2 {
+		t.Fatalf("snapshot ByType lost the type posting: %v", ids)
+	}
+	if sn.Boost("kg:C1") != 0.5 {
+		t.Fatalf("snapshot boost = %f, want 0.5", sn.Boost("kg:C1"))
+	}
+	if hits := sn.SearchText("Chicago", 3); len(hits) != 1 || hits[0].ID != "kg:C1" {
+		t.Fatalf("snapshot text search lost the hit: %v", hits)
+	}
+
+	if s.Len() != 1 || s.GetShared("kg:C1") != nil {
+		t.Fatal("store kept the deleted entity")
+	}
+	if len(s.ByAttr(triple.PredName, "Chicago")) != 0 || len(s.InRefs("located_in", "kg:US")) != 1 ||
+		len(s.ByType("city")) != 1 || s.Boost("kg:C1") != 0 {
+		t.Fatal("store kept the deleted entity's postings")
+	}
+	if hits := s.SearchText("Chicago", 3); len(hits) != 0 {
+		t.Fatalf("store text search still hits the deleted entity: %v", hits)
+	}
+}
+
 // TestCurrentReadYourWrites: Current republishes whenever the version moved,
 // so a Put is immediately visible through it.
 func TestCurrentReadYourWrites(t *testing.T) {

@@ -3,7 +3,7 @@
 // stock prices, flights), indexed for low-latency graph search under high
 // concurrency. The store maintains an inverted graph index (tokens and
 // attribute values to entities, plus reverse reference postings) alongside a
-// sharded key-value entity store, both updated in real time. Live graph
+// key-value entity store, both updated in real time. Live graph
 // construction links streaming events' entity mentions to stable entities,
 // and the query engine (the kgq subpackage) serves ad-hoc structured queries
 // and query intents with multi-turn context.
@@ -24,8 +24,6 @@ import (
 	"saga/internal/store/textindex"
 	"saga/internal/triple"
 )
-
-const storeShards = 32
 
 // View is a read view of the live KG: either the live *Store (reads take
 // the store's locks and observe writes immediately) or an immutable
@@ -65,15 +63,16 @@ type idSet struct {
 
 // Store is the live KG index: a graph KV store plus inverted indexes
 // optimized for low-latency retrieval under concurrent requests. All methods
-// are safe for concurrent use; shards bound contention on the entity KV, and
-// published snapshots (Current) take serving reads off the index locks
-// entirely.
+// are safe for concurrent use; one lock guards the entity KV and the
+// inverted indexes, and published snapshots (Current) take serving reads off
+// it entirely.
 type Store struct {
-	shards [storeShards]*storeShard
 	// text is the token index over entity names/aliases used by search().
 	text *textindex.Index
 
 	mu sync.RWMutex
+	// data is the entity KV: ID -> stored (immutable) record.
+	data map[triple.EntityID]*triple.Entity
 	// attr maps predicate\x1fvalueText -> entity set (equality lookups).
 	attr map[string]*idSet
 	// reverse maps predicate\x1ftargetID -> source entity set (in() walks).
@@ -87,14 +86,14 @@ type Store struct {
 	version atomic.Uint64
 
 	// pubMu gates snapshot publication against writers: every write holds
-	// the read side for its whole operation (shard KV + inverted indexes +
+	// the read side for its whole operation (entity KV + inverted indexes +
 	// text index + version bump), and Snapshot takes the write side, so a
 	// snapshot always captures a write-atomic cut — a store version uniquely
 	// identifies index content.
 	pubMu sync.RWMutex
 	// snapEpoch counts published snapshots; idxEpoch records when the
-	// top-level index maps were last copied. Guarded by pubMu (writers read
-	// under RLock, Snapshot bumps under Lock).
+	// top-level maps (data and the indexes) were last copied. Guarded by
+	// pubMu (writers read under RLock, Snapshot bumps under Lock).
 	snapEpoch uint64
 	idxEpoch  uint64
 
@@ -109,55 +108,33 @@ type Store struct {
 // result caches detect staleness cheaply.
 func (s *Store) Version() uint64 { return s.version.Load() }
 
-type storeShard struct {
-	mu    sync.RWMutex
-	data  map[triple.EntityID]*triple.Entity
-	epoch uint64 // snapshot epoch data was last copied at
-}
-
 // NewStore constructs an empty live store.
 func NewStore() *Store {
-	s := &Store{
+	return &Store{
 		text:    textindex.New(),
+		data:    make(map[triple.EntityID]*triple.Entity),
 		attr:    make(map[string]*idSet),
 		reverse: make(map[string]*idSet),
 		byType:  make(map[string]*idSet),
 		boost:   make(map[triple.EntityID]float64),
 	}
-	for i := range s.shards {
-		s.shards[i] = &storeShard{data: make(map[triple.EntityID]*triple.Entity)}
-	}
-	return s
-}
-
-func (s *Store) shardFor(id triple.EntityID) *storeShard {
-	return s.shards[triple.HashID(id)%storeShards]
 }
 
 func attrKey(pred, valText string) string { return pred + "\x1f" + valText }
 
-// cowShardLocked clones the shard's entity map if a snapshot still
-// references it. Caller holds sh.mu and the store's pubMu read side.
-func (s *Store) cowShardLocked(sh *storeShard) {
-	if sh.epoch == s.snapEpoch {
-		return
-	}
-	sh.epoch = s.snapEpoch
-	data := make(map[triple.EntityID]*triple.Entity, len(sh.data))
-	for id, e := range sh.data {
-		data[id] = e
-	}
-	sh.data = data
-}
-
-// cowIndexLocked shallow-copies the top-level index maps the first time a
-// writer runs after a snapshot. Posting sets get their own per-key copy in
-// cowSetLocked. Caller holds s.mu and the pubMu read side.
+// cowIndexLocked shallow-copies the entity map and the top-level index maps
+// the first time a writer runs after a snapshot. Posting sets get their own
+// per-key copy in cowSetLocked. Caller holds s.mu and the pubMu read side.
 func (s *Store) cowIndexLocked() {
 	if s.idxEpoch == s.snapEpoch {
 		return
 	}
 	s.idxEpoch = s.snapEpoch
+	data := make(map[triple.EntityID]*triple.Entity, len(s.data))
+	for id, e := range s.data {
+		data[id] = e
+	}
+	s.data = data
 	attr := make(map[string]*idSet, len(s.attr))
 	for k, v := range s.attr {
 		attr[k] = v
@@ -209,15 +186,10 @@ func (s *Store) Put(e *triple.Entity, boost float64) {
 	s.pubMu.RLock()
 	defer s.pubMu.RUnlock()
 	clone := e.Clone()
-	sh := s.shardFor(clone.ID)
-	sh.mu.Lock()
-	s.cowShardLocked(sh)
-	old := sh.data[clone.ID]
-	sh.data[clone.ID] = clone
-	sh.mu.Unlock()
-
 	s.mu.Lock()
 	s.cowIndexLocked()
+	old := s.data[clone.ID]
+	s.data[clone.ID] = clone
 	if old != nil {
 		s.unindexLocked(old)
 	}
@@ -232,19 +204,14 @@ func (s *Store) Put(e *triple.Entity, boost float64) {
 func (s *Store) Delete(id triple.EntityID) bool {
 	s.pubMu.RLock()
 	defer s.pubMu.RUnlock()
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	old, ok := sh.data[id]
-	if ok {
-		s.cowShardLocked(sh)
-		delete(sh.data, id)
-	}
-	sh.mu.Unlock()
+	s.mu.Lock()
+	old, ok := s.data[id]
 	if !ok {
+		s.mu.Unlock()
 		return false
 	}
-	s.mu.Lock()
 	s.cowIndexLocked()
+	delete(s.data, id)
 	s.unindexLocked(old)
 	s.mu.Unlock()
 	s.text.Delete(string(id))
@@ -309,21 +276,16 @@ func (s *Store) Get(id triple.EntityID) *triple.Entity {
 // immutable after insert (Put stores a private clone), so shared access is
 // safe for readers that do not mutate — the query engine's contract.
 func (s *Store) GetShared(id triple.EntityID) *triple.Entity {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.data[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.data[id]
 }
 
 // Len returns the number of live entities.
 func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += len(sh.data)
-		sh.mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.data)
 }
 
 // ByAttr returns entities with pred equal (by normalized text) to value.
@@ -362,7 +324,7 @@ func (s *Store) Boost(id triple.EntityID) float64 {
 
 // Snapshot publishes an immutable, version-stamped view of the whole store:
 // entity KV, inverted indexes, boosts, and the text index, all captured at
-// one write-atomic cut. Taking a snapshot is O(shards), not O(|store|) —
+// one write-atomic cut. Taking a snapshot is O(1), not O(|store|) —
 // the maps are shared with the live store and copied on the next write to
 // them (copy-on-write) — and reads against it take no locks, so serving
 // traffic pinned to a snapshot never contends with streaming ingestion.
@@ -375,18 +337,15 @@ func (s *Store) Snapshot() *Snapshot {
 // snapshotLocked captures a snapshot; the caller holds pubMu's write side.
 func (s *Store) snapshotLocked() *Snapshot {
 	s.snapEpoch++
-	sn := &Snapshot{
+	return &Snapshot{
 		version: s.version.Load(),
+		data:    s.data,
 		attr:    s.attr,
 		reverse: s.reverse,
 		byType:  s.byType,
 		boost:   s.boost,
 		text:    s.text.Snapshot(),
 	}
-	for i, sh := range s.shards {
-		sn.shards[i] = sh.data
-	}
-	return sn
 }
 
 // republish captures a snapshot and publishes it as cur in one step under
@@ -402,7 +361,7 @@ func (s *Store) republish() *Snapshot {
 
 // Current returns the latest published snapshot, republishing first if the
 // store has advanced past it. The fast path is two atomic loads; the slow
-// path costs one snapshot capture (O(shards)). Freshness: read-your-writes —
+// path costs one snapshot capture (O(1)). Freshness: read-your-writes —
 // the snapshot includes every write completed before the call.
 func (s *Store) Current() *Snapshot {
 	if sn := s.cur.Load(); sn != nil && sn.version == s.version.Load() {
@@ -451,7 +410,7 @@ func (s *Store) Serving() *Snapshot {
 // the stored records themselves and must not be mutated.
 type Snapshot struct {
 	version uint64
-	shards  [storeShards]map[triple.EntityID]*triple.Entity
+	data    map[triple.EntityID]*triple.Entity
 	attr    map[string]*idSet
 	reverse map[string]*idSet
 	byType  map[string]*idSet
@@ -463,13 +422,7 @@ type Snapshot struct {
 func (sn *Snapshot) Version() uint64 { return sn.version }
 
 // Len implements View.
-func (sn *Snapshot) Len() int {
-	n := 0
-	for _, data := range sn.shards {
-		n += len(data)
-	}
-	return n
-}
+func (sn *Snapshot) Len() int { return len(sn.data) }
 
 // Get implements View: a private copy of the entity, or nil.
 func (sn *Snapshot) Get(id triple.EntityID) *triple.Entity {
@@ -482,7 +435,7 @@ func (sn *Snapshot) Get(id triple.EntityID) *triple.Entity {
 
 // GetShared implements View: the stored record itself (read-only), or nil.
 func (sn *Snapshot) GetShared(id triple.EntityID) *triple.Entity {
-	return sn.shards[triple.HashID(id)%storeShards][id]
+	return sn.data[id]
 }
 
 // ByAttr implements View.

@@ -89,7 +89,6 @@ type Log struct {
 	lastLSN uint64            // high-water mark; survives compaction of the ops holding it
 	rec     storage.RecordLog // nil: volatile (memory-only) log
 	closed  bool
-	subs    []chan uint64
 }
 
 // NewVolatile constructs a memory-only log with no durability backend (used
@@ -126,9 +125,8 @@ func OpenStore(rec storage.RecordLog) (*Log, error) {
 	return l, nil
 }
 
-// Close releases the backing record log and closes all subscriber channels
-// (so agents blocked on a subscription wake and observe shutdown). Append
-// and Subscribe after Close fail; Close is idempotent.
+// Close releases the backing record log. Append after Close fails; Close is
+// idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -136,10 +134,6 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	for _, ch := range l.subs {
-		close(ch)
-	}
-	l.subs = nil
 	if l.rec == nil {
 		return nil
 	}
@@ -170,12 +164,6 @@ func (l *Log) Append(op Op) (uint64, error) {
 	}
 	l.ops = append(l.ops, op)
 	l.lastLSN = op.LSN
-	for _, ch := range l.subs {
-		select {
-		case ch <- op.LSN:
-		default: // subscriber is behind; it will catch up on its next poll
-		}
-	}
 	return op.LSN, nil
 }
 
@@ -227,9 +215,8 @@ func (l *Log) OpsThrough(w uint64) []Op {
 // which must be in strictly increasing LSN order with every LSN <= w
 // (compaction preserves surviving ops' original LSNs, so this holds by
 // construction). The swap is atomic for readers (one lock) and for crashes
-// (the record log stages the rewrite and flips a manifest). Subscribers are
-// not notified: no new LSN exists, and every agent is already at or past w
-// when compaction runs.
+// (the record log stages the rewrite and flips a manifest). Every agent is
+// already at or past w when compaction runs.
 func (l *Log) ReplaceRange(w uint64, rewritten []Op) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -279,37 +266,4 @@ func (l *Log) PrefixLen(w uint64) int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.searchLocked(w)
-}
-
-// Subscribe returns a channel that receives the LSN of newly appended
-// operations. The channel has a small buffer; slow subscribers miss
-// notifications but never operations (they poll Read). Used by orchestration
-// agents to wake up promptly instead of busy-polling. The channel is closed
-// by Log.Close or Unsubscribe; subscribing to a closed log returns an
-// already-closed channel.
-func (l *Log) Subscribe() <-chan uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ch := make(chan uint64, 64)
-	if l.closed {
-		close(ch)
-		return ch
-	}
-	l.subs = append(l.subs, ch)
-	return ch
-}
-
-// Unsubscribe removes a channel returned by Subscribe and closes it, so a
-// departing agent doesn't leave the log notifying (and retaining) a dead
-// channel for its lifetime. Unknown channels are ignored.
-func (l *Log) Unsubscribe(ch <-chan uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, sub := range l.subs {
-		if sub == ch {
-			l.subs = append(l.subs[:i], l.subs[i+1:]...)
-			close(sub)
-			return
-		}
-	}
 }

@@ -282,59 +282,6 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	l := NewVolatile()
-	ch := l.Subscribe()
-	if _, err := l.Append(Op{Kind: OpUpsert}); err != nil {
-		t.Fatal(err)
-	}
-	if lsn := <-ch; lsn != 1 {
-		t.Fatalf("notified lsn = %d, want 1", lsn)
-	}
-}
-
-func TestCloseReleasesSubscribers(t *testing.T) {
-	l := NewVolatile()
-	ch := l.Subscribe()
-	done := make(chan struct{})
-	go func() {
-		// Drain until the channel closes; a leaked (never-closed) channel
-		// would block this goroutine forever and the test would time out.
-		for range ch {
-		}
-		close(done)
-	}()
-	if _, err := l.Append(Op{Kind: OpUpsert}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	// Subscribing after Close yields an already-closed channel.
-	if _, ok := <-l.Subscribe(); ok {
-		t.Fatal("subscribe on closed log returned an open channel")
-	}
-}
-
-func TestUnsubscribe(t *testing.T) {
-	l := NewVolatile()
-	ch1 := l.Subscribe()
-	ch2 := l.Subscribe()
-	l.Unsubscribe(ch1)
-	if _, ok := <-ch1; ok {
-		t.Fatal("unsubscribed channel not closed")
-	}
-	if _, err := l.Append(Op{Kind: OpUpsert}); err != nil {
-		t.Fatal(err)
-	}
-	if lsn := <-ch2; lsn != 1 {
-		t.Fatalf("remaining subscriber lsn = %d, want 1", lsn)
-	}
-	// Unsubscribing an unknown (or already-removed) channel is a no-op.
-	l.Unsubscribe(ch1)
-}
-
 func TestConcurrentAppends(t *testing.T) {
 	l := NewVolatile()
 	var wg sync.WaitGroup

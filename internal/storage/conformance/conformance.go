@@ -492,13 +492,6 @@ func (s Suite) entityKV(t *testing.T) {
 	} else if ok {
 		t.Fatal("phantom key")
 	}
-	vals, err := kv.MultiGet([]string{"kg:E1", "kg:nope", "kg:E2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 3 || string(vals[0]) != "v1" || vals[1] != nil || string(vals[2]) != "v2" {
-		t.Fatalf("MultiGet = %q", vals)
-	}
 	if ok, err := kv.Delete("kg:E1"); err != nil {
 		t.Fatal(err)
 	} else if !ok {
@@ -529,11 +522,6 @@ func (s Suite) entityKV(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				if _, _, err := kv.Get(fmt.Sprintf("kg:E%d", 2+(r*100+i)%(n-2))); err != nil {
 					t.Error(err)
-				}
-				if i%10 == 0 {
-					if _, err := kv.MultiGet([]string{"kg:E2", "kg:E3", "kg:E4"}); err != nil {
-						t.Error(err)
-					}
 				}
 			}
 		}(r)

@@ -14,7 +14,7 @@ import (
 )
 
 // TestMemoryBackend runs the in-memory medium: the staging store behind
-// graphengine.NewObjectStore and the entity store's sharded KV. A volatile
+// graphengine.NewObjectStore and the entity store's in-memory KV. A volatile
 // log has no record log and a volatile platform keeps no checkpoints, so
 // those roles have no in-memory implementation.
 func TestMemoryBackend(t *testing.T) {

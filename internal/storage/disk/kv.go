@@ -185,49 +185,6 @@ func (kv *EntityKV) Get(key string) ([]byte, bool, error) {
 	return kv.readLocked(loc), true, nil
 }
 
-// MultiGet implements storage.EntityKV: one read-locked pass over the
-// mapping, then at most one remap under the write lock for locations past
-// the mapped size.
-func (kv *EntityKV) MultiGet(keys []string) ([][]byte, error) {
-	out := make([][]byte, len(keys))
-	var uncovered []int
-	kv.mu.RLock()
-	if kv.closed {
-		kv.mu.RUnlock()
-		return nil, fmt.Errorf("disk: multiget from closed entity kv %s", kv.path)
-	}
-	for i, key := range keys {
-		loc, ok := kv.idx[key]
-		if !ok {
-			continue
-		}
-		if kv.covered(loc) {
-			out[i] = kv.readLocked(loc)
-		} else {
-			uncovered = append(uncovered, i)
-		}
-	}
-	kv.mu.RUnlock()
-	if len(uncovered) == 0 {
-		return out, nil
-	}
-
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	if kv.closed {
-		return nil, fmt.Errorf("disk: multiget from closed entity kv %s", kv.path)
-	}
-	if err := kv.remapLocked(); err != nil {
-		return nil, err
-	}
-	for _, i := range uncovered {
-		if loc, ok := kv.idx[keys[i]]; ok && kv.covered(loc) {
-			out[i] = kv.readLocked(loc)
-		}
-	}
-	return out, nil
-}
-
 // Delete implements storage.EntityKV.
 func (kv *EntityKV) Delete(key string) (bool, error) {
 	kv.mu.Lock()

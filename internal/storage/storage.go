@@ -104,19 +104,13 @@ type BlobStore interface {
 }
 
 // EntityKV is the entity index's payload storage: serialized entity bytes
-// keyed by entity ID. Implementations are safe for concurrent use and must
-// support concurrent readers without contention on disjoint keys.
+// keyed by entity ID. Implementations are safe for concurrent use.
 type EntityKV interface {
 	// Put stores (replacing) a value. The value is copied before return.
 	Put(key string, value []byte) error
 	// Get retrieves a value, or (nil, false, nil) when absent. The returned
 	// slice is the caller's (it stays valid after Close and later writes).
 	Get(key string) ([]byte, bool, error)
-	// MultiGet retrieves several values in one call, aligned with keys:
-	// out[i] is nil when keys[i] is absent. Implementations should amortize
-	// per-key synchronization (e.g. one lock acquisition per shard, not per
-	// key).
-	MultiGet(keys []string) ([][]byte, error)
 	// Delete removes a value, reporting whether it existed.
 	Delete(key string) (bool, error)
 	// Len returns the number of stored values.

@@ -3,10 +3,9 @@
 // entity-retrieval workload (Entity Cards need the full payload of one entity
 // in microseconds). Values are stored in the compact binary codec of the
 // triple package; the raw bytes live in a storage.EntityKV — the in-memory
-// MemKV shards by entity ID hash so concurrent readers on different shards
-// never contend, the disk medium's KV keeps payloads in the OS page cache so
-// the index can exceed RAM. Encoding and decoding happen here, outside
-// whatever synchronization the KV uses internally.
+// MemKV holds them in one locked map, the disk medium's KV keeps payloads in
+// the OS page cache so the index can exceed RAM. Encoding and decoding happen
+// here, outside whatever synchronization the KV uses internally.
 package entitystore
 
 import (
@@ -61,33 +60,6 @@ func (s *Store) Get(id triple.EntityID) (*triple.Entity, error) {
 		return nil, fmt.Errorf("entitystore: decode %s: %w", id, err)
 	}
 	return &e, nil
-}
-
-// MultiGet retrieves several entities in one call; absent IDs are skipped.
-// The KV amortizes per-key synchronization (MemKV locks each touched shard
-// once, not once per ID) and decoding happens out here,
-// outside any backend lock.
-func (s *Store) MultiGet(ids []triple.EntityID) ([]*triple.Entity, error) {
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		keys[i] = string(id)
-	}
-	vals, err := s.kv.MultiGet(keys)
-	if err != nil {
-		return nil, fmt.Errorf("entitystore: multiget: %w", err)
-	}
-	out := make([]*triple.Entity, 0, len(ids))
-	for i, data := range vals {
-		if data == nil {
-			continue
-		}
-		var e triple.Entity
-		if err := e.UnmarshalBinary(data); err != nil {
-			return nil, fmt.Errorf("entitystore: decode %s: %w", ids[i], err)
-		}
-		out = append(out, &e)
-	}
-	return out, nil
 }
 
 // Delete removes an entity, reporting whether it existed.

@@ -60,89 +60,6 @@ func TestPutReplaces(t *testing.T) {
 	}
 }
 
-func TestMultiGet(t *testing.T) {
-	s := New()
-	s.Put(entity("kg:E1", "A"))
-	s.Put(entity("kg:E2", "B"))
-	got, err := s.MultiGet([]triple.EntityID{"kg:E1", "kg:missing", "kg:E2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("multiget = %d", len(got))
-	}
-}
-
-func TestMultiGetLocksOncePerShard(t *testing.T) {
-	kv := NewMemKV()
-	s := NewWith(kv)
-	ids := make([]triple.EntityID, 512)
-	for i := range ids {
-		ids[i] = triple.EntityID(fmt.Sprintf("kg:E%d", i))
-		if err := s.Put(entity(string(ids[i]), "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := kv.ReadLocks()
-	got, err := s.MultiGet(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ids) {
-		t.Fatalf("multiget = %d, want %d", len(got), len(ids))
-	}
-	locks := kv.ReadLocks() - before
-	// 512 IDs spread over 64 shards: one acquisition per touched shard, not
-	// one per ID.
-	if locks > kvShardCount {
-		t.Fatalf("MultiGet took %d read locks for %d ids; want <= %d (once per shard)",
-			locks, len(ids), kvShardCount)
-	}
-}
-
-// BenchmarkMultiGet quantifies the batched-locking win: grouping IDs by
-// shard turns N lock acquisitions into at most one per touched shard. The
-// locks/op metric makes the reduction visible next to ns/op.
-func BenchmarkMultiGet(b *testing.B) {
-	const n = 256
-	setup := func() (*Store, *MemKV, []triple.EntityID) {
-		kv := NewMemKV()
-		s := NewWith(kv)
-		ids := make([]triple.EntityID, n)
-		for i := range ids {
-			ids[i] = triple.EntityID(fmt.Sprintf("kg:E%d", i))
-			if err := s.Put(entity(string(ids[i]), "payload")); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return s, kv, ids
-	}
-	b.Run("PerIDGet", func(b *testing.B) {
-		s, kv, ids := setup()
-		start := kv.ReadLocks()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, id := range ids {
-				if _, err := s.Get(id); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(kv.ReadLocks()-start)/float64(b.N), "locks/op")
-	})
-	b.Run("Batched", func(b *testing.B) {
-		s, kv, ids := setup()
-		start := kv.ReadLocks()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.MultiGet(ids); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(kv.ReadLocks()-start)/float64(b.N), "locks/op")
-	})
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := New()
 	var wg sync.WaitGroup

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// These tests pin the sharded copy-on-write store to a trivially correct
-// model: a plain map of cloned entities mutated by the same operation
-// sequence. Every shard count must agree with the model byte for byte, and
-// every snapshot must stay frozen at its cut while both sides keep writing.
+// These tests pin the copy-on-write store to a trivially correct model: a
+// plain map of cloned entities mutated by the same operation sequence. The
+// graph must agree with the model byte for byte, and every snapshot must stay
+// frozen at its cut while both sides keep writing.
 
 // cowModel is the reference implementation: a map of deep copies.
 type cowModel map[EntityID]*Entity
@@ -143,21 +143,56 @@ func cowRandomOp(r *rand.Rand, graphs []*Graph, m cowModel) {
 	}
 }
 
-// TestCOWGraphMatchesModelAcrossShardCounts drives one random operation
-// sequence through graphs striped over 1, 3, and 32 shards plus the map
-// model; all four must agree on every read surface at every checkpoint.
-func TestCOWGraphMatchesModelAcrossShardCounts(t *testing.T) {
+// TestCOWGraphMatchesModel drives one random operation sequence through the
+// graph and the map model; both must agree on every read surface at every
+// checkpoint.
+func TestCOWGraphMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	graphs := []*Graph{NewGraphWithShards(1), NewGraphWithShards(3), NewGraphWithShards(32)}
+	g := NewGraph()
 	m := make(cowModel)
 	for step := 0; step < 400; step++ {
-		cowRandomOp(r, graphs, m)
+		cowRandomOp(r, []*Graph{g}, m)
 		if step%97 == 0 || step == 399 {
-			for gi, g := range graphs {
-				checkAgainstModel(t, g, m, fmt.Sprintf("step %d shards-variant %d", step, gi))
-			}
+			checkAgainstModel(t, g, m, fmt.Sprintf("step %d", step))
 		}
 	}
+}
+
+// TestCOWSnapshotDeleteFirst makes Delete the first write after a Snapshot,
+// on the live side and then on the snapshot side: the delete must copy the
+// shared maps before removing anything, so the other side keeps the entity,
+// its type posting and its source counts.
+func TestCOWSnapshotDeleteFirst(t *testing.T) {
+	g := NewGraph()
+	m := make(cowModel)
+	for i, typ := range []string{"human", "song", "human"} {
+		e := NewEntity(EntityID(fmt.Sprintf("kg:D%d", i)))
+		e.Add(New(e.ID, PredType, String(typ)).WithSource(fmt.Sprintf("s%d", i), 0.9))
+		g.Put(e)
+		m.put(e)
+	}
+	snap := g.Snapshot()
+	cut := m.clone()
+	if !g.Delete("kg:D1") {
+		t.Fatal("Delete(kg:D1) = false")
+	}
+	m.del("kg:D1")
+	checkAgainstModel(t, g, m, "live after delete")
+	checkAgainstModel(t, snap, cut, "snapshot after live delete")
+	if snap.GetShared("kg:D1") == nil || len(snap.IDsByType("song")) != 1 {
+		t.Fatal("snapshot lost the entity the live graph deleted")
+	}
+
+	// The snapshot side: its first write is a Delete too.
+	again := snap.Snapshot()
+	if !snap.Delete("kg:D0") {
+		t.Fatal("snapshot Delete(kg:D0) = false")
+	}
+	snapModel := cut.clone()
+	snapModel.del("kg:D0")
+	checkAgainstModel(t, snap, snapModel, "snapshot after its own delete")
+	checkAgainstModel(t, again, cut, "second snapshot after first snapshot's delete")
+	checkAgainstModel(t, g, m, "live after snapshot delete")
 }
 
 // TestCOWSnapshotFrozenUnderWrites interleaves snapshots with further writes

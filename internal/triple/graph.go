@@ -7,20 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// defaultShards is the shard count of NewGraph. Entity IDs hash uniformly, so
-// construction writes and serving reads of distinct entities almost never
-// contend on the same lock.
-const defaultShards = 32
-
 // Graph is an in-memory knowledge graph: the entity repository that
 // construction fuses into and the storage engines derive their views from.
 // It is safe for concurrent use.
 //
-// The store is shard-striped and copy-on-write:
-//
-//   - Entities hash into shards, each with its own lock and map, so writers
-//     and readers of different entities proceed in parallel instead of
-//     serializing on one graph-wide mutex.
+// The store is one lock over one set of maps, and copy-on-write:
 //
 //   - Entity records are immutable after insert. Every write path (Put,
 //     Update, the fusion helpers built on them) stores a private clone and
@@ -31,155 +22,120 @@ const defaultShards = 32
 //     read paths MUST NOT mutate the entities they receive; callers that need
 //     a mutable copy use Get, which clones.
 //
-//   - Snapshot is O(shards), not O(|KG|): it marks every shard map as shared
-//     and hands the snapshot the same maps. The next write to a shard — on
-//     either side — first copies that shard's maps (pointers only; records
-//     are immutable and never copied), so snapshot cost is paid lazily and
-//     only for the shards actually touched afterwards. A snapshot is a fully
-//     independent *Graph: frozen at the cut, writable, and cheap to take per
-//     view/NERD refresh even while construction commits concurrently.
+//   - Snapshot is O(1), not O(|KG|): it marks the maps as shared and hands
+//     the snapshot the same maps. The first write afterwards — on either
+//     side — copies the whole map set (pointers only; records are immutable
+//     and never copied), so snapshot cost is paid lazily, once per side. A
+//     snapshot is a fully independent *Graph: frozen at the cut and writable.
+//     Only view materialization and NERD refreshes take snapshots, so the
+//     commit loop pays that copy at most once per refresh.
 //
-// Multi-shard reads (Range, Len, Stats, IDs, Triples) visit shards one at a
-// time and therefore observe a per-shard-atomic view; use Snapshot when a
-// computation needs one globally consistent cut — it is cheap now.
+// Bulk reads (Range, Len, Stats, IDs, Triples) each observe one consistent
+// cut; use Snapshot when several of them must agree.
 type Graph struct {
-	shards []*graphShard
+	mu       sync.RWMutex
+	entities map[EntityID]*Entity
+	byType   map[string]map[EntityID]bool // type -> ids
+	sources  map[string]int               // source -> triple-occurrence refcount
+	facts    int                          // total triples stored
+	shared   bool                         // maps are aliased by >=1 snapshot
+
 	nextID atomic.Uint64
 
 	// typeMu guards the cached sorted ID slices per type; entries are
 	// invalidated by any write touching that type. Holding typeMu while
-	// gathering from the shards (never the reverse order) keeps the cache
-	// coherent with the shard state.
+	// gathering from the maps (never the reverse order) keeps the cache
+	// coherent with the graph state.
 	typeMu    sync.Mutex
 	typeCache map[string][]EntityID
 }
 
-// graphShard is one stripe of the store. entities, byType, and sources are
-// the copy-on-write unit: when shared with a snapshot, the first write copies
-// all three before mutating.
-type graphShard struct {
-	mu       sync.RWMutex
-	entities map[EntityID]*Entity
-	byType   map[string]map[EntityID]bool // type -> ids of this shard
-	sources  map[string]int               // source -> triple-occurrence refcount
-	facts    int                          // total triples stored in this shard
-	shared   bool                         // maps are aliased by >=1 snapshot
-}
-
-// NewGraph constructs an empty graph with the default shard count.
-func NewGraph() *Graph { return NewGraphWithShards(defaultShards) }
-
-// NewGraphWithShards constructs an empty graph striped over n shards
-// (minimum 1). The graphstore ablation uses it to compare shard counts; all
-// shard counts store identical content.
-func NewGraphWithShards(n int) *Graph {
-	if n < 1 {
-		n = 1
+// NewGraph constructs an empty graph.
+func NewGraph() *Graph {
+	return &Graph{
+		entities:  make(map[EntityID]*Entity),
+		byType:    make(map[string]map[EntityID]bool),
+		sources:   make(map[string]int),
+		typeCache: make(map[string][]EntityID),
 	}
-	g := &Graph{shards: make([]*graphShard, n), typeCache: make(map[string][]EntityID)}
-	for i := range g.shards {
-		g.shards[i] = &graphShard{
-			entities: make(map[EntityID]*Entity),
-			byType:   make(map[string]map[EntityID]bool),
-			sources:  make(map[string]int),
-		}
-	}
-	return g
 }
 
-// HashID returns the FNV-1a hash of an entity ID: the shard function shared
-// by every striped store keyed on entity IDs (this graph, the live store).
-func HashID(id EntityID) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	var h uint64 = offset64
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return h
-}
-
-// shardFor hashes an entity ID onto its shard.
-func (g *Graph) shardFor(id EntityID) *graphShard {
-	return g.shards[HashID(id)%uint64(len(g.shards))]
-}
-
-// ensureOwnedLocked makes the shard's maps private before a mutation: when a
+// ensureOwnedLocked makes the maps private before a mutation: when a
 // snapshot aliases them, the maps (not the immutable records they point to)
-// are copied once. Callers hold the shard's write lock.
-func (s *graphShard) ensureOwnedLocked() {
-	if !s.shared {
+// are copied once. Callers hold the write lock.
+func (g *Graph) ensureOwnedLocked() {
+	if !g.shared {
 		return
 	}
-	entities := make(map[EntityID]*Entity, len(s.entities))
-	for id, e := range s.entities {
+	entities := make(map[EntityID]*Entity, len(g.entities))
+	for id, e := range g.entities {
 		entities[id] = e
 	}
-	s.entities = entities
-	byType := make(map[string]map[EntityID]bool, len(s.byType))
-	for typ, set := range s.byType {
+	g.entities = entities
+	byType := make(map[string]map[EntityID]bool, len(g.byType))
+	for typ, set := range g.byType {
 		cp := make(map[EntityID]bool, len(set))
 		for id := range set {
 			cp[id] = true
 		}
 		byType[typ] = cp
 	}
-	s.byType = byType
-	sources := make(map[string]int, len(s.sources))
-	for src, n := range s.sources {
+	g.byType = byType
+	sources := make(map[string]int, len(g.sources))
+	for src, n := range g.sources {
 		sources[src] = n
 	}
-	s.sources = sources
-	s.shared = false
+	g.sources = sources
+	g.shared = false
 }
 
-// addIndexLocked registers a freshly stored record in the shard's type index
-// and monitoring counters.
-func (s *graphShard) addIndexLocked(e *Entity) {
+// addIndexLocked registers a freshly stored record in the type index and
+// monitoring counters.
+func (g *Graph) addIndexLocked(e *Entity) {
 	for _, typ := range e.Types() {
-		set := s.byType[typ]
+		set := g.byType[typ]
 		if set == nil {
 			set = make(map[EntityID]bool)
-			s.byType[typ] = set
+			g.byType[typ] = set
 		}
 		set[e.ID] = true
 	}
-	s.facts += len(e.Triples)
+	g.facts += len(e.Triples)
 	for _, t := range e.Triples {
 		for _, src := range t.Sources {
-			s.sources[src]++
+			g.sources[src]++
 		}
 	}
 }
 
 // removeIndexLocked unregisters a record being replaced or deleted.
-func (s *graphShard) removeIndexLocked(e *Entity) {
+func (g *Graph) removeIndexLocked(e *Entity) {
 	if e == nil {
 		return
 	}
 	for _, typ := range e.Types() {
-		if set := s.byType[typ]; set != nil {
+		if set := g.byType[typ]; set != nil {
 			delete(set, e.ID)
 			if len(set) == 0 {
-				delete(s.byType, typ)
+				delete(g.byType, typ)
 			}
 		}
 	}
-	s.facts -= len(e.Triples)
+	g.facts -= len(e.Triples)
 	for _, t := range e.Triples {
 		for _, src := range t.Sources {
-			if s.sources[src] <= 1 {
-				delete(s.sources, src)
+			if g.sources[src] <= 1 {
+				delete(g.sources, src)
 			} else {
-				s.sources[src]--
+				g.sources[src]--
 			}
 		}
 	}
 }
 
 // invalidateTypeCache drops the cached sorted ID slices for every type the
-// old and new records carry. Called after the shard lock is released, so the
-// lock order is always typeMu -> shard, never the reverse.
+// old and new records carry. Called after the graph lock is released, so the
+// lock order is always typeMu -> mu, never the reverse.
 func (g *Graph) invalidateTypeCache(old, new *Entity) {
 	g.typeMu.Lock()
 	if len(g.typeCache) > 0 {
@@ -199,25 +155,17 @@ func (g *Graph) invalidateTypeCache(old, new *Entity) {
 
 // Len returns the number of entities in the graph.
 func (g *Graph) Len() int {
-	n := 0
-	for _, s := range g.shards {
-		s.mu.RLock()
-		n += len(s.entities)
-		s.mu.RUnlock()
-	}
-	return n
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return len(g.entities)
 }
 
-// FactCount returns the total number of triples in the graph. Counters are
-// maintained on write, so this is O(shards).
+// FactCount returns the total number of triples in the graph. The counter is
+// maintained on write, so this is O(1).
 func (g *Graph) FactCount() int {
-	n := 0
-	for _, s := range g.shards {
-		s.mu.RLock()
-		n += s.facts
-		s.mu.RUnlock()
-	}
-	return n
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.facts
 }
 
 // NewID mints a fresh canonical KG entity ID.
@@ -234,20 +182,18 @@ func (g *Graph) NewID() EntityID {
 func (g *Graph) SeedIDs() {
 	var maxSeq uint64
 	prefix := KGNamespace + "E"
-	for _, s := range g.shards {
-		s.mu.RLock()
-		for id := range s.entities {
-			sid := string(id)
-			if len(sid) <= len(prefix) || sid[:len(prefix)] != prefix {
-				continue
-			}
-			var n uint64
-			if _, err := fmt.Sscanf(sid[len(prefix):], "%d", &n); err == nil && n > maxSeq {
-				maxSeq = n
-			}
+	g.mu.RLock()
+	for id := range g.entities {
+		sid := string(id)
+		if len(sid) <= len(prefix) || sid[:len(prefix)] != prefix {
+			continue
 		}
-		s.mu.RUnlock()
+		var n uint64
+		if _, err := fmt.Sscanf(sid[len(prefix):], "%d", &n); err == nil && n > maxSeq {
+			maxSeq = n
+		}
 	}
+	g.mu.RUnlock()
 	for {
 		cur := g.nextID.Load()
 		if cur >= maxSeq || g.nextID.CompareAndSwap(cur, maxSeq) {
@@ -277,19 +223,17 @@ func (g *Graph) Get(id EntityID) *Entity {
 // transfers carry a //saga:owns marker. See
 // docs/INVARIANTS.md#cow-shared-records.
 func (g *Graph) GetShared(id EntityID) *Entity {
-	s := g.shardFor(id)
-	s.mu.RLock()
-	e := s.entities[id]
-	s.mu.RUnlock()
+	g.mu.RLock()
+	e := g.entities[id]
+	g.mu.RUnlock()
 	return e
 }
 
 // Has reports whether the entity exists.
 func (g *Graph) Has(id EntityID) bool {
-	s := g.shardFor(id)
-	s.mu.RLock()
-	_, ok := s.entities[id]
-	s.mu.RUnlock()
+	g.mu.RLock()
+	_, ok := g.entities[id]
+	g.mu.RUnlock()
 	return ok
 }
 
@@ -307,44 +251,40 @@ func (g *Graph) Put(e *Entity) { g.PutOwned(e.Clone()) }
 //
 //saga:owns ownership of a freshly decoded, never-published record moves to the graph (docs/INVARIANTS.md#cow-shared-records)
 func (g *Graph) PutOwned(e *Entity) {
-	s := g.shardFor(e.ID)
-	s.mu.Lock()
-	s.ensureOwnedLocked()
-	old := s.entities[e.ID]
-	s.removeIndexLocked(old)
-	s.entities[e.ID] = e
-	s.addIndexLocked(e)
-	s.mu.Unlock()
+	g.mu.Lock()
+	g.ensureOwnedLocked()
+	old := g.entities[e.ID]
+	g.removeIndexLocked(old)
+	g.entities[e.ID] = e
+	g.addIndexLocked(e)
+	g.mu.Unlock()
 	g.invalidateTypeCache(old, e)
 }
 
 // Delete removes an entity, reporting whether it existed.
 func (g *Graph) Delete(id EntityID) bool {
-	s := g.shardFor(id)
-	s.mu.Lock()
-	old, ok := s.entities[id]
+	g.mu.Lock()
+	old, ok := g.entities[id]
 	if !ok {
-		s.mu.Unlock()
+		g.mu.Unlock()
 		return false
 	}
-	s.ensureOwnedLocked()
-	s.removeIndexLocked(old)
-	delete(s.entities, id)
-	s.mu.Unlock()
+	g.ensureOwnedLocked()
+	g.removeIndexLocked(old)
+	delete(g.entities, id)
+	g.mu.Unlock()
 	g.invalidateTypeCache(old, nil)
 	return true
 }
 
 // IDs returns all entity IDs in sorted order.
 func (g *Graph) IDs() []EntityID {
-	var out []EntityID
-	for _, s := range g.shards {
-		s.mu.RLock()
-		for id := range s.entities {
-			out = append(out, id)
-		}
-		s.mu.RUnlock()
+	g.mu.RLock()
+	out := make([]EntityID, 0, len(g.entities))
+	for id := range g.entities {
+		out = append(out, id)
 	}
+	g.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -360,14 +300,12 @@ func (g *Graph) IDsByType(typ string) []EntityID {
 	if cached, ok := g.typeCache[typ]; ok {
 		return append([]EntityID(nil), cached...)
 	}
-	var out []EntityID
-	for _, s := range g.shards {
-		s.mu.RLock()
-		for id := range s.byType[typ] {
-			out = append(out, id)
-		}
-		s.mu.RUnlock()
+	g.mu.RLock()
+	out := make([]EntityID, 0, len(g.byType[typ]))
+	for id := range g.byType[typ] {
+		out = append(out, id)
 	}
+	g.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	g.typeCache[typ] = out
 	return append([]EntityID(nil), out...)
@@ -375,18 +313,12 @@ func (g *Graph) IDsByType(typ string) []EntityID {
 
 // Types returns the distinct entity types present in the graph, sorted.
 func (g *Graph) Types() []string {
-	seen := make(map[string]bool)
-	for _, s := range g.shards {
-		s.mu.RLock()
-		for t := range s.byType {
-			seen[t] = true
-		}
-		s.mu.RUnlock()
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
+	g.mu.RLock()
+	out := make([]string, 0, len(g.byType))
+	for t := range g.byType {
 		out = append(out, t)
 	}
+	g.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -395,8 +327,8 @@ func (g *Graph) Types() []string {
 // receives the stored immutable record and must not mutate it (sharedmut in
 // cmd/saga-vet enforces this; see docs/INVARIANTS.md#cow-shared-records);
 // unlike the pre-COW implementation no lock is held while fn runs, so fn may
-// freely call back into the graph. The view is per-shard-atomic; take a
-// Snapshot first for a globally consistent iteration.
+// freely call back into the graph. The iteration visits the entities present
+// at the call; writes that land while fn runs are not observed.
 func (g *Graph) Range(fn func(*Entity) bool) { g.RangeShared(fn) }
 
 // RangeShared iterates the stored immutable entity records without cloning:
@@ -406,31 +338,28 @@ func (g *Graph) Range(fn func(*Entity) bool) { g.RangeShared(fn) }
 // sharedmut analyzer (cmd/saga-vet) machine-checks callers; see
 // docs/INVARIANTS.md#cow-shared-records. fn runs without any graph lock held.
 func (g *Graph) RangeShared(fn func(*Entity) bool) {
-	for _, s := range g.shards {
-		s.mu.RLock()
-		batch := make([]*Entity, 0, len(s.entities))
-		for _, e := range s.entities {
-			batch = append(batch, e)
-		}
-		s.mu.RUnlock()
-		for _, e := range batch {
-			if !fn(e) {
-				return
-			}
+	g.mu.RLock()
+	batch := make([]*Entity, 0, len(g.entities))
+	for _, e := range g.entities {
+		batch = append(batch, e)
+	}
+	g.mu.RUnlock()
+	for _, e := range batch {
+		if !fn(e) {
+			return
 		}
 	}
 }
 
 // Update applies fn to a copy of the entity with the given ID (creating an
 // empty payload when absent) and stores the result atomically under the
-// shard's write lock. The stored record is never mutated in place — fn runs
+// graph's write lock. The stored record is never mutated in place — fn runs
 // on a private clone whose pointer then replaces the old record, which is the
 // discipline that keeps shared readers and COW snapshots consistent.
 func (g *Graph) Update(id EntityID, fn func(*Entity)) {
-	s := g.shardFor(id)
-	s.mu.Lock()
-	s.ensureOwnedLocked()
-	old, ok := s.entities[id]
+	g.mu.Lock()
+	g.ensureOwnedLocked()
+	old, ok := g.entities[id]
 	var e *Entity
 	if !ok {
 		e = NewEntity(id)
@@ -438,42 +367,33 @@ func (g *Graph) Update(id EntityID, fn func(*Entity)) {
 		e = old.Clone()
 	}
 	fn(e)
-	s.removeIndexLocked(old)
-	s.entities[id] = e
-	s.addIndexLocked(e)
-	s.mu.Unlock()
+	g.removeIndexLocked(old)
+	g.entities[id] = e
+	g.addIndexLocked(e)
+	g.mu.Unlock()
 	g.invalidateTypeCache(old, e)
 }
 
-// Snapshot returns a frozen, independent copy of the whole graph in O(shards)
-// time: every shard's maps are marked shared and aliased into the snapshot,
-// and the first subsequent write to a shard — on either the live graph or the
-// snapshot — copies just that shard's maps. All shard locks are held together
-// for the flip, so the snapshot is a globally consistent cut even while
-// writers run concurrently. View materialization and NERD refreshes take one
-// per run; the commit loop no longer stalls behind an O(|KG|) deep copy.
+// Snapshot returns a frozen, independent copy of the whole graph in O(1)
+// time: the maps are marked shared and aliased into the snapshot, and the
+// first subsequent write — on either the live graph or the snapshot — copies
+// them. The flip happens under the write lock, so the snapshot is a
+// consistent cut even while writers run concurrently. View materialization
+// and NERD refreshes take one per run; the commit loop never stalls behind
+// an O(|KG|) deep copy at the cut itself.
 func (g *Graph) Snapshot() *Graph {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.shared = true
 	out := &Graph{
-		shards:    make([]*graphShard, len(g.shards)),
+		entities:  g.entities,
+		byType:    g.byType,
+		sources:   g.sources,
+		facts:     g.facts,
+		shared:    true,
 		typeCache: make(map[string][]EntityID),
 	}
-	for _, s := range g.shards {
-		s.mu.Lock()
-	}
 	out.nextID.Store(g.nextID.Load())
-	for i, s := range g.shards {
-		s.shared = true
-		out.shards[i] = &graphShard{
-			entities: s.entities,
-			byType:   s.byType,
-			sources:  s.sources,
-			facts:    s.facts,
-			shared:   true,
-		}
-	}
-	for _, s := range g.shards {
-		s.mu.Unlock()
-	}
 	return out
 }
 
@@ -498,24 +418,14 @@ type Stats struct {
 }
 
 // Stats reports summary statistics from counters maintained incrementally on
-// write — O(shards + types + sources), never a rescan of the stored triples.
+// write — O(1), never a rescan of the stored triples.
 func (g *Graph) Stats() Stats {
-	types := make(map[string]bool)
-	sources := make(map[string]bool)
-	st := Stats{}
-	for _, s := range g.shards {
-		s.mu.RLock()
-		st.Entities += len(s.entities)
-		st.Facts += s.facts
-		for t := range s.byType {
-			types[t] = true
-		}
-		for src := range s.sources {
-			sources[src] = true
-		}
-		s.mu.RUnlock()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return Stats{
+		Entities: len(g.entities),
+		Facts:    g.facts,
+		Types:    len(g.byType),
+		Sources:  len(g.sources),
 	}
-	st.Types = len(types)
-	st.Sources = len(sources)
-	return st
 }

@@ -27,7 +27,7 @@ import (
 // embedding trainer, for example); the Manager owns their lifecycle.
 type Context struct {
 	// Graph is the KG snapshot for this run. Snapshots are copy-on-write
-	// (triple.Graph.Snapshot is O(shards)), so taking one per materialization
+	// (triple.Graph.Snapshot is O(1)), so taking one per materialization
 	// run is cheap even on a large KG; view procedures should read it through
 	// the clone-free paths (GetShared, RangeShared) and never mutate the
 	// entities those return.
