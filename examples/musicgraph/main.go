@@ -39,15 +39,16 @@ func main() {
 	fmt.Printf("catalog: %d canonical entities from %d source records\n\n", st.Graph.Entities, st.Links)
 
 	// Register the entity-features view and a people view on the analytics
-	// store, then materialize both at a checkpoint (shared dependencies are
-	// computed once — the §3.2 reuse optimization).
+	// store, then materialize both over the graph replica after a checkpoint
+	// (shared dependencies are computed once — the §3.2 reuse optimization).
 	exec := analytics.HashExecutor{}
+	catalog := views.NewCatalog()
 	must := func(err error) {
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
-	must(platform.ViewCatalog.Register(views.Definition{
+	must(catalog.Register(views.Definition{
 		Name: "entity-features", Engine: "analytics",
 		Create: func(ctx *views.Context) error {
 			store := analytics.FromGraph(ctx.Graph)
@@ -56,7 +57,7 @@ func main() {
 			return nil
 		},
 	}))
-	must(platform.ViewCatalog.Register(views.Definition{
+	must(catalog.Register(views.Definition{
 		Name: "people-view", Engine: "analytics", DependsOn: []string{"entity-features"},
 		Create: func(ctx *views.Context) error {
 			store := analytics.FromGraph(ctx.Graph)
@@ -72,7 +73,10 @@ func main() {
 			return nil
 		},
 	}))
-	run, err := platform.Checkpoint()
+	if _, err := platform.Checkpoint(); err != nil {
+		log.Fatal(err)
+	}
+	run, err := views.NewManager(catalog).Materialize(views.NewContext(platform.GraphReplica.Snapshot()), catalog.Names()...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -57,6 +57,7 @@ type backendState struct {
 
 func stateOf(t *testing.T, p *Platform) backendState {
 	t.Helper()
+	p.RefreshServing()
 	st := backendState{
 		KG:      p.KG.Graph.Triples(),
 		Replica: p.GraphReplica.Triples(),
@@ -69,7 +70,7 @@ func stateOf(t *testing.T, p *Platform) backendState {
 		t.Fatal(err)
 	}
 	sort.Slice(st.Entities, func(i, j int) bool { return st.Entities[i] < st.Entities[j] })
-	for _, h := range p.TextIndex.Search("name", 20) {
+	for _, h := range p.Live.Serving().SearchText("name", 20) {
 		st.Search = append(st.Search, h.ID)
 	}
 	return st

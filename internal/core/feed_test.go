@@ -17,7 +17,6 @@ import (
 	"saga/internal/construct"
 	"saga/internal/ingest"
 	"saga/internal/triple"
-	"saga/internal/views"
 	"saga/internal/workload"
 )
 
@@ -99,13 +98,6 @@ func TestPlatformFeedMatchesSerialConsumeDeltas(t *testing.T) {
 // every batch submitted before them, without the caller waiting on results.
 func TestFeedDrainBeforeServing(t *testing.T) {
 	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
-	seen := 0
-	if err := p.ViewCatalog.Register(views.Definition{
-		Name:   "count-view",
-		Create: func(ctx *views.Context) error { seen = ctx.Graph.Len(); return nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
 	f, err := p.Feed(FeedOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -117,11 +109,17 @@ func TestFeedDrainBeforeServing(t *testing.T) {
 	if got, want := p.Live.Len(), p.KG.Graph.Len(); got < want {
 		t.Fatalf("live store has %d of %d KG entities after RefreshServing", got, want)
 	}
-	if _, err := p.Checkpoint(); err != nil {
+	before := p.KG.Graph.Len()
+	f.Submit([]ingest.Delta{workload.SourceSpec{Name: "late", Type: "late", Count: 5, Seed: 9}.Delta()})
+	w, err := p.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := seen, p.KG.Graph.Len(); got != want {
-		t.Fatalf("checkpoint view saw %d of %d entities", got, want)
+	if got, want := p.GraphReplica.Len(), p.KG.Graph.Len(); got != want || want == before {
+		t.Fatalf("replica has %d of %d KG entities after Checkpoint (%d before the last batch)", got, want, before)
+	}
+	if got := p.Engine.Log.LastLSN(); w != got {
+		t.Fatalf("Checkpoint returned watermark %d, log head %d", w, got)
 	}
 	// A second feed while this one is open must be refused.
 	if _, err := p.Feed(FeedOptions{}); err == nil {
@@ -381,7 +379,7 @@ func TestFeedConcurrentServingReaders(t *testing.T) {
 					snap := p.KG.Graph.Snapshot()
 					_ = snap.Len()
 				case 1:
-					_ = p.TextIndex.Search("okafor", 5)
+					_ = p.Live.Serving().SearchText("okafor", 5)
 					_ = p.EntityStore.Range(func(e *triple.Entity) bool { return true })
 				case 2:
 					p.GraphReplica.RangeShared(func(e *triple.Entity) bool { return true })

@@ -2,9 +2,9 @@
 // Figure 1: source ingestion feeds the batch construction pipeline, the
 // construction pipeline is the sole producer into the Graph Engine's
 // operation log, orchestration agents derive every store's view of the KG,
-// views materialize on checkpoints, the live graph serves a view of the
-// stable KG unioned with streaming sources, and the ML services (NERD,
-// embeddings, importance) are built over the same engine.
+// the live graph serves a view of the stable KG unioned with streaming
+// sources, and the ML services (NERD, embeddings, importance) are built over
+// the same engine.
 package core
 
 import (
@@ -27,9 +27,7 @@ import (
 	"saga/internal/storage"
 	"saga/internal/storage/disk"
 	"saga/internal/store/entitystore"
-	"saga/internal/store/textindex"
 	"saga/internal/triple"
-	"saga/internal/views"
 )
 
 // StorageOptions selects the storage medium for the platform's stores
@@ -110,11 +108,7 @@ type Platform struct {
 
 	Engine       *graphengine.Engine
 	EntityStore  *entitystore.Store
-	TextIndex    *textindex.Index
 	GraphReplica *triple.Graph
-
-	ViewCatalog *views.Catalog
-	ViewManager *views.Manager
 
 	// Live is the live KG store every serving read reaches through a
 	// versioned snapshot.
@@ -196,10 +190,9 @@ type pendingPublish struct {
 // Open assembles a platform and recovers its state: with durable storage it
 // restores the construction KG and every serving store from the latest
 // checkpoint and replays only the operation-log suffix past the checkpoint's
-// watermark (agent-parallel), so cold-start time tracks the suffix length,
-// not the log's age. A platform with no durable state opens empty. Close the
-// platform when done; recovery is Open's job alone — nothing else replays
-// the log implicitly.
+// watermark, so cold-start time tracks the suffix length, not the log's age.
+// A platform with no durable state opens empty. Close the platform when done;
+// recovery is Open's job alone — nothing else replays the log implicitly.
 func Open(opts Options) (_ *Platform, err error) {
 	opts = opts.withDefaults()
 	// opened holds every store that owns files, closed again if Open fails.
@@ -245,16 +238,13 @@ func Open(opts Options) (_ *Platform, err error) {
 		KG:           construct.NewKG(),
 		Engine:       graphengine.NewWithStaging(log, staging),
 		EntityStore:  entitystore.NewWith(kv),
-		TextIndex:    textindex.New(),
 		GraphReplica: triple.NewGraph(),
-		ViewCatalog:  views.NewCatalog(),
 		Curation:     live.NewQueue(),
 		Checkpoints:  ckpts,
 		snapshots:    make(map[string]ingest.Snapshot),
 	}
 	p.linkReplica = make(map[triple.EntityID]triple.EntityID)
 	p.Engine.RegisterAgent(graphengine.EntityStoreAgent{Store: p.EntityStore})
-	p.Engine.RegisterAgent(graphengine.TextIndexAgent{Index: p.TextIndex})
 	p.Engine.RegisterAgent(graphengine.GraphAgent{Graph: p.GraphReplica})
 	p.Engine.RegisterAgent(graphengine.FuncAgent{AgentName: "link-table", Fn: p.applyLinkOp})
 
@@ -271,7 +261,6 @@ func Open(opts Options) (_ *Platform, err error) {
 	p.Pipeline.EnableBlockIndex()
 	p.ckptEvery = opts.Durability.CheckpointEvery
 	p.compactAfter = opts.Durability.CompactAfter
-	p.ViewManager = views.NewManager(p.ViewCatalog)
 	p.Live = live.NewStore()
 	p.LiveConstructor = &live.Constructor{Store: p.Live}
 	p.LiveEngine = kgq.NewEngine(p.Live)
@@ -425,7 +414,11 @@ func (p *Platform) publishRaw(source string, upserts []*triple.Entity, removed [
 	}
 	links, unlinks := p.resolveLinks(linkSrcs)
 	if err == nil && len(upserts) > 0 {
-		_, err = p.Engine.PublishOp(oplog.Op{Kind: oplog.OpUpsert, Source: source, Links: links, Unlinks: unlinks}, upserts)
+		kind := oplog.OpUpsert
+		if source == live.CurationSource {
+			kind = oplog.OpCuration // hot fixes keep their kind on retries too
+		}
+		_, err = p.Engine.PublishOp(oplog.Op{Kind: kind, Source: source, Links: links, Unlinks: unlinks}, upserts)
 		links, unlinks = nil, nil // attached; don't repeat on the delete op
 	}
 	if err == nil && len(removed) > 0 {
@@ -603,11 +596,12 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 	}
 	var evs []event
 	linkBySrc := make(map[string]map[triple.EntityID]bool)
-	published, wantCkpt := 0, false
+	published := 0
+	var ckptReqs []*checkpointRequest
 	for _, b := range group {
 		if b.Barrier {
-			if _, ok := b.Payload.(checkpointRequest); ok {
-				wantCkpt = true
+			if req, ok := b.Payload.(*checkpointRequest); ok {
+				ckptReqs = append(ckptReqs, req)
 			}
 			continue
 		}
@@ -630,7 +624,7 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 			}
 		}
 	}
-	wantCkpt = p.checkpointDue(published) || wantCkpt
+	wantCkpt := p.checkpointDue(published) || len(ckptReqs) > 0
 	last := make(map[triple.EntityID]int, len(evs))
 	for i, ev := range evs {
 		last[ev.id] = i
@@ -699,8 +693,12 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 		firstErr = err
 	}
 	if wantCkpt {
-		if _, err := p.runCheckpoint(); err != nil && firstErr == nil {
+		w, err := p.runCheckpoint()
+		if err != nil && firstErr == nil {
 			firstErr = err
+		}
+		for _, req := range ckptReqs {
+			req.lsn = w
 		}
 	}
 	return firstErr
@@ -746,8 +744,8 @@ func (p *Platform) drainFeed() {
 // Close shuts the platform down, in dependency order: the standing feed (if
 // open) is closed and its backlog published, queued failed publishes are
 // retried, the background compactor is stopped and waited for, and only then
-// do the operation log, staging store, checkpoint store, entity store, and
-// text index release their storage backends (for durable backends that also
+// do the operation log, staging store, checkpoint store, and entity store
+// release their storage backends (for durable backends that also
 // syncs and closes their files) — so no compaction or publish can race a
 // closing store, and a clean Close leaves no orphaned segments behind. Close
 // is not safe concurrently with other platform calls; the platform is
@@ -783,36 +781,16 @@ func (p *Platform) Close() error {
 }
 
 // Checkpoint publishes a construction checkpoint — durably snapshotting the
-// KG when the platform has a checkpoint store — and materializes all
-// registered views over a consistent snapshot of the graph replica. The
-// snapshot is copy-on-write (O(1), not O(|KG|)), so a view refresh on a
-// large graph neither pays a deep copy nor stalls concurrent commits. With a
-// standing feed open the checkpoint rides the feed's ordered publisher (a
-// barrier turn), covering every batch submitted before this call without
-// stalling the commit loop.
-func (p *Platform) Checkpoint() (views.RunStats, error) {
-	if err := p.checkpointNow(); err != nil {
-		return views.RunStats{}, err
-	}
-	names := p.ViewCatalog.Names()
-	if len(names) == 0 {
-		return views.RunStats{}, nil
-	}
-	ctx := views.NewContext(p.GraphReplica.Snapshot())
-	return p.ViewManager.Materialize(ctx, names...)
-}
-
-// checkpointRequest is the barrier payload that asks the feed's publisher
-// for a checkpoint at the barrier's ordered turn.
-type checkpointRequest struct{}
-
-// checkpointNow takes one checkpoint: through the open feed's ordered
-// publisher when there is one, directly otherwise.
-func (p *Platform) checkpointNow() error {
+// KG when the platform has a checkpoint store — and returns its watermark.
+// With a standing feed open the checkpoint rides the feed's ordered
+// publisher (a barrier turn), covering every batch submitted before this
+// call without stalling the commit loop.
+func (p *Platform) Checkpoint() (uint64, error) {
 	if f := p.openFeed(); f != nil {
-		res := <-f.Barrier(checkpointRequest{})
+		req := &checkpointRequest{}
+		res := <-f.Barrier(req)
 		if !errors.Is(res.Err, construct.ErrFeedClosed) {
-			return res.Err
+			return req.lsn, res.Err
 		}
 		// Closed between openFeed and Barrier: settle its backlog, then
 		// checkpoint directly.
@@ -820,11 +798,15 @@ func (p *Platform) checkpointNow() error {
 	}
 	p.drainFeed()
 	if err := p.flushPending(); err != nil {
-		return err
+		return 0, err
 	}
-	_, err := p.runCheckpoint()
-	return err
+	return p.runCheckpoint()
 }
+
+// checkpointRequest is the barrier payload that asks the feed's publisher
+// for a checkpoint at the barrier's ordered turn; the publisher fills in the
+// checkpoint's watermark before the barrier's result is sent.
+type checkpointRequest struct{ lsn uint64 }
 
 // RefreshServing pushes the stable KG into the live store (the stable view
 // the live KG unions with streaming sources) with importance-based boosts,
@@ -883,21 +865,21 @@ func (p *Platform) Query(text string) (kgq.Result, error) {
 // ApplyCurationDecisions drains curation decisions from the live queue and
 // feeds them to the stable KG as the curation streaming source (§4.3): edits
 // become updated facts, blocks become deletions of the offending fact's
-// source attribution.
+// source attribution. The hot fixes publish as one group on the publish turn,
+// like a feed batch: a failed publish is queued and re-synced from the KG at
+// the next publish point, and the returned error reports it.
 func (p *Platform) ApplyCurationDecisions() (int, error) {
 	decisions := p.Curation.DrainDecisions()
 	if len(decisions) == 0 {
 		return 0, nil
 	}
-	// Curation writes the graph directly and publishes through the engine;
-	// serialize behind the standing feed so hot fixes land on (and publish
-	// after) every batch submitted before them. Submitters racing this call
-	// can still commit afterwards — quiesce the feed around curation runs
-	// if hot fixes must not interleave with in-flight batches.
+	// Curation writes the graph directly; serialize behind the standing feed
+	// so hot fixes land on (and publish after) every batch submitted before
+	// them. Submitters racing this call can still commit afterwards — quiesce
+	// the feed around curation runs if hot fixes must not interleave with
+	// in-flight batches.
 	p.drainFeed()
-	if err := p.flushPending(); err != nil {
-		return 0, err
-	}
+	ops := make([]capturedOp, 0, len(decisions))
 	for _, d := range decisions {
 		switch d.Kind {
 		case live.DecisionEdit:
@@ -927,18 +909,15 @@ func (p *Platform) ApplyCurationDecisions() (int, error) {
 		// touched entity to the pipeline's KG-derived caches (block index,
 		// alias-resolver cache) ourselves.
 		p.Pipeline.RefreshKGCaches(d.Entity)
-		// Publish the hot fix so every store converges.
+		op := capturedOp{source: live.CurationSource}
 		if d.Kind == live.DecisionBlockEntity {
-			if _, err := p.Engine.PublishDelete(live.CurationSource, []triple.EntityID{d.Entity}); err != nil {
-				return 0, err
-			}
+			op.removed = []triple.EntityID{d.Entity}
 		} else if e := p.KG.Graph.GetShared(d.Entity); e != nil {
-			if _, err := p.Engine.Publish(oplog.OpCuration, live.CurationSource, []*triple.Entity{e}); err != nil {
-				return 0, err
-			}
+			op.upserts = []*triple.Entity{e}
 		}
+		ops = append(ops, op)
 	}
-	return len(decisions), p.Engine.CatchUp()
+	return len(decisions), p.publishGroup([]*construct.FeedBatch{{Payload: ops}})
 }
 
 // DrainConflicts returns and clears the construction pipeline's accumulated

@@ -1,14 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"saga/internal/ingest"
 	"saga/internal/live"
+	"saga/internal/oplog"
 	"saga/internal/triple"
-	"saga/internal/views"
 	"saga/internal/workload"
 )
 
@@ -46,11 +48,11 @@ func TestEndToEndIngestServeQuery(t *testing.T) {
 	if got := p.GraphReplica.Len(); got != 2 {
 		t.Fatalf("replica entities = %d", got)
 	}
-	if hits := p.TextIndex.Search("mira solane", 1); len(hits) != 1 {
-		t.Fatalf("text index = %v", hits)
-	}
-	// Serve: stable view into the live store, then a KGQ query.
+	// Serve: stable view into the live store, then a search and a KGQ query.
 	p.RefreshServing()
+	if hits := p.Live.Serving().SearchText("mira solane", 1); len(hits) != 1 {
+		t.Fatalf("served search = %v", hits)
+	}
 	res, err := p.Query(`entity(type="music_artist", name="Mira Solane") | attr("genre")`)
 	if err != nil {
 		t.Fatal(err)
@@ -97,26 +99,6 @@ func TestCrossSourceDeduplication(t *testing.T) {
 	e := p.KG.Graph.Get(id1)
 	if srcs := e.SourceSet(); len(srcs) != 2 {
 		t.Fatalf("sources = %v", srcs)
-	}
-}
-
-func TestCheckpointMaterializesViews(t *testing.T) {
-	p := newTestPlatform(t, Options{})
-	ran := 0
-	if err := p.ViewCatalog.Register(views.Definition{
-		Name:   "count-view",
-		Create: func(ctx *views.Context) error { ran++; ctx.SetArtifact("count-view", ctx.Graph.Len()); return nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.ConsumeDelta(workload.SourceSpec{Name: "s", Count: 5, Seed: 3}.Delta()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 {
-		t.Fatalf("view ran %d times", ran)
 	}
 }
 
@@ -195,6 +177,59 @@ func TestCurationFlowsToStableKG(t *testing.T) {
 	}
 	if got, _ := p.EntityStore.Get(kgID); got == nil || got.Name() != "Corrected Name" {
 		t.Fatalf("entity store name = %v", got)
+	}
+}
+
+// TestCurationPublishFailureHeals: a curation hot fix whose publish fails is
+// queued like any failed publish, so the next publish point re-syncs it and
+// the replica converges to the KG for the curated entity. The curation
+// publish used to bypass the retry queue (and the publish hook): the error
+// was returned, and the stores kept the old fact until the entity was next
+// touched.
+func TestCurationPublishFailureHeals(t *testing.T) {
+	p := newTestPlatform(t, Options{})
+	if _, err := p.ConsumeDelta(workload.SourceSpec{Name: "s", Count: 3, Seed: 5}.Delta()); err != nil {
+		t.Fatal(err)
+	}
+	p.RefreshServing()
+	kgID, _ := p.KG.Lookup("s:e0")
+	var nameFact triple.Triple
+	for _, tr := range p.Live.Get(kgID).Triples {
+		if tr.Predicate == triple.PredName {
+			nameFact = tr
+		}
+	}
+	if err := p.Curation.Decide(p.Live, live.Decision{
+		Kind: live.DecisionEdit, Entity: kgID, Fact: nameFact, NewValue: triple.String("Corrected Name"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	failErr := errors.New("injected publish failure")
+	p.publishHook = func(source string) error {
+		if source == live.CurationSource {
+			return failErr
+		}
+		return nil
+	}
+	if n, err := p.ApplyCurationDecisions(); n != 1 || !errors.Is(err, failErr) {
+		t.Fatalf("applied = %d, err = %v; want 1 and the injected failure", n, err)
+	}
+	if got := p.GraphReplica.Get(kgID).Name(); got == "Corrected Name" {
+		t.Fatal("the replica took a hot fix whose publish failed")
+	}
+	p.publishHook = nil
+	p.RefreshServing() // a later publish point
+	want, _ := p.KG.Graph.Get(kgID).MarshalBinary()
+	got, _ := p.GraphReplica.Get(kgID).MarshalBinary()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("replica %q differs from the KG %q after the retry", p.GraphReplica.Get(kgID).Name(), p.KG.Graph.Get(kgID).Name())
+	}
+	var curated bool
+	for _, op := range p.Engine.Log.Read(0, 0) {
+		curated = curated || op.Kind == oplog.OpCuration
+	}
+	if !curated {
+		t.Fatal("the retried hot fix was not logged as a curation op")
 	}
 }
 

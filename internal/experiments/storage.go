@@ -17,10 +17,9 @@ import (
 // feed batches ingested by a hybrid platform (memory backend with
 // Durability.Dir: the durable layout, in-memory entity KV) and by one on the
 // disk backend (the same durable layout, mmap-read entity KV). The two runs
-// must leave the KG, the graph replica, the entity store, and the text index
-// byte-identical — the medium may only change where bytes live, never what
-// they are — and the disk platform must recover its replica from its files
-// alone after a reopen. Both stage through the same segment store, so the
+// must leave the KG, the graph replica and the entity store byte-identical —
+// the medium may only change where bytes live, never what they are — and the
+// disk platform must recover its replica from its files alone after a reopen. Both stage through the same segment store, so the
 // overhead ratio isolates what the disk entity KV costs on the standing-feed
 // workload.
 type StorageBackendsResult struct {
@@ -32,8 +31,8 @@ type StorageBackendsResult struct {
 	DiskMS        float64 // disk backend feed run, min over reps
 	DiskOverheadX float64 // DiskMS / MemoryMS
 
-	// Identical reports that the final KG, replica, entity store, and text
-	// search results matched between the two backends.
+	// Identical reports that the final KG, replica and entity store matched
+	// between the two backends.
 	Identical bool
 	// Recovered reports that reopening the disk platform's data directory
 	// and replaying rebuilt the same graph replica.
@@ -151,8 +150,7 @@ func StorageBackends(workers int) (StorageBackendsResult, error) {
 			res.Identical = err1 == nil && err2 == nil &&
 				reflect.DeepEqual(memP.KG.Graph.Triples(), diskP.KG.Graph.Triples()) &&
 				reflect.DeepEqual(memP.GraphReplica.Triples(), diskP.GraphReplica.Triples()) &&
-				reflect.DeepEqual(memIDs, diskIDs) &&
-				reflect.DeepEqual(memP.TextIndex.Search("popularity", 10), diskP.TextIndex.Search("popularity", 10))
+				reflect.DeepEqual(memIDs, diskIDs)
 
 			// Crash-recovery half of the contract: close the disk platform,
 			// reopen its directory, replay the log, and the replica must

@@ -3,11 +3,9 @@ package graphengine
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"saga/internal/oplog"
 	"saga/internal/store/entitystore"
-	"saga/internal/store/textindex"
 	"saga/internal/triple"
 )
 
@@ -102,49 +100,11 @@ func (a EntityStoreAgent) Apply(op oplog.Op, p Payload) error {
 	return nil
 }
 
-// TextIndexAgent replays KG updates into the full-text index: each entity's
-// searchable document is its name, aliases, and description.
-type TextIndexAgent struct {
-	Index *textindex.Index
-}
-
-// Name implements Agent.
-func (TextIndexAgent) Name() string { return "text-index" }
-
-// Apply implements Agent.
-func (a TextIndexAgent) Apply(op oplog.Op, p Payload) error {
-	switch op.Kind {
-	case oplog.OpUpsert, oplog.OpCuration:
-		for _, e := range p.Entities {
-			a.Index.Put(textindex.Doc{ID: string(e.ID), Text: EntityDocText(e)})
-		}
-	case oplog.OpDelete:
-		for _, id := range op.EntityIDs {
-			a.Index.Delete(string(id))
-		}
-	}
-	return nil
-}
-
-// EntityDocText renders an entity's searchable text.
-func EntityDocText(e *triple.Entity) string {
-	var b strings.Builder
-	for _, alias := range e.Aliases() {
-		b.WriteString(alias)
-		b.WriteByte(' ')
-	}
-	if d := e.First("description"); !d.IsNull() {
-		b.WriteString(d.Text())
-	}
-	return b.String()
-}
-
 // GraphAgent replays updates into an in-memory graph replica — the base
-// "current KG" other stores and views read. Read-side consumers (analytics
-// refresh, view materialization, NERD builds) take copy-on-write snapshots of
-// this replica at checkpoints — O(1), so refreshes neither deep-copy the
-// KG nor block replay — and read entities through the replica's clone-free
-// shared paths (the records are immutable after Put).
+// "current KG" the serving refresh, NERD builds and checkpoints read. Readers
+// take copy-on-write snapshots of this replica — O(1), so reads neither
+// deep-copy the KG nor block replay — or read entities through the replica's
+// clone-free shared paths (the records are immutable after Put).
 type GraphAgent struct {
 	Graph *triple.Graph
 }

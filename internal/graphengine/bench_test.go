@@ -6,7 +6,6 @@ import (
 
 	"saga/internal/oplog"
 	"saga/internal/store/entitystore"
-	"saga/internal/store/textindex"
 	"saga/internal/triple"
 )
 
@@ -59,12 +58,11 @@ func BenchmarkEncodeCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkCatchUp replays one published op of 8 entities into the three
-// store agents, the unit of work behind every publish group.
+// BenchmarkCatchUp replays one published op of 8 entities into the store
+// agents core registers, the unit of work behind every publish group.
 func BenchmarkCatchUp(b *testing.B) {
 	e := New(oplog.NewVolatile())
 	e.RegisterAgent(EntityStoreAgent{Store: entitystore.New()})
-	e.RegisterAgent(TextIndexAgent{Index: textindex.New()})
 	e.RegisterAgent(GraphAgent{Graph: triple.NewGraph()})
 	batch := benchBatch()
 	b.ReportAllocs()

@@ -155,9 +155,12 @@ func (m *MetadataStore) MinLSN() uint64 {
 // time: either a synchronous consume call or the standing feed's ordered
 // publisher goroutine, never both (with a feed open, synchronous consumes
 // are routed through it, and the remaining direct producers — checkpoint
-// and curation — drain it first). CatchUp is
-// additionally serialized internally, so a replay triggered from one
-// goroutine can never double-apply operations racing a replay from another.
+// and curation — drain it first and take the same publish turn).
+//
+// Replay runs on whichever goroutine calls CatchUp, one op at a time into
+// every agent; the engine starts no goroutines. CatchUp is serialized
+// internally, so a replay triggered from one goroutine can never
+// double-apply operations racing a replay from another.
 type Engine struct {
 	Log      *oplog.Log
 	Staging  ObjectStore
@@ -243,29 +246,22 @@ func (e *Engine) PublishDelete(source string, ids []triple.EntityID) (uint64, er
 	return e.Log.Append(oplog.Op{Kind: oplog.OpDelete, Source: source, EntityIDs: ids})
 }
 
-// catchupChunk is the number of log operations decoded ahead of each
-// agent-parallel replay round. Chunking bounds how many decoded payloads are
-// live at once while keeping the per-round goroutine cost negligible
-// (one goroutine per agent per chunk, not per op).
-const catchupChunk = 128
-
-// CatchUp replays pending operations into every agent and advances each
-// agent's LSN in the metadata store. Replay is agent-parallel: each staged
-// payload is decoded once per chunk of the log, then every agent applies the
-// chunk to its own independent store concurrently, in log order within the
-// agent. Agents share no state — each derives its view from the same decoded
-// copies — so the concurrent schedule produces exactly the stores the old
-// op-major sequential replay did.
+// CatchUp replays pending operations into every agent, on the caller's
+// goroutine, and advances each agent's LSN in the metadata store. Replay is
+// one op-major loop over the log suffix past the slowest agent: each op's
+// staged payload is decoded at most once — and only if some live agent still
+// needs it — and then applied to each such agent in registration order. The
+// decoded payload is private to this replay and read-only for every agent,
+// so sharing it (and letting an agent keep it) is safe.
 //
-// Error isolation is per agent: an agent that fails stops advancing (and
-// resumes from its recorded LSN on the next CatchUp, so transient store
-// errors heal without data loss) while the other agents keep replaying —
-// stores degrade independently, never inconsistently. The returned error is
-// deterministic regardless of goroutine schedule: the failure at the lowest
-// LSN, ties broken by agent registration order — the same error the
-// sequential replay reported first. CatchUp is safe for concurrent use:
-// calls serialize, so two replayers can never apply the same operation to an
-// agent twice.
+// Error isolation is per agent: an agent that fails stops at its recorded
+// LSN (and resumes from there on the next CatchUp, so transient store errors
+// heal without data loss) while the other agents keep replaying — stores
+// degrade independently, never inconsistently. The returned error is the
+// first one met, which is the failure at the lowest LSN, ties broken by
+// agent registration order. CatchUp is safe for concurrent use: calls
+// serialize, so two replayers can never apply the same operation to an agent
+// twice.
 func (e *Engine) CatchUp() error {
 	e.catchupMu.Lock()
 	defer e.catchupMu.Unlock()
@@ -279,78 +275,37 @@ func (e *Engine) CatchUp() error {
 	for i, a := range agents {
 		from[i] = e.Metadata.LSN(a.Name())
 	}
-	ops := e.Log.Read(slices.Min(from), 0)
-	var (
-		stopped  = make([]bool, len(agents))
-		agentErr = make([]error, len(agents))
-		errLSN   = make([]uint64, len(agents))
-	)
-	payloads := make([]Payload, min(len(ops), catchupChunk))
-	decodeErr := make([]error, len(payloads))
-	for lo := 0; lo < len(ops); lo += catchupChunk {
-		hi := lo + catchupChunk
-		if hi > len(ops) {
-			hi = len(ops)
-		}
-		chunk := ops[lo:hi]
-		// Decode each staged payload once for the whole chunk — not once per
-		// agent, which multiplied the decode cost of the publish path by the
-		// agent count. Ops no live agent still needs skip decoding entirely.
-		// The decoded payload is private to this replay and read-only for
-		// every agent, so sharing it (and letting an agent keep it) is safe.
-		for ci := range chunk {
-			payloads[ci], decodeErr[ci] = Payload{}, nil
-			for i := range agents {
-				if !stopped[i] && from[i] < chunk[ci].LSN {
-					payloads[ci], decodeErr[ci] = e.payloadOf(chunk[ci])
-					break
-				}
-			}
-		}
-		// One goroutine per live agent; each writes only its own index of the
-		// bookkeeping slices, and the decoded chunk is read-only until Wait.
-		var wg sync.WaitGroup
-		for i := range agents {
-			if stopped[i] {
+	stopped := make([]bool, len(agents))
+	var firstErr error
+	for _, op := range e.Log.Read(slices.Min(from), 0) {
+		var (
+			p         Payload
+			decodeErr error
+			decoded   bool
+		)
+		for i, a := range agents {
+			if stopped[i] || from[i] >= op.LSN {
 				continue
 			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for ci, op := range chunk {
-					if from[i] >= op.LSN {
-						continue
-					}
-					err := decodeErr[ci]
-					if err == nil {
-						err = agents[i].Apply(op, payloads[ci])
-					}
-					if err != nil {
-						stopped[i] = true
-						agentErr[i] = err
-						errLSN[i] = op.LSN
-						return
-					}
-					e.Metadata.SetLSN(agents[i].Name(), op.LSN)
-					from[i] = op.LSN
+			if !decoded {
+				p, decodeErr = e.payloadOf(op)
+				decoded = true
+			}
+			err := decodeErr
+			if err == nil {
+				err = a.Apply(op, p)
+			}
+			if err != nil {
+				stopped[i] = true
+				if firstErr == nil {
+					firstErr = fmt.Errorf("graphengine: agent %s at lsn %d: %w", a.Name(), op.LSN, err)
 				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	best := -1
-	for i, err := range agentErr {
-		if err == nil {
-			continue
-		}
-		if best == -1 || errLSN[i] < errLSN[best] {
-			best = i
+				continue
+			}
+			e.Metadata.SetLSN(a.Name(), op.LSN)
 		}
 	}
-	if best == -1 {
-		return nil
-	}
-	return fmt.Errorf("graphengine: agent %s at lsn %d: %w", agents[best].Name(), errLSN[best], agentErr[best])
+	return firstErr
 }
 
 func (e *Engine) payloadOf(op oplog.Op) (Payload, error) {
@@ -383,32 +338,27 @@ func (e *Engine) Replay(after uint64, fn func(op oplog.Op, p Payload) error) err
 }
 
 // Restore primes every registered agent with checkpoint state instead of a
-// from-zero replay: each agent applies the restored entities as synthetic
-// upserts (chunked like CatchUp), deletes any stale keys (entities a durable
-// store retains that the checkpoint does not — e.g. a delete op at or below
-// the watermark that the store had not yet applied when the process died),
-// and has its LSN pinned to the watermark so the next CatchUp replays only
-// the suffix. The entities are shared by every agent under Payload's terms
-// (read-only, retainable). Callers invoke Restore once, after registering
-// agents and before the first CatchUp.
+// from-zero replay: each agent applies the restored entities as one synthetic
+// upsert, deletes any stale keys (entities a durable store retains that the
+// checkpoint does not — e.g. a delete op at or below the watermark that the
+// store had not yet applied when the process died), and has its LSN pinned
+// to the watermark so the next CatchUp replays only the suffix. The entities
+// are shared by every agent under Payload's terms (read-only, retainable).
+// Callers invoke Restore once, after registering agents and before the first
+// CatchUp.
 func (e *Engine) Restore(w uint64, entities []*triple.Entity, stale []triple.EntityID) error {
 	e.catchupMu.Lock()
 	defer e.catchupMu.Unlock()
 	e.mu.RLock()
 	agents := append([]Agent(nil), e.agents...)
 	e.mu.RUnlock()
+	upsert := oplog.Op{LSN: w, Kind: oplog.OpUpsert, Source: "recovery", EntityIDs: make([]triple.EntityID, len(entities))}
+	for i, ent := range entities {
+		upsert.EntityIDs[i] = ent.ID
+	}
 	for _, a := range agents {
-		for lo := 0; lo < len(entities); lo += catchupChunk {
-			hi := lo + catchupChunk
-			if hi > len(entities) {
-				hi = len(entities)
-			}
-			chunk := entities[lo:hi]
-			op := oplog.Op{LSN: w, Kind: oplog.OpUpsert, Source: "recovery"}
-			for _, ent := range chunk {
-				op.EntityIDs = append(op.EntityIDs, ent.ID)
-			}
-			if err := a.Apply(op, Payload{Entities: chunk}); err != nil {
+		if len(entities) > 0 {
+			if err := a.Apply(upsert, Payload{Entities: entities}); err != nil {
 				return fmt.Errorf("graphengine: restore agent %s: %w", a.Name(), err)
 			}
 		}

@@ -12,7 +12,7 @@
 //	GET  /v1/search?q=<text>&k=<n> ranked text search (k defaults to 10)
 //	GET  /v1/stats                 platform + serving statistics
 //	GET  /v1/healthz               liveness and current store version
-//	POST /v1/admin/checkpoint      take a durable checkpoint + refresh views
+//	POST /v1/admin/checkpoint      take a durable checkpoint
 //	POST /v1/admin/compact         compact the log through the checkpoint floor
 //	GET  /v1/admin/recovery        recovery, checkpoint, and compaction stats
 //
@@ -291,28 +291,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // checkpointResponse is /v1/admin/checkpoint's success payload.
 type checkpointResponse struct {
 	// Durable reports whether the checkpoint was persisted (false on a
-	// platform with no durable checkpoint store — views still refreshed).
+	// platform with no durable checkpoint store).
 	Durable bool `json:"durable"`
 	// CheckpointLSN is the watermark of the newest durable checkpoint.
 	CheckpointLSN uint64 `json:"checkpoint_lsn"`
-	// ViewsMaterialized lists the views refreshed in execution order.
-	ViewsMaterialized []string `json:"views_materialized"`
 }
 
 func (s *Server) handleAdminCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if _, ok := checkRequest(w, r, http.MethodPost); !ok {
 		return
 	}
-	run, err := s.platform.Checkpoint()
-	if err != nil {
+	if _, err := s.platform.Checkpoint(); err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	st := s.platform.DurabilityStats()
 	writeJSON(w, http.StatusOK, checkpointResponse{
-		Durable:           st.Durable,
-		CheckpointLSN:     st.LastCheckpointLSN,
-		ViewsMaterialized: run.Materialized,
+		Durable:       st.Durable,
+		CheckpointLSN: st.LastCheckpointLSN,
 	})
 }
 

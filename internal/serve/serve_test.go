@@ -315,7 +315,7 @@ func TestAdminRoutes(t *testing.T) {
 }
 
 // TestAdminCheckpointVolatile: on a platform with no durable checkpoint
-// store the route still succeeds — views refresh — but reports durable:false.
+// store the route still succeeds, but reports durable:false.
 func TestAdminCheckpointVolatile(t *testing.T) {
 	_, ts := testServer(t)
 	status, body := post(t, ts.URL+"/v1/admin/checkpoint")

@@ -29,10 +29,11 @@ type blobLoc struct {
 //
 // Deletes append tombstone records (not fsynced — retention bookkeeping, not
 // correctness; a tombstone lost to a crash resurfaces a blob, never loses
-// one). Recovery replays each segment and truncates at its first torn or
-// corrupt record; only the active (last) segment can legitimately tear in a
-// crash, but earlier segments recover the same way, so a damaged store
-// degrades to missing blobs instead of refusing to open.
+// one). Recovery replays each segment up to its first torn or corrupt record
+// and truncates there only in the active (last) segment, the one appends
+// continue; an earlier segment keeps its bytes and serves its recovered
+// prefix. A record that passes its CRC but does not decode is not a tear: it
+// fails the open and every file is left as it is.
 type SegmentBlobStore struct {
 	mu       sync.RWMutex
 	dir      string
@@ -67,7 +68,7 @@ func OpenSegmentBlobStore(dir string, segBytes int64) (*SegmentBlobStore, error)
 		}
 	}
 	sort.Strings(names) // zero-padded numeric names sort chronologically
-	for _, name := range names {
+	for i, name := range names {
 		f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR, 0o644)
 		if err != nil {
 			s.closeAll()
@@ -80,10 +81,7 @@ func OpenSegmentBlobStore(dir string, segBytes int64) (*SegmentBlobStore, error)
 			return nil, fmt.Errorf("disk: stat segment %s: %w", name, err)
 		}
 		segIndex := len(s.segs)
-		// The scan fails only on a record decodeKeyed rejects, and that
-		// record ends the recovered prefix like a torn one: good stops
-		// before it and the truncation below drops it.
-		good, _ := scanFramed(f, st.Size(), func(frameOff int64, payload []byte) error {
+		good, err := scanFramed(f, st.Size(), func(frameOff int64, payload []byte) error {
 			op, key, valOff, err := decodeKeyed(payload)
 			if err != nil {
 				return err
@@ -104,7 +102,12 @@ func OpenSegmentBlobStore(dir string, segBytes int64) (*SegmentBlobStore, error)
 			}
 			return nil
 		})
-		if good != st.Size() {
+		if err != nil {
+			f.Close()
+			s.closeAll()
+			return nil, fmt.Errorf("disk: recover segment %s at offset %d: %w", name, good, err)
+		}
+		if good != st.Size() && i == len(names)-1 {
 			if err := f.Truncate(good); err != nil {
 				f.Close()
 				s.closeAll()

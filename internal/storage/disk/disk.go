@@ -14,9 +14,13 @@
 //     not the Go heap, so the entity index can exceed RAM.
 //
 // Crash consistency: every file is a sequence of CRC-framed records
-// (triple.AppendRecord layout). Recovery replays a file and truncates at the
-// first torn or corrupt record — exactly the operation log's recovery
-// contract, now shared by every durable role. The entity KV additionally
+// (triple.AppendRecord layout). Recovery replays a file up to its first torn
+// or corrupt record — a record cut short or failing its CRC, what a crash
+// mid-append leaves at the tail — and truncates there (the segment blob
+// store only in its active segment). A record that passes its CRC but does
+// not decode is acknowledged data, not a tear: opening fails and the files
+// stay as they are — the operation log's recovery contract, shared by every
+// durable role. The entity KV additionally
 // leans on the platform's replay semantics: its content derives from the
 // log, and re-applied upserts are idempotent, so a tail lost between fsyncs
 // heals on the next catch-up.

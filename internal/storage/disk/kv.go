@@ -22,7 +22,9 @@ type kvLoc struct {
 // Puts are not individually fsynced: entity state derives from the operation
 // log (the durability anchor), and upserts are idempotent under replay, so a
 // tail lost between syncs heals on the next catch-up. Close syncs the file.
-// Recovery truncates at the first torn or corrupt record.
+// Recovery truncates at the first record cut short or failing its CRC — the
+// torn tail a crash mid-append leaves. A record that passes its CRC but does
+// not decode is not a tear: it fails the open and the file is left as it is.
 type EntityKV struct {
 	mu        sync.RWMutex
 	f         *os.File
@@ -47,10 +49,7 @@ func OpenEntityKV(path string) (*EntityKV, error) {
 		return nil, fmt.Errorf("disk: stat entity kv %s: %w", path, err)
 	}
 	kv := &EntityKV{f: f, path: path, idx: make(map[string]kvLoc)}
-	// The scan fails only on a record decodeKeyed rejects, and that record
-	// ends the recovered prefix like a torn one: good stops before it and the
-	// truncation below drops it.
-	good, _ := scanFramed(f, st.Size(), func(frameOff int64, payload []byte) error {
+	good, err := scanFramed(f, st.Size(), func(frameOff int64, payload []byte) error {
 		op, key, valOff, err := decodeKeyed(payload)
 		if err != nil {
 			return err
@@ -71,6 +70,10 @@ func OpenEntityKV(path string) (*EntityKV, error) {
 		}
 		return nil
 	})
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("disk: recover entity kv %s at offset %d: %w", path, good, err)
+	}
 	kv.size = good
 	if good != st.Size() {
 		if err := f.Truncate(good); err != nil {

@@ -1,14 +1,18 @@
 package disk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+
+	"saga/internal/triple"
 )
 
 // hostileHeader is a frame header whose length prefix claims ~4 GiB: what a
@@ -164,5 +168,112 @@ func TestReplayRejectionKeepsLog(t *testing.T) {
 	}
 	if len(got) != 20 || got[19] != "record-19" {
 		t.Fatalf("replay after rejection = %q", got)
+	}
+}
+
+// keyedFile concatenates framed keyed puts, with the CRC-valid record bad
+// (its key length is an overlong varint, which decodeKeyed rejects) after
+// the first `before` of them.
+func keyedFile(keys []string, before int, bad []byte) []byte {
+	var data []byte
+	for i, key := range keys {
+		if i == before {
+			data = append(data, bad...)
+		}
+		frame, _ := appendKeyedRecord(nil, opPut, key, []byte("value of "+key))
+		data = append(data, frame...)
+	}
+	return data
+}
+
+var undecodable = triple.AppendRecord(nil, []byte{opPut, 0x80, 0x00, 'v'})
+
+// TestUndecodableKeyedRecordFailsOpen: a keyed record that passes its CRC
+// but does not decode is not a torn tail. Opening the entity KV or the
+// staging store on it must fail, naming where, and leave the file as it is;
+// both used to truncate there, dropping every later record with it.
+func TestUndecodableKeyedRecordFailsOpen(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		file string // relative to the store's directory
+		keys []string
+		open func(dir string) (io.Closer, error)
+	}{
+		{"entity kv", "entities.dat", []string{"kg:E1", "kg:E2", "kg:E3", "kg:E4"},
+			func(dir string) (io.Closer, error) {
+				return OpenEntityKV(filepath.Join(dir, "entities.dat"))
+			}},
+		{"segment blob store", "000001.seg", []string{"staging/00000001", "staging/00000002", "staging/00000003"},
+			func(dir string) (io.Closer, error) { return OpenSegmentBlobStore(dir, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, tc.file)
+			data := keyedFile(tc.keys, 2, undecodable)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store, err := tc.open(dir)
+			if err == nil {
+				store.Close() //saga:errok — the open is the failure under test
+				t.Fatal("open accepted a CRC-valid record it cannot decode")
+			}
+			if !strings.Contains(err.Error(), "offset") {
+				t.Errorf("error %q does not say where", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("the failed open changed the file (%d bytes, was %d): %v", len(got), len(data), err)
+			}
+		})
+	}
+}
+
+// TestSealedSegmentKeepsTornBytes: only the active (last) staging segment
+// takes appends, so only its torn tail is cut off. An earlier segment with
+// bytes past its last whole record keeps them — the open used to truncate
+// every segment — and every blob on either side still reads back.
+func TestSealedSegmentKeepsTornBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegmentBlobStore(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for i := 0; i < 8; i++ {
+		blob := fmt.Sprintf("blob-%d", i)
+		key, err := s.Stage([]byte(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[key] = blob
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := filepath.Join(dir, "000001.seg")
+	if _, err := os.Stat(filepath.Join(dir, "000002.seg")); err != nil {
+		t.Fatalf("want at least two segments: %v", err)
+	}
+	appendToFile(t, first, hostileHeader)
+	before, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenSegmentBlobStore(dir, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if after, err := os.ReadFile(first); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("reopen changed a sealed segment (%d bytes, was %d): %v", len(after), len(before), err)
+	}
+	for key, blob := range want {
+		if got, ok := re.Get(key); !ok || string(got) != blob {
+			t.Fatalf("Get(%s) = %q, %v; want %q", key, got, ok, blob)
+		}
+	}
+	if _, err := re.Stage([]byte("after")); err != nil {
+		t.Fatal(err)
 	}
 }
