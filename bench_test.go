@@ -225,7 +225,8 @@ func BenchmarkPipelinedConsumeBatchedFusion(b *testing.B) {
 // a stream of delta batches ingested through the standing feed — batch N+1's
 // validation/snapshot/compute starting at batch N's last commit, publishing
 // on the ordered async group-commit publisher — versus serial ConsumeDeltas
-// calls that pay the synchronous publish + agent catch-up between batches.
+// calls, one submit-and-await at a time, that pay the publish + agent
+// catch-up between batches.
 // Both platforms run a durable operation log, both must leave the KG and the
 // graph replica byte-identical, and the feed must deliver at least 1.15x
 // end-to-end throughput. The name carries "StandingFeed" so the CI bench job

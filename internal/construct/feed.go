@@ -68,8 +68,9 @@ type FeedBatch struct {
 	// Barrier marks a batch injected by Feed.Barrier: it carries no deltas
 	// and commits nothing, but takes a turn through both ordered stages like
 	// any other batch. OnCommit and Publish see it in sequence position, so a
-	// barrier's Payload captures commit-loop state strictly between two real
-	// batches (the platform's checkpoint marker rides one of these).
+	// barrier's Payload captures or changes commit-loop state strictly
+	// between two real batches (the platform's checkpoints, drains and
+	// curation edits ride these).
 	Barrier bool
 }
 
@@ -96,12 +97,6 @@ type FeedOptions struct {
 	// once instead of once per batch. An error lands in every grouped
 	// batch's BatchResult; the feed keeps running either way.
 	Publish func(group []*FeedBatch) error
-	// OnClose, when set, runs exactly once inside the first Close call to
-	// finish — after both stage goroutines have exited and every submitted
-	// batch has settled, before Close returns. The platform uses it to retry
-	// queued failed publishes and catch every agent up, so Close returning
-	// implies fully published serving stores.
-	OnClose func()
 }
 
 // FeedStats counts a feed's batch traffic.
@@ -131,8 +126,10 @@ type feedItem struct {
 // concurrent use.
 //
 // The feed owns its Pipeline's write path while open: callers must not run
-// Consume/ConsumeDelta on the same pipeline concurrently with an open feed
-// (the platform layer enforces this by draining the feed first).
+// Consume/ConsumeDelta on the same pipeline concurrently with an open feed.
+// The platform layer enforces this by construction: its one feed is open
+// from Open to Close, every platform write is a batch or a Barrier turn on
+// it, and nothing in the platform calls Consume.
 type Feed struct {
 	p    *Pipeline
 	opts FeedOptions
@@ -144,10 +141,6 @@ type Feed struct {
 	commitQ  chan *feedItem
 	publishQ chan *feedItem
 	done     chan struct{} // closed when the publisher loop exits
-
-	// closeOnce guards the OnClose hook: it must run once, and concurrent
-	// Close calls must all wait for it before returning.
-	closeOnce sync.Once
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -366,19 +359,6 @@ func (f *Feed) Drain() error {
 	return f.lastErr
 }
 
-// Terminated reports that the feed has fully stopped: Close finished, both
-// stage goroutines exited, and every submitted batch settled. A feed that
-// is merely closing (Close in progress, backlog still committing or
-// publishing) is not yet terminated.
-func (f *Feed) Terminated() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Close stops accepting batches, waits for every submitted batch to commit
 // and publish, stops both stage goroutines, and returns the feed's sticky
 // last error. Close is idempotent; Submit after Close resolves immediately
@@ -393,17 +373,7 @@ func (f *Feed) Close() error {
 	f.mu.Unlock()
 	f.submitMu.Unlock()
 	<-f.done
-	if f.opts.OnClose != nil {
-		f.closeOnce.Do(f.opts.OnClose)
-	}
 	return f.Drain()
-}
-
-// Closed reports whether the feed has been closed.
-func (f *Feed) Closed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.closed
 }
 
 // Stats returns the feed's batch counters.

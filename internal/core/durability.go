@@ -177,9 +177,8 @@ func (p *Platform) recover() error {
 // checkpoint's watermark and triggers background compaction when the prefix
 // has grown past the configured threshold.
 //
-// Callers must hold the platform's publish turn (publishGroup, or the direct
-// path with no concurrent producers): the capture assumes no publish advances
-// the log between the CatchUp and the save.
+// It runs inside publishGroup — on the feed's publisher, the log's only
+// appender — so no publish advances the log between the CatchUp and the save.
 func (p *Platform) runCheckpoint() (uint64, error) {
 	if _, err := p.Engine.Publish(oplog.OpCheckpoint, "construction", nil); err != nil {
 		return 0, err
@@ -221,8 +220,8 @@ func (p *Platform) runCheckpoint() (uint64, error) {
 // checkpointDue counts a publish group's batches toward the periodic
 // checkpoint cadence and reports whether a checkpoint has come due. The
 // publish routine asks before it publishes and checkpoints after the group's
-// ops, so the snapshot is a batch-boundary state. Callers hold the publish
-// turn.
+// ops, so the snapshot is a batch-boundary state. It runs inside
+// publishGroup.
 func (p *Platform) checkpointDue(published int) bool {
 	if p.Checkpoints == nil || p.ckptEvery <= 0 || published == 0 {
 		return false

@@ -2,20 +2,26 @@ package core
 
 // Platform-level coverage of the standing ingestion feed and the publish
 // error paths: the feed's async publisher must leave every store exactly
-// where serial ConsumeDeltas calls would, serving-side entry points must
-// drain the feed before reading, and an Engine.Publish failure must heal —
-// never leaving RefreshServing or the agents permanently diverged from the
-// KG.
+// where one-at-a-time submit-and-await (ConsumeDeltas) would, serving-side
+// entry points must take their turn behind every submitted batch, curation
+// and the resolver swap must be ordered with the batches around them, a
+// closed feed must end the platform's writes, and an Engine.Publish failure
+// must heal — never leaving RefreshServing or the agents permanently
+// diverged from the KG.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"saga/internal/construct"
 	"saga/internal/ingest"
+	"saga/internal/live"
 	"saga/internal/triple"
 	"saga/internal/workload"
 )
@@ -48,7 +54,8 @@ func platformBatches(rounds, sources, count int) [][]ingest.Delta {
 
 // TestPlatformFeedMatchesSerialConsumeDeltas: the feed must leave the KG,
 // the operation log, and every agent-derived store byte-identical to serial
-// ConsumeDeltas calls over the same batches.
+// ConsumeDeltas calls — one submit-and-await at a time — over the same
+// batches.
 func TestPlatformFeedMatchesSerialConsumeDeltas(t *testing.T) {
 	batches := platformBatches(4, 3, 10)
 
@@ -95,7 +102,8 @@ func TestPlatformFeedMatchesSerialConsumeDeltas(t *testing.T) {
 }
 
 // TestFeedDrainBeforeServing: RefreshServing and Checkpoint must observe
-// every batch submitted before them, without the caller waiting on results.
+// every batch submitted before them, without the caller waiting on results;
+// Feed returns the one feed ConsumeDeltas submits to.
 func TestFeedDrainBeforeServing(t *testing.T) {
 	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
 	f, err := p.Feed(FeedOptions{})
@@ -121,19 +129,17 @@ func TestFeedDrainBeforeServing(t *testing.T) {
 	if got := p.Engine.Log.LastLSN(); w != got {
 		t.Fatalf("Checkpoint returned watermark %d, log head %d", w, got)
 	}
-	// A second feed while this one is open must be refused.
-	if _, err := p.Feed(FeedOptions{}); err == nil {
-		t.Fatal("second feed opened while one is active")
+	if again, err := p.Feed(FeedOptions{}); err != nil || again != f {
+		t.Fatalf("Feed returned %p, %v; want the standing feed %p", again, err, f)
+	}
+	submitted := f.Stats().Submitted
+	if _, err := p.ConsumeDeltas(platformBatches(1, 1, 4)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Stats().Submitted; got != submitted+1 {
+		t.Fatalf("ConsumeDeltas submitted %d batches to the standing feed, want 1", got-submitted)
 	}
 	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// After Close a new feed may open.
-	f2, err := p.Feed(FeedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -222,9 +228,6 @@ func testFeedPublishFailureHealsLaterBatchesCommit(t *testing.T) {
 		// src01 appears in every batch, so every batch's publish reports it.
 		t.Fatalf("failed batches = %d of %d", failed, len(batches))
 	}
-	if err := f.Close(); !errors.Is(err, failErr) {
-		t.Fatalf("Close sticky error = %v", err)
-	}
 	// src00's ops all published; src01's are pending.
 	if p.GraphReplica.Len() == 0 || p.GraphReplica.Len() >= p.KG.Graph.Len() {
 		t.Fatalf("replica %d of %d entities", p.GraphReplica.Len(), p.KG.Graph.Len())
@@ -236,12 +239,15 @@ func testFeedPublishFailureHealsLaterBatchesCommit(t *testing.T) {
 	if got, want := p.GraphReplica.Triples(), p.KG.Graph.Triples(); !reflect.DeepEqual(got, want) {
 		t.Fatal("replica still diverged after the engine recovered")
 	}
+	if err := f.Close(); !errors.Is(err, failErr) {
+		t.Fatalf("Close sticky error = %v", err)
+	}
 }
 
-// TestSyncConsumeRoutesThroughOpenFeed: with a feed open, the synchronous
-// consume paths submit to it instead of publishing directly, so the feed's
-// ordered publisher stays the engine's single producer — and the sync call
-// still returns fully published, caught-up state.
+// TestSyncConsumeRoutesThroughOpenFeed: the synchronous consume paths submit
+// to the standing feed, behind a batch submitted without awaiting, so the
+// feed's ordered publisher stays the engine's single producer — and the sync
+// call still returns fully published, caught-up state.
 func TestSyncConsumeRoutesThroughOpenFeed(t *testing.T) {
 	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
 	f, err := p.Feed(FeedOptions{})
@@ -356,7 +362,7 @@ func churnStream(rounds, sources, count int) [][]ingest.Delta {
 func TestFeedConcurrentServingReaders(t *testing.T) {
 	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
 	batches := churnStream(8, 3, 8)
-	f, err := p.Feed(FeedOptions{Queue: 2, PublishQueue: 1})
+	f, err := p.Feed(FeedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +426,7 @@ func TestLinkDeltasRideSettlingSource(t *testing.T) {
 func testLinkDeltasRideSettlingSource(t *testing.T) {
 	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
 	batches := churnStream(5, 3, 8)
-	f, err := p.Feed(FeedOptions{Queue: 2, PublishQueue: 1})
+	f, err := p.Feed(FeedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +475,204 @@ func testLinkDeltasRideSettlingSource(t *testing.T) {
 		if !logged[key] {
 			t.Fatalf("settled link key %s never reached the log", key)
 		}
+	}
+}
+
+// seedAndQueueRename consumes a small source, refreshes the live store, and
+// queues a curation edit renaming the KG entity of s:e0; it returns that
+// entity.
+func seedAndQueueRename(t *testing.T, p *Platform) triple.EntityID {
+	t.Helper()
+	if _, err := p.ConsumeDelta(workload.SourceSpec{Name: "s", Count: 3, Seed: 5}.Delta()); err != nil {
+		t.Fatal(err)
+	}
+	p.RefreshServing()
+	kgID, ok := p.KG.Lookup("s:e0")
+	if !ok {
+		t.Fatal("s:e0 not linked")
+	}
+	var nameFact triple.Triple
+	for _, tr := range p.Live.Get(kgID).Triples {
+		if tr.Predicate == triple.PredName {
+			nameFact = tr
+		}
+	}
+	if err := p.Curation.Decide(p.Live, live.Decision{
+		Kind: live.DecisionEdit, Entity: kgID, Fact: nameFact, NewValue: triple.String("Corrected Name"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return kgID
+}
+
+// TestCurationOrderedWithFeed: a batch the commit loop captured before a
+// curation edit must not publish after it. The publish hook forces that
+// interleaving: the first publish point after ApplyCurationDecisions starts —
+// the retry of a failed side-source publish — submits a volatile batch on the
+// curated entity and waits until the KG holds its value. When curation edited
+// the KG from the caller's goroutine, the batch committed before the edit and
+// published after it, so its stale capture overwrote the curated name in the
+// replica.
+func TestCurationOrderedWithFeed(t *testing.T) {
+	for i := 0; i < 20 && !t.Failed(); i++ {
+		testCurationOrderedWithFeed(t, i)
+	}
+}
+
+func testCurationOrderedWithFeed(t *testing.T, iter int) {
+	p := newTestPlatform(t, Options{})
+	kgID := seedAndQueueRename(t, p)
+	f, err := p.Feed(FeedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failErr := errors.New("injected publish failure")
+	pop := 0.5 + float64(iter)/1000
+	vol := triple.NewEntity("s:e0")
+	vol.Add(triple.New("", "popularity", triple.Float(pop)).WithSource("s", 0.9))
+	var failed, armed atomic.Bool
+	volatile := make(chan (<-chan construct.BatchResult), 1)
+	p.publishHook = func(source string) error {
+		if source != "p1" {
+			return nil
+		}
+		if !failed.Swap(true) {
+			return failErr
+		}
+		if !armed.Swap(false) {
+			return nil
+		}
+		volatile <- f.Submit([]ingest.Delta{{Source: "s", Volatile: []*triple.Entity{vol}}})
+		for deadline := time.Now().Add(5 * time.Second); p.KG.Graph.GetShared(kgID).First("popularity").Float64() != pop; {
+			if time.Now().After(deadline) {
+				t.Error("the volatile batch never committed")
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
+	side := workload.SourceSpec{Name: "p1", Type: "side", Count: 2, Seed: 7}.Delta()
+	if res := <-f.Submit([]ingest.Delta{side}); !errors.Is(res.Err, failErr) {
+		t.Fatalf("side batch error = %v, want the injected failure", res.Err)
+	}
+	armed.Store(true)
+	if n, err := p.ApplyCurationDecisions(); n != 1 || err != nil {
+		t.Fatalf("applied = %d, err = %v", n, err)
+	}
+	select {
+	case ch := <-volatile:
+		if res := <-ch; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	default:
+		t.Fatal("no publish point retried the side source during curation")
+	}
+	if err := f.Close(); err != nil && !errors.Is(err, failErr) {
+		t.Fatal(err)
+	}
+	want, _ := p.KG.Graph.Get(kgID).MarshalBinary()
+	got, _ := p.GraphReplica.Get(kgID).MarshalBinary()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("iteration %d: replica %q differs from the KG %q", iter, p.GraphReplica.Get(kgID).Name(), p.KG.Graph.Get(kgID).Name())
+	}
+}
+
+// TestBuildNERDWhileFeeding: BuildNERD swaps the pipeline's object resolver
+// while a submitter keeps the commit loop busy. Every commit reads the
+// resolver on the commit loop, so the swap must happen there too; run with
+// -race.
+func TestBuildNERDWhileFeeding(t *testing.T) {
+	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
+	batches := platformBatches(4, 2, 8)
+	if _, err := p.ConsumeDeltas(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	f, err := p.Feed(FeedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if res := <-f.Submit(batches[1+i%(len(batches)-1)]); res.Err != nil {
+				done <- res.Err
+				return
+			}
+			committed.Add(1)
+		}
+	}()
+	n := p.BuildNERD()
+	// Let the submitter commit past the swap without synchronizing with it.
+	for c, deadline := committed.Load(), time.Now().Add(5*time.Second); committed.Load() < c+2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the submitter stalled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if p.Pipeline.Resolver != n {
+		t.Fatal("the pipeline does not resolve with NERD after BuildNERD")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.GraphReplica.Triples(), p.KG.Graph.Triples(); !reflect.DeepEqual(got, want) {
+		t.Fatal("replica diverged from the KG")
+	}
+}
+
+// TestClosedFeedEndsWrites: closing the standing feed ends the platform's
+// writes — ConsumeDeltas, Checkpoint and ApplyCurationDecisions fail with
+// ErrFeedClosed and change neither the KG nor the log — while reads,
+// RefreshServing and Close keep working.
+func TestClosedFeedEndsWrites(t *testing.T) {
+	p := newTestPlatform(t, Options{})
+	seedAndQueueRename(t, p)
+	bad := ingest.Delta{Source: "bad", Added: []*triple.Entity{nil}}
+	if st, err := p.ConsumeDelta(bad); err == nil || st.Source != "bad" {
+		t.Fatalf("invalid delta: stats %+v, err %v; want its source and an error", st, err)
+	}
+	f, err := p.Feed(FeedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err == nil {
+		t.Fatal("Close should return the sticky validation error")
+	}
+	kg, lsn := p.KG.Graph.Triples(), p.Engine.Log.LastLSN()
+	late := workload.SourceSpec{Name: "late", Type: "late", Count: 3, Seed: 9}.Delta()
+	if st, err := p.ConsumeDelta(late); !errors.Is(err, construct.ErrFeedClosed) || st.Source != "late" {
+		t.Fatalf("ConsumeDelta after close: stats %+v, err %v", st, err)
+	}
+	if _, err := p.ConsumeDeltas([]ingest.Delta{late}); !errors.Is(err, construct.ErrFeedClosed) {
+		t.Fatalf("ConsumeDeltas after close = %v", err)
+	}
+	if _, err := p.Checkpoint(); !errors.Is(err, construct.ErrFeedClosed) {
+		t.Fatalf("Checkpoint after close = %v", err)
+	}
+	if n, err := p.ApplyCurationDecisions(); n != 0 || !errors.Is(err, construct.ErrFeedClosed) {
+		t.Fatalf("ApplyCurationDecisions after close = %d, %v", n, err)
+	}
+	if !reflect.DeepEqual(p.KG.Graph.Triples(), kg) || p.Engine.Log.LastLSN() != lsn {
+		t.Fatal("a write after the feed closed changed the KG or the log")
+	}
+	p.RefreshServing()
+	if got, want := p.Live.Len(), p.GraphReplica.Len(); got != want || want == 0 {
+		t.Fatalf("live store holds %d entities after RefreshServing, replica %d", got, want)
+	}
+	if res, err := p.Query(`entity(type="human")`); err != nil || len(res.IDs) == 0 {
+		t.Fatalf("query after close = %v, %v", res.IDs, err)
 	}
 }

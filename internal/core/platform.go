@@ -67,8 +67,8 @@ type DurabilityOptions struct {
 	// and ignores Dir.
 	Dir string
 	// CheckpointEvery takes a durable checkpoint every N published batches,
-	// inside the publish routine (on the feed's ordered publisher a
-	// checkpoint is one more publish unit and never stalls the commit loop).
+	// on the feed's publisher after a group's ops, so it never stalls the
+	// commit loop.
 	// 0 disables periodic checkpoints; explicit Checkpoint calls still work.
 	CheckpointEvery int
 	// CompactAfter triggers background log compaction once the prefix at or
@@ -127,26 +127,22 @@ type Platform struct {
 
 	snapshots map[string]ingest.Snapshot
 
-	// feedMu guards the standing feed slot; at most one feed is open at a
-	// time so the pipeline's write path stays single-producer.
-	feedMu sync.Mutex
-	feed   *construct.Feed
+	// feed is the platform's one standing feed, open from Open to Close:
+	// every KG write is a batch or a barrier turn on its commit loop, and
+	// every publish runs on its publisher.
+	feed *construct.Feed
 
-	// pendingMu guards publishes that failed against the engine; they are
+	// pending holds publishes that failed against the engine; they are
 	// retried — re-synced against the KG's current state — at the next
 	// publish point so a transient Engine.Publish error cannot leave the
-	// serving stores permanently diverged from the KG.
-	pendingMu sync.Mutex
-	pending   []pendingPublish
+	// serving stores permanently diverged from the KG. Only publishGroup
+	// touches it: on the feed's publisher, and in Close after the feed has
+	// stopped.
+	pending []pendingPublish
 
 	// publishHook, when set (tests only), runs before every engine publish
 	// and can inject failures to exercise the retry path.
 	publishHook func(source string) error
-
-	// pubMu is the publish turn: publishGroup holds it end to end, so the
-	// feed's publisher and the inline callers (synchronous consumes, drains)
-	// never interleave their log appends.
-	pubMu sync.Mutex
 
 	// linkReplica is the log-derived link table: a FuncAgent replays every
 	// op's Links/Unlinks into it, so after a CatchUp it is exactly the link
@@ -269,6 +265,10 @@ func Open(opts Options) (_ *Platform, err error) {
 	p.compactTrig = make(chan uint64, 1)
 	p.compactDone = make(chan struct{})
 	go p.compactorLoop() //saga:longlived stopped by Close before the stores shut
+	p.feed = construct.NewFeed(p.Pipeline, construct.FeedOptions{
+		OnCommit: p.captureFeedBatch,
+		Publish:  p.publishGroup,
+	})
 	return p, nil
 }
 
@@ -311,59 +311,40 @@ func (p *Platform) IngestSource(src *ingest.Source, data io.Reader) (construct.S
 	return p.ConsumeDelta(res.Delta)
 }
 
-// ConsumeDelta consumes one delta: ConsumeDeltas over a batch of one.
+// ConsumeDelta consumes one delta: ConsumeDeltas over a batch of one. When
+// the delta never commits (a validation error, a closed feed) the stats still
+// name its source.
 func (p *Platform) ConsumeDelta(d ingest.Delta) (construct.SourceStats, error) {
 	all, err := p.ConsumeDeltas([]ingest.Delta{d})
-	if len(all) == 1 {
+	if len(all) == 1 && all[0].Source != "" {
 		return all[0], err
 	}
 	return construct.SourceStats{Source: d.Source}, err
 }
 
-// ConsumeDeltas consumes several sources as one batch, publishes its effects,
-// and replays agents so all stores converge. Every delta of the batch links
-// against the KG state at batch start (that is what makes the batch
-// deterministic), so two sources in one batch that describe the same
-// real-world entity each mint their own KG entity — and resolution never
-// merges two existing KG entities afterwards (≤1 graph entity per cluster).
-// Batch only independent sources; consume related sources in separate calls
-// so the later one links against the earlier one's output. For a continuously
-// arriving stream of batches, prefer Feed: it overlaps this call's publish
+// ConsumeDeltas consumes several sources as one batch: it submits the batch to
+// the platform's standing feed and waits for its result, so the batch is
+// committed, published, and replayed into every agent when the call returns.
+// Every delta of the batch links against the KG state at batch start (that is
+// what makes the batch deterministic), so two sources in one batch that
+// describe the same real-world entity each mint their own KG entity — and
+// resolution never merges two existing KG entities afterwards (≤1 graph
+// entity per cluster). Batch only independent sources; consume related
+// sources in separate calls so the later one links against the earlier one's
+// output. For a continuously arriving stream of batches, submit to Feed
+// without awaiting each result: the feed then overlaps one batch's publish
 // tail with the next batch's construction.
-//
-// With a standing feed open, the batch is routed through it (submitted and
-// awaited) so the feed's commit loop and ordered publisher stay the engine's
-// only producer. Without one, the call is a feed group of one run inline: the
-// same capture and the same publish routine.
 //
 // Error contract: a *construct.BatchError means the committed prefix (see
 // that type) stayed applied — its effects are still published so the stores
 // track the KG. A publish error does not lose data either: the failed ops are
 // queued and re-synced from the KG at the next publish point, and agents are
 // always caught up on whatever reached the log before this call returns.
+// After the feed is closed the call returns construct.ErrFeedClosed and
+// consumes nothing.
 func (p *Platform) ConsumeDeltas(deltas []ingest.Delta) ([]construct.SourceStats, error) {
-	if f := p.openFeed(); f != nil {
-		res := <-f.Submit(deltas)
-		if !errors.Is(res.Err, construct.ErrFeedClosed) {
-			return res.Stats, res.Err
-		}
-		// Closed between openFeed and Submit: nothing consumed. Wait for
-		// the closing feed's backlog to finish publishing so the inline
-		// path below never commits beside a running commit loop, then fall
-		// through.
-		f.Drain()
-	}
-	b := &construct.FeedBatch{Deltas: deltas}
-	var err error
-	b.Stats, err = p.Pipeline.Consume(deltas)
-	// On a mid-batch commit error the uncommitted entries are zero (empty
-	// Touched/Removed), so exactly the applied prefix publishes.
-	p.captureFeedBatch(b)
-	pubErr := p.publishGroup([]*construct.FeedBatch{b})
-	if err != nil {
-		return b.Stats, err
-	}
-	return b.Stats, pubErr
+	res := <-p.feed.Submit(deltas)
+	return res.Stats, res.Err
 }
 
 // linkKeysOf collects a commit's settled link-table keys (linked and
@@ -436,9 +417,7 @@ func (p *Platform) publishRaw(source string, upserts []*triple.Entity, removed [
 			ids = append(ids, e.ID)
 		}
 		ids = append(ids, removed...)
-		p.pendingMu.Lock()
 		p.pending = append(p.pending, pendingPublish{source: source, ids: ids, linkSrcs: linkSrcs})
-		p.pendingMu.Unlock()
 	}
 	return err
 }
@@ -449,10 +428,8 @@ func (p *Platform) publishRaw(source string, upserts []*triple.Entity, removed [
 // interleave with any later successful publishes of the same entities. Still-
 // failing retries re-queue themselves (inside publishRaw).
 func (p *Platform) flushPending() error {
-	p.pendingMu.Lock()
 	pend := p.pending
 	p.pending = nil
-	p.pendingMu.Unlock()
 	var firstErr error
 	for _, pp := range pend {
 		var upserts []*triple.Entity
@@ -471,61 +448,31 @@ func (p *Platform) flushPending() error {
 	return firstErr
 }
 
-// FeedOptions configures the platform's standing ingestion feed.
-type FeedOptions struct {
-	// Queue bounds batches accepted but not yet committing; Submit blocks —
-	// backpressure — while full. 0 means construct.DefaultFeedQueue.
-	Queue int
-	// PublishQueue bounds committed batches awaiting the async publisher;
-	// the commit loop stalls while full, so a slow Graph Engine
-	// backpressures ingestion instead of growing an unbounded unpublished
-	// backlog. 0 means construct.DefaultFeedPublishQueue.
-	PublishQueue int
-}
+// FeedOptions is Feed's argument. It has no fields: the platform's feed runs
+// with construct's default queue depths.
+type FeedOptions struct{}
 
-// Feed opens the platform's standing ingestion feed: a long-lived commit
-// loop over the construction pipeline in which batch N+1's validation,
-// KG-read snapshotting, and compute begin as soon as batch N's last commit
-// (not its publish) finishes, while publishing to the Graph Engine runs on
-// an ordered asynchronous publisher off the commit path. The KG a feed
-// constructs is byte-identical to back-to-back ConsumeDeltas calls over the
-// same batches; the serving stores converge to the same state once the feed
-// drains (a batch's BatchResult with a nil Err means it is committed,
+// Feed returns the platform's standing ingestion feed, which Open started: a
+// long-lived commit loop over the construction pipeline in which batch N+1's
+// validation, KG-read snapshotting, and compute begin as soon as batch N's
+// last commit (not its publish) finishes, while publishing to the Graph Engine
+// runs on an ordered asynchronous publisher off the commit path. The KG it
+// constructs is byte-identical to submitting and awaiting the same batches
+// one at a time, which is what ConsumeDeltas does; the serving stores
+// converge to the same state (a BatchResult with a nil Err means committed,
 // published, and replayed into every agent).
 //
-// At most one feed is open at a time — the construction pipeline is the
-// polystore's single producer. While a feed is open, ConsumeDelta and
-// ConsumeDeltas route through it (submit and await), so every publish flows
-// through the feed's ordered publisher; checkpoint, serving-refresh, and
-// curation paths drain it first. Close the feed (or Drain it) before
-// reading the serving stores directly; quiesce submitters before applying
-// curation decisions so hot-fix publishes cannot interleave with captured
-// batch publishes.
-func (p *Platform) Feed(opts FeedOptions) (*construct.Feed, error) {
-	p.feedMu.Lock()
-	defer p.feedMu.Unlock()
-	if p.feed != nil && !p.feed.Terminated() {
-		// Closed-but-still-draining counts as open: its commit loop and
-		// publisher are still producing, and two feeds would break the
-		// engine's single-producer ordering.
-		return nil, fmt.Errorf("core: a standing feed is already open")
-	}
-	f := construct.NewFeed(p.Pipeline, construct.FeedOptions{
-		Queue:        opts.Queue,
-		PublishQueue: opts.PublishQueue,
-		OnCommit:     p.captureFeedBatch,
-		Publish:      p.publishGroup,
-		// Close retries queued failed publishes and catches every agent up
-		// before it returns, so a closed feed means every store reflects
-		// every committed batch the engine accepted.
-		OnClose: p.retryAndCatchUp,
-	})
-	p.feed = f
-	return f, nil
+// The feed is the platform's only write path: Checkpoint, RefreshServing,
+// BuildNERD and ApplyCurationDecisions are barrier turns on it. Closing it
+// ends the platform's writes — later writes fail with construct.ErrFeedClosed
+// — while reads, RefreshServing and Close keep working. Close closes it if
+// the caller has not.
+func (p *Platform) Feed(FeedOptions) (*construct.Feed, error) {
+	return p.feed, nil
 }
 
-// capturedOp is one delta's publish payload, captured right after its batch
-// commits (on the feed's commit loop, or inline on the synchronous path).
+// capturedOp is one delta's publish payload, captured on the feed's commit
+// loop right after its batch commits.
 // Capturing there (shared records — no clone, just pointer grabs) pins exactly
 // the entity states the commit produced, so the publisher appends the same
 // operations to the log no matter how far construction has advanced by the
@@ -537,11 +484,36 @@ type capturedOp struct {
 	linkSrcs []triple.EntityID
 }
 
-// captureFeedBatch is the feed's OnCommit hook (commit loop, ordered).
+// barrierTurn is the payload of the barriers the platform submits to its
+// feed. A barrier takes the next turn on both of the feed's ordered stages, so
+// what it does falls strictly between the batches submitted before it and
+// those submitted after: edit, when set, runs on the commit loop — the KG's
+// only writer — and returns the ops its writes need published; the publisher
+// publishes them like a batch's and, when checkpoint is set, takes a
+// checkpoint after them and records its watermark in lsn.
+type barrierTurn struct {
+	edit       func() []capturedOp
+	checkpoint bool
+	ops        []capturedOp
+	lsn        uint64
+}
+
+// turn submits t to the feed and waits until it has published: every batch
+// submitted before it has then committed and published, failed publishes
+// have been retried, and every agent is caught up. After the feed is closed
+// it returns construct.ErrFeedClosed and t does not run.
+func (p *Platform) turn(t *barrierTurn) error {
+	return (<-p.feed.Barrier(t)).Err
+}
+
+// captureFeedBatch is the feed's OnCommit hook: it runs on the commit loop,
+// in order, right after each batch's commits and at each barrier's turn. A
+// batch's payload becomes its captured ops; a barrier runs its edit.
 func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 	if b.Barrier {
-		// Barrier batches commit nothing; their payload is the injector's
-		// (e.g. a checkpoint request riding the ordered queue).
+		if t, ok := b.Payload.(*barrierTurn); ok && t.edit != nil {
+			t.ops = t.edit()
+		}
 		return
 	}
 	ops := make([]capturedOp, 0, len(b.Stats))
@@ -562,12 +534,13 @@ func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 	b.Payload = ops
 }
 
-// publishGroup is the platform's one publish routine: the feed's Publish hook
-// (publisher goroutine, ordered) hands it the publisher's whole backlog, and
-// the inline callers — a synchronous consume, a drain — a group of one. It
-// retries any queued failed publishes, appends the group's captured
-// operations to the log, catches every agent up, and takes the checkpoint a
-// barrier asked for or the periodic cadence has come due for.
+// publishGroup is the platform's one publish routine and the feed's Publish
+// hook: the feed's publisher hands it its whole backlog, in commit order, and
+// is its only caller apart from Close, which calls it once after the feed has
+// stopped. It retries any queued failed publishes, appends the group's
+// captured operations — batches' and barrier edits' alike — to the log,
+// catches every agent up, and takes the checkpoint a barrier asked for or the
+// periodic cadence has come due for.
 //
 // Handing it the whole backlog enables conflation (group commit): an entity
 // touched by several batches of the group is published once, at its final
@@ -578,8 +551,6 @@ func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 // per batch. On an update-heavy stream this is what lets a publisher that
 // falls behind catch back up instead of lagging forever.
 func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
-	p.pubMu.Lock()
-	defer p.pubMu.Unlock()
 	// Retry failures belong to the batch that first reported them; they stay
 	// queued (flushPending re-queues what still fails) without failing this
 	// group's results.
@@ -597,16 +568,19 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 	var evs []event
 	linkBySrc := make(map[string]map[triple.EntityID]bool)
 	published := 0
-	var ckptReqs []*checkpointRequest
+	var ckpts []*barrierTurn
 	for _, b := range group {
-		if b.Barrier {
-			if req, ok := b.Payload.(*checkpointRequest); ok {
-				ckptReqs = append(ckptReqs, req)
+		var ops []capturedOp
+		switch pl := b.Payload.(type) {
+		case []capturedOp:
+			published++
+			ops = pl
+		case *barrierTurn:
+			ops = pl.ops
+			if pl.checkpoint {
+				ckpts = append(ckpts, pl)
 			}
-			continue
 		}
-		published++
-		ops, _ := b.Payload.([]capturedOp)
 		for _, op := range ops {
 			for _, e := range op.upserts {
 				evs = append(evs, event{source: op.source, id: e.ID, e: e})
@@ -624,7 +598,7 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 			}
 		}
 	}
-	wantCkpt := p.checkpointDue(published) || len(ckptReqs) > 0
+	wantCkpt := p.checkpointDue(published) || len(ckpts) > 0
 	last := make(map[triple.EntityID]int, len(evs))
 	for i, ev := range evs {
 		last[ev.id] = i
@@ -697,71 +671,30 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		for _, req := range ckptReqs {
-			req.lsn = w
+		for _, t := range ckpts {
+			t.lsn = w
 		}
 	}
 	return firstErr
 }
 
-// retryAndCatchUp takes a publish turn with nothing new to publish — a group
-// holding one bare barrier — which retries queued failed publishes and
-// catches every agent up, so direct readers of the serving stores observe
-// fully published state. Still-failing publishes stay queued (flushPending).
-func (p *Platform) retryAndCatchUp() {
-	_ = p.publishGroup([]*construct.FeedBatch{{Barrier: true}}) //saga:errok failed publishes re-queue inside publishRaw and retry at the next publish point
-}
-
-// openFeed returns the standing feed if one is open, nil otherwise.
-func (p *Platform) openFeed() *construct.Feed {
-	p.feedMu.Lock()
-	defer p.feedMu.Unlock()
-	if p.feed != nil && !p.feed.Closed() {
-		return p.feed
-	}
-	return nil
-}
-
-// drainFeed waits until the standing feed (if there is one — open or still
-// closing) has committed and published every batch submitted before this
-// call, so direct readers of the serving stores observe a state that
-// includes them. Batch errors surface on the per-batch result channels, not
-// here. Batches submitted concurrently with the drain land afterwards —
-// callers that need a quiescent platform (for example curation runs) should
-// stop submitting or Close the feed first.
-func (p *Platform) drainFeed() {
-	p.feedMu.Lock()
-	f := p.feed
-	p.feedMu.Unlock()
-	if f != nil {
-		f.Drain()
-	}
-	// Retry queued failed publishes and catch every agent up on whatever
-	// reached the log, so every store reflects the drained batches.
-	p.retryAndCatchUp()
-}
-
-// Close shuts the platform down, in dependency order: the standing feed (if
-// open) is closed and its backlog published, queued failed publishes are
-// retried, the background compactor is stopped and waited for, and only then
-// do the operation log, staging store, checkpoint store, and entity store
-// release their storage backends (for durable backends that also
-// syncs and closes their files) — so no compaction or publish can race a
-// closing store, and a clean Close leaves no orphaned segments behind. Close
-// is not safe concurrently with other platform calls; the platform is
-// unusable afterwards. Reopen with Open to recover.
+// Close shuts the platform down, in dependency order: the standing feed is
+// closed and its backlog published, queued failed publishes are retried, the
+// background compactor is stopped and waited for, and only then do the
+// operation log, staging store, checkpoint store, and entity store release
+// their storage backends (for durable backends that also syncs and closes
+// their files) — so no compaction or publish can race a closing store, and a
+// clean Close leaves no orphaned segments behind. Close is not safe
+// concurrently with other platform calls; the platform is unusable
+// afterwards. Reopen with Open to recover.
 func (p *Platform) Close() error {
-	p.feedMu.Lock()
-	f := p.feed
-	p.feedMu.Unlock()
 	var firstErr error
-	if f != nil && !f.Closed() {
-		if err := f.Close(); err != nil {
-			firstErr = err
-		}
-	}
-	// Retry queued failed publishes before the log closes.
-	p.retryAndCatchUp()
+	// The feed's error is its last failed batch's, which that batch's result
+	// already reported.
+	_ = p.feed.Close()
+	// The publisher has stopped; one last, empty publish group retries
+	// queued failed publishes before the log closes.
+	_ = p.publishGroup(nil) //saga:errok a publish still failing at shutdown has no later publish point
 	p.stopCompactor()
 	if p.Checkpoints != nil {
 		if err := p.Checkpoints.Close(); err != nil && firstErr == nil {
@@ -781,44 +714,26 @@ func (p *Platform) Close() error {
 }
 
 // Checkpoint publishes a construction checkpoint — durably snapshotting the
-// KG when the platform has a checkpoint store — and returns its watermark.
-// With a standing feed open the checkpoint rides the feed's ordered
-// publisher (a barrier turn), covering every batch submitted before this
-// call without stalling the commit loop.
+// KG when the platform has a checkpoint store — and returns its watermark. It
+// is a barrier turn on the feed: the checkpoint covers every batch submitted
+// before the call and never stalls the commit loop.
 func (p *Platform) Checkpoint() (uint64, error) {
-	if f := p.openFeed(); f != nil {
-		req := &checkpointRequest{}
-		res := <-f.Barrier(req)
-		if !errors.Is(res.Err, construct.ErrFeedClosed) {
-			return req.lsn, res.Err
-		}
-		// Closed between openFeed and Barrier: settle its backlog, then
-		// checkpoint directly.
-		f.Drain()
-	}
-	p.drainFeed()
-	if err := p.flushPending(); err != nil {
-		return 0, err
-	}
-	return p.runCheckpoint()
+	t := &barrierTurn{checkpoint: true}
+	err := p.turn(t)
+	return t.lsn, err
 }
-
-// checkpointRequest is the barrier payload that asks the feed's publisher
-// for a checkpoint at the barrier's ordered turn; the publisher fills in the
-// checkpoint's watermark before the barrier's result is sent.
-type checkpointRequest struct{ lsn uint64 }
 
 // RefreshServing pushes the stable KG into the live store (the stable view
 // the live KG unions with streaming sources) with importance-based boosts,
 // and points live mention resolution plus the intent handler at NERD when
-// built. An open standing feed is drained first and queued publish retries
-// are flushed, so the stable view includes every batch submitted before this
-// call (best-effort: a still-failing engine leaves the replica at its last
-// converged state). The refreshed view is published before the call returns,
-// so a serving read that starts afterwards sees it: live.Store.Serving
+// built. It first takes a barrier turn on the feed, which retries queued
+// failed publishes, so the stable view includes every batch submitted before
+// this call (best-effort: a still-failing engine leaves the replica at its
+// last converged state). The refreshed view is published before the call
+// returns, so a serving read that starts afterwards sees it: live.Store.Serving
 // would otherwise reuse the previous snapshot for up to its staleness bound.
 func (p *Platform) RefreshServing() {
-	p.drainFeed()
+	_ = p.turn(&barrierTurn{}) // a closed feed has nothing more to publish
 	scores := importance.Compute(p.GraphReplica, importance.Options{})
 	boosts := make(map[triple.EntityID]float64, len(scores))
 	var stable []*triple.Entity
@@ -835,20 +750,28 @@ func (p *Platform) RefreshServing() {
 	p.Live.Current()
 }
 
-// BuildNERD materializes the NERD Entity View over the current replica and
-// wires the stack into object resolution (construction), live mention
-// resolution, and intent argument resolution. The replica snapshot it reads
-// is copy-on-write, so rebuilding NERD on a large KG no longer deep-copies
-// the graph or blocks replica writes for the duration.
+// BuildNERD materializes the NERD Entity View over the replica, once every
+// batch submitted before the call has published, and wires the stack into
+// object resolution (construction), live mention resolution, and intent
+// argument resolution. The replica snapshot it reads is copy-on-write, so
+// rebuilding NERD on a large KG neither deep-copies the graph nor blocks
+// replica writes for the duration. The pipeline reads its resolver on the
+// commit loop, so the swap is a barrier turn there: batches submitted before
+// the call resolve with the alias resolver, batches submitted after it
+// returns with NERD.
 func (p *Platform) BuildNERD() *nerd.NERD {
-	p.drainFeed()
+	_ = p.turn(&barrierTurn{}) // a closed feed has nothing more to publish
 	scores := importance.Compute(p.GraphReplica, importance.Options{})
 	view := nerd.BuildEntityView(p.GraphReplica.Snapshot(), scores)
-	p.NERD = nerd.New(view, nerd.NewModel(nil))
-	p.Pipeline.Resolver = p.NERD
-	p.LiveConstructor.Resolver = p.NERD
-	p.Intents.Resolver = p.NERD
-	return p.NERD
+	n := nerd.New(view, nerd.NewModel(nil))
+	_ = p.turn(&barrierTurn{edit: func() []capturedOp { // a closed feed commits nothing more
+		p.Pipeline.Resolver = n
+		return nil
+	}})
+	p.NERD = n
+	p.LiveConstructor.Resolver = n
+	p.Intents.Resolver = n
+	return n
 }
 
 // Query executes a KGQ query against the live engine: the text compiles
@@ -862,62 +785,62 @@ func (p *Platform) Query(text string) (kgq.Result, error) {
 	return p.LiveEngine.Execute(plan)
 }
 
-// ApplyCurationDecisions drains curation decisions from the live queue and
-// feeds them to the stable KG as the curation streaming source (§4.3): edits
-// become updated facts, blocks become deletions of the offending fact's
-// source attribution. The hot fixes publish as one group on the publish turn,
-// like a feed batch: a failed publish is queued and re-synced from the KG at
-// the next publish point, and the returned error reports it.
+// ApplyCurationDecisions feeds the live queue's curation decisions to the
+// stable KG as the curation streaming source (§4.3): edits become updated
+// facts, blocks become deletions of the offending fact's source attribution.
+// It is a barrier turn on the feed: the decisions are drained and applied on
+// the commit loop, after every batch submitted before the call and before
+// every batch submitted after it, and their hot fixes publish at that place
+// in the order, like a batch's — so no batch captured before an edit
+// publishes after it. A failed publish is queued and re-synced from the KG at
+// the next publish point, and the returned error reports it. After the feed
+// is closed it returns construct.ErrFeedClosed and the decisions stay queued.
 func (p *Platform) ApplyCurationDecisions() (int, error) {
-	decisions := p.Curation.DrainDecisions()
-	if len(decisions) == 0 {
-		return 0, nil
-	}
-	// Curation writes the graph directly; serialize behind the standing feed
-	// so hot fixes land on (and publish after) every batch submitted before
-	// them. Submitters racing this call can still commit afterwards — quiesce
-	// the feed around curation runs if hot fixes must not interleave with
-	// in-flight batches.
-	p.drainFeed()
-	ops := make([]capturedOp, 0, len(decisions))
-	for _, d := range decisions {
-		switch d.Kind {
-		case live.DecisionEdit:
-			p.KG.Graph.Update(d.Entity, func(e *triple.Entity) {
-				for i, t := range e.Triples {
-					if t.Key() == d.Fact.Key() {
-						e.Triples[i].Object = d.NewValue
-						e.Triples[i].Sources = []string{live.CurationSource}
-						e.Triples[i].Trust = []float64{1}
+	n := 0
+	err := p.turn(&barrierTurn{edit: func() []capturedOp {
+		decisions := p.Curation.DrainDecisions()
+		n = len(decisions)
+		ops := make([]capturedOp, 0, len(decisions))
+		for _, d := range decisions {
+			switch d.Kind {
+			case live.DecisionEdit:
+				p.KG.Graph.Update(d.Entity, func(e *triple.Entity) {
+					for i, t := range e.Triples {
+						if t.Key() == d.Fact.Key() {
+							e.Triples[i].Object = d.NewValue
+							e.Triples[i].Sources = []string{live.CurationSource}
+							e.Triples[i].Trust = []float64{1}
+						}
 					}
-				}
-			})
-		case live.DecisionBlock:
-			p.KG.Graph.Update(d.Entity, func(e *triple.Entity) {
-				kept := e.Triples[:0]
-				for _, t := range e.Triples {
-					if t.Key() != d.Fact.Key() {
-						kept = append(kept, t)
+				})
+			case live.DecisionBlock:
+				p.KG.Graph.Update(d.Entity, func(e *triple.Entity) {
+					kept := e.Triples[:0]
+					for _, t := range e.Triples {
+						if t.Key() != d.Fact.Key() {
+							kept = append(kept, t)
+						}
 					}
-				}
-				e.Triples = kept
-			})
-		case live.DecisionBlockEntity:
-			p.KG.Graph.Delete(d.Entity)
+					e.Triples = kept
+				})
+			case live.DecisionBlockEntity:
+				p.KG.Graph.Delete(d.Entity)
+			}
+			// Curation writes bypass the construction pipeline, so report the
+			// touched entity to the pipeline's KG-derived caches (block index,
+			// alias-resolver cache) ourselves.
+			p.Pipeline.RefreshKGCaches(d.Entity)
+			op := capturedOp{source: live.CurationSource}
+			if d.Kind == live.DecisionBlockEntity {
+				op.removed = []triple.EntityID{d.Entity}
+			} else if e := p.KG.Graph.GetShared(d.Entity); e != nil {
+				op.upserts = []*triple.Entity{e}
+			}
+			ops = append(ops, op)
 		}
-		// Curation writes bypass the construction pipeline, so report the
-		// touched entity to the pipeline's KG-derived caches (block index,
-		// alias-resolver cache) ourselves.
-		p.Pipeline.RefreshKGCaches(d.Entity)
-		op := capturedOp{source: live.CurationSource}
-		if d.Kind == live.DecisionBlockEntity {
-			op.removed = []triple.EntityID{d.Entity}
-		} else if e := p.KG.Graph.GetShared(d.Entity); e != nil {
-			op.upserts = []*triple.Entity{e}
-		}
-		ops = append(ops, op)
-	}
-	return len(decisions), p.publishGroup([]*construct.FeedBatch{{Payload: ops}})
+		return ops
+	}})
+	return n, err
 }
 
 // DrainConflicts returns and clears the construction pipeline's accumulated

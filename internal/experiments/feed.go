@@ -16,8 +16,9 @@ import (
 
 // StandingFeedResult is the cross-batch pipelining ablation: the same stream
 // of delta batches ingested by serial Platform.ConsumeDeltas calls (each
-// batch pays its synchronous publish + agent catch-up before the next may
-// start) and by the standing feed (batch N+1's validation, snapshotting, and
+// submits one batch to the platform's feed and awaits it, so the batch pays
+// its publish + agent catch-up before the next may start) and by the
+// standing feed without awaiting (batch N+1's validation, snapshotting, and
 // compute start right after batch N's last commit, while publishing runs on
 // the ordered async publisher). Both platforms use a durable operation log
 // and staging store, so publish carries the real fsync + serialization +
@@ -29,7 +30,7 @@ type StandingFeedResult struct {
 	Sources int // type-disjoint sources per batch
 	Count   int // entities per source per batch
 
-	SerialMS    float64 // serial ConsumeDeltas, min over reps
+	SerialMS    float64 // one ConsumeDeltas submit-and-await at a time, min over reps
 	FeedMS      float64 // standing feed Submit…Close, min over reps
 	FeedSpeedup float64 // SerialMS / FeedMS
 
@@ -191,11 +192,11 @@ func StandingFeed(workers int) (StandingFeedResult, error) {
 			res.Identical = reflect.DeepEqual(ser.p.KG.Graph.Triples(), fed.p.KG.Graph.Triples()) &&
 				reflect.DeepEqual(ser.p.GraphReplica.Triples(), fed.p.GraphReplica.Triples())
 		}
-		if err := ser.p.Engine.Log.Close(); err != nil {
-			return res, fmt.Errorf("close serial log: %w", err)
+		if err := ser.p.Close(); err != nil {
+			return res, fmt.Errorf("close serial platform: %w", err)
 		}
-		if err := fed.p.Engine.Log.Close(); err != nil {
-			return res, fmt.Errorf("close feed log: %w", err)
+		if err := fed.p.Close(); err != nil {
+			return res, fmt.Errorf("close feed platform: %w", err)
 		}
 	}
 	res.FeedSpeedup = res.SerialMS / res.FeedMS
