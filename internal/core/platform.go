@@ -737,8 +737,8 @@ func (p *Platform) RefreshServing() {
 	scores := importance.Compute(p.GraphReplica, importance.Options{})
 	boosts := make(map[triple.EntityID]float64, len(scores))
 	var stable []*triple.Entity
-	// Shared records suffice: the live store clones on Put, so the stable
-	// view loads without an extra copy of the whole KG.
+	// The live store holds the replica's frozen records as they are, so the
+	// load writes only the records and boosts that changed since the last.
 	p.GraphReplica.RangeShared(func(e *triple.Entity) bool {
 		stable = append(stable, e)
 		return true

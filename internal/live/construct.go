@@ -58,10 +58,12 @@ type Constructor struct {
 	// MinConfidence rejects resolutions below this confidence; default 0.5.
 	MinConfidence float64
 
-	// stableMu serializes LoadStableView; stable holds the IDs of the last
-	// stable view loaded, so the next load deletes the ones it no longer has.
+	// stableMu serializes LoadStableView. stable maps each ID of the last
+	// stable view loaded to the number of that load (loads counts them), so
+	// the next load deletes the IDs it does not renumber.
 	stableMu sync.Mutex
-	stable   map[triple.EntityID]struct{}
+	stable   map[triple.EntityID]uint64
+	loads    uint64
 }
 
 // LiveID returns the live KG identifier of an event entity.
@@ -127,18 +129,27 @@ func (c *Constructor) Consume(ev Event) (triple.EntityID, error) {
 // replaces the previous one: a stable entity the last load put and this one
 // lacks is deleted. Streaming entities are never part of a stable view, so
 // a load leaves them alone.
+//
+// The store takes the records themselves, not copies: they must be frozen
+// (the graph replica's shared records are), and the load compares pointers
+// to write only what changed since the last one. The whole load is one
+// store write, and a view the store already holds is no write at all.
 func (c *Constructor) LoadStableView(entities []*triple.Entity, boosts map[triple.EntityID]float64) {
 	c.stableMu.Lock()
 	defer c.stableMu.Unlock()
-	next := make(map[triple.EntityID]struct{}, len(entities))
-	for _, e := range entities {
-		c.Store.Put(e, boosts[e.ID])
-		next[e.ID] = struct{}{}
+	if c.stable == nil {
+		c.stable = make(map[triple.EntityID]uint64, len(entities))
 	}
-	for id := range c.stable {
-		if _, ok := next[id]; !ok {
-			c.Store.Delete(id)
+	c.loads++
+	for _, e := range entities {
+		c.stable[e.ID] = c.loads
+	}
+	var dels []triple.EntityID
+	for id, load := range c.stable {
+		if load != c.loads {
+			dels = append(dels, id)
+			delete(c.stable, id)
 		}
 	}
-	c.stable = next
+	c.Store.loadStable(entities, boosts, dels)
 }

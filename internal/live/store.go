@@ -32,8 +32,9 @@ import (
 // on both. Entities returned by GetShared are shared records and must not
 // be mutated.
 type View interface {
-	// Version is the store version the view reads at; it increments on
-	// every write, so result caches key on it for exact invalidation.
+	// Version is the store version the view reads at; it moves forward with
+	// every write that changes the store, so result caches key on it for
+	// exact invalidation.
 	Version() uint64
 	// Len returns the number of live entities.
 	Len() int
@@ -82,7 +83,9 @@ type Store struct {
 	// boost holds per-entity ranking boosts (entity importance).
 	boost map[triple.EntityID]float64
 
-	// version increments on every write; query caches use it to invalidate.
+	// version increments on every write that changes the store (once per
+	// write, however many entities it touches); query caches use it to
+	// invalidate.
 	version atomic.Uint64
 
 	// pubMu gates snapshot publication against writers: every write holds
@@ -104,8 +107,8 @@ type Store struct {
 	snapAt atomic.Int64
 }
 
-// Version returns a counter that increments on every write, letting query
-// result caches detect staleness cheaply.
+// Version returns a counter that increments on every write that changes the
+// store, letting query result caches detect staleness cheaply.
 func (s *Store) Version() uint64 { return s.version.Load() }
 
 // NewStore constructs an empty live store.
@@ -187,16 +190,8 @@ func (s *Store) Put(e *triple.Entity, boost float64) {
 	defer s.pubMu.RUnlock()
 	clone := e.Clone()
 	s.mu.Lock()
-	s.cowIndexLocked()
-	old := s.data[clone.ID]
-	s.data[clone.ID] = clone
-	if old != nil {
-		s.unindexLocked(old)
-	}
-	s.indexLocked(clone, boost)
-	s.mu.Unlock()
-
-	s.text.Put(textindex.Doc{ID: string(clone.ID), Text: docText(clone), Boost: 1 + boost})
+	defer s.mu.Unlock()
+	s.installLocked(clone, boost)
 	s.version.Add(1)
 }
 
@@ -205,17 +200,77 @@ func (s *Store) Delete(id triple.EntityID) bool {
 	s.pubMu.RLock()
 	defer s.pubMu.RUnlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.deleteLocked(id) {
+		return false
+	}
+	s.version.Add(1)
+	return true
+}
+
+// loadStable applies a whole stable view as one write: it installs each
+// record whose pointer differs from the one stored under its ID (new,
+// replaced, or overwritten since by a curation hot fix), updates only the
+// boost where the record is unchanged and its boost moved, skips the rest,
+// and deletes dels. The store version moves once, and only if something
+// changed, so a load the store already holds keeps every cached result
+// keyed on the version. The result equals Putting every entity and deleting
+// dels, except that the store keeps the records themselves.
+//
+//saga:owns the stable view's records are the graph replica's frozen records; the store holds them as they are (docs/INVARIANTS.md#cow-shared-records)
+func (s *Store) loadStable(entities []*triple.Entity, boosts map[triple.EntityID]float64, dels []triple.EntityID) {
+	s.pubMu.RLock()
+	defer s.pubMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	changed := false
+	for _, e := range entities {
+		boost := boosts[e.ID]
+		switch {
+		case s.data[e.ID] != e:
+			s.installLocked(e, boost)
+		case s.boost[e.ID] != boost:
+			s.cowIndexLocked()
+			s.boost[e.ID] = boost
+			s.text.SetBoost(string(e.ID), 1+boost)
+		default:
+			continue
+		}
+		changed = true
+	}
+	for _, id := range dels {
+		changed = s.deleteLocked(id) || changed
+	}
+	if changed {
+		s.version.Add(1)
+	}
+}
+
+// installLocked stores e itself under its ID, replacing and unindexing the
+// record held there, and indexes it everywhere, the token index included.
+// From here on e is frozen. Caller holds s.mu and the pubMu read side.
+func (s *Store) installLocked(e *triple.Entity, boost float64) {
+	s.cowIndexLocked()
+	old := s.data[e.ID]
+	s.data[e.ID] = e
+	if old != nil {
+		s.unindexLocked(old)
+	}
+	s.indexLocked(e, boost)
+	s.text.Put(textindex.Doc{ID: string(e.ID), Text: docText(e), Boost: 1 + boost})
+}
+
+// deleteLocked removes id from every index, reporting whether it was stored.
+// Caller holds s.mu and the pubMu read side.
+func (s *Store) deleteLocked(id triple.EntityID) bool {
 	old, ok := s.data[id]
 	if !ok {
-		s.mu.Unlock()
 		return false
 	}
 	s.cowIndexLocked()
 	delete(s.data, id)
 	s.unindexLocked(old)
-	s.mu.Unlock()
 	s.text.Delete(string(id))
-	s.version.Add(1)
 	return true
 }
 
@@ -273,8 +328,9 @@ func (s *Store) Get(id triple.EntityID) *triple.Entity {
 }
 
 // GetShared returns the stored record itself, or nil. Stored records are
-// immutable after insert (Put stores a private clone), so shared access is
-// safe for readers that do not mutate — the query engine's contract.
+// immutable after insert (Put stores a private clone; a stable view load
+// stores the graph replica's frozen records), so shared access is safe for
+// readers that do not mutate — the query engine's contract.
 func (s *Store) GetShared(id triple.EntityID) *triple.Entity {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

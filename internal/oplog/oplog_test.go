@@ -1,9 +1,12 @@
 package oplog
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -308,4 +311,88 @@ func TestConcurrentAppends(t *testing.T) {
 			t.Fatalf("ops out of order at %d: lsn %d", i, op.LSN)
 		}
 	}
+}
+
+// memRecordLog is an in-memory storage.RecordLog. Replay hands out the
+// stored records themselves, so a decoder that wrote to its input would
+// show in them.
+type memRecordLog struct {
+	records [][]byte
+	closed  bool
+}
+
+func (m *memRecordLog) Append(p []byte) error {
+	m.records = append(m.records, bytes.Clone(p))
+	return nil
+}
+
+func (m *memRecordLog) Replay(fn func([]byte) error) error {
+	for i, r := range m.records {
+		if err := fn(r); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func (m *memRecordLog) Compact(drop int, replacement [][]byte) error {
+	m.records = append(replacement, m.records[drop:]...)
+	return nil
+}
+
+func (m *memRecordLog) Len() int { return len(m.records) }
+
+func (m *memRecordLog) Close() error {
+	m.closed = true
+	return nil
+}
+
+// FuzzOpenStore feeds fuzzed record payloads, one per line of the input,
+// through OpenStore. Any input must open or fail with an error, never
+// panic; a failed open leaves the records untouched and closes the log, and
+// a successful one resumes the LSN counter past the last record's op.
+func FuzzOpenStore(f *testing.F) {
+	op := func(o Op) []byte {
+		b, err := json.Marshal(o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	upsert := op(Op{LSN: 1, Kind: OpUpsert, Source: "s", StagingKey: "k1", EntityIDs: []triple.EntityID{"kg:E1"},
+		Links: map[triple.EntityID]triple.EntityID{"s:1": "kg:E1"}, Time: 7})
+	f.Add(upsert)
+	f.Add(bytes.Join([][]byte{upsert, op(Op{LSN: 4, Kind: OpDelete, Unlinks: []triple.EntityID{"s:1"}})}, []byte("\n")))
+	f.Add(bytes.Join([][]byte{upsert, upsert}, []byte("\n"))) // LSN regression
+	f.Add([]byte(`{"lsn":"x"}`))
+	f.Add([]byte(`{"lsn":1,"entity_ids":[`))
+	f.Add([]byte("\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := &memRecordLog{records: bytes.Split(data, []byte("\n"))}
+		before := make([][]byte, len(rec.records))
+		for i, r := range rec.records {
+			before[i] = bytes.Clone(r)
+		}
+		l, err := OpenStore(rec)
+		if err != nil {
+			if !rec.closed {
+				t.Fatal("a failed open left the record log open")
+			}
+			if !reflect.DeepEqual(rec.records, before) {
+				t.Fatalf("a failed open changed the records: %q -> %q", before, rec.records)
+			}
+			return
+		}
+		ops := l.Read(0, 0)
+		if len(ops) != len(before) {
+			t.Fatalf("opened %d ops from %d records", len(ops), len(before))
+		}
+		lsn, err := l.Append(Op{Kind: OpCheckpoint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ops[len(ops)-1].LSN + 1; lsn != want {
+			t.Fatalf("append after open got LSN %d, want %d", lsn, want)
+		}
+	})
 }

@@ -148,11 +148,28 @@ func (ix *Index) Put(d Doc) {
 	ix.docTerms[d.ID] = termList
 	ix.docLen[d.ID] = len(terms)
 	ix.totalLen += len(terms)
-	boost := d.Boost
-	if boost == 0 {
-		boost = 1
+	ix.boost[d.ID] = docBoost(d.Boost)
+}
+
+// docBoost applies Doc.Boost's "0 means 1" rule.
+func docBoost(b float64) float64 {
+	if b == 0 {
+		return 1
 	}
-	ix.boost[d.ID] = boost
+	return b
+}
+
+// SetBoost changes an indexed document's boost (0 means 1, as in Doc)
+// without re-tokenizing its text, reporting whether the document exists.
+func (ix *Index) SetBoost(id string, boost float64) bool {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if _, ok := ix.docTerms[id]; !ok {
+		return false
+	}
+	ix.cowLocked()
+	ix.boost[id] = docBoost(boost)
+	return true
 }
 
 // Delete removes a document, reporting whether it existed.

@@ -2,6 +2,7 @@ package textindex
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -50,6 +51,32 @@ func TestBoost(t *testing.T) {
 	// A zero boost defaults to 1: "unset" ties "tail" exactly.
 	if hits[1].ID != "tail" || hits[2].ID != "unset" || hits[1].Score != hits[2].Score {
 		t.Fatalf("zero boost did not default to 1: %v", hits)
+	}
+}
+
+// TestSetBoost: a boost change scores exactly as a re-Put with that boost
+// would, and an earlier snapshot keeps the old boost.
+func TestSetBoost(t *testing.T) {
+	ix, ref := New(), New()
+	for _, d := range []Doc{{ID: "a", Text: "paris hotel", Boost: 2}, {ID: "b", Text: "paris museum", Boost: 3}} {
+		ix.Put(d)
+		ref.Put(d)
+	}
+	sn := ix.Snapshot()
+	before := sn.Search("paris", 2)
+	if !ix.SetBoost("a", 7) || !ix.SetBoost("b", 0) || ix.SetBoost("missing", 1) {
+		t.Fatal("SetBoost reported the wrong documents")
+	}
+	ref.Put(Doc{ID: "a", Text: "paris hotel", Boost: 7})
+	ref.Put(Doc{ID: "b", Text: "paris museum"})
+	if got, want := ix.Search("paris", 2), ref.Search("paris", 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after SetBoost hits = %v, re-Put hits = %v", got, want)
+	}
+	if got := sn.Search("paris", 2); !reflect.DeepEqual(got, before) {
+		t.Fatalf("snapshot moved under SetBoost: %v -> %v", before, got)
+	}
+	if ix.Len() != 2 {
+		t.Fatalf("SetBoost of a missing document indexed it: len = %d", ix.Len())
 	}
 }
 

@@ -111,6 +111,10 @@ var gates = []Gate{
 	{Bench: "CatchUp", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	{Bench: "CompactThrough", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "CompactThrough", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	// The same allocation gate on the serving refresh (internal/live): one
+	// stable-view load with 8 records replaced and every boost shifted.
+	{Bench: "LoadStableView", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "LoadStableView", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	// Recorded but deliberately not gated here:
 	//   - snapshot-growth-x hovers around 1.0 (µs-scale measurements), so a
 	//     relative diff against the baseline amplifies noise; the benchmark
