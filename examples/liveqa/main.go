@@ -40,7 +40,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("live KG: %d entities after %d stream updates\n\n", platform.Live.Len(), len(events))
+	fmt.Printf("live KG: %d entities after %d stream updates\n\n", platform.Live.Current().Len(), len(events))
 
 	// Ad-hoc KGQ over streaming + stable data: current games of a team.
 	res, err := platform.Query(`entity(type="sports_team", name="Northfield Comets") | in("home_team") | attr("game_status")`)
@@ -66,7 +66,7 @@ func main() {
 
 	// Curation: quarantine a vandalized score and hot fix it.
 	gameID := live.LiveID("sportsfeed", "game0")
-	game := platform.Live.Get(gameID)
+	game := platform.Live.Current().GetShared(gameID)
 	var scoreFact triple.Triple
 	for _, t := range game.Triples {
 		if t.Predicate == "home_score" {
@@ -79,5 +79,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nafter curation hot fix, home score = %d\n",
-		platform.Live.Get(gameID).First("home_score").Int64())
+		platform.Live.Current().GetShared(gameID).First("home_score").Int64())
 }

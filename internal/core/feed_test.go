@@ -114,7 +114,7 @@ func TestFeedDrainBeforeServing(t *testing.T) {
 		f.Submit(b) // results intentionally ignored: drain must cover them
 	}
 	p.RefreshServing()
-	if got, want := p.Live.Len(), p.KG.Graph.Len(); got < want {
+	if got, want := p.Live.Current().Len(), p.KG.Graph.Len(); got < want {
 		t.Fatalf("live store has %d of %d KG entities after RefreshServing", got, want)
 	}
 	before := p.KG.Graph.Len()
@@ -183,7 +183,7 @@ func testConsumeDeltasPublishFailureHeals(t *testing.T) {
 	if got, want := p.GraphReplica.Triples(), p.KG.Graph.Triples(); !reflect.DeepEqual(got, want) {
 		t.Fatal("replica still diverged from the KG after the engine recovered")
 	}
-	if got, want := p.Live.Len(), p.KG.Graph.Len(); got < want {
+	if got, want := p.Live.Current().Len(), p.KG.Graph.Len(); got < want {
 		t.Fatalf("live store has %d of %d entities", got, want)
 	}
 }
@@ -492,7 +492,7 @@ func seedAndQueueRename(t *testing.T, p *Platform) triple.EntityID {
 		t.Fatal("s:e0 not linked")
 	}
 	var nameFact triple.Triple
-	for _, tr := range p.Live.Get(kgID).Triples {
+	for _, tr := range p.Live.Current().GetShared(kgID).Triples {
 		if tr.Predicate == triple.PredName {
 			nameFact = tr
 		}
@@ -669,7 +669,7 @@ func TestClosedFeedEndsWrites(t *testing.T) {
 		t.Fatal("a write after the feed closed changed the KG or the log")
 	}
 	p.RefreshServing()
-	if got, want := p.Live.Len(), p.GraphReplica.Len(); got != want || want == 0 {
+	if got, want := p.Live.Current().Len(), p.GraphReplica.Len(); got != want || want == 0 {
 		t.Fatalf("live store holds %d entities after RefreshServing, replica %d", got, want)
 	}
 	if res, err := p.Query(`entity(type="human")`); err != nil || len(res.IDs) == 0 {

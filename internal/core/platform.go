@@ -868,7 +868,7 @@ func (p *Platform) Stats() Stats {
 		Graph:        p.KG.Graph.Stats(),
 		Links:        p.KG.LinkCount(),
 		LogLSN:       p.Engine.Log.LastLSN(),
-		LiveEntities: p.Live.Len(),
+		LiveEntities: p.Live.Current().Len(),
 		BlockIndex:   p.Pipeline.BlockIndexStats(),
 		Fusion:       p.Pipeline.FusionStats(),
 	}

@@ -129,7 +129,7 @@ func TestLiveStreamOverStableGraph(t *testing.T) {
 	}
 	total := 0
 	for gi := 0; gi < 2; gi++ {
-		if g := p.Live.Get(live.LiveID("sportsfeed", "game"+string(rune('0'+gi)))); g != nil {
+		if g := p.Live.Current().GetShared(live.LiveID("sportsfeed", "game"+string(rune('0'+gi)))); g != nil {
 			total++
 			if !g.First("home_team").IsRef() {
 				t.Fatalf("game %d home team not linked to stable entity: %v", gi, g.First("home_team"))
@@ -148,7 +148,7 @@ func TestCurationFlowsToStableKG(t *testing.T) {
 	}
 	p.RefreshServing()
 	kgID, _ := p.KG.Lookup("s:e0")
-	ent := p.Live.Get(kgID)
+	ent := p.Live.Current().GetShared(kgID)
 	var nameFact triple.Triple
 	for _, tr := range ent.Triples {
 		if tr.Predicate == triple.PredName {
@@ -161,7 +161,7 @@ func TestCurationFlowsToStableKG(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hot fix visible immediately in the live index.
-	if got := p.Live.Get(kgID).Name(); got != "Corrected Name" {
+	if got := p.Live.Current().GetShared(kgID).Name(); got != "Corrected Name" {
 		t.Fatalf("live name = %q", got)
 	}
 	n, err := p.ApplyCurationDecisions()
@@ -194,7 +194,7 @@ func TestCurationPublishFailureHeals(t *testing.T) {
 	p.RefreshServing()
 	kgID, _ := p.KG.Lookup("s:e0")
 	var nameFact triple.Triple
-	for _, tr := range p.Live.Get(kgID).Triples {
+	for _, tr := range p.Live.Current().GetShared(kgID).Triples {
 		if tr.Predicate == triple.PredName {
 			nameFact = tr
 		}
@@ -248,7 +248,7 @@ func TestCurationRenameReachesLinking(t *testing.T) {
 		t.Fatal("link missing")
 	}
 	var nameFact triple.Triple
-	for _, tr := range p.Live.Get(kgID).Triples {
+	for _, tr := range p.Live.Current().GetShared(kgID).Triples {
 		if tr.Predicate == triple.PredName {
 			nameFact = tr
 		}

@@ -35,7 +35,7 @@ func TestRefreshServingDropsDeletedEntities(t *testing.T) {
 	}
 	p.RefreshServing()
 
-	if got, want := p.Live.Len(), p.GraphReplica.Len(); got != want {
+	if got, want := p.Live.Current().Len(), p.GraphReplica.Len(); got != want {
 		t.Fatalf("live store holds %d entities, replica %d", got, want)
 	}
 	ts := httptest.NewServer(serve.New(p, serve.Options{}).Handler())

@@ -73,12 +73,12 @@ func TestRefreshServingMatchesFullReload(t *testing.T) {
 				}
 				if ids := p.GraphReplica.IDs(); len(ids) > 0 && r.Intn(2) == 0 {
 					id := ids[r.Intn(len(ids))]
-					if e := p.Live.GetShared(id); e != nil {
+					if e := p.Live.Current().GetShared(id); e != nil {
 						if err := p.Curation.Decide(p.Live, live.Decision{Kind: live.DecisionEdit, Entity: id,
 							Fact: e.Triples[r.Intn(len(e.Triples))], NewValue: triple.String("hot fix")}); err != nil {
 							t.Fatal(err)
 						}
-						probes = append(probes, p.Live.GetShared(id))
+						probes = append(probes, p.Live.Current().GetShared(id))
 					}
 				}
 				p.RefreshServing()
@@ -113,11 +113,11 @@ func TestRefreshServingSharesReplicaRecords(t *testing.T) {
 	}
 	for _, id := range ids {
 		records := map[*triple.Entity]bool{
-			p.KG.Graph.GetShared(id):     true,
-			p.GraphReplica.GetShared(id): true,
-			p.Live.GetShared(id):         true,
+			p.KG.Graph.GetShared(id):       true,
+			p.GraphReplica.GetShared(id):   true,
+			p.Live.Current().GetShared(id): true,
 		}
-		if p.Live.GetShared(id) != p.GraphReplica.GetShared(id) {
+		if p.Live.Current().GetShared(id) != p.GraphReplica.GetShared(id) {
 			t.Fatalf("%s: the live store holds a copy of the replica's record", id)
 		}
 		if len(records) != 2 {
@@ -213,7 +213,7 @@ func TestServingRecordsStayFrozen(t *testing.T) {
 	})
 	loop(func(i int) {
 		id := ids[i%len(ids)]
-		if e := p.Live.GetShared(id); e != nil {
+		if e := p.Live.Current().GetShared(id); e != nil {
 			// A refresh may remove the entity between the read and the
 			// decision; that error is expected, any other is not.
 			_ = p.Curation.Decide(p.Live, live.Decision{Kind: live.DecisionEdit, Entity: id,

@@ -3,7 +3,7 @@
 //
 // The clone-free read paths of the platform — triple.Graph.GetShared,
 // triple.Graph.RangeShared (and Range, its alias), construct.KG.KGViewShared,
-// live Store/Snapshot GetShared, and every other API named *Shared — return
+// live.Snapshot.GetShared, and every other API named *Shared — return
 // the stored immutable records without copying. Mutating such a record
 // corrupts every concurrent reader, every COW snapshot, and the published
 // replica at once, in ways the race detector usually cannot see (the write

@@ -3,7 +3,6 @@ package live
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"saga/internal/triple"
 )
@@ -55,16 +54,10 @@ type Constructor struct {
 	// Resolver resolves mentions to stable entities; nil leaves mentions as
 	// string literals.
 	Resolver EntityResolver
-	// MinConfidence rejects resolutions below this confidence; default 0.5.
-	MinConfidence float64
-
-	// stableMu serializes LoadStableView. stable maps each ID of the last
-	// stable view loaded to the number of that load (loads counts them), so
-	// the next load deletes the IDs it does not renumber.
-	stableMu sync.Mutex
-	stable   map[triple.EntityID]uint64
-	loads    uint64
 }
+
+// minConfidence rejects mention resolutions below this confidence.
+const minConfidence = 0.5
 
 // LiveID returns the live KG identifier of an event entity.
 func LiveID(source, id string) triple.EntityID {
@@ -82,10 +75,6 @@ func (c *Constructor) Consume(ev Event) (triple.EntityID, error) {
 	if ev.Deleted {
 		c.Store.Delete(id)
 		return id, nil
-	}
-	minConf := c.MinConfidence
-	if minConf == 0 {
-		minConf = 0.5
 	}
 	e := triple.NewEntity(id)
 	add := func(pred string, v triple.Value) {
@@ -112,7 +101,7 @@ func (c *Constructor) Consume(ev Event) (triple.EntityID, error) {
 	for _, p := range mpreds {
 		m := ev.Mentions[p]
 		if c.Resolver != nil {
-			if stable, conf, ok := c.Resolver.Resolve(m.Text, m.TypeHint); ok && conf >= minConf {
+			if stable, conf, ok := c.Resolver.Resolve(m.Text, m.TypeHint); ok && conf >= minConfidence {
 				add(p, triple.Ref(stable))
 				continue
 			}
@@ -135,21 +124,5 @@ func (c *Constructor) Consume(ev Event) (triple.EntityID, error) {
 // to write only what changed since the last one. The whole load is one
 // store write, and a view the store already holds is no write at all.
 func (c *Constructor) LoadStableView(entities []*triple.Entity, boosts map[triple.EntityID]float64) {
-	c.stableMu.Lock()
-	defer c.stableMu.Unlock()
-	if c.stable == nil {
-		c.stable = make(map[triple.EntityID]uint64, len(entities))
-	}
-	c.loads++
-	for _, e := range entities {
-		c.stable[e.ID] = c.loads
-	}
-	var dels []triple.EntityID
-	for id, load := range c.stable {
-		if load != c.loads {
-			dels = append(dels, id)
-			delete(c.stable, id)
-		}
-	}
-	c.Store.loadStable(entities, boosts, dels)
+	c.Store.loadStable(entities, boosts)
 }

@@ -138,35 +138,38 @@ func (q *Queue) Pending() []Suspect {
 
 // Decide applies a curator decision as a hot fix to the live store and
 // records it for export to stable construction. The suspect is removed from
-// the queue.
+// the queue. A fact edit is one store write, so it applies to the record the
+// store holds at that moment, never to an older one.
 func (q *Queue) Decide(store *Store, d Decision) error {
-	ent := store.Get(d.Entity)
-	if ent == nil && d.Kind != DecisionBlockEntity {
-		return fmt.Errorf("live: curation target %s not found", d.Entity)
-	}
+	var edit func(e *triple.Entity)
 	switch d.Kind {
 	case DecisionBlock:
-		kept := ent.Triples[:0]
-		for _, t := range ent.Triples {
-			if t.Key() != d.Fact.Key() {
-				kept = append(kept, t)
+		edit = func(e *triple.Entity) {
+			kept := e.Triples[:0]
+			for _, t := range e.Triples {
+				if t.Key() != d.Fact.Key() {
+					kept = append(kept, t)
+				}
 			}
+			e.Triples = kept
 		}
-		ent.Triples = kept
-		store.Put(ent, store.Boost(d.Entity))
 	case DecisionEdit:
-		for i, t := range ent.Triples {
-			if t.Key() == d.Fact.Key() {
-				ent.Triples[i].Object = d.NewValue
-				ent.Triples[i].Sources = []string{CurationSource}
-				ent.Triples[i].Trust = []float64{1}
+		edit = func(e *triple.Entity) {
+			for i, t := range e.Triples {
+				if t.Key() == d.Fact.Key() {
+					e.Triples[i].Object = d.NewValue
+					e.Triples[i].Sources = []string{CurationSource}
+					e.Triples[i].Trust = []float64{1}
+				}
 			}
 		}
-		store.Put(ent, store.Boost(d.Entity))
 	case DecisionBlockEntity:
 		store.Delete(d.Entity)
 	default:
 		return fmt.Errorf("live: unknown decision kind %d", d.Kind)
+	}
+	if edit != nil && !store.update(d.Entity, edit) {
+		return fmt.Errorf("live: curation target %s not found", d.Entity)
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()

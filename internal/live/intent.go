@@ -209,7 +209,7 @@ func (h *IntentHandler) Execute(intent Intent) (Answer, error) {
 // resolveArg maps an argument mention to a live-KG entity within one read
 // view: entity IDs pass through; otherwise the resolver, then exact name
 // lookup.
-func (h *IntentHandler) resolveArg(v View, arg string) (triple.EntityID, error) {
+func (h *IntentHandler) resolveArg(v *Snapshot, arg string) (triple.EntityID, error) {
 	if strings.Contains(arg, ":") && v.GetShared(triple.EntityID(arg)) != nil {
 		return triple.EntityID(arg), nil
 	}

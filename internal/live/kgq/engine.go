@@ -37,9 +37,6 @@ func (r Result) Texts() []string {
 // intra-query parallelism for wide traversals.
 type Engine struct {
 	Store *live.Store
-	// FanOutThreshold is the entity-set size above which traversals run in
-	// parallel; default 64.
-	FanOutThreshold int
 	// Plans caches compiled plans by query text. NewEngine installs a
 	// private cache; engines may share one, provided every engine registers
 	// the same virtual operators (plans bake virtuals in at compile time).
@@ -216,20 +213,14 @@ func (e *Engine) Execute(p *Plan) (Result, error) {
 	return e.ExecuteOn(p, e.Store.Current())
 }
 
-// ExecuteOn runs a compiled plan against an explicit read view — a
-// *live.Snapshot pinned by the serving tier, or a *live.Store for locked
-// live reads. Results are cached per (plan, view version) when the view is
-// a snapshot; live-store views bypass the cache since their version can
-// move mid-query.
-func (e *Engine) ExecuteOn(p *Plan, v live.View) (Result, error) {
-	_, frozen := v.(*live.Snapshot)
-	version := v.Version()
-	if frozen {
-		if res, ok := e.results.get(p.key, version); ok {
-			return res, nil
-		}
+// ExecuteOn runs a compiled plan against an explicit snapshot, such as one
+// the serving tier pinned for a request. Results are cached per (plan,
+// snapshot version).
+func (e *Engine) ExecuteOn(p *Plan, sn *live.Snapshot) (Result, error) {
+	if res, ok := e.results.get(p.key, sn.Version()); ok {
+		return res, nil
 	}
-	x := executor{view: v, fanOutThreshold: e.FanOutThreshold}
+	x := executor{view: sn}
 	var res Result
 	seeded := false
 	var err error
@@ -239,9 +230,7 @@ func (e *Engine) ExecuteOn(p *Plan, v live.View) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if frozen {
-		e.results.put(p.key, version, res)
-	}
+	e.results.put(p.key, sn.Version(), res)
 	return res, nil
 }
 
@@ -270,13 +259,16 @@ func pushdown(q Query) Query {
 	return out
 }
 
-// executor evaluates plan stages against one read view. Entity reads use
+// executor evaluates plan stages against one snapshot. Entity reads use
 // GetShared — stored records are immutable after insert, so execution never
 // clones on the hot path.
 type executor struct {
-	view            live.View
-	fanOutThreshold int
+	view *live.Snapshot
 }
+
+// fanOutThreshold is the entity-set size above which follow() traversals
+// run in parallel.
+const fanOutThreshold = 64
 
 func (x executor) applyStage(in Result, seeded bool, stage Stage) (Result, bool, error) {
 	switch stage.Name {
@@ -384,13 +376,9 @@ func (x executor) applyStage(in Result, seeded bool, stage Stage) (Result, bool,
 	}
 }
 
-// follow traverses reference edges; sets beyond FanOutThreshold shard across
+// follow traverses reference edges; sets beyond fanOutThreshold shard across
 // goroutines (intra-query parallelism, §4.2).
 func (x executor) follow(ids []triple.EntityID, pred string) []triple.EntityID {
-	threshold := x.fanOutThreshold
-	if threshold == 0 {
-		threshold = 64
-	}
 	collect := func(ids []triple.EntityID) []triple.EntityID {
 		var out []triple.EntityID
 		for _, id := range ids {
@@ -407,7 +395,7 @@ func (x executor) follow(ids []triple.EntityID, pred string) []triple.EntityID {
 		return out
 	}
 	var merged []triple.EntityID
-	if len(ids) <= threshold {
+	if len(ids) <= fanOutThreshold {
 		merged = collect(ids)
 	} else {
 		workers := 4

@@ -185,17 +185,4 @@ func TestResultCacheVersionKeyed(t *testing.T) {
 	if len(r2.IDs) != len(r1.IDs)+1 {
 		t.Fatalf("version bump served a stale cached result: %d then %d", len(r1.IDs), len(r2.IDs))
 	}
-	// Live-store views bypass the result cache entirely (the version can
-	// move mid-query), so they always see the freshest data.
-	_, m0 := e.CacheStats()
-	r3, err := e.ExecuteOn(plan, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, m1 := e.CacheStats(); m1 != m0 {
-		t.Fatal("live-store execution touched the result cache")
-	}
-	if len(r3.IDs) != len(r2.IDs) {
-		t.Fatalf("live view result diverged: %d vs %d", len(r3.IDs), len(r2.IDs))
-	}
 }

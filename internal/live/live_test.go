@@ -69,7 +69,7 @@ func TestLiveConstructionLinksMentions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	game := store.Get(id)
+	game := store.Current().GetShared(id)
 	if game == nil {
 		t.Fatal("game not stored")
 	}
@@ -81,7 +81,7 @@ func TestLiveConstructionLinksMentions(t *testing.T) {
 	}
 	// Querying streaming data while reasoning over stable references: find
 	// games whose home team is the stable Warriors entity.
-	games := store.InRefs("home_team", "kg:GSW")
+	games := store.Current().InRefs("home_team", "kg:GSW")
 	if len(games) != 1 || games[0] != id {
 		t.Fatalf("games by team = %v", games)
 	}
@@ -96,7 +96,7 @@ func TestLiveUpdateOverwrites(t *testing.T) {
 	if _, err := c.Consume(ev); err != nil {
 		t.Fatal(err)
 	}
-	scores := store.Get(id).Get("home_score")
+	scores := store.Current().GetShared(id).Get("home_score")
 	if len(scores) != 1 || scores[0].Int64() != 20 {
 		t.Fatalf("scores = %v", scores)
 	}
@@ -109,7 +109,7 @@ func TestLiveDeletion(t *testing.T) {
 	if _, err := c.Consume(Event{Source: "s", ID: "f1", Deleted: true}); err != nil {
 		t.Fatal(err)
 	}
-	if store.Get(id) != nil {
+	if store.Current().GetShared(id) != nil {
 		t.Fatal("deleted event still live")
 	}
 }
@@ -132,16 +132,17 @@ func TestLoadStableViewDropsRemovedEntities(t *testing.T) {
 	}
 	c.LoadStableView(kept, nil)
 
-	if store.Get("kg:LAL") != nil || store.Len() != len(kept)+1 {
-		t.Fatalf("reload kept the removed entity: Len = %d, want %d", store.Len(), len(kept)+1)
+	sn := store.Current()
+	if sn.GetShared("kg:LAL") != nil || sn.Len() != len(kept)+1 {
+		t.Fatalf("reload kept the removed entity: Len = %d, want %d", sn.Len(), len(kept)+1)
 	}
-	if ids := store.ByType("sports_team"); len(ids) != 1 || ids[0] != "kg:GSW" {
+	if ids := sn.ByType("sports_team"); len(ids) != 1 || ids[0] != "kg:GSW" {
 		t.Fatalf("sports teams after reload = %v", ids)
 	}
-	if hits := store.SearchText("Lakers", 3); len(hits) != 0 {
+	if hits := sn.SearchText("Lakers", 3); len(hits) != 0 {
 		t.Fatalf("search still hits the removed entity: %v", hits)
 	}
-	if store.Get(game) == nil {
+	if sn.GetShared(game) == nil {
 		t.Fatal("reload deleted a streaming entity")
 	}
 }
@@ -150,7 +151,7 @@ func TestLiveUnresolvedMentionKeptAsLiteral(t *testing.T) {
 	c, store := liveWorld(t)
 	id, _ := c.Consume(Event{Source: "s", Type: "sports_game", ID: "g9",
 		Mentions: map[string]Mention{"home_team": {Text: "Unknown United"}}})
-	v := store.Get(id).First("home_team")
+	v := store.Current().GetShared(id).First("home_team")
 	if v.Kind() != triple.KindString || v.Str() != "Unknown United" {
 		t.Fatalf("unresolved mention = %v", v)
 	}
@@ -279,7 +280,7 @@ func TestCurationQueue(t *testing.T) {
 	if err := q.Decide(store, Decision{Kind: DecisionBlock, Entity: "kg:BAD", Fact: nameFact}); err != nil {
 		t.Fatal(err)
 	}
-	if got := store.Get("kg:BAD").Name(); got != "" {
+	if got := store.Current().GetShared("kg:BAD").Name(); got != "" {
 		t.Fatalf("blocked fact still served: %q", got)
 	}
 	// Edit the population.
@@ -292,7 +293,7 @@ func TestCurationQueue(t *testing.T) {
 	if err := q.Decide(store, Decision{Kind: DecisionEdit, Entity: "kg:BAD", Fact: popFact, NewValue: triple.Int(120000)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := store.Get("kg:BAD").First("population").Int64(); got != 120000 {
+	if got := store.Current().GetShared("kg:BAD").First("population").Int64(); got != 120000 {
 		t.Fatalf("edited population = %d", got)
 	}
 	if len(q.Pending()) != 0 {
@@ -314,7 +315,7 @@ func TestCurationBlockEntity(t *testing.T) {
 	if err := q.Decide(store, Decision{Kind: DecisionBlockEntity, Entity: "kg:GSW"}); err != nil {
 		t.Fatal(err)
 	}
-	if store.Get("kg:GSW") != nil {
+	if store.Current().GetShared("kg:GSW") != nil {
 		t.Fatal("blocked entity still live")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"saga/internal/live"
@@ -62,7 +63,7 @@ func randomEvent(r *rand.Rand, n int) live.Event {
 // hotFix applies a random curation decision to a stable entity the store
 // holds, as a curator's hot fix between refreshes would.
 func hotFix(t *testing.T, r *rand.Rand, q *live.Queue, store *live.Store, id triple.EntityID) {
-	e := store.GetShared(id)
+	e := store.Current().GetShared(id)
 	if e == nil {
 		return
 	}
@@ -76,7 +77,7 @@ func hotFix(t *testing.T, r *rand.Rand, q *live.Queue, store *live.Store, id tri
 // TestLoadStableViewMatchesFullLoad: over random stable-view histories —
 // records replaced by new pointers, entities deleted and re-added, boosts
 // shifted, curation hot fixes and streaming events in between — the store
-// loaded incrementally must answer every View method exactly as a fresh
+// loaded incrementally must answer every snapshot read exactly as a fresh
 // store given one full load of the same view plus the same streaming events.
 // It holds the view's records themselves, its version never goes back, and
 // reloading a view it already holds is no write.
@@ -140,7 +141,7 @@ func checkLoadMatchesFullLoad(t *testing.T, seed int64) {
 				id := stableID(r.Intn(n))
 				hotFix(t, r, q, store, id)
 				monotonic("a hot fix")
-				probe(store.GetShared(id))
+				probe(store.Current().GetShared(id))
 				continue
 			}
 			ev := randomEvent(r, n)
@@ -149,7 +150,7 @@ func checkLoadMatchesFullLoad(t *testing.T, seed int64) {
 			}
 			events = append(events, ev)
 			monotonic("a streaming event")
-			probe(store.GetShared(live.LiveID(ev.Source, ev.ID)))
+			probe(store.Current().GetShared(live.LiveID(ev.Source, ev.ID)))
 		}
 
 		ents := make([]*triple.Entity, 0, len(view))
@@ -177,13 +178,59 @@ func checkLoadMatchesFullLoad(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 		}
-		if err := livetest.Diff(store, want, probes); err != nil {
+		if err := livetest.Diff(store.Current(), want.Current(), probes); err != nil {
 			t.Fatalf("step %d: incremental load differs from a full load: %v", step, err)
 		}
 		for id, e := range view {
-			if store.GetShared(id) != e {
+			if store.Current().GetShared(id) != e {
 				t.Fatalf("step %d: %s: the store holds a copy, not the view's record", step, id)
 			}
+		}
+	}
+}
+
+// TestDecideRacesStableLoad: a curation hot fix racing a stable load of a
+// new record for the same entity ends in one of the two serial outcomes:
+// the new record (the edit landed first and the load replaced it), or the
+// new record with the edit. Editing a copy of the record the load replaced
+// and storing it after the load would serve that stale record until the
+// next refresh. Run with -race.
+func TestDecideRacesStableLoad(t *testing.T) {
+	const id = triple.EntityID("kg:S0")
+	record := func(pop int) *triple.Entity {
+		e := triple.NewEntity(id)
+		e.AddFact(triple.PredType, triple.String("city"))
+		e.AddFact(triple.PredName, triple.String("Old Name"))
+		e.AddFact("population", triple.Int(int64(pop)))
+		return e
+	}
+	name := record(0).Triples[1]
+	store := live.NewStore()
+	c := &live.Constructor{Store: store}
+	q := live.NewQueue()
+	for round := 0; round < 2000; round++ {
+		c.LoadStableView([]*triple.Entity{record(2 * round)}, nil)
+		next := record(2*round + 1)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := q.Decide(store, live.Decision{Kind: live.DecisionEdit, Entity: id, Fact: name,
+				NewValue: triple.String("Fixed")}); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			c.LoadStableView([]*triple.Entity{next}, nil)
+		}()
+		wg.Wait()
+		got := store.Current().GetShared(id)
+		if pop := got.First("population").Int64(); pop != int64(2*round+1) {
+			t.Fatalf("round %d: the store serves population %d, not the loaded record's %d: the edit overwrote the load", round, pop, 2*round+1)
+		}
+		if n := got.Name(); n != "Old Name" && n != "Fixed" {
+			t.Fatalf("round %d: name = %q", round, n)
 		}
 	}
 }

@@ -8,10 +8,11 @@
 // and the query engine (the kgq subpackage) serves ad-hoc structured queries
 // and query intents with multi-turn context.
 //
-// Serving reads go through versioned immutable snapshots (Store.Current):
-// the store publishes a copy-on-write view of every index at its current
-// version, so query evaluation never takes the store's locks and never
-// contends with streaming ingestion. See Snapshot for the contract.
+// Serving reads go through versioned immutable snapshots (Store.Current,
+// Store.Serving), and only through them: the store publishes a
+// copy-on-write view of every index at its current version, so query
+// evaluation never takes the store's lock and never contends with
+// streaming ingestion. See Snapshot for the contract.
 package live
 
 import (
@@ -25,35 +26,6 @@ import (
 	"saga/internal/triple"
 )
 
-// View is a read view of the live KG: either the live *Store (reads take
-// the store's locks and observe writes immediately) or an immutable
-// *Snapshot (lock-free reads frozen at one version). The query engine and
-// the serving tier evaluate against a View, so the same execution code runs
-// on both. Entities returned by GetShared are shared records and must not
-// be mutated.
-type View interface {
-	// Version is the store version the view reads at; it moves forward with
-	// every write that changes the store, so result caches key on it for
-	// exact invalidation.
-	Version() uint64
-	// Len returns the number of live entities.
-	Len() int
-	// Get returns a private copy of the entity, or nil.
-	Get(id triple.EntityID) *triple.Entity
-	// GetShared returns the stored record itself — read-only — or nil.
-	GetShared(id triple.EntityID) *triple.Entity
-	// ByAttr returns entities with pred equal (by normalized text) to value.
-	ByAttr(pred, value string) []triple.EntityID
-	// ByType returns entities of the given type.
-	ByType(typ string) []triple.EntityID
-	// InRefs returns entities whose predicate references the target.
-	InRefs(pred string, target triple.EntityID) []triple.EntityID
-	// Boost returns the entity's ranking boost.
-	Boost(id triple.EntityID) float64
-	// SearchText runs ranked token search over names/aliases/descriptions.
-	SearchText(query string, k int) []textindex.Hit
-}
-
 // idSet is one posting list: an entity set plus the snapshot epoch it was
 // last cloned at, so writers copy it before mutating if a snapshot still
 // references it (copy-on-write).
@@ -64,14 +36,17 @@ type idSet struct {
 
 // Store is the live KG index: a graph KV store plus inverted indexes
 // optimized for low-latency retrieval under concurrent requests. All methods
-// are safe for concurrent use; one lock guards the entity KV and the
-// inverted indexes, and published snapshots (Current) take serving reads off
-// it entirely.
+// are safe for concurrent use. One lock serializes writes and snapshot
+// captures; reads go through published snapshots (Current, Serving) and take
+// no lock at all.
 type Store struct {
+	// mu serializes every write (entity KV, inverted indexes, text index,
+	// stable-view bookkeeping, version bump) and every snapshot capture, so
+	// a snapshot is always a write-atomic cut: a store version uniquely
+	// identifies index content.
+	mu sync.Mutex
 	// text is the token index over entity names/aliases used by search().
 	text *textindex.Index
-
-	mu sync.RWMutex
 	// data is the entity KV: ID -> stored (immutable) record.
 	data map[triple.EntityID]*triple.Entity
 	// attr maps predicate\x1fvalueText -> entity set (equality lookups).
@@ -80,25 +55,24 @@ type Store struct {
 	reverse map[string]*idSet
 	// byType maps entity type -> entity set.
 	byType map[string]*idSet
-	// boost holds per-entity ranking boosts (entity importance).
+	// boost holds per-entity ranking boosts (entity importance); text search
+	// scores with it too.
 	boost map[triple.EntityID]float64
+	// stable maps each ID of the last stable view loaded to the number of
+	// that load (loads counts them), so the next load deletes the IDs it
+	// does not renumber.
+	stable map[triple.EntityID]uint64
+	loads  uint64
+
+	// snapEpoch counts captured snapshots; idxEpoch records when the
+	// top-level maps (data and the indexes) were last copied.
+	snapEpoch uint64
+	idxEpoch  uint64
 
 	// version increments on every write that changes the store (once per
 	// write, however many entities it touches); query caches use it to
-	// invalidate.
+	// invalidate. Written under mu, read lock-free by Current and Serving.
 	version atomic.Uint64
-
-	// pubMu gates snapshot publication against writers: every write holds
-	// the read side for its whole operation (entity KV + inverted indexes +
-	// text index + version bump), and Snapshot takes the write side, so a
-	// snapshot always captures a write-atomic cut — a store version uniquely
-	// identifies index content.
-	pubMu sync.RWMutex
-	// snapEpoch counts published snapshots; idxEpoch records when the
-	// top-level maps (data and the indexes) were last copied. Guarded by
-	// pubMu (writers read under RLock, Snapshot bumps under Lock).
-	snapEpoch uint64
-	idxEpoch  uint64
 
 	// cur is the most recently published snapshot; Current revalidates it
 	// against version and republishes when stale. snapAt records when it
@@ -120,6 +94,7 @@ func NewStore() *Store {
 		reverse: make(map[string]*idSet),
 		byType:  make(map[string]*idSet),
 		boost:   make(map[triple.EntityID]float64),
+		stable:  make(map[triple.EntityID]uint64),
 	}
 }
 
@@ -127,7 +102,7 @@ func attrKey(pred, valText string) string { return pred + "\x1f" + valText }
 
 // cowIndexLocked shallow-copies the entity map and the top-level index maps
 // the first time a writer runs after a snapshot. Posting sets get their own
-// per-key copy in cowSetLocked. Caller holds s.mu and the pubMu read side.
+// per-key copy in cowSetLocked. Caller holds s.mu.
 func (s *Store) cowIndexLocked() {
 	if s.idxEpoch == s.snapEpoch {
 		return
@@ -182,12 +157,10 @@ func (s *Store) cowSetLocked(m map[string]*idSet, key string) *idSet {
 
 // Put indexes (replacing) an entity: KV payload, attribute postings, reverse
 // reference postings, type sets, and the token index. Streaming updates call
-// Put at high frequency; curation hot fixes call it directly too. The stored
-// record is a private clone and is never mutated afterwards, which is what
-// lets snapshots and GetShared hand it out without copying.
+// Put at high frequency. The stored record is a private clone and is never
+// mutated afterwards, which is what lets snapshots hand it out without
+// copying.
 func (s *Store) Put(e *triple.Entity, boost float64) {
-	s.pubMu.RLock()
-	defer s.pubMu.RUnlock()
 	clone := e.Clone()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,10 +168,27 @@ func (s *Store) Put(e *triple.Entity, boost float64) {
 	s.version.Add(1)
 }
 
+// update replaces the stored record under id with an edited copy as one
+// write: it clones the record, applies edit to the clone and stores it with
+// the entity's boost. It reports false, and writes nothing, when id is not
+// stored. Curation hot fixes write through update, so a stable load cannot
+// land between reading the record and storing its edit.
+func (s *Store) update(id triple.EntityID, edit func(e *triple.Entity)) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.data[id]
+	if old == nil {
+		return false
+	}
+	e := old.Clone()
+	edit(e)
+	s.installLocked(e, s.boost[id])
+	s.version.Add(1)
+	return true
+}
+
 // Delete removes an entity from all indexes.
 func (s *Store) Delete(id triple.EntityID) bool {
-	s.pubMu.RLock()
-	defer s.pubMu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.deleteLocked(id) {
@@ -212,19 +202,20 @@ func (s *Store) Delete(id triple.EntityID) bool {
 // record whose pointer differs from the one stored under its ID (new,
 // replaced, or overwritten since by a curation hot fix), updates only the
 // boost where the record is unchanged and its boost moved, skips the rest,
-// and deletes dels. The store version moves once, and only if something
-// changed, so a load the store already holds keeps every cached result
-// keyed on the version. The result equals Putting every entity and deleting
-// dels, except that the store keeps the records themselves.
+// and deletes the IDs the previous view had and this one lacks. The store
+// version moves once, and only if something changed, so a load the store
+// already holds keeps every cached result keyed on the version. The result
+// equals Putting every entity and deleting the dropped IDs, except that the
+// store keeps the records themselves.
 //
 //saga:owns the stable view's records are the graph replica's frozen records; the store holds them as they are (docs/INVARIANTS.md#cow-shared-records)
-func (s *Store) loadStable(entities []*triple.Entity, boosts map[triple.EntityID]float64, dels []triple.EntityID) {
-	s.pubMu.RLock()
-	defer s.pubMu.RUnlock()
+func (s *Store) loadStable(entities []*triple.Entity, boosts map[triple.EntityID]float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.loads++
 	changed := false
 	for _, e := range entities {
+		s.stable[e.ID] = s.loads
 		boost := boosts[e.ID]
 		switch {
 		case s.data[e.ID] != e:
@@ -232,14 +223,16 @@ func (s *Store) loadStable(entities []*triple.Entity, boosts map[triple.EntityID
 		case s.boost[e.ID] != boost:
 			s.cowIndexLocked()
 			s.boost[e.ID] = boost
-			s.text.SetBoost(string(e.ID), 1+boost)
 		default:
 			continue
 		}
 		changed = true
 	}
-	for _, id := range dels {
-		changed = s.deleteLocked(id) || changed
+	for id, load := range s.stable {
+		if load != s.loads {
+			delete(s.stable, id)
+			changed = s.deleteLocked(id) || changed
+		}
 	}
 	if changed {
 		s.version.Add(1)
@@ -248,7 +241,7 @@ func (s *Store) loadStable(entities []*triple.Entity, boosts map[triple.EntityID
 
 // installLocked stores e itself under its ID, replacing and unindexing the
 // record held there, and indexes it everywhere, the token index included.
-// From here on e is frozen. Caller holds s.mu and the pubMu read side.
+// From here on e is frozen. Caller holds s.mu.
 func (s *Store) installLocked(e *triple.Entity, boost float64) {
 	s.cowIndexLocked()
 	old := s.data[e.ID]
@@ -257,11 +250,11 @@ func (s *Store) installLocked(e *triple.Entity, boost float64) {
 		s.unindexLocked(old)
 	}
 	s.indexLocked(e, boost)
-	s.text.Put(textindex.Doc{ID: string(e.ID), Text: docText(e), Boost: 1 + boost})
+	s.text.Put(string(e.ID), docText(e))
 }
 
 // deleteLocked removes id from every index, reporting whether it was stored.
-// Caller holds s.mu and the pubMu read side.
+// Caller holds s.mu.
 func (s *Store) deleteLocked(id triple.EntityID) bool {
 	old, ok := s.data[id]
 	if !ok {
@@ -318,66 +311,6 @@ func (s *Store) unindexLocked(e *triple.Entity) {
 	delete(s.boost, e.ID)
 }
 
-// Get returns a copy of the entity, or nil.
-func (s *Store) Get(id triple.EntityID) *triple.Entity {
-	e := s.GetShared(id)
-	if e == nil {
-		return nil
-	}
-	return e.Clone()
-}
-
-// GetShared returns the stored record itself, or nil. Stored records are
-// immutable after insert (Put stores a private clone; a stable view load
-// stores the graph replica's frozen records), so shared access is safe for
-// readers that do not mutate — the query engine's contract.
-func (s *Store) GetShared(id triple.EntityID) *triple.Entity {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.data[id]
-}
-
-// Len returns the number of live entities.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
-}
-
-// ByAttr returns entities with pred equal (by normalized text) to value.
-func (s *Store) ByAttr(pred, value string) []triple.EntityID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return setToSlice(s.attr[attrKey(pred, normText(value))])
-}
-
-// ByType returns entities of the given type.
-func (s *Store) ByType(typ string) []triple.EntityID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return setToSlice(s.byType[typ])
-}
-
-// InRefs returns entities whose predicate references the target (reverse
-// traversal).
-func (s *Store) InRefs(pred string, target triple.EntityID) []triple.EntityID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return setToSlice(s.reverse[attrKey(pred, string(target))])
-}
-
-// SearchText runs ranked token search over names/aliases/descriptions.
-func (s *Store) SearchText(query string, k int) []textindex.Hit {
-	return s.text.Search(query, k)
-}
-
-// Boost returns the entity's ranking boost.
-func (s *Store) Boost(id triple.EntityID) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.boost[id]
-}
-
 // Snapshot publishes an immutable, version-stamped view of the whole store:
 // entity KV, inverted indexes, boosts, and the text index, all captured at
 // one write-atomic cut. Taking a snapshot is O(1), not O(|store|) —
@@ -385,12 +318,12 @@ func (s *Store) Boost(id triple.EntityID) float64 {
 // them (copy-on-write) — and reads against it take no locks, so serving
 // traffic pinned to a snapshot never contends with streaming ingestion.
 func (s *Store) Snapshot() *Snapshot {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.snapshotLocked()
 }
 
-// snapshotLocked captures a snapshot; the caller holds pubMu's write side.
+// snapshotLocked captures a snapshot. Caller holds s.mu.
 func (s *Store) snapshotLocked() *Snapshot {
 	s.snapEpoch++
 	return &Snapshot{
@@ -405,11 +338,11 @@ func (s *Store) snapshotLocked() *Snapshot {
 }
 
 // republish captures a snapshot and publishes it as cur in one step under
-// pubMu. Captures serialize there and the store version only grows, so cur
+// s.mu. Captures serialize there and the store version only grows, so cur
 // never moves back to an older snapshot when republishers race.
 func (s *Store) republish() *Snapshot {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	sn := s.snapshotLocked()
 	s.cur.Store(sn)
 	return sn
@@ -462,8 +395,8 @@ func (s *Store) Serving() *Snapshot {
 // Snapshot is an immutable view of a Store frozen at one version: reads are
 // lock-free, never observe later writes, and two snapshots at the same
 // version have identical content (writes are atomic with the version bump
-// under the store's publication gate). Entities returned by GetShared are
-// the stored records themselves and must not be mutated.
+// under the store's lock). Entities returned by GetShared are the stored
+// records themselves and must not be mutated.
 type Snapshot struct {
 	version uint64
 	data    map[triple.EntityID]*triple.Entity
@@ -474,47 +407,42 @@ type Snapshot struct {
 	text    *textindex.Snapshot
 }
 
-// Version implements View: the store version the snapshot is frozen at.
+// Version is the store version the snapshot is frozen at; it moves forward
+// with every write that changes the store, so result caches key on it for
+// exact invalidation.
 func (sn *Snapshot) Version() uint64 { return sn.version }
 
-// Len implements View.
+// Len returns the number of live entities.
 func (sn *Snapshot) Len() int { return len(sn.data) }
 
-// Get implements View: a private copy of the entity, or nil.
-func (sn *Snapshot) Get(id triple.EntityID) *triple.Entity {
-	e := sn.GetShared(id)
-	if e == nil {
-		return nil
-	}
-	return e.Clone()
-}
-
-// GetShared implements View: the stored record itself (read-only), or nil.
+// GetShared returns the stored record itself (read-only), or nil.
 func (sn *Snapshot) GetShared(id triple.EntityID) *triple.Entity {
 	return sn.data[id]
 }
 
-// ByAttr implements View.
+// ByAttr returns entities with pred equal (by normalized text) to value.
 func (sn *Snapshot) ByAttr(pred, value string) []triple.EntityID {
 	return setToSlice(sn.attr[attrKey(pred, normText(value))])
 }
 
-// ByType implements View.
+// ByType returns entities of the given type.
 func (sn *Snapshot) ByType(typ string) []triple.EntityID {
 	return setToSlice(sn.byType[typ])
 }
 
-// InRefs implements View.
+// InRefs returns entities whose predicate references the target (reverse
+// traversal).
 func (sn *Snapshot) InRefs(pred string, target triple.EntityID) []triple.EntityID {
 	return setToSlice(sn.reverse[attrKey(pred, string(target))])
 }
 
-// Boost implements View.
+// Boost returns the entity's ranking boost.
 func (sn *Snapshot) Boost(id triple.EntityID) float64 { return sn.boost[id] }
 
-// SearchText implements View: ranked token search frozen at the snapshot.
+// SearchText runs ranked token search over names/aliases/descriptions: BM25
+// scaled by 1 + the entity's boost.
 func (sn *Snapshot) SearchText(query string, k int) []textindex.Hit {
-	return sn.text.Search(query, k)
+	return sn.text.Search(query, k, func(id string) float64 { return 1 + sn.boost[triple.EntityID(id)] })
 }
 
 func setToSlice(set *idSet) []triple.EntityID {

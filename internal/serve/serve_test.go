@@ -21,25 +21,32 @@ import (
 	"saga/internal/workload"
 )
 
-// testServer assembles a platform seeded from synthetic sources and wraps
-// the serving tier in an httptest server.
-func testServer(t *testing.T) (*core.Platform, *httptest.Server) {
-	t.Helper()
+// testPlatform assembles a platform seeded from synthetic sources, with its
+// serving view refreshed.
+func testPlatform(tb testing.TB) *core.Platform {
+	tb.Helper()
 	p, err := core.Open(core.Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { p.Close() })
+	tb.Cleanup(func() { p.Close() })
 	for s := 0; s < 2; s++ {
 		spec := workload.SourceSpec{
 			Name: fmt.Sprintf("src%02d", s), Offset: s * 40, Count: 80,
 			Seed: int64(s + 1), RichFacts: 2,
 		}
 		if _, err := p.ConsumeDelta(spec.Delta()); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	p.RefreshServing()
+	return p
+}
+
+// testServer wraps the serving tier over testPlatform in an httptest server.
+func testServer(t *testing.T) (*core.Platform, *httptest.Server) {
+	t.Helper()
+	p := testPlatform(t)
 	ts := httptest.NewServer(serve.New(p, serve.Options{}).Handler())
 	t.Cleanup(ts.Close)
 	return p, ts
@@ -158,7 +165,7 @@ func TestEntityServesCurationEdit(t *testing.T) {
 	p, ts := testServer(t)
 	id := p.Live.Current().ByType("human")[0]
 	var nameFact triple.Triple
-	for _, tr := range p.Live.Get(id).Triples {
+	for _, tr := range p.Live.Current().GetShared(id).Triples {
 		if tr.Predicate == triple.PredName {
 			nameFact = tr
 		}
@@ -446,4 +453,50 @@ func TestConcurrentQueriesUnderFeed(t *testing.T) {
 	ingestWG.Wait()
 	_ = feed.Close()
 	feed.Drain()
+}
+
+// FuzzServeGet sends arbitrary q, id and k values, plus one more parameter of
+// any name, to the /v1 read routes through the server's handler. A read must
+// never panic and must answer 200, 400 or 404 with a JSON body, and every
+// non-200 body must be the error envelope.
+func FuzzServeGet(f *testing.F) {
+	h := serve.New(testPlatform(f), serve.Options{}).Handler()
+	f.Add(uint8(0), `entity(type="human") | rank() | limit(3) | attr("name")`, "", "", "", "")
+	f.Add(uint8(0), `search(q="src00", k=1e300) | follow("located_in")`, "", "", "", "")
+	f.Add(uint8(0), "entity(", "", "", "limit", "5")
+	f.Add(uint8(1), "", "src00:e1", "", "", "")
+	f.Add(uint8(1), "", "\xff:\x00", "", "q", "")
+	f.Add(uint8(2), "src01 e5", "", "3", "", "")
+	f.Add(uint8(2), "x", "", "-9223372036854775808", "", "")
+	f.Add(uint8(2), "x", "", "99999999999999999999", "K", "1")
+	routes := [...]string{"/v1/query", "/v1/entity", "/v1/search"}
+	f.Fuzz(func(t *testing.T, route uint8, q, id, k, extra, extraVal string) {
+		params := url.Values{}
+		for name, v := range map[string]string{"q": q, "id": id, "k": k} {
+			if v != "" {
+				params.Set(name, v)
+			}
+		}
+		if extra != "" {
+			params.Add(extra, extraVal)
+		}
+		target := routes[int(route)%len(routes)] + "?" + params.Encode()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		switch rec.Code {
+		case http.StatusOK:
+			if !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("GET %s: 200 with a non-JSON body %q", target, rec.Body.Bytes())
+			}
+		case http.StatusBadRequest, http.StatusNotFound:
+			var env struct {
+				Error struct{ Code, Message string }
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code == "" || env.Error.Message == "" {
+				t.Fatalf("GET %s: %d without the error envelope: %q", target, rec.Code, rec.Body.Bytes())
+			}
+		default:
+			t.Fatalf("GET %s: status %d: %q", target, rec.Code, rec.Body.Bytes())
+		}
+	})
 }

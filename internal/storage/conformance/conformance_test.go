@@ -72,24 +72,28 @@ func checkScores(t *testing.T, label string, hits []textindex.Hit, want []textin
 
 func postings(t *testing.T) {
 	ix := textindex.New()
-	ix.Put(textindex.Doc{ID: "d1", Text: "alpha alpha beta"})
-	ix.Put(textindex.Doc{ID: "d2", Text: "beta beta beta beta", Boost: 2})
-	if got := ix.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
+	ix.Put("d1", "alpha alpha beta")
+	ix.Put("d2", "beta beta beta beta")
+	boost := func(id string) float64 {
+		if id == "d2" {
+			return 2
+		}
+		return 1
 	}
+	search := func(q string) []textindex.Hit { return ix.Snapshot().Search(q, 5, boost) }
 	// Both documents post "beta"; the scores pin each document's length,
-	// the total length (7) and the boosts (a zero boost defaults to 1).
-	checkScores(t, "Search(beta)", ix.Search("beta", 5), []textindex.Hit{
+	// the total length (7) and the boosts.
+	checkScores(t, "Search(beta)", search("beta"), []textindex.Hit{
 		{ID: "d2", Score: 2 * bm25(4, 4, 2, 2, 7)},
 		{ID: "d1", Score: bm25(1, 3, 2, 2, 7)},
 	})
 	// Put replaces: d1's old terms must vanish from the postings.
-	ix.Put(textindex.Doc{ID: "d1", Text: "gamma"})
-	if hits := ix.Search("alpha", 5); len(hits) != 0 {
+	ix.Put("d1", "gamma")
+	if hits := search("alpha"); len(hits) != 0 {
 		t.Fatalf("stale posting survived replace: %v", hits)
 	}
 	// The total length drops to 5 with d1's replacement.
-	checkScores(t, "Search(gamma)", ix.Search("gamma", 5), []textindex.Hit{
+	checkScores(t, "Search(gamma)", search("gamma"), []textindex.Hit{
 		{ID: "d1", Score: bm25(1, 1, 1, 2, 5)},
 	})
 	if !ix.Delete("d2") {
@@ -98,9 +102,13 @@ func postings(t *testing.T) {
 	if ix.Delete("d2") {
 		t.Fatal("double delete reported true")
 	}
-	if got := ix.Len(); got != 1 {
-		t.Fatalf("Len after delete = %d, want 1", got)
+	// One document left: "gamma" scores against a corpus of one.
+	if hits := search("beta"); len(hits) != 0 {
+		t.Fatalf("deleted document still posted: %v", hits)
 	}
+	checkScores(t, "Search(gamma) after delete", search("gamma"), []textindex.Hit{
+		{ID: "d1", Score: bm25(1, 1, 1, 1, 1)},
+	})
 }
 
 func vectors(t *testing.T) {
