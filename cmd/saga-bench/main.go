@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run only the named experiment (fig8, reuse, fig12, fig14a, fig14b, latency, simrecall, embedding, construction, indexedlinking, batchedfusion, standingfeed, storagebackends, recovery, graphstore, serving, blocking, resolution, volatile, pruning)")
+	only := flag.String("only", "", "run only the named experiment (fig8, reuse, fig12, fig14a, fig14b, latency, simrecall, embedding, construction, indexedlinking, blocking, resolution, volatile, pruning)")
 	workers := flag.Int("workers", 0, "worker count for the construction/resolution/indexed-linking ablations (0 = GOMAXPROCS)")
 	flag.Parse()
 
@@ -33,12 +33,6 @@ func main() {
 		{"embedding", func() (fmt.Stringer, error) { return experiments.EmbeddingTraining() }},
 		{"construction", func() (fmt.Stringer, error) { return experiments.ConstructionPipeline(*workers) }},
 		{"indexedlinking", func() (fmt.Stringer, error) { return experiments.IndexedLinking(*workers) }},
-		{"batchedfusion", func() (fmt.Stringer, error) { return experiments.BatchedFusion(*workers) }},
-		{"standingfeed", func() (fmt.Stringer, error) { return experiments.StandingFeed(*workers) }},
-		{"storagebackends", func() (fmt.Stringer, error) { return experiments.StorageBackends(*workers) }},
-		{"recovery", func() (fmt.Stringer, error) { return experiments.RecoveryColdStart(*workers) }},
-		{"graphstore", func() (fmt.Stringer, error) { return experiments.GraphStore() }},
-		{"serving", func() (fmt.Stringer, error) { r, err := experiments.ServeUnderIngest(0, 0); return r, err }},
 		{"blocking", func() (fmt.Stringer, error) { return experiments.BlockingAblation(), nil }},
 		{"resolution", func() (fmt.Stringer, error) { return experiments.ResolutionAblation(*workers), nil }},
 		{"volatile", func() (fmt.Stringer, error) { return experiments.VolatileOverwrite() }},

@@ -71,7 +71,7 @@ type FuseOp struct {
 // across all of the target's payloads. For a single op the result is
 // identical to FuseEntity; for several ops it is identical unless the commit
 // stacks distinct conflicting values onto a functional slot the target
-// already contests (then the per-entity path's answer depends on fusion
+// already contests (then one-at-a-time FuseEntity's answer depends on fusion
 // order — intermediate resolutions drop claims before later payloads arrive,
 // and the EM estimate couples contested slots — while the batched result is
 // the order-independent estimate over the full claim set).
@@ -269,8 +269,7 @@ func relNodeSimilarity(in, ex triple.RelNode) float64 {
 
 // stripSourceStable drops the source's non-volatile facts from the entity in
 // place, keeping its volatile partition intact. It is the in-place core of
-// the update path's replace-then-refuse semantics, shared by FuseBatch and
-// removeSourceStable.
+// the update path's replace-then-refuse semantics.
 func stripSourceStable(e *triple.Entity, source string, ont *ontology.Ontology) {
 	kept := e.Triples[:0]
 	for _, t := range e.Triples {

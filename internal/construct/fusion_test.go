@@ -1,10 +1,13 @@
 package construct
 
 import (
+	"fmt"
 	"testing"
 
+	"saga/internal/ingest"
 	"saga/internal/ontology"
 	"saga/internal/triple"
+	"saga/internal/workload"
 )
 
 func TestFuseSimpleFactsOuterJoin(t *testing.T) {
@@ -252,7 +255,7 @@ func TestFuseBatchMatchesSequentialFuses(t *testing.T) {
 }
 
 // TestFuseBatchStripSource: an update op strips the source's stable facts
-// before its payload merges — exactly removeSourceStable + FuseEntity — and
+// before its payload merges — exactly stripSourceStable + FuseEntity — and
 // truth discovery sees the whole batch's claims for a contested slot at once.
 func TestFuseBatchStripSource(t *testing.T) {
 	ont := ontology.Default()
@@ -278,5 +281,30 @@ func TestFuseBatchStripSource(t *testing.T) {
 	}
 	if got.First(triple.PredType).Str() != "song" {
 		t.Fatal("other sources' facts must survive the strip")
+	}
+}
+
+// TestFusionStatsAmortizeSharedTargets: a batch whose payloads pile onto
+// shared targets — each real-world entity arrives as perTarget records with
+// one name, so linking clusters them onto one KG entity — fuses every target
+// once, with at least two payloads per fused target.
+func TestFusionStatsAmortizeSharedTargets(t *testing.T) {
+	const count, perTarget = 10, 3
+	d := ingest.Delta{Source: "musicdb"}
+	for u := 0; u < count; u++ {
+		for dup := 0; dup < perTarget; dup++ {
+			d.Added = append(d.Added, sourceArtist("musicdb", fmt.Sprintf("a%d-r%d", u, dup), workload.PersonName(u)))
+		}
+	}
+	p := NewPipeline(NewKG(), ontology.Default())
+	if _, err := p.Consume([]ingest.Delta{d}); err != nil {
+		t.Fatal(err)
+	}
+	fs := p.FusionStats()
+	if fs.Targets != count {
+		t.Fatalf("fused %d targets, want %d: duplicate records did not share targets", fs.Targets, count)
+	}
+	if fs.Payloads < 2*fs.Targets {
+		t.Fatalf("fusion stats %+v: want at least 2 payloads per target", fs)
 	}
 }

@@ -51,11 +51,6 @@ type Pipeline struct {
 	// preparation): 0 means GOMAXPROCS, 1 forces the sequential reference
 	// path. The produced KG is identical for every value.
 	Workers int
-	// PerEntityFusion opts the commit phase out of batched per-target fusion
-	// and fuses payload entities one Graph.Update round-trip at a time — the
-	// pre-batching reference path, kept as the ablation baseline the
-	// batchedfusion experiment and benchmark measure against.
-	PerEntityFusion bool
 
 	// commitHook, when set (tests only), runs at the start of every
 	// commitDelta under the commit lock, before any graph write; a non-nil
@@ -378,25 +373,6 @@ type fuseGroup struct {
 	ops []FuseOp
 }
 
-// fuse applies one group to the graph and returns its conflicts.
-func (p *Pipeline) fuse(fuser *Fuser, g fuseGroup) []Conflict {
-	if !p.PerEntityFusion {
-		return fuser.FuseBatch(p.KG.Graph, g.id, g.ops)
-	}
-	// Reference path: one graph round-trip and one conflict pass per
-	// payload entity.
-	var conflicts []Conflict
-	for _, op := range g.ops {
-		if op.StripSource != "" {
-			removeSourceStable(p.KG.Graph, g.id, op.StripSource, p.Ont)
-		}
-		if op.Incoming != nil {
-			conflicts = append(conflicts, fuser.FuseEntity(p.KG.Graph, op.Incoming)...)
-		}
-	}
-	return conflicts
-}
-
 // commitDelta applies a prepared delta to the KG under the commit lock: KG
 // identifiers are minted in canonical type-then-cluster order, object
 // resolution runs (parallel over entities, with stub minting deferred to a
@@ -549,7 +525,7 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 	payloads := 0
 	for _, g := range groups {
 		payloads += len(g.ops)
-		conflicts = append(conflicts, p.fuse(fuser, g)...)
+		conflicts = append(conflicts, fuser.FuseBatch(p.KG.Graph, g.id, g.ops)...)
 	}
 	p.fusionMu.Lock()
 	p.fusion.Commits++
@@ -700,15 +676,6 @@ func (p *Pipeline) DrainConflicts() []Conflict {
 	out := p.conflicts
 	p.conflicts = nil
 	return out
-}
-
-// removeSourceStable drops the source's non-volatile facts from the entity,
-// keeping its volatile partition intact (updates never touch volatile data —
-// that is the overwrite path's job).
-func removeSourceStable(g *triple.Graph, id triple.EntityID, source string, ont *ontology.Ontology) {
-	g.Update(id, func(e *triple.Entity) {
-		stripSourceStable(e, source, ont)
-	})
 }
 
 func orDefault(s, def string) string {

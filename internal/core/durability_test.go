@@ -271,6 +271,47 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecoveryReplayBoundedByCheckpoint: recovery restores the newest
+// checkpoint and replays only the log past it, so a log ten times older
+// replays exactly as many ops as a young one on the same checkpoint cadence.
+// ConsumeDeltas awaits each batch, so every publish group is one batch and
+// the cadence falls on the same batch boundaries in both logs.
+func TestRecoveryReplayBoundedByCheckpoint(t *testing.T) {
+	// 5 and 50 batches both end 2 batches past a checkpoint.
+	const young, every = 5, 3
+	for _, cfg := range durabilityConfigs() {
+		t.Run(cfg.name, func(t *testing.T) {
+			replayed := func(rounds int) int {
+				dir := t.TempDir()
+				opts := durableOptions(cfg, dir)
+				opts.Durability.CheckpointEvery = every
+				p, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range churnBatches(rounds, 12) {
+					if _, err := p.ConsumeDeltas(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				re, err := Open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				return re.DurabilityStats().ReplayedOps
+			}
+			youngOps, agedOps := replayed(young), replayed(10*young)
+			if youngOps == 0 || agedOps != youngOps {
+				t.Fatalf("replayed %d ops from the young log, %d from the 10x-aged one; want equal and non-zero", youngOps, agedOps)
+			}
+		})
+	}
+}
+
 // TestKillPointRecovery snapshots the durable tree at arbitrary points while
 // a standing feed, periodic checkpoints, and background compaction are all
 // running — the file-level state a kill -9 leaves — and requires every

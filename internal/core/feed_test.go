@@ -101,6 +101,103 @@ func TestPlatformFeedMatchesSerialConsumeDeltas(t *testing.T) {
 	}
 }
 
+// churnBatches builds `rounds` one-delta batches over one source: round 0
+// adds count clean entities, every later round overwrites the same entities'
+// volatile popularity with the round number. Every churn round therefore
+// touches the same entities and publishes the same operations.
+func churnBatches(rounds, count int) [][]ingest.Delta {
+	spec := workload.SourceSpec{Name: "src", Type: "kind", Count: count, Seed: 1}
+	out := [][]ingest.Delta{{spec.Delta()}}
+	for r := 1; r < rounds; r++ {
+		churn := make([]*triple.Entity, count)
+		for u := range churn {
+			e := triple.NewEntity(triple.EntityID(fmt.Sprintf("src:e%d", u)))
+			e.Add(triple.New("", "popularity", triple.Float(float64(r))).WithSource("src", 0.9))
+			churn[u] = e
+		}
+		out = append(out, []ingest.Delta{{Source: "src", Volatile: churn}})
+	}
+	return out
+}
+
+// TestFeedConflatesBacklog: a publisher that falls behind publishes its
+// backlog as one group, each entity once at its final state, so the log gets
+// fewer ops and fewer entity records than serial ConsumeDeltas writes for the
+// same batches, while the KG and the replica end exactly where the serial run
+// leaves them.
+// publishHook holds batch 1's publish until batches 2..5, updates of the
+// same entities, have committed behind it.
+func TestFeedConflatesBacklog(t *testing.T) {
+	batches := churnBatches(5, 12)
+
+	serial := newTestPlatform(t, Options{})
+	for _, b := range batches {
+		if _, err := serial.ConsumeDeltas(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fed := newTestPlatform(t, Options{})
+	f, err := fed.Feed(FeedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	fed.publishHook = func(string) error {
+		if !held.Swap(true) {
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+	results := []<-chan construct.BatchResult{f.Submit(batches[0])}
+	<-entered
+	for _, b := range batches[1:] {
+		results = append(results, f.Submit(b))
+	}
+	// Commits run in order, so batch 5's value in the KG means batches 2..4
+	// already wait in the publish queue.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		kgID, ok := fed.KG.Lookup("src:e0")
+		if e := fed.KG.Graph.GetShared(kgID); ok && e != nil && e.First("popularity").Float64() == float64(len(batches)-1) {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("batches 2..5 never committed behind the held publisher")
+		}
+	}
+	close(release)
+	for i, ch := range results {
+		if res := <-ch; res.Err != nil {
+			t.Fatalf("batch %d: %v", i+1, res.Err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, want := fed.Engine.Log.LastLSN(), serial.Engine.Log.LastLSN(); got >= want {
+		t.Fatalf("held publisher logged %d ops, serial ConsumeDeltas %d: the backlog did not group", got, want)
+	}
+	records := func(p *Platform) (n int) {
+		for _, op := range p.Engine.Log.Read(0, 0) {
+			n += len(op.EntityIDs)
+		}
+		return n
+	}
+	if got, want := records(fed), records(serial); got >= want {
+		t.Fatalf("held publisher logged %d entity records, serial ConsumeDeltas %d: the backlog did not conflate", got, want)
+	}
+	if got, want := fed.KG.Graph.Triples(), serial.KG.Graph.Triples(); !reflect.DeepEqual(got, want) {
+		t.Fatal("conflated KG diverged from serial ConsumeDeltas")
+	}
+	if got, want := fed.GraphReplica.Triples(), serial.GraphReplica.Triples(); !reflect.DeepEqual(got, want) {
+		t.Fatal("conflated graph replica diverged from serial ConsumeDeltas")
+	}
+}
+
 // TestFeedDrainBeforeServing: RefreshServing and Checkpoint must observe
 // every batch submitted before them, without the caller waiting on results;
 // Feed returns the one feed ConsumeDeltas submits to.

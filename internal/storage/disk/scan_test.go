@@ -228,6 +228,72 @@ func TestUndecodableKeyedRecordFailsOpen(t *testing.T) {
 	}
 }
 
+// TestCorruptRecordBeforeValidOnesFailsOpen: a record that fails its CRC
+// with whole CRC-valid records after it is corruption in mid-file, not a torn
+// tail. Opening the store must fail, naming the file and the offset, and
+// leave the file as it is; the open used to truncate there, dropping the
+// valid records after it.
+func TestCorruptRecordBeforeValidOnesFailsOpen(t *testing.T) {
+	keyed := func(keys ...string) func(string) (string, error) {
+		return func(path string) (string, error) {
+			return path, os.WriteFile(path, keyedFile(keys, -1, nil), 0o644)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		file  string // relative to the store's directory: the record log's own directory
+		write func(path string) (string, error)
+		open  func(dir string) (io.Closer, error)
+	}{
+		{"record log", "log", func(dir string) (string, error) {
+			l, err := OpenRecordLog(dir, 0)
+			if err != nil {
+				return "", err
+			}
+			for i := 0; i < 3; i++ {
+				if err := l.Append([]byte(fmt.Sprintf("record-%d", i))); err != nil {
+					return "", err
+				}
+			}
+			seg := filepath.Join(dir, l.Segments()[0])
+			return seg, l.Close()
+		}, func(dir string) (io.Closer, error) { return OpenRecordLog(filepath.Join(dir, "log"), 0) }},
+		{"active blob segment", "000001.seg", keyed("staging/00000001", "staging/00000002", "staging/00000003"),
+			func(dir string) (io.Closer, error) { return OpenSegmentBlobStore(dir, 0) }},
+		{"entity kv", "entities.dat", keyed("kg:E1", "kg:E2", "kg:E3"),
+			func(dir string) (io.Closer, error) {
+				return OpenEntityKV(filepath.Join(dir, "entities.dat"))
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path, err := tc.write(filepath.Join(dir, tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[8] ^= 0xFF // record 1's first payload byte
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			store, err := tc.open(dir)
+			if err == nil {
+				store.Close() //saga:errok — the open is the failure under test
+				t.Fatal("open accepted a corrupt record with valid records after it")
+			}
+			if !strings.Contains(err.Error(), filepath.Base(path)) || !strings.Contains(err.Error(), "offset 0") {
+				t.Errorf("error %q does not name the file and offset", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("the failed open changed the file (%d bytes, was %d): %v", len(got), len(data), err)
+			}
+		})
+	}
+}
+
 // TestSealedSegmentKeepsTornBytes: only the active (last) staging segment
 // takes appends, so only its torn tail is cut off. An earlier segment with
 // bytes past its last whole record keeps them — the open used to truncate

@@ -18,11 +18,9 @@
 // With -compare=BASELINE.json the command additionally diffs the gated
 // metrics against a committed baseline after writing the JSON, and exits
 // non-zero when any gated metric regresses by more than its tolerated
-// relative regression (-threshold, or the gate's own override). Most gated
-// metrics are machine-relative ratios, so a baseline recorded on one
-// machine remains meaningful on another; the serving-tier latency and
-// throughput gates are absolute and carry deliberately generous per-gate
-// thresholds instead.
+// relative regression (-threshold, or the gate's own override). The gated
+// metrics are a machine-relative ratio and allocation counts, so a baseline
+// recorded on one machine remains meaningful on another.
 package main
 
 import (
@@ -63,10 +61,9 @@ type Report struct {
 }
 
 // Gate is one regression-gated metric. Higher declares the favorable
-// direction. Most gated metrics are ratios (speedup-x, growth-x), directly
-// comparable across machines under the global -threshold; absolute metrics
-// (latency, throughput) set a per-gate Threshold generous enough to absorb
-// runner variance while still catching order-of-magnitude regressions.
+// direction. A ratio (speedup-x) is directly comparable across machines under
+// the global -threshold; allocation counts repeat to the byte, so they set a
+// tighter per-gate Threshold.
 type Gate struct {
 	Bench  string
 	Metric string
@@ -80,23 +77,6 @@ type Gate struct {
 // than the threshold against BENCH_baseline.json.
 var gates = []Gate{
 	{Bench: "IndexedLinkingKGGrowth", Metric: "indexed-speedup-x", Higher: true},
-	{Bench: "PipelinedConsumeBatchedFusion", Metric: "batched-fusion-speedup-x", Higher: true},
-	{Bench: "SnapshotUnderLoad", Metric: "shared-read-speedup-x", Higher: true},
-	{Bench: "StandingFeedCrossBatch", Metric: "feed-speedup-x", Higher: true},
-	{Bench: "StandingFeedDiskBackend", Metric: "disk-overhead-x", Higher: false},
-	// Serving-tier gates: p99 latency and throughput are absolute, so their
-	// thresholds are generous (catch the serving path falling off a cliff —
-	// snapshot churn, lock contention — not runner jitter); the cached-vs-
-	// uncached ratio additionally hard-fails inside the benchmark below
-	// 1.5x, so the JSON gate only guards against large drifts.
-	// Recovery cold start must stay checkpoint-bounded: the ratio of aged to
-	// young recovery time hovers near 1 and must never drift toward the log
-	// age factor. The timings are ms-scale, so the threshold is generous;
-	// the benchmark itself hard-fails above 3.0x.
-	{Bench: "RecoveryColdStart", Metric: "recovery-flat-x", Higher: false, Threshold: 1.0},
-	{Bench: "ServeUnderIngest", Metric: "p99-ms", Higher: false, Threshold: 2.0},
-	{Bench: "ServeUnderIngest", Metric: "qps", Higher: true, Threshold: 0.6},
-	{Bench: "ServeUnderIngest", Metric: "cached-speedup-x", Higher: true, Threshold: 0.9},
 	// Allocation gates on the publish → replay → checkpoint → compact byte
 	// path (internal/graphengine micro-benchmarks). B/op and allocs/op are
 	// counts that repeat to the byte on any runner, so 10% is a real
@@ -115,14 +95,6 @@ var gates = []Gate{
 	// stable-view load with 8 records replaced and every boost shifted.
 	{Bench: "LoadStableView", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "LoadStableView", Metric: "allocs/op", Higher: false, Threshold: 0.10},
-	// Recorded but deliberately not gated here:
-	//   - snapshot-growth-x hovers around 1.0 (µs-scale measurements), so a
-	//     relative diff against the baseline amplifies noise; the benchmark
-	//     itself hard-fails unless snapshot latency stays flat relative to
-	//     the deep-copy comparator, which is the robust form of that gate.
-	//   - publish-conflation-x depends on how far the publisher falls
-	//     behind, i.e. on core count and scheduling, so it is not
-	//     comparable across machines.
 }
 
 // gateDirection reports the favorable direction for a metric, if gated.
