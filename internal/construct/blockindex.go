@@ -1,7 +1,7 @@
 package construct
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"saga/internal/triple"
@@ -215,9 +215,8 @@ func (ix *BlockIndex) GeneratePairs(payload []*triple.Entity, entityType string,
 
 	ix.mu.RLock()
 	byKey := ix.postings[entityType]
-	seen := make(map[Pair]bool)
 	res := BlockingResult{Blocks: len(blocks)}
-	kgSeen := make(map[triple.EntityID]bool)
+	var block []triple.EntityID
 	for k, pids := range blocks {
 		counts := byKey[k]
 		kgSize := 0
@@ -231,8 +230,7 @@ func (ix *BlockIndex) GeneratePairs(payload []*triple.Entity, entityType string,
 		if size > params.MaxBlockSize {
 			continue
 		}
-		block := make([]triple.EntityID, 0, size)
-		block = append(block, pids...)
+		block = append(block[:0], pids...)
 		for id, n := range counts {
 			for ; n > 0; n-- {
 				block = append(block, id)
@@ -246,20 +244,8 @@ func (ix *BlockIndex) GeneratePairs(payload []*triple.Entity, entityType string,
 				// KG–KG pairs are inert in resolution; skip them so probe
 				// cost tracks the payload, not the block's KG occupancy
 				// squared.
-				if !srcSet[block[i]] && !srcSet[block[j]] {
-					continue
-				}
-				p := MakePair(block[i], block[j])
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-				res.Pairs = append(res.Pairs, p)
-				if !srcSet[p.A] {
-					kgSeen[p.A] = true
-				}
-				if !srcSet[p.B] {
-					kgSeen[p.B] = true
+				if srcSet[block[i]] || srcSet[block[j]] {
+					res.Pairs = append(res.Pairs, MakePair(block[i], block[j]))
 				}
 			}
 		}
@@ -269,20 +255,19 @@ func (ix *BlockIndex) GeneratePairs(payload []*triple.Entity, entityType string,
 	ix.probes++
 	ix.mu.Unlock()
 
-	sort.Slice(res.Pairs, func(i, j int) bool {
-		if res.Pairs[i].A != res.Pairs[j].A {
-			return res.Pairs[i].A < res.Pairs[j].A
-		}
-		return res.Pairs[i].B < res.Pairs[j].B
-	})
+	res.Pairs = sortPairs(res.Pairs)
 	res.Comparisons = len(res.Pairs)
-	out := ProbeResult{Blocking: res}
-	out.KGSide = make([]triple.EntityID, 0, len(kgSeen))
-	for id := range kgSeen {
-		out.KGSide = append(out.KGSide, id)
+	kgSide := make([]triple.EntityID, 0, len(res.Pairs))
+	for _, p := range res.Pairs {
+		if !srcSet[p.A] {
+			kgSide = append(kgSide, p.A)
+		}
+		if !srcSet[p.B] {
+			kgSide = append(kgSide, p.B)
+		}
 	}
-	sort.Slice(out.KGSide, func(i, j int) bool { return out.KGSide[i] < out.KGSide[j] })
-	return out
+	slices.Sort(kgSide)
+	return ProbeResult{Blocking: res, KGSide: slices.Compact(kgSide)}
 }
 
 // BlockIndexStats summarizes the index for monitoring.

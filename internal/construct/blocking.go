@@ -9,7 +9,7 @@ package construct
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"saga/internal/strsim"
@@ -181,7 +181,6 @@ func GeneratePairs(entities []*triple.Entity, blocker Blocker, params GeneratePa
 			blocks[k] = append(blocks[k], e.ID)
 		}
 	}
-	seen := make(map[Pair]bool)
 	res := BlockingResult{Blocks: len(blocks)}
 	for _, ids := range blocks {
 		if len(ids) > res.LargestSize {
@@ -192,25 +191,27 @@ func GeneratePairs(entities []*triple.Entity, blocker Blocker, params GeneratePa
 		}
 		for i := 0; i < len(ids); i++ {
 			for j := i + 1; j < len(ids); j++ {
-				if ids[i] == ids[j] {
-					continue
-				}
-				p := MakePair(ids[i], ids[j])
-				if !seen[p] {
-					seen[p] = true
-					res.Pairs = append(res.Pairs, p)
+				if ids[i] != ids[j] {
+					res.Pairs = append(res.Pairs, MakePair(ids[i], ids[j]))
 				}
 			}
 		}
 	}
-	sort.Slice(res.Pairs, func(i, j int) bool {
-		if res.Pairs[i].A != res.Pairs[j].A {
-			return res.Pairs[i].A < res.Pairs[j].A
-		}
-		return res.Pairs[i].B < res.Pairs[j].B
-	})
+	res.Pairs = sortPairs(res.Pairs)
 	res.Comparisons = len(res.Pairs)
 	return res
+}
+
+// sortPairs sorts candidate pairs by (A, B) and drops the duplicates a pair
+// sharing several blocks leaves, in place.
+func sortPairs(pairs []Pair) []Pair {
+	slices.SortFunc(pairs, func(p, q Pair) int {
+		if c := strings.Compare(string(p.A), string(q.A)); c != 0 {
+			return c
+		}
+		return strings.Compare(string(p.B), string(q.B))
+	})
+	return slices.Compact(pairs)
 }
 
 // AllPairs is the quadratic baseline used by the blocking ablation: every

@@ -2,7 +2,8 @@ package construct
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"saga/internal/ontology"
 	"saga/internal/triple"
@@ -42,211 +43,218 @@ type Conflict struct {
 // ID, returning any functional-predicate conflicts it resolved. The incoming
 // entity must already be linked (KG-namespace subject) and object-resolved.
 func (f *Fuser) FuseEntity(g *triple.Graph, incoming *triple.Entity) []Conflict {
-	var conflicts []Conflict
-	g.Update(incoming.ID, func(cur *triple.Entity) {
-		conflicts = f.fuseInto(cur, incoming)
-	})
+	return f.FuseBatch(g, incoming.ID, []FuseOp{{Incoming: incoming}})
+}
+
+// FuseOp is one mutation of a batched fusion against a single target KG
+// entity: a stable op (StripSource and/or a merging Incoming), a removal, or
+// a volatile overwrite.
+type FuseOp struct {
+	// StripSource, when non-empty, drops that source's stable facts before
+	// Incoming merges: the update path's replace semantics.
+	StripSource string
+	// Incoming is the linked, object-resolved payload to merge, or with
+	// OverwriteSource the volatile payload.
+	Incoming *triple.Entity
+	// RemoveSource, when non-empty, drops every fact of that source, stable
+	// and volatile: the deletion path, non-destructive to other sources.
+	RemoveSource string
+	// OverwriteSource, when non-empty, replaces that source's volatile
+	// partition wholesale with Incoming's volatile facts, with no join
+	// against the stable facts (§2.4).
+	OverwriteSource string
+}
+
+// FuseBatch applies every mutation a commit makes to one target KG entity as
+// one graph write: the target is copied once, sized for what the ops append,
+// and the ops apply in this order, whatever their order in ops:
+//
+//  1. the stable ops, in op order;
+//  2. if there were any, one dedup, then functional-conflict resolution;
+//  3. the removals — a target they leave empty is deleted, and its volatile
+//     overwrites are skipped;
+//  4. the volatile overwrites, in op order, then one dedup.
+//
+// The result equals that of the stable ops' FuseBatch, RemoveSource and
+// ApplyVolatileOverwrite as separate writes in that order. truth.Estimate
+// sees every claim of the commit for a contested slot at once, so several
+// merge ops equal one-at-a-time FuseEntity calls unless they stack
+// conflicting values onto a slot the target already contests: then
+// FuseEntity's answer depends on fusion order, and the batch's does not.
+func (f *Fuser) FuseBatch(g *triple.Graph, id triple.EntityID, ops []FuseOp) []Conflict {
+	conflicts, _ := f.fuseBatch(g, id, ops)
 	return conflicts
 }
 
-// FuseOp is one step of a batched fusion against a single target KG entity.
-type FuseOp struct {
-	// StripSource, when non-empty, drops that source's stable facts from the
-	// target before Incoming merges — the update path's replace semantics
-	// (the volatile partition is never touched; that is the overwrite
-	// path's job).
-	StripSource string
-	// Incoming is the linked, object-resolved payload to merge. Nil ops only
-	// strip.
-	Incoming *triple.Entity
-}
-
-// FuseBatch applies a commit's fusion ops for one target KG entity under a
-// single graph round-trip: the target is cloned once, every payload merges in
-// op order, and functional-conflict resolution plus dedup run once over the
-// combined result. Compared with one FuseEntity call per payload this
-// amortizes the Graph.Update clone, the conflict scan, and the
-// truth-discovery estimate (truth.Estimate sees every claim of the commit for
-// a contested slot at once, instead of path-dependent pairwise eliminations)
-// across all of the target's payloads. For a single op the result is
-// identical to FuseEntity; for several ops it is identical unless the commit
-// stacks distinct conflicting values onto a functional slot the target
-// already contests (then one-at-a-time FuseEntity's answer depends on fusion
-// order — intermediate resolutions drop claims before later payloads arrive,
-// and the EM estimate couples contested slots — while the batched result is
-// the order-independent estimate over the full claim set).
-func (f *Fuser) FuseBatch(g *triple.Graph, id triple.EntityID, ops []FuseOp) []Conflict {
+// fuseBatch is FuseBatch, also reporting whether a removal deleted the
+// target.
+func (f *Fuser) fuseBatch(g *triple.Graph, id triple.EntityID, ops []FuseOp) (conflicts []Conflict, deleted bool) {
 	if len(ops) == 0 {
-		return nil
+		return nil, false
 	}
-	var conflicts []Conflict
-	g.Update(id, func(cur *triple.Entity) {
+	extra := 0 // triples the ops append
+	for _, op := range ops {
+		switch {
+		case op.OverwriteSource != "":
+			for _, t := range op.Incoming.Triples {
+				if f.Ont.IsVolatile(t.Predicate) {
+					extra++
+				}
+			}
+		case op.Incoming != nil:
+			extra += len(op.Incoming.Triples)
+		}
+	}
+	g.Edit(id, extra, func(cur *triple.Entity) bool {
+		stable, overwrites := false, false
 		for _, op := range ops {
+			if op.OverwriteSource != "" {
+				overwrites = true
+				continue
+			}
 			if op.StripSource != "" {
-				stripSourceStable(cur, op.StripSource, f.Ont)
+				dropSource(cur, op.StripSource, func(pred string) bool { return !f.Ont.IsVolatile(pred) })
 			}
 			if op.Incoming != nil {
 				f.mergeInto(cur, op.Incoming)
 			}
+			stable = stable || op.StripSource != "" || op.Incoming != nil
 		}
-		conflicts = f.resolveFunctionalConflicts(cur)
+		if stable {
+			cur.Dedup()
+			conflicts = f.resolveFunctionalConflicts(cur)
+		}
+		for _, op := range ops {
+			if op.RemoveSource != "" {
+				dropSource(cur, op.RemoveSource, nil)
+				deleted = len(cur.Triples) == 0
+			}
+		}
+		if deleted || !overwrites {
+			return !deleted
+		}
+		for _, op := range ops {
+			if op.OverwriteSource == "" {
+				continue
+			}
+			dropSource(cur, op.OverwriteSource, f.Ont.IsVolatile)
+			for _, t := range op.Incoming.Triples {
+				if f.Ont.IsVolatile(t.Predicate) { // identity facts ride along in the volatile dump
+					t.Subject = id
+					cur.Triples = append(cur.Triples, t)
+				}
+			}
+		}
 		cur.Dedup()
+		return true
 	})
-	return conflicts
+	return conflicts, deleted
 }
 
-// fuseInto merges incoming into cur in place.
-func (f *Fuser) fuseInto(cur, incoming *triple.Entity) []Conflict {
-	f.mergeInto(cur, incoming)
-	conflicts := f.resolveFunctionalConflicts(cur)
-	cur.Dedup()
-	return conflicts
-}
-
-// mergeInto is the join phase of fusion: incoming's simple facts outer-join
-// into cur by key and its relationship nodes merge by similarity, with no
-// conflict resolution or dedup — FuseBatch runs those once per target after
-// every payload merged.
+// mergeInto is the join phase of fusion: incoming's relationship nodes merge
+// into cur's by similarity — a node whose facts intersect an existing node's
+// enough takes that node's RelID — and every incoming fact is appended. The
+// outer join of equal facts happens in the Dedup that FuseBatch runs once
+// per target after every payload merged, with conflict resolution after it.
 func (f *Fuser) mergeInto(cur, incoming *triple.Entity) {
 	threshold := f.RelSimThreshold
 	if threshold == 0 {
 		threshold = 0.5
 	}
-	// Outer-join simple facts by key.
-	byKey := make(map[string]int, len(cur.Triples))
-	for i, t := range cur.Triples {
-		if !t.IsComposite() {
-			byKey[t.Key()] = i
-		}
-	}
-	// Relationship-node merge: map incoming RelIDs onto existing node IDs
-	// when the fact intersection is large enough.
-	curNodes := cur.RelNodes()
-	relMap := make(map[string]string) // incoming (pred,relID) key -> target relID
-	for _, in := range groupRelNodes(incoming) {
-		bestID, bestSim := "", 0.0
-		for _, ex := range curNodes {
-			if ex.Predicate != in.Predicate {
-				continue
+	type nodeKey struct{ pred, relID string }
+	var relMap map[nodeKey]string // incoming node -> target RelID
+	if inNodes := incoming.RelNodes(); len(inNodes) > 0 {
+		curNodes := cur.RelNodes()
+		relMap = make(map[nodeKey]string, len(inNodes))
+		for _, in := range inNodes {
+			bestID, bestSim := "", 0.0
+			for _, ex := range curNodes {
+				if ex.Predicate != in.Predicate {
+					continue
+				}
+				if sim := relNodeSimilarity(in, ex); sim > bestSim {
+					bestSim, bestID = sim, ex.RelID
+				}
 			}
-			sim := relNodeSimilarity(in, ex)
-			if sim > bestSim {
-				bestSim, bestID = sim, ex.RelID
+			if bestSim < threshold {
+				bestID = in.RelID // keep as a new node
 			}
-		}
-		key := in.Predicate + "\x1f" + in.RelID
-		if bestSim >= threshold {
-			relMap[key] = bestID
-		} else {
-			relMap[key] = in.RelID // keep as a new node
-		}
-	}
-	// Apply the merge.
-	compositeKey := make(map[string]int, len(cur.Triples))
-	for i, t := range cur.Triples {
-		if t.IsComposite() {
-			compositeKey[t.Key()] = i
+			relMap[nodeKey{in.Predicate, in.RelID}] = bestID
 		}
 	}
 	for _, t := range incoming.Triples {
 		if t.IsComposite() {
-			if target, ok := relMap[t.Predicate+"\x1f"+t.RelID]; ok {
-				t.RelID = target
-			}
-			if i, ok := compositeKey[t.Key()]; ok {
-				cur.Triples[i] = cur.Triples[i].MergeProvenance(t)
-				continue
-			}
-			compositeKey[t.Key()] = len(cur.Triples)
-			cur.Triples = append(cur.Triples, t)
-			continue
+			t.RelID = relMap[nodeKey{t.Predicate, t.RelID}]
 		}
-		if i, ok := byKey[t.Key()]; ok {
-			cur.Triples[i] = cur.Triples[i].MergeProvenance(t)
-			continue
-		}
-		byKey[t.Key()] = len(cur.Triples)
 		cur.Triples = append(cur.Triples, t)
 	}
 }
 
 // resolveFunctionalConflicts runs truth discovery over functional-predicate
-// slots carrying more than one value, keeps the winner (with its belief
-// recorded as an extra trust entry), and drops the losers, reporting them for
-// curation.
+// slots carrying more than one value, keeps the winner, and drops the
+// losers, reporting them for curation. cur must be deduped: then the facts
+// of one slot are adjacent, ordered by object.
 func (f *Fuser) resolveFunctionalConflicts(cur *triple.Entity) []Conflict {
 	if f.Ont == nil {
 		return nil
 	}
-	type slotInfo struct {
-		indices []int
+	type slot struct {
+		key    string
+		lo, hi int // cur.Triples[lo:hi]
 	}
-	slots := make(map[string]*slotInfo)
-	for i, t := range cur.Triples {
-		if t.IsComposite() {
+	var contested []slot
+	ts := cur.Triples
+	for lo, hi := 0, 0; lo < len(ts); lo = hi {
+		for hi = lo + 1; hi < len(ts) && sameSlot(ts[lo], ts[hi]); hi++ {
+		}
+		if hi-lo < 2 || ts[lo].IsComposite() {
 			continue
 		}
-		p, ok := f.Ont.Predicate(t.Predicate)
-		if !ok || p.Card != ontology.Functional {
-			continue
-		}
-		key := t.FactKey()
-		si := slots[key]
-		if si == nil {
-			si = &slotInfo{}
-			slots[key] = si
-		}
-		si.indices = append(si.indices, i)
-	}
-	var claims []truth.Claim
-	contested := make([]string, 0)
-	for key, si := range slots {
-		if len(si.indices) < 2 {
-			continue
-		}
-		contested = append(contested, key)
-		for _, i := range si.indices {
-			t := cur.Triples[i]
-			for _, src := range t.Sources {
-				claims = append(claims, truth.Claim{Slot: key, Source: src, Value: t.Object})
-			}
+		if p, ok := f.Ont.Predicate(ts[lo].Predicate); ok && p.Card == ontology.Functional {
+			contested = append(contested, slot{ts[lo].FactKey(), lo, hi})
 		}
 	}
 	if len(contested) == 0 {
 		return nil
 	}
-	sort.Strings(contested)
+	var claims []truth.Claim
+	for _, s := range contested {
+		for _, t := range ts[s.lo:s.hi] {
+			for _, src := range t.Sources {
+				claims = append(claims, truth.Claim{Slot: s.key, Source: src, Value: t.Object})
+			}
+		}
+	}
+	slices.SortFunc(contested, func(a, b slot) int { return strings.Compare(a.key, b.key) })
 	res := truth.Estimate(claims, f.Truth)
-	var conflicts []Conflict
-	drop := make(map[int]bool)
-	for _, key := range contested {
-		winner, belief := res.Best(key)
-		c := Conflict{Entity: cur.ID, Slot: key, Kept: winner, KeptBelief: belief}
-		for _, i := range slots[key].indices {
-			if !cur.Triples[i].Object.Equal(winner) {
-				c.Dropped = append(c.Dropped, cur.Triples[i].Object)
+	conflicts := make([]Conflict, 0, len(contested))
+	drop := make([]bool, len(ts))
+	for _, s := range contested {
+		winner, belief := res.Best(s.key)
+		c := Conflict{Entity: cur.ID, Slot: s.key, Kept: winner, KeptBelief: belief}
+		for i := s.lo; i < s.hi; i++ {
+			if !ts[i].Object.Equal(winner) {
+				c.Dropped = append(c.Dropped, ts[i].Object) // in object order, like the slot
 				drop[i] = true
 			}
 		}
-		sort.Slice(c.Dropped, func(a, b int) bool { return c.Dropped[a].Compare(c.Dropped[b]) < 0 })
 		conflicts = append(conflicts, c)
 	}
-	if len(drop) > 0 {
-		kept := cur.Triples[:0]
-		for i, t := range cur.Triples {
-			if !drop[i] {
-				kept = append(kept, t)
-			}
+	kept := ts[:0]
+	for i, t := range ts {
+		if !drop[i] {
+			kept = append(kept, t)
 		}
-		cur.Triples = kept
 	}
+	cur.Triples = kept
 	return conflicts
 }
 
-// groupRelNodes groups an entity's composite facts into nodes (in input
-// order, no sorting — fusion preserves incoming node identity).
-func groupRelNodes(e *triple.Entity) []triple.RelNode {
-	return e.RelNodes()
+// sameSlot reports whether two facts fill the same slot: everything but the
+// object is equal.
+func sameSlot(a, b triple.Triple) bool {
+	return a.Subject == b.Subject && a.Predicate == b.Predicate && a.RelID == b.RelID &&
+		a.RelPred == b.RelPred && a.Locale == b.Locale
 }
 
 // relNodeSimilarity is the fraction of the incoming node's facts whose
@@ -267,13 +275,13 @@ func relNodeSimilarity(in, ex triple.RelNode) float64 {
 	return float64(match) / float64(len(in.Facts))
 }
 
-// stripSourceStable drops the source's non-volatile facts from the entity in
-// place, keeping its volatile partition intact. It is the in-place core of
-// the update path's replace-then-refuse semantics.
-func stripSourceStable(e *triple.Entity, source string, ont *ontology.Ontology) {
+// dropSource drops the source's attribution from the entity's facts in
+// place, deleting each fact left with no source. sel picks the facts by
+// predicate; nil picks every fact, and then a fact no source backs goes too.
+func dropSource(e *triple.Entity, source string, sel func(pred string) bool) {
 	kept := e.Triples[:0]
 	for _, t := range e.Triples {
-		if !ont.IsVolatile(t.Predicate) && t.HasSource(source) {
+		if sel == nil || sel(t.Predicate) && t.HasSource(source) {
 			out, remains := t.DropSource(source)
 			if !remains {
 				continue
@@ -287,55 +295,20 @@ func stripSourceStable(e *triple.Entity, source string, ont *ontology.Ontology) 
 
 // RemoveSource drops all facts attributed to the given source from the
 // entity, deleting the entity when no attributed facts remain. This is the
-// non-destructive deletion path: facts from other sources survive.
+// non-destructive deletion path: facts from other sources survive. It is
+// FuseBatch with one removal op.
 func RemoveSource(g *triple.Graph, id triple.EntityID, source string) (entityDeleted bool) {
-	empty := false
-	g.Update(id, func(e *triple.Entity) {
-		kept := e.Triples[:0]
-		for _, t := range e.Triples {
-			out, remains := t.DropSource(source)
-			if remains {
-				kept = append(kept, out)
-			}
-		}
-		e.Triples = kept
-		empty = len(e.Triples) == 0
-	})
-	if empty {
-		g.Delete(id)
-		return true
-	}
-	return false
+	_, deleted := (&Fuser{}).fuseBatch(g, id, []FuseOp{{RemoveSource: source}})
+	return deleted
 }
 
 // ApplyVolatileOverwrite implements the optimized fusion path for volatile
 // predicates (§2.4): the source's volatile partition of the KG entity is
 // overwritten wholesale with the new payload — existing volatile facts from
 // this source are removed, incoming ones inserted — with no join against the
-// stable facts.
+// stable facts. It is FuseBatch with one overwrite op.
 func ApplyVolatileOverwrite(g *triple.Graph, kgID triple.EntityID, source string, volatile *triple.Entity, ont *ontology.Ontology) {
-	g.Update(kgID, func(e *triple.Entity) {
-		kept := e.Triples[:0]
-		for _, t := range e.Triples {
-			if ont.IsVolatile(t.Predicate) && t.HasSource(source) {
-				out, remains := t.DropSource(source)
-				if !remains {
-					continue
-				}
-				t = out
-			}
-			kept = append(kept, t)
-		}
-		e.Triples = kept
-		for _, t := range volatile.Triples {
-			if !ont.IsVolatile(t.Predicate) {
-				continue // identity facts riding along in the volatile dump
-			}
-			t.Subject = kgID
-			e.Triples = append(e.Triples, t)
-		}
-		e.Dedup()
-	})
+	(&Fuser{Ont: ont}).FuseBatch(g, kgID, []FuseOp{{OverwriteSource: source, Incoming: volatile}})
 }
 
 // slotString renders a conflict slot for logs.

@@ -255,8 +255,8 @@ func TestFuseBatchMatchesSequentialFuses(t *testing.T) {
 }
 
 // TestFuseBatchStripSource: an update op strips the source's stable facts
-// before its payload merges — exactly stripSourceStable + FuseEntity — and
-// truth discovery sees the whole batch's claims for a contested slot at once.
+// before its payload merges, leaving its volatile facts alone, and truth
+// discovery sees the whole batch's claims for a contested slot at once.
 func TestFuseBatchStripSource(t *testing.T) {
 	ont := ontology.Default()
 	g := triple.NewGraph()

@@ -83,14 +83,16 @@ type Pipeline struct {
 	fusion   FusionStats
 }
 
-// FusionStats counts the commit phase's fusion traffic. Payloads/Targets is
-// the batching amortization: how many payload entities (same-as carriers,
-// adds, updates) merged per fused KG entity, each target costing one graph
-// round-trip and one conflict-resolution pass on the batched path.
+// FusionStats counts the commit phase's fusion traffic. Every mutation a
+// commit makes to a KG entity other than a fresh OBR stub folds into that
+// entity's one FuseBatch, so Targets counts the commit path's graph writes,
+// and Payloads/Targets is the batching amortization: how many mutations
+// (same-as carriers, adds, updates, source removals, volatile overwrites)
+// each write carried.
 type FusionStats struct {
 	Commits  int // commitDelta invocations
-	Targets  int // distinct KG entities fused
-	Payloads int // payload entities merged into those targets
+	Targets  int // KG entities written or removed, once per commit each
+	Payloads int // mutations folded into those writes
 }
 
 // FusionStats reports the accumulated fusion counters.
@@ -365,9 +367,9 @@ func (p *Pipeline) newBudget() *WorkerBudget {
 	return NewWorkerBudget(effectiveWorkers(p.workers()) - 1)
 }
 
-// fuseGroup is one batched-fusion unit: every fusion op of a commit that
+// fuseGroup is one batched-fusion unit: every mutation of a commit that
 // lands on one target KG entity, in the per-entity order (same-as carriers,
-// then adds, then updates).
+// adds, updates, the source's removal, volatile overwrites).
 type fuseGroup struct {
 	id  triple.EntityID
 	ops []FuseOp
@@ -472,14 +474,16 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 		entities[i].Rewrite(entities[i].ID, rw)
 	}
 
-	// Fusion: payloads merge into the graph grouped by target KG entity, one
-	// batched fuse — a single Graph.Update round-trip and one
-	// conflict-resolution pass — per target, targets in canonical
-	// first-fusion order. Within a target the ops keep the per-entity order:
-	// same_as carriers (SameAs is sorted, so consecutive runs share a subject
-	// and carriers fuse in subject order), then adds, then updates (each
-	// update stripping the source's stale stable facts before its payload
-	// merges).
+	// Fusion: every mutation of a KG entity this commit makes — payload
+	// merges, the source's removal, volatile overwrites — lands in that
+	// entity's fuse group, and each group is one FuseBatch: one graph write
+	// and one conflict-resolution pass per target, targets in canonical
+	// first-mutation order. Within a target the stable ops keep the
+	// per-entity order: same_as carriers (SameAs is sorted, so consecutive
+	// runs share a subject and carriers fuse in subject order), then adds,
+	// then updates (each update stripping the source's stale stable facts
+	// before its payload merges); FuseBatch applies removals and volatile
+	// overwrites after them.
 	groupIdx := make(map[triple.EntityID]int)
 	var groups []fuseGroup
 	addOp := func(id triple.EntityID, op FuseOp) {
@@ -521,40 +525,11 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 		addOp(u.kgID, FuseOp{StripSource: d.Source, Incoming: linked})
 		stats.Updated++
 	}
-	var conflicts []Conflict
-	payloads := 0
-	for _, g := range groups {
-		payloads += len(g.ops)
-		conflicts = append(conflicts, fuser.FuseBatch(p.KG.Graph, g.id, g.ops)...)
-	}
-	p.fusionMu.Lock()
-	p.fusion.Commits++
-	p.fusion.Targets += len(groups)
-	p.fusion.Payloads += payloads
-	p.fusionMu.Unlock()
-
-	touched := make(map[triple.EntityID]bool)
-	for _, kgID := range assignment {
-		touched[kgID] = true
-	}
-	for _, id := range stubIDs {
-		touched[id] = true
-	}
 	for _, dl := range pd.deleteLinks {
-		if RemoveSource(p.KG.Graph, dl.kgID, d.Source) {
-			stats.Removed = append(stats.Removed, dl.kgID)
-			delete(touched, dl.kgID)
-		} else {
-			touched[dl.kgID] = true
-		}
+		addOp(dl.kgID, FuseOp{RemoveSource: d.Source})
 		p.KG.Unlink(dl.src)
 		stats.addUnlink(dl.src)
 		stats.Deleted++
-	}
-	// Volatile partition overwrite runs after the stable payloads fused.
-	removed := make(map[triple.EntityID]bool, len(stats.Removed))
-	for _, id := range stats.Removed {
-		removed[id] = true
 	}
 	for _, v := range d.Volatile {
 		kgID, ok := assignment[v.ID]
@@ -563,16 +538,39 @@ func (p *Pipeline) commitDelta(pd *preparedDelta, b *WorkerBudget) (SourceStats,
 				continue // entity not (yet) part of the KG
 			}
 		}
-		if removed[kgID] {
-			// This commit deleted the entity outright; applying the same
-			// delta's volatile partition would resurrect it as a ghost with
-			// no stable facts and put its id in both Touched and Removed.
+		addOp(kgID, FuseOp{OverwriteSource: d.Source, Incoming: v})
+	}
+
+	touched := make(map[triple.EntityID]bool, len(groups)+len(stubIDs))
+	for _, id := range stubIDs {
+		touched[id] = true
+	}
+	var conflicts []Conflict
+	payloads := 0
+	for _, g := range groups {
+		payloads += len(g.ops)
+		c, deleted := fuser.fuseBatch(p.KG.Graph, g.id, g.ops)
+		conflicts = append(conflicts, c...)
+		if deleted {
+			// A removal emptied the entity: it is removed, not touched, and
+			// the same delta's volatile partition did not resurrect it.
+			stats.Removed = append(stats.Removed, g.id)
+			delete(touched, g.id)
 			continue
 		}
-		ApplyVolatileOverwrite(p.KG.Graph, kgID, d.Source, v, p.Ont)
-		touched[kgID] = true
-		stats.Volatile++
+		touched[g.id] = true
+		for _, op := range g.ops {
+			if op.OverwriteSource != "" {
+				stats.Volatile++
+			}
+		}
 	}
+	p.fusionMu.Lock()
+	p.fusion.Commits++
+	p.fusion.Targets += len(groups)
+	p.fusion.Payloads += payloads
+	p.fusionMu.Unlock()
+
 	for id := range touched {
 		stats.Touched = append(stats.Touched, id)
 	}

@@ -106,9 +106,12 @@ func Hamming(a, b string) int {
 	return d
 }
 
-// Jaro returns the Jaro similarity in [0,1].
+// Jaro returns the Jaro similarity in [0,1]. Strings of up to 48 runes are
+// decoded, and their match flags kept, in stack buffers.
 func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+	var runeBuf [2][48]rune
+	var flagBuf [2][48]bool
+	ra, rb := appendRunes(runeBuf[0][:0], a), appendRunes(runeBuf[1][:0], b)
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -124,8 +127,8 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	matchA := append(flagBuf[0][:0], make([]bool, la)...)
+	matchB := append(flagBuf[1][:0], make([]bool, lb)...)
 	matches := 0
 	for i, r := range ra {
 		lo := i - window
@@ -166,6 +169,14 @@ func Jaro(a, b string) float64 {
 	}
 	m := float64(matches)
 	return (m/float64(la) + m/float64(lb) + (m-float64(transpositions)/2)/m) / 3
+}
+
+// appendRunes appends the runes of s to dst.
+func appendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 // JaroWinkler returns the Jaro-Winkler similarity: Jaro boosted by a common

@@ -2,6 +2,7 @@ package triple
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,8 +19,12 @@ func NewEntity(id EntityID) *Entity { return &Entity{ID: id} }
 
 // Clone returns a deep copy of the entity. Triple metadata slices are copied
 // so mutations of the clone never alias the original.
-func (e *Entity) Clone() *Entity {
-	out := &Entity{ID: e.ID, Triples: make([]Triple, len(e.Triples))}
+func (e *Entity) Clone() *Entity { return e.cloneCap(0) }
+
+// cloneCap is Clone with room for extra triples appended without a
+// reallocation.
+func (e *Entity) cloneCap(extra int) *Entity {
+	out := &Entity{ID: e.ID, Triples: make([]Triple, len(e.Triples), len(e.Triples)+extra)}
 	for i, t := range e.Triples {
 		t.Sources = append([]string(nil), t.Sources...)
 		t.Trust = append([]float64(nil), t.Trust...)
@@ -199,24 +204,24 @@ func (e *Entity) SourceSet() []string {
 }
 
 // Dedup merges triples stating the same fact (equal Key) by unioning their
-// provenance, and sorts the payload deterministically.
+// provenance, and sorts the payload deterministically. It sorts by
+// CompareTriples, which agrees with Key, so equal facts end up adjacent; the
+// sort is stable, so each run merges into its first-seen member in input
+// order.
 func (e *Entity) Dedup() {
 	if len(e.Triples) < 2 {
 		return
 	}
-	byKey := make(map[string]int, len(e.Triples))
-	out := e.Triples[:0]
-	for _, t := range e.Triples {
-		k := t.Key()
-		if i, ok := byKey[k]; ok {
-			out[i] = out[i].MergeProvenance(t)
+	slices.SortStableFunc(e.Triples, CompareTriples)
+	out := e.Triples[:1]
+	for _, t := range e.Triples[1:] {
+		if last := &out[len(out)-1]; CompareTriples(*last, t) == 0 {
+			*last = last.MergeProvenance(t)
 			continue
 		}
-		byKey[k] = len(out)
 		out = append(out, t)
 	}
 	e.Triples = out
-	SortTriples(e.Triples)
 }
 
 // Rewrite rewrites the subject of every triple (and the entity ID) to the

@@ -1,6 +1,7 @@
 package triple
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -214,5 +215,40 @@ func TestReferences(t *testing.T) {
 	want := []EntityID{"kg:E2", "kg:E3"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("References() = %v, want %v", got, want)
+	}
+}
+
+// TestDedupOrderIndependentWithNaN: a payload holding a NaN fact dedups to
+// the same bytes whatever order its facts arrive in. Compare once let NaN
+// equal every float, so the sort left such payloads in arrival order.
+func TestDedupOrderIndependentWithNaN(t *testing.T) {
+	encode := func(vals ...float64) []byte {
+		e := NewEntity("kg:E1")
+		for _, v := range vals {
+			e.Add(New("", "popularity", Float(v)).WithSource("s", 0.9))
+		}
+		e.Dedup()
+		b, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	nan := math.NaN()
+	want := encode(1, 2, nan, 3)
+	if got := encode(3, nan, 1, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dedup depends on arrival order:\n%x\n%x", got, want)
+	}
+	e := NewEntity("kg:E1")
+	for _, v := range []float64{nan, 0, math.Copysign(0, -1), math.Inf(1), -1} {
+		e.Add(New("", "popularity", Float(v)))
+	}
+	e.Dedup()
+	var got []string
+	for _, tr := range e.Triples {
+		got = append(got, tr.Object.Text())
+	}
+	if want := []string{"-1", "-0", "0", "+Inf", "NaN"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("float order = %v, want %v", got, want)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // The store is one lock over one set of maps, and copy-on-write:
 //
 //   - Entity records are immutable after insert. Every write path (Put,
-//     Update, the fusion helpers built on them) stores a private clone and
+//     Update, Edit, the fusion helpers built on them) stores a private clone and
 //     replaces the stored pointer; nothing ever mutates a record in place.
 //     That is what makes the clone-free read paths (GetShared, RangeShared,
 //     Range) safe: a returned *Entity is a frozen value that remains valid —
@@ -357,19 +357,33 @@ func (g *Graph) RangeShared(fn func(*Entity) bool) {
 // on a private clone whose pointer then replaces the old record, which is the
 // discipline that keeps shared readers and COW snapshots consistent.
 func (g *Graph) Update(id EntityID, fn func(*Entity)) {
+	g.Edit(id, 0, func(e *Entity) bool { fn(e); return true })
+}
+
+// Edit is Update for a writer that knows how much it appends and may delete:
+// the copy fn receives has room for extra more triples, so an edit appending
+// at most that many copies the record once, and fn's result decides the
+// outcome — true stores the edited copy, false deletes the entity (nothing,
+// when it is absent).
+func (g *Graph) Edit(id EntityID, extra int, fn func(*Entity) bool) {
 	g.mu.Lock()
 	g.ensureOwnedLocked()
-	old, ok := g.entities[id]
-	var e *Entity
-	if !ok {
-		e = NewEntity(id)
-	} else {
-		e = old.Clone()
+	old := g.entities[id]
+	e := NewEntity(id)
+	if old != nil {
+		e = old.cloneCap(extra)
+	} else if extra > 0 {
+		e.Triples = make([]Triple, 0, extra)
 	}
-	fn(e)
+	keep := fn(e)
 	g.removeIndexLocked(old)
-	g.entities[id] = e
-	g.addIndexLocked(e)
+	if keep {
+		g.entities[id] = e
+		g.addIndexLocked(e)
+	} else {
+		delete(g.entities, id)
+		e = nil
+	}
 	g.mu.Unlock()
 	g.invalidateTypeCache(old, e)
 }

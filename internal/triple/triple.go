@@ -2,6 +2,7 @@ package triple
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -220,11 +221,11 @@ func (t Triple) DropSource(source string) (Triple, bool) {
 
 // SortTriples orders triples deterministically by subject, predicate, relID,
 // relPred, locale, then object.
-func SortTriples(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool { return CompareTriples(ts[i], ts[j]) < 0 })
-}
+func SortTriples(ts []Triple) { slices.SortFunc(ts, CompareTriples) }
 
-// CompareTriples provides the total order used by SortTriples.
+// CompareTriples provides the total order used by SortTriples. Two triples
+// compare equal exactly when their Keys are equal, which is what lets Dedup
+// merge facts by sorting.
 func CompareTriples(a, b Triple) int {
 	if c := strings.Compare(string(a.Subject), string(b.Subject)); c != 0 {
 		return c

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 )
 
 func TestTripleKeyDistinguishesFacts(t *testing.T) {
@@ -157,5 +158,62 @@ func TestTripleStringForms(t *testing.T) {
 	}
 	if !comp.IsComposite() || simple.IsComposite() {
 		t.Error("IsComposite misreports")
+	}
+}
+
+// TestCompareTriplesAgreesWithKey: Dedup merges facts by sorting, so two
+// triples must compare equal exactly when their Keys are equal. The triples
+// come from small domains, so that equal and nearly equal facts are common,
+// and carry values of every kind, NaNs with different payloads, signed zeros
+// and infinities among them.
+func TestCompareTriplesAgreesWithKey(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
+	floats := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000abc), math.Copysign(0, -1), 0,
+		math.Inf(1), math.Inf(-1), 1.5, -1.5, 1e-300}
+	value := func() Value {
+		switch r.Intn(9) {
+		case 0:
+			return Null
+		case 1:
+			return String(pick("", "a", "1"))
+		case 2:
+			return Int(int64(r.Intn(3) - 1))
+		case 3:
+			return Float(floats[r.Intn(len(floats))])
+		case 4:
+			return Bool(r.Intn(2) == 0)
+		case 5:
+			return Time(time.Unix(0, int64(r.Intn(3))))
+		case 6:
+			return Ref(EntityID(pick("a", "kg:E1")))
+		}
+		return randomValue(r)
+	}
+	ts := make([]Triple, 400)
+	for i := range ts {
+		ts[i] = Triple{Subject: EntityID(pick("kg:E1", "kg:E2")), Predicate: pick("p", "q"),
+			Locale: pick("", "en"), Object: value(), Sources: []string{pick("s1", "s2")}}
+		if r.Intn(3) == 0 {
+			ts[i].RelID, ts[i].RelPred = pick("r1", "r2"), pick("x", "y")
+		}
+	}
+	equal := 0
+	for _, a := range ts {
+		for _, b := range ts {
+			c := CompareTriples(a, b)
+			if (c == 0) != (a.Key() == b.Key()) {
+				t.Fatalf("CompareTriples = %d but Keys equal = %v:\n%v %#v\n%v %#v", c, a.Key() == b.Key(), a, a.Object, b, b.Object)
+			}
+			if c != -CompareTriples(b, a) {
+				t.Fatalf("CompareTriples not antisymmetric for %v, %v", a, b)
+			}
+			if c == 0 {
+				equal++
+			}
+		}
+	}
+	if equal <= len(ts) {
+		t.Fatalf("only %d equal pairs: the domains are too wide to test the equal case", equal)
 	}
 }

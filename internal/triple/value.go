@@ -8,6 +8,7 @@
 package triple
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -200,8 +201,10 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
-// Compare orders values: first by kind, then by payload. It provides a total
-// order used by deterministic iteration and sort-based operators.
+// Compare orders values: first by kind, then by payload. It is a total order,
+// used by deterministic iteration and sort-based operators, and it agrees with
+// Triple.Key: among floats, NaN sorts after every number and equals every NaN
+// (Key renders them alike), and -0 sorts before +0 (Key tells them apart).
 func (v Value) Compare(o Value) int {
 	if v.kind != o.kind {
 		if v.kind < o.kind {
@@ -215,13 +218,7 @@ func (v Value) Compare(o Value) int {
 	case KindString, KindRef:
 		return strings.Compare(v.str, o.str)
 	case KindFloat:
-		switch {
-		case v.flt < o.flt:
-			return -1
-		case v.flt > o.flt:
-			return 1
-		}
-		return 0
+		return cmp.Compare(floatOrder(v.flt), floatOrder(o.flt))
 	default:
 		switch {
 		case v.num < o.num:
@@ -231,6 +228,19 @@ func (v Value) Compare(o Value) int {
 		}
 		return 0
 	}
+}
+
+// floatOrder maps a float to a key whose order is Compare's: numeric, with
+// -0 before +0, and every NaN alike after +Inf.
+func floatOrder(f float64) uint64 {
+	if math.IsNaN(f) {
+		return math.MaxUint64
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b // negative: the larger the magnitude, the smaller the key
+	}
+	return b | 1<<63
 }
 
 // jsonValue is the wire form of Value used by the JSON codec.

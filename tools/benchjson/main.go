@@ -95,6 +95,10 @@ var gates = []Gate{
 	// stable-view load with 8 records replaced and every boost shifted.
 	{Bench: "LoadStableView", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "LoadStableView", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	// And on the construction commit path (internal/construct): one
+	// link_quiet-shaped batch, each touched KG entity copied once.
+	{Bench: "CommitBatch", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "CommitBatch", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 }
 
 // gateDirection reports the favorable direction for a metric, if gated.
