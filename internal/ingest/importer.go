@@ -67,12 +67,13 @@ func (c CSVImporter) Import(r io.Reader) ([]Row, error) {
 }
 
 // JSONLImporter imports newline-delimited JSON objects, one row per line.
-// Non-string values are rendered to their JSON text.
+// Non-string values are rendered to their JSON text; a number keeps the
+// digits it was written with.
 type JSONLImporter struct{}
 
 // Import implements Importer.
 func (JSONLImporter) Import(r io.Reader) ([]Row, error) {
-	dec := json.NewDecoder(r)
+	dec := newDecoder(r)
 	var rows []Row
 	for {
 		var obj map[string]any
@@ -92,7 +93,7 @@ type JSONImporter struct{}
 // Import implements Importer.
 func (JSONImporter) Import(r io.Reader) ([]Row, error) {
 	var objs []map[string]any
-	if err := json.NewDecoder(r).Decode(&objs); err != nil {
+	if err := newDecoder(r).Decode(&objs); err != nil {
 		return nil, fmt.Errorf("ingest: json import: %w", err)
 	}
 	rows := make([]Row, len(objs))
@@ -100,6 +101,14 @@ func (JSONImporter) Import(r io.Reader) ([]Row, error) {
 		rows[i] = flattenObject(obj)
 	}
 	return rows, nil
+}
+
+// newDecoder decodes numbers as json.Number, not float64: an integer id
+// above 2^53 would lose digits, and two upstream ids could become one.
+func newDecoder(r io.Reader) *json.Decoder {
+	dec := json.NewDecoder(r)
+	dec.UseNumber()
+	return dec
 }
 
 // flattenObject renders a decoded JSON object to a Row. Scalars render
@@ -121,8 +130,8 @@ func renderJSONValue(v any) string {
 		return x
 	case bool:
 		return strconv.FormatBool(x)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
+	case json.Number:
+		return string(x)
 	case []any:
 		out := ""
 		for i, e := range x {

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,6 +68,31 @@ func TestJSONImporter(t *testing.T) {
 	}
 	if len(rows) != 2 || rows[0]["v"] != "" || rows[1]["v"] != "x" {
 		t.Fatalf("rows = %v", rows)
+	}
+}
+
+// TestJSONImportersKeepNumbers: a number keeps the digits it was written
+// with. Decoded as float64, the two ids below became one, and a number out
+// of float64's range failed the whole import.
+func TestJSONImportersKeepNumbers(t *testing.T) {
+	data := `[{"id":12345678901234567890,"n":[1.50,2],"o":{"x":12345678901234567891}},{"id":12345678901234567891,"big":1e400}]`
+	rows, err := JSONImporter{}.Import(strings.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Row{
+		{"id": "12345678901234567890", "n": "1.50|2", "o": `{"x":12345678901234567891}`},
+		{"id": "12345678901234567891", "big": "1e400"},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("json rows = %v, want %v", rows, want)
+	}
+	jsonl := strings.Join([]string{`{"id":12345678901234567890,"n":[1.50,2],"o":{"x":12345678901234567891}}`, `{"id":12345678901234567891,"big":1e400}`}, "\n")
+	if rows, err = (JSONLImporter{}).Import(strings.NewReader(jsonl)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("jsonl rows = %v, want %v", rows, want)
 	}
 }
 

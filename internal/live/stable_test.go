@@ -271,3 +271,54 @@ func BenchmarkLoadStableView(b *testing.B) {
 		i++
 	}
 }
+
+// putSnapshotStore loads n random stable records into a store and
+// publishes a snapshot of it. It returns the records, which a streaming Put
+// then sends again.
+func putSnapshotStore(n int) (*live.Store, []*triple.Entity) {
+	r := rand.New(rand.NewSource(1))
+	ents := make([]*triple.Entity, n)
+	for i := range ents {
+		ents[i] = randomRecord(r, stableID(i), n)
+	}
+	store := live.NewStore()
+	(&live.Constructor{Store: store}).LoadStableView(ents, nil)
+	store.Current()
+	return store, ents
+}
+
+// TestPutAfterSnapshotAllocs: the write after a snapshot copies only what
+// it touches, so one streaming Put followed by Current allocates about the
+// same at 57 000 entities as at 570.
+func TestPutAfterSnapshotAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		store, ents := putSnapshotStore(n)
+		i := 0
+		return testing.AllocsPerRun(100, func() {
+			store.Put(ents[i%n], 0)
+			store.Current()
+			i++
+		})
+	}
+	if small, large := allocs(570), allocs(57_000); large > 2*small {
+		t.Fatalf("Put then Current: %.0f allocs at 570 entities, %.0f at 57 000; want at most 2x", small, large)
+	}
+}
+
+// BenchmarkPutSnapshot: one streaming Put, then Current, which republishes
+// a snapshot, at three store sizes. B/op should grow with the depth of the
+// store's trees, not with their size.
+func BenchmarkPutSnapshot(b *testing.B) {
+	for _, n := range []int{570, 5_700, 57_000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			store, ents := putSnapshotStore(n)
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				store.Put(ents[i%n], 0)
+				store.Current()
+				i++
+			}
+		})
+	}
+}

@@ -16,22 +16,35 @@
 package live
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"saga/internal/pmap"
 	"saga/internal/store/textindex"
 	"saga/internal/triple"
 )
 
-// idSet is one posting list: an entity set plus the snapshot epoch it was
-// last cloned at, so writers copy it before mutating if a snapshot still
-// references it (copy-on-write).
-type idSet struct {
-	ids   map[triple.EntityID]bool
-	epoch uint64
+// record is one entity KV entry: the stored (immutable) record and its
+// ranking boost (entity importance), which text search scores with too.
+type record struct {
+	e     *triple.Entity
+	boost float64
+}
+
+// postings maps an index key to the set of entities posted under it.
+type postings = pmap.Map[string, pmap.Map[triple.EntityID, struct{}]]
+
+// indexes are the entity KV and the inverted indexes: persistent ordered
+// maps (internal/pmap), so a copy of this struct is a snapshot once the
+// store writes under a fresh owner, and the first write after it copies
+// only the tree nodes on its keys' paths.
+type indexes struct {
+	data    pmap.Map[triple.EntityID, record] // ID -> stored record and boost
+	attr    postings                          // predicate\x1fvalueText -> entity set (equality lookups)
+	reverse postings                          // predicate\x1ftargetID -> source entity set (in() walks)
+	byType  postings                          // entity type -> entity set
 }
 
 // Store is the live KG index: a graph KV store plus inverted indexes
@@ -44,30 +57,16 @@ type Store struct {
 	// stable-view bookkeeping, version bump) and every snapshot capture, so
 	// a snapshot is always a write-atomic cut: a store version uniquely
 	// identifies index content.
-	mu sync.Mutex
+	mu    sync.Mutex
+	owner *pmap.Owner // replaced at every snapshot capture
+	indexes
 	// text is the token index over entity names/aliases used by search().
 	text *textindex.Index
-	// data is the entity KV: ID -> stored (immutable) record.
-	data map[triple.EntityID]*triple.Entity
-	// attr maps predicate\x1fvalueText -> entity set (equality lookups).
-	attr map[string]*idSet
-	// reverse maps predicate\x1ftargetID -> source entity set (in() walks).
-	reverse map[string]*idSet
-	// byType maps entity type -> entity set.
-	byType map[string]*idSet
-	// boost holds per-entity ranking boosts (entity importance); text search
-	// scores with it too.
-	boost map[triple.EntityID]float64
 	// stable maps each ID of the last stable view loaded to the number of
 	// that load (loads counts them), so the next load deletes the IDs it
 	// does not renumber.
 	stable map[triple.EntityID]uint64
 	loads  uint64
-
-	// snapEpoch counts captured snapshots; idxEpoch records when the
-	// top-level maps (data and the indexes) were last copied.
-	snapEpoch uint64
-	idxEpoch  uint64
 
 	// version increments on every write that changes the store (once per
 	// write, however many entities it touches); query caches use it to
@@ -88,72 +87,13 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 // NewStore constructs an empty live store.
 func NewStore() *Store {
 	return &Store{
-		text:    textindex.New(),
-		data:    make(map[triple.EntityID]*triple.Entity),
-		attr:    make(map[string]*idSet),
-		reverse: make(map[string]*idSet),
-		byType:  make(map[string]*idSet),
-		boost:   make(map[triple.EntityID]float64),
-		stable:  make(map[triple.EntityID]uint64),
+		owner:  new(pmap.Owner),
+		text:   textindex.New(),
+		stable: make(map[triple.EntityID]uint64),
 	}
 }
 
 func attrKey(pred, valText string) string { return pred + "\x1f" + valText }
-
-// cowIndexLocked shallow-copies the entity map and the top-level index maps
-// the first time a writer runs after a snapshot. Posting sets get their own
-// per-key copy in cowSetLocked. Caller holds s.mu.
-func (s *Store) cowIndexLocked() {
-	if s.idxEpoch == s.snapEpoch {
-		return
-	}
-	s.idxEpoch = s.snapEpoch
-	data := make(map[triple.EntityID]*triple.Entity, len(s.data))
-	for id, e := range s.data {
-		data[id] = e
-	}
-	s.data = data
-	attr := make(map[string]*idSet, len(s.attr))
-	for k, v := range s.attr {
-		attr[k] = v
-	}
-	s.attr = attr
-	reverse := make(map[string]*idSet, len(s.reverse))
-	for k, v := range s.reverse {
-		reverse[k] = v
-	}
-	s.reverse = reverse
-	byType := make(map[string]*idSet, len(s.byType))
-	for k, v := range s.byType {
-		byType[k] = v
-	}
-	s.byType = byType
-	boost := make(map[triple.EntityID]float64, len(s.boost))
-	for k, v := range s.boost {
-		boost[k] = v
-	}
-	s.boost = boost
-}
-
-// cowSetLocked returns m[key]'s posting set ready for mutation, cloning it
-// first if a snapshot still references it; creates the set when absent.
-func (s *Store) cowSetLocked(m map[string]*idSet, key string) *idSet {
-	set := m[key]
-	if set == nil {
-		set = &idSet{ids: make(map[triple.EntityID]bool), epoch: s.snapEpoch}
-		m[key] = set
-		return set
-	}
-	if set.epoch < s.snapEpoch {
-		clone := &idSet{ids: make(map[triple.EntityID]bool, len(set.ids)), epoch: s.snapEpoch}
-		for id := range set.ids {
-			clone.ids[id] = true
-		}
-		m[key] = clone
-		return clone
-	}
-	return set
-}
 
 // Put indexes (replacing) an entity: KV payload, attribute postings, reverse
 // reference postings, type sets, and the token index. Streaming updates call
@@ -176,13 +116,13 @@ func (s *Store) Put(e *triple.Entity, boost float64) {
 func (s *Store) update(id triple.EntityID, edit func(e *triple.Entity)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.data[id]
-	if old == nil {
+	old, ok := s.data.Get(id)
+	if !ok {
 		return false
 	}
-	e := old.Clone()
+	e := old.e.Clone()
 	edit(e)
-	s.installLocked(e, s.boost[id])
+	s.installLocked(e, old.boost)
 	s.version.Add(1)
 	return true
 }
@@ -217,12 +157,11 @@ func (s *Store) loadStable(entities []*triple.Entity, boosts map[triple.EntityID
 	for _, e := range entities {
 		s.stable[e.ID] = s.loads
 		boost := boosts[e.ID]
-		switch {
-		case s.data[e.ID] != e:
+		switch old, _ := s.data.Get(e.ID); {
+		case old.e != e:
 			s.installLocked(e, boost)
-		case s.boost[e.ID] != boost:
-			s.cowIndexLocked()
-			s.boost[e.ID] = boost
+		case old.boost != boost:
+			s.data.Set(s.owner, e.ID, record{e, boost})
 		default:
 			continue
 		}
@@ -243,56 +182,33 @@ func (s *Store) loadStable(entities []*triple.Entity, boosts map[triple.EntityID
 // record held there, and indexes it everywhere, the token index included.
 // From here on e is frozen. Caller holds s.mu.
 func (s *Store) installLocked(e *triple.Entity, boost float64) {
-	s.cowIndexLocked()
-	old := s.data[e.ID]
-	s.data[e.ID] = e
-	if old != nil {
-		s.unindexLocked(old)
+	if old, ok := s.data.Get(e.ID); ok {
+		s.postLocked(old.e, false)
 	}
-	s.indexLocked(e, boost)
+	s.data.Set(s.owner, e.ID, record{e, boost})
+	s.postLocked(e, true)
 	s.text.Put(string(e.ID), docText(e))
 }
 
 // deleteLocked removes id from every index, reporting whether it was stored.
 // Caller holds s.mu.
 func (s *Store) deleteLocked(id triple.EntityID) bool {
-	old, ok := s.data[id]
-	if !ok {
-		return false
+	old, ok := s.data.Delete(s.owner, id)
+	if ok {
+		s.postLocked(old.e, false)
+		s.text.Delete(string(id))
 	}
-	s.cowIndexLocked()
-	delete(s.data, id)
-	s.unindexLocked(old)
-	s.text.Delete(string(id))
-	return true
+	return ok
 }
 
-func (s *Store) indexLocked(e *triple.Entity, boost float64) {
-	for _, t := range e.Triples {
-		pred := t.Predicate
-		if t.IsComposite() {
-			pred = t.Predicate + "." + t.RelPred
-		}
-		s.cowSetLocked(s.attr, attrKey(pred, normText(t.Object.Text()))).ids[e.ID] = true
-		if t.Object.IsRef() {
-			s.cowSetLocked(s.reverse, attrKey(pred, string(t.Object.Ref()))).ids[e.ID] = true
-		}
-	}
-	for _, typ := range e.Types() {
-		s.cowSetLocked(s.byType, typ).ids[e.ID] = true
-	}
-	s.boost[e.ID] = boost
-}
-
-func (s *Store) unindexLocked(e *triple.Entity) {
-	remove := func(m map[string]*idSet, key string, id triple.EntityID) {
-		if m[key] == nil {
-			return
-		}
-		set := s.cowSetLocked(m, key)
-		delete(set.ids, id)
-		if len(set.ids) == 0 {
-			delete(m, key)
+// postLocked adds e to, or with add false removes it from, every posting
+// set it belongs in. Caller holds s.mu.
+func (s *Store) postLocked(e *triple.Entity, add bool) {
+	post := func(m *postings, key string) {
+		if add {
+			pmap.SetIn(s.owner, m, key, e.ID, struct{}{})
+		} else {
+			pmap.DeleteIn(s.owner, m, key, e.ID)
 		}
 	}
 	for _, t := range e.Triples {
@@ -300,23 +216,22 @@ func (s *Store) unindexLocked(e *triple.Entity) {
 		if t.IsComposite() {
 			pred = t.Predicate + "." + t.RelPred
 		}
-		remove(s.attr, attrKey(pred, normText(t.Object.Text())), e.ID)
+		post(&s.attr, attrKey(pred, normText(t.Object.Text())))
 		if t.Object.IsRef() {
-			remove(s.reverse, attrKey(pred, string(t.Object.Ref())), e.ID)
+			post(&s.reverse, attrKey(pred, string(t.Object.Ref())))
 		}
 	}
 	for _, typ := range e.Types() {
-		remove(s.byType, typ, e.ID)
+		post(&s.byType, typ)
 	}
-	delete(s.boost, e.ID)
 }
 
 // Snapshot publishes an immutable, version-stamped view of the whole store:
 // entity KV, inverted indexes, boosts, and the text index, all captured at
-// one write-atomic cut. Taking a snapshot is O(1), not O(|store|) —
-// the maps are shared with the live store and copied on the next write to
-// them (copy-on-write) — and reads against it take no locks, so serving
-// traffic pinned to a snapshot never contends with streaming ingestion.
+// one write-atomic cut. Taking a snapshot is O(1), not O(|store|) — it
+// takes the trees' headers, and the next write copies only the nodes on its
+// path — and reads against it take no locks, so serving traffic pinned to a
+// snapshot never contends with streaming ingestion.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -325,16 +240,8 @@ func (s *Store) Snapshot() *Snapshot {
 
 // snapshotLocked captures a snapshot. Caller holds s.mu.
 func (s *Store) snapshotLocked() *Snapshot {
-	s.snapEpoch++
-	return &Snapshot{
-		version: s.version.Load(),
-		data:    s.data,
-		attr:    s.attr,
-		reverse: s.reverse,
-		byType:  s.byType,
-		boost:   s.boost,
-		text:    s.text.Snapshot(),
-	}
+	s.owner = new(pmap.Owner)
+	return &Snapshot{version: s.version.Load(), indexes: s.indexes, text: s.text.Snapshot()}
 }
 
 // republish captures a snapshot and publishes it as cur in one step under
@@ -368,10 +275,11 @@ const servingStaleness = 5 * time.Millisecond
 // Serving returns a recent published snapshot with bounded staleness: if
 // the current snapshot is younger than servingStaleness it is reused even
 // though writes have landed since, so a request-per-snapshot serving tier
-// cannot force a republish (and the COW copying the next write pays) per
-// request. Under sustained ingestion the views served lag the store by at
-// most servingStaleness; an idle store converges to exact. Use Current for
-// read-your-writes.
+// cannot force a republish per request. A republish takes the store lock,
+// which writers hold too, and freezes the trees, so the next write copies
+// the nodes on its paths again. Under sustained ingestion the views served
+// lag the store by at most servingStaleness; an idle store converges to
+// exact. Use Current for read-your-writes.
 func (s *Store) Serving() *Snapshot {
 	sn := s.cur.Load()
 	if sn != nil && sn.version == s.version.Load() {
@@ -399,12 +307,8 @@ func (s *Store) Serving() *Snapshot {
 // records themselves and must not be mutated.
 type Snapshot struct {
 	version uint64
-	data    map[triple.EntityID]*triple.Entity
-	attr    map[string]*idSet
-	reverse map[string]*idSet
-	byType  map[string]*idSet
-	boost   map[triple.EntityID]float64
-	text    *textindex.Snapshot
+	indexes
+	text *textindex.Snapshot
 }
 
 // Version is the store version the snapshot is frozen at; it moves forward
@@ -413,48 +317,49 @@ type Snapshot struct {
 func (sn *Snapshot) Version() uint64 { return sn.version }
 
 // Len returns the number of live entities.
-func (sn *Snapshot) Len() int { return len(sn.data) }
+func (sn *Snapshot) Len() int { return sn.data.Len() }
 
 // GetShared returns the stored record itself (read-only), or nil.
 func (sn *Snapshot) GetShared(id triple.EntityID) *triple.Entity {
-	return sn.data[id]
+	r, _ := sn.data.Get(id)
+	return r.e
 }
 
 // ByAttr returns entities with pred equal (by normalized text) to value.
 func (sn *Snapshot) ByAttr(pred, value string) []triple.EntityID {
-	return setToSlice(sn.attr[attrKey(pred, normText(value))])
+	return setToSlice(sn.attr, attrKey(pred, normText(value)))
 }
 
 // ByType returns entities of the given type.
 func (sn *Snapshot) ByType(typ string) []triple.EntityID {
-	return setToSlice(sn.byType[typ])
+	return setToSlice(sn.byType, typ)
 }
 
 // InRefs returns entities whose predicate references the target (reverse
 // traversal).
 func (sn *Snapshot) InRefs(pred string, target triple.EntityID) []triple.EntityID {
-	return setToSlice(sn.reverse[attrKey(pred, string(target))])
+	return setToSlice(sn.reverse, attrKey(pred, string(target)))
 }
 
 // Boost returns the entity's ranking boost.
-func (sn *Snapshot) Boost(id triple.EntityID) float64 { return sn.boost[id] }
+func (sn *Snapshot) Boost(id triple.EntityID) float64 {
+	r, _ := sn.data.Get(id)
+	return r.boost
+}
 
 // SearchText runs ranked token search over names/aliases/descriptions: BM25
 // scaled by 1 + the entity's boost.
 func (sn *Snapshot) SearchText(query string, k int) []textindex.Hit {
-	return sn.text.Search(query, k, func(id string) float64 { return 1 + sn.boost[triple.EntityID(id)] })
+	return sn.text.Search(query, k, func(id string) float64 { return 1 + sn.Boost(triple.EntityID(id)) })
 }
 
-func setToSlice(set *idSet) []triple.EntityID {
-	if set == nil {
+// setToSlice lists the IDs posted under key, in ID order; nil when none.
+func setToSlice(m postings, key string) []triple.EntityID {
+	set, ok := m.Get(key)
+	if !ok {
 		return nil
 	}
-	out := make([]triple.EntityID, 0, len(set.ids))
-	for id := range set.ids {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return set.Keys()
 }
 
 func normText(s string) string { return strings.ToLower(strings.TrimSpace(s)) }

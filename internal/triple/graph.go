@@ -2,9 +2,12 @@ package triple
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"saga/internal/pmap"
 )
 
 // Graph is an in-memory knowledge graph: the entity repository that
@@ -22,142 +25,78 @@ import (
 //     read paths MUST NOT mutate the entities they receive; callers that need
 //     a mutable copy use Get, which clones.
 //
-//   - Snapshot is O(1), not O(|KG|): it marks the maps as shared and hands
-//     the snapshot the same maps. The first write afterwards — on either
-//     side — copies the whole map set (pointers only; records are immutable
-//     and never copied), so snapshot cost is paid lazily, once per side. A
-//     snapshot is a fully independent *Graph: frozen at the cut and writable.
-//     Only view materialization and NERD refreshes take snapshots, so the
-//     commit loop pays that copy at most once per refresh.
+//   - The entity map and the type index are persistent ordered maps
+//     (internal/pmap) whose tree nodes carry the owner of the write that made
+//     them. Snapshot is O(1), not O(|KG|): the snapshot takes the maps'
+//     headers and both sides switch to a fresh owner, so the first write on
+//     either side copies only the nodes on its key's path (pointers only;
+//     records are immutable and never copied). The source refcounts hold one
+//     key per distinct source, so Snapshot clones them whole. A snapshot is a
+//     fully independent *Graph: frozen at the cut and writable.
 //
 // Bulk reads (Range, Len, Stats, IDs, Triples) each observe one consistent
 // cut; use Snapshot when several of them must agree.
 type Graph struct {
 	mu       sync.RWMutex
-	entities map[EntityID]*Entity
-	byType   map[string]map[EntityID]bool // type -> ids
-	sources  map[string]int               // source -> triple-occurrence refcount
-	facts    int                          // total triples stored
-	shared   bool                         // maps are aliased by >=1 snapshot
+	owner    *pmap.Owner // writes copy every tree node another owner made
+	entities pmap.Map[EntityID, *Entity]
+	byType   pmap.Map[string, pmap.Map[EntityID, struct{}]] // type -> ids
+	sources  map[string]int                                 // source -> triple-occurrence refcount
+	facts    int                                            // total triples stored
 
 	nextID atomic.Uint64
-
-	// typeMu guards the cached sorted ID slices per type; entries are
-	// invalidated by any write touching that type. Holding typeMu while
-	// gathering from the maps (never the reverse order) keeps the cache
-	// coherent with the graph state.
-	typeMu    sync.Mutex
-	typeCache map[string][]EntityID
 }
 
 // NewGraph constructs an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		entities:  make(map[EntityID]*Entity),
-		byType:    make(map[string]map[EntityID]bool),
-		sources:   make(map[string]int),
-		typeCache: make(map[string][]EntityID),
-	}
+	return &Graph{owner: new(pmap.Owner), sources: make(map[string]int)}
 }
 
-// ensureOwnedLocked makes the maps private before a mutation: when a
-// snapshot aliases them, the maps (not the immutable records they point to)
-// are copied once. Callers hold the write lock.
-func (g *Graph) ensureOwnedLocked() {
-	if !g.shared {
-		return
+// replaceLocked stores e under id in place of old, either of them nil for
+// none, and moves the type index and the monitoring counters along. A type
+// both records carry stays where it is: replayed and fused writes rarely
+// retype an entity. Callers hold the write lock.
+func (g *Graph) replaceLocked(id EntityID, old, e *Entity) {
+	was, is := g.count(old, -1), g.count(e, 1)
+	if e != nil {
+		g.entities.Set(g.owner, id, e)
+	} else {
+		g.entities.Delete(g.owner, id)
 	}
-	entities := make(map[EntityID]*Entity, len(g.entities))
-	for id, e := range g.entities {
-		entities[id] = e
-	}
-	g.entities = entities
-	byType := make(map[string]map[EntityID]bool, len(g.byType))
-	for typ, set := range g.byType {
-		cp := make(map[EntityID]bool, len(set))
-		for id := range set {
-			cp[id] = true
+	for _, typ := range was {
+		if !slices.Contains(is, typ) {
+			pmap.DeleteIn(g.owner, &g.byType, typ, id)
 		}
-		byType[typ] = cp
 	}
-	g.byType = byType
-	sources := make(map[string]int, len(g.sources))
-	for src, n := range g.sources {
-		sources[src] = n
-	}
-	g.sources = sources
-	g.shared = false
-}
-
-// addIndexLocked registers a freshly stored record in the type index and
-// monitoring counters.
-func (g *Graph) addIndexLocked(e *Entity) {
-	for _, typ := range e.Types() {
-		set := g.byType[typ]
-		if set == nil {
-			set = make(map[EntityID]bool)
-			g.byType[typ] = set
-		}
-		set[e.ID] = true
-	}
-	g.facts += len(e.Triples)
-	for _, t := range e.Triples {
-		for _, src := range t.Sources {
-			g.sources[src]++
+	for _, typ := range is {
+		if !slices.Contains(was, typ) {
+			pmap.SetIn(g.owner, &g.byType, typ, id, struct{}{})
 		}
 	}
 }
 
-// removeIndexLocked unregisters a record being replaced or deleted.
-func (g *Graph) removeIndexLocked(e *Entity) {
+// count adds sign times e's triples and their sources to the monitoring
+// counters and returns e's types; a nil e counts nothing.
+func (g *Graph) count(e *Entity, sign int) []string {
 	if e == nil {
-		return
+		return nil
 	}
-	for _, typ := range e.Types() {
-		if set := g.byType[typ]; set != nil {
-			delete(set, e.ID)
-			if len(set) == 0 {
-				delete(g.byType, typ)
-			}
-		}
-	}
-	g.facts -= len(e.Triples)
+	g.facts += sign * len(e.Triples)
 	for _, t := range e.Triples {
 		for _, src := range t.Sources {
-			if g.sources[src] <= 1 {
+			if g.sources[src] += sign; g.sources[src] == 0 {
 				delete(g.sources, src)
-			} else {
-				g.sources[src]--
 			}
 		}
 	}
-}
-
-// invalidateTypeCache drops the cached sorted ID slices for every type the
-// old and new records carry. Called after the graph lock is released, so the
-// lock order is always typeMu -> mu, never the reverse.
-func (g *Graph) invalidateTypeCache(old, new *Entity) {
-	g.typeMu.Lock()
-	if len(g.typeCache) > 0 {
-		if old != nil {
-			for _, typ := range old.Types() {
-				delete(g.typeCache, typ)
-			}
-		}
-		if new != nil {
-			for _, typ := range new.Types() {
-				delete(g.typeCache, typ)
-			}
-		}
-	}
-	g.typeMu.Unlock()
+	return e.Types()
 }
 
 // Len returns the number of entities in the graph.
 func (g *Graph) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.entities)
+	return g.entities.Len()
 }
 
 // FactCount returns the total number of triples in the graph. The counter is
@@ -183,7 +122,7 @@ func (g *Graph) SeedIDs() {
 	var maxSeq uint64
 	prefix := KGNamespace + "E"
 	g.mu.RLock()
-	for id := range g.entities {
+	for id := range g.entities.All() {
 		sid := string(id)
 		if len(sid) <= len(prefix) || sid[:len(prefix)] != prefix {
 			continue
@@ -224,7 +163,7 @@ func (g *Graph) Get(id EntityID) *Entity {
 // docs/INVARIANTS.md#cow-shared-records.
 func (g *Graph) GetShared(id EntityID) *Entity {
 	g.mu.RLock()
-	e := g.entities[id]
+	e, _ := g.entities.Get(id)
 	g.mu.RUnlock()
 	return e
 }
@@ -232,7 +171,7 @@ func (g *Graph) GetShared(id EntityID) *Entity {
 // Has reports whether the entity exists.
 func (g *Graph) Has(id EntityID) bool {
 	g.mu.RLock()
-	_, ok := g.entities[id]
+	_, ok := g.entities.Get(id)
 	g.mu.RUnlock()
 	return ok
 }
@@ -252,75 +191,41 @@ func (g *Graph) Put(e *Entity) { g.PutOwned(e.Clone()) }
 //saga:owns ownership of a freshly decoded, never-published record moves to the graph (docs/INVARIANTS.md#cow-shared-records)
 func (g *Graph) PutOwned(e *Entity) {
 	g.mu.Lock()
-	g.ensureOwnedLocked()
-	old := g.entities[e.ID]
-	g.removeIndexLocked(old)
-	g.entities[e.ID] = e
-	g.addIndexLocked(e)
+	old, _ := g.entities.Get(e.ID)
+	g.replaceLocked(e.ID, old, e)
 	g.mu.Unlock()
-	g.invalidateTypeCache(old, e)
 }
 
 // Delete removes an entity, reporting whether it existed.
 func (g *Graph) Delete(id EntityID) bool {
 	g.mu.Lock()
-	old, ok := g.entities[id]
-	if !ok {
-		g.mu.Unlock()
-		return false
-	}
-	g.ensureOwnedLocked()
-	g.removeIndexLocked(old)
-	delete(g.entities, id)
-	g.mu.Unlock()
-	g.invalidateTypeCache(old, nil)
-	return true
+	defer g.mu.Unlock()
+	old, ok := g.entities.Get(id)
+	g.replaceLocked(id, old, nil)
+	return ok
 }
 
 // IDs returns all entity IDs in sorted order.
 func (g *Graph) IDs() []EntityID {
 	g.mu.RLock()
-	out := make([]EntityID, 0, len(g.entities))
-	for id := range g.entities {
-		out = append(out, id)
-	}
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	defer g.mu.RUnlock()
+	return g.entities.Keys()
 }
 
 // IDsByType returns the IDs of entities carrying the given ontology type, in
 // sorted order. Linking extracts its per-type KG views through this index.
-// The sorted slice is cached per type and invalidated on any write touching
-// the type, so repeated probes (prepareDelta runs one per delta) skip the
-// re-sort.
 func (g *Graph) IDsByType(typ string) []EntityID {
-	g.typeMu.Lock()
-	defer g.typeMu.Unlock()
-	if cached, ok := g.typeCache[typ]; ok {
-		return append([]EntityID(nil), cached...)
-	}
 	g.mu.RLock()
-	out := make([]EntityID, 0, len(g.byType[typ]))
-	for id := range g.byType[typ] {
-		out = append(out, id)
-	}
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	g.typeCache[typ] = out
-	return append([]EntityID(nil), out...)
+	defer g.mu.RUnlock()
+	set, _ := g.byType.Get(typ)
+	return set.Keys()
 }
 
 // Types returns the distinct entity types present in the graph, sorted.
 func (g *Graph) Types() []string {
 	g.mu.RLock()
-	out := make([]string, 0, len(g.byType))
-	for t := range g.byType {
-		out = append(out, t)
-	}
-	g.mu.RUnlock()
-	sort.Strings(out)
-	return out
+	defer g.mu.RUnlock()
+	return g.byType.Keys()
 }
 
 // Range calls fn for every entity until fn returns false. The callback
@@ -328,7 +233,7 @@ func (g *Graph) Types() []string {
 // cmd/saga-vet enforces this; see docs/INVARIANTS.md#cow-shared-records);
 // unlike the pre-COW implementation no lock is held while fn runs, so fn may
 // freely call back into the graph. The iteration visits the entities present
-// at the call; writes that land while fn runs are not observed.
+// at the call, in ID order; writes that land while fn runs are not observed.
 func (g *Graph) Range(fn func(*Entity) bool) { g.RangeShared(fn) }
 
 // RangeShared iterates the stored immutable entity records without cloning:
@@ -338,17 +243,11 @@ func (g *Graph) Range(fn func(*Entity) bool) { g.RangeShared(fn) }
 // sharedmut analyzer (cmd/saga-vet) machine-checks callers; see
 // docs/INVARIANTS.md#cow-shared-records. fn runs without any graph lock held.
 func (g *Graph) RangeShared(fn func(*Entity) bool) {
-	g.mu.RLock()
-	batch := make([]*Entity, 0, len(g.entities))
-	for _, e := range g.entities {
-		batch = append(batch, e)
-	}
-	g.mu.RUnlock()
-	for _, e := range batch {
-		if !fn(e) {
-			return
-		}
-	}
+	g.mu.Lock()
+	entities := g.entities
+	g.owner = new(pmap.Owner) // freezes entities while fn runs unlocked
+	g.mu.Unlock()
+	entities.All()(func(_ EntityID, e *Entity) bool { return fn(e) })
 }
 
 // Update applies fn to a copy of the entity with the given ID (creating an
@@ -367,45 +266,35 @@ func (g *Graph) Update(id EntityID, fn func(*Entity)) {
 // when it is absent).
 func (g *Graph) Edit(id EntityID, extra int, fn func(*Entity) bool) {
 	g.mu.Lock()
-	g.ensureOwnedLocked()
-	old := g.entities[id]
+	old, _ := g.entities.Get(id)
 	e := NewEntity(id)
 	if old != nil {
 		e = old.cloneCap(extra)
 	} else if extra > 0 {
 		e.Triples = make([]Triple, 0, extra)
 	}
-	keep := fn(e)
-	g.removeIndexLocked(old)
-	if keep {
-		g.entities[id] = e
-		g.addIndexLocked(e)
-	} else {
-		delete(g.entities, id)
+	if !fn(e) {
 		e = nil
 	}
+	g.replaceLocked(id, old, e)
 	g.mu.Unlock()
-	g.invalidateTypeCache(old, e)
 }
 
 // Snapshot returns a frozen, independent copy of the whole graph in O(1)
-// time: the maps are marked shared and aliased into the snapshot, and the
-// first subsequent write — on either the live graph or the snapshot — copies
-// them. The flip happens under the write lock, so the snapshot is a
-// consistent cut even while writers run concurrently. View materialization
-// and NERD refreshes take one per run; the commit loop never stalls behind
-// an O(|KG|) deep copy at the cut itself.
+// time: it takes the trees' headers, and both sides write under fresh owners
+// from then on, so the first write on either side copies only its path. The
+// capture happens under the write lock, so the snapshot is a consistent cut
+// even while writers run concurrently.
 func (g *Graph) Snapshot() *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.shared = true
+	g.owner = new(pmap.Owner)
 	out := &Graph{
-		entities:  g.entities,
-		byType:    g.byType,
-		sources:   g.sources,
-		facts:     g.facts,
-		shared:    true,
-		typeCache: make(map[string][]EntityID),
+		owner:    new(pmap.Owner),
+		entities: g.entities,
+		byType:   g.byType,
+		sources:  maps.Clone(g.sources),
+		facts:    g.facts,
 	}
 	out.nextID.Store(g.nextID.Load())
 	return out
@@ -437,9 +326,9 @@ func (g *Graph) Stats() Stats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return Stats{
-		Entities: len(g.entities),
+		Entities: g.entities.Len(),
 		Facts:    g.facts,
-		Types:    len(g.byType),
+		Types:    g.byType.Len(),
 		Sources:  len(g.sources),
 	}
 }

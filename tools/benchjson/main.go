@@ -95,6 +95,14 @@ var gates = []Gate{
 	// stable-view load with 8 records replaced and every boost shifted.
 	{Bench: "LoadStableView", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "LoadStableView", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	// And on a streaming write to the live store: one Put, then a snapshot,
+	// at three store sizes, so a write that copies more than its path fails.
+	{Bench: "PutSnapshot/570", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "PutSnapshot/570", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	{Bench: "PutSnapshot/5700", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "PutSnapshot/5700", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	{Bench: "PutSnapshot/57000", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "PutSnapshot/57000", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	// And on the construction commit path (internal/construct): one
 	// link_quiet-shaped batch, each touched KG entity copied once.
 	{Bench: "CommitBatch", Metric: "B/op", Higher: false, Threshold: 0.10},
