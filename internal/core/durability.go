@@ -174,8 +174,9 @@ func (p *Platform) recover() error {
 // checkpoint store — captures the graph and link replicas (now exactly the
 // replay of ops ≤ W) into one atomic checkpoint file at watermark
 // W = LastLSN. Afterwards it advances the compaction floor to the previous
-// checkpoint's watermark and triggers background compaction when the prefix
-// has grown past the configured threshold.
+// checkpoint's watermark and triggers background compaction when the ops
+// between the last compaction's watermark and the floor have grown past the
+// configured threshold.
 //
 // It runs inside publishGroup — on the feed's publisher, the log's only
 // appender — so no publish advances the log between the CatchUp and the save.
@@ -209,7 +210,10 @@ func (p *Platform) runCheckpoint() (uint64, error) {
 	p.durStats.LastCheckpointLSN = w
 	floor := p.prevCkptLSN
 	p.prevCkptLSN = w
-	compact := p.compactAfter > 0 && floor > 0 && p.Engine.Log.PrefixLen(floor) >= p.compactAfter
+	// Only ops past this session's last compaction count: the prefix below
+	// its watermark is already conflated, and rewriting it sheds nothing.
+	fresh := p.Engine.Log.PrefixLen(floor) - p.Engine.Log.PrefixLen(p.durStats.LastCompaction.Watermark)
+	compact := p.compactAfter > 0 && floor > 0 && fresh >= p.compactAfter
 	p.durMu.Unlock()
 	if compact {
 		p.triggerCompact(floor)

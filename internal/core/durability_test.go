@@ -499,6 +499,70 @@ func TestPeriodicCheckpointAndCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionCountsOnlyUncompactedOps: the background compactor runs
+// exactly when the prefix at or below the compaction floor holds at least
+// CompactAfter ops past the last compaction's watermark. An overwrite stream
+// that rotates over six entity groups leaves a conflated prefix of several
+// ops; counting those again would compact at every checkpoint, rewriting the
+// whole prefix to shed one batch's ops. The test takes the compactor's
+// trigger channel and runs each compaction synchronously, so every
+// checkpoint's decision is observed against settled state.
+func TestCompactionCountsOnlyUncompactedOps(t *testing.T) {
+	const compactAfter = 4
+	p := newTestPlatform(t, Options{Durability: DurabilityOptions{Dir: t.TempDir(), CheckpointEvery: 1, CompactAfter: compactAfter}})
+	// One empty compaction proves the background compactor is ranging over
+	// its channel before the test swaps the field.
+	p.triggerCompact(0)
+	for deadline := time.Now().Add(5 * time.Second); p.DurabilityStats().Compactions == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("background compactor never ran")
+		}
+	}
+	trig := make(chan uint64, 1)
+	p.compactMu.Lock()
+	orig := p.compactTrig
+	p.compactTrig = trig
+	p.compactMu.Unlock()
+	t.Cleanup(func() { // runs before Close, which stops the original compactor
+		p.compactMu.Lock()
+		p.compactTrig = orig
+		p.compactMu.Unlock()
+	})
+	var (
+		compactions int
+		compacted   uint64 // last compaction's watermark
+	)
+	for r := 0; r < 30; r++ {
+		// A checkpoint compacts through the floor the one before it set.
+		floor := p.DurabilityStats().CompactionFloor
+		spec := workload.SourceSpec{Name: "src", Count: 4, Offset: (r % 6) * 4, RichFacts: 2, Seed: int64(r + 1)}
+		if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Updated: spec.Entities()}}); err != nil {
+			t.Fatal(err)
+		}
+		fresh := p.Engine.Log.PrefixLen(floor) - p.Engine.Log.PrefixLen(compacted)
+		select {
+		case w := <-trig:
+			if w != floor || fresh < compactAfter {
+				t.Fatalf("batch %d: compaction through %d with %d ops past the last one's watermark %d, want floor %d and >= %d ops",
+					r, w, fresh, compacted, floor, compactAfter)
+			}
+			stats, err := p.compactThrough(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compactions++
+			compacted = stats.Watermark
+		default:
+			if floor > 0 && fresh >= compactAfter {
+				t.Fatalf("batch %d: no compaction with %d ops past the last one's watermark %d", r, fresh, compacted)
+			}
+		}
+	}
+	if compactions < 3 {
+		t.Fatalf("%d compactions, want the stream to take several", compactions)
+	}
+}
+
 // TestCloseWithInFlightFeedAndCompaction: Close while the feed still has
 // unpublished backlog and the background compactor may be mid-run must settle
 // everything in order — every submitted batch commits and publishes, and the

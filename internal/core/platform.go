@@ -73,8 +73,9 @@ type DurabilityOptions struct {
 	CheckpointEvery int
 	// CompactAfter triggers background log compaction once the prefix at or
 	// below the compaction floor (the penultimate checkpoint watermark)
-	// holds at least this many ops. 0 disables automatic compaction;
-	// explicit Compact calls still work.
+	// holds at least this many ops past the watermark of this session's
+	// last successful compaction (ops below it are already conflated). 0
+	// disables automatic compaction; explicit Compact calls still work.
 	CompactAfter int
 }
 

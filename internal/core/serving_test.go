@@ -95,10 +95,10 @@ func TestRefreshServingMatchesFullReload(t *testing.T) {
 }
 
 // TestRefreshServingSharesReplicaRecords is the census of resident records:
-// after a refresh the live store holds the replica's record itself for every
-// stable entity, so the construction KG, the replica and the live store hold
-// two distinct records per entity between them (the KG's, and the one the
-// replica decoded from the log).
+// publishing hands the KG's records to the replica, and after a refresh the
+// live store holds the replica's record itself for every stable entity, so
+// the construction KG, the replica and the live store hold one record per
+// entity between them.
 func TestRefreshServingSharesReplicaRecords(t *testing.T) {
 	p := newTestPlatform(t, Options{})
 	for _, b := range churnStream(3, 2, 6) {
@@ -120,8 +120,8 @@ func TestRefreshServingSharesReplicaRecords(t *testing.T) {
 		if p.Live.Current().GetShared(id) != p.GraphReplica.GetShared(id) {
 			t.Fatalf("%s: the live store holds a copy of the replica's record", id)
 		}
-		if len(records) != 2 {
-			t.Fatalf("%s: %d distinct resident records, want 2", id, len(records))
+		if len(records) != 1 {
+			t.Fatalf("%s: %d distinct resident records, want 1", id, len(records))
 		}
 	}
 }

@@ -104,7 +104,8 @@ func (a EntityStoreAgent) Apply(op oplog.Op, p Payload) error {
 // "current KG" the serving refresh, NERD builds and checkpoints read. Readers
 // take copy-on-write snapshots of this replica — O(1), so reads neither
 // deep-copy the KG nor block replay — or read entities through the replica's
-// clone-free shared paths (the records are immutable after Put).
+// clone-free shared paths (the records are immutable after Put). Outside
+// recovery it installs the publisher's records: the KG's own.
 type GraphAgent struct {
 	Graph *triple.Graph
 }
@@ -112,10 +113,9 @@ type GraphAgent struct {
 // Name implements Agent.
 func (GraphAgent) Name() string { return "graph-replica" }
 
-// Apply implements Agent. Replayed entities are installed as they are: the
-// replay decoded them for its agents alone and none of them writes to one
-// (Payload's contract), so the replica's frozen record can be the decoded
-// one instead of a clone of it.
+// Apply implements Agent. Replayed entities are installed as they are: they
+// are frozen and no agent writes to one (Payload's contract), so the
+// replica's record can be the payload's own instead of a clone of it.
 func (a GraphAgent) Apply(op oplog.Op, p Payload) error {
 	switch op.Kind {
 	case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:

@@ -58,8 +58,10 @@ func BenchmarkEncodeCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkCatchUp replays one published op of 8 entities into the store
-// agents core registers, the unit of work behind every publish group.
+// BenchmarkCatchUp replays one just-published op of 8 entities into the
+// store agents core registers, the unit of work behind every publish group:
+// the hand-over of the op's records, with no staging read and no decode.
+// BenchmarkDecodeEntities gates the decode path recovery uses.
 func BenchmarkCatchUp(b *testing.B) {
 	e := New(oplog.NewVolatile())
 	e.RegisterAgent(EntityStoreAgent{Store: entitystore.New()})

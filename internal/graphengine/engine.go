@@ -87,19 +87,22 @@ type Agent interface {
 	Apply(op oplog.Op, p Payload) error
 }
 
-// Payload is an operation's staged payload as replay hands it to agents.
-// It is decoded once per replay and shared by every agent, so it is
-// read-only: an agent may retain the entities and hand them to a store that
-// takes ownership without copying (Graph.PutOwned), but must not mutate
-// them; record bytes alias the staged blob and must be copied to be kept.
+// Payload is an operation's staged payload as replay hands it to agents:
+// the records PublishOp was given and the frames it encoded them into, or,
+// for an op published before the previous CatchUp began (recovery, a late
+// agent, an agent that stopped on an error), the same decoded from staging.
+// Either way it is shared by every agent, so it is read-only: an agent may
+// retain the entities and hand them to a store that takes ownership without
+// copying (Graph.PutOwned), but must not mutate them; record bytes alias a
+// staged payload and must be copied to be kept.
 // See docs/INVARIANTS.md#cow-shared-records.
 type Payload struct {
-	// Entities are the decoded entities, in payload order (entity i is
+	// Entities are the op's entities, in payload order (entity i is
 	// op.EntityIDs[i]; docs/INVARIANTS.md#payload-frame-alignment).
 	Entities []*triple.Entity
-	// Records[i] is the canonical binary encoding Entities[i] was decoded
-	// from, for stores that keep entities encoded. Nil when the payload did
-	// not come off the log (Restore's checkpoint entities).
+	// Records[i] is the canonical binary encoding of Entities[i], for
+	// stores that keep entities encoded. Nil when the payload did not come
+	// off the log (Restore's checkpoint entities).
 	Records [][]byte
 }
 
@@ -172,6 +175,11 @@ type Engine struct {
 	// catchupMu serializes CatchUp: agent Apply methods and the per-agent
 	// LSN bookkeeping assume one replayer at a time.
 	catchupMu sync.Mutex
+
+	// handed holds the payloads PublishOp appended since the last CatchUp
+	// began, by staging key (a compaction's rewritten op has a new one).
+	handMu sync.Mutex
+	handed map[string]Payload
 }
 
 // New constructs an engine over the given log with in-memory staging.
@@ -218,7 +226,12 @@ func (e *Engine) Publish(kind oplog.OpKind, source string, entities []*triple.En
 // may already carry link deltas or other metadata), appends it to the log,
 // and returns the assigned LSN. The op's StagingKey, EntityIDs, LSN, and
 // Time are filled here; everything else passes through.
+//
+// The entities are frozen from the call on: the next CatchUp hands these
+// very records to every agent (Payload's terms). The platform passes KG
+// records read through GetShared, which copy-on-write already freezes.
 func (e *Engine) PublishOp(op oplog.Op, entities []*triple.Entity) (uint64, error) {
+	var handed Payload
 	if len(entities) > 0 {
 		payload, err := encodeEntities(entities)
 		if err != nil {
@@ -233,10 +246,22 @@ func (e *Engine) PublishOp(op oplog.Op, entities []*triple.Entity) (uint64, erro
 		for _, ent := range entities {
 			op.EntityIDs = append(op.EntityIDs, ent.ID)
 		}
+		handed = Payload{Entities: entities, Records: make([][]byte, len(entities))}
+		for i := range handed.Records {
+			handed.Records[i], payload, _ = triple.NextRecord(payload) // the frames just encoded
+		}
 	}
 	lsn, err := e.Log.Append(op)
 	if err != nil {
 		return 0, fmt.Errorf("graphengine: append op: %w", err)
+	}
+	if handed.Entities != nil {
+		e.handMu.Lock()
+		if e.handed == nil {
+			e.handed = make(map[string]Payload)
+		}
+		e.handed[op.StagingKey] = handed
+		e.handMu.Unlock()
 	}
 	return lsn, nil
 }
@@ -248,11 +273,13 @@ func (e *Engine) PublishDelete(source string, ids []triple.EntityID) (uint64, er
 
 // CatchUp replays pending operations into every agent, on the caller's
 // goroutine, and advances each agent's LSN in the metadata store. Replay is
-// one op-major loop over the log suffix past the slowest agent: each op's
-// staged payload is decoded at most once — and only if some live agent still
-// needs it — and then applied to each such agent in registration order. The
-// decoded payload is private to this replay and read-only for every agent,
-// so sharing it (and letting an agent keep it) is safe.
+// one op-major loop over the log suffix past the slowest agent, applying
+// each op to every agent that needs it in registration order. An op
+// published since the last CatchUp began goes to the agents with the
+// payload PublishOp kept; any other op's staged payload is read and decoded
+// at most once, and only if some live agent still needs it. Payloads kept
+// for ops no agent needs are dropped. Either payload is read-only for every
+// agent, so sharing it (and letting an agent keep it) is safe.
 //
 // Error isolation is per agent: an agent that fails stops at its recorded
 // LSN (and resumes from there on the next CatchUp, so transient store errors
@@ -265,6 +292,11 @@ func (e *Engine) PublishDelete(source string, ids []triple.EntityID) (uint64, er
 func (e *Engine) CatchUp() error {
 	e.catchupMu.Lock()
 	defer e.catchupMu.Unlock()
+	// Taken before the log is read: every op handed here is in the read.
+	e.handMu.Lock()
+	handed := e.handed
+	e.handed = nil
+	e.handMu.Unlock()
 	e.mu.RLock()
 	agents := append([]Agent(nil), e.agents...)
 	e.mu.RUnlock()
@@ -279,19 +311,19 @@ func (e *Engine) CatchUp() error {
 	var firstErr error
 	for _, op := range e.Log.Read(slices.Min(from), 0) {
 		var (
-			p         Payload
-			decodeErr error
-			decoded   bool
+			p       Payload
+			loadErr error
+			loaded  bool
 		)
 		for i, a := range agents {
 			if stopped[i] || from[i] >= op.LSN {
 				continue
 			}
-			if !decoded {
-				p, decodeErr = e.payloadOf(op)
-				decoded = true
+			if !loaded {
+				p, loadErr = e.payloadOf(op, handed)
+				loaded = true
 			}
-			err := decodeErr
+			err := loadErr
 			if err == nil {
 				err = a.Apply(op, p)
 			}
@@ -308,9 +340,11 @@ func (e *Engine) CatchUp() error {
 	return firstErr
 }
 
-func (e *Engine) payloadOf(op oplog.Op) (Payload, error) {
-	if op.StagingKey == "" {
-		return Payload{}, nil
+// payloadOf returns op's payload: the one handed over when there is one,
+// else the staged payload, read and decoded.
+func (e *Engine) payloadOf(op oplog.Op, handed map[string]Payload) (Payload, error) {
+	if p, ok := handed[op.StagingKey]; ok || op.StagingKey == "" {
+		return p, nil
 	}
 	payload, ok := e.Staging.Get(op.StagingKey)
 	if !ok {
@@ -326,7 +360,7 @@ func (e *Engine) payloadOf(op oplog.Op) (Payload, error) {
 // through CatchUp).
 func (e *Engine) Replay(after uint64, fn func(op oplog.Op, p Payload) error) error {
 	for _, op := range e.Log.Read(after, 0) {
-		p, err := e.payloadOf(op)
+		p, err := e.payloadOf(op, nil)
 		if err != nil {
 			return fmt.Errorf("graphengine: replay lsn %d: %w", op.LSN, err)
 		}

@@ -257,9 +257,10 @@ func (s *countingStore) Get(key string) ([]byte, bool) {
 	return s.ObjectStore.Get(key)
 }
 
-// TestCatchUpDecodesEachOpOnce: replay reads (and decodes) an op's staged
-// payload once however many agents apply it, and not at all when every agent
-// is already past the op.
+// TestCatchUpDecodesEachOpOnce: replay hands a just-published op's payload
+// to the agents without reading staging, reads nothing when every agent is
+// already past the op, and reads (and decodes) an older op's staged payload
+// once however many agents apply it.
 func TestCatchUpDecodesEachOpOnce(t *testing.T) {
 	staging := &countingStore{ObjectStore: NewObjectStore()}
 	e := NewWithStaging(oplog.NewVolatile(), staging)
@@ -285,13 +286,13 @@ func TestCatchUpDecodesEachOpOnce(t *testing.T) {
 	}
 	const n = 10
 	publish(n)
-	catchUp(n)
-	catchUp(n) // every agent is past every op
-	// A late agent needs the whole log, the others only the new op: each op
-	// is still read once.
+	catchUp(0)
+	catchUp(0) // every agent is past every op
+	// A late agent needs the whole log, the others only the new op: the new
+	// op is handed over, each older op is read once.
 	e.RegisterAgent(FuncAgent{AgentName: "late", Fn: func(oplog.Op, Payload) error { return nil }})
 	publish(1)
-	catchUp(n + n + 1)
+	catchUp(n)
 }
 
 func TestStagingRoundTrip(t *testing.T) {

@@ -184,11 +184,11 @@ func (g *Graph) Put(e *Entity) { g.PutOwned(e.Clone()) }
 // takes ownership, and from this call on the record is frozen like every
 // stored record — the caller may keep reading it (and may hand the same
 // pointer to other read-only holders, as log replay does with its agents)
-// but nobody may mutate it again. For records the caller has just built and
-// shared with no writer: the payloads log replay and checkpoint restore
-// decode. Everyone else uses Put.
+// but nobody may mutate it again. For records no writer holds: the payloads
+// log replay hands over (the publisher's frozen KG records, or records it
+// decoded) and checkpoint restore decodes. Everyone else uses Put.
 //
-//saga:owns ownership of a freshly decoded, never-published record moves to the graph (docs/INVARIANTS.md#cow-shared-records)
+//saga:owns a replayed record is frozen and no writer holds it, so the graph takes it as it is (docs/INVARIANTS.md#cow-shared-records)
 func (g *Graph) PutOwned(e *Entity) {
 	g.mu.Lock()
 	old, _ := g.entities.Get(e.ID)
