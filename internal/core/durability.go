@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"saga/internal/graphengine"
 	"saga/internal/oplog"
@@ -10,16 +9,18 @@ import (
 )
 
 // This file implements the platform's durability lifecycle: recovery at Open
-// (restore the latest checkpoint, replay only the log suffix), periodic
-// checkpoints taken on the feed's ordered publisher, and background log
-// compaction through the checkpoint floor.
+// (restore the latest checkpoint through the agents, replay only the log
+// suffix through CatchUp, start the KG as the recovered replica's
+// snapshot), periodic checkpoints taken on the feed's ordered publisher, and
+// background log compaction through the older of the two newest checkpoints.
 //
 // The consistency argument every piece leans on: a checkpoint is a pure
 // function of the operation log — it is captured from the graph replica and
 // the link replica immediately after a CatchUp, when both are exactly the
 // replay of every op at or below the watermark W = LastLSN. Restoring the
-// checkpoint and replaying ops past W therefore reconstructs the same state
-// as replaying the whole log, for the construction KG and for every store.
+// checkpoint and replaying ops past W through the same agents therefore
+// reconstructs the same state as replaying the whole log, for every store,
+// and the construction KG is a snapshot of one of them.
 // See docs/INVARIANTS.md#durability-and-recovery.
 
 // DurabilityStats reports the platform's recovery, checkpoint, and
@@ -92,13 +93,16 @@ func (p *Platform) snapshotLinkReplica() map[triple.EntityID]triple.EntityID {
 	return out
 }
 
-// recover restores the platform's state at Open: the latest decodable
-// checkpoint primes the construction KG, the link table, and every agent at
-// the checkpoint watermark, then only the log suffix past the watermark is
-// replayed — into the KG here, into the agents via the CatchUp below. With no
-// usable checkpoint it replays the whole log (which, after compaction, is
-// itself the conflated history — replay from genesis of a compacted log
-// produces the same state the uncompacted log did).
+// recover restores the platform's state at Open through the agents alone,
+// each logged op applied once: Restore hands the latest decodable checkpoint
+// — its entities with their frames, and its link table — to every agent as
+// one synthetic upsert at the watermark, and one CatchUp replays the log
+// suffix past it. With no usable checkpoint that CatchUp replays the whole
+// log (which, after compaction, is itself the conflated history — replay
+// from genesis of a compacted log produces the same state the uncompacted
+// log did). The construction KG then starts as an O(1) snapshot of the
+// recovered graph replica, sharing its tree and records, with a copy of the
+// recovered link table.
 //
 // The compaction floor restarts at zero: a checkpoint file older than the
 // recovered one may survive on disk, and compacting past it would strand it
@@ -108,64 +112,31 @@ func (p *Platform) recover() error {
 	var w uint64
 	if p.Checkpoints != nil {
 		if lsn, payload, ok := p.Checkpoints.Latest(); ok {
-			meta, entities, err := graphengine.DecodeCheckpoint(payload)
+			meta, restored, err := graphengine.DecodeCheckpoint(payload)
 			if err == nil && meta.LSN == lsn {
-				// The KG and the agents' stores share the decoded records:
-				// nothing has seen them yet and every holder only reads.
-				for _, e := range entities {
-					p.KG.Graph.PutOwned(e)
-				}
-				p.KG.RestoreLinks(meta.Links)
-				p.linkMu.Lock()
-				for src, tgt := range meta.Links {
-					p.linkReplica[src] = tgt
-				}
-				p.linkMu.Unlock()
-				if err := p.Engine.Restore(lsn, entities, nil); err != nil {
+				op := oplog.Op{LSN: lsn, Kind: oplog.OpUpsert, Source: "recovery", Links: meta.Links}
+				if err := p.Engine.Restore(op, restored); err != nil {
 					return fmt.Errorf("core: restore checkpoint at lsn %d: %w", lsn, err)
 				}
 				w = lsn
 				p.durStats.RecoveredLSN = lsn
-				p.durStats.RecoveredEntities = len(entities)
+				p.durStats.RecoveredEntities = len(restored.Entities)
 			}
 			// A payload that frames but does not decode is treated as absent:
-			// full replay below reconstructs the same state from the log.
+			// the CatchUp below replays the whole log instead.
 		}
 	}
-	replayed := 0
-	err := p.Engine.Replay(w, func(op oplog.Op, pl graphengine.Payload) error {
-		switch op.Kind {
-		case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
-			for _, e := range pl.Entities {
-				p.KG.Graph.PutOwned(e)
-			}
-		case oplog.OpDelete:
-			for _, id := range op.EntityIDs {
-				p.KG.Graph.Delete(id)
-			}
-		}
-		for src, tgt := range op.Links {
-			p.KG.Link(src, tgt)
-		}
-		for _, src := range op.Unlinks {
-			p.KG.Unlink(src)
-		}
-		replayed++
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("core: replay log suffix: %w", err)
-	}
-	p.durStats.ReplayedOps = replayed
-	// Restored entities carry minted kg: IDs; re-seed the ID counter so new
-	// mints never collide with recovered ones.
-	p.KG.Graph.SeedIDs()
-	// Agents replay the suffix themselves: restored agents advance from the
-	// watermark, volatile stores (memory backend) rebuild from whatever
-	// Restore primed plus the suffix.
+	p.durStats.ReplayedOps = p.Engine.Log.Len() - p.Engine.Log.PrefixLen(w)
 	if err := p.Engine.CatchUp(); err != nil {
 		return fmt.Errorf("core: recovery catch-up: %w", err)
 	}
+	p.KG.Graph = p.GraphReplica.Snapshot()
+	p.linkMu.Lock()
+	p.KG.RestoreLinks(p.linkReplica)
+	p.linkMu.Unlock()
+	// Restored entities carry minted kg: IDs; re-seed the ID counter so new
+	// mints never collide with recovered ones.
+	p.KG.Graph.SeedIDs()
 	return nil
 }
 
@@ -196,7 +167,6 @@ func (p *Platform) runCheckpoint() (uint64, error) {
 		entities = append(entities, e)
 		return true
 	})
-	sort.Slice(entities, func(i, j int) bool { return entities[i].ID < entities[j].ID })
 	meta := graphengine.CheckpointMeta{LSN: w, Links: p.snapshotLinkReplica()}
 	payload, err := graphengine.EncodeCheckpoint(meta, entities)
 	if err != nil {
@@ -207,9 +177,9 @@ func (p *Platform) runCheckpoint() (uint64, error) {
 	}
 	p.durMu.Lock()
 	p.durStats.Checkpoints++
+	floor := p.durStats.LastCheckpointLSN
+	p.prevCkptLSN = floor
 	p.durStats.LastCheckpointLSN = w
-	floor := p.prevCkptLSN
-	p.prevCkptLSN = w
 	// Only ops past this session's last compaction count: the prefix below
 	// its watermark is already conflated, and rewriting it sheds nothing.
 	fresh := p.Engine.Log.PrefixLen(floor) - p.Engine.Log.PrefixLen(p.durStats.LastCompaction.Watermark)

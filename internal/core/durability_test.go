@@ -533,8 +533,9 @@ func TestCompactionCountsOnlyUncompactedOps(t *testing.T) {
 		compacted   uint64 // last compaction's watermark
 	)
 	for r := 0; r < 30; r++ {
-		// A checkpoint compacts through the floor the one before it set.
-		floor := p.DurabilityStats().CompactionFloor
+		// A checkpoint compacts through the one before it: the newest
+		// watermark now is the floor this batch's checkpoint compacts through.
+		floor := p.DurabilityStats().LastCheckpointLSN
 		spec := workload.SourceSpec{Name: "src", Count: 4, Offset: (r % 6) * 4, RichFacts: 2, Seed: int64(r + 1)}
 		if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Updated: spec.Entities()}}); err != nil {
 			t.Fatal(err)
@@ -560,6 +561,122 @@ func TestCompactionCountsOnlyUncompactedOps(t *testing.T) {
 	}
 	if compactions < 3 {
 		t.Fatalf("%d compactions, want the stream to take several", compactions)
+	}
+}
+
+// TestCompactKeepsOlderCheckpointSound: an explicit Compact rewrites the log
+// only through the older of the two newest checkpoints. When the newest
+// checkpoint file is damaged, recovery falls back to the older one and
+// replays the log past it, and that suffix must still hold the delete taken
+// between the two: compacting through the newest checkpoint would elide the
+// delete's tombstone, and the deleted entity and its link would come back.
+func TestCompactKeepsOlderCheckpointSound(t *testing.T) {
+	for _, cfg := range durabilityConfigs() {
+		t.Run(cfg.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p, err := Open(durableOptions(cfg, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ents := workload.SourceSpec{Name: "src", Count: 12, RichFacts: 2, Seed: 1}.Entities()
+			if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Added: ents}}); err != nil {
+				t.Fatal(err)
+			}
+			older, err := p.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Deleted: []triple.EntityID{ents[0].ID}}}); err != nil {
+				t.Fatal(err)
+			}
+			newer, err := p.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := p.Compact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if floor := p.DurabilityStats().CompactionFloor; floor != older || stats.Watermark != older {
+				t.Errorf("compaction floor %d, compacted through %d; want the older checkpoint %d (newest %d)", floor, stats.Watermark, older, newer)
+			}
+			want := durableStateOf(t, p)
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			newest := filepath.Join(dir, "checkpoints", fmt.Sprintf("%020d.ckpt", newer))
+			b, err := os.ReadFile(newest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)/2] ^= 0xff
+			if err := os.WriteFile(newest, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(durableOptions(cfg, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := re.DurabilityStats().RecoveredLSN; got != older {
+				t.Fatalf("recovered from lsn %d, want the older checkpoint %d", got, older)
+			}
+			if got := durableStateOf(t, re); !reflect.DeepEqual(got, want) {
+				t.Errorf("recovery from the older checkpoint differs from pre-close state:\n  got:  kg=%d links=%d\n  want: kg=%d links=%d",
+					len(got.KG), len(got.Links), len(want.KG), len(want.Links))
+			}
+		})
+	}
+}
+
+// TestRecoveryDecodesEachPayloadOnce: recovery applies the checkpoint and
+// every suffix op to the agents once, and the construction KG starts as the
+// recovered replica's snapshot, so the KG and the replica hold one record
+// per entity, decoded once from the checkpoint or the log suffix.
+func TestRecoveryDecodesEachPayloadOnce(t *testing.T) {
+	for _, cfg := range durabilityConfigs() {
+		t.Run(cfg.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p, err := Open(durableOptions(cfg, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range durabilityBatches(6) {
+				if _, err := p.ConsumeDeltas(b); err != nil {
+					t.Fatal(err)
+				}
+				if i == 3 {
+					if _, err := p.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(durableOptions(cfg, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if st := re.DurabilityStats(); st.RecoveredEntities == 0 || st.ReplayedOps == 0 {
+				t.Fatalf("recovered %d checkpoint entities and %d suffix ops; want both", st.RecoveredEntities, st.ReplayedOps)
+			}
+			ids := re.KG.Graph.IDs()
+			if !reflect.DeepEqual(ids, re.GraphReplica.IDs()) {
+				t.Fatal("the recovered KG and replica hold different entities")
+			}
+			apart := 0
+			for _, id := range ids {
+				if re.KG.Graph.GetShared(id) != re.GraphReplica.GetShared(id) {
+					apart++
+				}
+			}
+			if apart > 0 {
+				t.Fatalf("%d of %d recovered entities have one record in the KG and another in the replica", apart, len(ids))
+			}
+		})
 	}
 }
 

@@ -152,9 +152,10 @@ type Platform struct {
 	linkReplica map[triple.EntityID]triple.EntityID
 
 	// Durability state (guarded by durMu). prevCkptLSN is the penultimate
-	// durable checkpoint watermark — the compaction floor: the log prefix at
-	// or below it may be rewritten, because every retained checkpoint is at
-	// least that fresh and recovery never replays below its checkpoint.
+	// durable checkpoint watermark (durStats.LastCheckpointLSN the newest) —
+	// the compaction floor: the log prefix at or below it may be rewritten,
+	// because every retained checkpoint is at least that fresh and recovery
+	// never replays below its checkpoint.
 	durMu        sync.Mutex
 	durStats     DurabilityStats
 	prevCkptLSN  uint64

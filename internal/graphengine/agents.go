@@ -61,7 +61,8 @@ func decodeEntities(payload []byte) (Payload, error) {
 	}
 }
 
-// EntityStoreAgent replays KG updates into the low-latency entity index.
+// EntityStoreAgent replays KG updates into the low-latency entity index,
+// storing each entity as the frame its payload carries; it never marshals.
 type EntityStoreAgent struct {
 	Store *entitystore.Store
 }
@@ -73,20 +74,15 @@ func (EntityStoreAgent) Name() string { return "entity-store" }
 // deletes remove them; checkpoints and unknown kinds are no-ops (agents must
 // tolerate new operation kinds for extensibility).
 //
-// The store keeps entities encoded, and the log's frames already are: a
-// replayed record goes to the KV as it is (the decoder accepts canonical
-// encodings only, so the bytes are what Put would marshal again).
+// The store keeps entities encoded, and the payload's frames already are —
+// a published op's, a staged one's or a restored checkpoint's: each record
+// goes to the KV as it is (the decoder accepts canonical encodings only, so
+// the bytes are what Put would marshal again).
 func (a EntityStoreAgent) Apply(op oplog.Op, p Payload) error {
 	switch op.Kind {
 	case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
 		for i, e := range p.Entities {
-			var err error
-			if p.Records != nil {
-				err = a.Store.PutEncoded(e.ID, p.Records[i])
-			} else {
-				err = a.Store.Put(e)
-			}
-			if err != nil {
+			if err := a.Store.PutEncoded(e.ID, p.Records[i]); err != nil {
 				return err
 			}
 		}
@@ -104,8 +100,9 @@ func (a EntityStoreAgent) Apply(op oplog.Op, p Payload) error {
 // "current KG" the serving refresh, NERD builds and checkpoints read. Readers
 // take copy-on-write snapshots of this replica — O(1), so reads neither
 // deep-copy the KG nor block replay — or read entities through the replica's
-// clone-free shared paths (the records are immutable after Put). Outside
-// recovery it installs the publisher's records: the KG's own.
+// clone-free shared paths (the records are immutable after Put). It installs
+// the records it is handed: a published op's are the KG's own, and recovery
+// rebuilds this replica first and starts the KG as its snapshot.
 type GraphAgent struct {
 	Graph *triple.Graph
 }

@@ -37,21 +37,23 @@ func EncodeCheckpoint(meta CheckpointMeta, entities []*triple.Entity) ([]byte, e
 	return buf, nil
 }
 
-// DecodeCheckpoint parses a checkpoint payload back into its meta and
-// entities. Any framing or decoding error fails the whole checkpoint —
-// recovery treats it as absent rather than restoring partial state.
-func DecodeCheckpoint(payload []byte) (CheckpointMeta, []*triple.Entity, error) {
+// DecodeCheckpoint parses a checkpoint payload back into its meta and its
+// entities with their frames: the Payload recovery restores through the
+// agents, its records sub-slices of payload. Any framing or decoding error
+// fails the whole checkpoint — recovery treats it as absent rather than
+// restoring partial state.
+func DecodeCheckpoint(payload []byte) (CheckpointMeta, Payload, error) {
 	hdr, rest, err := triple.NextRecord(payload)
 	if err != nil {
-		return CheckpointMeta{}, nil, fmt.Errorf("graphengine: read checkpoint meta: %w", err)
+		return CheckpointMeta{}, Payload{}, fmt.Errorf("graphengine: read checkpoint meta: %w", err)
 	}
 	var meta CheckpointMeta
 	if err := json.Unmarshal(hdr, &meta); err != nil {
-		return CheckpointMeta{}, nil, fmt.Errorf("graphengine: decode checkpoint meta: %w", err)
+		return CheckpointMeta{}, Payload{}, fmt.Errorf("graphengine: decode checkpoint meta: %w", err)
 	}
 	p, err := decodeEntities(rest)
 	if err != nil {
-		return CheckpointMeta{}, nil, fmt.Errorf("graphengine: checkpoint entity: %w", err)
+		return CheckpointMeta{}, Payload{}, fmt.Errorf("graphengine: checkpoint entity: %w", err)
 	}
-	return meta, p.Entities, nil
+	return meta, p, nil
 }

@@ -226,7 +226,7 @@ func TestCompactThroughFrameIdentity(t *testing.T) {
 	if _, err := e.Publish(oplog.OpUpsert, "src00", []*triple.Entity{person("kg:A", 4)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PublishDelete("src00", []triple.EntityID{"kg:H"}); err != nil {
+	if _, err := e.PublishOp(oplog.Op{Kind: oplog.OpDelete, Source: "src00", EntityIDs: []triple.EntityID{"kg:H"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.CatchUp(); err != nil {

@@ -90,19 +90,19 @@ type Agent interface {
 // Payload is an operation's staged payload as replay hands it to agents:
 // the records PublishOp was given and the frames it encoded them into, or,
 // for an op published before the previous CatchUp began (recovery, a late
-// agent, an agent that stopped on an error), the same decoded from staging.
-// Either way it is shared by every agent, so it is read-only: an agent may
-// retain the entities and hand them to a store that takes ownership without
+// agent, an agent that stopped on an error), the same decoded from staging;
+// for Restore's synthetic op, the checkpoint's entities and frames. Either
+// way it is shared by every agent, so it is read-only: an agent may retain
+// the entities and hand them to a store that takes ownership without
 // copying (Graph.PutOwned), but must not mutate them; record bytes alias a
-// staged payload and must be copied to be kept.
+// staged payload or a checkpoint and must be copied to be kept.
 // See docs/INVARIANTS.md#cow-shared-records.
 type Payload struct {
 	// Entities are the op's entities, in payload order (entity i is
 	// op.EntityIDs[i]; docs/INVARIANTS.md#payload-frame-alignment).
 	Entities []*triple.Entity
 	// Records[i] is the canonical binary encoding of Entities[i], for
-	// stores that keep entities encoded. Nil when the payload did not come
-	// off the log (Restore's checkpoint entities).
+	// stores that keep entities encoded; set whenever Entities is.
 	Records [][]byte
 }
 
@@ -151,7 +151,7 @@ func (m *MetadataStore) MinLSN() uint64 {
 // polystore coordinator.
 //
 // Publish ordering contract: operations take effect in LSN order, and LSNs
-// are assigned in Publish/PublishDelete call order (the log serializes
+// are assigned in Publish/PublishOp call order (the log serializes
 // appends). The engine does not reorder or deduplicate — whoever calls
 // Publish concurrently gets whatever interleaving the log's lock produced.
 // The platform therefore routes every publish through a single producer at a
@@ -266,11 +266,6 @@ func (e *Engine) PublishOp(op oplog.Op, entities []*triple.Entity) (uint64, erro
 	return lsn, nil
 }
 
-// PublishDelete appends a delete operation for the given entities.
-func (e *Engine) PublishDelete(source string, ids []triple.EntityID) (uint64, error) {
-	return e.Log.Append(oplog.Op{Kind: oplog.OpDelete, Source: source, EntityIDs: ids})
-}
-
 // CatchUp replays pending operations into every agent, on the caller's
 // goroutine, and advances each agent's LSN in the metadata store. Replay is
 // one op-major loop over the log suffix past the slowest agent, applying
@@ -353,56 +348,30 @@ func (e *Engine) payloadOf(op oplog.Op, handed map[string]Payload) (Payload, err
 	return decodeEntities(payload)
 }
 
-// Replay streams every op with LSN > after to fn, decoding each staged
-// payload once; fn is the payload's only holder, under the same terms as an
-// agent's Apply. Recovery uses it to re-apply the log suffix past a
-// checkpoint watermark into the construction KG (agents replay separately,
-// through CatchUp).
-func (e *Engine) Replay(after uint64, fn func(op oplog.Op, p Payload) error) error {
-	for _, op := range e.Log.Read(after, 0) {
-		p, err := e.payloadOf(op, nil)
-		if err != nil {
-			return fmt.Errorf("graphengine: replay lsn %d: %w", op.LSN, err)
-		}
-		if err := fn(op, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Restore primes every registered agent with checkpoint state instead of a
-// from-zero replay: each agent applies the restored entities as one synthetic
-// upsert, deletes any stale keys (entities a durable store retains that the
-// checkpoint does not — e.g. a delete op at or below the watermark that the
-// store had not yet applied when the process died), and has its LSN pinned
-// to the watermark so the next CatchUp replays only the suffix. The entities
-// are shared by every agent under Payload's terms (read-only, retainable).
+// from-zero replay. op is the checkpoint as one synthetic upsert: its LSN is
+// the watermark, its Links the link table there, and p the checkpoint's
+// entities with their frames (op.EntityIDs is filled here, in payload
+// order). Every agent applies op as it would a logged upsert and has its
+// LSN pinned to the watermark, so the next CatchUp replays only the suffix.
+// p is shared by every agent under Payload's terms (read-only, retainable).
 // Callers invoke Restore once, after registering agents and before the first
 // CatchUp.
-func (e *Engine) Restore(w uint64, entities []*triple.Entity, stale []triple.EntityID) error {
+func (e *Engine) Restore(op oplog.Op, p Payload) error {
 	e.catchupMu.Lock()
 	defer e.catchupMu.Unlock()
 	e.mu.RLock()
 	agents := append([]Agent(nil), e.agents...)
 	e.mu.RUnlock()
-	upsert := oplog.Op{LSN: w, Kind: oplog.OpUpsert, Source: "recovery", EntityIDs: make([]triple.EntityID, len(entities))}
-	for i, ent := range entities {
-		upsert.EntityIDs[i] = ent.ID
+	op.EntityIDs = make([]triple.EntityID, len(p.Entities))
+	for i, ent := range p.Entities {
+		op.EntityIDs[i] = ent.ID
 	}
 	for _, a := range agents {
-		if len(entities) > 0 {
-			if err := a.Apply(upsert, Payload{Entities: entities}); err != nil {
-				return fmt.Errorf("graphengine: restore agent %s: %w", a.Name(), err)
-			}
+		if err := a.Apply(op, p); err != nil {
+			return fmt.Errorf("graphengine: restore agent %s: %w", a.Name(), err)
 		}
-		if len(stale) > 0 {
-			op := oplog.Op{LSN: w, Kind: oplog.OpDelete, Source: "recovery", EntityIDs: stale}
-			if err := a.Apply(op, Payload{}); err != nil {
-				return fmt.Errorf("graphengine: restore agent %s: %w", a.Name(), err)
-			}
-		}
-		e.Metadata.SetLSN(a.Name(), w)
+		e.Metadata.SetLSN(a.Name(), op.LSN)
 	}
 	return nil
 }

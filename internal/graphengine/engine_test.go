@@ -64,7 +64,7 @@ func TestDeletePropagates(t *testing.T) {
 	e.RegisterAgent(EntityStoreAgent{Store: es})
 	e.RegisterAgent(GraphAgent{Graph: g})
 	e.Publish(oplog.OpUpsert, "s", []*triple.Entity{testEntity("kg:E1", "Gone Soon")})
-	e.PublishDelete("s", []triple.EntityID{"kg:E1"})
+	e.PublishOp(oplog.Op{Kind: oplog.OpDelete, Source: "s", EntityIDs: []triple.EntityID{"kg:E1"}}, nil)
 	if err := e.CatchUp(); err != nil {
 		t.Fatal(err)
 	}
@@ -427,12 +427,12 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			return
 		}
 		// What was accepted survives a round trip.
-		again, err := EncodeCheckpoint(meta, ents)
+		again, err := EncodeCheckpoint(meta, ents.Entities)
 		if err != nil {
 			t.Fatal(err)
 		}
 		meta2, ents2, err := DecodeCheckpoint(again)
-		if err != nil || meta2.LSN != meta.LSN || len(meta2.Links) != len(meta.Links) || len(ents2) != len(ents) {
+		if err != nil || meta2.LSN != meta.LSN || len(meta2.Links) != len(meta.Links) || len(ents2.Entities) != len(ents.Entities) {
 			t.Fatalf("accepted checkpoint does not round-trip: %v", err)
 		}
 	})

@@ -96,7 +96,7 @@ func TestGoldenPayloadBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden checkpoint no longer decodes: %v", err)
 	}
-	if meta.LSN != 42 || len(meta.Links) != 2 || len(ents) != 3 {
-		t.Fatalf("golden checkpoint decoded to lsn %d, %d links, %d entities", meta.LSN, len(meta.Links), len(ents))
+	if meta.LSN != 42 || len(meta.Links) != 2 || len(ents.Entities) != 3 {
+		t.Fatalf("golden checkpoint decoded to lsn %d, %d links, %d entities", meta.LSN, len(meta.Links), len(ents.Entities))
 	}
 }

@@ -4,6 +4,6 @@ package graphengine
 
 type Engine struct{}
 
-func (e *Engine) Publish(source string) (uint64, error)       { return 0, nil }
-func (e *Engine) PublishDelete(source string) (uint64, error) { return 0, nil }
-func (e *Engine) Agents() []string                            { return nil }
+func (e *Engine) Publish(source string) (uint64, error)   { return 0, nil }
+func (e *Engine) PublishOp(source string) (uint64, error) { return 0, nil }
+func (e *Engine) Agents() []string                        { return nil }

@@ -107,6 +107,12 @@ var gates = []Gate{
 	// link_quiet-shaped batch, each touched KG entity copied once.
 	{Bench: "CommitBatch", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "CommitBatch", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	// And on recovery (internal/core): one Open plus Close of a durable
+	// tree, from a checkpoint and a short suffix, and from the whole log.
+	{Bench: "Recover/checkpoint", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "Recover/checkpoint", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	{Bench: "Recover/log", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "Recover/log", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 }
 
 // gateDirection reports the favorable direction for a metric, if gated.
