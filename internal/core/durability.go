@@ -1,18 +1,20 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"saga/internal/graphengine"
 	"saga/internal/oplog"
-	"saga/internal/triple"
 )
 
 // This file implements the platform's durability lifecycle: recovery at Open
 // (restore the latest checkpoint through the agents, replay only the log
 // suffix through CatchUp, start the KG as the recovered replica's
-// snapshot), periodic checkpoints taken on the feed's ordered publisher, and
-// background log compaction through the older of the two newest checkpoints.
+// snapshot), periodic checkpoints taken on the feed's ordered publisher and
+// streamed to their file without an in-memory image, and background log
+// compaction through the older of the two newest checkpoints.
 //
 // The consistency argument every piece leans on: a checkpoint is a pure
 // function of the operation log — it is captured from the graph replica and
@@ -82,17 +84,6 @@ func (p *Platform) applyLinkOp(op oplog.Op, _ graphengine.Payload) error {
 	return nil
 }
 
-// snapshotLinkReplica copies the link replica for checkpoint encoding.
-func (p *Platform) snapshotLinkReplica() map[triple.EntityID]triple.EntityID {
-	p.linkMu.Lock()
-	defer p.linkMu.Unlock()
-	out := make(map[triple.EntityID]triple.EntityID, len(p.linkReplica))
-	for src, tgt := range p.linkReplica {
-		out[src] = tgt
-	}
-	return out
-}
-
 // recover restores the platform's state at Open through the agents alone,
 // each logged op applied once: Restore hands the latest decodable checkpoint
 // — its entities with their frames, and its link table — to every agent as
@@ -142,12 +133,15 @@ func (p *Platform) recover() error {
 
 // runCheckpoint takes one checkpoint: it publishes the OpCheckpoint marker,
 // catches every agent up to it, and — when the platform has a durable
-// checkpoint store — captures the graph and link replicas (now exactly the
+// checkpoint store — streams the graph and link replicas (now exactly the
 // replay of ops ≤ W) into one atomic checkpoint file at watermark
-// W = LastLSN. Afterwards it advances the compaction floor to the previous
-// checkpoint's watermark and triggers background compaction when the ops
-// between the last compaction's watermark and the floor have grown past the
-// configured threshold.
+// W = LastLSN. Only the JSON meta is built in memory, marshalled straight
+// from the link replica under linkMu; the entity frames go from a
+// RangeShared walk of the frozen graph replica through the store's write
+// buffer to the file, with no lock held. Afterwards it advances the
+// compaction floor to the previous checkpoint's watermark and triggers
+// background compaction when the ops between the last compaction's
+// watermark and the floor have grown past the configured threshold.
 //
 // It runs inside publishGroup — on the feed's publisher, the log's only
 // appender — so no publish advances the log between the CatchUp and the save.
@@ -162,17 +156,15 @@ func (p *Platform) runCheckpoint() (uint64, error) {
 	if p.Checkpoints == nil {
 		return w, nil
 	}
-	var entities []*triple.Entity
-	p.GraphReplica.RangeShared(func(e *triple.Entity) bool {
-		entities = append(entities, e)
-		return true
-	})
-	meta := graphengine.CheckpointMeta{LSN: w, Links: p.snapshotLinkReplica()}
-	payload, err := graphengine.EncodeCheckpoint(meta, entities)
+	p.linkMu.Lock()
+	meta, err := json.Marshal(graphengine.CheckpointMeta{LSN: w, Links: p.linkReplica})
+	p.linkMu.Unlock()
 	if err != nil {
-		return 0, fmt.Errorf("core: encode checkpoint: %w", err)
+		return 0, fmt.Errorf("core: encode checkpoint meta: %w", err)
 	}
-	if err := p.Checkpoints.Save(w, payload); err != nil {
+	if err := p.Checkpoints.Save(w, func(out io.Writer) error {
+		return graphengine.WriteCheckpoint(out, meta, p.GraphReplica.RangeShared)
+	}); err != nil {
 		return 0, fmt.Errorf("core: save checkpoint: %w", err)
 	}
 	p.durMu.Lock()

@@ -56,7 +56,9 @@ func checkDecodePath(t *testing.T, p *Platform, step string) {
 	if got, want := storeRecords(t, store), storeRecords(t, p.EntityStore); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: the decoded entity store differs from the hot one", step)
 	}
-	if got, want := links.snapshotLinkReplica(), p.snapshotLinkReplica(); !reflect.DeepEqual(got, want) {
+	p.linkMu.Lock()
+	defer p.linkMu.Unlock()
+	if got, want := links.linkReplica, p.linkReplica; !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: decoded link table %v, hot %v", step, got, want)
 	}
 }

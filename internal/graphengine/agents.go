@@ -26,16 +26,23 @@ func framedLen(entities []*triple.Entity) int {
 }
 
 // appendEntityFrames appends one frame per entity to dst.
-func appendEntityFrames(dst []byte, entities []*triple.Entity) ([]byte, error) {
+func appendEntityFrames(dst []byte, entities []*triple.Entity) (_ []byte, err error) {
 	for _, e := range entities {
-		frame, mark := triple.BeginRecord(dst)
-		frame, err := e.AppendBinary(frame)
-		if err != nil {
-			return nil, fmt.Errorf("encode entity %s: %w", e.ID, err)
+		if dst, err = appendEntityFrame(dst, e); err != nil {
+			return nil, err
 		}
-		dst = triple.EndRecord(frame, mark)
 	}
 	return dst, nil
+}
+
+// appendEntityFrame appends e's frame to dst.
+func appendEntityFrame(dst []byte, e *triple.Entity) ([]byte, error) {
+	frame, mark := triple.BeginRecord(dst)
+	frame, err := e.AppendBinary(frame)
+	if err != nil {
+		return nil, fmt.Errorf("encode entity %s: %w", e.ID, err)
+	}
+	return triple.EndRecord(frame, mark), nil
 }
 
 // decodeEntities decodes a staged payload, iterating its frames in place:

@@ -1,7 +1,11 @@
 package graphengine
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
+	"io"
+	"slices"
 	"testing"
 
 	"saga/internal/oplog"
@@ -43,16 +47,28 @@ func BenchmarkDecodeEntities(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeCheckpoint(b *testing.B) {
+// BenchmarkWriteCheckpoint is one checkpoint of 1000 entities and 1000
+// links as runCheckpoint takes it: the meta marshalled, then everything
+// streamed through one reused write buffer (into io.Discard).
+func BenchmarkWriteCheckpoint(b *testing.B) {
 	ents := make([]*triple.Entity, 1000)
-	meta := CheckpointMeta{LSN: 1, Links: make(map[triple.EntityID]triple.EntityID)}
+	links := make(map[triple.EntityID]triple.EntityID)
 	for j := range ents {
 		ents[j] = person(fmt.Sprintf("kg:E%05d", j), j)
-		meta.Links[triple.EntityID(fmt.Sprintf("src00:%05d", j))] = ents[j].ID
+		links[triple.EntityID(fmt.Sprintf("src00:%05d", j))] = ents[j].ID
 	}
+	bw := bufio.NewWriterSize(io.Discard, 64<<10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeCheckpoint(meta, ents); err != nil {
+		meta, err := json.Marshal(CheckpointMeta{LSN: 1, Links: links})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bw.Reset(io.Discard)
+		if err := WriteCheckpoint(bw, meta, slices.Values(ents)); err != nil {
+			b.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}

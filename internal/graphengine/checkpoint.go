@@ -3,6 +3,8 @@ package graphengine
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"iter"
 
 	"saga/internal/triple"
 )
@@ -19,22 +21,34 @@ type CheckpointMeta struct {
 	Links map[triple.EntityID]triple.EntityID `json:"links,omitempty"`
 }
 
-// EncodeCheckpoint serializes a checkpoint payload: one CRC-framed JSON meta
-// record followed by one CRC-framed binary record per entity — the same
-// framing idiom as staged publish payloads, so a torn checkpoint fails its
-// frame check and recovery falls back to the previous one. The payload is
-// one exact-size allocation.
-func EncodeCheckpoint(meta CheckpointMeta, entities []*triple.Entity) ([]byte, error) {
-	hdr, err := json.Marshal(meta)
-	if err != nil {
-		return nil, fmt.Errorf("graphengine: encode checkpoint meta: %w", err)
+// WriteCheckpoint streams a checkpoint payload to w: one CRC-framed JSON
+// meta record — meta is the json.Marshal of a CheckpointMeta, so a caller can
+// marshal it under the lock that guards its link table and write unlocked —
+// followed by one CRC-framed binary record per entity, in the order entities
+// yields them. It is the same framing idiom as staged publish payloads, so a
+// torn checkpoint fails its frame check and recovery falls back to the
+// previous one. Each entity's frame is encoded into one scratch buffer reused
+// across entities: what a checkpoint allocates is bounded by its largest
+// frame, not by the graph.
+func WriteCheckpoint(w io.Writer, meta []byte, entities iter.Seq[*triple.Entity]) error {
+	hdr := triple.RecordHeader(meta)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
 	}
-	buf := make([]byte, 0, triple.RecordLen(len(hdr))+framedLen(entities))
-	buf, err = appendEntityFrames(triple.AppendRecord(buf, hdr), entities)
-	if err != nil {
-		return nil, fmt.Errorf("graphengine: checkpoint: %w", err)
+	if _, err := w.Write(meta); err != nil {
+		return err
 	}
-	return buf, nil
+	var frame []byte
+	for e := range entities {
+		var err error
+		if frame, err = appendEntityFrame(frame[:0], e); err != nil {
+			return fmt.Errorf("graphengine: checkpoint: %w", err)
+		}
+		if _, err := w.Write(frame); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DecodeCheckpoint parses a checkpoint payload back into its meta and its

@@ -3,7 +3,9 @@ package graphengine
 import (
 	"bytes"
 	"encoding/hex"
+	"encoding/json"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -85,18 +87,22 @@ func TestGoldenPayloadBytes(t *testing.T) {
 	}
 
 	wantCkpt := readGoldenHex(t, "golden_checkpoint.hex")
-	ckpt, err := EncodeCheckpoint(goldenMeta(), goldenEntities())
+	meta, err := json.Marshal(goldenMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ckpt, wantCkpt) {
-		t.Errorf("EncodeCheckpoint moved\n got %x\nwant %x", ckpt, wantCkpt)
+	var ckpt bytes.Buffer
+	if err := WriteCheckpoint(&ckpt, meta, slices.Values(goldenEntities())); err != nil {
+		t.Fatal(err)
 	}
-	meta, ents, err := DecodeCheckpoint(wantCkpt)
+	if !bytes.Equal(ckpt.Bytes(), wantCkpt) {
+		t.Errorf("WriteCheckpoint moved\n got %x\nwant %x", ckpt.Bytes(), wantCkpt)
+	}
+	decoded, ents, err := DecodeCheckpoint(wantCkpt)
 	if err != nil {
 		t.Fatalf("golden checkpoint no longer decodes: %v", err)
 	}
-	if meta.LSN != 42 || len(meta.Links) != 2 || len(ents.Entities) != 3 {
-		t.Fatalf("golden checkpoint decoded to lsn %d, %d links, %d entities", meta.LSN, len(meta.Links), len(ents.Entities))
+	if decoded.LSN != 42 || len(decoded.Links) != 2 || len(ents.Entities) != 3 {
+		t.Fatalf("golden checkpoint decoded to lsn %d, %d links, %d entities", decoded.LSN, len(decoded.Links), len(ents.Entities))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -109,6 +110,7 @@ func (s Suite) Run(t *testing.T) {
 	}
 	if s.Checkpoints != nil {
 		t.Run("Checkpoints", s.checkpoints)
+		t.Run("CheckpointsStreamed", s.checkpointsStreamed)
 		if s.Durable {
 			t.Run("CheckpointsCrash", s.checkpointsCrash)
 		}
@@ -215,6 +217,14 @@ func (s Suite) recordLogCompactCrash(t *testing.T) {
 	l.Close()
 }
 
+// save stores payload as the checkpoint at lsn, in one write.
+func save(c storage.Checkpointer, lsn uint64, payload []byte) error {
+	return c.Save(lsn, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+}
+
 // checkpoints exercises the Checkpointer round trip: Latest returns the
 // newest Save; durable media survive reopen.
 func (s Suite) checkpoints(t *testing.T) {
@@ -223,10 +233,10 @@ func (s Suite) checkpoints(t *testing.T) {
 	if _, _, ok := c.Latest(); ok {
 		t.Fatal("empty store reported a checkpoint")
 	}
-	if err := c.Save(10, []byte("snap-10")); err != nil {
+	if err := save(c, 10, []byte("snap-10")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(25, []byte("snap-25")); err != nil {
+	if err := save(c, 25, []byte("snap-25")); err != nil {
 		t.Fatal(err)
 	}
 	lsn, payload, ok := c.Latest()
@@ -246,16 +256,74 @@ func (s Suite) checkpoints(t *testing.T) {
 	}
 }
 
+// checkpointsStreamed exercises Save's streaming contract: a payload written
+// in odd-sized chunks, some far larger than any sane write buffer, reads back
+// byte for byte; a write that fails part way returns its error and publishes
+// nothing — Latest stays at the previous checkpoint, in the session and (for
+// durable media) after a reopen, and no temp file is left behind.
+func (s Suite) checkpointsStreamed(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, s.Checkpoints, dir)
+	want := make([]byte, 600_000)
+	for i := range want {
+		want[i] = byte(i*7 + i>>11)
+	}
+	chunks := []int{1, 70_001, 3, 131_077, 5, 262_147}
+	if err := c.Save(10, func(w io.Writer) error {
+		rest := want
+		for i := 0; len(rest) > 0; i++ {
+			n := min(chunks[i%len(chunks)], len(rest))
+			if _, err := w.Write(rest[:n]); err != nil {
+				return err
+			}
+			rest = rest[n:]
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	errWrite := errors.New("write failed part way")
+	err := c.Save(25, func(w io.Writer) error {
+		if _, err := w.Write(want[:100_003]); err != nil {
+			return err
+		}
+		return errWrite
+	})
+	if !errors.Is(err, errWrite) {
+		t.Fatalf("failed Save returned %v, want %v", err, errWrite)
+	}
+	check := func(c storage.Checkpointer, when string) {
+		t.Helper()
+		lsn, payload, ok := c.Latest()
+		if !ok || lsn != 10 || !bytes.Equal(payload, want) {
+			t.Fatalf("%s: Latest = %d, %d bytes, %v; want 10, the streamed %d bytes", when, lsn, len(payload), ok, len(want))
+		}
+		tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		if err != nil || len(tmps) > 0 {
+			t.Fatalf("%s: temp files %v left behind (%v)", when, tmps, err)
+		}
+	}
+	check(c, "after the failed save")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Durable {
+		re := mustOpen(t, s.Checkpoints, dir)
+		defer re.Close()
+		check(re, "reopened")
+	}
+}
+
 // checkpointsCrash damages the newest checkpoint file and asserts Latest
 // falls back to the previous intact one instead of failing or returning
 // corrupt bytes.
 func (s Suite) checkpointsCrash(t *testing.T) {
 	dir := t.TempDir()
 	c := mustOpen(t, s.Checkpoints, dir)
-	if err := c.Save(10, []byte("snap-10")); err != nil {
+	if err := save(c, 10, []byte("snap-10")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(25, []byte("snap-25")); err != nil {
+	if err := save(c, 25, []byte("snap-25")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {

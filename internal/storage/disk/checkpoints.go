@@ -1,7 +1,10 @@
 package disk
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,6 +20,10 @@ import (
 // recovery to the prior watermark instead of LSN zero.
 const checkpointKeep = 2
 
+// checkpointBuffer is the size of the write buffer a store keeps for its
+// saves: the one allocation a checkpoint's bytes pass through.
+const checkpointBuffer = 64 << 10
+
 // Checkpoints is the durable checkpoint store: each Save writes one
 // CRC-framed file named by its watermark (`%020d.ckpt`, so lexical order is
 // LSN order) via temp-write + fsync + rename + dir fsync. Latest opens the
@@ -26,6 +33,7 @@ const checkpointKeep = 2
 type Checkpoints struct {
 	mu     sync.Mutex
 	dir    string
+	bw     *bufio.Writer // Reset onto each save's frameWriter
 	closed bool
 }
 
@@ -44,11 +52,14 @@ func OpenCheckpoints(dir string) (*Checkpoints, error) {
 			os.Remove(filepath.Join(dir, ent.Name())) //saga:errok — stale temp, best effort
 		}
 	}
-	return &Checkpoints{dir: dir}, nil
+	return &Checkpoints{dir: dir, bw: bufio.NewWriterSize(nil, checkpointBuffer)}, nil
 }
 
-// Save implements storage.Checkpointer.
-func (c *Checkpoints) Save(lsn uint64, payload []byte) error {
+// Save implements storage.Checkpointer. The payload streams from write into
+// the temp file, and only the rename publishes it; any failure before the
+// rename, or of the rename, removes the temp file. write runs under the
+// store's lock, which guards the write buffer, so it must not call the store.
+func (c *Checkpoints) Save(lsn uint64, write func(io.Writer) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -56,39 +67,77 @@ func (c *Checkpoints) Save(lsn uint64, payload []byte) error {
 	}
 	name := fmt.Sprintf("%020d.ckpt", lsn)
 	tmp := filepath.Join(c.dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("disk: create checkpoint temp: %w", err)
-	}
-	// Two writes, header then payload: the file only becomes a checkpoint at
-	// the rename below, so nothing reads a half-written frame, and the
-	// payload — the largest buffer the platform builds — is never copied.
-	hdr := triple.RecordHeader(payload)
-	_, err = f.Write(hdr[:])
+	err := c.writeTempLocked(tmp, write)
 	if err == nil {
-		_, err = f.Write(payload)
+		if err = os.Rename(tmp, filepath.Join(c.dir, name)); err != nil {
+			err = fmt.Errorf("disk: publish checkpoint %s: %w", name, err)
+		}
 	}
 	if err != nil {
-		f.Close()
 		os.Remove(tmp) //saga:errok — unreferenced temp
-		return fmt.Errorf("disk: write checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp) //saga:errok — unreferenced temp
-		return fmt.Errorf("disk: sync checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("disk: close checkpoint temp: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(c.dir, name)); err != nil {
-		return fmt.Errorf("disk: publish checkpoint %s: %w", name, err)
+		return err
 	}
 	if err := c.syncDirLocked(); err != nil {
 		return err
 	}
 	c.pruneLocked()
 	return nil
+}
+
+// writeTempLocked writes the checkpoint file's one frame to a fresh temp
+// file, then fsyncs and closes it. The header goes in last: a placeholder
+// holds its place while the payload streams through the store's buffer and a
+// frameWriter that keeps the payload's length and CRC, and WriteAt patches
+// it in. The bytes are those of the payload framed whole in memory, and the
+// payload is never held.
+func (c *Checkpoints) writeTempLocked(tmp string, write func(io.Writer) error) error {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("disk: create checkpoint temp: %w", err)
+	}
+	fw := &frameWriter{f: f}
+	c.bw.Reset(fw)
+	hdr := triple.FrameHeader(0, 0) // the placeholder
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		if err = write(c.bw); err == nil {
+			err = c.bw.Flush()
+		}
+	}
+	if err == nil && fw.n > math.MaxUint32 {
+		err = fmt.Errorf("%d bytes overflow the frame", fw.n)
+	}
+	if err == nil {
+		hdr = triple.FrameHeader(uint32(fw.n), fw.crc)
+		_, err = f.WriteAt(hdr[:], 0)
+	}
+	if err != nil {
+		f.Close() //saga:errok — the temp is removed
+		return fmt.Errorf("disk: write checkpoint: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close() //saga:errok — the temp is removed
+		return fmt.Errorf("disk: sync checkpoint: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("disk: close checkpoint temp: %w", err)
+	}
+	return nil
+}
+
+// frameWriter passes a frame's payload through to f, keeping its length and
+// running CRC for the header.
+type frameWriter struct {
+	f   *os.File
+	n   int64
+	crc uint32
+}
+
+func (w *frameWriter) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.n += int64(n)
+	w.crc = triple.UpdateCRC(w.crc, p[:n])
+	return n, err
 }
 
 func (c *Checkpoints) syncDirLocked() error {

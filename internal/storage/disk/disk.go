@@ -5,7 +5,8 @@
 //     manifest (the torn-tail recovery idiom the operation log shipped
 //     with, plus atomic prefix compaction via manifest flips).
 //   - Checkpointer — atomically-published checkpoint files (temp + rename),
-//     newest-intact-wins at recovery.
+//     streamed through one reused write buffer, newest-intact-wins at
+//     recovery.
 //   - BlobStore — a segment-file staging store: blobs append to rotating
 //     segment files instead of one file per payload, so staging a payload
 //     costs one write+fsync, not a file create + fsync + directory fsync.

@@ -92,7 +92,10 @@ func TestRecoveryBoundsRecordLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Save(7, []byte("good checkpoint")); err != nil {
+	if err := c.Save(7, func(w io.Writer) error {
+		_, err := io.WriteString(w, "good checkpoint")
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "ckpt", fmt.Sprintf("%020d.ckpt", 9)), hostileHeader, 0o644); err != nil {

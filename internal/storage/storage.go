@@ -29,6 +29,8 @@
 // every implementation of a role must pass.
 package storage
 
+import "io"
+
 // RecordLog is append-ordered durable record storage: the operation log's
 // I/O layer. Appends are atomic at record granularity — a reader never
 // observes a half record, because implementations frame records with a
@@ -68,10 +70,13 @@ type RecordLog interface {
 // leaves the previous latest checkpoint intact and loadable).
 type Checkpointer interface {
 	// Save durably stores a checkpoint covering every op with LSN <= lsn.
-	// The payload is owned by the caller and copied (or written out) before
-	// return. Implementations retain at least the latest checkpoint and may
-	// discard older ones.
-	Save(lsn uint64, payload []byte) error
+	// The payload is what write writes to the writer it is given: Save
+	// streams it to the medium as it comes, so no whole copy of it need
+	// exist. An error from write (or from the medium) fails the Save and
+	// publishes nothing: Latest still returns the previous checkpoint.
+	// Implementations retain at least the latest checkpoint and may discard
+	// older ones.
+	Save(lsn uint64, write func(io.Writer) error) error
 	// Latest returns the newest intact checkpoint, or ok=false when none
 	// exists (or none survived corruption — recovery then replays from LSN
 	// zero). The returned payload is the caller's.

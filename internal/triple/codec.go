@@ -321,11 +321,22 @@ func EndRecord(dst []byte, mark int) []byte {
 
 // RecordHeader returns the frame header of payload, for writers that send
 // header and payload separately instead of copying the payload into a frame.
-func RecordHeader(payload []byte) (hdr [recordHeaderLen]byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+func RecordHeader(payload []byte) [recordHeaderLen]byte {
+	return FrameHeader(uint32(len(payload)), crc32.Checksum(payload, castagnoli))
+}
+
+// FrameHeader returns the header of a frame whose n payload bytes have the
+// CRC crc, for writers that stream a payload past a running UpdateCRC and
+// patch its header in afterwards.
+func FrameHeader(n, crc uint32) (hdr [recordHeaderLen]byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], n)
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
 	return hdr
 }
+
+// UpdateCRC returns a frame CRC extended by p; a payload's CRC is the
+// UpdateCRC of its pieces in order, starting from 0.
+func UpdateCRC(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
 
 // AppendRecord appends one framed payload to dst.
 func AppendRecord(dst, payload []byte) []byte {

@@ -85,8 +85,8 @@ var gates = []Gate{
 	{Bench: "EncodeEntities", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	{Bench: "DecodeEntities", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "DecodeEntities", Metric: "allocs/op", Higher: false, Threshold: 0.10},
-	{Bench: "EncodeCheckpoint", Metric: "B/op", Higher: false, Threshold: 0.10},
-	{Bench: "EncodeCheckpoint", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	{Bench: "WriteCheckpoint", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "WriteCheckpoint", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	{Bench: "CatchUp", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "CatchUp", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	{Bench: "CompactThrough", Metric: "B/op", Higher: false, Threshold: 0.10},
