@@ -307,3 +307,48 @@ func TestOpenFailureClosesStores(t *testing.T) {
 		t.Fatalf("failed Open left %d descriptors open", after-before)
 	}
 }
+
+// TestDiskEntityKVRebuiltAtOpen: the disk backend's entity KV starts empty at
+// every Open and recovery refills it from the checkpoint and the log, so
+// reopening does not grow entities.dat and the store holds exactly the KG's
+// entities.
+func TestDiskEntityKVRebuiltAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{
+		Storage:    StorageOptions{Backend: "disk", DataDir: dir},
+		Durability: DurabilityOptions{CheckpointEvery: 8},
+	}
+	p, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range durabilityBatches(30) {
+		if _, err := p.ConsumeDeltas(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	size := int64(-1)
+	for reopen := 1; reopen <= 3; reopen++ {
+		re, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := re.EntityStore.Len(), re.KG.Graph.Len(); got != want {
+			t.Errorf("reopen %d: entity store holds %d entities, the KG %d", reopen, got, want)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(filepath.Join(dir, "entities.dat"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size >= 0 && st.Size() != size {
+			t.Fatalf("reopen %d: entities.dat is %d bytes, %d after the previous reopen", reopen, st.Size(), size)
+		}
+		size = st.Size()
+	}
+}

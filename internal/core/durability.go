@@ -105,7 +105,7 @@ func (p *Platform) recover() error {
 		if lsn, payload, ok := p.Checkpoints.Latest(); ok {
 			meta, restored, err := graphengine.DecodeCheckpoint(payload)
 			if err == nil && meta.LSN == lsn {
-				op := oplog.Op{LSN: lsn, Kind: oplog.OpUpsert, Source: "recovery", Links: meta.Links}
+				op := oplog.Op{LSN: lsn, Kind: oplog.OpUpsert, Links: meta.Links}
 				if err := p.Engine.Restore(op, restored); err != nil {
 					return fmt.Errorf("core: restore checkpoint at lsn %d: %w", lsn, err)
 				}

@@ -9,10 +9,12 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"saga/internal/construct"
+	"saga/internal/graphengine"
 	"saga/internal/ingest"
 	"saga/internal/triple"
 	"saga/internal/workload"
@@ -733,6 +735,117 @@ func TestCloseWithInFlightFeedAndCompaction(t *testing.T) {
 					got.LastLSN, len(got.KG), len(got.Replica), len(got.Links),
 					want.LastLSN, len(want.KG), len(want.Replica), len(want.Links))
 			}
+		})
+	}
+}
+
+// checkReplayMatchesKG replays p's log from genesis into a fresh graph and
+// link table and requires them to equal the KG's.
+func checkReplayMatchesKG(t *testing.T, p *Platform, step string) {
+	t.Helper()
+	e := graphengine.NewWithStaging(p.Engine.Log, p.Engine.Staging)
+	g := triple.NewGraph()
+	links := &Platform{linkReplica: make(map[triple.EntityID]triple.EntityID)}
+	e.RegisterAgent(graphengine.GraphAgent{Graph: g})
+	e.RegisterAgent(graphengine.FuncAgent{AgentName: "link-table", Fn: links.applyLinkOp})
+	if err := e.CatchUp(); err != nil {
+		t.Fatalf("%s: replay from genesis: %v", step, err)
+	}
+	if !reflect.DeepEqual(g.Triples(), p.KG.Graph.Triples()) {
+		t.Fatalf("%s: replay from genesis holds %d entities, the KG %d, and they differ", step, g.Len(), p.KG.Graph.Len())
+	}
+	if got, want := links.linkReplica, p.KG.LinksSnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: replay from genesis has %d links, the KG %d, and they differ", step, len(got), len(want))
+	}
+}
+
+// TestPublishGroupIsOneOp: on the durable layout, each publish group —
+// a batch of three sources, a batch that deletes, a held publisher's
+// backlog of several batches — appends exactly one op to the log and stages
+// at most one payload, and replaying the log from genesis reaches the KG.
+func TestPublishGroupIsOneOp(t *testing.T) {
+	for _, cfg := range durabilityConfigs() {
+		t.Run(cfg.name, func(t *testing.T) {
+			p, err := Open(durableOptions(cfg, t.TempDir()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			// step runs publish, which reports how many groups it published,
+			// and checks what those groups logged and staged.
+			step := func(name string, publish func() int) {
+				t.Helper()
+				lsn, staged := p.Engine.Log.LastLSN(), p.Engine.Staging.Len()
+				groups := publish()
+				if got := p.Engine.Log.LastLSN() - lsn; got != uint64(groups) {
+					t.Fatalf("%s: %d groups appended %d ops", name, groups, got)
+				}
+				if got := p.Engine.Staging.Len() - staged; got > groups {
+					t.Fatalf("%s: %d groups staged %d payloads", name, groups, got)
+				}
+				checkReplayMatchesKG(t, p, name)
+			}
+			consume := func(b []ingest.Delta) func() int {
+				return func() int {
+					if _, err := p.ConsumeDeltas(b); err != nil {
+						t.Fatal(err)
+					}
+					return 1
+				}
+			}
+			batches := churnStream(3, 3, 8)
+			step("three sources", consume(batches[0]))
+			step("updates", consume(batches[1]))
+			step("deletes", consume(batches[2]))
+			if ops := p.Engine.Log.Read(p.Engine.Log.LastLSN()-1, 0); len(ops) != 1 || len(ops[0].Deletes) == 0 || ops[0].StagingKey == "" {
+				t.Fatalf("the delete batch's op = %+v, want one op with a payload and deletes", ops)
+			}
+			step("held backlog", func() int {
+				f, err := p.Feed(FeedOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				backlog := churnBatches(5, 12)
+				before := f.Stats().PublishGroups
+				entered, release := make(chan struct{}), make(chan struct{})
+				var held atomic.Bool
+				p.publishHook = func() error {
+					if !held.Swap(true) {
+						close(entered)
+						<-release
+					}
+					return nil
+				}
+				defer func() { p.publishHook = nil }()
+				results := []<-chan construct.BatchResult{f.Submit(backlog[0])}
+				<-entered
+				for _, b := range backlog[1:] {
+					results = append(results, f.Submit(b))
+				}
+				// Commits run in order, so the last batch's value in the KG
+				// means the others already wait in the publish queue.
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					kgID, ok := p.KG.Lookup("src:e0")
+					if e := p.KG.Graph.GetShared(kgID); ok && e != nil && e.First("popularity").Float64() == float64(len(backlog)-1) {
+						break
+					}
+					if time.Now().After(deadline) {
+						close(release)
+						t.Fatal("the backlog never committed behind the held publisher")
+					}
+				}
+				close(release)
+				for i, ch := range results {
+					if res := <-ch; res.Err != nil {
+						t.Fatalf("batch %d: %v", i, res.Err)
+					}
+				}
+				groups := f.Stats().PublishGroups - before
+				if groups >= len(backlog) {
+					t.Fatalf("%d batches published in %d groups: the backlog did not group", len(backlog), groups)
+				}
+				return groups
+			})
 		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -94,11 +95,19 @@ func TestPlatformFeedMatchesSerialConsumeDeltas(t *testing.T) {
 		t.Fatalf("log LSN = %d, serial %d", got, want)
 	}
 	// Every agent fully caught up before Close returned.
-	for _, name := range fed.Engine.Agents() {
-		if behind := fed.Engine.Freshness(name); behind != 0 {
-			t.Fatalf("agent %s is %d ops behind after Close", name, behind)
-		}
+	if got, want := storeRecords(t, fed.EntityStore), storeRecords(t, serial.EntityStore); !reflect.DeepEqual(got, want) {
+		t.Fatal("feed entity store diverged from serial ConsumeDeltas")
 	}
+	if got, want := linkTable(fed), linkTable(serial); !reflect.DeepEqual(got, want) {
+		t.Fatal("feed link replica diverged from serial ConsumeDeltas")
+	}
+}
+
+// linkTable returns a copy of p's log-derived link replica.
+func linkTable(p *Platform) map[triple.EntityID]triple.EntityID {
+	p.linkMu.Lock()
+	defer p.linkMu.Unlock()
+	return maps.Clone(p.linkReplica)
 }
 
 // churnBatches builds `rounds` one-delta batches over one source: round 0
@@ -144,7 +153,7 @@ func TestFeedConflatesBacklog(t *testing.T) {
 	}
 	entered, release := make(chan struct{}), make(chan struct{})
 	var held atomic.Bool
-	fed.publishHook = func(string) error {
+	fed.publishHook = func() error {
 		if !held.Swap(true) {
 			close(entered)
 			<-release
@@ -241,11 +250,11 @@ func TestFeedDrainBeforeServing(t *testing.T) {
 	}
 }
 
-// TestConsumeDeltasPublishFailureHeals: an Engine.Publish failure for one
-// delta must not stop the batch's other deltas from reaching the stores, and
-// the failed delta's effects must re-sync from the KG at the next publish
-// point — RefreshServing and the agents never stay diverged. Construction is
-// one partition; the case keeps the subtest name it has always been reported
+// TestConsumeDeltasPublishFailureHeals: when a batch's publish fails, the
+// batch stays committed, the stores keep what earlier batches published, and
+// the failed batch's effects re-sync from the KG at the next publish point —
+// RefreshServing and the agents never stay diverged. Construction is one
+// partition; the case keeps the subtest name it has always been reported
 // under.
 func TestConsumeDeltasPublishFailureHeals(t *testing.T) {
 	t.Run("partitions=1", testConsumeDeltasPublishFailureHeals)
@@ -253,26 +262,22 @@ func TestConsumeDeltasPublishFailureHeals(t *testing.T) {
 
 func testConsumeDeltasPublishFailureHeals(t *testing.T) {
 	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
-	failErr := errors.New("injected publish failure")
-	p.publishHook = func(source string) error {
-		if source == "src01" {
-			return failErr
-		}
-		return nil
+	batches := platformBatches(2, 3, 8)
+	if _, err := p.ConsumeDeltas(batches[0]); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.ConsumeDeltas(platformBatches(1, 3, 8)[0]); !errors.Is(err, failErr) {
+	published := p.GraphReplica.Len()
+	failErr := errors.New("injected publish failure")
+	p.publishHook = func() error { return failErr }
+	if _, err := p.ConsumeDeltas(batches[1]); !errors.Is(err, failErr) {
 		t.Fatalf("consume error = %v", err)
 	}
-	if p.KG.Graph.Len() == 0 {
-		t.Fatal("KG empty — commit should precede publish")
+	if p.KG.Graph.Len() <= published {
+		t.Fatal("the failed batch's adds are not in the KG — commit should precede publish")
 	}
-	// The other deltas' publishes continued past the failure and agents were
-	// caught up on them.
-	if p.GraphReplica.Len() == 0 {
-		t.Fatal("replica empty: publish loop stopped at the first failure")
-	}
-	if p.GraphReplica.Len() >= p.KG.Graph.Len() {
-		t.Fatalf("replica unexpectedly complete: %d of %d", p.GraphReplica.Len(), p.KG.Graph.Len())
+	// The earlier batch's publish stands, and agents were caught up on it.
+	if p.GraphReplica.Len() != published {
+		t.Fatalf("replica has %d entities after the failed publish, %d before it", p.GraphReplica.Len(), published)
 	}
 	// Heal: the engine recovers, the next serving refresh re-syncs.
 	p.publishHook = nil
@@ -297,39 +302,38 @@ func TestFeedPublishFailureHealsLaterBatchesCommit(t *testing.T) {
 func testFeedPublishFailureHealsLaterBatchesCommit(t *testing.T) {
 	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
 	failErr := errors.New("injected publish failure")
-	p.publishHook = func(source string) error {
-		if source == "src01" {
+	var failing atomic.Bool
+	p.publishHook = func() error {
+		if failing.Load() {
 			return failErr
 		}
 		return nil
 	}
-	batches := platformBatches(3, 2, 8)
+	batches := platformBatches(4, 2, 8)
 	f, err := p.Feed(FeedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res := <-f.Submit(batches[0]); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	published := p.GraphReplica.Len()
+	failing.Store(true)
 	var results []<-chan construct.BatchResult
-	for _, b := range batches {
+	for _, b := range batches[1:] {
 		results = append(results, f.Submit(b))
 	}
-	failed := 0
-	for _, ch := range results {
-		if res := <-ch; res.Err != nil {
-			if !errors.Is(res.Err, failErr) {
-				t.Fatalf("unexpected batch error: %v", res.Err)
-			}
-			failed++
+	for i, ch := range results {
+		if res := <-ch; !errors.Is(res.Err, failErr) {
+			t.Fatalf("batch %d error = %v, want the injected failure", i+1, res.Err)
 		}
 	}
-	if failed != len(batches) {
-		// src01 appears in every batch, so every batch's publish reports it.
-		t.Fatalf("failed batches = %d of %d", failed, len(batches))
+	// Later batches committed behind the failed ones; batch 0's publish
+	// stands, and the failed groups' effects are pending.
+	if p.GraphReplica.Len() != published || p.KG.Graph.Len() <= published {
+		t.Fatalf("replica %d of %d entities, %d before the failures", p.GraphReplica.Len(), p.KG.Graph.Len(), published)
 	}
-	// src00's ops all published; src01's are pending.
-	if p.GraphReplica.Len() == 0 || p.GraphReplica.Len() >= p.KG.Graph.Len() {
-		t.Fatalf("replica %d of %d entities", p.GraphReplica.Len(), p.KG.Graph.Len())
-	}
-	p.publishHook = nil
+	failing.Store(false)
 	if _, err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,10 +366,8 @@ func TestSyncConsumeRoutesThroughOpenFeed(t *testing.T) {
 	}
 	// The sync call resolved after its batch (and everything before it)
 	// committed and published.
-	for _, name := range p.Engine.Agents() {
-		if behind := p.Engine.Freshness(name); behind != 0 {
-			t.Fatalf("agent %s is %d ops behind after routed ConsumeDeltas", name, behind)
-		}
+	if got, want := p.GraphReplica.Triples(), p.KG.Graph.Triples(); !reflect.DeepEqual(got, want) {
+		t.Fatal("replica behind the KG after routed ConsumeDeltas")
 	}
 	single, err := p.ConsumeDelta(batches[1][0])
 	if err != nil {
@@ -511,11 +513,11 @@ func TestFeedConcurrentServingReaders(t *testing.T) {
 	}
 }
 
-// TestLinkDeltasRideSettlingSource: a link-table delta reaches the log on an
-// op of a source that settled it — never re-attributed to a synthetic
-// producer — and every settled key reaches the log at all (recovery replays
-// the table from these ops alone). Construction is one partition; the case
-// keeps the subtest name it has always been reported under.
+// TestLinkDeltasRideSettlingSource: every link-table key a batch settled
+// reaches the log, on the op of the group that published the batch
+// (recovery replays the table from these ops alone). Construction is one
+// partition; the case keeps the subtest name it has always been reported
+// under.
 func TestLinkDeltasRideSettlingSource(t *testing.T) {
 	t.Run("partitions=1", testLinkDeltasRideSettlingSource)
 }
@@ -531,13 +533,7 @@ func testLinkDeltasRideSettlingSource(t *testing.T) {
 	for _, b := range batches {
 		results = append(results, f.Submit(b))
 	}
-	settledBy := make(map[triple.EntityID]map[string]bool)
-	settle := func(key triple.EntityID, source string) {
-		if settledBy[key] == nil {
-			settledBy[key] = make(map[string]bool)
-		}
-		settledBy[key][source] = true
-	}
+	settled := make(map[triple.EntityID]bool)
 	for i, ch := range results {
 		res := <-ch
 		if res.Err != nil {
@@ -545,10 +541,10 @@ func testLinkDeltasRideSettlingSource(t *testing.T) {
 		}
 		for _, st := range res.Stats {
 			for key := range st.Links {
-				settle(key, st.Source)
+				settled[key] = true
 			}
 			for _, key := range st.Unlinks {
-				settle(key, st.Source)
+				settled[key] = true
 			}
 		}
 	}
@@ -563,12 +559,9 @@ func testLinkDeltasRideSettlingSource(t *testing.T) {
 		}
 		for _, key := range keys {
 			logged[key] = true
-			if !settledBy[key][op.Source] {
-				t.Fatalf("lsn %d: link delta %s rides an op of %q, settled by %v", op.LSN, key, op.Source, settledBy[key])
-			}
 		}
 	}
-	for key := range settledBy {
+	for key := range settled {
 		if !logged[key] {
 			t.Fatalf("settled link key %s never reached the log", key)
 		}
@@ -629,10 +622,7 @@ func testCurationOrderedWithFeed(t *testing.T, iter int) {
 	vol.Add(triple.New("", "popularity", triple.Float(pop)).WithSource("s", 0.9))
 	var failed, armed atomic.Bool
 	volatile := make(chan (<-chan construct.BatchResult), 1)
-	p.publishHook = func(source string) error {
-		if source != "p1" {
-			return nil
-		}
+	p.publishHook = func() error {
 		if !failed.Swap(true) {
 			return failErr
 		}

@@ -94,12 +94,9 @@ func TestHandOverMatchesDecodePath(t *testing.T) {
 			batches := churnStream(8, 3, 6)
 			next := 0
 			for round := 0; round < 16; round++ {
-				failing := ""
-				if round > 0 && r.Intn(4) == 0 {
-					failing = fmt.Sprintf("src%02d", r.Intn(3))
-				}
-				p.publishHook = func(source string) error {
-					if source == failing {
+				failing := round > 0 && r.Intn(4) == 0
+				p.publishHook = func() error {
+					if failing {
 						return failErr
 					}
 					return nil

@@ -11,8 +11,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"maps"
+	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"saga/internal/construct"
@@ -39,8 +42,8 @@ type StorageOptions struct {
 	// keeps all four under DataDir.
 	Backend string
 	// DataDir roots the disk backend's files: the durable layout of
-	// DurabilityOptions.Dir plus the entity KV (DataDir/entities.dat).
-	// Required by disk; ignored by memory.
+	// DurabilityOptions.Dir plus the entity KV (DataDir/entities.dat, which
+	// Open rebuilds from the log). Required by disk; ignored by memory.
 	DataDir string
 }
 
@@ -143,7 +146,7 @@ type Platform struct {
 
 	// publishHook, when set (tests only), runs before every engine publish
 	// and can inject failures to exercise the retry path.
-	publishHook func(source string) error
+	publishHook func() error
 
 	// linkReplica is the log-derived link table: a FuncAgent replays every
 	// op's Links/Unlinks into it, so after a CatchUp it is exactly the link
@@ -173,14 +176,12 @@ type Platform struct {
 	compactDone    chan struct{}
 }
 
-// pendingPublish records a failed publish: the source, the KG entities whose
-// store state may be stale, and the link-table keys whose log record was
-// lost. A retry publishes the entities' *current* KG state (upsert if
-// present, delete if gone) and re-resolves each link key through KG.Lookup,
-// which is convergent no matter how many later commits touched them in
-// between.
+// pendingPublish records a failed publish: the KG entities whose store state
+// may be stale, and the link-table keys whose log record was lost. A retry
+// publishes the entities' *current* KG state (upsert if present, delete if
+// gone) and re-resolves each link key through KG.Lookup, which is convergent
+// no matter how many later commits touched them in between.
 type pendingPublish struct {
-	source   string
 	ids      []triple.EntityID
 	linkSrcs []triple.EntityID
 }
@@ -226,7 +227,12 @@ func Open(opts Options) (_ *Platform, err error) {
 		}
 	}
 	if kv == nil { // disk: the entity KV lives beside the durable layout
-		if kv, err = disk.OpenEntityKV(filepath.Join(dir, "entities.dat")); err != nil {
+		// It starts empty: recovery re-derives every entry from the log.
+		path := filepath.Join(dir, "entities.dat")
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		if kv, err = disk.OpenEntityKV(path); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		opened = append(opened, kv)
@@ -349,21 +355,6 @@ func (p *Platform) ConsumeDeltas(deltas []ingest.Delta) ([]construct.SourceStats
 	return res.Stats, res.Err
 }
 
-// linkKeysOf collects a commit's settled link-table keys (linked and
-// unlinked), sorted for deterministic op encoding.
-func linkKeysOf(stats construct.SourceStats) []triple.EntityID {
-	if len(stats.Links) == 0 && len(stats.Unlinks) == 0 {
-		return nil
-	}
-	keys := make([]triple.EntityID, 0, len(stats.Links)+len(stats.Unlinks))
-	for src := range stats.Links {
-		keys = append(keys, src)
-	}
-	keys = append(keys, stats.Unlinks...)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // resolveLinks splits link-table keys into their current state: keys still
 // linked (with their target) and keys gone. Resolution happens at publish
 // time — like entity carry state — so retries and conflated groups always
@@ -383,35 +374,26 @@ func (p *Platform) resolveLinks(srcs []triple.EntityID) (links map[triple.Entity
 	return links, unlinks
 }
 
-// publishRaw is the platform's single gate onto the engine's publish path.
-// Link deltas ride the ops: the log is the only durable record of the
+// publishRaw is the platform's single gate onto the engine's publish path:
+// it appends one op carrying the upserts' payload, the removals as Deletes
+// and the link keys' current state, or nothing when all three are empty.
+// Link deltas ride the op: the log is the only durable record of the
 // construction link table (entity payloads cannot reproduce it), so recovery
 // replays Links/Unlinks alongside the payloads. On failure it queues the
 // affected entity IDs and link keys for retry, so a transient engine error
 // never leaves the stores permanently behind the KG: the next publish point
 // re-syncs them from the KG's then-current state.
-func (p *Platform) publishRaw(source string, upserts []*triple.Entity, removed []triple.EntityID, linkSrcs []triple.EntityID) error {
+func (p *Platform) publishRaw(upserts []*triple.Entity, removed, linkSrcs []triple.EntityID) error {
+	if len(upserts) == 0 && len(removed) == 0 && len(linkSrcs) == 0 {
+		return nil
+	}
 	var err error
 	if p.publishHook != nil {
-		err = p.publishHook(source)
+		err = p.publishHook()
 	}
-	links, unlinks := p.resolveLinks(linkSrcs)
-	if err == nil && len(upserts) > 0 {
-		kind := oplog.OpUpsert
-		if source == live.CurationSource {
-			kind = oplog.OpCuration // hot fixes keep their kind on retries too
-		}
-		_, err = p.Engine.PublishOp(oplog.Op{Kind: kind, Source: source, Links: links, Unlinks: unlinks}, upserts)
-		links, unlinks = nil, nil // attached; don't repeat on the delete op
-	}
-	if err == nil && len(removed) > 0 {
-		_, err = p.Engine.PublishOp(oplog.Op{Kind: oplog.OpDelete, Source: source, EntityIDs: removed, Links: links, Unlinks: unlinks}, nil)
-		links, unlinks = nil, nil
-	}
-	if err == nil && (len(links) > 0 || len(unlinks) > 0) {
-		// Links-only op: the commit settled link-table entries without any
-		// unpublished entity state (or the entity ops conflated away).
-		_, err = p.Engine.PublishOp(oplog.Op{Kind: oplog.OpUpsert, Source: source, Links: links, Unlinks: unlinks}, nil)
+	if err == nil {
+		links, unlinks := p.resolveLinks(linkSrcs)
+		_, err = p.Engine.PublishOp(oplog.Op{Kind: oplog.OpUpsert, Deletes: removed, Links: links, Unlinks: unlinks}, upserts)
 	}
 	if err != nil {
 		ids := make([]triple.EntityID, 0, len(upserts)+len(removed))
@@ -419,7 +401,7 @@ func (p *Platform) publishRaw(source string, upserts []*triple.Entity, removed [
 			ids = append(ids, e.ID)
 		}
 		ids = append(ids, removed...)
-		p.pending = append(p.pending, pendingPublish{source: source, ids: ids, linkSrcs: linkSrcs})
+		p.pending = append(p.pending, pendingPublish{ids: ids, linkSrcs: linkSrcs})
 	}
 	return err
 }
@@ -443,7 +425,7 @@ func (p *Platform) flushPending() error {
 				removed = append(removed, id)
 			}
 		}
-		if err := p.publishRaw(pp.source, upserts, removed, pp.linkSrcs); err != nil && firstErr == nil {
+		if err := p.publishRaw(upserts, removed, pp.linkSrcs); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -473,14 +455,14 @@ func (p *Platform) Feed(FeedOptions) (*construct.Feed, error) {
 	return p.feed, nil
 }
 
-// capturedOp is one delta's publish payload, captured on the feed's commit
-// loop right after its batch commits.
+// capturedOp is one batch's publish payload, captured on the feed's commit
+// loop right after the batch commits: the records of the entities its deltas
+// touched, the entities they removed, and the link-table keys they settled.
 // Capturing there (shared records — no clone, just pointer grabs) pins exactly
 // the entity states the commit produced, so the publisher appends the same
-// operations to the log no matter how far construction has advanced by the
+// operation to the log no matter how far construction has advanced by the
 // time the publish runs.
 type capturedOp struct {
-	source   string
 	upserts  []*triple.Entity
 	removed  []triple.EntityID
 	linkSrcs []triple.EntityID
@@ -490,13 +472,13 @@ type capturedOp struct {
 // feed. A barrier takes the next turn on both of the feed's ordered stages, so
 // what it does falls strictly between the batches submitted before it and
 // those submitted after: edit, when set, runs on the commit loop — the KG's
-// only writer — and returns the ops its writes need published; the publisher
-// publishes them like a batch's and, when checkpoint is set, takes a
-// checkpoint after them and records its watermark in lsn.
+// only writer — and returns what its writes need published; the publisher
+// publishes it like a batch's and, when checkpoint is set, takes a
+// checkpoint after it and records its watermark in lsn.
 type barrierTurn struct {
-	edit       func() []capturedOp
+	edit       func() capturedOp
 	checkpoint bool
-	ops        []capturedOp
+	op         capturedOp
 	lsn        uint64
 }
 
@@ -510,48 +492,43 @@ func (p *Platform) turn(t *barrierTurn) error {
 
 // captureFeedBatch is the feed's OnCommit hook: it runs on the commit loop,
 // in order, right after each batch's commits and at each barrier's turn. A
-// batch's payload becomes its captured ops; a barrier runs its edit.
+// batch's payload becomes its captured op; a barrier runs its edit.
 func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 	if b.Barrier {
 		if t, ok := b.Payload.(*barrierTurn); ok && t.edit != nil {
-			t.ops = t.edit()
+			t.op = t.edit()
 		}
 		return
 	}
-	ops := make([]capturedOp, 0, len(b.Stats))
-	for i := range b.Stats {
-		st := &b.Stats[i]
-		linkSrcs := linkKeysOf(*st)
-		if len(st.Touched) == 0 && len(st.Removed) == 0 && len(linkSrcs) == 0 {
-			continue
-		}
-		op := capturedOp{source: st.Source, removed: st.Removed, linkSrcs: linkSrcs}
+	var op capturedOp
+	for _, st := range b.Stats {
 		for _, id := range st.Touched {
 			if e := p.KG.Graph.GetShared(id); e != nil {
 				op.upserts = append(op.upserts, e)
 			}
 		}
-		ops = append(ops, op)
+		op.removed = append(op.removed, st.Removed...)
+		op.linkSrcs = slices.AppendSeq(append(op.linkSrcs, st.Unlinks...), maps.Keys(st.Links))
 	}
-	b.Payload = ops
+	b.Payload = op
 }
 
 // publishGroup is the platform's one publish routine and the feed's Publish
 // hook: the feed's publisher hands it its whole backlog, in commit order, and
 // is its only caller apart from Close, which calls it once after the feed has
 // stopped. It retries any queued failed publishes, appends the group's
-// captured operations — batches' and barrier edits' alike — to the log,
-// catches every agent up, and takes the checkpoint a barrier asked for or the
-// periodic cadence has come due for.
+// captured operations — batches' and barrier edits' alike — to the log as
+// one op, catches every agent up, and takes the checkpoint a barrier asked
+// for or the periodic cadence has come due for.
 //
 // Handing it the whole backlog enables conflation (group commit): an entity
 // touched by several batches of the group is published once, at its final
-// captured state, under the source that wrote it last. The stores converge to
-// exactly the state per-batch publishing would have reached — captured
-// records are immutable and the final state is the last batch's — while the
-// log carries one operation per entity per drain instead of one per entity
-// per batch. On an update-heavy stream this is what lets a publisher that
-// falls behind catch back up instead of lagging forever.
+// captured state. The stores converge to exactly the state per-batch
+// publishing would have reached — captured records are immutable and the
+// final state is the last batch's — while the log carries one operation per
+// drain, holding each entity once, instead of one per batch. On an
+// update-heavy stream this is what lets a publisher that falls behind catch
+// back up instead of lagging forever.
 func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 	// Retry failures belong to the batch that first reported them; they stay
 	// queued (flushPending re-queues what still fails) without failing this
@@ -559,45 +536,37 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 	_ = p.flushPending()
 
 	// Flatten the group's captured ops into per-entity events, in capture
-	// order, then keep only each entity's last event. Consecutive survivors
-	// from the same source and kind collapse into one log operation, so op
-	// granularity adapts to however the sources interleave.
+	// order, then keep only each entity's last event, in its place. The
+	// group's link keys are resolved once, at publish time against the fully
+	// committed KG, so which batch settled a key cannot change the outcome.
 	type event struct {
-		source string
-		id     triple.EntityID
-		e      *triple.Entity // nil means delete
+		id triple.EntityID
+		e  *triple.Entity // nil means delete
 	}
 	var evs []event
-	linkBySrc := make(map[string]map[triple.EntityID]bool)
+	linkKeys := make(map[triple.EntityID]bool)
 	published := 0
 	var ckpts []*barrierTurn
 	for _, b := range group {
-		var ops []capturedOp
+		var op capturedOp
 		switch pl := b.Payload.(type) {
-		case []capturedOp:
+		case capturedOp:
 			published++
-			ops = pl
+			op = pl
 		case *barrierTurn:
-			ops = pl.ops
+			op = pl.op
 			if pl.checkpoint {
 				ckpts = append(ckpts, pl)
 			}
 		}
-		for _, op := range ops {
-			for _, e := range op.upserts {
-				evs = append(evs, event{source: op.source, id: e.ID, e: e})
-			}
-			for _, id := range op.removed {
-				evs = append(evs, event{source: op.source, id: id})
-			}
-			for _, src := range op.linkSrcs {
-				set := linkBySrc[op.source]
-				if set == nil {
-					set = make(map[triple.EntityID]bool)
-					linkBySrc[op.source] = set
-				}
-				set[src] = true
-			}
+		for _, e := range op.upserts {
+			evs = append(evs, event{e.ID, e})
+		}
+		for _, id := range op.removed {
+			evs = append(evs, event{id: id})
+		}
+		for _, src := range op.linkSrcs {
+			linkKeys[src] = true
 		}
 	}
 	wantCkpt := p.checkpointDue(published) || len(ckpts) > 0
@@ -605,66 +574,21 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 	for i, ev := range evs {
 		last[ev.id] = i
 	}
-	// takeLinks hands a source its conflated link-table keys, once: the keys
-	// ride the source's first published op of the group (resolution happens at
-	// publish time against the fully committed KG, so where in the group they
-	// resolve cannot change the outcome).
-	takeLinks := func(source string) []triple.EntityID {
-		set := linkBySrc[source]
-		delete(linkBySrc, source)
-		if len(set) == 0 {
-			return nil
-		}
-		srcs := make([]triple.EntityID, 0, len(set))
-		for src := range set {
-			srcs = append(srcs, src)
-		}
-		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-		return srcs
-	}
-	var firstErr error
-	flush := func(source string, upserts []*triple.Entity, removed []triple.EntityID) {
-		if len(upserts) == 0 && len(removed) == 0 {
-			return
-		}
-		if err := p.publishRaw(source, upserts, removed, takeLinks(source)); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	var (
-		runSource  string
-		runUpserts []*triple.Entity
-		runRemoved []triple.EntityID
+		upserts []*triple.Entity
+		removed []triple.EntityID
 	)
 	for i, ev := range evs {
-		if last[ev.id] != i {
-			continue // a later batch republished or deleted this entity
-		}
-		if ev.source != runSource {
-			flush(runSource, runUpserts, runRemoved)
-			runSource, runUpserts, runRemoved = ev.source, nil, nil
-		}
-		if ev.e != nil {
-			runUpserts = append(runUpserts, ev.e)
-		} else {
-			runRemoved = append(runRemoved, ev.id)
+		switch {
+		case last[ev.id] != i: // a later batch republished or deleted this entity
+		case ev.e != nil:
+			upserts = append(upserts, ev.e)
+		default:
+			removed = append(removed, ev.id)
 		}
 	}
-	flush(runSource, runUpserts, runRemoved)
-	// A source whose entity events all conflated away still owes its link
-	// deltas: they ride a links-only op, one per source, in source order.
-	if len(linkBySrc) > 0 {
-		rest := make([]string, 0, len(linkBySrc))
-		for source := range linkBySrc {
-			rest = append(rest, source)
-		}
-		sort.Strings(rest)
-		for _, source := range rest {
-			if err := p.publishRaw(source, nil, nil, takeLinks(source)); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
+	linkSrcs := slices.Sorted(maps.Keys(linkKeys))
+	firstErr := p.publishRaw(upserts, removed, linkSrcs)
 	if err := p.Engine.CatchUp(); err != nil && firstErr == nil {
 		firstErr = err
 	}
@@ -766,9 +690,9 @@ func (p *Platform) BuildNERD() *nerd.NERD {
 	scores := importance.Compute(p.GraphReplica, importance.Options{})
 	view := nerd.BuildEntityView(p.GraphReplica.Snapshot(), scores)
 	n := nerd.New(view, nerd.NewModel(nil))
-	_ = p.turn(&barrierTurn{edit: func() []capturedOp { // a closed feed commits nothing more
+	_ = p.turn(&barrierTurn{edit: func() capturedOp { // a closed feed commits nothing more
 		p.Pipeline.Resolver = n
-		return nil
+		return capturedOp{}
 	}})
 	p.NERD = n
 	p.LiveConstructor.Resolver = n
@@ -799,10 +723,9 @@ func (p *Platform) Query(text string) (kgq.Result, error) {
 // is closed it returns construct.ErrFeedClosed and the decisions stay queued.
 func (p *Platform) ApplyCurationDecisions() (int, error) {
 	n := 0
-	err := p.turn(&barrierTurn{edit: func() []capturedOp {
+	err := p.turn(&barrierTurn{edit: func() (op capturedOp) {
 		decisions := p.Curation.DrainDecisions()
 		n = len(decisions)
-		ops := make([]capturedOp, 0, len(decisions))
 		for _, d := range decisions {
 			switch d.Kind {
 			case live.DecisionEdit:
@@ -832,15 +755,13 @@ func (p *Platform) ApplyCurationDecisions() (int, error) {
 			// touched entity to the pipeline's KG-derived caches (block index,
 			// alias-resolver cache) ourselves.
 			p.Pipeline.RefreshKGCaches(d.Entity)
-			op := capturedOp{source: live.CurationSource}
 			if d.Kind == live.DecisionBlockEntity {
-				op.removed = []triple.EntityID{d.Entity}
+				op.removed = append(op.removed, d.Entity)
 			} else if e := p.KG.Graph.GetShared(d.Entity); e != nil {
-				op.upserts = []*triple.Entity{e}
+				op.upserts = append(op.upserts, e)
 			}
-			ops = append(ops, op)
 		}
-		return ops
+		return op
 	}})
 	return n, err
 }

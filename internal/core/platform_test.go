@@ -9,7 +9,6 @@ import (
 
 	"saga/internal/ingest"
 	"saga/internal/live"
-	"saga/internal/oplog"
 	"saga/internal/triple"
 	"saga/internal/workload"
 )
@@ -205,12 +204,7 @@ func TestCurationPublishFailureHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	failErr := errors.New("injected publish failure")
-	p.publishHook = func(source string) error {
-		if source == live.CurationSource {
-			return failErr
-		}
-		return nil
-	}
+	p.publishHook = func() error { return failErr }
 	if n, err := p.ApplyCurationDecisions(); n != 1 || !errors.Is(err, failErr) {
 		t.Fatalf("applied = %d, err = %v; want 1 and the injected failure", n, err)
 	}
@@ -224,13 +218,29 @@ func TestCurationPublishFailureHeals(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("replica %q differs from the KG %q after the retry", p.GraphReplica.Get(kgID).Name(), p.KG.Graph.Get(kgID).Name())
 	}
-	var curated bool
+	if !logged(t, p, want) {
+		t.Fatal("the retried hot fix's record is not in the log")
+	}
+}
+
+// logged reports whether some op's staged payload holds the entity record
+// rec, frame for frame.
+func logged(t *testing.T, p *Platform, rec []byte) bool {
+	t.Helper()
 	for _, op := range p.Engine.Log.Read(0, 0) {
-		curated = curated || op.Kind == oplog.OpCuration
+		payload, _ := p.Engine.Staging.Get(op.StagingKey)
+		for len(payload) > 0 {
+			frame, rest, err := triple.NextRecord(payload)
+			if err != nil {
+				t.Fatalf("lsn %d: %v", op.LSN, err)
+			}
+			if bytes.Equal(frame, rec) {
+				return true
+			}
+			payload = rest
+		}
 	}
-	if !curated {
-		t.Fatal("the retried hot fix was not logged as a curation op")
-	}
+	return false
 }
 
 // TestCurationRenameReachesLinking: a curation hot fix writes the graph

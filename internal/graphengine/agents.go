@@ -77,27 +77,23 @@ type EntityStoreAgent struct {
 // Name implements Agent.
 func (EntityStoreAgent) Name() string { return "entity-store" }
 
-// Apply implements Agent: upserts and overwrites replace payload entities;
-// deletes remove them; checkpoints and unknown kinds are no-ops (agents must
-// tolerate new operation kinds for extensibility).
+// Apply implements Agent: the payload entities replace their stored
+// versions, then op.Deletes are removed; an op with neither (a checkpoint
+// marker) is a no-op.
 //
 // The store keeps entities encoded, and the payload's frames already are —
 // a published op's, a staged one's or a restored checkpoint's: each record
 // goes to the KV as it is (the decoder accepts canonical encodings only, so
 // the bytes are what Put would marshal again).
 func (a EntityStoreAgent) Apply(op oplog.Op, p Payload) error {
-	switch op.Kind {
-	case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
-		for i, e := range p.Entities {
-			if err := a.Store.PutEncoded(e.ID, p.Records[i]); err != nil {
-				return err
-			}
+	for i, e := range p.Entities {
+		if err := a.Store.PutEncoded(e.ID, p.Records[i]); err != nil {
+			return err
 		}
-	case oplog.OpDelete:
-		for _, id := range op.EntityIDs {
-			if _, err := a.Store.Delete(id); err != nil {
-				return err
-			}
+	}
+	for _, id := range op.Deletes {
+		if _, err := a.Store.Delete(id); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -117,19 +113,16 @@ type GraphAgent struct {
 // Name implements Agent.
 func (GraphAgent) Name() string { return "graph-replica" }
 
-// Apply implements Agent. Replayed entities are installed as they are: they
-// are frozen and no agent writes to one (Payload's contract), so the
-// replica's record can be the payload's own instead of a clone of it.
+// Apply implements Agent: the payload entities are installed, then
+// op.Deletes removed. Replayed entities are installed as they are: they are
+// frozen and no agent writes to one (Payload's contract), so the replica's
+// record can be the payload's own instead of a clone of it.
 func (a GraphAgent) Apply(op oplog.Op, p Payload) error {
-	switch op.Kind {
-	case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
-		for _, e := range p.Entities {
-			a.Graph.PutOwned(e)
-		}
-	case oplog.OpDelete:
-		for _, id := range op.EntityIDs {
-			a.Graph.Delete(id)
-		}
+	for _, e := range p.Entities {
+		a.Graph.PutOwned(e)
+	}
+	for _, id := range op.Deletes {
+		a.Graph.Delete(id)
 	}
 	return nil
 }

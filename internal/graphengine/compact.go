@@ -38,10 +38,9 @@ type CompactStats struct {
 // Surviving state is grouped under the op that last touched it, preserving
 // that op's LSN, Source, and Time — so the rewritten log is a subsequence of
 // the original LSN sequence and every consumer that indexes by LSN value
-// keeps working. Rewritten payload ops are always OpUpsert: a replayed final
-// state is an upsert regardless of how it was originally produced, and
-// upsert is the one kind every agent applies (partition overwrites, for
-// example, deliberately skip the text index).
+// keeps working. Rewritten ops are OpUpsert with no Deletes: an op's payload
+// entities apply before its deletes, as in every agent, and a deleted
+// entity's final state is elided rather than carried.
 //
 // Replay equivalence: replaying the rewritten prefix from genesis produces
 // exactly the per-store state the original prefix produced, because every
@@ -89,11 +88,7 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 	final := make(map[triple.EntityID]entFinal)
 	links := make(map[triple.EntityID]linkFinal)
 	for i, op := range ops {
-		switch op.Kind {
-		case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
-			if op.StagingKey == "" {
-				break
-			}
+		if op.StagingKey != "" {
 			payload, ok := e.Staging.Get(op.StagingKey)
 			if !ok {
 				return stats, fmt.Errorf("graphengine: compact lsn %d: staged payload %s missing", op.LSN, op.StagingKey)
@@ -116,10 +111,9 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 			if len(payload) != 0 {
 				return stats, fmt.Errorf("graphengine: compact lsn %d: payload runs %d bytes past its %d listed entities", op.LSN, len(payload), len(op.EntityIDs))
 			}
-		case oplog.OpDelete:
-			for _, id := range op.EntityIDs {
-				final[id] = entFinal{idx: int32(i)}
-			}
+		}
+		for _, id := range op.Deletes {
+			final[id] = entFinal{idx: int32(i)}
 		}
 		for src, tgt := range op.Links {
 			links[src] = linkFinal{idx: i, target: tgt}

@@ -53,11 +53,7 @@ func referenceCompaction(t *testing.T, ops []oplog.Op, staging ObjectStore) ([]o
 	final := make(map[triple.EntityID]entFinal)
 	links := make(map[triple.EntityID]linkFinal)
 	for i, op := range ops {
-		switch op.Kind {
-		case oplog.OpUpsert, oplog.OpOverwritePartition, oplog.OpCuration:
-			if op.StagingKey == "" {
-				break
-			}
+		if op.StagingKey != "" {
 			blob, ok := staging.Get(op.StagingKey)
 			if !ok {
 				t.Fatalf("reference: payload %s missing", op.StagingKey)
@@ -74,10 +70,9 @@ func referenceCompaction(t *testing.T, ops []oplog.Op, staging ObjectStore) ([]o
 				final[ent.ID] = entFinal{idx: i, ent: ent}
 				blob = rest
 			}
-		case oplog.OpDelete:
-			for _, id := range op.EntityIDs {
-				final[id] = entFinal{idx: i}
-			}
+		}
+		for _, id := range op.Deletes {
+			final[id] = entFinal{idx: i}
 		}
 		for src, tgt := range op.Links {
 			links[src] = linkFinal{idx: i, target: tgt}
@@ -184,8 +179,8 @@ func (v *storeView) digest(t *testing.T) string {
 }
 
 // churnLog publishes a history with everything compaction conflates:
-// overwrites, deletes, a re-created entity, an ID listed twice in one op, a
-// partition overwrite, links, a re-link and an unlink.
+// overwrites, deletes (alone and riding a payload), a re-created entity, an
+// ID listed twice in one op, links, a re-link and an unlink.
 func churnLog(t *testing.T, e *Engine) {
 	t.Helper()
 	tick := int64(1000)
@@ -206,14 +201,14 @@ func churnLog(t *testing.T, e *Engine) {
 	publish(up("src01"), person("kg:B", 2), person("kg:D", 1))
 	// kg:E twice in one op: first place, last version.
 	publish(up("src02"), person("kg:E", 1), person("kg:F", 1), person("kg:E", 2))
-	publish(oplog.Op{Kind: oplog.OpDelete, Source: "src00", EntityIDs: ids("kg:C", "kg:D"), Unlinks: ids("src00:c")})
+	publish(oplog.Op{Kind: oplog.OpUpsert, Deletes: ids("kg:C", "kg:D"), Unlinks: ids("src00:c")})
 	op = up("src00")
 	op.Links = map[triple.EntityID]triple.EntityID{"src00:b": "kg:A", "src00:d": "kg:D"}
 	publish(op, person("kg:D", 2)) // re-created after its delete
-	publish(oplog.Op{Kind: oplog.OpOverwritePartition, Source: "src01"}, person("kg:F", 2))
+	publish(up("src01"), person("kg:F", 2))
 	publish(oplog.Op{Kind: oplog.OpCheckpoint, Source: "construction"})
-	publish(oplog.Op{Kind: oplog.OpCuration, Source: "curator"}, person("kg:A", 3))
-	publish(oplog.Op{Kind: oplog.OpDelete, Source: "src02", EntityIDs: ids("kg:G")}) // never existed
+	// A payload and a delete in one op; kg:G never existed.
+	publish(oplog.Op{Kind: oplog.OpUpsert, Deletes: ids("kg:G")}, person("kg:A", 3))
 	publish(up("src02"), person("kg:H", 1), person("kg:B", 3))
 }
 
@@ -226,7 +221,7 @@ func TestCompactThroughFrameIdentity(t *testing.T) {
 	if _, err := e.Publish(oplog.OpUpsert, "src00", []*triple.Entity{person("kg:A", 4)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PublishOp(oplog.Op{Kind: oplog.OpDelete, Source: "src00", EntityIDs: []triple.EntityID{"kg:H"}}, nil); err != nil {
+	if _, err := e.PublishOp(oplog.Op{Kind: oplog.OpUpsert, Deletes: []triple.EntityID{"kg:H"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.CatchUp(); err != nil {

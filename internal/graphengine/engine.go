@@ -4,11 +4,12 @@
 // high-throughput object store, ingest operations flow through the durable
 // operation log, and per-store orchestration agents replay operations in
 // order so every engine eventually derives its view of the KG from the same
-// base data. Agents track their replay progress (LSN) in a metadata store,
-// from which consumers read store freshness.
+// base data. The engine keeps each agent's replay position (LSN) to itself:
+// it is where that agent's next CatchUp resumes.
 package graphengine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -80,10 +81,10 @@ func (s *memObjectStore) Close() error { return nil }
 // generic — onboarding a new storage engine means implementing this
 // interface and registering it (§3.1's extensibility goal).
 type Agent interface {
-	// Name identifies the agent in the metadata store.
+	// Name identifies the agent in replay errors.
 	Name() string
 	// Apply replays one operation with its decoded staged payload (the zero
-	// Payload for operations without one, such as deletes or checkpoints).
+	// Payload for operations without one, such as checkpoint markers).
 	Apply(op oplog.Op, p Payload) error
 }
 
@@ -106,49 +107,8 @@ type Payload struct {
 	Records [][]byte
 }
 
-// MetadataStore tracks each agent's replayed LSN; consumers read a store's
-// freshness from it ("serving at least KG version X").
-type MetadataStore struct {
-	mu   sync.RWMutex
-	lsns map[string]uint64
-}
-
-// NewMetadataStore constructs an empty metadata store.
-func NewMetadataStore() *MetadataStore {
-	return &MetadataStore{lsns: make(map[string]uint64)}
-}
-
-// SetLSN records that the agent replayed through the LSN.
-func (m *MetadataStore) SetLSN(agent string, lsn uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lsns[agent] = lsn
-}
-
-// LSN returns the agent's replayed LSN.
-func (m *MetadataStore) LSN(agent string) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.lsns[agent]
-}
-
-// MinLSN returns the minimum replayed LSN across agents: the KG version every
-// store is guaranteed to serve.
-func (m *MetadataStore) MinLSN() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	first := true
-	var min uint64
-	for _, lsn := range m.lsns {
-		if first || lsn < min {
-			min, first = lsn, false
-		}
-	}
-	return min
-}
-
-// Engine wires the log, staging store, metadata store, and agents into the
-// polystore coordinator.
+// Engine wires the log, staging store, and agents into the polystore
+// coordinator.
 //
 // Publish ordering contract: operations take effect in LSN order, and LSNs
 // are assigned in Publish/PublishOp call order (the log serializes
@@ -165,21 +125,27 @@ func (m *MetadataStore) MinLSN() uint64 {
 // internally, so a replay triggered from one goroutine can never
 // double-apply operations racing a replay from another.
 type Engine struct {
-	Log      *oplog.Log
-	Staging  ObjectStore
-	Metadata *MetadataStore
+	Log     *oplog.Log
+	Staging ObjectStore
 
 	mu     sync.RWMutex
-	agents []Agent
+	agents []*replayer
 
-	// catchupMu serializes CatchUp: agent Apply methods and the per-agent
-	// LSN bookkeeping assume one replayer at a time.
+	// catchupMu serializes CatchUp and Restore: agent Apply methods and the
+	// per-agent LSN bookkeeping assume one replayer at a time.
 	catchupMu sync.Mutex
 
 	// handed holds the payloads PublishOp appended since the last CatchUp
 	// began, by staging key (a compaction's rewritten op has a new one).
 	handMu sync.Mutex
 	handed map[string]Payload
+}
+
+// replayer is a registered agent and the LSN it has replayed through
+// (written under catchupMu).
+type replayer struct {
+	Agent
+	lsn uint64
 }
 
 // New constructs an engine over the given log with in-memory staging.
@@ -191,7 +157,7 @@ func New(log *oplog.Log) *Engine {
 // durable log with a durable staging store (disk.OpenSegmentBlobStore) so
 // replay survives restarts.
 func NewWithStaging(log *oplog.Log, staging ObjectStore) *Engine {
-	return &Engine{Log: log, Staging: staging, Metadata: NewMetadataStore()}
+	return &Engine{Log: log, Staging: staging}
 }
 
 // RegisterAgent adds an orchestration agent; its replay position starts at 0,
@@ -199,25 +165,18 @@ func NewWithStaging(log *oplog.Log, staging ObjectStore) *Engine {
 func (e *Engine) RegisterAgent(a Agent) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.agents = append(e.agents, a)
-	e.Metadata.SetLSN(a.Name(), 0)
+	e.agents = append(e.agents, &replayer{Agent: a})
 }
 
-// Agents returns the registered agent names.
-func (e *Engine) Agents() []string {
+// replayers returns the registered agents, in registration order.
+func (e *Engine) replayers() []*replayer {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]string, len(e.agents))
-	for i, a := range e.agents {
-		out[i] = a.Name()
-	}
-	return out
+	return slices.Clone(e.agents)
 }
 
-// Publish stages the entity payload, appends the operation to the log, and
-// returns the assigned LSN. It is the single write path into the polystore:
-// construction publishes upserts, deletes, partition overwrites, curation
-// fixes, and checkpoints through it.
+// Publish stages the entity payload, appends an operation of the given kind
+// to the log, and returns the assigned LSN.
 func (e *Engine) Publish(kind oplog.OpKind, source string, entities []*triple.Entity) (uint64, error) {
 	return e.PublishOp(oplog.Op{Kind: kind, Source: source}, entities)
 }
@@ -267,7 +226,7 @@ func (e *Engine) PublishOp(op oplog.Op, entities []*triple.Entity) (uint64, erro
 }
 
 // CatchUp replays pending operations into every agent, on the caller's
-// goroutine, and advances each agent's LSN in the metadata store. Replay is
+// goroutine, and advances each agent's replay position. Replay is
 // one op-major loop over the log suffix past the slowest agent, applying
 // each op to every agent that needs it in registration order. An op
 // published since the last CatchUp began goes to the agents with the
@@ -292,26 +251,21 @@ func (e *Engine) CatchUp() error {
 	handed := e.handed
 	e.handed = nil
 	e.handMu.Unlock()
-	e.mu.RLock()
-	agents := append([]Agent(nil), e.agents...)
-	e.mu.RUnlock()
+	agents := e.replayers()
 	if len(agents) == 0 {
 		return nil
 	}
-	from := make([]uint64, len(agents))
-	for i, a := range agents {
-		from[i] = e.Metadata.LSN(a.Name())
-	}
+	from := slices.MinFunc(agents, func(a, b *replayer) int { return cmp.Compare(a.lsn, b.lsn) }).lsn
 	stopped := make([]bool, len(agents))
 	var firstErr error
-	for _, op := range e.Log.Read(slices.Min(from), 0) {
+	for _, op := range e.Log.Read(from, 0) {
 		var (
 			p       Payload
 			loadErr error
 			loaded  bool
 		)
 		for i, a := range agents {
-			if stopped[i] || from[i] >= op.LSN {
+			if stopped[i] || a.lsn >= op.LSN {
 				continue
 			}
 			if !loaded {
@@ -329,7 +283,7 @@ func (e *Engine) CatchUp() error {
 				}
 				continue
 			}
-			e.Metadata.SetLSN(a.Name(), op.LSN)
+			a.lsn = op.LSN
 		}
 	}
 	return firstErr
@@ -360,28 +314,15 @@ func (e *Engine) payloadOf(op oplog.Op, handed map[string]Payload) (Payload, err
 func (e *Engine) Restore(op oplog.Op, p Payload) error {
 	e.catchupMu.Lock()
 	defer e.catchupMu.Unlock()
-	e.mu.RLock()
-	agents := append([]Agent(nil), e.agents...)
-	e.mu.RUnlock()
 	op.EntityIDs = make([]triple.EntityID, len(p.Entities))
 	for i, ent := range p.Entities {
 		op.EntityIDs[i] = ent.ID
 	}
-	for _, a := range agents {
+	for _, a := range e.replayers() {
 		if err := a.Apply(op, p); err != nil {
 			return fmt.Errorf("graphengine: restore agent %s: %w", a.Name(), err)
 		}
-		e.Metadata.SetLSN(a.Name(), op.LSN)
+		a.lsn = op.LSN
 	}
 	return nil
-}
-
-// Freshness reports how many operations an agent is behind the log head.
-func (e *Engine) Freshness(agent string) (behind uint64) {
-	head := e.Log.LastLSN()
-	at := e.Metadata.LSN(agent)
-	if head < at {
-		return 0
-	}
-	return head - at
 }

@@ -1,11 +1,10 @@
 // Package oplog implements the durable shared operation log that coordinates
 // continuous ingest across the Graph Engine's storage engines (§3.1). The KG
 // construction pipeline is the sole producer: it stages data payloads in the
-// object store and appends ingest operations to the log. Orchestration agents
-// replay operations in order, so all stores eventually derive their views of
-// the KG from the same base data in the same order. Log sequence numbers
-// (LSNs) are the distributed synchronization primitive: an agent's replayed
-// LSN tells consumers how fresh that store is.
+// object store and appends ingest operations to the log, one per publish
+// group. Orchestration agents replay operations in order, so all stores
+// eventually derive their views of the KG from the same base data in the
+// same order.
 //
 // LSNs are monotonically increasing but — since log compaction landed — not
 // dense: compaction conflates a prefix of the log to per-entity final states
@@ -32,23 +31,19 @@ import (
 	"saga/internal/triple"
 )
 
-// OpKind enumerates ingest operation types.
+// OpKind enumerates ingest operation types. No agent and no compaction
+// switches on it: every op applies its payload entities, then its Deletes,
+// then its link deltas, and a checkpoint marker simply carries none of them.
 type OpKind string
 
-// Operation kinds understood by orchestration agents.
+// Operation kinds.
 const (
-	// OpUpsert carries new or updated entity payloads.
+	// OpUpsert publishes a group's changes: payload entities, deletions and
+	// link-table deltas.
 	OpUpsert OpKind = "upsert"
-	// OpDelete removes entities from all stores.
-	OpDelete OpKind = "delete"
-	// OpOverwritePartition atomically replaces a source's volatile-predicate
-	// partition (§2.4) without join-based fusion.
-	OpOverwritePartition OpKind = "overwrite_partition"
-	// OpCuration carries human curation hot fixes (§4.3).
-	OpCuration OpKind = "curation"
-	// OpCheckpoint marks a consistent point after a construction run; view
-	// maintenance triggers on checkpoints, and recovery restores from the
-	// checkpoint snapshot whose watermark is this op's LSN.
+	// OpCheckpoint marks a consistent point after a construction run;
+	// recovery restores from the checkpoint snapshot whose watermark is this
+	// op's LSN.
 	OpCheckpoint OpKind = "checkpoint"
 )
 
@@ -61,12 +56,17 @@ type Op struct {
 	LSN uint64 `json:"lsn"`
 	// Kind is the operation type.
 	Kind OpKind `json:"kind"`
-	// Source names the data source the operation originated from.
+	// Source names the data source the operation originated from. Nothing
+	// reads it; the platform's group ops leave it empty.
 	Source string `json:"source,omitempty"`
 	// StagingKey locates the payload in the staging object store.
 	StagingKey string `json:"staging_key,omitempty"`
-	// EntityIDs lists the entities the operation touches.
+	// EntityIDs lists the payload's entities, in frame order.
 	EntityIDs []triple.EntityID `json:"entity_ids,omitempty"`
+	// Deletes lists the entities the operation removes from every store,
+	// applied after the payload. The platform's ops never list an entity in
+	// both.
+	Deletes []triple.EntityID `json:"deletes,omitempty"`
 	// Links records KG link-table deltas (source entity ID → canonical KG
 	// entity ID) settled by the commits this op publishes. The link table is
 	// construction metadata that cannot be derived from entity payloads, so
@@ -75,7 +75,7 @@ type Op struct {
 	Links map[triple.EntityID]triple.EntityID `json:"links,omitempty"`
 	// Unlinks records link-table removals (deleted source entity IDs).
 	Unlinks []triple.EntityID `json:"unlinks,omitempty"`
-	// Time is the append timestamp (unix nanos) for freshness monitoring.
+	// Time is the append timestamp (unix nanos).
 	Time int64 `json:"time"`
 }
 
@@ -106,6 +106,9 @@ func OpenStore(rec storage.RecordLog) (*Log, error) {
 		var op Op
 		if err := json.Unmarshal(payload, &op); err != nil {
 			return err
+		}
+		if op.Kind == "delete" { // written before deletes rode their group's op
+			op.Kind, op.Deletes, op.EntityIDs = OpUpsert, op.EntityIDs, nil
 		}
 		if op.LSN <= l.lastLSN {
 			// LSNs must strictly increase; a regression means the record is
@@ -199,16 +202,16 @@ func (l *Log) Read(after uint64, max int) []Op {
 	return out
 }
 
-// OpsThrough returns a copy of every op with LSN <= w, in order: the
-// compaction input (and nothing else reads a prefix, so the name says what
-// it is for).
+// OpsThrough returns every op with LSN <= w, in order: the compaction input
+// (and nothing else reads a prefix, so the name says what it is for). The
+// slice shares the log's memory instead of copying it — an appended op is
+// never written again (appends go past it, ReplaceRange builds a new slice)
+// — so callers read it and must not write to it.
 func (l *Log) OpsThrough(w uint64) []Op {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	n := l.searchLocked(w)
-	out := make([]Op, n)
-	copy(out, l.ops[:n])
-	return out
+	return l.ops[:n:n]
 }
 
 // ReplaceRange atomically replaces every op with LSN <= w by rewritten,

@@ -172,6 +172,24 @@ func TestOpenStoreFailsOnUndecodableRecord(t *testing.T) {
 	}
 }
 
+// TestOpenStoreReadsDeleteOps: an op of the "delete" kind, which listed the
+// deleted entities in entity_ids before deletes rode their group's op, opens
+// as an upsert whose Deletes are those entities and whose payload is empty.
+func TestOpenStoreReadsDeleteOps(t *testing.T) {
+	rec := &memRecordLog{records: [][]byte{
+		[]byte(`{"lsn":1,"kind":"upsert","staging_key":"k1","entity_ids":["kg:E1","kg:E2"],"time":7}`),
+		[]byte(`{"lsn":2,"kind":"delete","source":"s","entity_ids":["kg:E1"],"unlinks":["s:1"],"time":8}`),
+	}}
+	l, err := OpenStore(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Op{LSN: 2, Kind: OpUpsert, Source: "s", Deletes: []triple.EntityID{"kg:E1"}, Unlinks: []triple.EntityID{"s:1"}, Time: 8}
+	if got := l.Read(1, 0); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("delete op opened as %+v, want %+v", got, want)
+	}
+}
+
 // TestCompaction exercises ReplaceRange: surviving ops keep their sparse
 // LSNs, reads binary-search correctly past the gaps, the high-water mark is
 // unchanged, and a durable log round-trips the compacted state.
@@ -362,7 +380,8 @@ func FuzzOpenStore(f *testing.F) {
 	upsert := op(Op{LSN: 1, Kind: OpUpsert, Source: "s", StagingKey: "k1", EntityIDs: []triple.EntityID{"kg:E1"},
 		Links: map[triple.EntityID]triple.EntityID{"s:1": "kg:E1"}, Time: 7})
 	f.Add(upsert)
-	f.Add(bytes.Join([][]byte{upsert, op(Op{LSN: 4, Kind: OpDelete, Unlinks: []triple.EntityID{"s:1"}})}, []byte("\n")))
+	f.Add(bytes.Join([][]byte{upsert, op(Op{LSN: 4, Kind: OpUpsert, Deletes: []triple.EntityID{"kg:E1"}, Unlinks: []triple.EntityID{"s:1"}})}, []byte("\n")))
+	f.Add(bytes.Join([][]byte{upsert, []byte(`{"lsn":5,"kind":"delete","entity_ids":["kg:E1"]}`)}, []byte("\n")))
 	f.Add(bytes.Join([][]byte{upsert, upsert}, []byte("\n"))) // LSN regression
 	f.Add([]byte(`{"lsn":"x"}`))
 	f.Add([]byte(`{"lsn":1,"entity_ids":[`))
