@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -761,8 +762,9 @@ func checkReplayMatchesKG(t *testing.T, p *Platform, step string) {
 
 // TestPublishGroupIsOneOp: on the durable layout, each publish group —
 // a batch of three sources, a batch that deletes, a held publisher's
-// backlog of several batches — appends exactly one op to the log and stages
-// at most one payload, and replaying the log from genesis reaches the KG.
+// backlog of several batches, the group that heals four failed ones —
+// appends exactly one op to the log and stages at most one payload, and
+// replaying the log from genesis reaches the KG.
 func TestPublishGroupIsOneOp(t *testing.T) {
 	for _, cfg := range durabilityConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -846,6 +848,18 @@ func TestPublishGroupIsOneOp(t *testing.T) {
 				}
 				return groups
 			})
+			// Failed groups leave their entities and link keys pending; the
+			// group that heals publishes them with its own batch in one op.
+			churn := churnBatches(6, 12)
+			failErr := errors.New("injected publish failure")
+			p.publishHook = func() error { return failErr }
+			for _, b := range churn[:4] {
+				if _, err := p.ConsumeDeltas(b); !errors.Is(err, failErr) {
+					t.Fatalf("a failing group returned %v, want the injected failure", err)
+				}
+			}
+			p.publishHook = nil
+			step("heal after failures", consume(churn[4]))
 		})
 	}
 }

@@ -136,13 +136,12 @@ type Platform struct {
 	// every publish runs on its publisher.
 	feed *construct.Feed
 
-	// pending holds publishes that failed against the engine; they are
-	// retried — re-synced against the KG's current state — at the next
-	// publish point so a transient Engine.Publish error cannot leave the
-	// serving stores permanently diverged from the KG. Only publishGroup
-	// touches it: on the feed's publisher, and in Close after the feed has
-	// stopped.
-	pending []pendingPublish
+	// pending holds what failed publishes left behind; the next publish
+	// group re-syncs it against the KG's current state, in its one op, so a
+	// transient Engine.Publish error cannot leave the serving stores
+	// permanently diverged from the KG. Only publishGroup touches it: on the
+	// feed's publisher, and in Close after the feed has stopped.
+	pending pendingPublish
 
 	// publishHook, when set (tests only), runs before every engine publish
 	// and can inject failures to exercise the retry path.
@@ -176,11 +175,11 @@ type Platform struct {
 	compactDone    chan struct{}
 }
 
-// pendingPublish records a failed publish: the KG entities whose store state
+// pendingPublish records failed publishes: the KG entities whose store state
 // may be stale, and the link-table keys whose log record was lost. A retry
-// publishes the entities' *current* KG state (upsert if present, delete if
-// gone) and re-resolves each link key through KG.Lookup, which is convergent
-// no matter how many later commits touched them in between.
+// publishes the entities' *current* KG state (see syncOp) and re-resolves
+// each link key through KG.Lookup, which is convergent no matter how many
+// later commits touched them in between.
 type pendingPublish struct {
 	ids      []triple.EntityID
 	linkSrcs []triple.EntityID
@@ -381,7 +380,7 @@ func (p *Platform) resolveLinks(srcs []triple.EntityID) (links map[triple.Entity
 // construction link table (entity payloads cannot reproduce it), so recovery
 // replays Links/Unlinks alongside the payloads. On failure it queues the
 // affected entity IDs and link keys for retry, so a transient engine error
-// never leaves the stores permanently behind the KG: the next publish point
+// never leaves the stores permanently behind the KG: the next publish group
 // re-syncs them from the KG's then-current state.
 func (p *Platform) publishRaw(upserts []*triple.Entity, removed, linkSrcs []triple.EntityID) error {
 	if len(upserts) == 0 && len(removed) == 0 && len(linkSrcs) == 0 {
@@ -396,40 +395,31 @@ func (p *Platform) publishRaw(upserts []*triple.Entity, removed, linkSrcs []trip
 		_, err = p.Engine.PublishOp(oplog.Op{Kind: oplog.OpUpsert, Deletes: removed, Links: links, Unlinks: unlinks}, upserts)
 	}
 	if err != nil {
-		ids := make([]triple.EntityID, 0, len(upserts)+len(removed))
 		for _, e := range upserts {
-			ids = append(ids, e.ID)
+			p.pending.ids = append(p.pending.ids, e.ID)
 		}
-		ids = append(ids, removed...)
-		p.pending = append(p.pending, pendingPublish{ids: ids, linkSrcs: linkSrcs})
+		p.pending.ids = append(p.pending.ids, removed...)
+		p.pending.linkSrcs = append(p.pending.linkSrcs, linkSrcs...)
 	}
 	return err
 }
 
-// flushPending retries publishes that previously failed. Each retry syncs the
-// stores toward the KG's current state for the recorded entities — upsert the
-// ones still present, delete the ones gone — which is idempotent and safe to
-// interleave with any later successful publishes of the same entities. Still-
-// failing retries re-queue themselves (inside publishRaw).
-func (p *Platform) flushPending() error {
-	pend := p.pending
-	p.pending = nil
-	var firstErr error
-	for _, pp := range pend {
-		var upserts []*triple.Entity
-		var removed []triple.EntityID
-		for _, id := range pp.ids {
-			if e := p.KG.Graph.GetShared(id); e != nil {
-				upserts = append(upserts, e)
-			} else {
-				removed = append(removed, id)
-			}
-		}
-		if err := p.publishRaw(upserts, removed, pp.linkSrcs); err != nil && firstErr == nil {
-			firstErr = err
+// syncOp captures the KG's current state of ids as an op: the record of each
+// entity still present, a removal for each one gone. It is how every publish
+// point resolves the entities it covers — a batch's and a curation barrier's
+// right after their writes, failed publishes' at the next group — so an op
+// never disagrees with the KG it was captured from, however the writes that
+// touched an entity were ordered.
+func (p *Platform) syncOp(ids, linkSrcs []triple.EntityID) capturedOp {
+	op := capturedOp{linkSrcs: linkSrcs}
+	for _, id := range ids {
+		if e := p.KG.Graph.GetShared(id); e != nil {
+			op.upserts = append(op.upserts, e)
+		} else {
+			op.removed = append(op.removed, id)
 		}
 	}
-	return firstErr
+	return op
 }
 
 // FeedOptions is Feed's argument. It has no fields: the platform's feed runs
@@ -457,7 +447,8 @@ func (p *Platform) Feed(FeedOptions) (*construct.Feed, error) {
 
 // capturedOp is one batch's publish payload, captured on the feed's commit
 // loop right after the batch commits: the records of the entities its deltas
-// touched, the entities they removed, and the link-table keys they settled.
+// touched or removed that the KG still holds, removals for those it does not,
+// and the link-table keys they settled.
 // Capturing there (shared records — no clone, just pointer grabs) pins exactly
 // the entity states the commit produced, so the publisher appends the same
 // operation to the log no matter how far construction has advanced by the
@@ -500,26 +491,24 @@ func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 		}
 		return
 	}
-	var op capturedOp
+	// A batch's deltas each link against the KG as it stood at batch start,
+	// so one delta can remove an entity a later delta re-creates: only the
+	// KG's state after the whole batch says which way it went.
+	var ids, linkSrcs []triple.EntityID
 	for _, st := range b.Stats {
-		for _, id := range st.Touched {
-			if e := p.KG.Graph.GetShared(id); e != nil {
-				op.upserts = append(op.upserts, e)
-			}
-		}
-		op.removed = append(op.removed, st.Removed...)
-		op.linkSrcs = slices.AppendSeq(append(op.linkSrcs, st.Unlinks...), maps.Keys(st.Links))
+		ids = append(append(ids, st.Touched...), st.Removed...)
+		linkSrcs = slices.AppendSeq(append(linkSrcs, st.Unlinks...), maps.Keys(st.Links))
 	}
-	b.Payload = op
+	b.Payload = p.syncOp(ids, linkSrcs)
 }
 
 // publishGroup is the platform's one publish routine and the feed's Publish
 // hook: the feed's publisher hands it its whole backlog, in commit order, and
 // is its only caller apart from Close, which calls it once after the feed has
-// stopped. It retries any queued failed publishes, appends the group's
-// captured operations — batches' and barrier edits' alike — to the log as
-// one op, catches every agent up, and takes the checkpoint a barrier asked
-// for or the periodic cadence has come due for.
+// stopped. It appends what failed publishes left pending, re-synced from the
+// KG, and the group's captured operations — batches' and barrier edits'
+// alike — to the log as one op, catches every agent up, and takes the
+// checkpoint a barrier asked for or the periodic cadence has come due for.
 //
 // Handing it the whole backlog enables conflation (group commit): an entity
 // touched by several batches of the group is published once, at its final
@@ -530,13 +519,11 @@ func (p *Platform) captureFeedBatch(b *construct.FeedBatch) {
 // update-heavy stream this is what lets a publisher that falls behind catch
 // back up instead of lagging forever.
 func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
-	// Retry failures belong to the batch that first reported them; they stay
-	// queued (flushPending re-queues what still fails) without failing this
-	// group's results.
-	_ = p.flushPending()
-
-	// Flatten the group's captured ops into per-entity events, in capture
-	// order, then keep only each entity's last event, in its place. The
+	// Flatten the pending re-sync and the group's captured ops into
+	// per-entity events, in that order, then keep only each entity's last
+	// event, in its place: a batch's captured state is the one that belongs
+	// at the group's place in the log, and any newer state the pending
+	// re-sync read reaches the log again with a later group. The
 	// group's link keys are resolved once, at publish time against the fully
 	// committed KG, so which batch settled a key cannot change the outcome.
 	type event struct {
@@ -547,18 +534,21 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 	linkKeys := make(map[triple.EntityID]bool)
 	published := 0
 	var ckpts []*barrierTurn
+	ops := []capturedOp{p.syncOp(p.pending.ids, p.pending.linkSrcs)}
+	p.pending = pendingPublish{}
 	for _, b := range group {
-		var op capturedOp
 		switch pl := b.Payload.(type) {
 		case capturedOp:
 			published++
-			op = pl
+			ops = append(ops, pl)
 		case *barrierTurn:
-			op = pl.op
+			ops = append(ops, pl.op)
 			if pl.checkpoint {
 				ckpts = append(ckpts, pl)
 			}
 		}
+	}
+	for _, op := range ops {
 		for _, e := range op.upserts {
 			evs = append(evs, event{e.ID, e})
 		}
@@ -723,8 +713,9 @@ func (p *Platform) Query(text string) (kgq.Result, error) {
 // is closed it returns construct.ErrFeedClosed and the decisions stay queued.
 func (p *Platform) ApplyCurationDecisions() (int, error) {
 	n := 0
-	err := p.turn(&barrierTurn{edit: func() (op capturedOp) {
+	err := p.turn(&barrierTurn{edit: func() capturedOp {
 		decisions := p.Curation.DrainDecisions()
+		var ids []triple.EntityID
 		n = len(decisions)
 		for _, d := range decisions {
 			switch d.Kind {
@@ -755,13 +746,11 @@ func (p *Platform) ApplyCurationDecisions() (int, error) {
 			// touched entity to the pipeline's KG-derived caches (block index,
 			// alias-resolver cache) ourselves.
 			p.Pipeline.RefreshKGCaches(d.Entity)
-			if d.Kind == live.DecisionBlockEntity {
-				op.removed = append(op.removed, d.Entity)
-			} else if e := p.KG.Graph.GetShared(d.Entity); e != nil {
-				op.upserts = append(op.upserts, e)
-			}
+			ids = append(ids, d.Entity)
 		}
-		return op
+		// An edit after a block re-creates the entity, so only the state
+		// after every decision says whether it is published or removed.
+		return p.syncOp(ids, nil)
 	}})
 	return n, err
 }

@@ -344,3 +344,92 @@ func TestRefreshServingVisibleAtReturn(t *testing.T) {
 		}
 	}
 }
+
+// checkStoresMatchKG requires the graph replica and the entity store to hold
+// exactly the KG's records, and a replay of the log from genesis to reach
+// the KG.
+func checkStoresMatchKG(t *testing.T, p *Platform, step string) {
+	t.Helper()
+	want := make(map[triple.EntityID][]byte)
+	p.KG.Graph.RangeShared(func(e *triple.Entity) bool {
+		b, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e.ID] = b
+		return true
+	})
+	if got := storeRecords(t, p.EntityStore); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: the entity store holds %d records, the KG %d, and they differ", step, len(got), len(want))
+	}
+	if !reflect.DeepEqual(p.GraphReplica.Triples(), p.KG.Graph.Triples()) {
+		t.Fatalf("%s: the replica holds %d entities, the KG %d, and they differ", step, p.GraphReplica.Len(), p.KG.Graph.Len())
+	}
+	checkReplayMatchesKG(t, p, step)
+}
+
+// TestPublishFollowsKGAcrossBatchDeltas: a batch's deltas each link against
+// the KG as it stood at batch start, so one delta can remove the last
+// contribution to a KG entity while a later delta of the same batch, linked
+// to it, re-creates it. What the batch publishes must be the KG's state after
+// the whole batch — an upsert — not a delete that the stores and a replay of
+// the log would apply while the KG keeps the entity.
+func TestPublishFollowsKGAcrossBatchDeltas(t *testing.T) {
+	p := newTestPlatform(t, Options{Construction: ConstructionOptions{Workers: 2}})
+	a := workload.SourceSpec{Name: "a", Type: "band", Count: 1, Seed: 3}
+	if _, err := p.ConsumeDelta(a.Delta()); err != nil {
+		t.Fatal(err)
+	}
+	kgID, ok := p.KG.Lookup("a:e0")
+	if !ok {
+		t.Fatal("a:e0 did not link")
+	}
+	b := workload.SourceSpec{Name: "b", Type: "band", Count: 1, Seed: 3}
+	if _, err := p.ConsumeDeltas([]ingest.Delta{
+		{Source: "a", Deleted: []triple.EntityID{"a:e0"}},
+		b.Delta(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := p.KG.Lookup("b:e0"); !ok || got != kgID || p.KG.Graph.GetShared(kgID) == nil {
+		t.Fatalf("b:e0 linked to %q (ok=%v), KG holds %s: %v; the batch must re-create %s",
+			got, ok, kgID, p.KG.Graph.GetShared(kgID) != nil, kgID)
+	}
+	checkStoresMatchKG(t, p, "delete then re-create")
+}
+
+// TestCurationEditAfterBlockEntity: an edit decision applied after a
+// BlockEntity decision for the same entity re-creates it (Graph.Update on a
+// missing entity), so the barrier must publish the entity, not its removal.
+func TestCurationEditAfterBlockEntity(t *testing.T) {
+	p := newTestPlatform(t, Options{})
+	if _, err := p.ConsumeDelta(workload.SourceSpec{Name: "s", Count: 3, Seed: 5}.Delta()); err != nil {
+		t.Fatal(err)
+	}
+	p.RefreshServing()
+	kgID, _ := p.KG.Lookup("s:e0")
+	var nameFact triple.Triple
+	for _, tr := range p.Live.Current().GetShared(kgID).Triples {
+		if tr.Predicate == triple.PredName {
+			nameFact = tr
+		}
+	}
+	// An edit needs its target in the live store, so the hot fixes run edit
+	// first; the drained decisions are ordered by entity then fact, which
+	// puts the block (no fact) ahead of the edit.
+	if err := p.Curation.Decide(p.Live, live.Decision{
+		Kind: live.DecisionEdit, Entity: kgID, Fact: nameFact, NewValue: triple.String("Corrected Name"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Curation.Decide(p.Live, live.Decision{Kind: live.DecisionBlockEntity, Entity: kgID}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.ApplyCurationDecisions(); err != nil || n != 2 {
+		t.Fatalf("applied = %d, err = %v", n, err)
+	}
+	if p.KG.Graph.GetShared(kgID) == nil {
+		t.Fatalf("the edit after the block did not re-create %s in the KG", kgID)
+	}
+	checkStoresMatchKG(t, p, "block then edit")
+}
