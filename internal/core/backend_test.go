@@ -133,7 +133,7 @@ func TestBackendsByteIdentical(t *testing.T) {
 }
 
 // TestDiskBackendRecovery closes a disk-backed platform and reopens its data
-// directory: the oplog, staging store, and entity store must all come back,
+// directory: the oplog (payloads included) and entity store must come back,
 // and replaying the log must rebuild the same replica.
 func TestDiskBackendRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -172,7 +172,8 @@ func TestDiskBackendRecovery(t *testing.T) {
 
 // TestDurableLayoutsStageIdenticalBytes: the hybrid configuration (memory
 // backend + Durability.Dir) and the disk backend open one durable layout, so
-// the same synchronous input writes byte-identical staging segments.
+// the same synchronous input writes byte-identical log segments, payloads
+// included: a record depends only on the input.
 func TestDurableLayoutsStageIdenticalBytes(t *testing.T) {
 	hybrid, diskDir := t.TempDir(), t.TempDir()
 	for _, opts := range []Options{
@@ -192,28 +193,28 @@ func TestDurableLayoutsStageIdenticalBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := filepath.Glob(filepath.Join(hybrid, "staging", "*.seg"))
+	segs, err := filepath.Glob(filepath.Join(hybrid, "oplog", "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) == 0 {
-		t.Fatal("hybrid platform wrote no staging segments")
+		t.Fatal("hybrid platform wrote no log segments")
 	}
 	for _, seg := range segs {
 		want, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(diskDir, "staging", filepath.Base(seg)))
+		got, err := os.ReadFile(filepath.Join(diskDir, "oplog", filepath.Base(seg)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("staging/%s: disk backend wrote %d bytes, hybrid %d, and they differ", filepath.Base(seg), len(got), len(want))
+			t.Errorf("oplog/%s: disk backend wrote %d bytes, hybrid %d, and they differ", filepath.Base(seg), len(got), len(want))
 		}
 	}
-	if diskSegs, _ := filepath.Glob(filepath.Join(diskDir, "staging", "*.seg")); len(diskSegs) != len(segs) {
-		t.Errorf("disk backend wrote %d staging segments, hybrid %d", len(diskSegs), len(segs))
+	if diskSegs, _ := filepath.Glob(filepath.Join(diskDir, "oplog", "*.seg")); len(diskSegs) != len(segs) {
+		t.Errorf("disk backend wrote %d log segments, hybrid %d", len(diskSegs), len(segs))
 	}
 }
 
@@ -281,7 +282,7 @@ func TestOpenStorageBackends(t *testing.T) {
 
 // TestOpenFailureClosesStores: an Open that fails after opening some stores
 // closes them again. A regular file where the checkpoint directory belongs
-// fails Open after the record log and staging segment are open; it used to
+// fails Open after the record log is open; it used to
 // leave them (and the entity KV) open.
 func TestOpenFailureClosesStores(t *testing.T) {
 	if runtime.GOOS != "linux" {

@@ -131,24 +131,22 @@ func (p *Platform) recover() error {
 	return nil
 }
 
-// runCheckpoint takes one checkpoint: it publishes the OpCheckpoint marker,
-// catches every agent up to it, and — when the platform has a durable
-// checkpoint store — streams the graph and link replicas (now exactly the
-// replay of ops ≤ W) into one atomic checkpoint file at watermark
-// W = LastLSN. Only the JSON meta is built in memory, marshalled straight
-// from the link replica under linkMu; the entity frames go from a
-// RangeShared walk of the frozen graph replica through the store's write
-// buffer to the file, with no lock held. Afterwards it advances the
-// compaction floor to the previous checkpoint's watermark and triggers
-// background compaction when the ops between the last compaction's
-// watermark and the floor have grown past the configured threshold.
+// runCheckpoint takes one checkpoint: it catches every agent up to the log's
+// head and — when the platform has a durable checkpoint store — streams the
+// graph and link replicas (now exactly the replay of ops ≤ W) into one
+// atomic checkpoint file at watermark W = LastLSN. The log records nothing:
+// the checkpoint store keys each checkpoint by its watermark. Only the JSON
+// meta is built in memory, marshalled straight from the link replica under
+// linkMu; the entity frames go from a RangeShared walk of the frozen graph
+// replica through the store's write buffer to the file, with no lock held.
+// Afterwards it advances the compaction floor to the previous checkpoint's
+// watermark and triggers background compaction when the ops between the
+// last compaction's watermark and the floor have grown past the configured
+// threshold.
 //
 // It runs inside publishGroup — on the feed's publisher, the log's only
 // appender — so no publish advances the log between the CatchUp and the save.
 func (p *Platform) runCheckpoint() (uint64, error) {
-	if _, err := p.Engine.Publish(oplog.OpCheckpoint, "construction", nil); err != nil {
-		return 0, err
-	}
 	if err := p.Engine.CatchUp(); err != nil {
 		return 0, err
 	}
@@ -169,8 +167,13 @@ func (p *Platform) runCheckpoint() (uint64, error) {
 	}
 	p.durMu.Lock()
 	p.durStats.Checkpoints++
-	floor := p.durStats.LastCheckpointLSN
-	p.prevCkptLSN = floor
+	// With no write since the last checkpoint this one shares its
+	// watermark, and the floor stays: raising it to w would let compaction
+	// drop a tombstone the older retained checkpoint still needs.
+	if last := p.durStats.LastCheckpointLSN; last < w {
+		p.prevCkptLSN = last
+	}
+	floor := p.prevCkptLSN
 	p.durStats.LastCheckpointLSN = w
 	// Only ops past this session's last compaction count: the prefix below
 	// its watermark is already conflated, and rewriting it sheds nothing.
@@ -261,7 +264,7 @@ func (p *Platform) triggerCompact(w uint64) {
 }
 
 // stopCompactor stops the background compactor and waits for an in-flight
-// run to finish, so Close can shut the log and staging store safely.
+// run to finish, so Close can shut the log and checkpoint store safely.
 func (p *Platform) stopCompactor() {
 	p.compactMu.Lock()
 	if !p.compactStopped {

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,11 +87,11 @@ func durableOptions(cfg durabilityConfig, dir string) Options {
 // they reference was durably complete before the snapshot point — the same
 // write-ordering argument real recovery relies on. That argument only covers
 // the forward direction, though: a compaction swap that completes *during*
-// the copy appends staging tombstones for keys the already-copied (old) log
-// still references, an old-log/new-staging mix no real crash can produce
-// (tombstones are written strictly after the swapped manifest is durable).
-// Every swap rewrites the log MANIFEST, so the copy is accepted only if each
-// manifest re-reads byte-identical after the last data file is copied.
+// the copy deletes segments the already-copied (old) manifest still lists,
+// an old-manifest/new-segments mix no real crash can produce (old segments
+// are deleted strictly after the swapped manifest is durable). Every swap
+// rewrites the log MANIFEST, so the copy is accepted only if each manifest
+// re-reads byte-identical after the last data file is copied.
 // Returns false if the tree mutated so the copy should be retried.
 func copyTree(t *testing.T, src, dst string) bool {
 	t.Helper()
@@ -150,8 +152,8 @@ func copyTree(t *testing.T, src, dst string) bool {
 		}
 	}
 	// A swap/rotation landed inside the copy window iff a manifest moved
-	// since it was copied; the snapshot may then mix old log with newer
-	// staging, so discard it.
+	// since it was copied; the snapshot may then mix an old manifest with
+	// newer segments, so discard it.
 	for path, copied := range manifests {
 		now, err := os.ReadFile(path)
 		if err != nil || !bytes.Equal(now, copied) {
@@ -573,64 +575,79 @@ func TestCompactionCountsOnlyUncompactedOps(t *testing.T) {
 // replays the log past it, and that suffix must still hold the delete taken
 // between the two: compacting through the newest checkpoint would elide the
 // delete's tombstone, and the deleted entity and its link would come back.
+// A checkpoint taken again with no write in between shares the newest
+// watermark (the log records no checkpoint), and must not raise the floor to
+// it: the older checkpoint is still the one recovery falls back to.
 func TestCompactKeepsOlderCheckpointSound(t *testing.T) {
 	for _, cfg := range durabilityConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
-			dir := t.TempDir()
-			p, err := Open(durableOptions(cfg, dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ents := workload.SourceSpec{Name: "src", Count: 12, RichFacts: 2, Seed: 1}.Entities()
-			if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Added: ents}}); err != nil {
-				t.Fatal(err)
-			}
-			older, err := p.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Deleted: []triple.EntityID{ents[0].ID}}}); err != nil {
-				t.Fatal(err)
-			}
-			newer, err := p.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := p.Compact()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if floor := p.DurabilityStats().CompactionFloor; floor != older || stats.Watermark != older {
-				t.Errorf("compaction floor %d, compacted through %d; want the older checkpoint %d (newest %d)", floor, stats.Watermark, older, newer)
-			}
-			want := durableStateOf(t, p)
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			newest := filepath.Join(dir, "checkpoints", fmt.Sprintf("%020d.ckpt", newer))
-			b, err := os.ReadFile(newest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b[len(b)/2] ^= 0xff
-			if err := os.WriteFile(newest, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			re, err := Open(durableOptions(cfg, dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			if got := re.DurabilityStats().RecoveredLSN; got != older {
-				t.Fatalf("recovered from lsn %d, want the older checkpoint %d", got, older)
-			}
-			if got := durableStateOf(t, re); !reflect.DeepEqual(got, want) {
-				t.Errorf("recovery from the older checkpoint differs from pre-close state:\n  got:  kg=%d links=%d\n  want: kg=%d links=%d",
-					len(got.KG), len(got.Links), len(want.KG), len(want.Links))
+			for _, again := range []bool{false, true} {
+				testCompactKeepsOlderCheckpointSound(t, cfg, again)
 			}
 		})
 	}
+}
+
+func testCompactKeepsOlderCheckpointSound(t *testing.T, cfg durabilityConfig, again bool) {
+	dir := t.TempDir()
+	p, err := Open(durableOptions(cfg, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents := workload.SourceSpec{Name: "src", Count: 12, RichFacts: 2, Seed: 1}.Entities()
+	if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Added: ents}}); err != nil {
+		t.Fatal(err)
+	}
+	older, err := p.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Deleted: []triple.EntityID{ents[0].ID}}}); err != nil {
+		t.Fatal(err)
+	}
+	newer, err := p.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again {
+		if w, err := p.Checkpoint(); err != nil || w != newer {
+			t.Fatalf("a checkpoint with no write since the last = %d, %v; want its watermark %d", w, err, newer)
+		}
+	}
+	stats, err := p.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor := p.DurabilityStats().CompactionFloor; floor != older || stats.Watermark != older {
+		t.Errorf("compaction floor %d, compacted through %d; want the older checkpoint %d (newest %d)", floor, stats.Watermark, older, newer)
+	}
+	want := durableStateOf(t, p)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	newest := filepath.Join(dir, "checkpoints", fmt.Sprintf("%020d.ckpt", newer))
+	b, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(newest, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(durableOptions(cfg, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.DurabilityStats().RecoveredLSN; got != older {
+		t.Fatalf("recovered from lsn %d, want the older checkpoint %d", got, older)
+	}
+	if got := durableStateOf(t, re); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovery from the older checkpoint differs from pre-close state:\n  got:  kg=%d links=%d\n  want: kg=%d links=%d",
+			len(got.KG), len(got.Links), len(want.KG), len(want.Links))
+	}
+	checkReplayMatchesKG(t, re, "recovered from the older checkpoint")
 }
 
 // TestRecoveryDecodesEachPayloadOnce: recovery applies the checkpoint and
@@ -744,7 +761,7 @@ func TestCloseWithInFlightFeedAndCompaction(t *testing.T) {
 // link table and requires them to equal the KG's.
 func checkReplayMatchesKG(t *testing.T, p *Platform, step string) {
 	t.Helper()
-	e := graphengine.NewWithStaging(p.Engine.Log, p.Engine.Staging)
+	e := graphengine.New(p.Engine.Log)
 	g := triple.NewGraph()
 	links := &Platform{linkReplica: make(map[triple.EntityID]triple.EntityID)}
 	e.RegisterAgent(graphengine.GraphAgent{Graph: g})
@@ -760,30 +777,54 @@ func checkReplayMatchesKG(t *testing.T, p *Platform, step string) {
 	}
 }
 
-// TestPublishGroupIsOneOp: on the durable layout, each publish group —
-// a batch of three sources, a batch that deletes, a held publisher's
-// backlog of several batches, the group that heals four failed ones —
-// appends exactly one op to the log and stages at most one payload, and
-// replaying the log from genesis reaches the KG.
+// diskRecords counts the records in the segments the record log under dir
+// lists in its manifest: what its Len would report on reopen.
+func diskRecords(t *testing.T, dir string) int {
+	t.Helper()
+	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, name := range strings.Fields(string(manifest)) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += triple.CountRecords(data)
+	}
+	return n
+}
+
+// TestPublishGroupIsOneOp: on the durable layout, which opens no staging
+// store, each publish group — a batch of three sources, a batch that
+// deletes, a held publisher's backlog of several batches, the group that
+// heals four failed ones — appends exactly one op to the log and one record
+// to the record log, its payload included, and replaying the log from
+// genesis reaches the KG.
 func TestPublishGroupIsOneOp(t *testing.T) {
 	for _, cfg := range durabilityConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
-			p, err := Open(durableOptions(cfg, t.TempDir()))
+			dir := t.TempDir()
+			p, err := Open(durableOptions(cfg, dir))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer p.Close()
+			if _, err := os.Stat(filepath.Join(dir, "staging")); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("Open made a staging directory (stat: %v)", err)
+			}
 			// step runs publish, which reports how many groups it published,
-			// and checks what those groups logged and staged.
+			// and checks what those groups logged.
 			step := func(name string, publish func() int) {
 				t.Helper()
-				lsn, staged := p.Engine.Log.LastLSN(), p.Engine.Staging.Len()
+				lsn, records := p.Engine.Log.LastLSN(), diskRecords(t, filepath.Join(dir, "oplog"))
 				groups := publish()
 				if got := p.Engine.Log.LastLSN() - lsn; got != uint64(groups) {
 					t.Fatalf("%s: %d groups appended %d ops", name, groups, got)
 				}
-				if got := p.Engine.Staging.Len() - staged; got > groups {
-					t.Fatalf("%s: %d groups staged %d payloads", name, groups, got)
+				if got := diskRecords(t, filepath.Join(dir, "oplog")) - records; got != groups {
+					t.Fatalf("%s: %d groups appended %d records", name, groups, got)
 				}
 				checkReplayMatchesKG(t, p, name)
 			}
@@ -799,7 +840,7 @@ func TestPublishGroupIsOneOp(t *testing.T) {
 			step("three sources", consume(batches[0]))
 			step("updates", consume(batches[1]))
 			step("deletes", consume(batches[2]))
-			if ops := p.Engine.Log.Read(p.Engine.Log.LastLSN()-1, 0); len(ops) != 1 || len(ops[0].Deletes) == 0 || ops[0].StagingKey == "" {
+			if ops := p.Engine.Log.Read(p.Engine.Log.LastLSN()-1, 0); len(ops) != 1 || len(ops[0].Deletes) == 0 || len(ops[0].EntityIDs) == 0 {
 				t.Fatalf("the delete batch's op = %+v, want one op with a payload and deletes", ops)
 			}
 			step("held backlog", func() int {

@@ -53,10 +53,12 @@ func platformBatches(rounds, sources, count int) [][]ingest.Delta {
 	return out
 }
 
-// TestPlatformFeedMatchesSerialConsumeDeltas: the feed must leave the KG,
-// the operation log, and every agent-derived store byte-identical to serial
-// ConsumeDeltas calls — one submit-and-await at a time — over the same
-// batches.
+// TestPlatformFeedMatchesSerialConsumeDeltas: the feed must leave the KG and
+// every agent-derived store byte-identical to serial ConsumeDeltas calls —
+// one submit-and-await at a time — over the same batches, with a log that
+// replays to the same KG in one op per publish group. The publisher is held
+// on the first batch until the others have committed, so the backlog groups
+// on every run.
 func TestPlatformFeedMatchesSerialConsumeDeltas(t *testing.T) {
 	batches := platformBatches(4, 3, 10)
 
@@ -72,10 +74,29 @@ func TestPlatformFeedMatchesSerialConsumeDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]<-chan construct.BatchResult, 0, len(batches))
-	for _, b := range batches {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	fed.publishHook = func() error {
+		if !held.Swap(true) {
+			close(entered)
+			<-release
+		}
+		return nil
+	}
+	results := []<-chan construct.BatchResult{f.Submit(batches[0])}
+	<-entered
+	for _, b := range batches[1:] {
 		results = append(results, f.Submit(b))
 	}
+	// A barrier's edit runs on the commit loop after every batch before it
+	// has committed.
+	committed := make(chan struct{})
+	results = append(results, f.Barrier(&barrierTurn{edit: func() capturedOp {
+		close(committed)
+		return capturedOp{}
+	}}))
+	<-committed
+	close(release)
 	for i, ch := range results {
 		if res := <-ch; res.Err != nil {
 			t.Fatalf("batch %d: %v", i, res.Err)
@@ -91,9 +112,11 @@ func TestPlatformFeedMatchesSerialConsumeDeltas(t *testing.T) {
 	if got, want := fed.GraphReplica.Triples(), serial.GraphReplica.Triples(); !reflect.DeepEqual(got, want) {
 		t.Fatal("feed graph replica diverged from serial ConsumeDeltas")
 	}
-	if got, want := fed.Engine.Log.LastLSN(), serial.Engine.Log.LastLSN(); got != want {
-		t.Fatalf("log LSN = %d, serial %d", got, want)
+	// One op per publish group: the held backlog published as one.
+	if got, groups, serialLSN := fed.Engine.Log.LastLSN(), f.Stats().PublishGroups, serial.Engine.Log.LastLSN(); got != uint64(groups) || got >= serialLSN {
+		t.Fatalf("log LSN = %d after %d publish groups, serial %d: want one op per group, fewer than serial", got, groups, serialLSN)
 	}
+	checkReplayMatchesKG(t, fed, "fed")
 	// Every agent fully caught up before Close returned.
 	if got, want := storeRecords(t, fed.EntityStore), storeRecords(t, serial.EntityStore); !reflect.DeepEqual(got, want) {
 		t.Fatal("feed entity store diverged from serial ConsumeDeltas")

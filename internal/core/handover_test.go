@@ -1,7 +1,7 @@
 package core
 
 // The publisher hands each op's records to the agents as they are; decoding
-// from staging is for recovery. These tests hold the two paths to one
+// them from the log is for recovery. These tests hold the two paths to one
 // another and the shared records to their freeze.
 
 import (
@@ -21,13 +21,12 @@ import (
 )
 
 // checkDecodePath replays p's log from genesis into fresh agents of a fresh
-// engine over the same log and staging, so every op goes through the decode
-// path, and compares them with p's hot-applied agents: byte-identical
-// replica and entity-store records, deep-equal replica entities, and equal
-// link tables.
+// engine over the same log, so every op goes through the decode path, and
+// compares them with p's hot-applied agents: byte-identical replica and
+// entity-store records, deep-equal replica entities, and equal link tables.
 func checkDecodePath(t *testing.T, p *Platform, step string) {
 	t.Helper()
-	e := graphengine.NewWithStaging(p.Engine.Log, p.Engine.Staging)
+	e := graphengine.New(p.Engine.Log)
 	replica := triple.NewGraph()
 	store := entitystore.New()
 	links := &Platform{linkReplica: make(map[triple.EntityID]triple.EntityID)}
@@ -84,7 +83,7 @@ func storeRecords(t *testing.T, s *entitystore.Store) map[triple.EntityID][]byte
 // deletes, volatile overwrites, curation fixes, and publishes that fail and
 // are retried at the next publish point — the agents fed by hand-over after
 // every published group hold exactly what agents reach by decoding the same
-// log from staging.
+// log's records.
 func TestHandOverMatchesDecodePath(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {

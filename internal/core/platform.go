@@ -34,12 +34,12 @@ import (
 )
 
 // StorageOptions selects the storage medium for the platform's stores
-// (entity KV, record log, staging blobs, checkpoints).
+// (entity KV, record log, checkpoints).
 type StorageOptions struct {
 	// Backend is "memory" (or empty) or "disk". The memory backend keeps
-	// the entity KV in memory, and the log, staging store, and checkpoints
-	// too unless DurabilityOptions.Dir makes them durable. The disk backend
-	// keeps all four under DataDir.
+	// the entity KV in memory, and the log (payloads included) and
+	// checkpoints too unless DurabilityOptions.Dir makes them durable. The
+	// disk backend keeps all three under DataDir.
 	Backend string
 	// DataDir roots the disk backend's files: the durable layout of
 	// DurabilityOptions.Dir plus the entity KV (DataDir/entities.dat, which
@@ -63,11 +63,13 @@ type ConstructionOptions struct {
 // checkpoints and log compaction.
 type DurabilityOptions struct {
 	// Dir, with the memory backend, roots the durable layout — a segmented
-	// operation log (Dir/oplog), the segment staging store (Dir/staging),
-	// and checkpoint files (Dir/checkpoints) — while the serving stores stay
-	// volatile: the hybrid deployment where only replayable state survives a
-	// restart. The disk backend opens the same layout under Storage.DataDir
-	// and ignores Dir.
+	// operation log whose records carry each op's entity payload
+	// (Dir/oplog), and checkpoint files (Dir/checkpoints) — while the
+	// serving stores stay volatile: the hybrid deployment where only
+	// replayable state survives a restart. Each publish group is one record
+	// and one fsync. The disk backend opens the same layout under
+	// Storage.DataDir and ignores Dir. A tree written before payloads rode
+	// in the log fails Open, naming the record format, and is left as it is.
 	Dir string
 	// CheckpointEvery takes a durable checkpoint every N published batches,
 	// on the feed's publisher after a group's ops, so it never stalls the
@@ -203,11 +205,10 @@ func Open(opts Options) (_ *Platform, err error) {
 		}
 	}()
 	var (
-		log     = oplog.NewVolatile()
-		staging = graphengine.NewObjectStore()
-		ckpts   storage.Checkpointer
-		kv      storage.EntityKV
-		dir     = opts.Durability.Dir
+		log   = oplog.NewVolatile()
+		ckpts storage.Checkpointer
+		kv    storage.EntityKV
+		dir   = opts.Durability.Dir
 	)
 	switch opts.Storage.Backend {
 	case "", "memory":
@@ -220,10 +221,19 @@ func Open(opts Options) (_ *Platform, err error) {
 	default:
 		return nil, fmt.Errorf("core: unknown storage backend %q (want \"memory\" or \"disk\")", opts.Storage.Backend)
 	}
-	if dir != "" {
-		if log, staging, ckpts, err = openDurable(dir, &opened); err != nil {
+	if dir != "" { // the one durable layout: dir/oplog and dir/checkpoints
+		rec, err := disk.OpenRecordLog(filepath.Join(dir, "oplog"), 0)
+		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
+		if log, err = oplog.OpenStore(rec); err != nil { // closes rec when it fails
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		opened = append(opened, log)
+		if ckpts, err = disk.OpenCheckpoints(filepath.Join(dir, "checkpoints")); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		opened = append(opened, ckpts)
 	}
 	if kv == nil { // disk: the entity KV lives beside the durable layout
 		// It starts empty: recovery re-derives every entry from the log.
@@ -239,7 +249,7 @@ func Open(opts Options) (_ *Platform, err error) {
 	p := &Platform{
 		Ont:          opts.Ontology,
 		KG:           construct.NewKG(),
-		Engine:       graphengine.NewWithStaging(log, staging),
+		Engine:       graphengine.New(log),
 		EntityStore:  entitystore.NewWith(kv),
 		GraphReplica: triple.NewGraph(),
 		Curation:     live.NewQueue(),
@@ -277,33 +287,6 @@ func Open(opts Options) (_ *Platform, err error) {
 		Publish:  p.publishGroup,
 	})
 	return p, nil
-}
-
-// openDurable opens the one durable layout under dir: the segmented record
-// log (dir/oplog), the segment staging store (dir/staging) and the checkpoint
-// files (dir/checkpoints). Each store joins opened as soon as it is open, so
-// Open's cleanup closes it if a later step fails.
-func openDurable(dir string, opened *[]io.Closer) (*oplog.Log, graphengine.ObjectStore, storage.Checkpointer, error) {
-	rec, err := disk.OpenRecordLog(filepath.Join(dir, "oplog"), 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	log, err := oplog.OpenStore(rec) // closes rec when it fails
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	*opened = append(*opened, log)
-	staging, err := disk.OpenSegmentBlobStore(filepath.Join(dir, "staging"), 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	*opened = append(*opened, staging)
-	ckpts, err := disk.OpenCheckpoints(filepath.Join(dir, "checkpoints"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	*opened = append(*opened, ckpts)
-	return log, staging, ckpts, nil
 }
 
 // IngestSource runs a source's ingestion pipeline over a published data
@@ -597,7 +580,7 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 // Close shuts the platform down, in dependency order: the standing feed is
 // closed and its backlog published, queued failed publishes are retried, the
 // background compactor is stopped and waited for, and only then do the
-// operation log, staging store, checkpoint store, and entity store release
+// operation log, checkpoint store, and entity store release
 // their storage backends (for durable backends that also syncs and closes
 // their files) — so no compaction or publish can race a closing store, and a
 // clean Close leaves no orphaned segments behind. Close is not safe
@@ -618,9 +601,6 @@ func (p *Platform) Close() error {
 		}
 	}
 	if err := p.Engine.Log.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := p.Engine.Staging.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	if err := p.EntityStore.Close(); err != nil && firstErr == nil {

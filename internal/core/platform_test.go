@@ -223,12 +223,15 @@ func TestCurationPublishFailureHeals(t *testing.T) {
 	}
 }
 
-// logged reports whether some op's staged payload holds the entity record
-// rec, frame for frame.
+// logged reports whether some op's payload holds the entity record rec,
+// frame for frame.
 func logged(t *testing.T, p *Platform, rec []byte) bool {
 	t.Helper()
 	for _, op := range p.Engine.Log.Read(0, 0) {
-		payload, _ := p.Engine.Staging.Get(op.StagingKey)
+		payload, err := p.Engine.Log.Payload(op.LSN)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for len(payload) > 0 {
 			frame, rest, err := triple.NextRecord(payload)
 			if err != nil {

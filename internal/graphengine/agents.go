@@ -10,7 +10,7 @@ import (
 )
 
 // encodeEntities frames entity payloads with the CRC-checked record codec:
-// one exact-size allocation (the staging store takes ownership of it), every
+// one exact-size allocation (a volatile log takes ownership of it), every
 // entity encoded in place inside its frame.
 func encodeEntities(entities []*triple.Entity) ([]byte, error) {
 	return appendEntityFrames(make([]byte, 0, framedLen(entities)), entities)
@@ -45,7 +45,7 @@ func appendEntityFrame(dst []byte, e *triple.Entity) ([]byte, error) {
 	return triple.EndRecord(frame, mark), nil
 }
 
-// decodeEntities decodes a staged payload, iterating its frames in place:
+// decodeEntities decodes an op's payload, iterating its frames in place:
 // the returned records are sub-slices of payload.
 func decodeEntities(payload []byte) (Payload, error) {
 	n := triple.CountRecords(payload)
@@ -82,7 +82,7 @@ func (EntityStoreAgent) Name() string { return "entity-store" }
 // marker) is a no-op.
 //
 // The store keeps entities encoded, and the payload's frames already are —
-// a published op's, a staged one's or a restored checkpoint's: each record
+// a published op's, a logged one's or a restored checkpoint's: each record
 // goes to the KV as it is (the decoder accepts canonical encodings only, so
 // the bytes are what Put would marshal again).
 func (a EntityStoreAgent) Apply(op oplog.Op, p Payload) error {

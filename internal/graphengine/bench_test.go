@@ -76,7 +76,7 @@ func BenchmarkWriteCheckpoint(b *testing.B) {
 
 // BenchmarkCatchUp replays one just-published op of 8 entities into the
 // store agents core registers, the unit of work behind every publish group:
-// the hand-over of the op's records, with no staging read and no decode.
+// the hand-over of the op's records, with no log read and no decode.
 // BenchmarkDecodeEntities gates the decode path recovery uses.
 func BenchmarkCatchUp(b *testing.B) {
 	e := New(oplog.NewVolatile())

@@ -25,7 +25,7 @@ type CheckpointMeta struct {
 // meta record — meta is the json.Marshal of a CheckpointMeta, so a caller can
 // marshal it under the lock that guards its link table and write unlocked —
 // followed by one CRC-framed binary record per entity, in the order entities
-// yields them. It is the same framing idiom as staged publish payloads, so a
+// yields them. It is the same framing idiom as logged publish payloads, so a
 // torn checkpoint fails its frame check and recovery falls back to the
 // previous one. Each entity's frame is encoded into one scratch buffer reused
 // across entities: what a checkpoint allocates is bounded by its largest

@@ -2,6 +2,7 @@ package graphengine
 
 import (
 	"fmt"
+	"maps"
 
 	"saga/internal/oplog"
 	"saga/internal/triple"
@@ -31,12 +32,11 @@ type CompactStats struct {
 // last-writer-wins rule the feed publisher applies within a publish group,
 // extended across the whole prefix), tombstone elision (an entity whose
 // final prefix op is a delete vanishes entirely — replay from genesis never
-// learns it existed), and link-table conflation per source ID. Checkpoint
-// marker ops are dropped (recovery reads watermarks from the checkpoint
-// store, not the log).
+// learns it existed), and link-table conflation per source ID. An op left
+// with neither is dropped.
 //
 // Surviving state is grouped under the op that last touched it, preserving
-// that op's LSN, Source, and Time — so the rewritten log is a subsequence of
+// that op's LSN and Source — so the rewritten log is a subsequence of
 // the original LSN sequence and every consumer that indexes by LSN value
 // keeps working. Rewritten ops are OpUpsert with no Deletes: an op's payload
 // entities apply before its deletes, as in every agent, and a deleted
@@ -46,25 +46,27 @@ type CompactStats struct {
 // exactly the per-store state the original prefix produced, because every
 // store's apply rules are last-writer-wins per entity (and per link key).
 //
-// Compaction is byte-level: frame i of an op's staged payload is entity
-// op.EntityIDs[i] (docs/INVARIANTS.md#payload-frame-alignment), so choosing
-// each entity's last version means choosing a frame, and the rewritten
-// payload is the surviving frames concatenated — nothing is decoded or
-// encoded again, and because encodings are canonical the result is the very
-// payload a decode and re-encode would produce. The alignment is verified
-// frame by frame (count, CRC, and the ID at the head of each record); any
-// mismatch aborts the compaction with the log untouched.
+// Compaction is byte-level: frame i of an op's payload (Log.Payload) is
+// entity op.EntityIDs[i] (docs/INVARIANTS.md#payload-frame-alignment), so
+// choosing each entity's last version means choosing a frame, and a
+// rewritten op's record is its header followed by its surviving frames,
+// copied once from the old records into one buffer — nothing is decoded or
+// encoded again, and because encodings are canonical the frames are the
+// very bytes a decode and re-encode would produce. The alignment is
+// verified frame by frame (count, CRC, and the ID at the head of each
+// record); any mismatch aborts the compaction with the log untouched.
 //
 // Concurrency: the swap itself is atomic under the log's lock. CompactThrough
 // must only be called when every registered agent has replayed to at least w
 // (the platform compacts at checkpoint watermarks, which follow a CatchUp),
-// so no concurrent replay ever needs a pre-rewrite prefix op or its staged
+// so no concurrent replay ever needs a pre-rewrite prefix op or its
 // payload. It does NOT hold the CatchUp lock: compaction of cold prefix and
-// replay of fresh suffix proceed in parallel.
+// replay of fresh suffix proceed in parallel. Payloads still waiting to be
+// handed over at or below w are dropped with the swap: an agent registered
+// later replays the rewritten ops instead.
 //
-// Crash windows: new payloads are staged before the swap and old payloads
-// deleted after it, so a crash leaves orphaned staging blobs (harmless:
-// nothing references them) but never a log op whose payload is missing.
+// Crash windows: payloads ride in the records the swap replaces, so the
+// record log's atomic prefix swap is the only one there is.
 func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 	stats := CompactStats{Watermark: w}
 	ops := e.Log.OpsThrough(w)
@@ -78,7 +80,7 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 	type entFinal struct {
 		idx   int32  // op that settled the entity
 		pos   int32  // where that op first lists it: an ID listed twice keeps its first place and its last frame
-		frame []byte // header and record, aliasing the staged blob; nil: final op was a delete (tombstone)
+		frame []byte // header and record, aliasing the op's payload; nil: final op was a delete (tombstone)
 	}
 	type linkFinal struct {
 		idx    int
@@ -88,29 +90,27 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 	final := make(map[triple.EntityID]entFinal)
 	links := make(map[triple.EntityID]linkFinal)
 	for i, op := range ops {
-		if op.StagingKey != "" {
-			payload, ok := e.Staging.Get(op.StagingKey)
-			if !ok {
-				return stats, fmt.Errorf("graphengine: compact lsn %d: staged payload %s missing", op.LSN, op.StagingKey)
+		payload, err := e.Log.Payload(op.LSN)
+		if err != nil {
+			return stats, fmt.Errorf("graphengine: compact lsn %d: %w", op.LSN, err)
+		}
+		for j, id := range op.EntityIDs {
+			rec, rest, err := triple.NextRecord(payload)
+			if err != nil {
+				return stats, fmt.Errorf("graphengine: compact lsn %d: frame of %s: %w", op.LSN, id, err)
 			}
-			for j, id := range op.EntityIDs {
-				rec, rest, err := triple.NextRecord(payload)
-				if err != nil {
-					return stats, fmt.Errorf("graphengine: compact lsn %d: frame of %s: %w", op.LSN, id, err)
-				}
-				if got, err := triple.PeekID(rec); err != nil || string(got) != string(id) {
-					return stats, fmt.Errorf("graphengine: compact lsn %d: payload frame holds %q where the op lists %s (%v)", op.LSN, got, id, err)
-				}
-				ef := entFinal{idx: int32(i), pos: int32(j), frame: payload[:len(payload)-len(rest)]}
-				if prev, ok := final[id]; ok && prev.idx == ef.idx {
-					ef.pos = prev.pos
-				}
-				final[id] = ef
-				payload = rest
+			if got, err := triple.PeekID(rec); err != nil || string(got) != string(id) {
+				return stats, fmt.Errorf("graphengine: compact lsn %d: payload frame holds %q where the op lists %s (%v)", op.LSN, got, id, err)
 			}
-			if len(payload) != 0 {
-				return stats, fmt.Errorf("graphengine: compact lsn %d: payload runs %d bytes past its %d listed entities", op.LSN, len(payload), len(op.EntityIDs))
+			ef := entFinal{idx: int32(i), pos: int32(j), frame: payload[:len(payload)-len(rest)]}
+			if prev, ok := final[id]; ok && prev.idx == ef.idx {
+				ef.pos = prev.pos
 			}
+			final[id] = ef
+			payload = rest
+		}
+		if len(payload) != 0 {
+			return stats, fmt.Errorf("graphengine: compact lsn %d: payload runs %d bytes past its %d listed entities", op.LSN, len(payload), len(op.EntityIDs))
 		}
 		for _, id := range op.Deletes {
 			final[id] = entFinal{idx: int32(i)}
@@ -156,55 +156,42 @@ func (e *Engine) CompactThrough(w uint64) (CompactStats, error) {
 	}
 
 	// Pass 2: regroup survivors under their final-touch op, preserving that
-	// op's within-op entity order.
+	// op's within-op entity order, each op's record built in one buffer.
 	rewritten := make([]oplog.Op, 0, survivors)
-	newKeys := make([]string, 0, survivors)
-	abort := func(err error) (CompactStats, error) {
-		for _, key := range newKeys {
-			e.Staging.Delete(key) //saga:errok — unreferenced blob, best effort
-		}
-		return stats, err
-	}
+	records := make([][]byte, 0, survivors)
 	for i, op := range ops {
 		opLinks := linksByOp[i]
 		if kept[i] == 0 && len(opLinks) == 0 {
 			continue
 		}
-		nop := oplog.Op{LSN: op.LSN, Kind: oplog.OpUpsert, Source: op.Source, Time: op.Time, Links: opLinks}
+		nop := oplog.Op{LSN: op.LSN, Kind: oplog.OpUpsert, Source: op.Source, Links: opLinks}
+		size := 0
 		if kept[i] > 0 {
 			nop.EntityIDs = make([]triple.EntityID, 0, kept[i])
-			size := 0
 			for j, id := range op.EntityIDs {
 				if ef := final[id]; int(ef.idx) == i && int(ef.pos) == j && ef.frame != nil {
 					nop.EntityIDs = append(nop.EntityIDs, id)
 					size += len(ef.frame)
 				}
 			}
-			payload := make([]byte, 0, size)
-			for _, id := range nop.EntityIDs {
-				payload = append(payload, final[id].frame...)
-			}
-			key, err := e.Staging.Stage(payload)
-			if err != nil {
-				return abort(fmt.Errorf("graphengine: stage compacted payload at lsn %d: %w", op.LSN, err))
-			}
-			newKeys = append(newKeys, key)
-			nop.StagingKey = key
+		}
+		rec, err := oplog.Record(nop, size)
+		if err != nil {
+			return stats, fmt.Errorf("graphengine: compacted op at lsn %d: %w", op.LSN, err)
+		}
+		for _, id := range nop.EntityIDs {
+			rec = append(rec, final[id].frame...)
 		}
 		rewritten = append(rewritten, nop)
+		records = append(records, rec)
 	}
 
-	if err := e.Log.ReplaceRange(w, rewritten); err != nil {
-		return abort(fmt.Errorf("graphengine: swap compacted prefix: %w", err))
+	if err := e.Log.ReplaceRange(w, rewritten, records); err != nil {
+		return stats, fmt.Errorf("graphengine: swap compacted prefix: %w", err)
 	}
 	stats.OpsAfter = len(rewritten)
-
-	// Old payloads are unreferenced now; delete them (retention, not
-	// correctness — a crash here only leaks blobs).
-	for _, op := range ops {
-		if op.StagingKey != "" {
-			e.Staging.Delete(op.StagingKey) //saga:errok — retention only
-		}
-	}
+	e.handMu.Lock()
+	maps.DeleteFunc(e.handed, func(lsn uint64, _ Payload) bool { return lsn <= w })
+	e.handMu.Unlock()
 	return stats, nil
 }

@@ -36,10 +36,10 @@ func person(id string, version int) *triple.Entity {
 
 // referenceCompaction is the decode → conflate → re-encode compaction that
 // CompactThrough replaced, kept as the statement of what a compaction must
-// produce: the rewritten ops (staging keys left blank) and, aligned with
-// them, each op's payload (nil for link-only ops), every entity marshalled
-// afresh and framed by AppendRecord.
-func referenceCompaction(t *testing.T, ops []oplog.Op, staging ObjectStore) ([]oplog.Op, [][]byte) {
+// produce: the rewritten ops and, aligned with them, each op's payload (nil
+// for link-only ops), every entity marshalled afresh and framed by
+// AppendRecord.
+func referenceCompaction(t *testing.T, log *oplog.Log, ops []oplog.Op) ([]oplog.Op, [][]byte) {
 	t.Helper()
 	type entFinal struct {
 		idx int
@@ -53,23 +53,21 @@ func referenceCompaction(t *testing.T, ops []oplog.Op, staging ObjectStore) ([]o
 	final := make(map[triple.EntityID]entFinal)
 	links := make(map[triple.EntityID]linkFinal)
 	for i, op := range ops {
-		if op.StagingKey != "" {
-			blob, ok := staging.Get(op.StagingKey)
-			if !ok {
-				t.Fatalf("reference: payload %s missing", op.StagingKey)
+		blob, err := log.Payload(op.LSN)
+		if err != nil {
+			t.Fatalf("reference: %v", err)
+		}
+		for len(blob) > 0 {
+			rec, rest, err := triple.NextRecord(blob)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
 			}
-			for len(blob) > 0 {
-				rec, rest, err := triple.NextRecord(blob)
-				if err != nil {
-					t.Fatalf("reference: %v", err)
-				}
-				ent := new(triple.Entity)
-				if err := ent.UnmarshalBinary(rec); err != nil {
-					t.Fatalf("reference: %v", err)
-				}
-				final[ent.ID] = entFinal{idx: i, ent: ent}
-				blob = rest
+			ent := new(triple.Entity)
+			if err := ent.UnmarshalBinary(rec); err != nil {
+				t.Fatalf("reference: %v", err)
 			}
+			final[ent.ID] = entFinal{idx: i, ent: ent}
+			blob = rest
 		}
 		for _, id := range op.Deletes {
 			final[id] = entFinal{idx: i}
@@ -108,7 +106,7 @@ func referenceCompaction(t *testing.T, ops []oplog.Op, staging ObjectStore) ([]o
 		if len(keep) == 0 && len(linksByOp[i]) == 0 {
 			continue
 		}
-		nop := oplog.Op{LSN: op.LSN, Kind: oplog.OpUpsert, Source: op.Source, Time: op.Time, Links: linksByOp[i]}
+		nop := oplog.Op{LSN: op.LSN, Kind: oplog.OpUpsert, Source: op.Source, Links: linksByOp[i]}
 		var payload []byte
 		for _, ent := range keep {
 			data, err := ent.MarshalBinary()
@@ -180,14 +178,12 @@ func (v *storeView) digest(t *testing.T) string {
 
 // churnLog publishes a history with everything compaction conflates:
 // overwrites, deletes (alone and riding a payload), a re-created entity, an
-// ID listed twice in one op, links, a re-link and an unlink.
+// ID listed twice in one op, links, a re-link, an unlink and an op carrying
+// nothing.
 func churnLog(t *testing.T, e *Engine) {
 	t.Helper()
-	tick := int64(1000)
 	publish := func(op oplog.Op, ents ...*triple.Entity) {
 		t.Helper()
-		tick++
-		op.Time = tick
 		if _, err := e.PublishOp(op, ents); err != nil {
 			t.Fatal(err)
 		}
@@ -206,14 +202,27 @@ func churnLog(t *testing.T, e *Engine) {
 	op.Links = map[triple.EntityID]triple.EntityID{"src00:b": "kg:A", "src00:d": "kg:D"}
 	publish(op, person("kg:D", 2)) // re-created after its delete
 	publish(up("src01"), person("kg:F", 2))
-	publish(oplog.Op{Kind: oplog.OpCheckpoint, Source: "construction"})
+	publish(oplog.Op{Kind: oplog.OpUpsert})
 	// A payload and a delete in one op; kg:G never existed.
 	publish(oplog.Op{Kind: oplog.OpUpsert, Deletes: ids("kg:G")}, person("kg:A", 3))
 	publish(up("src02"), person("kg:H", 1), person("kg:B", 3))
 }
 
+// TestCompactThroughFrameIdentity: over a volatile and a durable log, each
+// rewritten op's payload is byte-identical to the decode → re-encode
+// reference, the ops past the watermark are untouched, and replay from
+// genesis of the compacted log equals the original replay.
 func TestCompactThroughFrameIdentity(t *testing.T) {
-	e := newEngine(t)
+	t.Run("volatile", func(t *testing.T) { testCompactThroughFrameIdentity(t, oplog.NewVolatile()) })
+	t.Run("disk", func(t *testing.T) {
+		log, _ := openDiskLog(t, t.TempDir())
+		defer log.Close()
+		testCompactThroughFrameIdentity(t, log)
+	})
+}
+
+func testCompactThroughFrameIdentity(t *testing.T, log *oplog.Log) {
+	e := New(log)
 	before := registerView(e, "")
 	churnLog(t, e)
 	w := e.Log.LastLSN()
@@ -228,7 +237,7 @@ func TestCompactThroughFrameIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	suffix := e.Log.Read(w, 0)
-	wantOps, wantPayloads := referenceCompaction(t, e.Log.OpsThrough(w), e.Staging)
+	wantOps, wantPayloads := referenceCompaction(t, e.Log, e.Log.OpsThrough(w))
 
 	stats, err := e.CompactThrough(w)
 	if err != nil {
@@ -239,20 +248,16 @@ func TestCompactThroughFrameIdentity(t *testing.T) {
 		t.Fatalf("compacted to %d ops (stats %d), reference %d", len(gotOps), stats.OpsAfter, len(wantOps))
 	}
 	for i, got := range gotOps {
-		payload, _ := e.Staging.Get(got.StagingKey)
-		if (got.StagingKey == "") != (wantPayloads[i] == nil) || !bytes.Equal(payload, wantPayloads[i]) {
-			t.Errorf("op %d (lsn %d): payload differs from decode→re-encode\n got %x\nwant %x", i, got.LSN, payload, wantPayloads[i])
+		payload, err := e.Log.Payload(got.LSN)
+		if err != nil || !bytes.Equal(payload, wantPayloads[i]) {
+			t.Errorf("op %d (lsn %d): payload differs from decode→re-encode (%v)\n got %x\nwant %x", i, got.LSN, err, payload, wantPayloads[i])
 		}
-		got.StagingKey = ""
 		if !reflect.DeepEqual(got, wantOps[i]) {
 			t.Errorf("op %d differs from the reference\n got %+v\nwant %+v", i, got, wantOps[i])
 		}
 	}
 	if got := e.Log.Read(w, 0); !reflect.DeepEqual(got, suffix) {
 		t.Errorf("ops past the watermark changed: %+v", got)
-	}
-	if want := len(wantOps) + 1; e.Staging.Len() != want-countNil(wantPayloads) {
-		t.Errorf("staging holds %d payloads after compaction, want %d", e.Staging.Len(), want-countNil(wantPayloads))
 	}
 	if stats.EntitiesKept != 6 || stats.Tombstoned != 2 || stats.LinksKept != 3 || stats.LinksElided != 1 {
 		t.Errorf("stats = %+v", stats)
@@ -267,16 +272,6 @@ func TestCompactThroughFrameIdentity(t *testing.T) {
 	if a, b := before.digest(t), after.digest(t); a != b {
 		t.Errorf("replay of the compacted log diverges\noriginal:\n%s\ncompacted:\n%s", a, b)
 	}
-}
-
-func countNil(payloads [][]byte) int {
-	n := 0
-	for _, p := range payloads {
-		if p == nil {
-			n++
-		}
-	}
-	return n
 }
 
 // TestCompactThroughVerifiesAlignment: compaction picks frames by position,
@@ -303,27 +298,24 @@ func TestCompactThroughVerifiesAlignment(t *testing.T) {
 			if _, err := e.Publish(oplog.OpUpsert, "src00", []*triple.Entity{person("kg:A", 0)}); err != nil {
 				t.Fatal(err)
 			}
-			key, err := e.Staging.Stage(c.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Log.Append(oplog.Op{Kind: oplog.OpUpsert, Source: "src00", StagingKey: key, EntityIDs: c.ids}); err != nil {
+			if _, err := e.Log.Append(oplog.Op{Kind: oplog.OpUpsert, Source: "src00", EntityIDs: c.ids}, c.payload); err != nil {
 				t.Fatal(err)
 			}
 			w := e.Log.LastLSN()
-			opsBefore, blobsBefore := e.Log.OpsThrough(w), e.Staging.Len()
+			opsBefore := e.Log.OpsThrough(w)
+			payloadsBefore := make([][]byte, len(opsBefore))
+			for i, op := range opsBefore {
+				payloadsBefore[i], _ = e.Log.Payload(op.LSN)
+			}
 			if _, err := e.CompactThrough(w); err == nil {
 				t.Fatal("misaligned payload compacted")
 			}
 			if got := e.Log.OpsThrough(w); !reflect.DeepEqual(got, opsBefore) {
 				t.Errorf("log changed by an aborted compaction: %+v", got)
 			}
-			if e.Staging.Len() != blobsBefore {
-				t.Errorf("staging went from %d to %d payloads", blobsBefore, e.Staging.Len())
-			}
-			for _, op := range opsBefore {
-				if _, ok := e.Staging.Get(op.StagingKey); !ok {
-					t.Errorf("payload %s of lsn %d gone", op.StagingKey, op.LSN)
+			for i, op := range opsBefore {
+				if got, err := e.Log.Payload(op.LSN); err != nil || !bytes.Equal(got, payloadsBefore[i]) {
+					t.Errorf("payload of lsn %d changed by an aborted compaction (%v)", op.LSN, err)
 				}
 			}
 		})
@@ -363,7 +355,7 @@ func TestCompactThroughAllocations(t *testing.T) {
 	}
 	surviving := 0
 	for _, op := range e.Log.OpsThrough(w) {
-		payload, _ := e.Staging.Get(op.StagingKey)
+		payload, _ := e.Log.Payload(op.LSN)
 		surviving += len(payload)
 	}
 	objects, allocated := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
@@ -374,5 +366,31 @@ func TestCompactThroughAllocations(t *testing.T) {
 	}
 	if allocated > 2*uint64(surviving) {
 		t.Errorf("CompactThrough allocated %d bytes to write %d payload bytes: want ≤ 2×", allocated, surviving)
+	}
+}
+
+// TestCompactThroughDropsHandedPayloads: a payload published before any
+// agent registered is still waiting to be handed over when a compaction
+// rewrites its op. An agent registered afterwards must replay the rewritten
+// op, not the payload PublishOp kept: that payload still holds an entity the
+// compaction elided.
+func TestCompactThroughDropsHandedPayloads(t *testing.T) {
+	e := newEngine(t)
+	if _, err := e.Publish(oplog.OpUpsert, "src00", []*triple.Entity{person("kg:A", 1), person("kg:B", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.PublishOp(oplog.Op{Kind: oplog.OpUpsert, Deletes: []triple.EntityID{"kg:A"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CompactThrough(e.Log.LastLSN()); err != nil {
+		t.Fatal(err)
+	}
+	g := triple.NewGraph()
+	e.RegisterAgent(GraphAgent{Graph: g})
+	if err := e.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	if g.Has("kg:A") || !g.Has("kg:B") {
+		t.Fatalf("late agent holds %v, want only kg:B", g.IDs())
 	}
 }

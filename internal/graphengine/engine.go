@@ -1,10 +1,12 @@
 // Package graphengine implements the Knowledge Graph Query Engine's data
 // lifecycle layer (§3.1, Figure 6): a federated polystore in which the KG
-// construction pipeline is the sole producer, payloads are staged in a
-// high-throughput object store, ingest operations flow through the durable
-// operation log, and per-store orchestration agents replay operations in
-// order so every engine eventually derives its view of the KG from the same
-// base data. The engine keeps each agent's replay position (LSN) to itself:
+// construction pipeline is the sole producer, ingest operations flow through
+// the durable operation log with their entity payloads in the same records,
+// and per-store orchestration agents replay operations in order so every
+// engine eventually derives its view of the KG from the same base data. The
+// paper stages payloads in an object store because its consumers are remote
+// stores; every agent here is in-process, so the log is the only durable
+// structure. The engine keeps each agent's replay position (LSN) to itself:
 // it is where that agent's next CatchUp resumes.
 package graphengine
 
@@ -15,66 +17,8 @@ import (
 	"sync"
 
 	"saga/internal/oplog"
-	"saga/internal/storage"
 	"saga/internal/triple"
 )
-
-// ObjectStore is the staging store for ingest payloads: a durable,
-// high-throughput blob store keyed by staging key — write once, read by any
-// agent, delete after retention. It is the storage.BlobStore role; the
-// in-memory store serves tests and volatile platforms, the disk medium's
-// segment store persists payloads so a durable operation log can be replayed
-// after a restart.
-type ObjectStore = storage.BlobStore
-
-// memObjectStore is the in-memory staging store: a map of payloads under a
-// RWMutex, with sequential key generation.
-type memObjectStore struct {
-	mu   sync.RWMutex
-	data map[string][]byte
-	seq  uint64
-}
-
-// NewObjectStore constructs an empty in-memory staging store.
-func NewObjectStore() ObjectStore {
-	return &memObjectStore{data: make(map[string][]byte)}
-}
-
-// Stage implements storage.BlobStore.
-func (s *memObjectStore) Stage(payload []byte) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	key := fmt.Sprintf("staging/%08d", s.seq)
-	s.data[key] = payload
-	return key, nil
-}
-
-// Get implements storage.BlobStore.
-func (s *memObjectStore) Get(key string) ([]byte, bool) {
-	s.mu.RLock()
-	p, ok := s.data[key]
-	s.mu.RUnlock()
-	return p, ok
-}
-
-// Delete implements storage.BlobStore.
-func (s *memObjectStore) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.data, key)
-	return nil
-}
-
-// Len implements storage.BlobStore.
-func (s *memObjectStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
-}
-
-// Close implements storage.BlobStore.
-func (s *memObjectStore) Close() error { return nil }
 
 // Agent is one orchestration agent: it encapsulates all store-specific logic
 // for applying a KG update to its engine. The rest of the framework is
@@ -83,20 +27,21 @@ func (s *memObjectStore) Close() error { return nil }
 type Agent interface {
 	// Name identifies the agent in replay errors.
 	Name() string
-	// Apply replays one operation with its decoded staged payload (the zero
-	// Payload for operations without one, such as checkpoint markers).
+	// Apply replays one operation with its decoded payload (the zero
+	// Payload for operations without one).
 	Apply(op oplog.Op, p Payload) error
 }
 
-// Payload is an operation's staged payload as replay hands it to agents:
+// Payload is an operation's entity payload as replay hands it to agents:
 // the records PublishOp was given and the frames it encoded them into, or,
 // for an op published before the previous CatchUp began (recovery, a late
-// agent, an agent that stopped on an error), the same decoded from staging;
-// for Restore's synthetic op, the checkpoint's entities and frames. Either
-// way it is shared by every agent, so it is read-only: an agent may retain
-// the entities and hand them to a store that takes ownership without
-// copying (Graph.PutOwned), but must not mutate them; record bytes alias a
-// staged payload or a checkpoint and must be copied to be kept.
+// agent, an agent that stopped on an error), the same decoded from the op's
+// log record; for Restore's synthetic op, the checkpoint's entities and
+// frames. Either way it is shared by every agent, so it is read-only: an
+// agent may retain the entities and hand them to a store that takes
+// ownership without copying (Graph.PutOwned), but must not mutate them;
+// record bytes alias a log record or a checkpoint and must be copied to be
+// kept.
 // See docs/INVARIANTS.md#cow-shared-records.
 type Payload struct {
 	// Entities are the op's entities, in payload order (entity i is
@@ -107,8 +52,7 @@ type Payload struct {
 	Records [][]byte
 }
 
-// Engine wires the log, staging store, and agents into the polystore
-// coordinator.
+// Engine wires the log and the agents into the polystore coordinator.
 //
 // Publish ordering contract: operations take effect in LSN order, and LSNs
 // are assigned in Publish/PublishOp call order (the log serializes
@@ -125,8 +69,7 @@ type Payload struct {
 // internally, so a replay triggered from one goroutine can never
 // double-apply operations racing a replay from another.
 type Engine struct {
-	Log     *oplog.Log
-	Staging ObjectStore
+	Log *oplog.Log
 
 	mu     sync.RWMutex
 	agents []*replayer
@@ -136,9 +79,9 @@ type Engine struct {
 	catchupMu sync.Mutex
 
 	// handed holds the payloads PublishOp appended since the last CatchUp
-	// began, by staging key (a compaction's rewritten op has a new one).
+	// began, by LSN.
 	handMu sync.Mutex
-	handed map[string]Payload
+	handed map[uint64]Payload
 }
 
 // replayer is a registered agent and the LSN it has replayed through
@@ -148,16 +91,9 @@ type replayer struct {
 	lsn uint64
 }
 
-// New constructs an engine over the given log with in-memory staging.
+// New constructs an engine over the given log.
 func New(log *oplog.Log) *Engine {
-	return NewWithStaging(log, NewObjectStore())
-}
-
-// NewWithStaging constructs an engine with an explicit staging store; pair a
-// durable log with a durable staging store (disk.OpenSegmentBlobStore) so
-// replay survives restarts.
-func NewWithStaging(log *oplog.Log, staging ObjectStore) *Engine {
-	return &Engine{Log: log, Staging: staging}
+	return &Engine{Log: log}
 }
 
 // RegisterAgent adds an orchestration agent; its replay position starts at 0,
@@ -175,51 +111,41 @@ func (e *Engine) replayers() []*replayer {
 	return slices.Clone(e.agents)
 }
 
-// Publish stages the entity payload, appends an operation of the given kind
-// to the log, and returns the assigned LSN.
+// Publish appends an operation of the given kind with the entity payload to
+// the log and returns the assigned LSN.
 func (e *Engine) Publish(kind oplog.OpKind, source string, entities []*triple.Entity) (uint64, error) {
 	return e.PublishOp(oplog.Op{Kind: kind, Source: source}, entities)
 }
 
-// PublishOp stages the entity payload for a caller-built operation (which
-// may already carry link deltas or other metadata), appends it to the log,
-// and returns the assigned LSN. The op's StagingKey, EntityIDs, LSN, and
-// Time are filled here; everything else passes through.
+// PublishOp appends a caller-built operation (which may already carry link
+// deltas or other metadata) to the log with the entities' frames in its
+// record — one durable write — and returns the assigned LSN. The op's
+// EntityIDs and LSN are filled here; everything else passes through.
 //
 // The entities are frozen from the call on: the next CatchUp hands these
 // very records to every agent (Payload's terms). The platform passes KG
 // records read through GetShared, which copy-on-write already freezes.
 func (e *Engine) PublishOp(op oplog.Op, entities []*triple.Entity) (uint64, error) {
-	var handed Payload
-	if len(entities) > 0 {
-		payload, err := encodeEntities(entities)
-		if err != nil {
-			return 0, fmt.Errorf("graphengine: encode payload: %w", err)
-		}
-		key, err := e.Staging.Stage(payload)
-		if err != nil {
-			return 0, fmt.Errorf("graphengine: stage payload: %w", err)
-		}
-		op.StagingKey = key
-		op.EntityIDs = op.EntityIDs[:0]
-		for _, ent := range entities {
-			op.EntityIDs = append(op.EntityIDs, ent.ID)
-		}
-		handed = Payload{Entities: entities, Records: make([][]byte, len(entities))}
-		for i := range handed.Records {
-			handed.Records[i], payload, _ = triple.NextRecord(payload) // the frames just encoded
-		}
+	payload, err := encodeEntities(entities)
+	if err != nil {
+		return 0, fmt.Errorf("graphengine: encode payload: %w", err)
 	}
-	lsn, err := e.Log.Append(op)
+	op.EntityIDs = op.EntityIDs[:0]
+	handed, rest := Payload{Entities: entities, Records: make([][]byte, len(entities))}, payload
+	for i, ent := range entities {
+		op.EntityIDs = append(op.EntityIDs, ent.ID)
+		handed.Records[i], rest, _ = triple.NextRecord(rest) // the frames just encoded
+	}
+	lsn, err := e.Log.Append(op, payload)
 	if err != nil {
 		return 0, fmt.Errorf("graphengine: append op: %w", err)
 	}
-	if handed.Entities != nil {
+	if len(entities) > 0 {
 		e.handMu.Lock()
 		if e.handed == nil {
-			e.handed = make(map[string]Payload)
+			e.handed = make(map[uint64]Payload)
 		}
-		e.handed[op.StagingKey] = handed
+		e.handed[lsn] = handed
 		e.handMu.Unlock()
 	}
 	return lsn, nil
@@ -230,10 +156,11 @@ func (e *Engine) PublishOp(op oplog.Op, entities []*triple.Entity) (uint64, erro
 // one op-major loop over the log suffix past the slowest agent, applying
 // each op to every agent that needs it in registration order. An op
 // published since the last CatchUp began goes to the agents with the
-// payload PublishOp kept; any other op's staged payload is read and decoded
-// at most once, and only if some live agent still needs it. Payloads kept
-// for ops no agent needs are dropped. Either payload is read-only for every
-// agent, so sharing it (and letting an agent keep it) is safe.
+// payload PublishOp kept; any other op's payload is read from the log and
+// decoded at most once, and only if some live agent still needs it.
+// Payloads kept for ops no agent needs are dropped. Either payload is
+// read-only for every agent, so sharing it (and letting an agent keep it) is
+// safe.
 //
 // Error isolation is per agent: an agent that fails stops at its recorded
 // LSN (and resumes from there on the next CatchUp, so transient store errors
@@ -290,16 +217,16 @@ func (e *Engine) CatchUp() error {
 }
 
 // payloadOf returns op's payload: the one handed over when there is one,
-// else the staged payload, read and decoded.
-func (e *Engine) payloadOf(op oplog.Op, handed map[string]Payload) (Payload, error) {
-	if p, ok := handed[op.StagingKey]; ok || op.StagingKey == "" {
+// else the frames of its log record, read and decoded.
+func (e *Engine) payloadOf(op oplog.Op, handed map[uint64]Payload) (Payload, error) {
+	if p, ok := handed[op.LSN]; ok || len(op.EntityIDs) == 0 {
 		return p, nil
 	}
-	payload, ok := e.Staging.Get(op.StagingKey)
-	if !ok {
-		return Payload{}, fmt.Errorf("staged payload %s missing", op.StagingKey)
+	frames, err := e.Log.Payload(op.LSN)
+	if err != nil {
+		return Payload{}, err
 	}
-	return decodeEntities(payload)
+	return decodeEntities(frames)
 }
 
 // Restore primes every registered agent with checkpoint state instead of a

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"saga/internal/oplog"
+	"saga/internal/storage"
+	"saga/internal/storage/disk"
 	"saga/internal/store/entitystore"
 	"saga/internal/triple"
 )
@@ -257,24 +259,40 @@ func TestCatchUpFailedAgentStopsMidChunk(t *testing.T) {
 	}
 }
 
-// countingStore counts reads of staged payloads.
-type countingStore struct {
-	ObjectStore
-	gets int
+// countingLog counts the records read back from a record log.
+type countingLog struct {
+	storage.RecordLog
+	reads int
 }
 
-func (s *countingStore) Get(key string) ([]byte, bool) {
-	s.gets++
-	return s.ObjectStore.Get(key)
+func (c *countingLog) Read(i int) ([]byte, error) {
+	c.reads++
+	return c.RecordLog.Read(i)
+}
+
+// openDiskLog opens a log over a disk record log under dir, counting reads.
+func openDiskLog(t *testing.T, dir string) (*oplog.Log, *countingLog) {
+	t.Helper()
+	rec, err := disk.OpenRecordLog(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingLog{RecordLog: rec}
+	log, err := oplog.OpenStore(counted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log, counted
 }
 
 // TestCatchUpDecodesEachOpOnce: replay hands a just-published op's payload
-// to the agents without reading staging, reads nothing when every agent is
-// already past the op, and reads (and decodes) an older op's staged payload
-// once however many agents apply it.
+// to the agents without reading the log's records, reads nothing when every
+// agent is already past the op, and reads (and decodes) an older op's
+// payload once however many agents apply it.
 func TestCatchUpDecodesEachOpOnce(t *testing.T) {
-	staging := &countingStore{ObjectStore: NewObjectStore()}
-	e := NewWithStaging(oplog.NewVolatile(), staging)
+	log, records := openDiskLog(t, t.TempDir())
+	defer log.Close()
+	e := New(log)
 	e.RegisterAgent(EntityStoreAgent{Store: entitystore.New()})
 	e.RegisterAgent(GraphAgent{Graph: triple.NewGraph()})
 	e.RegisterAgent(FuncAgent{AgentName: "noop", Fn: func(oplog.Op, Payload) error { return nil }})
@@ -286,13 +304,13 @@ func TestCatchUpDecodesEachOpOnce(t *testing.T) {
 			}
 		}
 	}
-	catchUp := func(wantGets int) {
+	catchUp := func(wantReads int) {
 		t.Helper()
 		if err := e.CatchUp(); err != nil {
 			t.Fatal(err)
 		}
-		if staging.gets != wantGets {
-			t.Fatalf("staging Get called %d times, want %d", staging.gets, wantGets)
+		if records.reads != wantReads {
+			t.Fatalf("%d records read, want %d", records.reads, wantReads)
 		}
 	}
 	const n = 10
@@ -306,19 +324,38 @@ func TestCatchUpDecodesEachOpOnce(t *testing.T) {
 	catchUp(n)
 }
 
-func TestStagingRoundTrip(t *testing.T) {
-	s := NewObjectStore()
-	key, err := s.Stage([]byte("payload"))
-	if err != nil {
+// TestPayloadRoundTrip: a payload published to a durable log comes back
+// from its record after a reopen, frame for frame, to an engine that never
+// saw it published.
+func TestPayloadRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	log, _ := openDiskLog(t, dir)
+	in := []*triple.Entity{testEntity("kg:E1", "A"), testEntity("kg:E2", "B")}
+	if _, err := New(log).Publish(oplog.OpUpsert, "s", in); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(key)
-	if !ok || string(got) != "payload" {
-		t.Fatalf("staging = %q %v", got, ok)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
 	}
-	s.Delete(key)
-	if _, ok := s.Get(key); ok {
-		t.Fatal("payload survived delete")
+	log, records := openDiskLog(t, dir)
+	defer log.Close()
+	e := New(log)
+	var got Payload
+	e.RegisterAgent(FuncAgent{AgentName: "holder", Fn: func(_ oplog.Op, p Payload) error {
+		got = p
+		return nil
+	}})
+	if err := e.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	if records.reads != 1 || len(got.Entities) != len(in) {
+		t.Fatalf("replay read %d records and handed %d entities, want 1 and %d", records.reads, len(got.Entities), len(in))
+	}
+	for i, ent := range in {
+		want, _ := ent.MarshalBinary()
+		if !bytes.Equal(got.Records[i], want) || got.Entities[i].Name() != ent.Name() {
+			t.Fatalf("entity %d came back as %x, want %x", i, got.Records[i], want)
+		}
 	}
 }
 
@@ -340,18 +377,22 @@ func TestEncodeDecodeEntities(t *testing.T) {
 	}
 }
 
-func TestCheckpointIsNoOpForStores(t *testing.T) {
+// TestOpWithoutPayloadIsNoOpForStores: an op carrying only link deltas
+// reads no payload and leaves the entity stores as they are, but advances
+// every agent past it.
+func TestOpWithoutPayloadIsNoOpForStores(t *testing.T) {
 	e := newEngine(t)
 	es := entitystore.New()
 	e.RegisterAgent(EntityStoreAgent{Store: es})
-	if _, err := e.Publish(oplog.OpCheckpoint, "construction", nil); err != nil {
+	links := map[triple.EntityID]triple.EntityID{"s:1": "kg:E1"}
+	if _, err := e.PublishOp(oplog.Op{Kind: oplog.OpUpsert, Links: links}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.CatchUp(); err != nil {
 		t.Fatal(err)
 	}
-	if e.agentLSN("entity-store") != 1 {
-		t.Fatal("checkpoint did not advance lsn")
+	if e.agentLSN("entity-store") != 1 || es.Len() != 0 {
+		t.Fatalf("entity store at lsn %d holds %d entities, want lsn 1 and none", e.agentLSN("entity-store"), es.Len())
 	}
 }
 

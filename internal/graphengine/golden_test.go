@@ -54,7 +54,7 @@ func readGoldenHex(t *testing.T, name string) []byte {
 	return b
 }
 
-// TestGoldenPayloadBytes pins the staged-payload and checkpoint formats: the
+// TestGoldenPayloadBytes pins the entity-payload and checkpoint formats: the
 // committed bytes were produced by the marshal-then-WriteRecord encoders
 // these replaced, so a difference is a format change, not a refactor.
 func TestGoldenPayloadBytes(t *testing.T) {

@@ -2,11 +2,9 @@ package oplog
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -54,11 +52,15 @@ func TestAppendRead(t *testing.T) {
 	}
 }
 
+// frames returns a stand-in payload for op i: bytes that differ per op (the
+// log does not look inside them).
+func frames(i int) []byte { return []byte(strings.Repeat(string(rune('a'+i%26)), 10+i)) }
+
 func TestDurabilityAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l := openDisk(t, dir)
 	for i := 0; i < 10; i++ {
-		if _, err := l.Append(Op{Kind: OpUpsert, Source: "s", EntityIDs: []triple.EntityID{"kg:E1"}}); err != nil {
+		if _, err := l.Append(Op{Kind: OpUpsert, Source: "s", EntityIDs: []triple.EntityID{"kg:E1"}}, frames(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,8 +76,17 @@ func TestDurabilityAndRecovery(t *testing.T) {
 	if len(ops) != 10 || ops[9].EntityIDs[0] != "kg:E1" {
 		t.Fatalf("recovered ops = %d", len(ops))
 	}
+	// Each op's payload reads back from its record.
+	for i, op := range ops {
+		if got, err := re.Payload(op.LSN); err != nil || !bytes.Equal(got, frames(i)) {
+			t.Fatalf("payload of lsn %d = %q, %v; want %q", op.LSN, got, err, frames(i))
+		}
+	}
+	if _, err := re.Payload(11); err == nil {
+		t.Fatal("payload of an absent lsn read")
+	}
 	// Appends continue with the next LSN.
-	lsn, err := re.Append(Op{Kind: OpCheckpoint})
+	lsn, err := re.Append(Op{Kind: OpUpsert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +136,10 @@ func TestTornTailRecovery(t *testing.T) {
 }
 
 // TestOpenStoreFailsOnUndecodableRecord: a record that passed its CRC but is
-// not an op (here a hand-appended non-JSON record in the middle of the log)
-// fails the open and leaves every record in place. Treating it as a torn tail
-// would silently drop it and every acknowledged op after it.
+// not an op (here a hand-appended record whose header is not JSON, in the
+// middle of the log) fails the open and leaves every record in place.
+// Treating it as a torn tail would silently drop it and every acknowledged
+// op after it.
 func TestOpenStoreFailsOnUndecodableRecord(t *testing.T) {
 	dir := t.TempDir()
 	l := openDisk(t, dir)
@@ -143,11 +155,11 @@ func TestOpenStoreFailsOnUndecodableRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	later, err := json.Marshal(Op{LSN: 3, Kind: OpUpsert, Source: "s"})
+	later, err := Record(Op{LSN: 3, Kind: OpUpsert, Source: "s"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, payload := range [][]byte{[]byte("not json"), later} {
+	for _, payload := range [][]byte{append([]byte{recordVersion, 8}, "not json"...), later} {
 		if err := rec.Append(payload); err != nil {
 			t.Fatal(err)
 		}
@@ -172,42 +184,99 @@ func TestOpenStoreFailsOnUndecodableRecord(t *testing.T) {
 	}
 }
 
-// TestOpenStoreReadsDeleteOps: an op of the "delete" kind, which listed the
-// deleted entities in entity_ids before deletes rode their group's op, opens
-// as an upsert whose Deletes are those entities and whose payload is empty.
-func TestOpenStoreReadsDeleteOps(t *testing.T) {
-	rec := &memRecordLog{records: [][]byte{
-		[]byte(`{"lsn":1,"kind":"upsert","staging_key":"k1","entity_ids":["kg:E1","kg:E2"],"time":7}`),
-		[]byte(`{"lsn":2,"kind":"delete","source":"s","entity_ids":["kg:E1"],"unlinks":["s:1"],"time":8}`),
-	}}
-	l, err := OpenStore(rec)
+// TestOpenStoreRefusesJSONOnlyRecords: a log written before payloads rode
+// in its records holds bare JSON ops. Opening it fails with an error that
+// names the record format, and every record stays as it was.
+func TestOpenStoreRefusesJSONOnlyRecords(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := disk.OpenRecordLog(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Op{LSN: 2, Kind: OpUpsert, Source: "s", Deletes: []triple.EntityID{"kg:E1"}, Unlinks: []triple.EntityID{"s:1"}, Time: 8}
-	if got := l.Read(1, 0); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-		t.Fatalf("delete op opened as %+v, want %+v", got, want)
+	old := [][]byte{
+		[]byte(`{"lsn":1,"kind":"upsert","staging_key":"staging/00000001","entity_ids":["kg:E1"],"time":7}`),
+		[]byte(`{"lsn":2,"kind":"checkpoint","source":"construction","time":8}`),
 	}
+	for _, r := range old {
+		if err := rec.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotDir(t, dir)
+	if rec, err = disk.OpenRecordLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(rec); err == nil || !strings.Contains(err.Error(), "op record of format 1") {
+		t.Fatalf("OpenStore of a JSON-only log = %v, want an error naming the record format", err)
+	}
+	if after := snapshotDir(t, dir); after != before {
+		t.Fatalf("a refused open changed the log's files:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// snapshotDir renders every file under dir with its contents.
+func snapshotDir(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(ent.Name() + "=" + string(data) + ";")
+	}
+	return b.String()
+}
+
+// records builds each op's record with frames(op.LSN) as its payload.
+func records(t *testing.T, ops []Op) [][]byte {
+	t.Helper()
+	recs := make([][]byte, len(ops))
+	for i, op := range ops {
+		rec, err := Record(op, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = append(rec, frames(int(op.LSN))...)
+	}
+	return recs
 }
 
 // TestCompaction exercises ReplaceRange: surviving ops keep their sparse
 // LSNs, reads binary-search correctly past the gaps, the high-water mark is
-// unchanged, and a durable log round-trips the compacted state.
+// unchanged, every op's payload is the one its record carries, and a
+// durable log round-trips the compacted state.
 func TestCompaction(t *testing.T) {
+	checkPayloads := func(t *testing.T, l *Log) {
+		t.Helper()
+		for _, op := range l.Read(0, 0) {
+			if got, err := l.Payload(op.LSN); err != nil || !bytes.Equal(got, frames(int(op.LSN))) {
+				t.Fatalf("payload of lsn %d = %q, %v; want %q", op.LSN, got, err, frames(int(op.LSN)))
+			}
+		}
+	}
 	run := func(t *testing.T, l *Log, reopen func() *Log) {
 		for i := 0; i < 10; i++ {
-			if _, err := l.Append(Op{Kind: OpUpsert, EntityIDs: []triple.EntityID{triple.EntityID("kg:E" + string(rune('0'+i)))}}); err != nil {
+			if _, err := l.Append(Op{Kind: OpUpsert, EntityIDs: []triple.EntityID{triple.EntityID("kg:E" + string(rune('0'+i)))}}, frames(i+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Conflate ops 1..7 down to two survivors at their original LSNs.
 		rewritten := []Op{
-			{LSN: 3, Kind: OpUpsert, EntityIDs: []triple.EntityID{"kg:E2"}, Time: 1},
-			{LSN: 7, Kind: OpUpsert, EntityIDs: []triple.EntityID{"kg:E6"}, Time: 1},
+			{LSN: 3, Kind: OpUpsert, EntityIDs: []triple.EntityID{"kg:E2"}},
+			{LSN: 7, Kind: OpUpsert, EntityIDs: []triple.EntityID{"kg:E6"}},
 		}
-		if err := l.ReplaceRange(7, rewritten); err != nil {
+		if err := l.ReplaceRange(7, rewritten, records(t, rewritten)); err != nil {
 			t.Fatal(err)
 		}
+		checkPayloads(t, l)
 		if got := l.LastLSN(); got != 10 {
 			t.Fatalf("LastLSN after compact = %d, want 10", got)
 		}
@@ -232,7 +301,7 @@ func TestCompaction(t *testing.T) {
 			t.Fatalf("PrefixLen(7) = %d, want 2", got)
 		}
 		// New appends continue past the high-water mark.
-		lsn, err := l.Append(Op{Kind: OpCheckpoint})
+		lsn, err := l.Append(Op{Kind: OpUpsert}, frames(11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,6 +319,7 @@ func TestCompaction(t *testing.T) {
 			if len(ops) != 6 || ops[0].LSN != 3 || ops[5].LSN != 11 {
 				t.Fatalf("reopened ops = %+v", ops)
 			}
+			checkPayloads(t, re)
 		}
 	}
 	t.Run("volatile", func(t *testing.T) { run(t, NewVolatile(), nil) })
@@ -266,11 +336,20 @@ func TestReplaceRangeRejectsBadInput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.ReplaceRange(3, []Op{{LSN: 4, Kind: OpUpsert}}); err == nil {
-		t.Fatal("ReplaceRange accepted an op past the watermark")
+	for _, bad := range [][]Op{
+		{{LSN: 4, Kind: OpUpsert}},                           // past the watermark
+		{{LSN: 2, Kind: OpUpsert}, {LSN: 1, Kind: OpUpsert}}, // out of order
+	} {
+		if err := l.ReplaceRange(3, bad, records(t, bad)); err == nil {
+			t.Fatalf("ReplaceRange accepted %+v", bad)
+		}
 	}
-	if err := l.ReplaceRange(3, []Op{{LSN: 2, Kind: OpUpsert}, {LSN: 1, Kind: OpUpsert}}); err == nil {
-		t.Fatal("ReplaceRange accepted out-of-order ops")
+	ok := []Op{{LSN: 2, Kind: OpUpsert}}
+	if err := l.ReplaceRange(3, ok, nil); err == nil {
+		t.Fatal("ReplaceRange accepted ops without their records")
+	}
+	if l.Len() != 5 {
+		t.Fatalf("a refused ReplaceRange left %d ops, want 5", l.Len())
 	}
 }
 
@@ -329,89 +408,4 @@ func TestConcurrentAppends(t *testing.T) {
 			t.Fatalf("ops out of order at %d: lsn %d", i, op.LSN)
 		}
 	}
-}
-
-// memRecordLog is an in-memory storage.RecordLog. Replay hands out the
-// stored records themselves, so a decoder that wrote to its input would
-// show in them.
-type memRecordLog struct {
-	records [][]byte
-	closed  bool
-}
-
-func (m *memRecordLog) Append(p []byte) error {
-	m.records = append(m.records, bytes.Clone(p))
-	return nil
-}
-
-func (m *memRecordLog) Replay(fn func([]byte) error) error {
-	for i, r := range m.records {
-		if err := fn(r); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-func (m *memRecordLog) Compact(drop int, replacement [][]byte) error {
-	m.records = append(replacement, m.records[drop:]...)
-	return nil
-}
-
-func (m *memRecordLog) Len() int { return len(m.records) }
-
-func (m *memRecordLog) Close() error {
-	m.closed = true
-	return nil
-}
-
-// FuzzOpenStore feeds fuzzed record payloads, one per line of the input,
-// through OpenStore. Any input must open or fail with an error, never
-// panic; a failed open leaves the records untouched and closes the log, and
-// a successful one resumes the LSN counter past the last record's op.
-func FuzzOpenStore(f *testing.F) {
-	op := func(o Op) []byte {
-		b, err := json.Marshal(o)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
-	upsert := op(Op{LSN: 1, Kind: OpUpsert, Source: "s", StagingKey: "k1", EntityIDs: []triple.EntityID{"kg:E1"},
-		Links: map[triple.EntityID]triple.EntityID{"s:1": "kg:E1"}, Time: 7})
-	f.Add(upsert)
-	f.Add(bytes.Join([][]byte{upsert, op(Op{LSN: 4, Kind: OpUpsert, Deletes: []triple.EntityID{"kg:E1"}, Unlinks: []triple.EntityID{"s:1"}})}, []byte("\n")))
-	f.Add(bytes.Join([][]byte{upsert, []byte(`{"lsn":5,"kind":"delete","entity_ids":["kg:E1"]}`)}, []byte("\n")))
-	f.Add(bytes.Join([][]byte{upsert, upsert}, []byte("\n"))) // LSN regression
-	f.Add([]byte(`{"lsn":"x"}`))
-	f.Add([]byte(`{"lsn":1,"entity_ids":[`))
-	f.Add([]byte("\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec := &memRecordLog{records: bytes.Split(data, []byte("\n"))}
-		before := make([][]byte, len(rec.records))
-		for i, r := range rec.records {
-			before[i] = bytes.Clone(r)
-		}
-		l, err := OpenStore(rec)
-		if err != nil {
-			if !rec.closed {
-				t.Fatal("a failed open left the record log open")
-			}
-			if !reflect.DeepEqual(rec.records, before) {
-				t.Fatalf("a failed open changed the records: %q -> %q", before, rec.records)
-			}
-			return
-		}
-		ops := l.Read(0, 0)
-		if len(ops) != len(before) {
-			t.Fatalf("opened %d ops from %d records", len(ops), len(before))
-		}
-		lsn, err := l.Append(Op{Kind: OpCheckpoint})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := ops[len(ops)-1].LSN + 1; lsn != want {
-			t.Fatalf("append after open got LSN %d, want %d", lsn, want)
-		}
-	})
 }

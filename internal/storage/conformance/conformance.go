@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -137,15 +138,7 @@ func (s Suite) recordLogCompact(t *testing.T) {
 		if got := l.Len(); got != len(want) {
 			t.Fatalf("Len = %d, want %d", got, len(want))
 		}
-		var got []string
-		if err := l.Replay(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
-			}
-		}
+		checkRecords(t, l, want)
 	}
 	check(l, want)
 	// Appends continue after a compaction.
@@ -338,28 +331,38 @@ func (s Suite) checkpointsCrash(t *testing.T) {
 	}
 }
 
+// checkRecords asserts l holds exactly want, through Replay and through
+// Read of each position (and of no other).
+func checkRecords(t *testing.T, l storage.RecordLog, want []string) {
+	t.Helper()
+	var got []string
+	if err := l.Replay(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("replayed %q (%v), want %q", got, err, want)
+	}
+	for i := -1; i <= len(want); i++ {
+		rec, err := l.Read(i)
+		if in := i >= 0 && i < len(want); (err == nil) != in || in && string(rec) != want[i] {
+			t.Fatalf("Read(%d) of %d records = %q, %v", i, len(want), rec, err)
+		}
+	}
+}
+
 func (s Suite) recordLog(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, s.RecordLog, dir)
 	const n = 20
-	for i := 0; i < n; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("record-%03d", i))); err != nil {
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("record-%03d", i)
+		// A record appended in parts is their concatenation.
+		if err := l.Append([]byte(want[i][:7]), nil, []byte(want[i][7:])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := l.Len(); got != n {
 		t.Fatalf("Len = %d, want %d", got, n)
 	}
-	var replayed []string
-	if err := l.Replay(func(p []byte) error {
-		replayed = append(replayed, string(p))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed) != n || replayed[0] != "record-000" || replayed[n-1] != fmt.Sprintf("record-%03d", n-1) {
-		t.Fatalf("replayed %d records, first %q", len(replayed), replayed[0])
-	}
+	checkRecords(t, l, want)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -369,12 +372,16 @@ func (s Suite) recordLog(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("close not idempotent: %v", err)
 	}
+	if _, err := l.Read(0); err == nil {
+		t.Fatal("read after close succeeded")
+	}
 	if s.Durable {
 		re := mustOpen(t, s.RecordLog, dir)
 		defer re.Close()
 		if got := re.Len(); got != n {
 			t.Fatalf("reopened Len = %d, want %d", got, n)
 		}
+		checkRecords(t, re, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"saga/internal/graphengine"
 	"saga/internal/storage"
 	"saga/internal/storage/disk"
 	"saga/internal/store/entitystore"
@@ -13,14 +12,13 @@ import (
 	"saga/internal/store/vectordb"
 )
 
-// TestMemoryBackend runs the in-memory medium: the staging store behind
-// graphengine.NewObjectStore and the entity store's in-memory KV. A volatile
-// log has no record log and a volatile platform keeps no checkpoints, so
-// those roles have no in-memory implementation.
+// TestMemoryBackend runs the in-memory medium: the entity store's in-memory
+// KV. A volatile log has no record log (it keeps its ops' payloads itself)
+// and a volatile platform keeps no checkpoints, so those roles have no
+// in-memory implementation.
 func TestMemoryBackend(t *testing.T) {
 	Suite{
-		BlobStore: func(string) (storage.BlobStore, error) { return graphengine.NewObjectStore(), nil },
-		EntityKV:  func(string) (storage.EntityKV, error) { return entitystore.NewMemKV(), nil },
+		EntityKV: func(string) (storage.EntityKV, error) { return entitystore.NewMemKV(), nil },
 	}.Run(t)
 	t.Run("Postings", postings)
 	t.Run("Vectors", vectors)

@@ -200,7 +200,7 @@ func (c *Checkpoints) Latest() (uint64, []byte, bool) {
 		var payload []byte
 		st, err := f.Stat()
 		if err == nil {
-			payload, err = triple.ReadRecord(f, st.Size())
+			payload, err = triple.ReadRecord(f, st.Size(), nil)
 		}
 		f.Close()
 		if err != nil {

@@ -3,13 +3,16 @@
 //
 //   - RecordLog — CRC-framed records in rotating segment files under a
 //     manifest (the torn-tail recovery idiom the operation log shipped
-//     with, plus atomic prefix compaction via manifest flips).
+//     with, plus atomic prefix compaction via manifest flips). Memory keeps
+//     each record's offset, so a record reads back with one positioned
+//     read: the operation log's records carry their ops' entity payloads,
+//     and this is how recovery and compaction reach an old one.
 //   - Checkpointer — atomically-published checkpoint files (temp + rename),
 //     streamed through one reused write buffer, newest-intact-wins at
 //     recovery.
 //   - BlobStore — a segment-file staging store: blobs append to rotating
-//     segment files instead of one file per payload, so staging a payload
-//     costs one write+fsync, not a file create + fsync + directory fsync.
+//     segment files. The platform no longer stages payloads; only the
+//     benchmark's storage layer opens one.
 //   - EntityKV — an append-only data file with an in-memory key→location
 //     index and mmap-backed reads: entity payloads live in the page cache,
 //     not the Go heap, so the entity index can exceed RAM.

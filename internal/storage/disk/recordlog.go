@@ -1,12 +1,12 @@
 package disk
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 
@@ -28,7 +28,9 @@ const manifestName = "MANIFEST"
 // live segments. Open recovers the valid prefix of each listed segment and
 // truncates a torn tail (crash during append); Append fsyncs per record —
 // the operation log is the platform's durability anchor, so an acknowledged
-// append must survive a crash.
+// append must survive a crash. Memory holds only each record's frame offset
+// (the Bitcask layout): Read is one positioned read of the frame, and Compact
+// finds its boundary without scanning.
 //
 // Segmentation is what makes compaction atomic: Compact stages the rewritten
 // prefix in a fresh segment, flips the manifest, and only then deletes the
@@ -42,7 +44,7 @@ type RecordLog struct {
 	names    []string   // live segment file names, oldest first
 	segs     []*os.File // open segment files, aligned with names
 	sizes    []int64    // valid framed bytes per segment
-	counts   []int      // records per segment
+	offs     [][]int64  // frame offset of each record, per segment
 	nextSeg  uint64     // next segment sequence number (monotonic, never reused)
 	scratch  []byte     // framing buffer, reused under mu
 	closed   bool
@@ -110,9 +112,9 @@ func OpenRecordLog(dir string, segBytes int64) (*RecordLog, error) {
 			l.closeAll()
 			return nil, fmt.Errorf("disk: stat log segment %s: %w", name, err)
 		}
-		count := 0
-		good, err := scanFramed(f, st.Size(), func(int64, []byte) error {
-			count++
+		var offs []int64
+		good, err := scanFramed(f, st.Size(), func(off int64, _ []byte) error {
+			offs = append(offs, off)
 			return nil
 		})
 		if err != nil {
@@ -130,7 +132,7 @@ func OpenRecordLog(dir string, segBytes int64) (*RecordLog, error) {
 		l.names = append(l.names, name)
 		l.segs = append(l.segs, f)
 		l.sizes = append(l.sizes, good)
-		l.counts = append(l.counts, count)
+		l.offs = append(l.offs, offs)
 	}
 	if len(l.segs) == 0 {
 		if err := l.rotateLocked(); err != nil {
@@ -259,13 +261,13 @@ func (l *RecordLog) rotateLocked() error {
 	l.names = append(l.names, name)
 	l.segs = append(l.segs, f)
 	l.sizes = append(l.sizes, 0)
-	l.counts = append(l.counts, 0)
+	l.offs = append(l.offs, nil)
 	return nil
 }
 
-// Append implements storage.RecordLog: frame, write, fsync (rotating first
-// when the active segment is full).
-func (l *RecordLog) Append(payload []byte) error {
+// Append implements storage.RecordLog: frame the parts as one record, write,
+// fsync (rotating first when the active segment is full).
+func (l *RecordLog) Append(parts ...[]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -278,7 +280,11 @@ func (l *RecordLog) Append(payload []byte) error {
 		}
 		active = len(l.segs) - 1
 	}
-	frame := triple.AppendRecord(l.scratch, payload)
+	frame, mark := triple.BeginRecord(l.scratch)
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
+	frame = triple.EndRecord(frame, mark)
 	l.scratch = recycle(frame)
 	f, off := l.segs[active], l.sizes[active]
 	if _, err := f.WriteAt(frame, off); err != nil {
@@ -288,13 +294,51 @@ func (l *RecordLog) Append(payload []byte) error {
 		return fmt.Errorf("disk: sync record log: %w", err)
 	}
 	l.sizes[active] = off + int64(len(frame))
-	l.counts[active]++
+	l.offs[active] = append(l.offs[active], off)
 	return nil
 }
 
+// locateLocked returns the segment holding record i and the record's index
+// within it; k is len(segs) when i is past the last record.
+func (l *RecordLog) locateLocked(i int) (k, j int) {
+	for k < len(l.offs) && i >= len(l.offs[k]) {
+		i -= len(l.offs[k])
+		k++
+	}
+	return k, i
+}
+
+// Read implements storage.RecordLog: one positioned read of the record's
+// frame, then its CRC check.
+func (l *RecordLog) Read(i int) ([]byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, fmt.Errorf("disk: read of closed record log %s", l.dir)
+	}
+	k, j := l.locateLocked(i)
+	if i < 0 || k == len(l.segs) {
+		return nil, fmt.Errorf("disk: read of record %d out of range (log has %d records)", i, l.lenLocked())
+	}
+	off, end := l.offs[k][j], l.sizes[k]
+	if j+1 < len(l.offs[k]) {
+		end = l.offs[k][j+1]
+	}
+	frame := make([]byte, end-off)
+	_, err := l.segs[k].ReadAt(frame, off)
+	if err == nil {
+		frame, _, err = triple.NextRecord(frame)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("disk: read record %d of %s at offset %d: %w", i, l.names[k], off, err)
+	}
+	return frame, nil
+}
+
 // Replay implements storage.RecordLog: records stream to fn segment by
-// segment in append order. A record fn rejects stops the replay with fn's
-// error, naming the segment and offset; the log's files are left as they are.
+// segment in append order, each read into one reused buffer. A record fn
+// rejects stops the replay with fn's error, naming the segment and offset;
+// the log's files are left as they are.
 func (l *RecordLog) Replay(fn func(payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -313,52 +357,30 @@ func (l *RecordLog) Replay(fn func(payload []byte) error) error {
 }
 
 // Compact implements storage.RecordLog. The rewritten prefix (replacement
-// plus the tail of the boundary segment, re-framed byte-for-byte) is staged
-// in a fresh segment, fsynced, adopted by a manifest flip, and only then are
-// the replaced segments deleted — so a reader reopening after a crash at any
-// point sees the old prefix or the new one in full.
+// plus the tail of the boundary segment, copied byte-for-byte) streams
+// through a buffered writer into a fresh segment, is fsynced, adopted by a
+// manifest flip, and only then are the replaced segments deleted — so a
+// reader reopening after a crash at any point sees the old prefix or the new
+// one in full.
 func (l *RecordLog) Compact(drop int, replacement [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("disk: compact closed record log %s", l.dir)
 	}
-	total := 0
-	for _, c := range l.counts {
-		total += c
-	}
-	if drop < 0 || drop > total {
+	if total := l.lenLocked(); drop < 0 || drop > total {
 		return fmt.Errorf("disk: compact drop %d out of range (log has %d records)", drop, total)
 	}
 	if drop == 0 && len(replacement) == 0 {
 		return nil
 	}
 
-	// Locate the boundary: segment k holds the first kept record.
-	k, before := 0, 0
-	for k < len(l.counts) && before+l.counts[k] <= drop {
-		before += l.counts[k]
-		k++
-	}
-	// Byte offset of the first kept record within segment k (k may equal
-	// len(segs) when drop consumes the whole log; then there is no suffix).
-	var suffixOff int64
-	suffixCount := 0
+	// Segment k holds the first kept record, at index skip (k is len(segs)
+	// when drop consumes the whole log; then there is no suffix).
+	k, skip := l.locateLocked(drop)
+	var suffix []int64 // offsets of the boundary segment's kept records
 	if k < len(l.segs) {
-		skip := drop - before
-		seen := 0
-		var err error
-		suffixOff, err = scanFramed(l.segs[k], l.sizes[k], func(int64, []byte) error {
-			if seen == skip {
-				return io.EOF // the first kept record: stop before it
-			}
-			seen++
-			return nil
-		})
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("disk: locate compaction boundary in %s: %w", l.names[k], err)
-		}
-		suffixCount = l.counts[k] - skip
+		suffix = l.offs[k][skip:]
 	}
 
 	// Stage the rewritten prefix in a fresh, not-yet-adopted segment.
@@ -369,31 +391,34 @@ func (l *RecordLog) Compact(drop int, replacement [][]byte) error {
 	}
 	abort := func(e error) error {
 		nf.Close()
-		os.Remove(filepath.Join(l.dir, name)) //saga:errok — unreferenced staging file
+		os.Remove(filepath.Join(l.dir, name)) //saga:errok — unreferenced, never adopted
 		return e
 	}
-	size := 0
+	// A bufio.Writer's errors are sticky: Flush reports the first one.
+	w := bufio.NewWriterSize(nf, 1<<16)
+	offs := make([]int64, 0, len(replacement)+len(suffix))
+	var newSize int64
 	for _, rec := range replacement {
-		size += triple.RecordLen(len(rec))
+		hdr := triple.RecordHeader(rec)
+		w.Write(hdr[:])
+		w.Write(rec)
+		offs = append(offs, newSize)
+		newSize += int64(triple.RecordLen(len(rec)))
 	}
-	frames := slices.Grow(l.scratch, size)
-	for _, rec := range replacement {
-		frames = triple.AppendRecord(frames, rec)
-	}
-	l.scratch = recycle(frames)
-	w := io.Writer(nf)
-	if _, err := w.Write(frames); err != nil {
-		return abort(fmt.Errorf("disk: write compacted records: %w", err))
-	}
-	newSize := int64(len(frames))
-	if k < len(l.segs) && suffixOff < l.sizes[k] {
+	if len(suffix) > 0 {
 		// Copy the boundary segment's kept tail verbatim — the records are
 		// already framed, so a byte copy preserves them exactly.
-		n, err := io.Copy(w, io.NewSectionReader(l.segs[k], suffixOff, l.sizes[k]-suffixOff))
-		if err != nil {
+		from := suffix[0]
+		if _, err := io.Copy(w, io.NewSectionReader(l.segs[k], from, l.sizes[k]-from)); err != nil {
 			return abort(fmt.Errorf("disk: copy boundary segment tail: %w", err))
 		}
-		newSize += n
+		for _, off := range suffix {
+			offs = append(offs, newSize+off-from)
+		}
+		newSize += l.sizes[k] - from
+	}
+	if err := w.Flush(); err != nil {
+		return abort(fmt.Errorf("disk: write compacted records: %w", err))
 	}
 	if err := nf.Sync(); err != nil {
 		return abort(fmt.Errorf("disk: sync compaction segment: %w", err))
@@ -403,10 +428,7 @@ func (l *RecordLog) Compact(drop int, replacement [][]byte) error {
 	}
 
 	// Adopt: manifest flips from [0..k, k+1..] to [new, k+1..].
-	keepAfter := k + 1
-	if keepAfter > len(l.names) {
-		keepAfter = len(l.names)
-	}
+	keepAfter := min(k+1, len(l.names))
 	newNames := append([]string{name}, l.names[keepAfter:]...)
 	if err := l.writeManifestLocked(newNames); err != nil {
 		return abort(err)
@@ -418,10 +440,10 @@ func (l *RecordLog) Compact(drop int, replacement [][]byte) error {
 	for i := 0; i < keepAfter; i++ {
 		l.segs[i].Close()
 	}
-	l.names = append([]string{name}, l.names[keepAfter:]...)
+	l.names = newNames
 	l.segs = append([]*os.File{nf}, l.segs[keepAfter:]...)
 	l.sizes = append([]int64{newSize}, l.sizes[keepAfter:]...)
-	l.counts = append([]int{len(replacement) + suffixCount}, l.counts[keepAfter:]...)
+	l.offs = append([][]int64{offs}, l.offs[keepAfter:]...)
 	for _, old := range dropped {
 		os.Remove(filepath.Join(l.dir, old)) //saga:errok — already unreferenced by the manifest
 	}
@@ -440,9 +462,13 @@ func (l *RecordLog) Segments() []string {
 func (l *RecordLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.lenLocked()
+}
+
+func (l *RecordLog) lenLocked() int {
 	n := 0
-	for _, c := range l.counts {
-		n += c
+	for _, offs := range l.offs {
+		n += len(offs)
 	}
 	return n
 }

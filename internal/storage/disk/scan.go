@@ -19,15 +19,16 @@ import (
 // mid-file: the scan fails there, naming the file and the offset, so no
 // caller truncates the valid records after it. An error from fn stops the
 // scan and is returned with the offset of the record fn rejected; what the
-// error means is the caller's to decide.
+// error means is the caller's to decide. Every record is read into one
+// buffer, so the payload fn is handed is valid only during the call.
 func scanFramed(f *os.File, size int64, fn func(frameOff int64, payload []byte) error) (good int64, err error) {
 	sr := io.NewSectionReader(f, 0, size)
 	r := bufio.NewReaderSize(sr, 1<<16)
-	var off int64
+	off, payload := int64(0), []byte(nil)
 	for {
 		// What is left of the scanned size bounds the record: a torn or
 		// bit-flipped length prefix at the tail cannot size an allocation.
-		payload, err := triple.ReadRecord(r, size-off)
+		payload, err = triple.ReadRecord(r, size-off, payload)
 		if err != nil {
 			if errors.Is(err, triple.ErrCorruptRecord) && validRecordFollows(sr, r) {
 				return off, fmt.Errorf("%s: record at offset %d fails its checksum before valid records: %w", f.Name(), off, err)
@@ -52,7 +53,7 @@ func validRecordFollows(sr *io.SectionReader, r *bufio.Reader) bool {
 		// offset, and this one asks for neither.
 		pos, _ := sr.Seek(0, io.SeekCurrent)
 		// r has pulled pos bytes from sr; the Buffered ones are still unread.
-		_, err := triple.ReadRecord(r, sr.Size()-(pos-int64(r.Buffered())))
+		_, err := triple.ReadRecord(r, sr.Size()-(pos-int64(r.Buffered())), nil)
 		if err == nil {
 			return true
 		}

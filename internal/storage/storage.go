@@ -4,23 +4,23 @@
 // The paper's Graph Engine (§3.1) is a federation of *independent storage
 // engines* — entity index, search index, analytics store — all deriving
 // their state from one shared operation log. This package carves the storage
-// those engines share, or that must survive a restart, into three role
+// those engines share, or that must survive a restart, into two role
 // interfaces plus the recovery checkpoint store:
 //
 //   - RecordLog — the operation log's record I/O (ordered, CRC-framed,
-//     torn-tail recoverable append storage; the oplog package layers LSNs,
-//     JSON op encoding, and subscriptions on top).
-//   - BlobStore — the staging object store for ingest payloads (write-once
-//     blobs keyed by generated staging keys).
+//     torn-tail recoverable append storage; the oplog package layers LSNs
+//     and the op record format on top). Each op's entity payload rides in
+//     its record, so the log is the platform's one durable write per
+//     publish.
 //   - EntityKV — the entity index's payload KV (serialized entity bytes by
 //     entity ID).
 //   - Checkpointer — recovery checkpoints keyed by log watermark.
 //
 // There are two media. The disk package implements every role durably; the
-// in-memory entity KV lives in entitystore and the in-memory staging store
-// behind graphengine.NewObjectStore, while a volatile log is an oplog.Log
-// with no record log and a volatile platform keeps no checkpoints. core.Open
-// picks the medium with a switch on StorageOptions.Backend. The in-memory
+// in-memory entity KV lives in entitystore, while a volatile log is an
+// oplog.Log with no record log (it keeps each op's payload in memory) and a
+// volatile platform keeps no checkpoints. core.Open picks the medium with a
+// switch on StorageOptions.Backend. The in-memory
 // indexes that only hold derived state replayed from the log (the text
 // index's postings, the vector database) own their maps directly and are not
 // storage roles.
@@ -37,10 +37,14 @@ import "io"
 // length+CRC header and drop a torn tail at open (crash-during-append
 // recovery). Implementations are safe for concurrent use.
 type RecordLog interface {
-	// Append durably appends one record. The payload is owned by the caller
-	// and copied (or written out) before return.
-	Append(payload []byte) error
-	// Replay calls fn for every record in append order. A record fn rejects
+	// Append durably appends one record, the concatenation of parts (the
+	// caller's, copied or written out before return).
+	Append(parts ...[]byte) error
+	// Read returns record i, counting from the oldest record now in the log
+	// (a Compact renumbers the records after it). The slice is the caller's.
+	Read(i int) ([]byte, error)
+	// Replay calls fn for every record in append order; fn must copy what
+	// it keeps of a payload (one buffer is reused). A record fn rejects
 	// (fn returns an error) stops the replay, and Replay returns fn's error
 	// with the record's position; the log is left unchanged. Every record
 	// Replay sees passed its CRC, so it was acknowledged: a record the layer
@@ -85,10 +89,11 @@ type Checkpointer interface {
 	Close() error
 }
 
-// BlobStore is the staging object store for ingest payloads: a durable,
-// high-throughput blob store keyed by generated staging key — write once,
-// read by any agent, delete after retention. Implementations are safe for
-// concurrent use.
+// BlobStore is a staging object store for ingest payloads, keyed by
+// generated staging key — write once, read by any agent, delete after
+// retention. The platform stages nothing (payloads ride in the log's
+// records); only the benchmark's storage layer still measures it.
+// Implementations are safe for concurrent use.
 type BlobStore interface {
 	// Stage durably writes a payload and returns its generated staging key.
 	// The store takes ownership of the payload slice. A staging error must

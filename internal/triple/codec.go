@@ -394,9 +394,11 @@ func CountRecords(buf []byte) int {
 // ReadRecord reads one framed binary payload from a stream, verifying its
 // CRC. limit is the number of bytes the input can still hold, this frame's
 // header included: a length prefix claiming more is a torn or corrupt header
-// and is refused before anything is allocated for it. io.EOF is returned at a
-// clean end of stream; io.ErrUnexpectedEOF on a torn record.
-func ReadRecord(r io.Reader, limit int64) ([]byte, error) {
+// and is refused before anything is allocated for it. The payload is read
+// into buf's storage when it fits (a scanner passes its last payload back).
+// io.EOF is returned at a clean end of stream; io.ErrUnexpectedEOF on a torn
+// record.
+func ReadRecord(r io.Reader, limit int64, buf []byte) ([]byte, error) {
 	var hdr [recordHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -406,7 +408,10 @@ func ReadRecord(r io.Reader, limit int64) ([]byte, error) {
 	if int64(n) > limit-recordHeaderLen {
 		return nil, io.ErrUnexpectedEOF
 	}
-	payload := make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, io.ErrUnexpectedEOF
 	}

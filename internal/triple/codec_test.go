@@ -135,7 +135,7 @@ func TestRecordFraming(t *testing.T) {
 	r := bytes.NewReader(buf)
 	rest := buf
 	for i, want := range payloads {
-		got, err := ReadRecord(r, int64(r.Len()))
+		got, err := ReadRecord(r, int64(r.Len()), nil)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -150,7 +150,7 @@ func TestRecordFraming(t *testing.T) {
 			t.Fatalf("record %d in place = %q, want %q", i, rec, want)
 		}
 	}
-	if _, err := ReadRecord(r, 0); err != io.EOF {
+	if _, err := ReadRecord(r, 0, nil); err != io.EOF {
 		t.Fatalf("expected io.EOF at end, got %v", err)
 	}
 	if _, _, err := NextRecord(rest); err != io.EOF {
@@ -161,7 +161,7 @@ func TestRecordFraming(t *testing.T) {
 func TestRecordDetectsCorruption(t *testing.T) {
 	data := AppendRecord(nil, []byte("payload"))
 	both := func(b []byte) (stream, inPlace error) {
-		_, stream = ReadRecord(bytes.NewReader(b), int64(len(b)))
+		_, stream = ReadRecord(bytes.NewReader(b), int64(len(b)), nil)
 		_, _, inPlace = NextRecord(b)
 		return
 	}
@@ -189,10 +189,10 @@ func TestReadRecordBoundsLength(t *testing.T) {
 	data = append(data, 0xF0, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4, 'x')
 	allocs := testing.AllocsPerRun(10, func() {
 		r := bytes.NewReader(data)
-		if rec, err := ReadRecord(r, int64(r.Len())); err != nil || string(rec) != "good" {
+		if rec, err := ReadRecord(r, int64(r.Len()), nil); err != nil || string(rec) != "good" {
 			t.Fatalf("good prefix: %q, %v", rec, err)
 		}
-		if _, err := ReadRecord(r, int64(r.Len())); err != io.ErrUnexpectedEOF {
+		if _, err := ReadRecord(r, int64(r.Len()), nil); err != io.ErrUnexpectedEOF {
 			t.Fatalf("oversized header: %v", err)
 		}
 	})
@@ -281,7 +281,7 @@ func FuzzNextRecord(f *testing.F) {
 		// unverified count never falls short of it.
 		r, streamed := bytes.NewReader(data), 0
 		for {
-			if _, err := ReadRecord(r, int64(r.Len())); err != nil {
+			if _, err := ReadRecord(r, int64(r.Len()), nil); err != nil {
 				break
 			}
 			streamed++
