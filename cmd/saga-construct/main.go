@@ -20,7 +20,7 @@ func main() {
 	sources := flag.Int("sources", 4, "number of synthetic sources")
 	perSource := flag.Int("entities", 200, "entities per source")
 	overlap := flag.Int("overlap", 100, "universe overlap between consecutive sources")
-	durDir := flag.String("durable", "", "durability directory for the memory backend (oplog + checkpoints; empty = volatile)")
+	durDir := flag.String("durable", "", "durability directory for the memory backend (the oplog; empty = volatile)")
 	backend := flag.String("backend", "", "storage backend (memory, disk; empty = memory)")
 	dataDir := flag.String("data", "", "data directory for a durable backend (required with -backend=disk)")
 	workers := flag.Int("workers", 0, "intra-delta construction workers (0 = GOMAXPROCS, 1 = sequential)")

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	durDir := flag.String("durable", "", "durability directory for the memory backend (oplog + checkpoints; empty = volatile)")
+	durDir := flag.String("durable", "", "durability directory for the memory backend (the oplog; empty = volatile)")
 	backend := flag.String("backend", "", "storage backend (memory, disk; empty = memory)")
 	dataDir := flag.String("data", "", "data directory for a durable backend (required with -backend=disk)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request handling timeout")

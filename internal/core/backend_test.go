@@ -281,9 +281,10 @@ func TestOpenStorageBackends(t *testing.T) {
 }
 
 // TestOpenFailureClosesStores: an Open that fails after opening some stores
-// closes them again. A regular file where the checkpoint directory belongs
-// fails Open after the record log is open; it used to
-// leave them (and the entity KV) open.
+// closes them again. A non-empty directory where the disk backend's entity
+// KV belongs fails Open after the record log is open (Open removes the old
+// KV file first); a failed Open used to leave the stores it had opened
+// open.
 func TestOpenFailureClosesStores(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("counts descriptors through /proc/self/fd")
@@ -296,13 +297,13 @@ func TestOpenFailureClosesStores(t *testing.T) {
 		return len(ents)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "checkpoints"), nil, 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "entities.dat", "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	before := openFDs()
 	if p, err := Open(Options{Storage: StorageOptions{Backend: "disk", DataDir: dir}}); err == nil {
 		p.Close() //saga:errok — the open is the failure under test
-		t.Fatal("Open succeeded with a file where the checkpoint directory belongs")
+		t.Fatal("Open succeeded with a directory where the entity KV belongs")
 	}
 	if after := openFDs(); after != before {
 		t.Fatalf("failed Open left %d descriptors open", after-before)
@@ -310,7 +311,7 @@ func TestOpenFailureClosesStores(t *testing.T) {
 }
 
 // TestDiskEntityKVRebuiltAtOpen: the disk backend's entity KV starts empty at
-// every Open and recovery refills it from the checkpoint and the log, so
+// every Open and recovery refills it from the log, so
 // reopening does not grow entities.dat and the store holds exactly the KG's
 // entities.
 func TestDiskEntityKVRebuiltAtOpen(t *testing.T) {

@@ -82,14 +82,14 @@ func durableOptions(cfg durabilityConfig, dir string) Options {
 }
 
 // copyTree snapshots a directory the way a crash preserves it: file by file,
-// tolerating files that vanish or shrink mid-copy (a concurrent compaction
-// swapping segments). MANIFEST and checkpoint files copy first, so everything
-// they reference was durably complete before the snapshot point — the same
+// tolerating files that vanish or shrink mid-copy (a checkpoint compacting
+// the log swaps its segments). MANIFEST copies first, so everything it
+// references was durably complete before the snapshot point — the same
 // write-ordering argument real recovery relies on. That argument only covers
-// the forward direction, though: a compaction swap that completes *during*
-// the copy deletes segments the already-copied (old) manifest still lists,
-// an old-manifest/new-segments mix no real crash can produce (old segments
-// are deleted strictly after the swapped manifest is durable). Every swap
+// the forward direction, though: a compaction that completes *during* the
+// copy deletes segments the already-copied (old) manifest still lists, an
+// old-manifest/new-segments mix no real crash can produce (old segments are
+// deleted strictly after the new manifest is durable). Every compaction
 // rewrites the log MANIFEST, so the copy is accepted only if each manifest
 // re-reads byte-identical after the last data file is copied.
 // Returns false if the tree mutated so the copy should be retried.
@@ -109,8 +109,8 @@ func copyTree(t *testing.T, src, dst string) bool {
 		t.Fatal(err)
 	}
 	sort.Slice(files, func(i, j int) bool {
-		pi := filepath.Base(files[i]) == "MANIFEST" || filepath.Ext(files[i]) == ".ckpt"
-		pj := filepath.Base(files[j]) == "MANIFEST" || filepath.Ext(files[j]) == ".ckpt"
+		pi := filepath.Base(files[i]) == "MANIFEST"
+		pj := filepath.Base(files[j]) == "MANIFEST"
 		if pi != pj {
 			return pi
 		}
@@ -164,7 +164,7 @@ func copyTree(t *testing.T, src, dst string) bool {
 }
 
 // snapshotTree copies src into a fresh temp dir, retrying while a concurrent
-// compaction churns the tree underneath it.
+// checkpoint churns the tree underneath it.
 func snapshotTree(t *testing.T, src string) string {
 	t.Helper()
 	for attempt := 0; attempt < 10; attempt++ {
@@ -196,23 +196,70 @@ func reopenState(t *testing.T, cfg durabilityConfig, dir string) durableState {
 	return st
 }
 
-// assertSnapshotConverges is the kill-point invariant: a platform reopened
-// from the snapshot with its checkpoints must be byte-identical to one
-// reopened from the same snapshot with the checkpoints deleted (pure log
-// replay from genesis). Checkpoints are an accelerator, never a fork.
-func assertSnapshotConverges(t *testing.T, cfg durabilityConfig, snap, label string) {
+// prefixState is what a reopened platform must hold after some prefix of
+// the batches it was fed: the construction KG, its link table and the
+// entity store's records.
+type prefixState struct {
+	KG       []triple.Triple
+	Links    map[triple.EntityID]triple.EntityID
+	Entities map[triple.EntityID]string
+}
+
+func prefixStateOf(t *testing.T, p *Platform) prefixState {
 	t.Helper()
-	bare := snapshotTree(t, snap)
-	if err := os.RemoveAll(filepath.Join(bare, "checkpoints")); err != nil {
+	st := prefixState{KG: p.KG.Graph.Triples(), Links: p.KG.LinksSnapshot(), Entities: make(map[triple.EntityID]string)}
+	if err := p.EntityStore.Range(func(e *triple.Entity) bool {
+		b, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Entities[e.ID] = string(b)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	withCkpt := reopenState(t, cfg, snap)
-	fromLog := reopenState(t, cfg, bare)
-	if !reflect.DeepEqual(withCkpt, fromLog) {
-		t.Errorf("%s: checkpoint recovery diverged from full log replay\n  ckpt: lsn=%d entities=%d kg=%d links=%d\n  log:  lsn=%d entities=%d kg=%d links=%d",
-			label, withCkpt.LastLSN, len(withCkpt.Entities), len(withCkpt.KG), len(withCkpt.Links),
-			fromLog.LastLSN, len(fromLog.Entities), len(fromLog.KG), len(fromLog.Links))
+	return st
+}
+
+// serialPrefixStates feeds batches one at a time to a volatile platform that
+// never checkpoints and returns its state after each prefix, the empty one
+// first.
+func serialPrefixStates(t *testing.T, batches [][]ingest.Delta) []prefixState {
+	t.Helper()
+	p, err := Open(Options{Construction: ConstructionOptions{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer p.Close()
+	states := []prefixState{prefixStateOf(t, p)}
+	for _, b := range batches {
+		if _, err := p.ConsumeDeltas(b); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, prefixStateOf(t, p))
+	}
+	return states
+}
+
+// assertSnapshotIsAPrefix is the kill-point invariant: the snapshot reopens,
+// and what it recovered equals the serial reference after some batch prefix.
+// The log alone is the state, so there is nothing else to recover from.
+func assertSnapshotIsAPrefix(t *testing.T, cfg durabilityConfig, snap, label string, ref []prefixState) {
+	t.Helper()
+	p, err := Open(durableOptions(cfg, snap))
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", label, err)
+	}
+	got := prefixStateOf(t, p)
+	if err := p.Close(); err != nil {
+		t.Fatalf("%s: close: %v", label, err)
+	}
+	for _, want := range ref {
+		if reflect.DeepEqual(got, want) {
+			return
+		}
+	}
+	t.Errorf("%s: recovered kg=%d links=%d entities=%d, which no batch prefix of the serial reference reaches", label, len(got.KG), len(got.Links), len(got.Entities))
 }
 
 // TestRecoveryRoundTrip closes a durable platform cleanly and reopens it:
@@ -318,10 +365,10 @@ func TestRecoveryReplayBoundedByCheckpoint(t *testing.T) {
 }
 
 // TestKillPointRecovery snapshots the durable tree at arbitrary points while
-// a standing feed, periodic checkpoints, and background compaction are all
+// a standing feed and periodic checkpoints, each compacting the log, are
 // running — the file-level state a kill -9 leaves — and requires every
-// snapshot to reopen successfully and converge: recovery via checkpoint
-// byte-identical to full log replay, on every backend.
+// snapshot to reopen and hold exactly the state a serial, never-checkpointed
+// platform reaches after some prefix of the batches, on every backend.
 func TestKillPointRecovery(t *testing.T) {
 	for _, cfg := range durabilityConfigs() {
 		cfg := cfg
@@ -329,7 +376,6 @@ func TestKillPointRecovery(t *testing.T) {
 			dir := t.TempDir()
 			opts := durableOptions(cfg, dir)
 			opts.Durability.CheckpointEvery = 2
-			opts.Durability.CompactAfter = 4
 			p, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -340,9 +386,10 @@ func TestKillPointRecovery(t *testing.T) {
 			}
 
 			// Submit the stream from one goroutine while snapshots race it:
-			// each snapshot lands mid-batch, mid-checkpoint, or mid-compaction,
-			// wherever the platform happens to be.
+			// each snapshot lands mid-batch or mid-checkpoint, wherever the
+			// platform happens to be.
 			batches := durabilityBatches(12)
+			ref := serialPrefixStates(t, batches)
 			var wg sync.WaitGroup
 			wg.Add(1)
 			results := make([]<-chan construct.BatchResult, len(batches))
@@ -363,19 +410,22 @@ func TestKillPointRecovery(t *testing.T) {
 				}
 			}
 			// One snapshot with the whole stream committed but the platform
-			// still open (feed backlog, compactor state all live).
+			// still open.
 			f.Drain()
 			snaps = append(snaps, snapshotTree(t, dir))
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
 			want := durableStateOf(t, p)
+			if got := prefixStateOf(t, p); !reflect.DeepEqual(got, ref[len(ref)-1]) {
+				t.Error("the fed platform differs from the serial reference after every batch")
+			}
 			if err := p.Close(); err != nil {
 				t.Fatal(err)
 			}
 
 			for i, snap := range snaps {
-				assertSnapshotConverges(t, cfg, snap, fmt.Sprintf("snapshot %d", i))
+				assertSnapshotIsAPrefix(t, cfg, snap, fmt.Sprintf("snapshot %d", i), ref)
 			}
 			// The cleanly closed tree recovers to exactly the pre-close state.
 			if got := reopenState(t, cfg, dir); !reflect.DeepEqual(got, want) {
@@ -444,13 +494,13 @@ func TestFeedBarrierCheckpoint(t *testing.T) {
 }
 
 // TestPeriodicCheckpointAndCompaction: CheckpointEvery checkpoints ride the
-// publisher without any explicit Checkpoint call, CompactAfter triggers the
-// background compactor, and the compacted log still recovers byte-identically.
+// publisher without any explicit Checkpoint call, each compacts the log to
+// its base, and the compacted log recovers byte-identically.
 func TestPeriodicCheckpointAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		Construction: ConstructionOptions{Workers: 2},
-		Durability:   DurabilityOptions{Dir: dir, CheckpointEvery: 1, CompactAfter: 1},
+		Durability:   DurabilityOptions{Dir: dir, CheckpointEvery: 1},
 	}
 	p, err := Open(opts)
 	if err != nil {
@@ -475,25 +525,13 @@ func TestPeriodicCheckpointAndCompaction(t *testing.T) {
 	if st.LastCheckpointLSN != p.Engine.Log.LastLSN() {
 		t.Fatalf("last checkpoint lsn = %d, log head = %d", st.LastCheckpointLSN, p.Engine.Log.LastLSN())
 	}
-	if st.CompactionFloor == 0 {
-		t.Fatal("no compaction floor after two checkpoints")
-	}
-	// The compactor runs in the background; wait for it.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.DurabilityStats().Compactions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background compaction never ran")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st.LogOps != 1 {
+		t.Fatalf("the log holds %d ops after a checkpoint at its head, want the base alone", st.LogOps)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want := durableStateOf(t, p)
-	st = p.DurabilityStats()
-	if st.CompactionErrors != 0 {
-		t.Fatalf("compaction errors = %d: %+v", st.CompactionErrors, st.LastCompaction)
-	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -504,156 +542,62 @@ func TestPeriodicCheckpointAndCompaction(t *testing.T) {
 	}
 }
 
-// TestCompactionCountsOnlyUncompactedOps: the background compactor runs
-// exactly when the prefix at or below the compaction floor holds at least
-// CompactAfter ops past the last compaction's watermark. An overwrite stream
-// that rotates over six entity groups leaves a conflated prefix of several
-// ops; counting those again would compact at every checkpoint, rewriting the
-// whole prefix to shed one batch's ops. The test takes the compactor's
-// trigger channel and runs each compaction synchronously, so every
-// checkpoint's decision is observed against settled state.
-func TestCompactionCountsOnlyUncompactedOps(t *testing.T) {
-	const compactAfter = 4
-	p := newTestPlatform(t, Options{Durability: DurabilityOptions{Dir: t.TempDir(), CheckpointEvery: 1, CompactAfter: compactAfter}})
-	// One empty compaction proves the background compactor is ranging over
-	// its channel before the test swaps the field.
-	p.triggerCompact(0)
-	for deadline := time.Now().Add(5 * time.Second); p.DurabilityStats().Compactions == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("background compactor never ran")
-		}
-	}
-	trig := make(chan uint64, 1)
-	p.compactMu.Lock()
-	orig := p.compactTrig
-	p.compactTrig = trig
-	p.compactMu.Unlock()
-	t.Cleanup(func() { // runs before Close, which stops the original compactor
-		p.compactMu.Lock()
-		p.compactTrig = orig
-		p.compactMu.Unlock()
-	})
-	var (
-		compactions int
-		compacted   uint64 // last compaction's watermark
-	)
-	for r := 0; r < 30; r++ {
-		// A checkpoint compacts through the one before it: the newest
-		// watermark now is the floor this batch's checkpoint compacts through.
-		floor := p.DurabilityStats().LastCheckpointLSN
-		spec := workload.SourceSpec{Name: "src", Count: 4, Offset: (r % 6) * 4, RichFacts: 2, Seed: int64(r + 1)}
-		if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Updated: spec.Entities()}}); err != nil {
-			t.Fatal(err)
-		}
-		fresh := p.Engine.Log.PrefixLen(floor) - p.Engine.Log.PrefixLen(compacted)
-		select {
-		case w := <-trig:
-			if w != floor || fresh < compactAfter {
-				t.Fatalf("batch %d: compaction through %d with %d ops past the last one's watermark %d, want floor %d and >= %d ops",
-					r, w, fresh, compacted, floor, compactAfter)
-			}
-			stats, err := p.compactThrough(w)
+// TestCheckpointBoundsDurableBytes: the log alone is the durable state. After
+// a checkpoint at its head it is one record, so on both layouts the tree
+// holds no checkpoint directory and the log's segments hold at most twice
+// the KG's conflated image (each entity's frame), however many batches
+// overwrote it.
+func TestCheckpointBoundsDurableBytes(t *testing.T) {
+	for _, cfg := range durabilityConfigs() {
+		t.Run(cfg.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := durableOptions(cfg, dir)
+			opts.Durability.CheckpointEvery = 8
+			p, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			compactions++
-			compacted = stats.Watermark
-		default:
-			if floor > 0 && fresh >= compactAfter {
-				t.Fatalf("batch %d: no compaction with %d ops past the last one's watermark %d", r, fresh, compacted)
+			defer p.Close()
+			for _, b := range churnBatches(60, 12) {
+				if _, err := p.ConsumeDeltas(b); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	if compactions < 3 {
-		t.Fatalf("%d compactions, want the stream to take several", compactions)
-	}
-}
-
-// TestCompactKeepsOlderCheckpointSound: an explicit Compact rewrites the log
-// only through the older of the two newest checkpoints. When the newest
-// checkpoint file is damaged, recovery falls back to the older one and
-// replays the log past it, and that suffix must still hold the delete taken
-// between the two: compacting through the newest checkpoint would elide the
-// delete's tombstone, and the deleted entity and its link would come back.
-// A checkpoint taken again with no write in between shares the newest
-// watermark (the log records no checkpoint), and must not raise the floor to
-// it: the older checkpoint is still the one recovery falls back to.
-func TestCompactKeepsOlderCheckpointSound(t *testing.T) {
-	for _, cfg := range durabilityConfigs() {
-		t.Run(cfg.name, func(t *testing.T) {
-			for _, again := range []bool{false, true} {
-				testCompactKeepsOlderCheckpointSound(t, cfg, again)
+			if _, err := p.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("the tree has a checkpoints directory (stat: %v)", err)
+			}
+			image := 0
+			p.KG.Graph.RangeShared(func(e *triple.Entity) bool {
+				image += triple.RecordLen(e.EncodedLen())
+				return true
+			})
+			segs, err := filepath.Glob(filepath.Join(dir, "oplog", "*.seg"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			logBytes := int64(0)
+			for _, seg := range segs {
+				info, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				logBytes += info.Size()
+			}
+			t.Logf("log segments %d bytes, conflated image %d bytes", logBytes, image)
+			if image == 0 || logBytes > 2*int64(image) {
+				t.Fatalf("the log's segments hold %d bytes, the KG's conflated image %d: want at most twice", logBytes, image)
 			}
 		})
 	}
 }
 
-func testCompactKeepsOlderCheckpointSound(t *testing.T, cfg durabilityConfig, again bool) {
-	dir := t.TempDir()
-	p, err := Open(durableOptions(cfg, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ents := workload.SourceSpec{Name: "src", Count: 12, RichFacts: 2, Seed: 1}.Entities()
-	if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Added: ents}}); err != nil {
-		t.Fatal(err)
-	}
-	older, err := p.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.ConsumeDeltas([]ingest.Delta{{Source: "src", Deleted: []triple.EntityID{ents[0].ID}}}); err != nil {
-		t.Fatal(err)
-	}
-	newer, err := p.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again {
-		if w, err := p.Checkpoint(); err != nil || w != newer {
-			t.Fatalf("a checkpoint with no write since the last = %d, %v; want its watermark %d", w, err, newer)
-		}
-	}
-	stats, err := p.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if floor := p.DurabilityStats().CompactionFloor; floor != older || stats.Watermark != older {
-		t.Errorf("compaction floor %d, compacted through %d; want the older checkpoint %d (newest %d)", floor, stats.Watermark, older, newer)
-	}
-	want := durableStateOf(t, p)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	newest := filepath.Join(dir, "checkpoints", fmt.Sprintf("%020d.ckpt", newer))
-	b, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0xff
-	if err := os.WriteFile(newest, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(durableOptions(cfg, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := re.DurabilityStats().RecoveredLSN; got != older {
-		t.Fatalf("recovered from lsn %d, want the older checkpoint %d", got, older)
-	}
-	if got := durableStateOf(t, re); !reflect.DeepEqual(got, want) {
-		t.Errorf("recovery from the older checkpoint differs from pre-close state:\n  got:  kg=%d links=%d\n  want: kg=%d links=%d",
-			len(got.KG), len(got.Links), len(want.KG), len(want.Links))
-	}
-	checkReplayMatchesKG(t, re, "recovered from the older checkpoint")
-}
-
-// TestRecoveryDecodesEachPayloadOnce: recovery applies the checkpoint and
-// every suffix op to the agents once, and the construction KG starts as the
+// TestRecoveryDecodesEachPayloadOnce: recovery applies the base and every
+// op after it to the agents once, and the construction KG starts as the
 // recovered replica's snapshot, so the KG and the replica hold one record
-// per entity, decoded once from the checkpoint or the log suffix.
+// per entity, decoded once from the base or a later op.
 func TestRecoveryDecodesEachPayloadOnce(t *testing.T) {
 	for _, cfg := range durabilityConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -681,7 +625,7 @@ func TestRecoveryDecodesEachPayloadOnce(t *testing.T) {
 			}
 			defer re.Close()
 			if st := re.DurabilityStats(); st.RecoveredEntities == 0 || st.ReplayedOps == 0 {
-				t.Fatalf("recovered %d checkpoint entities and %d suffix ops; want both", st.RecoveredEntities, st.ReplayedOps)
+				t.Fatalf("recovered %d base entities and %d ops after the base; want both", st.RecoveredEntities, st.ReplayedOps)
 			}
 			ids := re.KG.Graph.IDs()
 			if !reflect.DeepEqual(ids, re.GraphReplica.IDs()) {
@@ -701,10 +645,10 @@ func TestRecoveryDecodesEachPayloadOnce(t *testing.T) {
 }
 
 // TestCloseWithInFlightFeedAndCompaction: Close while the feed still has
-// unpublished backlog and the background compactor may be mid-run must settle
-// everything in order — every submitted batch commits and publishes, and the
-// reopened platform matches the closed one exactly (orphaned state would
-// surface as a diff or a reopen error).
+// unpublished backlog and a checkpoint after every batch compacts the log
+// must settle everything in order — every submitted batch commits and
+// publishes, and the reopened platform matches the closed one exactly
+// (orphaned state would surface as a diff or a reopen error).
 func TestCloseWithInFlightFeedAndCompaction(t *testing.T) {
 	for _, cfg := range durabilityConfigs() {
 		cfg := cfg
@@ -712,7 +656,6 @@ func TestCloseWithInFlightFeedAndCompaction(t *testing.T) {
 			dir := t.TempDir()
 			opts := durableOptions(cfg, dir)
 			opts.Durability.CheckpointEvery = 1
-			opts.Durability.CompactAfter = 1
 			p, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -727,7 +670,7 @@ func TestCloseWithInFlightFeedAndCompaction(t *testing.T) {
 				results[i] = f.Submit(b)
 			}
 			// Close immediately: the feed backlog is (very likely) still in
-			// flight and checkpoints are queueing compactions behind it.
+			// flight, each group followed by a checkpoint.
 			if err := p.Close(); err != nil {
 				t.Fatal(err)
 			}

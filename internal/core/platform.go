@@ -34,12 +34,12 @@ import (
 )
 
 // StorageOptions selects the storage medium for the platform's stores
-// (entity KV, record log, checkpoints).
+// (entity KV, record log).
 type StorageOptions struct {
 	// Backend is "memory" (or empty) or "disk". The memory backend keeps
-	// the entity KV in memory, and the log (payloads included) and
-	// checkpoints too unless DurabilityOptions.Dir makes them durable. The
-	// disk backend keeps all three under DataDir.
+	// the entity KV in memory, and the log (payloads included) too unless
+	// DurabilityOptions.Dir makes it durable. The disk backend keeps both
+	// under DataDir.
 	Backend string
 	// DataDir roots the disk backend's files: the durable layout of
 	// DurabilityOptions.Dir plus the entity KV (DataDir/entities.dat, which
@@ -58,29 +58,26 @@ type ConstructionOptions struct {
 	Workers int
 }
 
-// DurabilityOptions configures crash recovery: where durable log/checkpoint
-// state lives when the store backend itself is volatile, and the cadence of
-// checkpoints and log compaction.
+// DurabilityOptions configures crash recovery: where the durable log lives
+// when the store backend itself is volatile, and the checkpoint cadence.
 type DurabilityOptions struct {
 	// Dir, with the memory backend, roots the durable layout — a segmented
 	// operation log whose records carry each op's entity payload
-	// (Dir/oplog), and checkpoint files (Dir/checkpoints) — while the
-	// serving stores stay volatile: the hybrid deployment where only
-	// replayable state survives a restart. Each publish group is one record
-	// and one fsync. The disk backend opens the same layout under
-	// Storage.DataDir and ignores Dir. A tree written before payloads rode
-	// in the log fails Open, naming the record format, and is left as it is.
+	// (Dir/oplog) — while the serving stores stay volatile: the hybrid
+	// deployment where only replayable state survives a restart. Each
+	// publish group is one record and one fsync, and the log alone is the
+	// state. The disk backend opens the same layout under Storage.DataDir
+	// and ignores Dir. A tree written before payloads rode in the log fails
+	// Open, naming the record format, and is left as it is.
 	Dir string
-	// CheckpointEvery takes a durable checkpoint every N published batches,
-	// on the feed's publisher after a group's ops, so it never stalls the
-	// commit loop.
+	// CheckpointEvery takes a checkpoint every N published batches, on the
+	// feed's publisher after a group's ops, so it never stalls the commit
+	// loop: the log is compacted to one base op holding the state at its
+	// head, and recovery replays that op and at most N batches' groups.
 	// 0 disables periodic checkpoints; explicit Checkpoint calls still work.
 	CheckpointEvery int
-	// CompactAfter triggers background log compaction once the prefix at or
-	// below the compaction floor (the penultimate checkpoint watermark)
-	// holds at least this many ops past the watermark of this session's
-	// last successful compaction (ops below it are already conflated). 0
-	// disables automatic compaction; explicit Compact calls still work.
+	// CompactAfter has no effect: a checkpoint compacts the log. It stays
+	// because the benchmark's platform layer sets it.
 	CompactAfter int
 }
 
@@ -92,7 +89,7 @@ type Options struct {
 	Storage StorageOptions
 	// Construction tunes the construction pipeline.
 	Construction ConstructionOptions
-	// Durability configures crash recovery, checkpoints, and log compaction.
+	// Durability configures crash recovery and checkpoints.
 	Durability DurabilityOptions
 }
 
@@ -127,10 +124,6 @@ type Platform struct {
 	// NERD is built on demand by BuildNERD.
 	NERD *nerd.NERD
 
-	// Checkpoints is the durable checkpoint store; nil when the platform has
-	// no durable checkpoint target (volatile backend without Durability.Dir).
-	Checkpoints storage.Checkpointer
-
 	snapshots map[string]ingest.Snapshot
 
 	// feed is the platform's one standing feed, open from Open to Close:
@@ -151,30 +144,15 @@ type Platform struct {
 
 	// linkReplica is the log-derived link table: a FuncAgent replays every
 	// op's Links/Unlinks into it, so after a CatchUp it is exactly the link
-	// state at the agents' LSN — the consistent capture checkpoints embed.
+	// state at the agents' LSN — the table a checkpoint's base carries.
 	linkMu      sync.Mutex
 	linkReplica map[triple.EntityID]triple.EntityID
 
-	// Durability state (guarded by durMu). prevCkptLSN is the penultimate
-	// durable checkpoint watermark (durStats.LastCheckpointLSN the newest) —
-	// the compaction floor: the log prefix at or below it may be rewritten,
-	// because every retained checkpoint is at least that fresh and recovery
-	// never replays below its checkpoint.
-	durMu        sync.Mutex
-	durStats     DurabilityStats
-	prevCkptLSN  uint64
-	ckptEvery    int
-	compactAfter int
-	ckptBatches  int // published feed batches since the last periodic checkpoint
-
-	// Background compactor. compactRunMu serializes compaction runs (the
-	// goroutine and explicit Compact calls); compactMu guards the trigger
-	// channel against send-on-closed during shutdown.
-	compactRunMu   sync.Mutex
-	compactMu      sync.Mutex
-	compactTrig    chan uint64
-	compactStopped bool
-	compactDone    chan struct{}
+	// Durability state (guarded by durMu).
+	durMu       sync.Mutex
+	durStats    DurabilityStats
+	ckptEvery   int
+	ckptBatches int // published feed batches since the last periodic checkpoint
 }
 
 // pendingPublish records failed publishes: the KG entities whose store state
@@ -188,9 +166,10 @@ type pendingPublish struct {
 }
 
 // Open assembles a platform and recovers its state: with durable storage it
-// restores the construction KG and every serving store from the latest
-// checkpoint and replays only the operation-log suffix past the checkpoint's
-// watermark, so cold-start time tracks the suffix length, not the log's age.
+// replays the operation log from genesis into the construction KG and every
+// serving store — the base op the last checkpoint left, then the ops
+// appended since — so cold-start time tracks the state and the suffix since
+// the last checkpoint, not the log's age.
 // A platform with no durable state opens empty. Close the platform when done;
 // recovery is Open's job alone — nothing else replays the log implicitly.
 func Open(opts Options) (_ *Platform, err error) {
@@ -205,10 +184,9 @@ func Open(opts Options) (_ *Platform, err error) {
 		}
 	}()
 	var (
-		log   = oplog.NewVolatile()
-		ckpts storage.Checkpointer
-		kv    storage.EntityKV
-		dir   = opts.Durability.Dir
+		log = oplog.NewVolatile()
+		kv  storage.EntityKV
+		dir = opts.Durability.Dir
 	)
 	switch opts.Storage.Backend {
 	case "", "memory":
@@ -221,7 +199,7 @@ func Open(opts Options) (_ *Platform, err error) {
 	default:
 		return nil, fmt.Errorf("core: unknown storage backend %q (want \"memory\" or \"disk\")", opts.Storage.Backend)
 	}
-	if dir != "" { // the one durable layout: dir/oplog and dir/checkpoints
+	if dir != "" { // the one durable layout: dir/oplog
 		rec, err := disk.OpenRecordLog(filepath.Join(dir, "oplog"), 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -230,10 +208,6 @@ func Open(opts Options) (_ *Platform, err error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		opened = append(opened, log)
-		if ckpts, err = disk.OpenCheckpoints(filepath.Join(dir, "checkpoints")); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		opened = append(opened, ckpts)
 	}
 	if kv == nil { // disk: the entity KV lives beside the durable layout
 		// It starts empty: recovery re-derives every entry from the log.
@@ -253,9 +227,9 @@ func Open(opts Options) (_ *Platform, err error) {
 		EntityStore:  entitystore.NewWith(kv),
 		GraphReplica: triple.NewGraph(),
 		Curation:     live.NewQueue(),
-		Checkpoints:  ckpts,
 		snapshots:    make(map[string]ingest.Snapshot),
 	}
+	p.durStats.Durable = dir != ""
 	p.linkReplica = make(map[triple.EntityID]triple.EntityID)
 	p.Engine.RegisterAgent(graphengine.EntityStoreAgent{Store: p.EntityStore})
 	p.Engine.RegisterAgent(graphengine.GraphAgent{Graph: p.GraphReplica})
@@ -273,15 +247,11 @@ func Open(opts Options) (_ *Platform, err error) {
 	p.Pipeline.Workers = opts.Construction.Workers
 	p.Pipeline.EnableBlockIndex()
 	p.ckptEvery = opts.Durability.CheckpointEvery
-	p.compactAfter = opts.Durability.CompactAfter
 	p.Live = live.NewStore()
 	p.LiveConstructor = &live.Constructor{Store: p.Live}
 	p.LiveEngine = kgq.NewEngine(p.Live)
 	p.Intents = live.NewIntentHandler(p.Live, nil)
 
-	p.compactTrig = make(chan uint64, 1)
-	p.compactDone = make(chan struct{})
-	go p.compactorLoop() //saga:longlived stopped by Close before the stores shut
 	p.feed = construct.NewFeed(p.Pipeline, construct.FeedOptions{
 		OnCommit: p.captureFeedBatch,
 		Publish:  p.publishGroup,
@@ -578,12 +548,11 @@ func (p *Platform) publishGroup(group []*construct.FeedBatch) error {
 }
 
 // Close shuts the platform down, in dependency order: the standing feed is
-// closed and its backlog published, queued failed publishes are retried, the
-// background compactor is stopped and waited for, and only then do the
-// operation log, checkpoint store, and entity store release
-// their storage backends (for durable backends that also syncs and closes
-// their files) — so no compaction or publish can race a closing store, and a
-// clean Close leaves no orphaned segments behind. Close is not safe
+// closed and its backlog published, queued failed publishes are retried, and
+// only then do the operation log and entity store release their storage
+// backends (for durable backends that also syncs and closes their files) —
+// so no checkpoint or publish can race a closing store, and a clean Close
+// leaves no orphaned segments behind. Close is not safe
 // concurrently with other platform calls; the platform is unusable
 // afterwards. Reopen with Open to recover.
 func (p *Platform) Close() error {
@@ -594,12 +563,6 @@ func (p *Platform) Close() error {
 	// The publisher has stopped; one last, empty publish group retries
 	// queued failed publishes before the log closes.
 	_ = p.publishGroup(nil) //saga:errok a publish still failing at shutdown has no later publish point
-	p.stopCompactor()
-	if p.Checkpoints != nil {
-		if err := p.Checkpoints.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	if err := p.Engine.Log.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
@@ -609,10 +572,10 @@ func (p *Platform) Close() error {
 	return firstErr
 }
 
-// Checkpoint publishes a construction checkpoint — durably snapshotting the
-// KG when the platform has a checkpoint store — and returns its watermark. It
-// is a barrier turn on the feed: the checkpoint covers every batch submitted
-// before the call and never stalls the commit loop.
+// Checkpoint takes a checkpoint — it compacts the operation log to one base
+// op holding the state at its head, durably when the log is — and returns
+// its watermark. It is a barrier turn on the feed: the checkpoint covers
+// every batch submitted before the call and never stalls the commit loop.
 func (p *Platform) Checkpoint() (uint64, error) {
 	t := &barrierTurn{checkpoint: true}
 	err := p.turn(t)

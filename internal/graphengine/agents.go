@@ -78,11 +78,10 @@ type EntityStoreAgent struct {
 func (EntityStoreAgent) Name() string { return "entity-store" }
 
 // Apply implements Agent: the payload entities replace their stored
-// versions, then op.Deletes are removed; an op with neither (a checkpoint
-// marker) is a no-op.
+// versions, then op.Deletes are removed; an op with neither is a no-op.
 //
 // The store keeps entities encoded, and the payload's frames already are —
-// a published op's, a logged one's or a restored checkpoint's: each record
+// a published op's or a logged one's, a checkpoint's base included: each record
 // goes to the KV as it is (the decoder accepts canonical encodings only, so
 // the bytes are what Put would marshal again).
 func (a EntityStoreAgent) Apply(op oplog.Op, p Payload) error {
@@ -99,7 +98,7 @@ func (a EntityStoreAgent) Apply(op oplog.Op, p Payload) error {
 	return nil
 }
 
-// GraphAgent replays updates into an in-memory graph replica — the base
+// GraphAgent replays updates into an in-memory graph replica — the
 // "current KG" the serving refresh, NERD builds and checkpoints read. Readers
 // take copy-on-write snapshots of this replica — O(1), so reads neither
 // deep-copy the KG nor block replay — or read entities through the replica's

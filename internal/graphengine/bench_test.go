@@ -1,20 +1,17 @@
 package graphengine
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"slices"
 	"testing"
 
 	"saga/internal/oplog"
+	"saga/internal/storage/disk"
 	"saga/internal/store/entitystore"
 	"saga/internal/triple"
 )
 
-// Micro-benchmarks of the publish → replay → checkpoint → compact byte path
-// (CI records their B/op and allocs/op in BENCH_baseline.json).
+// Micro-benchmarks of the publish → replay → checkpoint byte path (CI
+// records their B/op and allocs/op in BENCH_baseline.json).
 
 func benchBatch() []*triple.Entity {
 	batch := make([]*triple.Entity, 8)
@@ -47,28 +44,41 @@ func BenchmarkDecodeEntities(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteCheckpoint is one checkpoint of 1000 entities and 1000
-// links as runCheckpoint takes it: the meta marshalled, then everything
-// streamed through one reused write buffer (into io.Discard).
-func BenchmarkWriteCheckpoint(b *testing.B) {
-	ents := make([]*triple.Entity, 1000)
+// BenchmarkCheckpoint is one checkpoint of 1000 entities and 1000 links as
+// the platform takes it: the base's header marshalled, then the header and
+// every frame streamed through the record log's reused write buffer into a
+// fresh segment of a disk log, fsynced and adopted by a manifest flip.
+func BenchmarkCheckpoint(b *testing.B) {
+	g := triple.NewGraph()
 	links := make(map[triple.EntityID]triple.EntityID)
-	for j := range ents {
-		ents[j] = person(fmt.Sprintf("kg:E%05d", j), j)
-		links[triple.EntityID(fmt.Sprintf("src00:%05d", j))] = ents[j].ID
+	for j := 0; j < 1000; j++ {
+		ent := person(fmt.Sprintf("kg:E%05d", j), j)
+		g.PutOwned(ent)
+		links[triple.EntityID(fmt.Sprintf("src00:%05d", j))] = ent.ID
 	}
-	bw := bufio.NewWriterSize(io.Discard, 64<<10)
+	one := []*triple.Entity{person("kg:E00000", 0)}
+	rec, err := disk.OpenRecordLog(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	log, err := oplog.OpenStore(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer log.Close()
+	e := New(log)
+	if _, err := e.Publish(oplog.OpUpsert, "src00", one); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		meta, err := json.Marshal(CheckpointMeta{LSN: 1, Links: links})
-		if err != nil {
+		b.StopTimer()
+		// Something past the base, so every checkpoint compacts.
+		if _, err := e.Publish(oplog.OpUpsert, "src00", one); err != nil {
 			b.Fatal(err)
 		}
-		bw.Reset(io.Discard)
-		if err := WriteCheckpoint(bw, meta, slices.Values(ents)); err != nil {
-			b.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
+		b.StartTimer()
+		if _, err := e.Checkpoint(links, g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,21 +101,6 @@ func BenchmarkCatchUp(b *testing.B) {
 		}
 		b.StartTimer()
 		if err := e.CatchUp(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCompactThrough compacts a 400-op prefix that overwrites a
-// 600-entity hot set.
-func BenchmarkCompactThrough(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := New(oplog.NewVolatile())
-		overwriteLog(b, e, 400, 8, 600)
-		b.StartTimer()
-		if _, err := e.CompactThrough(e.Log.LastLSN()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,13 +6,17 @@
 // engine eventually derives its view of the KG from the same base data. The
 // paper stages payloads in an object store because its consumers are remote
 // stores; every agent here is in-process, so the log is the only durable
-// structure. The engine keeps each agent's replay position (LSN) to itself:
-// it is where that agent's next CatchUp resumes.
+// structure, and a checkpoint compacts it to one base op holding the state
+// at its head (Engine.Checkpoint): recovery is one CatchUp from genesis. The
+// engine keeps each agent's replay position (LSN) to itself: it is where
+// that agent's next CatchUp resumes.
 package graphengine
 
 import (
 	"cmp"
 	"fmt"
+	"io"
+	"maps"
 	"slices"
 	"sync"
 
@@ -35,13 +39,12 @@ type Agent interface {
 // Payload is an operation's entity payload as replay hands it to agents:
 // the records PublishOp was given and the frames it encoded them into, or,
 // for an op published before the previous CatchUp began (recovery, a late
-// agent, an agent that stopped on an error), the same decoded from the op's
-// log record; for Restore's synthetic op, the checkpoint's entities and
-// frames. Either way it is shared by every agent, so it is read-only: an
-// agent may retain the entities and hand them to a store that takes
-// ownership without copying (Graph.PutOwned), but must not mutate them;
-// record bytes alias a log record or a checkpoint and must be copied to be
-// kept.
+// agent, an agent that stopped on an error — and always for a checkpoint's
+// base op), the same decoded from the op's log record. Either way it is
+// shared by every agent, so it is read-only: an agent may retain the
+// entities and hand them to a store that takes ownership without copying
+// (Graph.PutOwned), but must not mutate them; record bytes alias a log
+// record and must be copied to be kept.
 // See docs/INVARIANTS.md#cow-shared-records.
 type Payload struct {
 	// Entities are the op's entities, in payload order (entity i is
@@ -74,8 +77,9 @@ type Engine struct {
 	mu     sync.RWMutex
 	agents []*replayer
 
-	// catchupMu serializes CatchUp and Restore: agent Apply methods and the
-	// per-agent LSN bookkeeping assume one replayer at a time.
+	// catchupMu serializes CatchUp and Checkpoint: agent Apply methods and
+	// the per-agent LSN bookkeeping assume one replayer at a time, and a
+	// checkpoint needs every agent at the log's head.
 	catchupMu sync.Mutex
 
 	// handed holds the payloads PublishOp appended since the last CatchUp
@@ -217,7 +221,9 @@ func (e *Engine) CatchUp() error {
 }
 
 // payloadOf returns op's payload: the one handed over when there is one,
-// else the frames of its log record, read and decoded.
+// else the frames of its log record, read and decoded. A decoded payload
+// must hold the entities op lists, in its order
+// (docs/INVARIANTS.md#payload-frame-alignment).
 func (e *Engine) payloadOf(op oplog.Op, handed map[uint64]Payload) (Payload, error) {
 	if p, ok := handed[op.LSN]; ok || len(op.EntityIDs) == 0 {
 		return p, nil
@@ -226,30 +232,77 @@ func (e *Engine) payloadOf(op oplog.Op, handed map[uint64]Payload) (Payload, err
 	if err != nil {
 		return Payload{}, err
 	}
-	return decodeEntities(frames)
+	p, err := decodeEntities(frames)
+	if err != nil {
+		return Payload{}, err
+	}
+	if len(p.Entities) != len(op.EntityIDs) {
+		return Payload{}, fmt.Errorf("payload holds %d entities where the op lists %d", len(p.Entities), len(op.EntityIDs))
+	}
+	for i, ent := range p.Entities {
+		if ent.ID != op.EntityIDs[i] {
+			return Payload{}, fmt.Errorf("payload frame %d holds %s where the op lists %s", i, ent.ID, op.EntityIDs[i])
+		}
+	}
+	return p, nil
 }
 
-// Restore primes every registered agent with checkpoint state instead of a
-// from-zero replay. op is the checkpoint as one synthetic upsert: its LSN is
-// the watermark, its Links the link table there, and p the checkpoint's
-// entities with their frames (op.EntityIDs is filled here, in payload
-// order). Every agent applies op as it would a logged upsert and has its
-// LSN pinned to the watermark, so the next CatchUp replays only the suffix.
-// p is shared by every agent under Payload's terms (read-only, retainable).
-// Callers invoke Restore once, after registering agents and before the first
-// CatchUp.
-func (e *Engine) Restore(op oplog.Op, p Payload) error {
+// Checkpoint compacts the log to one op, the base, at its last LSN W: links
+// is the link table at W, and g a graph holding every entity live at W (the
+// graph replica). The base's EntityIDs are g's IDs, in g's order, its Links
+// is links, and its record's frames stream from g's records as the record
+// log writes it, one scratch buffer reused across entities, so what a
+// checkpoint allocates is bounded by its largest frame and its header, not
+// by the graph. Recovery is then one CatchUp from genesis: the base, then
+// the ops appended since.
+//
+// g is read twice — its IDs, then its records — and must not change in
+// between; the records are checked against the IDs, and a difference fails
+// the checkpoint with the log unchanged. The log keeps links, so the caller
+// must not write to it afterwards. Every agent must have replayed to W (the
+// platform checkpoints right after a CatchUp, on the log's only appender);
+// Checkpoint holds the CatchUp lock and refuses otherwise. Payloads still
+// waiting to be handed over at or below W are dropped: an agent registered
+// later replays the base instead.
+func (e *Engine) Checkpoint(links map[triple.EntityID]triple.EntityID, g *triple.Graph) (uint64, error) {
 	e.catchupMu.Lock()
 	defer e.catchupMu.Unlock()
-	op.EntityIDs = make([]triple.EntityID, len(p.Entities))
-	for i, ent := range p.Entities {
-		op.EntityIDs[i] = ent.ID
-	}
+	w := e.Log.LastLSN()
 	for _, a := range e.replayers() {
-		if err := a.Apply(op, p); err != nil {
-			return fmt.Errorf("graphengine: restore agent %s: %w", a.Name(), err)
+		if a.lsn < w {
+			return 0, fmt.Errorf("graphengine: checkpoint at lsn %d: agent %s has replayed only to %d", w, a.Name(), a.lsn)
 		}
-		a.lsn = op.LSN
 	}
-	return nil
+	op := oplog.Op{LSN: w, Kind: oplog.OpUpsert, EntityIDs: g.IDs(), Links: links}
+	err := e.Log.Compact(op, func(out io.Writer) error {
+		var (
+			frame []byte
+			err   error
+		)
+		i := 0
+		g.RangeShared(func(ent *triple.Entity) bool {
+			if i == len(op.EntityIDs) || ent.ID != op.EntityIDs[i] {
+				err = fmt.Errorf("graphengine: checkpoint: the graph changed under entity %d", i)
+				return false
+			}
+			i++
+			if frame, err = appendEntityFrame(frame[:0], ent); err != nil {
+				err = fmt.Errorf("graphengine: checkpoint: %w", err)
+				return false
+			}
+			_, err = out.Write(frame)
+			return err == nil
+		})
+		if err == nil && i != len(op.EntityIDs) {
+			err = fmt.Errorf("graphengine: checkpoint: the graph lost %d of %d entities", len(op.EntityIDs)-i, len(op.EntityIDs))
+		}
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	e.handMu.Lock()
+	maps.DeleteFunc(e.handed, func(lsn uint64, _ Payload) bool { return lsn <= w })
+	e.handMu.Unlock()
+	return w, nil
 }

@@ -2,9 +2,7 @@ package graphengine
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 
@@ -469,27 +467,4 @@ func TestReplayedRecordsStayFrozen(t *testing.T) {
 			t.Errorf("%s: the replica did not take the update", id)
 		}
 	}
-}
-
-// FuzzDecodeCheckpoint's seed corpus is under testdata/fuzz/.
-func FuzzDecodeCheckpoint(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		meta, ents, err := DecodeCheckpoint(data)
-		if err != nil {
-			return
-		}
-		// What was accepted survives a round trip.
-		metaJSON, err := json.Marshal(meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var again bytes.Buffer
-		if err := WriteCheckpoint(&again, metaJSON, slices.Values(ents.Entities)); err != nil {
-			t.Fatal(err)
-		}
-		meta2, ents2, err := DecodeCheckpoint(again.Bytes())
-		if err != nil || meta2.LSN != meta.LSN || len(meta2.Links) != len(meta.Links) || len(ents2.Entities) != len(ents.Entities) {
-			t.Fatalf("accepted checkpoint does not round-trip: %v", err)
-		}
-	})
 }

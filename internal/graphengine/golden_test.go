@@ -3,9 +3,7 @@ package graphengine
 import (
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,13 +32,6 @@ func goldenEntities() []*triple.Entity {
 	return []*triple.Entity{a, triple.NewEntity("kg:E00000004"), b}
 }
 
-func goldenMeta() CheckpointMeta {
-	return CheckpointMeta{LSN: 42, Links: map[triple.EntityID]triple.EntityID{
-		"src:wiki/Q42": "kg:E00000001",
-		"src:mdb/7":    "kg:E00000001",
-	}}
-}
-
 func readGoldenHex(t *testing.T, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile("testdata/" + name)
@@ -54,9 +45,9 @@ func readGoldenHex(t *testing.T, name string) []byte {
 	return b
 }
 
-// TestGoldenPayloadBytes pins the entity-payload and checkpoint formats: the
-// committed bytes were produced by the marshal-then-WriteRecord encoders
-// these replaced, so a difference is a format change, not a refactor.
+// TestGoldenPayloadBytes pins the entity-payload format: the committed bytes
+// were produced by the marshal-then-WriteRecord encoders these replaced, so
+// a difference is a format change, not a refactor.
 func TestGoldenPayloadBytes(t *testing.T) {
 	wantPayload := readGoldenHex(t, "golden_payload.hex")
 	got, err := encodeEntities(goldenEntities())
@@ -84,25 +75,5 @@ func TestGoldenPayloadBytes(t *testing.T) {
 		if !bytes.Equal(enc, p.Records[i]) {
 			t.Errorf("record %d is not entity %s's encoding", i, e.ID)
 		}
-	}
-
-	wantCkpt := readGoldenHex(t, "golden_checkpoint.hex")
-	meta, err := json.Marshal(goldenMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ckpt bytes.Buffer
-	if err := WriteCheckpoint(&ckpt, meta, slices.Values(goldenEntities())); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ckpt.Bytes(), wantCkpt) {
-		t.Errorf("WriteCheckpoint moved\n got %x\nwant %x", ckpt.Bytes(), wantCkpt)
-	}
-	decoded, ents, err := DecodeCheckpoint(wantCkpt)
-	if err != nil {
-		t.Fatalf("golden checkpoint no longer decodes: %v", err)
-	}
-	if decoded.LSN != 42 || len(decoded.Links) != 2 || len(ents.Entities) != 3 {
-		t.Fatalf("golden checkpoint decoded to lsn %d, %d links, %d entities", decoded.LSN, len(decoded.Links), len(ents.Entities))
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -41,8 +43,12 @@ func (m *memRecordLog) Replay(fn func([]byte) error) error {
 	return nil
 }
 
-func (m *memRecordLog) Compact(drop int, replacement [][]byte) error {
-	m.records = append(replacement, m.records[drop:]...)
+func (m *memRecordLog) Compact(write func(io.Writer) error) error {
+	var rec bytes.Buffer
+	if err := write(&rec); err != nil {
+		return err
+	}
+	m.records = [][]byte{rec.Bytes()}
 	return nil
 }
 
@@ -78,12 +84,30 @@ func splitRecords(data []byte) [][]byte {
 	return recs
 }
 
+// replica registers a graph agent and a link-table agent on e and returns
+// the stores they replay into.
+func replica(e *graphengine.Engine) (*triple.Graph, map[triple.EntityID]triple.EntityID) {
+	g, links := triple.NewGraph(), make(map[triple.EntityID]triple.EntityID)
+	e.RegisterAgent(graphengine.GraphAgent{Graph: g})
+	e.RegisterAgent(graphengine.FuncAgent{AgentName: "links", Fn: func(op oplog.Op, _ graphengine.Payload) error {
+		for src, tgt := range op.Links {
+			links[src] = tgt
+		}
+		for _, src := range op.Unlinks {
+			delete(links, src)
+		}
+		return nil
+	}})
+	return g, links
+}
+
 // FuzzOpenStore feeds fuzzed op records through OpenStore. Any input must
 // open or fail with an error, never panic; a failed open leaves the records
-// untouched and closes the log. An opened log is compacted through its head:
-// frames that do not line up with their op's entity IDs must stop the
-// compaction, so a compaction that succeeds leaves only aligned frames.
-// Appends then resume past the last record's op.
+// untouched and closes the log. An opened log is replayed into a graph and a
+// link table: frames that do not line up with their op's entity IDs must
+// stop the replay. A log that replays is checkpointed, and the compacted
+// records must reopen and replay to the same graph and links. Appends then
+// resume past the last record's op.
 func FuzzOpenStore(f *testing.F) {
 	record := func(op oplog.Op, frames []byte) []byte {
 		rec, err := oplog.Record(op, len(frames))
@@ -92,31 +116,48 @@ func FuzzOpenStore(f *testing.F) {
 		}
 		return append(rec, frames...)
 	}
+	frameOf := func(e *triple.Entity) []byte {
+		enc, err := e.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return triple.AppendRecord(nil, enc)
+	}
 	e1 := triple.NewEntity("kg:E1")
 	e1.Add(triple.New("", triple.PredName, triple.String("Adele")).WithSource("s", 0.9))
-	enc, err := e1.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	frame := triple.AppendRecord(nil, enc)
+	frame := frameOf(e1)
 	ids := []triple.EntityID{"kg:E1"}
 	upsert := record(oplog.Op{LSN: 1, Kind: oplog.OpUpsert, EntityIDs: ids,
 		Links: map[triple.EntityID]triple.EntityID{"s:1": "kg:E1"}}, frame)
 	noPayload := record(oplog.Op{LSN: 4, Kind: oplog.OpUpsert, Deletes: ids, Unlinks: []triple.EntityID{"s:1"}}, nil)
 	otherEntity := record(oplog.Op{LSN: 1, Kind: oplog.OpUpsert, EntityIDs: []triple.EntityID{"kg:E2"}}, frame)
+	// A base, as a checkpoint leaves it: many frames and a link table at a
+	// high LSN, then an op past it.
+	baseOp := oplog.Op{LSN: 40, Kind: oplog.OpUpsert, Links: make(map[triple.EntityID]triple.EntityID)}
+	var baseFrames []byte
+	for i := 0; i < 12; i++ {
+		e := triple.NewEntity(triple.EntityID(fmt.Sprintf("kg:E%02d", i)))
+		e.Add(triple.New("", triple.PredName, triple.String(fmt.Sprintf("Person %d", i))).WithSource("s", 0.9))
+		baseOp.EntityIDs = append(baseOp.EntityIDs, e.ID)
+		baseOp.Links[triple.EntityID(fmt.Sprintf("s:%d", i))] = e.ID
+		baseFrames = append(baseFrames, frameOf(e)...)
+	}
+	base := record(baseOp, baseFrames)
+	past := record(oplog.Op{LSN: 41, Kind: oplog.OpUpsert, Deletes: []triple.EntityID{"kg:E03"}, Unlinks: []triple.EntityID{"s:3"}}, nil)
 	for _, seed := range [][][]byte{
 		{upsert},                              // a valid op with frames
 		{upsert, noPayload},                   // and one with no payload
 		{[]byte(`{"lsn":1,"kind":"upsert"}`)}, // JSON-only: refused
 		{{1, 0x7f, '{', '}'}},                 // header length past the record's end
 		{{1, 3, 'a', 'b', 'c'}},               // header not JSON
-		{upsert[:len(upsert)-3]},              // frames cut mid-record: compaction refuses
+		{upsert[:len(upsert)-3]},              // frames cut mid-record: replay refuses
 		{upsert, upsert},                      // LSN regression
-		{otherEntity},                         // a frame of another entity: compaction refuses
+		{otherEntity},                         // a frame of another entity: replay refuses
 	} {
 		f.Add(joinRecords(seed...))
 	}
 	f.Add([]byte{})
+	f.Add(joinRecords(base, past))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec := &memRecordLog{records: splitRecords(data)}
 		before := make([][]byte, len(rec.records))
@@ -138,25 +179,27 @@ func FuzzOpenStore(f *testing.F) {
 			t.Fatalf("opened %d ops from %d records", len(ops), len(before))
 		}
 		next := l.LastLSN() + 1
-		if _, err := graphengine.New(l).CompactThrough(l.LastLSN()); err == nil {
-			for _, op := range l.Read(0, 0) {
-				frames, err := l.Payload(op.LSN)
-				if err != nil {
-					t.Fatalf("lsn %d after compaction: %v", op.LSN, err)
-				}
-				for _, id := range op.EntityIDs {
-					rec, rest, err := triple.NextRecord(frames)
-					if err != nil {
-						t.Fatalf("lsn %d after compaction: frame of %s: %v", op.LSN, id, err)
-					}
-					if got, err := triple.PeekID(rec); err != nil || string(got) != string(id) {
-						t.Fatalf("lsn %d after compaction: frame holds %q where the op lists %s", op.LSN, got, id)
-					}
-					frames = rest
-				}
-				if len(frames) != 0 {
-					t.Fatalf("lsn %d after compaction: %d bytes past the listed entities", op.LSN, len(frames))
-				}
+		e := graphengine.New(l)
+		g, links := replica(e)
+		if err := e.CatchUp(); err == nil {
+			if _, err := e.Checkpoint(maps.Clone(links), g); err != nil {
+				t.Fatalf("checkpoint of a replayed log: %v", err)
+			}
+			if n := l.Len(); n != min(len(ops), 1) {
+				t.Fatalf("a checkpoint left %d ops", n)
+			}
+			re, err := oplog.OpenStore(&memRecordLog{records: rec.records})
+			if err != nil {
+				t.Fatalf("the checkpointed log does not reopen: %v", err)
+			}
+			e2 := graphengine.New(re)
+			g2, links2 := replica(e2)
+			if err := e2.CatchUp(); err != nil {
+				t.Fatalf("the checkpointed log does not replay: %v", err)
+			}
+			if !reflect.DeepEqual(g2.Triples(), g.Triples()) || !maps.Equal(links2, links) {
+				t.Fatalf("the checkpointed log replays to %d entities and %d links, the original to %d and %d",
+					g2.Len(), len(links2), g.Len(), len(links))
 			}
 		}
 		lsn, err := l.Append(oplog.Op{Kind: oplog.OpUpsert})

@@ -6,16 +6,18 @@
 // stores eventually derive their views of the KG from the same base data in
 // the same order.
 //
-// LSNs are monotonically increasing but — since log compaction landed — not
-// dense: compaction conflates a prefix of the log to per-entity final states
-// and elides tombstoned entities entirely, so surviving ops keep their
-// original LSNs with gaps where conflated-away ops used to be. Every
-// consumer indexes by LSN value (binary search), never by slice position.
+// LSNs are monotonically increasing. A checkpoint compacts the whole log to
+// one op at its head LSN W, the base: an ordinary op whose payload is every
+// entity live at W and whose Links are the whole link table there, so
+// replaying it from genesis reaches the state the ops it replaced reached.
+// The log's first op therefore stands for every op at or below its LSN, and
+// LSNs below it are gone. Every consumer indexes by LSN value (binary
+// search), never by slice position.
 //
 // The paper's log is a distributed service; this implementation keeps the
 // decoded operations in memory and delegates record durability to a
 // storage.RecordLog, which preserves the properties the platform relies on:
-// durability, total order, replay from an arbitrary LSN, and atomic prefix
+// durability, total order, replay from an arbitrary LSN, and atomic
 // compaction. An op's record is a format version byte, the uvarint length of
 // its JSON header, the header, then its entity frames. A durable log holds
 // no payload bytes in memory: Payload reads them back from the record.
@@ -27,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -46,8 +49,9 @@ const OpUpsert OpKind = "upsert"
 // incremental view maintenance consumes directly, and the link deltas. The
 // entity payload follows the header in the op's record (Log.Payload).
 type Op struct {
-	// LSN is the log sequence number, assigned by Append. Monotonic but not
-	// dense (see the package comment).
+	// LSN is the log sequence number, assigned by Append. Monotonic; the
+	// log's first op may be a base standing for every LSN below it (see the
+	// package comment).
 	LSN uint64 `json:"lsn"`
 	// Kind is the operation type.
 	Kind OpKind `json:"kind"`
@@ -66,8 +70,8 @@ type Op struct {
 	// Links records KG link-table deltas (source entity ID → canonical KG
 	// entity ID) settled by the commits this op publishes. The link table is
 	// construction metadata that cannot be derived from entity payloads, so
-	// it rides the log: replay applies Links after the payload, and
-	// compaction conflates them per source ID exactly like entity state.
+	// it rides the log: replay applies Links after the payload, and a base
+	// op carries the whole table.
 	Links map[triple.EntityID]triple.EntityID `json:"links,omitempty"`
 	// Unlinks records link-table removals (deleted source entity IDs).
 	Unlinks []triple.EntityID `json:"unlinks,omitempty"`
@@ -86,8 +90,28 @@ func Record(op Op, frames int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oplog: encode op: %w", err)
 	}
-	rec := append(make([]byte, 0, 1+binary.MaxVarintLen64+len(hdr)+frames), recordVersion)
-	return append(binary.AppendUvarint(rec, uint64(len(hdr))), hdr...), nil
+	rec := appendRecordHead(make([]byte, 0, 1+binary.MaxVarintLen64+len(hdr)+frames), len(hdr))
+	return append(rec, hdr...), nil
+}
+
+// appendRecordHead appends what an op record holds before a JSON header of
+// n bytes: the version byte and n as a uvarint.
+func appendRecordHead(dst []byte, n int) []byte {
+	return binary.AppendUvarint(append(dst, recordVersion), uint64(n))
+}
+
+// writeRecord writes an op record to w: the head, the JSON header hdr
+// (written as it is, not copied into a record buffer), then the frames
+// frames writes.
+func writeRecord(w io.Writer, hdr []byte, frames func(io.Writer) error) error {
+	var head [1 + binary.MaxVarintLen64]byte
+	if _, err := w.Write(appendRecordHead(head[:0], len(hdr))); err != nil {
+		return err
+	}
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	return frames(w)
 }
 
 // splitRecord splits an op record into its JSON header and its frames, both
@@ -112,7 +136,7 @@ type Log struct {
 	mu       sync.RWMutex
 	ops      []Op
 	payloads [][]byte          // volatile log only: ops[i]'s frames
-	lastLSN  uint64            // high-water mark; survives compaction of the ops holding it
+	lastLSN  uint64            // high-water mark: the LSN of the last op
 	rec      storage.RecordLog // nil: volatile (memory-only) log
 	closed   bool
 }
@@ -204,7 +228,7 @@ func (l *Log) Append(op Op, frames ...[]byte) (uint64, error) {
 
 // Payload returns the entity frames of the op at lsn, read back from its
 // record (a volatile log keeps them, so callers must not write to them):
-// how recovery, a stopped agent and compaction reach an old payload.
+// how recovery, a late agent and a stopped one reach an old payload.
 func (l *Log) Payload(lsn uint64) ([]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -230,9 +254,9 @@ func (l *Log) LastLSN() uint64 {
 	return l.lastLSN
 }
 
-// searchLocked returns the index of the first op with LSN > after. LSNs are
-// sparse after compaction, so position is found by binary search, never by
-// LSN arithmetic.
+// searchLocked returns the index of the first op with LSN > after. The first
+// op may be a base standing for the LSNs below it, so position is found by
+// binary search, never by LSN arithmetic.
 func (l *Log) searchLocked(after uint64) int {
 	return sort.Search(len(l.ops), func(i int) bool { return l.ops[i].LSN > after })
 }
@@ -255,74 +279,51 @@ func (l *Log) Read(after uint64, max int) []Op {
 	return out
 }
 
-// OpsThrough returns every op with LSN <= w, in order: the compaction input
-// (and nothing else reads a prefix, so the name says what it is for). The
-// slice shares the log's memory instead of copying it — an appended op is
-// never written again (appends go past it, ReplaceRange builds a new slice)
-// — so callers read it and must not write to it.
-func (l *Log) OpsThrough(w uint64) []Op {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	n := l.searchLocked(w)
-	return l.ops[:n:n]
-}
-
-// ReplaceRange atomically replaces every op with LSN <= w by rewritten,
-// which must be in strictly increasing LSN order with every LSN <= w
-// (compaction preserves surviving ops' original LSNs, so this holds by
-// construction); records[i] is rewritten[i]'s whole record, as Record
-// begins it and its frames complete it. The swap is atomic for readers (one
-// lock) and for crashes (the record log stages the rewrite and flips a
-// manifest). Every agent is already at or past w when compaction runs.
-func (l *Log) ReplaceRange(w uint64, rewritten []Op, records [][]byte) error {
+// Compact atomically replaces every op with op, the base: its LSN must be
+// the log's last, and the record it gets is op's header followed by the
+// entity frames frames writes (frame i holds op.EntityIDs[i]), streamed to
+// the record log. The swap is atomic for readers (one lock) and for crashes
+// (the record log writes a fresh segment and flips a manifest); a failed
+// Compact, frames' error included, leaves the log as it was. A log that is
+// already one op at its last LSN holds nothing to conflate and is left as it
+// is. The log keeps op, so the caller must not write to its slices or maps
+// afterwards; a volatile log keeps the frames, in one buffer. frames runs
+// under the log's lock, so it must not call the log.
+func (l *Log) Compact(op Op, frames func(io.Writer) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("oplog: compact closed log")
 	}
-	if len(records) != len(rewritten) {
-		return fmt.Errorf("oplog: %d records for %d rewritten ops", len(records), len(rewritten))
+	if op.LSN != l.lastLSN {
+		return fmt.Errorf("oplog: compact at lsn %d, but the log's last op is %d", op.LSN, l.lastLSN)
 	}
-	for i, op := range rewritten {
-		if op.LSN > w {
-			return fmt.Errorf("oplog: rewritten op LSN %d past watermark %d", op.LSN, w)
-		}
-		if i > 0 && op.LSN <= rewritten[i-1].LSN {
-			return fmt.Errorf("oplog: rewritten ops out of order (%d after %d)", op.LSN, rewritten[i-1].LSN)
-		}
+	if len(l.ops) == 0 || len(l.ops) == 1 && l.ops[0].LSN == op.LSN {
+		return nil
 	}
-	drop := l.searchLocked(w)
-	if l.rec != nil {
-		if err := l.rec.Compact(drop, records); err != nil {
+	if l.rec == nil {
+		var buf bytes.Buffer
+		if err := frames(&buf); err != nil {
+			return err
+		}
+		l.payloads = [][]byte{buf.Bytes()}
+	} else {
+		hdr, err := json.Marshal(op)
+		if err != nil {
+			return fmt.Errorf("oplog: encode op: %w", err)
+		}
+		if err := l.rec.Compact(func(w io.Writer) error { return writeRecord(w, hdr, frames) }); err != nil {
 			return fmt.Errorf("oplog: compact records: %w", err)
 		}
-	} else {
-		payloads := make([][]byte, 0, len(rewritten)+len(l.ops)-drop)
-		for _, rec := range records {
-			_, frames, err := splitRecord(rec)
-			if err != nil {
-				return err
-			}
-			payloads = append(payloads, frames)
-		}
-		l.payloads = append(payloads, l.payloads[drop:]...)
 	}
-	l.ops = append(append(make([]Op, 0, len(rewritten)+len(l.ops)-drop), rewritten...), l.ops[drop:]...)
+	l.ops = []Op{op}
 	return nil
 }
 
-// Len returns the number of ops currently held (post-compaction this is
+// Len returns the number of ops currently held (after a compaction this is
 // smaller than LastLSN).
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return len(l.ops)
-}
-
-// PrefixLen returns the number of ops with LSN <= w: the compaction
-// trigger's measure of how much cold prefix has accumulated.
-func (l *Log) PrefixLen(w uint64) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.searchLocked(w)
 }

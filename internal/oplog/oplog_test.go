@@ -2,8 +2,11 @@ package oplog
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -235,71 +238,55 @@ func snapshotDir(t *testing.T, dir string) string {
 	return b.String()
 }
 
-// records builds each op's record with frames(op.LSN) as its payload.
-func records(t *testing.T, ops []Op) [][]byte {
-	t.Helper()
-	recs := make([][]byte, len(ops))
-	for i, op := range ops {
-		rec, err := Record(op, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs[i] = append(rec, frames(int(op.LSN))...)
+// writeFrames returns a frames function that writes frames(i).
+func writeFrames(i int) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(frames(i))
+		return err
 	}
-	return recs
 }
 
-// TestCompaction exercises ReplaceRange: surviving ops keep their sparse
-// LSNs, reads binary-search correctly past the gaps, the high-water mark is
-// unchanged, every op's payload is the one its record carries, and a
-// durable log round-trips the compacted state.
+// TestCompaction exercises Compact: every op gives way to the base at the
+// last LSN, whose payload is what its frames function wrote; the high-water
+// mark is unchanged, reads find the base and the ops appended after it, a
+// log already one op at its head is left alone, and a durable log
+// round-trips the compacted state.
 func TestCompaction(t *testing.T) {
-	checkPayloads := func(t *testing.T, l *Log) {
-		t.Helper()
-		for _, op := range l.Read(0, 0) {
-			if got, err := l.Payload(op.LSN); err != nil || !bytes.Equal(got, frames(int(op.LSN))) {
-				t.Fatalf("payload of lsn %d = %q, %v; want %q", op.LSN, got, err, frames(int(op.LSN)))
-			}
-		}
-	}
 	run := func(t *testing.T, l *Log, reopen func() *Log) {
 		for i := 0; i < 10; i++ {
 			if _, err := l.Append(Op{Kind: OpUpsert, EntityIDs: []triple.EntityID{triple.EntityID("kg:E" + string(rune('0'+i)))}}, frames(i+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Conflate ops 1..7 down to two survivors at their original LSNs.
-		rewritten := []Op{
-			{LSN: 3, Kind: OpUpsert, EntityIDs: []triple.EntityID{"kg:E2"}},
-			{LSN: 7, Kind: OpUpsert, EntityIDs: []triple.EntityID{"kg:E6"}},
-		}
-		if err := l.ReplaceRange(7, rewritten, records(t, rewritten)); err != nil {
+		base := Op{LSN: 10, Kind: OpUpsert, EntityIDs: []triple.EntityID{"kg:E2", "kg:E6"},
+			Links: map[triple.EntityID]triple.EntityID{"s:1": "kg:E2"}}
+		if err := l.Compact(base, writeFrames(99)); err != nil {
 			t.Fatal(err)
 		}
-		checkPayloads(t, l)
+		check := func(l *Log, want []Op) {
+			t.Helper()
+			if got := l.Read(0, 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ops = %+v, want %+v", got, want)
+			}
+			for i, op := range want {
+				frame := 99
+				if i > 0 {
+					frame = int(op.LSN)
+				}
+				if got, err := l.Payload(op.LSN); err != nil || !bytes.Equal(got, frames(frame)) {
+					t.Fatalf("payload of lsn %d = %q, %v; want %q", op.LSN, got, err, frames(frame))
+				}
+			}
+		}
+		check(l, []Op{base})
 		if got := l.LastLSN(); got != 10 {
 			t.Fatalf("LastLSN after compact = %d, want 10", got)
 		}
-		if got := l.Len(); got != 5 {
-			t.Fatalf("Len after compact = %d, want 5", got)
+		// Already one op at the head: nothing to conflate, nothing written.
+		if err := l.Compact(Op{LSN: 10, Kind: OpUpsert}, writeFrames(1)); err != nil {
+			t.Fatal(err)
 		}
-		ops := l.Read(0, 0)
-		wantLSNs := []uint64{3, 7, 8, 9, 10}
-		for i, w := range wantLSNs {
-			if ops[i].LSN != w {
-				t.Fatalf("ops[%d].LSN = %d, want %d", i, ops[i].LSN, w)
-			}
-		}
-		// Reads relative to a sparse position: after=5 must return LSN 7+.
-		if got := l.Read(5, 0); len(got) != 4 || got[0].LSN != 7 {
-			t.Fatalf("Read(5) = %+v", got)
-		}
-		if got := l.OpsThrough(7); len(got) != 2 || got[1].LSN != 7 {
-			t.Fatalf("OpsThrough(7) = %+v", got)
-		}
-		if got := l.PrefixLen(7); got != 2 {
-			t.Fatalf("PrefixLen(7) = %d, want 2", got)
-		}
+		check(l, []Op{base})
 		// New appends continue past the high-water mark.
 		lsn, err := l.Append(Op{Kind: OpUpsert}, frames(11))
 		if err != nil {
@@ -308,6 +295,11 @@ func TestCompaction(t *testing.T) {
 		if lsn != 11 {
 			t.Fatalf("post-compact lsn = %d, want 11", lsn)
 		}
+		want := []Op{base, {LSN: 11, Kind: OpUpsert}}
+		check(l, want)
+		if got := l.Read(10, 0); len(got) != 1 || got[0].LSN != 11 {
+			t.Fatalf("Read(10) = %+v", got)
+		}
 		if reopen != nil {
 			l.Close()
 			re := reopen()
@@ -315,11 +307,7 @@ func TestCompaction(t *testing.T) {
 			if got := re.LastLSN(); got != 11 {
 				t.Fatalf("reopened LastLSN = %d, want 11", got)
 			}
-			ops := re.Read(0, 0)
-			if len(ops) != 6 || ops[0].LSN != 3 || ops[5].LSN != 11 {
-				t.Fatalf("reopened ops = %+v", ops)
-			}
-			checkPayloads(t, re)
+			check(re, want)
 		}
 	}
 	t.Run("volatile", func(t *testing.T) { run(t, NewVolatile(), nil) })
@@ -329,28 +317,52 @@ func TestCompaction(t *testing.T) {
 	})
 }
 
-func TestReplaceRangeRejectsBadInput(t *testing.T) {
-	l := NewVolatile()
-	for i := 0; i < 5; i++ {
-		if _, err := l.Append(Op{Kind: OpUpsert}); err != nil {
+// TestCompactRejectsBadInput: a base at any LSN but the last, a frames
+// function that fails and a closed log are refused, and a refused Compact
+// leaves every op and payload as it was.
+func TestCompactRejectsBadInput(t *testing.T) {
+	run := func(t *testing.T, l *Log) {
+		for i := 0; i < 5; i++ {
+			if _, err := l.Append(Op{Kind: OpUpsert}, frames(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := l.Read(0, 0)
+		errFrames := errors.New("frames failed")
+		for name, c := range map[string]struct {
+			lsn    uint64
+			frames func(io.Writer) error
+		}{
+			"below the head": {4, writeFrames(0)},
+			"past the head":  {6, writeFrames(0)},
+			"failed frames": {5, func(w io.Writer) error {
+				if _, err := w.Write(frames(7)); err != nil {
+					return err
+				}
+				return errFrames
+			}},
+		} {
+			if err := l.Compact(Op{LSN: c.lsn, Kind: OpUpsert}, c.frames); err == nil {
+				t.Fatalf("%s: Compact succeeded", name)
+			}
+			if got := l.Read(0, 0); !reflect.DeepEqual(got, before) {
+				t.Fatalf("%s: a refused Compact left %+v", name, got)
+			}
+			for _, op := range before {
+				if got, err := l.Payload(op.LSN); err != nil || !bytes.Equal(got, frames(int(op.LSN))) {
+					t.Fatalf("%s: payload of lsn %d = %q, %v", name, op.LSN, got, err)
+				}
+			}
+		}
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, bad := range [][]Op{
-		{{LSN: 4, Kind: OpUpsert}},                           // past the watermark
-		{{LSN: 2, Kind: OpUpsert}, {LSN: 1, Kind: OpUpsert}}, // out of order
-	} {
-		if err := l.ReplaceRange(3, bad, records(t, bad)); err == nil {
-			t.Fatalf("ReplaceRange accepted %+v", bad)
+		if err := l.Compact(Op{LSN: 5, Kind: OpUpsert}, writeFrames(0)); err == nil {
+			t.Fatal("Compact of a closed log succeeded")
 		}
 	}
-	ok := []Op{{LSN: 2, Kind: OpUpsert}}
-	if err := l.ReplaceRange(3, ok, nil); err == nil {
-		t.Fatal("ReplaceRange accepted ops without their records")
-	}
-	if l.Len() != 5 {
-		t.Fatalf("a refused ReplaceRange left %d ops, want 5", l.Len())
-	}
+	t.Run("volatile", func(t *testing.T) { run(t, NewVolatile()) })
+	t.Run("disk", func(t *testing.T) { run(t, openDisk(t, t.TempDir())) })
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {

@@ -12,15 +12,14 @@
 //	GET  /v1/search?q=<text>&k=<n> ranked text search (k defaults to 10)
 //	GET  /v1/stats                 platform + serving statistics
 //	GET  /v1/healthz               liveness and current store version
-//	POST /v1/admin/checkpoint      take a durable checkpoint
-//	POST /v1/admin/compact         compact the log through the checkpoint floor
-//	GET  /v1/admin/recovery        recovery, checkpoint, and compaction stats
+//	POST /v1/admin/checkpoint      take a checkpoint (compacts the log)
+//	GET  /v1/admin/recovery        recovery and checkpoint stats
 //
 // Errors use a structured envelope: {"error": {"code": "...", "message":
 // "..."}} with codes bad_query, bad_request, not_found, internal, and
 // method_not_allowed. Admin routes run under the same request timeout as
-// reads; a checkpoint or compaction that outlives it keeps running — the
-// timeout bounds the response, not the operation.
+// reads; a checkpoint that outlives it keeps running — the timeout bounds
+// the response, not the operation.
 package serve
 
 import (
@@ -81,7 +80,6 @@ func New(p *core.Platform, opts Options) *Server {
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/admin/checkpoint", s.handleAdminCheckpoint)
-	mux.HandleFunc("/v1/admin/compact", s.handleAdminCompact)
 	mux.HandleFunc("/v1/admin/recovery", s.handleAdminRecovery)
 	s.handler = http.TimeoutHandler(mux, opts.RequestTimeout,
 		`{"error":{"code":"timeout","message":"request exceeded the server's request timeout"}}`)
@@ -291,9 +289,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // checkpointResponse is /v1/admin/checkpoint's success payload.
 type checkpointResponse struct {
 	// Durable reports whether the checkpoint was persisted (false on a
-	// platform with no durable checkpoint store).
+	// platform whose log is volatile).
 	Durable bool `json:"durable"`
-	// CheckpointLSN is the watermark of the newest durable checkpoint.
+	// CheckpointLSN is the watermark of the newest checkpoint.
 	CheckpointLSN uint64 `json:"checkpoint_lsn"`
 }
 
@@ -309,44 +307,6 @@ func (s *Server) handleAdminCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, checkpointResponse{
 		Durable:       st.Durable,
 		CheckpointLSN: st.LastCheckpointLSN,
-	})
-}
-
-// compactResponse is /v1/admin/compact's success payload.
-type compactResponse struct {
-	// Ran reports whether a compaction actually ran; false means the
-	// platform has no safe compaction floor yet (fewer than two checkpoints
-	// this session).
-	Ran bool `json:"ran"`
-	// Watermark is the LSN the compaction conflated through; the remaining
-	// fields count what the rewrite kept and elided.
-	Watermark    uint64 `json:"watermark"`
-	OpsBefore    int    `json:"ops_before"`
-	OpsAfter     int    `json:"ops_after"`
-	EntitiesKept int    `json:"entities_kept"`
-	Tombstoned   int    `json:"tombstoned"`
-	LinksKept    int    `json:"links_kept"`
-	LinksElided  int    `json:"links_elided"`
-}
-
-func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
-	if _, ok := checkRequest(w, r, http.MethodPost); !ok {
-		return
-	}
-	stats, err := s.platform.Compact()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, compactResponse{
-		Ran:          stats.Watermark > 0,
-		Watermark:    stats.Watermark,
-		OpsBefore:    stats.OpsBefore,
-		OpsAfter:     stats.OpsAfter,
-		EntitiesKept: stats.EntitiesKept,
-		Tombstoned:   stats.Tombstoned,
-		LinksKept:    stats.LinksKept,
-		LinksElided:  stats.LinksElided,
 	})
 }
 

@@ -243,7 +243,7 @@ func TestMethodNotAllowed(t *testing.T) {
 		}
 	}
 	// Admin mutations are POST-only; GET must bounce the same way.
-	for _, route := range []string{"/v1/admin/checkpoint", "/v1/admin/compact"} {
+	for _, route := range []string{"/v1/admin/checkpoint"} {
 		status, body := get(t, ts.URL+route)
 		if status != http.StatusMethodNotAllowed {
 			t.Fatalf("GET %s: status = %d", route, status)
@@ -270,8 +270,8 @@ func post(t *testing.T, rawURL string) (int, map[string]any) {
 }
 
 // TestAdminRoutes drives the durability admin surface over a platform with a
-// durable checkpoint store: two checkpoints establish a compaction floor,
-// compaction reports a rewrite, and the recovery stats reflect all of it.
+// durable log: each checkpoint compacts the log to its base, and the
+// recovery stats reflect both.
 func TestAdminRoutes(t *testing.T) {
 	p, err := core.Open(core.Options{Durability: core.DurabilityOptions{Dir: t.TempDir()}})
 	if err != nil {
@@ -295,15 +295,7 @@ func TestAdminRoutes(t *testing.T) {
 		}
 	}
 
-	status, body := post(t, ts.URL+"/v1/admin/compact")
-	if status != http.StatusOK {
-		t.Fatalf("compact: status = %d body = %v", status, body)
-	}
-	if body["ran"] != true || body["watermark"].(float64) <= 0 {
-		t.Fatalf("compact did not run: %v", body)
-	}
-
-	status, body = get(t, ts.URL+"/v1/admin/recovery")
+	status, body := get(t, ts.URL+"/v1/admin/recovery")
 	if status != http.StatusOK {
 		t.Fatalf("recovery: status = %d", status)
 	}
@@ -313,16 +305,13 @@ func TestAdminRoutes(t *testing.T) {
 	if body["checkpoints"].(float64) != 2 {
 		t.Fatalf("recovery checkpoints = %v, want 2", body["checkpoints"])
 	}
-	if body["compactions"].(float64) < 1 {
-		t.Fatalf("recovery compactions = %v, want >= 1", body["compactions"])
-	}
-	if body["compaction_floor"].(float64) <= 0 {
-		t.Fatalf("recovery floor = %v, want > 0", body["compaction_floor"])
+	if body["log_ops"].(float64) != 1 || body["log_lsn"] != body["last_checkpoint_lsn"] {
+		t.Fatalf("recovery stats = %v, want the log compacted to one op at the last checkpoint", body)
 	}
 }
 
-// TestAdminCheckpointVolatile: on a platform with no durable checkpoint
-// store the route still succeeds, but reports durable:false.
+// TestAdminCheckpointVolatile: on a platform whose log is volatile the route
+// still succeeds, but reports durable:false.
 func TestAdminCheckpointVolatile(t *testing.T) {
 	_, ts := testServer(t)
 	status, body := post(t, ts.URL+"/v1/admin/checkpoint")

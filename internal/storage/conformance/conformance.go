@@ -28,10 +28,9 @@ import (
 // what the earlier store left there. A nil field means the medium lacks that
 // role, and its subtests do not run.
 type Suite struct {
-	RecordLog   func(dir string) (storage.RecordLog, error)
-	BlobStore   func(dir string) (storage.BlobStore, error)
-	EntityKV    func(dir string) (storage.EntityKV, error)
-	Checkpoints func(dir string) (storage.Checkpointer, error)
+	RecordLog func(dir string) (storage.RecordLog, error)
+	BlobStore func(dir string) (storage.BlobStore, error)
+	EntityKV  func(dir string) (storage.EntityKV, error)
 	// Durable adds the reopen checks to the round trips and runs the crash
 	// subtests.
 	Durable bool
@@ -109,161 +108,18 @@ func (s Suite) Run(t *testing.T) {
 			t.Run("EntityKVLargePayloadOffHeap", s.entityKVOffHeap)
 		}
 	}
-	if s.Checkpoints != nil {
-		t.Run("Checkpoints", s.checkpoints)
-		t.Run("CheckpointsStreamed", s.checkpointsStreamed)
-		if s.Durable {
-			t.Run("CheckpointsCrash", s.checkpointsCrash)
-		}
-	}
 }
 
-// recordLogCompact exercises the atomic-prefix-replacement contract: the
-// prefix shrinks to the replacement, the suffix survives unchanged, appends
-// continue, and (durable media) the compacted state survives reopen.
-func (s Suite) recordLogCompact(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, s.RecordLog, dir)
-	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("old-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
+// streamed is the payload recordLogCompact streams: 600 000 bytes written
+// in odd-sized chunks, some far larger than any sane write buffer.
+func streamed() (payload []byte, write func(io.Writer) error) {
+	payload = make([]byte, 600_000)
+	for i := range payload {
+		payload[i] = byte(i*7 + i>>11)
 	}
-	if err := l.Compact(7, [][]byte{[]byte("compacted-a"), []byte("compacted-b")}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"compacted-a", "compacted-b", "old-07", "old-08", "old-09"}
-	check := func(l storage.RecordLog, want []string) {
-		t.Helper()
-		if got := l.Len(); got != len(want) {
-			t.Fatalf("Len = %d, want %d", got, len(want))
-		}
-		checkRecords(t, l, want)
-	}
-	check(l, want)
-	// Appends continue after a compaction.
-	if err := l.Append([]byte("post-compact")); err != nil {
-		t.Fatal(err)
-	}
-	// Compacting everything (tombstone elision can empty a prefix).
-	if err := l.Compact(6, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Len(); got != 0 {
-		t.Fatalf("Len after full compact = %d, want 0", got)
-	}
-	if err := l.Append([]byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Compact(99, nil); err == nil {
-		t.Fatal("out-of-range drop accepted")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Durable {
-		re := mustOpen(t, s.RecordLog, dir)
-		defer re.Close()
-		check(re, []string{"fresh"})
-		if err := re.Append([]byte("after-reopen")); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// recordLogCompactCrash asserts compaction atomicity across a simulated
-// crash: copying the directory at an arbitrary moment after Compact returns
-// and reopening the copy must yield exactly the compacted log — and tearing
-// the newest file still leaves a log that opens (the swap is manifest-
-// guarded, so damage degrades to torn-tail recovery, never a half-swapped
-// prefix).
-func (s Suite) recordLogCompactCrash(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, s.RecordLog, dir)
-	for i := 0; i < 8; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("r-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Compact(5, [][]byte{[]byte("c-0")}); err != nil {
-		t.Fatal(err)
-	}
-	// Crash immediately after compact: no Close, reopen the same dir.
-	re := mustOpen(t, s.RecordLog, dir)
-	var got []string
-	if err := re.Replay(func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"c-0", "r-05", "r-06", "r-07"}
-	if len(got) != len(want) {
-		t.Fatalf("reopened records = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-	//saga:errok — l is the crash-simulated handle; re rewrote its files, this close only releases descriptors
-	l.Close()
-}
-
-// save stores payload as the checkpoint at lsn, in one write.
-func save(c storage.Checkpointer, lsn uint64, payload []byte) error {
-	return c.Save(lsn, func(w io.Writer) error {
-		_, err := w.Write(payload)
-		return err
-	})
-}
-
-// checkpoints exercises the Checkpointer round trip: Latest returns the
-// newest Save; durable media survive reopen.
-func (s Suite) checkpoints(t *testing.T) {
-	dir := t.TempDir()
-	c := mustOpen(t, s.Checkpoints, dir)
-	if _, _, ok := c.Latest(); ok {
-		t.Fatal("empty store reported a checkpoint")
-	}
-	if err := save(c, 10, []byte("snap-10")); err != nil {
-		t.Fatal(err)
-	}
-	if err := save(c, 25, []byte("snap-25")); err != nil {
-		t.Fatal(err)
-	}
-	lsn, payload, ok := c.Latest()
-	if !ok || lsn != 25 || string(payload) != "snap-25" {
-		t.Fatalf("Latest = %d, %q, %v", lsn, payload, ok)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Durable {
-		re := mustOpen(t, s.Checkpoints, dir)
-		defer re.Close()
-		lsn, payload, ok := re.Latest()
-		if !ok || lsn != 25 || string(payload) != "snap-25" {
-			t.Fatalf("reopened Latest = %d, %q, %v", lsn, payload, ok)
-		}
-	}
-}
-
-// checkpointsStreamed exercises Save's streaming contract: a payload written
-// in odd-sized chunks, some far larger than any sane write buffer, reads back
-// byte for byte; a write that fails part way returns its error and publishes
-// nothing — Latest stays at the previous checkpoint, in the session and (for
-// durable media) after a reopen, and no temp file is left behind.
-func (s Suite) checkpointsStreamed(t *testing.T) {
-	dir := t.TempDir()
-	c := mustOpen(t, s.Checkpoints, dir)
-	want := make([]byte, 600_000)
-	for i := range want {
-		want[i] = byte(i*7 + i>>11)
-	}
-	chunks := []int{1, 70_001, 3, 131_077, 5, 262_147}
-	if err := c.Save(10, func(w io.Writer) error {
-		rest := want
+	chunks := []int{1, 70_001, 3, 131_077}
+	return payload, func(w io.Writer) error {
+		rest := payload
 		for i := 0; len(rest) > 0; i++ {
 			n := min(chunks[i%len(chunks)], len(rest))
 			if _, err := w.Write(rest[:n]); err != nil {
@@ -272,62 +128,148 @@ func (s Suite) checkpointsStreamed(t *testing.T) {
 			rest = rest[n:]
 		}
 		return nil
-	}); err != nil {
+	}
+}
+
+// fileNames lists the names of the files under dir, sorted.
+func fileNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	names := make([]string, len(ents))
+	for i, ent := range ents {
+		names[i] = ent.Name()
+	}
+	return names
+}
+
+// recordLogCompact exercises the streamed-rewrite contract: every record
+// gives way to one record holding what the write function streamed, byte
+// for byte; appends continue after it; a write that fails part way returns
+// its error and leaves every old record in place, in the session and (for
+// durable media) after a reopen, with no file left behind.
+func (s Suite) recordLogCompact(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, s.RecordLog, dir)
+	for i := 0; i < 10; i++ {
+		if err := l.Append([]byte(fmt.Sprintf("old-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload, write := streamed()
+	if err := l.Compact(write); err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, l, []string{string(payload)})
+	if err := l.Append([]byte("post-compact")); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{string(payload), "post-compact"}
+	checkRecords(t, l, want)
+
+	files := fileNames(t, dir)
 	errWrite := errors.New("write failed part way")
-	err := c.Save(25, func(w io.Writer) error {
-		if _, err := w.Write(want[:100_003]); err != nil {
+	err := l.Compact(func(w io.Writer) error {
+		if _, err := w.Write(payload[:100_003]); err != nil {
 			return err
 		}
 		return errWrite
 	})
 	if !errors.Is(err, errWrite) {
-		t.Fatalf("failed Save returned %v, want %v", err, errWrite)
+		t.Fatalf("failed Compact returned %v, want %v", err, errWrite)
 	}
-	check := func(c storage.Checkpointer, when string) {
-		t.Helper()
-		lsn, payload, ok := c.Latest()
-		if !ok || lsn != 10 || !bytes.Equal(payload, want) {
-			t.Fatalf("%s: Latest = %d, %d bytes, %v; want 10, the streamed %d bytes", when, lsn, len(payload), ok, len(want))
-		}
-		tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
-		if err != nil || len(tmps) > 0 {
-			t.Fatalf("%s: temp files %v left behind (%v)", when, tmps, err)
-		}
+	checkRecords(t, l, want)
+	if got := fileNames(t, dir); !slices.Equal(got, files) {
+		t.Fatalf("failed Compact left files %q, want %q", got, files)
 	}
-	check(c, "after the failed save")
-	if err := c.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Durable {
-		re := mustOpen(t, s.Checkpoints, dir)
+		re := mustOpen(t, s.RecordLog, dir)
 		defer re.Close()
-		check(re, "reopened")
+		checkRecords(t, re, want)
+		if err := re.Append([]byte("after-reopen")); err != nil {
+			t.Fatal(err)
+		}
+		checkRecords(t, re, append(want, "after-reopen"))
 	}
 }
 
-// checkpointsCrash damages the newest checkpoint file and asserts Latest
-// falls back to the previous intact one instead of failing or returning
-// corrupt bytes.
-func (s Suite) checkpointsCrash(t *testing.T) {
+// recordLogCompactCrash asserts compaction atomicity across simulated
+// crashes. A crash after the new record is written but before the manifest
+// adopts it leaves the old files plus the new segment: reopening that must
+// yield the old records, with the new segment swept as an orphan. A crash
+// right after Compact returns (no Close) must reopen to exactly the
+// compacted log.
+func (s Suite) recordLogCompactCrash(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, s.Checkpoints, dir)
-	if err := save(c, 10, []byte("snap-10")); err != nil {
+	l := mustOpen(t, s.RecordLog, dir)
+	var old []string
+	for i := 0; i < 8; i++ {
+		old = append(old, fmt.Sprintf("r-%02d", i))
+		if err := l.Append([]byte(old[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := t.TempDir()
+	copyFiles(t, dir, before)
+	if err := l.Compact(func(w io.Writer) error {
+		_, err := io.WriteString(w, "c-0")
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := save(c, 25, []byte("snap-25")); err != nil {
+	// The crash before the flip: the old files, and every file the
+	// compaction wrote that they do not name — the new segment.
+	beforeFiles := fileNames(t, before)
+	unflipped := t.TempDir()
+	copyFiles(t, before, unflipped)
+	for _, name := range fileNames(t, dir) {
+		if !slices.Contains(beforeFiles, name) {
+			copyFile(t, filepath.Join(dir, name), filepath.Join(unflipped, name))
+		}
+	}
+	if got := fileNames(t, unflipped); len(got) <= len(beforeFiles) {
+		t.Fatalf("Compact wrote no new file: %q", got)
+	}
+	re := mustOpen(t, s.RecordLog, unflipped)
+	checkRecords(t, re, old)
+	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
+	if got := fileNames(t, unflipped); !slices.Equal(got, beforeFiles) {
+		t.Fatalf("reopen before the flip left files %q, want %q", got, beforeFiles)
+	}
+
+	// The crash after Compact returned: reopen the same dir.
+	re = mustOpen(t, s.RecordLog, dir)
+	checkRecords(t, re, []string{"c-0"})
+	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tearNewestFile(t, dir)
-	re := mustOpen(t, s.Checkpoints, dir)
-	defer re.Close()
-	lsn, payload, ok := re.Latest()
-	if !ok || lsn != 10 || string(payload) != "snap-10" {
-		t.Fatalf("Latest after damage = %d, %q, %v (want fallback to 10)", lsn, payload, ok)
+	//saga:errok — l is the crash-simulated handle; re reopened its files, this close only releases descriptors
+	l.Close()
+}
+
+// copyFiles copies every file directly under src into dst.
+func copyFiles(t *testing.T, src, dst string) {
+	t.Helper()
+	for _, name := range fileNames(t, src) {
+		copyFile(t, filepath.Join(src, name), filepath.Join(dst, name))
+	}
+}
+
+func copyFile(t *testing.T, src, dst string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -13,9 +13,8 @@ import (
 )
 
 // TestMemoryBackend runs the in-memory medium: the entity store's in-memory
-// KV. A volatile log has no record log (it keeps its ops' payloads itself)
-// and a volatile platform keeps no checkpoints, so those roles have no
-// in-memory implementation.
+// KV. A volatile log has no record log (it keeps its ops' payloads itself),
+// so that role has no in-memory implementation.
 func TestMemoryBackend(t *testing.T) {
 	Suite{
 		EntityKV: func(string) (storage.EntityKV, error) { return entitystore.NewMemKV(), nil },
@@ -33,8 +32,7 @@ func TestDiskBackend(t *testing.T) {
 		EntityKV: func(dir string) (storage.EntityKV, error) {
 			return disk.OpenEntityKV(filepath.Join(dir, "entities.dat"))
 		},
-		Checkpoints: func(dir string) (storage.Checkpointer, error) { return disk.OpenCheckpoints(dir) },
-		Durable:     true,
+		Durable: true,
 	}.Run(t)
 	t.Run("Postings", postings)
 	t.Run("Vectors", vectors)

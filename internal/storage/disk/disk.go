@@ -3,13 +3,12 @@
 //
 //   - RecordLog — CRC-framed records in rotating segment files under a
 //     manifest (the torn-tail recovery idiom the operation log shipped
-//     with, plus atomic prefix compaction via manifest flips). Memory keeps
-//     each record's offset, so a record reads back with one positioned
-//     read: the operation log's records carry their ops' entity payloads,
-//     and this is how recovery and compaction reach an old one.
-//   - Checkpointer — atomically-published checkpoint files (temp + rename),
-//     streamed through one reused write buffer, newest-intact-wins at
-//     recovery.
+//     with, plus atomic compaction via manifest flips: a checkpoint
+//     streams one record, the state at the log's head, through one reused
+//     write buffer into a fresh segment that replaces every other). Memory
+//     keeps each record's offset, so a record reads back with one
+//     positioned read: the operation log's records carry their ops' entity
+//     payloads, and this is how recovery reaches an old one.
 //   - BlobStore — a segment-file staging store: blobs append to rotating
 //     segment files. The platform no longer stages payloads; only the
 //     benchmark's storage layer opens one.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,11 +30,10 @@ const manifestName = "MANIFEST"
 // truncates a torn tail (crash during append); Append fsyncs per record —
 // the operation log is the platform's durability anchor, so an acknowledged
 // append must survive a crash. Memory holds only each record's frame offset
-// (the Bitcask layout): Read is one positioned read of the frame, and Compact
-// finds its boundary without scanning.
+// (the Bitcask layout): Read is one positioned read of the frame.
 //
-// Segmentation is what makes compaction atomic: Compact stages the rewritten
-// prefix in a fresh segment, flips the manifest, and only then deletes the
+// Segmentation is what makes compaction atomic: Compact writes its one
+// record to a fresh segment, flips the manifest, and only then deletes the
 // replaced segments. A crash on either side of the flip leaves a fully
 // consistent log (stale new segment removed as an orphan, or stale old
 // segments removed as orphans).
@@ -41,18 +41,19 @@ type RecordLog struct {
 	mu       sync.Mutex
 	dir      string
 	segBytes int64
-	names    []string   // live segment file names, oldest first
-	segs     []*os.File // open segment files, aligned with names
-	sizes    []int64    // valid framed bytes per segment
-	offs     [][]int64  // frame offset of each record, per segment
-	nextSeg  uint64     // next segment sequence number (monotonic, never reused)
-	scratch  []byte     // framing buffer, reused under mu
+	names    []string      // live segment file names, oldest first
+	segs     []*os.File    // open segment files, aligned with names
+	sizes    []int64       // valid framed bytes per segment
+	offs     [][]int64     // frame offset of each record, per segment
+	nextSeg  uint64        // next segment sequence number (monotonic, never reused)
+	scratch  []byte        // framing buffer, reused under mu
+	bw       *bufio.Writer // Compact's write buffer, made at the first and reused under mu
 	closed   bool
 }
 
 // OpenRecordLog creates or recovers a segmented record log rooted at dir.
 // segBytes is the rotation threshold for appends (0 = DefaultSegmentBytes);
-// it does not bound compaction-written segments.
+// it does not bound the record Compact writes.
 func OpenRecordLog(dir string, segBytes int64) (*RecordLog, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
@@ -356,98 +357,99 @@ func (l *RecordLog) Replay(fn func(payload []byte) error) error {
 	return nil
 }
 
-// Compact implements storage.RecordLog. The rewritten prefix (replacement
-// plus the tail of the boundary segment, copied byte-for-byte) streams
-// through a buffered writer into a fresh segment, is fsynced, adopted by a
-// manifest flip, and only then are the replaced segments deleted — so a
-// reader reopening after a crash at any point sees the old prefix or the new
-// one in full.
-func (l *RecordLog) Compact(drop int, replacement [][]byte) error {
+// rewriteBuffer is the size of the write buffer a record log keeps for its
+// compactions: the one allocation a compacted record's bytes pass through.
+const rewriteBuffer = 64 << 10
+
+// Compact implements storage.RecordLog. The record streams from write into
+// a fresh segment, is fsynced, adopted by a manifest flip, and only then
+// are the old segments deleted — so a reader reopening after a crash at any
+// point sees the old records or the new one in full. The frame header goes
+// in last: a placeholder holds its place while the payload streams through
+// the log's write buffer and a frameWriter that keeps the payload's length
+// and CRC, and WriteAt patches it in. The bytes are those of the payload
+// framed whole in memory, and the payload is never held. The new segment is
+// the active one: appends continue in it.
+func (l *RecordLog) Compact(write func(io.Writer) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("disk: compact closed record log %s", l.dir)
 	}
-	if total := l.lenLocked(); drop < 0 || drop > total {
-		return fmt.Errorf("disk: compact drop %d out of range (log has %d records)", drop, total)
-	}
-	if drop == 0 && len(replacement) == 0 {
-		return nil
-	}
-
-	// Segment k holds the first kept record, at index skip (k is len(segs)
-	// when drop consumes the whole log; then there is no suffix).
-	k, skip := l.locateLocked(drop)
-	var suffix []int64 // offsets of the boundary segment's kept records
-	if k < len(l.segs) {
-		suffix = l.offs[k][skip:]
-	}
-
-	// Stage the rewritten prefix in a fresh, not-yet-adopted segment.
 	name := segmentName(l.nextSeg)
 	nf, err := os.OpenFile(filepath.Join(l.dir, name), os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("disk: create compaction segment %s: %w", name, err)
 	}
-	abort := func(e error) error {
+	size, err := l.writeFrameLocked(nf, write)
+	if err == nil {
+		err = l.syncDirLocked()
+	}
+	if err == nil {
+		err = l.writeManifestLocked([]string{name})
+	}
+	if err != nil {
 		nf.Close()
 		os.Remove(filepath.Join(l.dir, name)) //saga:errok — unreferenced, never adopted
-		return e
-	}
-	// A bufio.Writer's errors are sticky: Flush reports the first one.
-	w := bufio.NewWriterSize(nf, 1<<16)
-	offs := make([]int64, 0, len(replacement)+len(suffix))
-	var newSize int64
-	for _, rec := range replacement {
-		hdr := triple.RecordHeader(rec)
-		w.Write(hdr[:])
-		w.Write(rec)
-		offs = append(offs, newSize)
-		newSize += int64(triple.RecordLen(len(rec)))
-	}
-	if len(suffix) > 0 {
-		// Copy the boundary segment's kept tail verbatim — the records are
-		// already framed, so a byte copy preserves them exactly.
-		from := suffix[0]
-		if _, err := io.Copy(w, io.NewSectionReader(l.segs[k], from, l.sizes[k]-from)); err != nil {
-			return abort(fmt.Errorf("disk: copy boundary segment tail: %w", err))
-		}
-		for _, off := range suffix {
-			offs = append(offs, newSize+off-from)
-		}
-		newSize += l.sizes[k] - from
-	}
-	if err := w.Flush(); err != nil {
-		return abort(fmt.Errorf("disk: write compacted records: %w", err))
-	}
-	if err := nf.Sync(); err != nil {
-		return abort(fmt.Errorf("disk: sync compaction segment: %w", err))
-	}
-	if err := l.syncDirLocked(); err != nil {
-		return abort(err)
-	}
-
-	// Adopt: manifest flips from [0..k, k+1..] to [new, k+1..].
-	keepAfter := min(k+1, len(l.names))
-	newNames := append([]string{name}, l.names[keepAfter:]...)
-	if err := l.writeManifestLocked(newNames); err != nil {
-		return abort(err)
+		return err
 	}
 	l.nextSeg++
-
-	// Old prefix segments are now unreferenced; drop them.
-	dropped := append([]string(nil), l.names[:keepAfter]...)
-	for i := 0; i < keepAfter; i++ {
+	// The old segments are now unreferenced; drop them.
+	for i, old := range l.names {
 		l.segs[i].Close()
-	}
-	l.names = newNames
-	l.segs = append([]*os.File{nf}, l.segs[keepAfter:]...)
-	l.sizes = append([]int64{newSize}, l.sizes[keepAfter:]...)
-	l.offs = append([][]int64{offs}, l.offs[keepAfter:]...)
-	for _, old := range dropped {
 		os.Remove(filepath.Join(l.dir, old)) //saga:errok — already unreferenced by the manifest
 	}
+	l.names = []string{name}
+	l.segs = []*os.File{nf}
+	l.sizes = []int64{size}
+	l.offs = [][]int64{{0}}
 	return nil
+}
+
+// writeFrameLocked writes one frame holding what write writes to the empty
+// file f, fsyncs f, and returns the frame's size.
+func (l *RecordLog) writeFrameLocked(f *os.File, write func(io.Writer) error) (int64, error) {
+	if l.bw == nil {
+		l.bw = bufio.NewWriterSize(nil, rewriteBuffer)
+	}
+	fw := &frameWriter{f: f}
+	l.bw.Reset(fw)
+	hdr := triple.FrameHeader(0, 0) // the placeholder
+	_, err := f.Write(hdr[:])
+	if err == nil {
+		if err = write(l.bw); err == nil {
+			err = l.bw.Flush()
+		}
+	}
+	if err == nil && fw.n > math.MaxUint32 {
+		err = fmt.Errorf("%d bytes overflow the frame", fw.n)
+	}
+	if err == nil {
+		hdr = triple.FrameHeader(uint32(fw.n), fw.crc)
+		_, err = f.WriteAt(hdr[:], 0)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("disk: write compacted record: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return 0, fmt.Errorf("disk: sync compaction segment: %w", err)
+	}
+	return int64(len(hdr)) + fw.n, nil
+}
+
+// frameWriter passes a frame's payload through to f, keeping its length and
+// running CRC for the header.
+type frameWriter struct {
+	f   *os.File
+	n   int64
+	crc uint32
+}
+
+func (w *frameWriter) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.n += int64(n)
+	w.crc = triple.UpdateCRC(w.crc, p[:n])
+	return n, err
 }
 
 // Segments returns the live segment file names, oldest first (for tests and

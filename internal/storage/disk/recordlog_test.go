@@ -2,6 +2,7 @@ package disk
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,8 +10,9 @@ import (
 
 // TestRecordLogReadAcrossSegments: with segments of a few records each, Read
 // finds every record by its kept offset — after appends, after a compaction
-// whose boundary falls inside a segment, and after a reopen — and a record
-// whose bytes changed on disk fails its CRC instead of reading back wrong.
+// to one record and appends that rotate past it again, and after a reopen —
+// and a record whose bytes changed on disk fails its CRC instead of reading
+// back wrong.
 func TestRecordLogReadAcrossSegments(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log")
 	l, err := OpenRecordLog(dir, 64)
@@ -39,15 +41,23 @@ func TestRecordLogReadAcrossSegments(t *testing.T) {
 		t.Fatalf("%d segments: the test needs the records spread over several", len(l.Segments()))
 	}
 	check(l, want)
-	if err := l.Compact(7, [][]byte{[]byte("compacted-a"), []byte("compacted-b")}); err != nil {
+	if err := l.Compact(func(w io.Writer) error {
+		_, err := io.WriteString(w, "compacted")
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	want = append([]string{"compacted-a", "compacted-b"}, want[7:]...)
+	want = []string{"compacted"}
 	check(l, want)
-	if err := l.Append([]byte("after")); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 20; i++ {
+		want = append(want, fmt.Sprintf("after-%02d", i))
+		if err := l.Append([]byte(want[len(want)-1])); err != nil {
+			t.Fatal(err)
+		}
 	}
-	want = append(want, "after")
+	if len(l.Segments()) < 3 {
+		t.Fatalf("%d segments after the compaction: the appends should rotate past it", len(l.Segments()))
+	}
 	check(l, want)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -84,31 +84,6 @@ func TestRecoveryBoundsRecordLength(t *testing.T) {
 	if l.Len() != 6 {
 		t.Fatalf("log has %d records after recovery and one append, want 6", l.Len())
 	}
-
-	// The same header at the head of the newest checkpoint file: Latest falls
-	// back to the previous checkpoint, again without sizing a buffer by it.
-	c, err := OpenCheckpoints(filepath.Join(dir, "ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Save(7, func(w io.Writer) error {
-		_, err := io.WriteString(w, "good checkpoint")
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "ckpt", fmt.Sprintf("%020d.ckpt", 9)), hostileHeader, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n := allocatedBy(func() {
-		lsn, payload, ok := c.Latest()
-		if !ok || lsn != 7 || string(payload) != "good checkpoint" {
-			t.Errorf("Latest = %d %q %v, want the intact checkpoint at 7", lsn, payload, ok)
-		}
-	}); n > 1<<20 {
-		t.Errorf("skipping a hostile checkpoint allocated %d bytes", n)
-	}
 }
 
 // TestReplayRejectionKeepsLog: a record the replay callback rejects passed its

@@ -5,22 +5,21 @@
 // engines* — entity index, search index, analytics store — all deriving
 // their state from one shared operation log. This package carves the storage
 // those engines share, or that must survive a restart, into two role
-// interfaces plus the recovery checkpoint store:
+// interfaces:
 //
 //   - RecordLog — the operation log's record I/O (ordered, CRC-framed,
 //     torn-tail recoverable append storage; the oplog package layers LSNs
 //     and the op record format on top). Each op's entity payload rides in
 //     its record, so the log is the platform's one durable write per
-//     publish.
+//     publish, and the log alone is the state: a checkpoint compacts it to
+//     one record holding the state at its head.
 //   - EntityKV — the entity index's payload KV (serialized entity bytes by
 //     entity ID).
-//   - Checkpointer — recovery checkpoints keyed by log watermark.
 //
 // There are two media. The disk package implements every role durably; the
 // in-memory entity KV lives in entitystore, while a volatile log is an
-// oplog.Log with no record log (it keeps each op's payload in memory) and a
-// volatile platform keeps no checkpoints. core.Open picks the medium with a
-// switch on StorageOptions.Backend. The in-memory
+// oplog.Log with no record log (it keeps each op's payload in memory).
+// core.Open picks the medium with a switch on StorageOptions.Backend. The in-memory
 // indexes that only hold derived state replayed from the log (the text
 // index's postings, the vector database) own their maps directly and are not
 // storage roles.
@@ -41,7 +40,7 @@ type RecordLog interface {
 	// caller's, copied or written out before return).
 	Append(parts ...[]byte) error
 	// Read returns record i, counting from the oldest record now in the log
-	// (a Compact renumbers the records after it). The slice is the caller's.
+	// (after a Compact, the record it wrote). The slice is the caller's.
 	Read(i int) ([]byte, error)
 	// Replay calls fn for every record in append order; fn must copy what
 	// it keeps of a payload (one buffer is reused). A record fn rejects
@@ -52,40 +51,19 @@ type RecordLog interface {
 	// error to report, never a torn tail to cut away with everything after
 	// it. Torn tails are dropped when the log is opened.
 	Replay(fn func(payload []byte) error) error
-	// Compact atomically replaces the first drop records with replacement
-	// (which may be shorter — compaction conflates per entity and elides
-	// tombstones). Records after the first drop are preserved unchanged.
-	// The swap is atomic with respect to crashes: a reader reopening the
-	// log sees either the old prefix or the new one, never a mix — durable
-	// implementations stage the rewrite in fresh segments and flip a
-	// manifest. Payload slices are owned by the caller and copied.
-	Compact(drop int, replacement [][]byte) error
+	// Compact atomically replaces every record with one record, whose
+	// payload is what write writes to the writer it is given: the record
+	// streams to the medium as it comes, so no whole copy of it need exist.
+	// An error from write (or from the medium) fails the Compact and leaves
+	// every old record in place. The swap is atomic with respect to
+	// crashes: a reader reopening the log sees either the old records or
+	// the new one, never a mix — durable implementations write the record
+	// to a fresh segment and flip a manifest. write runs under the log's
+	// lock, so it must not call the log.
+	Compact(write func(io.Writer) error) error
 	// Len returns the number of records currently in the log.
 	Len() int
 	// Close releases backing resources. Append after Close fails.
-	Close() error
-}
-
-// Checkpointer stores recovery checkpoints: opaque snapshot payloads keyed by
-// the log watermark (LSN) they cover. Recovery loads the latest good
-// checkpoint and replays only the log suffix past its watermark, making cold
-// start O(suffix) instead of O(log age). Implementations are safe for
-// concurrent use; Save is atomic with respect to crashes (a crash mid-save
-// leaves the previous latest checkpoint intact and loadable).
-type Checkpointer interface {
-	// Save durably stores a checkpoint covering every op with LSN <= lsn.
-	// The payload is what write writes to the writer it is given: Save
-	// streams it to the medium as it comes, so no whole copy of it need
-	// exist. An error from write (or from the medium) fails the Save and
-	// publishes nothing: Latest still returns the previous checkpoint.
-	// Implementations retain at least the latest checkpoint and may discard
-	// older ones.
-	Save(lsn uint64, write func(io.Writer) error) error
-	// Latest returns the newest intact checkpoint, or ok=false when none
-	// exists (or none survived corruption — recovery then replays from LSN
-	// zero). The returned payload is the caller's.
-	Latest() (lsn uint64, payload []byte, ok bool)
-	// Close releases backing resources.
 	Close() error
 }
 

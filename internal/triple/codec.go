@@ -289,15 +289,6 @@ func (e *Entity) UnmarshalBinary(data []byte) error {
 	return r.err
 }
 
-// PeekID returns the entity ID at the head of an encoded entity record as a
-// sub-slice of rec, without decoding the rest. Log compaction uses it to
-// check which entity a frame holds.
-func PeekID(rec []byte) ([]byte, error) {
-	r := &binReader{buf: rec}
-	id := r.bytes("entity id")
-	return id, r.err
-}
-
 // recordHeaderLen is the size of a frame's length|crc header.
 const recordHeaderLen = 8
 
@@ -314,15 +305,10 @@ func BeginRecord(dst []byte) ([]byte, int) {
 // EndRecord back-fills the header BeginRecord reserved at mark with the
 // length and CRC of everything appended since.
 func EndRecord(dst []byte, mark int) []byte {
-	hdr := RecordHeader(dst[mark+recordHeaderLen:])
+	payload := dst[mark+recordHeaderLen:]
+	hdr := FrameHeader(uint32(len(payload)), crc32.Checksum(payload, castagnoli))
 	copy(dst[mark:], hdr[:])
 	return dst
-}
-
-// RecordHeader returns the frame header of payload, for writers that send
-// header and payload separately instead of copying the payload into a frame.
-func RecordHeader(payload []byte) [recordHeaderLen]byte {
-	return FrameHeader(uint32(len(payload)), crc32.Checksum(payload, castagnoli))
 }
 
 // FrameHeader returns the header of a frame whose n payload bytes have the

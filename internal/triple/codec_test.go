@@ -248,8 +248,8 @@ func TestCodecAllocations(t *testing.T) {
 			if err != nil {
 				break
 			}
-			if id, err := PeekID(rec); err != nil || string(id) != string(e.ID) {
-				t.Fatalf("PeekID = %q, %v", id, err)
+			if len(rec) != e.EncodedLen() {
+				t.Fatalf("frame holds %d bytes, want %d", len(rec), e.EncodedLen())
 			}
 			rest = next
 		}

@@ -77,20 +77,18 @@ type Gate struct {
 // than the threshold against BENCH_baseline.json.
 var gates = []Gate{
 	{Bench: "IndexedLinkingKGGrowth", Metric: "indexed-speedup-x", Higher: true},
-	// Allocation gates on the publish → replay → checkpoint → compact byte
-	// path (internal/graphengine micro-benchmarks). B/op and allocs/op are
+	// Allocation gates on the publish → replay → checkpoint byte path
+	// (internal/graphengine micro-benchmarks). B/op and allocs/op are
 	// counts that repeat to the byte on any runner, so 10% is a real
 	// regression — a copy or a re-encode put back — never noise.
 	{Bench: "EncodeEntities", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "EncodeEntities", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	{Bench: "DecodeEntities", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "DecodeEntities", Metric: "allocs/op", Higher: false, Threshold: 0.10},
-	{Bench: "WriteCheckpoint", Metric: "B/op", Higher: false, Threshold: 0.10},
-	{Bench: "WriteCheckpoint", Metric: "allocs/op", Higher: false, Threshold: 0.10},
+	{Bench: "Checkpoint", Metric: "B/op", Higher: false, Threshold: 0.10},
+	{Bench: "Checkpoint", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	{Bench: "CatchUp", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "CatchUp", Metric: "allocs/op", Higher: false, Threshold: 0.10},
-	{Bench: "CompactThrough", Metric: "B/op", Higher: false, Threshold: 0.10},
-	{Bench: "CompactThrough", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	// The same allocation gate on the serving refresh (internal/live): one
 	// stable-view load with 8 records replaced and every boost shifted.
 	{Bench: "LoadStableView", Metric: "B/op", Higher: false, Threshold: 0.10},
@@ -108,7 +106,8 @@ var gates = []Gate{
 	{Bench: "CommitBatch", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "CommitBatch", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	// And on recovery (internal/core): one Open plus Close of a durable
-	// tree, from a checkpoint and a short suffix, and from the whole log.
+	// tree, from a checkpoint's base and a short suffix, and from the whole
+	// log.
 	{Bench: "Recover/checkpoint", Metric: "B/op", Higher: false, Threshold: 0.10},
 	{Bench: "Recover/checkpoint", Metric: "allocs/op", Higher: false, Threshold: 0.10},
 	{Bench: "Recover/log", Metric: "B/op", Higher: false, Threshold: 0.10},
