@@ -90,9 +90,11 @@ func (s Suite) Run(t *testing.T) {
 	if s.RecordLog != nil {
 		t.Run("RecordLog", s.recordLog)
 		t.Run("RecordLogCompact", s.recordLogCompact)
+		t.Run("CheckpointsStreamed", s.checkpointsStreamed)
 		if s.Durable {
 			t.Run("RecordLogTornTail", s.recordLogTornTail)
 			t.Run("RecordLogCompactCrash", s.recordLogCompactCrash)
+			t.Run("CheckpointsCrash", s.checkpointsCrash)
 		}
 	}
 	if s.BlobStore != nil {
@@ -110,7 +112,7 @@ func (s Suite) Run(t *testing.T) {
 	}
 }
 
-// streamed is the payload recordLogCompact streams: 600 000 bytes written
+// streamed is the payload checkpointsStreamed streams: 600 000 bytes written
 // in odd-sized chunks, some far larger than any sane write buffer.
 func streamed() (payload []byte, write func(io.Writer) error) {
 	payload = make([]byte, 600_000)
@@ -131,6 +133,14 @@ func streamed() (payload []byte, write func(io.Writer) error) {
 	}
 }
 
+// writeString is a Compact write function that streams s in one write.
+func writeString(s string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
+	}
+}
+
 // fileNames lists the names of the files under dir, sorted.
 func fileNames(t *testing.T, dir string) []string {
 	t.Helper()
@@ -145,19 +155,65 @@ func fileNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// recordLogCompact exercises the streamed-rewrite contract: every record
-// gives way to one record holding what the write function streamed, byte
-// for byte; appends continue after it; a write that fails part way returns
-// its error and leaves every old record in place, in the session and (for
-// durable media) after a reopen, with no file left behind.
-func (s Suite) recordLogCompact(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, s.RecordLog, dir)
-	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("old-%02d", i))); err != nil {
+// appendOld appends n records named prefix-00, prefix-01, ... and returns
+// them.
+func appendOld(t *testing.T, l storage.RecordLog, prefix string, n int) []string {
+	t.Helper()
+	old := make([]string, n)
+	for i := range old {
+		old[i] = fmt.Sprintf("%s-%02d", prefix, i)
+		if err := l.Append([]byte(old[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return old
+}
+
+// recordLogCompact exercises the rewrite contract: every record gives way to
+// the one record the write function streamed; appends continue after it; a
+// log compacted again gives way again (its newest records included); and
+// (durable media) the compacted state survives reopen.
+func (s Suite) recordLogCompact(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, s.RecordLog, dir)
+	appendOld(t, l, "old", 10)
+	if err := l.Compact(writeString("compacted-a")); err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, l, []string{"compacted-a"})
+	if err := l.Append([]byte("post-compact")); err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, l, []string{"compacted-a", "post-compact"})
+	if err := l.Compact(writeString("compacted-b")); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"compacted-b"}
+	checkRecords(t, l, want)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Durable {
+		re := mustOpen(t, s.RecordLog, dir)
+		defer re.Close()
+		checkRecords(t, re, want)
+		if err := re.Append([]byte("after-reopen")); err != nil {
+			t.Fatal(err)
+		}
+		checkRecords(t, re, append(want, "after-reopen"))
+	}
+}
+
+// checkpointsStreamed exercises the streaming contract a checkpoint relies
+// on (a checkpoint is the log's rewrite to one base record): a record
+// written in odd-sized chunks, some far larger than any sane write buffer,
+// reads back byte for byte; a write that fails part way returns its error
+// and leaves every old record in place, in the session and (for durable
+// media) after a reopen, with no file left behind.
+func (s Suite) checkpointsStreamed(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, s.RecordLog, dir)
+	appendOld(t, l, "old", 10)
 	payload, write := streamed()
 	if err := l.Compact(write); err != nil {
 		t.Fatal(err)
@@ -191,35 +247,41 @@ func (s Suite) recordLogCompact(t *testing.T) {
 		re := mustOpen(t, s.RecordLog, dir)
 		defer re.Close()
 		checkRecords(t, re, want)
-		if err := re.Append([]byte("after-reopen")); err != nil {
-			t.Fatal(err)
+		if got := fileNames(t, dir); !slices.Equal(got, files) {
+			t.Fatalf("reopen after a failed Compact left files %q, want %q", got, files)
 		}
-		checkRecords(t, re, append(want, "after-reopen"))
 	}
 }
 
-// recordLogCompactCrash asserts compaction atomicity across simulated
-// crashes. A crash after the new record is written but before the manifest
-// adopts it leaves the old files plus the new segment: reopening that must
-// yield the old records, with the new segment swept as an orphan. A crash
-// right after Compact returns (no Close) must reopen to exactly the
-// compacted log.
+// recordLogCompactCrash asserts a crash right after Compact returns (no
+// Close) reopens to exactly the compacted log.
 func (s Suite) recordLogCompactCrash(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, s.RecordLog, dir)
-	var old []string
-	for i := 0; i < 8; i++ {
-		old = append(old, fmt.Sprintf("r-%02d", i))
-		if err := l.Append([]byte(old[i])); err != nil {
-			t.Fatal(err)
-		}
+	appendOld(t, l, "r", 8)
+	if err := l.Compact(writeString("c-0")); err != nil {
+		t.Fatal(err)
 	}
+	re := mustOpen(t, s.RecordLog, dir)
+	checkRecords(t, re, []string{"c-0"})
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	//saga:errok — l is the crash-simulated handle; re reopened its files, this close only releases descriptors
+	l.Close()
+}
+
+// checkpointsCrash asserts a checkpoint's rewrite is atomic across a crash
+// between the new segment's write and the manifest flip: the old files plus
+// the new segment must reopen to the old records, with the new segment
+// swept as an orphan.
+func (s Suite) checkpointsCrash(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, s.RecordLog, dir)
+	old := appendOld(t, l, "r", 8)
 	before := t.TempDir()
 	copyFiles(t, dir, before)
-	if err := l.Compact(func(w io.Writer) error {
-		_, err := io.WriteString(w, "c-0")
-		return err
-	}); err != nil {
+	if err := l.Compact(writeString("c-0")); err != nil {
 		t.Fatal(err)
 	}
 	// The crash before the flip: the old files, and every file the
@@ -235,6 +297,8 @@ func (s Suite) recordLogCompactCrash(t *testing.T) {
 	if got := fileNames(t, unflipped); len(got) <= len(beforeFiles) {
 		t.Fatalf("Compact wrote no new file: %q", got)
 	}
+	//saga:errok — l is the crash-simulated handle; the crash is replayed on a copy, this close only releases descriptors
+	l.Close()
 	re := mustOpen(t, s.RecordLog, unflipped)
 	checkRecords(t, re, old)
 	if err := re.Close(); err != nil {
@@ -243,15 +307,6 @@ func (s Suite) recordLogCompactCrash(t *testing.T) {
 	if got := fileNames(t, unflipped); !slices.Equal(got, beforeFiles) {
 		t.Fatalf("reopen before the flip left files %q, want %q", got, beforeFiles)
 	}
-
-	// The crash after Compact returned: reopen the same dir.
-	re = mustOpen(t, s.RecordLog, dir)
-	checkRecords(t, re, []string{"c-0"})
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	//saga:errok — l is the crash-simulated handle; re reopened its files, this close only releases descriptors
-	l.Close()
 }
 
 // copyFiles copies every file directly under src into dst.
