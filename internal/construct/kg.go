@@ -1,6 +1,8 @@
 package construct
 
 import (
+	"iter"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -49,28 +51,21 @@ func (kg *KG) Unlink(src triple.EntityID) bool {
 	return ok
 }
 
-// LinksSnapshot returns a copy of the full link index. The platform embeds
-// it in checkpoints: links are construction metadata the entity payloads
-// cannot reproduce, so recovery restores them explicitly.
+// LinksSnapshot returns a copy of the full link index. A checkpoint takes
+// the link table from the platform's log-derived replica instead; the
+// benchmark's platform layer reads this one.
 func (kg *KG) LinksSnapshot() map[triple.EntityID]triple.EntityID {
 	kg.mu.RLock()
 	defer kg.mu.RUnlock()
-	out := make(map[triple.EntityID]triple.EntityID, len(kg.links))
-	for src, id := range kg.links {
-		out[src] = id
-	}
-	return out
+	return maps.Clone(kg.links)
 }
 
-// RestoreLinks replaces the link index wholesale (copying the input). Only
-// recovery may call it, before the pipeline starts consuming.
-func (kg *KG) RestoreLinks(links map[triple.EntityID]triple.EntityID) {
+// RestoreLinks replaces the link index wholesale with the pairs links
+// yields. Only recovery may call it, before the pipeline starts consuming.
+func (kg *KG) RestoreLinks(links iter.Seq2[triple.EntityID, triple.EntityID]) {
 	kg.mu.Lock()
 	defer kg.mu.Unlock()
-	kg.links = make(map[triple.EntityID]triple.EntityID, len(links))
-	for src, id := range links {
-		kg.links[src] = id
-	}
+	kg.links = maps.Collect(links)
 }
 
 // LinkCount returns the number of recorded source links.

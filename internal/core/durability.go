@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"maps"
 
 	"saga/internal/graphengine"
 	"saga/internal/oplog"
+	"saga/internal/pmap"
 )
 
 // This file implements the platform's durability lifecycle: recovery at Open
@@ -65,10 +65,10 @@ func (p *Platform) applyLinkOp(op oplog.Op, _ graphengine.Payload) error {
 	p.linkMu.Lock()
 	defer p.linkMu.Unlock()
 	for src, tgt := range op.Links {
-		p.linkReplica[src] = tgt
+		p.linkReplica.Set(p.linkOwner, src, tgt)
 	}
 	for _, src := range op.Unlinks {
-		delete(p.linkReplica, src)
+		p.linkReplica.Delete(p.linkOwner, src)
 	}
 	return nil
 }
@@ -80,9 +80,8 @@ func (p *Platform) applyLinkOp(op oplog.Op, _ graphengine.Payload) error {
 // graph replica, sharing its tree and records, with a copy of the recovered
 // link table.
 func (p *Platform) recover() error {
-	if ops := p.Engine.Log.Read(0, 1); len(ops) == 1 {
-		p.durStats.RecoveredLSN = ops[0].LSN
-		p.durStats.RecoveredEntities = len(ops[0].EntityIDs)
+	if lsn, n := p.Engine.Log.Base(); lsn > 0 {
+		p.durStats.RecoveredLSN, p.durStats.RecoveredEntities = lsn, n
 		p.durStats.ReplayedOps = p.Engine.Log.Len() - 1
 	}
 	if err := p.Engine.CatchUp(); err != nil {
@@ -90,7 +89,7 @@ func (p *Platform) recover() error {
 	}
 	p.KG.Graph = p.GraphReplica.Snapshot()
 	p.linkMu.Lock()
-	p.KG.RestoreLinks(p.linkReplica)
+	p.KG.RestoreLinks(p.linkReplica.All())
 	p.linkMu.Unlock()
 	// Restored entities carry minted kg: IDs; re-seed the ID counter so new
 	// mints never collide with recovered ones.
@@ -100,10 +99,11 @@ func (p *Platform) recover() error {
 
 // runCheckpoint takes one checkpoint: it catches every agent up to the log's
 // head W = LastLSN and compacts the log to one base op at W, whose entities
-// stream from the graph replica and whose links are a copy of the link
-// replica (both now exactly the replay of ops ≤ W). A durable log writes the
-// base to a fresh segment, streamed from the replica's frozen records, and
-// flips its manifest; a volatile log keeps it in memory.
+// stream from the graph replica and whose links stream from the link
+// replica (both now exactly the replay of ops ≤ W), handed over frozen, not
+// copied. A durable log writes the base to a fresh segment, streamed from
+// the replica's frozen records, and flips its manifest; a volatile log keeps
+// its record in memory.
 //
 // It runs inside publishGroup — on the feed's publisher, the log's only
 // appender and, through CatchUp, the replicas' only writer — so nothing
@@ -114,7 +114,8 @@ func (p *Platform) runCheckpoint() (uint64, error) {
 		return 0, err
 	}
 	p.linkMu.Lock()
-	links := maps.Clone(p.linkReplica)
+	links := p.linkReplica
+	p.linkOwner = new(pmap.Owner) // freezes links: the next write copies its path
 	p.linkMu.Unlock()
 	w, err := p.Engine.Checkpoint(links, p.GraphReplica)
 	if err != nil {

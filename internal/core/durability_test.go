@@ -706,7 +706,7 @@ func checkReplayMatchesKG(t *testing.T, p *Platform, step string) {
 	t.Helper()
 	e := graphengine.New(p.Engine.Log)
 	g := triple.NewGraph()
-	links := &Platform{linkReplica: make(map[triple.EntityID]triple.EntityID)}
+	links := &Platform{}
 	e.RegisterAgent(graphengine.GraphAgent{Graph: g})
 	e.RegisterAgent(graphengine.FuncAgent{AgentName: "link-table", Fn: links.applyLinkOp})
 	if err := e.CatchUp(); err != nil {
@@ -715,7 +715,7 @@ func checkReplayMatchesKG(t *testing.T, p *Platform, step string) {
 	if !reflect.DeepEqual(g.Triples(), p.KG.Graph.Triples()) {
 		t.Fatalf("%s: replay from genesis holds %d entities, the KG %d, and they differ", step, g.Len(), p.KG.Graph.Len())
 	}
-	if got, want := links.linkReplica, p.KG.LinksSnapshot(); !reflect.DeepEqual(got, want) {
+	if got, want := linkTable(links), p.KG.LinksSnapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: replay from genesis has %d links, the KG %d, and they differ", step, len(got), len(want))
 	}
 }

@@ -130,7 +130,7 @@ func TestPlatformFeedMatchesSerialConsumeDeltas(t *testing.T) {
 func linkTable(p *Platform) map[triple.EntityID]triple.EntityID {
 	p.linkMu.Lock()
 	defer p.linkMu.Unlock()
-	return maps.Clone(p.linkReplica)
+	return maps.Collect(p.linkReplica.All())
 }
 
 // churnBatches builds `rounds` one-delta batches over one source: round 0

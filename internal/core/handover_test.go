@@ -29,7 +29,7 @@ func checkDecodePath(t *testing.T, p *Platform, step string) {
 	e := graphengine.New(p.Engine.Log)
 	replica := triple.NewGraph()
 	store := entitystore.New()
-	links := &Platform{linkReplica: make(map[triple.EntityID]triple.EntityID)}
+	links := &Platform{}
 	e.RegisterAgent(graphengine.EntityStoreAgent{Store: store})
 	e.RegisterAgent(graphengine.GraphAgent{Graph: replica})
 	e.RegisterAgent(graphengine.FuncAgent{AgentName: "link-table", Fn: links.applyLinkOp})
@@ -55,9 +55,7 @@ func checkDecodePath(t *testing.T, p *Platform, step string) {
 	if got, want := storeRecords(t, store), storeRecords(t, p.EntityStore); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: the decoded entity store differs from the hot one", step)
 	}
-	p.linkMu.Lock()
-	defer p.linkMu.Unlock()
-	if got, want := links.linkReplica, p.linkReplica; !reflect.DeepEqual(got, want) {
+	if got, want := linkTable(links), linkTable(p); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: decoded link table %v, hot %v", step, got, want)
 	}
 }

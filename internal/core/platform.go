@@ -27,6 +27,7 @@ import (
 	"saga/internal/nerd"
 	"saga/internal/ontology"
 	"saga/internal/oplog"
+	"saga/internal/pmap"
 	"saga/internal/storage"
 	"saga/internal/storage/disk"
 	"saga/internal/store/entitystore"
@@ -144,9 +145,11 @@ type Platform struct {
 
 	// linkReplica is the log-derived link table: a FuncAgent replays every
 	// op's Links/Unlinks into it, so after a CatchUp it is exactly the link
-	// state at the agents' LSN — the table a checkpoint's base carries.
+	// state at the agents' LSN — the table a checkpoint's base carries,
+	// handed over as it is (writes then move to a fresh owner).
 	linkMu      sync.Mutex
-	linkReplica map[triple.EntityID]triple.EntityID
+	linkOwner   *pmap.Owner
+	linkReplica pmap.Map[triple.EntityID, triple.EntityID]
 
 	// Durability state (guarded by durMu).
 	durMu       sync.Mutex
@@ -230,7 +233,7 @@ func Open(opts Options) (_ *Platform, err error) {
 		snapshots:    make(map[string]ingest.Snapshot),
 	}
 	p.durStats.Durable = dir != ""
-	p.linkReplica = make(map[triple.EntityID]triple.EntityID)
+	p.linkOwner = new(pmap.Owner)
 	p.Engine.RegisterAgent(graphengine.EntityStoreAgent{Store: p.EntityStore})
 	p.Engine.RegisterAgent(graphengine.GraphAgent{Graph: p.GraphReplica})
 	p.Engine.RegisterAgent(graphengine.FuncAgent{AgentName: "link-table", Fn: p.applyLinkOp})

@@ -228,7 +228,7 @@ func TestCurationPublishFailureHeals(t *testing.T) {
 func logged(t *testing.T, p *Platform, rec []byte) bool {
 	t.Helper()
 	for _, op := range p.Engine.Log.Read(0, 0) {
-		payload, err := p.Engine.Log.Payload(op.LSN)
+		_, payload, err := p.Engine.Log.Load(op.LSN)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,14 @@ import (
 // encodeEntities frames entity payloads with the CRC-checked record codec:
 // one exact-size allocation (a volatile log takes ownership of it), every
 // entity encoded in place inside its frame.
-func encodeEntities(entities []*triple.Entity) ([]byte, error) {
-	return appendEntityFrames(make([]byte, 0, framedLen(entities)), entities)
+func encodeEntities(entities []*triple.Entity) (dst []byte, err error) {
+	dst = make([]byte, 0, framedLen(entities))
+	for _, e := range entities {
+		if dst, err = appendEntityFrame(dst, e); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // framedLen returns the exact size of the entities' frames.
@@ -23,16 +29,6 @@ func framedLen(entities []*triple.Entity) int {
 		n += triple.RecordLen(e.EncodedLen())
 	}
 	return n
-}
-
-// appendEntityFrames appends one frame per entity to dst.
-func appendEntityFrames(dst []byte, entities []*triple.Entity) (_ []byte, err error) {
-	for _, e := range entities {
-		if dst, err = appendEntityFrame(dst, e); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 // appendEntityFrame appends e's frame to dst.

@@ -2,15 +2,14 @@ package graphengine
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"sort"
 	"testing"
 
 	"saga/internal/oplog"
+	"saga/internal/pmap"
 	"saga/internal/store/entitystore"
 	"saga/internal/triple"
 )
@@ -124,11 +123,20 @@ func churnLog(t *testing.T, e *Engine) {
 // checkpointView checkpoints e's log from v, the state its agents replayed.
 func checkpointView(t *testing.T, e *Engine, v *storeView) uint64 {
 	t.Helper()
-	w, err := e.Checkpoint(maps.Clone(v.links), v.g)
+	w, err := e.Checkpoint(linkMap(v.links), v.g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// linkMap returns links as the pmap Checkpoint takes.
+func linkMap(links map[triple.EntityID]triple.EntityID) (m pmap.Map[triple.EntityID, triple.EntityID]) {
+	o := new(pmap.Owner)
+	for src, tgt := range links {
+		m.Set(o, src, tgt)
+	}
+	return m
 }
 
 // TestCheckpointFrameIdentity: over a volatile and a durable log, a
@@ -154,8 +162,7 @@ func testCheckpointFrameIdentity(t *testing.T, log *oplog.Log) {
 		t.Fatal(err)
 	}
 	w := checkpointView(t, e, before)
-	ops := e.Log.Read(0, 0)
-	if len(ops) != 1 || ops[0].LSN != w || w != 9 {
+	if ops := e.Log.Read(0, 0); len(ops) != 1 || ops[0].LSN != w || w != 9 {
 		t.Fatalf("checkpoint at %d left %+v, want one op at lsn 9", w, ops)
 	}
 	live := slices.Collect(before.g.RangeShared)
@@ -167,8 +174,8 @@ func testCheckpointFrameIdentity(t *testing.T, log *oplog.Log) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ops[0]
-	if got, err := e.Log.Payload(w); err != nil || !bytes.Equal(got, want) {
+	base, got, err := e.Log.Load(w)
+	if err != nil || !bytes.Equal(got, want) {
 		t.Errorf("base payload differs from the live entities' frames (%v)\n got %x\nwant %x", err, got, want)
 	}
 	if !slices.Equal(base.EntityIDs, wantIDs) || len(base.Deletes) != 0 || len(base.Unlinks) != 0 {
@@ -201,7 +208,7 @@ func TestCheckpointRefusesAgentsBehind(t *testing.T) {
 	v := registerView(e, "")
 	churnLog(t, e)
 	before := e.Log.Read(0, 0)
-	if _, err := e.Checkpoint(nil, v.g); err == nil {
+	if _, err := e.Checkpoint(linkMap(nil), v.g); err == nil {
 		t.Fatal("a checkpoint with agents behind the log's head succeeded")
 	}
 	if got := e.Log.Read(0, 0); !reflect.DeepEqual(got, before) {
@@ -221,7 +228,7 @@ func TestCheckpointDropsHandedPayloads(t *testing.T) {
 	if _, err := e.Publish(oplog.OpUpsert, "src00", []*triple.Entity{person("kg:C", 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Checkpoint(nil, graphOf(person("kg:A", 1), person("kg:B", 1), person("kg:C", 1))); err != nil {
+	if _, err := e.Checkpoint(linkMap(nil), graphOf(person("kg:A", 1), person("kg:B", 1), person("kg:C", 1))); err != nil {
 		t.Fatal(err)
 	}
 	g := triple.NewGraph()
@@ -243,61 +250,48 @@ func graphOf(ents ...*triple.Entity) *triple.Graph {
 	return g
 }
 
-// TestCheckpointAllocsIndependentOfSize: a checkpoint streams its base into
-// a fresh segment of a disk record log, so what it allocates grows only
-// with its header (the entity IDs), not with the frames: 10 000 entities
-// cost the 100 entities' bytes plus the ID list and the marshalled header:
-// about 2.4 times the header's growth, 4.6 under the race detector (its
-// sync.Pool drops the JSON encoder's buffers), against an allowance of 6.
-// A checkpoint that builds the base in memory allocates the ~5.6 MB image
-// on top, eight times that allowance.
+// TestCheckpointAllocsIndependentOfSize: a checkpoint streams its base — the
+// entity IDs and frames from one snapshot of the graph, the links from the
+// link table's pmap — into a fresh segment of a disk record log, so what it
+// allocates does not grow with the KG: 10 000 entities and 10 000 links cost
+// what 100 of each do, give or take 8 KiB. At 10 000 a copy of the link
+// table, a sorted key slice or an entity ID slice alone is 160 KB or more.
 func TestCheckpointAllocsIndependentOfSize(t *testing.T) {
-	header := func(ents []*triple.Entity) int64 {
-		op := oplog.Op{LSN: 1, Kind: oplog.OpUpsert}
-		for _, ent := range ents {
-			op.EntityIDs = append(op.EntityIDs, ent.ID)
+	alloced := func(n int) int64 {
+		g := triple.NewGraph()
+		links := make(map[triple.EntityID]triple.EntityID, n)
+		for j := range n {
+			ent := person(fmt.Sprintf("kg:E%05d", j), j)
+			g.PutOwned(ent)
+			links[triple.EntityID(fmt.Sprintf("src00:%05d", j))] = ent.ID
 		}
-		hdr, err := json.Marshal(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int64(len(hdr))
-	}
-	alloced := func(ents []*triple.Entity) int64 {
-		g := graphOf(ents...)
+		table := linkMap(links)
 		log, _ := openDiskLog(t, t.TempDir())
 		defer log.Close()
 		e := New(log)
-		if _, err := e.Publish(oplog.OpUpsert, "", ents[:1]); err != nil {
+		one := []*triple.Entity{person("kg:E00000", 0)}
+		if _, err := e.Publish(oplog.OpUpsert, "", one); err != nil {
 			t.Fatal(err)
 		}
 		return testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				// Something past the base, so every checkpoint compacts.
-				if _, err := e.Publish(oplog.OpUpsert, "", ents[:1]); err != nil {
+				if _, err := e.Publish(oplog.OpUpsert, "", one); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if _, err := e.Checkpoint(nil, g); err != nil {
+				if _, err := e.Checkpoint(table, g); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}).AllocedBytesPerOp()
 	}
-	people := func(n int) []*triple.Entity {
-		ents := make([]*triple.Entity, n)
-		for j := range ents {
-			ents[j] = person(fmt.Sprintf("kg:E%05d", j), j)
-		}
-		return ents
-	}
-	small, large := people(100), people(10_000)
-	allowance := 6*(header(large)-header(small)) + 4096
-	a, b := alloced(small), alloced(large)
-	t.Logf("100 entities: %d B; 10 000: %d B; header growth %d B", a, b, header(large)-header(small))
-	if b-a > allowance {
-		t.Fatalf("a checkpoint allocates %d bytes for 100 entities and %d for 10 000: %d more, past the header's allowance of %d", a, b, b-a, allowance)
+	const allowance = 8 << 10
+	small, large := alloced(100), alloced(10_000)
+	t.Logf("100 entities and links: %d B; 10 000: %d B", small, large)
+	if large-small > allowance {
+		t.Fatalf("a checkpoint allocates %d bytes for 100 entities and links and %d for 10 000: %d more, past the allowance of %d", small, large, large-small, allowance)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"saga/internal/oplog"
+	"saga/internal/pmap"
 	"saga/internal/triple"
 )
 
@@ -144,14 +145,12 @@ func (e *Engine) PublishOp(op oplog.Op, entities []*triple.Entity) (uint64, erro
 	if err != nil {
 		return 0, fmt.Errorf("graphengine: append op: %w", err)
 	}
-	if len(entities) > 0 {
-		e.handMu.Lock()
-		if e.handed == nil {
-			e.handed = make(map[uint64]Payload)
-		}
-		e.handed[lsn] = handed
-		e.handMu.Unlock()
+	e.handMu.Lock()
+	if e.handed == nil {
+		e.handed = make(map[uint64]Payload)
 	}
+	e.handed[lsn] = handed
+	e.handMu.Unlock()
 	return lsn, nil
 }
 
@@ -160,8 +159,8 @@ func (e *Engine) PublishOp(op oplog.Op, entities []*triple.Entity) (uint64, erro
 // one op-major loop over the log suffix past the slowest agent, applying
 // each op to every agent that needs it in registration order. An op
 // published since the last CatchUp began goes to the agents with the
-// payload PublishOp kept; any other op's payload is read from the log and
-// decoded at most once, and only if some live agent still needs it.
+// payload PublishOp kept; any other op (the base's header lives only in its
+// record) is read back and decoded at most once, if some agent needs it.
 // Payloads kept for ops no agent needs are dropped. Either payload is
 // read-only for every agent, so sharing it (and letting an agent keep it) is
 // safe.
@@ -200,7 +199,7 @@ func (e *Engine) CatchUp() error {
 				continue
 			}
 			if !loaded {
-				p, loadErr = e.payloadOf(op, handed)
+				op, p, loadErr = e.load(op, handed)
 				loaded = true
 			}
 			err := loadErr
@@ -220,51 +219,49 @@ func (e *Engine) CatchUp() error {
 	return firstErr
 }
 
-// payloadOf returns op's payload: the one handed over when there is one,
-// else the frames of its log record, read and decoded. A decoded payload
-// must hold the entities op lists, in its order
+// load returns op with its payload: the one handed over when there is one,
+// else the op and its frames read back from its record and decoded. A
+// decoded payload must hold the entities op lists, in its order
 // (docs/INVARIANTS.md#payload-frame-alignment).
-func (e *Engine) payloadOf(op oplog.Op, handed map[uint64]Payload) (Payload, error) {
-	if p, ok := handed[op.LSN]; ok || len(op.EntityIDs) == 0 {
-		return p, nil
+func (e *Engine) load(op oplog.Op, handed map[uint64]Payload) (oplog.Op, Payload, error) {
+	if p, ok := handed[op.LSN]; ok {
+		return op, p, nil
 	}
-	frames, err := e.Log.Payload(op.LSN)
+	loaded, frames, err := e.Log.Load(op.LSN)
 	if err != nil {
-		return Payload{}, err
+		return op, Payload{}, err
 	}
+	op = loaded
 	p, err := decodeEntities(frames)
 	if err != nil {
-		return Payload{}, err
+		return op, Payload{}, err
 	}
 	if len(p.Entities) != len(op.EntityIDs) {
-		return Payload{}, fmt.Errorf("payload holds %d entities where the op lists %d", len(p.Entities), len(op.EntityIDs))
+		return op, Payload{}, fmt.Errorf("payload holds %d entities where the op lists %d", len(p.Entities), len(op.EntityIDs))
 	}
 	for i, ent := range p.Entities {
 		if ent.ID != op.EntityIDs[i] {
-			return Payload{}, fmt.Errorf("payload frame %d holds %s where the op lists %s", i, ent.ID, op.EntityIDs[i])
+			return op, Payload{}, fmt.Errorf("payload frame %d holds %s where the op lists %s", i, ent.ID, op.EntityIDs[i])
 		}
 	}
-	return p, nil
+	return op, p, nil
 }
 
 // Checkpoint compacts the log to one op, the base, at its last LSN W: links
-// is the link table at W, and g a graph holding every entity live at W (the
-// graph replica). The base's EntityIDs are g's IDs, in g's order, its Links
-// is links, and its record's frames stream from g's records as the record
-// log writes it, one scratch buffer reused across entities, so what a
-// checkpoint allocates is bounded by its largest frame and its header, not
-// by the graph. Recovery is then one CatchUp from genesis: the base, then
+// is the link table at W, frozen (its writer moved to a fresh owner), and g
+// a graph holding every entity live at W (the graph replica). The base's
+// entity IDs and frames stream from two walks of one O(1) snapshot of g, the
+// frames through one reused scratch buffer, and its links from links in
+// source order, as the record log writes it: what a checkpoint allocates
+// does not grow with the graph or the link table, and nothing of the base
+// stays in memory. Recovery is then one CatchUp from genesis: the base, then
 // the ops appended since.
 //
-// g is read twice — its IDs, then its records — and must not change in
-// between; the records are checked against the IDs, and a difference fails
-// the checkpoint with the log unchanged. The log keeps links, so the caller
-// must not write to it afterwards. Every agent must have replayed to W (the
-// platform checkpoints right after a CatchUp, on the log's only appender);
-// Checkpoint holds the CatchUp lock and refuses otherwise. Payloads still
-// waiting to be handed over at or below W are dropped: an agent registered
-// later replays the base instead.
-func (e *Engine) Checkpoint(links map[triple.EntityID]triple.EntityID, g *triple.Graph) (uint64, error) {
+// Every agent must have replayed to W (the platform checkpoints right after
+// a CatchUp, on the log's only appender); Checkpoint holds the CatchUp lock
+// and refuses otherwise. Payloads still waiting to be handed over at or
+// below W are dropped: an agent registered later replays the base instead.
+func (e *Engine) Checkpoint(links pmap.Map[triple.EntityID, triple.EntityID], g *triple.Graph) (uint64, error) {
 	e.catchupMu.Lock()
 	defer e.catchupMu.Unlock()
 	w := e.Log.LastLSN()
@@ -273,30 +270,27 @@ func (e *Engine) Checkpoint(links map[triple.EntityID]triple.EntityID, g *triple
 			return 0, fmt.Errorf("graphengine: checkpoint at lsn %d: agent %s has replayed only to %d", w, a.Name(), a.lsn)
 		}
 	}
-	op := oplog.Op{LSN: w, Kind: oplog.OpUpsert, EntityIDs: g.IDs(), Links: links}
-	err := e.Log.Compact(op, func(out io.Writer) error {
-		var (
-			frame []byte
-			err   error
-		)
-		i := 0
-		g.RangeShared(func(ent *triple.Entity) bool {
-			if i == len(op.EntityIDs) || ent.ID != op.EntityIDs[i] {
-				err = fmt.Errorf("graphengine: checkpoint: the graph changed under entity %d", i)
-				return false
-			}
-			i++
-			if frame, err = appendEntityFrame(frame[:0], ent); err != nil {
-				err = fmt.Errorf("graphengine: checkpoint: %w", err)
-				return false
-			}
-			_, err = out.Write(frame)
-			return err == nil
-		})
-		if err == nil && i != len(op.EntityIDs) {
-			err = fmt.Errorf("graphengine: checkpoint: the graph lost %d of %d entities", len(op.EntityIDs)-i, len(op.EntityIDs))
-		}
-		return err
+	snap := g.Snapshot()
+	err := e.Log.Compact(oplog.Base{
+		LSN: w,
+		N:   snap.Len(),
+		IDs: func(yield func(triple.EntityID) bool) {
+			snap.RangeShared(func(ent *triple.Entity) bool { return yield(ent.ID) })
+		},
+		Links: links,
+		Frames: func(out io.Writer) error {
+			var frame []byte
+			var err error
+			snap.RangeShared(func(ent *triple.Entity) bool {
+				if frame, err = appendEntityFrame(frame[:0], ent); err != nil {
+					err = fmt.Errorf("graphengine: checkpoint: %w", err)
+					return false
+				}
+				_, err = out.Write(frame)
+				return err == nil
+			})
+			return err
+		},
 	})
 	if err != nil {
 		return 0, err

@@ -3,6 +3,7 @@ package graphengine
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -281,6 +282,51 @@ func openDiskLog(t *testing.T, dir string) (*oplog.Log, *countingLog) {
 		t.Fatal(err)
 	}
 	return log, counted
+}
+
+// failFirstRead fails every read of a record log's first record.
+type failFirstRead struct{ storage.RecordLog }
+
+func (f failFirstRead) Read(i int) ([]byte, error) {
+	if i == 0 {
+		return nil, fmt.Errorf("injected read failure")
+	}
+	return f.RecordLog.Read(i)
+}
+
+// TestCatchUpUnreadableOpStopsEveryAgent: an op whose record cannot be read
+// back stops every agent that needs it at that op, with the error naming
+// its LSN; no agent skips it to apply the ops after it.
+func TestCatchUpUnreadableOpStopsEveryAgent(t *testing.T) {
+	rec, err := disk.OpenRecordLog(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := oplog.OpenStore(failFirstRead{rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	for _, id := range []string{"kg:E1", "kg:E2"} {
+		frames, err := encodeEntities([]*triple.Entity{testEntity(id, "X")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append(oplog.Op{EntityIDs: []triple.EntityID{triple.EntityID(id)}}, frames); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(log)
+	e.RegisterAgent(EntityStoreAgent{Store: entitystore.New()})
+	e.RegisterAgent(GraphAgent{Graph: triple.NewGraph()})
+	if err := e.CatchUp(); err == nil || !strings.Contains(err.Error(), "at lsn 1:") {
+		t.Fatalf("CatchUp = %v, want the read failure at lsn 1", err)
+	}
+	for _, name := range []string{"entity-store", "graph-replica"} {
+		if lsn := e.agentLSN(name); lsn != 0 {
+			t.Fatalf("agent %s replayed to lsn %d past an op it never applied", name, lsn)
+		}
+	}
 }
 
 // TestCatchUpDecodesEachOpOnce: replay hands a just-published op's payload

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"saga/internal/oplog"
 	"saga/internal/triple"
 )
 
@@ -32,6 +33,16 @@ func goldenEntities() []*triple.Entity {
 	return []*triple.Entity{a, triple.NewEntity("kg:E00000004"), b}
 }
 
+// goldenOp is an op over the golden entities with every recorded header
+// field set and more than one link, for the op-header golden bytes.
+func goldenOp() oplog.Op {
+	return oplog.Op{LSN: 300, Kind: oplog.OpUpsert, Source: "musicdb",
+		EntityIDs: []triple.EntityID{"kg:E00000001", "kg:E00000004", "src:wiki/Q42"},
+		Deletes:   []triple.EntityID{"kg:E00000009"},
+		Links:     map[triple.EntityID]triple.EntityID{"wiki:Q42": "kg:E00000001", "musicdb:4": "kg:E00000004", "musicdb:1": "kg:E00000001"},
+		Unlinks:   []triple.EntityID{"musicdb:9"}}
+}
+
 func readGoldenHex(t *testing.T, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile("testdata/" + name)
@@ -45,9 +56,12 @@ func readGoldenHex(t *testing.T, name string) []byte {
 	return b
 }
 
-// TestGoldenPayloadBytes pins the entity-payload format: the committed bytes
-// were produced by the marshal-then-WriteRecord encoders these replaced, so
-// a difference is a format change, not a refactor.
+// TestGoldenPayloadBytes pins the entity-payload format and the op header
+// of record format 2: the committed payload bytes were produced by the
+// marshal-then-WriteRecord encoders these replaced, so a difference is a
+// format change, not a refactor. A checkpoint's base, streamed from a graph
+// and a link table, must carry the header an appended op with its IDs and
+// links would.
 func TestGoldenPayloadBytes(t *testing.T) {
 	wantPayload := readGoldenHex(t, "golden_payload.hex")
 	got, err := encodeEntities(goldenEntities())
@@ -75,5 +89,28 @@ func TestGoldenPayloadBytes(t *testing.T) {
 		if !bytes.Equal(enc, p.Records[i]) {
 			t.Errorf("record %d is not entity %s's encoding", i, e.ID)
 		}
+	}
+	wantHeader := readGoldenHex(t, "golden_op_header.hex")
+	if got := oplog.AppendHeader(nil, goldenOp()); !bytes.Equal(got, wantHeader) {
+		t.Errorf("op header moved\n got %x\nwant %x", got, wantHeader)
+	}
+
+	log, records := openDiskLog(t, t.TempDir())
+	defer log.Close()
+	e := New(log)
+	for range 2 { // two ops, so the checkpoint compacts
+		if _, err := e.Publish(oplog.OpUpsert, "musicdb", goldenEntities()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	links := goldenOp().Links
+	w, err := e.Checkpoint(linkMap(links), graphOf(goldenEntities()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := oplog.Op{LSN: w, EntityIDs: goldenOp().EntityIDs, Links: links}
+	want := append(oplog.AppendHeader(nil, base), wantPayload...)
+	if got, err := records.RecordLog.Read(0); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the checkpoint's base record differs from the appended op's (%v)\n got %x\nwant %x", err, got, want)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"saga/internal/graphengine"
 	"saga/internal/oplog"
+	"saga/internal/pmap"
 	"saga/internal/triple"
 )
 
@@ -110,11 +111,7 @@ func replica(e *graphengine.Engine) (*triple.Graph, map[triple.EntityID]triple.E
 // resume past the last record's op.
 func FuzzOpenStore(f *testing.F) {
 	record := func(op oplog.Op, frames []byte) []byte {
-		rec, err := oplog.Record(op, len(frames))
-		if err != nil {
-			f.Fatal(err)
-		}
-		return append(rec, frames...)
+		return append(oplog.AppendHeader(nil, op), frames...)
 	}
 	frameOf := func(e *triple.Entity) []byte {
 		enc, err := e.MarshalBinary()
@@ -144,15 +141,24 @@ func FuzzOpenStore(f *testing.F) {
 	}
 	base := record(baseOp, baseFrames)
 	past := record(oplog.Op{LSN: 41, Kind: oplog.OpUpsert, Deletes: []triple.EntityID{"kg:E03"}, Unlinks: []triple.EntityID{"s:3"}}, nil)
+	// Hostile headers: each field is a uvarint count of length-prefixed IDs
+	// (after the version byte 2 and the LSN): entity IDs, deletes, link
+	// pairs, unlinks.
+	format1 := `{"lsn":1,"kind":"upsert","entity_ids":["kg:E1"]}`
 	for _, seed := range [][][]byte{
 		{upsert},                              // a valid op with frames
 		{upsert, noPayload},                   // and one with no payload
 		{[]byte(`{"lsn":1,"kind":"upsert"}`)}, // JSON-only: refused
-		{{1, 0x7f, '{', '}'}},                 // header length past the record's end
-		{{1, 3, 'a', 'b', 'c'}},               // header not JSON
-		{upsert[:len(upsert)-3]},              // frames cut mid-record: replay refuses
-		{upsert, upsert},                      // LSN regression
-		{otherEntity},                         // a frame of another entity: replay refuses
+		{append(append([]byte{1, byte(len(format1))}, format1...), frame...)}, // format 1: refused
+		{{2, 1, 0x7f}},            // an ID count past the end
+		{{2, 1, 1, 5, 'k', 'g'}},  // a truncated ID
+		{{2, 1, 0, 0, 1, 1, 'a'}}, // a link pair cut after its source
+		{{2, 1, 0, 0, 2, 1, 'b', 1, 'x', 1, 'a', 1, 'y', 0}}, // link sources out of order
+		{{2, 1, 0, 0, 2, 1, 'a', 1, 'x', 1, 'a', 1, 'y', 0}}, // a link source twice
+		{{2, 0x81, 0, 0, 0, 0, 0}},                           // an overlong LSN
+		{upsert[:len(upsert)-3]},                             // frames cut mid-record: replay refuses
+		{upsert, upsert},                                     // LSN regression
+		{otherEntity},                                        // a frame of another entity: replay refuses
 	} {
 		f.Add(joinRecords(seed...))
 	}
@@ -182,7 +188,12 @@ func FuzzOpenStore(f *testing.F) {
 		e := graphengine.New(l)
 		g, links := replica(e)
 		if err := e.CatchUp(); err == nil {
-			if _, err := e.Checkpoint(maps.Clone(links), g); err != nil {
+			var table pmap.Map[triple.EntityID, triple.EntityID]
+			o := new(pmap.Owner)
+			for src, tgt := range links {
+				table.Set(o, src, tgt)
+			}
+			if _, err := e.Checkpoint(table, g); err != nil {
 				t.Fatalf("checkpoint of a replayed log: %v", err)
 			}
 			if n := l.Len(); n != min(len(ops), 1) {

@@ -2,15 +2,18 @@ package oplog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"saga/internal/pmap"
 	"saga/internal/storage/disk"
 	"saga/internal/triple"
 )
@@ -79,13 +82,17 @@ func TestDurabilityAndRecovery(t *testing.T) {
 	if len(ops) != 10 || ops[9].EntityIDs[0] != "kg:E1" {
 		t.Fatalf("recovered ops = %d", len(ops))
 	}
-	// Each op's payload reads back from its record.
+	// Each op and its payload read back from its record, the first op's
+	// header (held as its record alone) included.
 	for i, op := range ops {
-		if got, err := re.Payload(op.LSN); err != nil || !bytes.Equal(got, frames(i)) {
-			t.Fatalf("payload of lsn %d = %q, %v; want %q", op.LSN, got, err, frames(i))
+		if loaded, got, err := re.Load(op.LSN); err != nil || !bytes.Equal(got, frames(i)) || len(loaded.EntityIDs) != 1 || loaded.EntityIDs[0] != "kg:E1" {
+			t.Fatalf("lsn %d loads %+v with payload %q, %v; want %q", op.LSN, loaded, got, err, frames(i))
 		}
 	}
-	if _, err := re.Payload(11); err == nil {
+	if lsn, n := re.Base(); lsn != 1 || n != 1 {
+		t.Fatalf("Base = lsn %d, %d entities; want lsn 1, 1", lsn, n)
+	}
+	if _, _, err := re.Load(11); err == nil {
 		t.Fatal("payload of an absent lsn read")
 	}
 	// Appends continue with the next LSN.
@@ -139,8 +146,8 @@ func TestTornTailRecovery(t *testing.T) {
 }
 
 // TestOpenStoreFailsOnUndecodableRecord: a record that passed its CRC but is
-// not an op (here a hand-appended record whose header is not JSON, in the
-// middle of the log) fails the open and leaves every record in place.
+// not an op (here a hand-appended record whose header's entity count runs
+// past its end, in the middle of the log) fails the open and leaves every record in place.
 // Treating it as a torn tail would silently drop it and every acknowledged
 // op after it.
 func TestOpenStoreFailsOnUndecodableRecord(t *testing.T) {
@@ -158,10 +165,7 @@ func TestOpenStoreFailsOnUndecodableRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	later, err := Record(Op{LSN: 3, Kind: OpUpsert, Source: "s"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	later := AppendHeader(nil, Op{LSN: 3, Kind: OpUpsert, Source: "s"})
 	for _, payload := range [][]byte{append([]byte{recordVersion, 8}, "not json"...), later} {
 		if err := rec.Append(payload); err != nil {
 			t.Fatal(err)
@@ -212,8 +216,42 @@ func TestOpenStoreRefusesJSONOnlyRecords(t *testing.T) {
 	if rec, err = disk.OpenRecordLog(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(rec); err == nil || !strings.Contains(err.Error(), "op record of format 1") {
+	if _, err := OpenStore(rec); err == nil || !strings.Contains(err.Error(), "op record of format 2") {
 		t.Fatalf("OpenStore of a JSON-only log = %v, want an error naming the record format", err)
+	}
+	if after := snapshotDir(t, dir); after != before {
+		t.Fatalf("a refused open changed the log's files:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestOpenStoreRefusesFormat1Records: a log of format-1 records (the version
+// byte 1, a uvarint-sized JSON header, the frames) fails to open with an
+// error naming both formats, and every file stays as it was.
+func TestOpenStoreRefusesFormat1Records(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := disk.OpenRecordLog(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, hdr := range []string{
+		`{"lsn":1,"kind":"upsert","entity_ids":["kg:E1"],"links":{"s:1":"kg:E1"}}`,
+		`{"lsn":2,"kind":"upsert","deletes":["kg:E1"]}`,
+	} {
+		r := append(binary.AppendUvarint([]byte{1}, uint64(len(hdr))), hdr...)
+		if err := rec.Append(r, frames(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotDir(t, dir)
+	if rec, err = disk.OpenRecordLog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenStore(rec)
+	if err == nil || !strings.Contains(err.Error(), `op record of format 2: version byte "\x01"`) {
+		t.Fatalf("OpenStore of a format-1 log = %v, want an error naming formats 1 and 2", err)
 	}
 	if after := snapshotDir(t, dir); after != before {
 		t.Fatalf("a refused open changed the log's files:\nbefore %s\nafter  %s", before, after)
@@ -246,11 +284,22 @@ func writeFrames(i int) func(io.Writer) error {
 	}
 }
 
+// baseOf returns op as a base whose payload is frames.
+func baseOf(op Op, frames func(io.Writer) error) Base {
+	b := Base{LSN: op.LSN, N: len(op.EntityIDs), IDs: slices.Values(op.EntityIDs), Frames: frames}
+	o := new(pmap.Owner)
+	for src, tgt := range op.Links {
+		b.Links.Set(o, src, tgt)
+	}
+	return b
+}
+
 // TestCompaction exercises Compact: every op gives way to the base at the
 // last LSN, whose payload is what its frames function wrote; the high-water
-// mark is unchanged, reads find the base and the ops appended after it, a
-// log already one op at its head is left alone, and a durable log
-// round-trips the compacted state.
+// mark is unchanged, reads find the base (held as its LSN alone, its header
+// loaded from its record) and the ops appended after it, a log already one
+// op at its head is left alone, and a durable log round-trips the compacted
+// state.
 func TestCompaction(t *testing.T) {
 	run := func(t *testing.T, l *Log, reopen func() *Log) {
 		for i := 0; i < 10; i++ {
@@ -259,22 +308,26 @@ func TestCompaction(t *testing.T) {
 			}
 		}
 		base := Op{LSN: 10, Kind: OpUpsert, EntityIDs: []triple.EntityID{"kg:E2", "kg:E6"},
-			Links: map[triple.EntityID]triple.EntityID{"s:1": "kg:E2"}}
-		if err := l.Compact(base, writeFrames(99)); err != nil {
+			Links: map[triple.EntityID]triple.EntityID{"s:1": "kg:E2", "s:0": "kg:E6"}}
+		if err := l.Compact(baseOf(base, writeFrames(99))); err != nil {
 			t.Fatal(err)
 		}
 		check := func(l *Log, want []Op) {
 			t.Helper()
-			if got := l.Read(0, 0); !reflect.DeepEqual(got, want) {
-				t.Fatalf("ops = %+v, want %+v", got, want)
+			held := append([]Op{{LSN: want[0].LSN, Kind: OpUpsert}}, want[1:]...)
+			if got := l.Read(0, 0); !reflect.DeepEqual(got, held) {
+				t.Fatalf("ops = %+v, want %+v", got, held)
+			}
+			if lsn, n := l.Base(); lsn != base.LSN || n != len(base.EntityIDs) {
+				t.Fatalf("Base = lsn %d, %d entities; want lsn %d, %d", lsn, n, base.LSN, len(base.EntityIDs))
 			}
 			for i, op := range want {
 				frame := 99
 				if i > 0 {
 					frame = int(op.LSN)
 				}
-				if got, err := l.Payload(op.LSN); err != nil || !bytes.Equal(got, frames(frame)) {
-					t.Fatalf("payload of lsn %d = %q, %v; want %q", op.LSN, got, err, frames(frame))
+				if got, payload, err := l.Load(op.LSN); err != nil || !reflect.DeepEqual(got, op) || !bytes.Equal(payload, frames(frame)) {
+					t.Fatalf("lsn %d loads %+v with payload %q, %v; want %+v with %q", op.LSN, got, payload, err, op, frames(frame))
 				}
 			}
 		}
@@ -283,7 +336,7 @@ func TestCompaction(t *testing.T) {
 			t.Fatalf("LastLSN after compact = %d, want 10", got)
 		}
 		// Already one op at the head: nothing to conflate, nothing written.
-		if err := l.Compact(Op{LSN: 10, Kind: OpUpsert}, writeFrames(1)); err != nil {
+		if err := l.Compact(baseOf(Op{LSN: 10}, writeFrames(1))); err != nil {
 			t.Fatal(err)
 		}
 		check(l, []Op{base})
@@ -317,9 +370,10 @@ func TestCompaction(t *testing.T) {
 	})
 }
 
-// TestCompactRejectsBadInput: a base at any LSN but the last, a frames
-// function that fails and a closed log are refused, and a refused Compact
-// leaves every op and payload as it was.
+// TestCompactRejectsBadInput: a base at any LSN but the last, one whose IDs
+// fall short of its entity count, a frames function that fails and a closed
+// log are refused, and a refused Compact leaves every op and payload as it
+// was.
 func TestCompactRejectsBadInput(t *testing.T) {
 	run := func(t *testing.T, l *Log) {
 		for i := 0; i < 5; i++ {
@@ -329,27 +383,27 @@ func TestCompactRejectsBadInput(t *testing.T) {
 		}
 		before := l.Read(0, 0)
 		errFrames := errors.New("frames failed")
-		for name, c := range map[string]struct {
-			lsn    uint64
-			frames func(io.Writer) error
-		}{
-			"below the head": {4, writeFrames(0)},
-			"past the head":  {6, writeFrames(0)},
-			"failed frames": {5, func(w io.Writer) error {
+		short := baseOf(Op{LSN: 5, EntityIDs: []triple.EntityID{"kg:A", "kg:B"}}, writeFrames(0))
+		short.N = 3
+		for name, b := range map[string]Base{
+			"below the head": baseOf(Op{LSN: 4}, writeFrames(0)),
+			"past the head":  baseOf(Op{LSN: 6}, writeFrames(0)),
+			"IDs short of N": short,
+			"failed frames": baseOf(Op{LSN: 5}, func(w io.Writer) error {
 				if _, err := w.Write(frames(7)); err != nil {
 					return err
 				}
 				return errFrames
-			}},
+			}),
 		} {
-			if err := l.Compact(Op{LSN: c.lsn, Kind: OpUpsert}, c.frames); err == nil {
+			if err := l.Compact(b); err == nil {
 				t.Fatalf("%s: Compact succeeded", name)
 			}
 			if got := l.Read(0, 0); !reflect.DeepEqual(got, before) {
 				t.Fatalf("%s: a refused Compact left %+v", name, got)
 			}
 			for _, op := range before {
-				if got, err := l.Payload(op.LSN); err != nil || !bytes.Equal(got, frames(int(op.LSN))) {
+				if _, got, err := l.Load(op.LSN); err != nil || !bytes.Equal(got, frames(int(op.LSN))) {
 					t.Fatalf("%s: payload of lsn %d = %q, %v", name, op.LSN, got, err)
 				}
 			}
@@ -357,7 +411,7 @@ func TestCompactRejectsBadInput(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Compact(Op{LSN: 5, Kind: OpUpsert}, writeFrames(0)); err == nil {
+		if err := l.Compact(baseOf(Op{LSN: 5}, writeFrames(0))); err == nil {
 			t.Fatal("Compact of a closed log succeeded")
 		}
 	}

@@ -216,14 +216,17 @@ func (n *node[K, V]) set(o *Owner, k K, v V) (*node[K, V], *node[K, V], int) {
 }
 
 // insert puts it at index i of an owned node with room for it. If n then
-// outgrows its limit, insert moves its upper half into a new right sibling
-// and returns that.
+// outgrows its limit, insert moves its upper half (or, when it went last,
+// it alone) into a new right sibling and returns that.
 func (n *node[K, V]) insert(o *Owner, i int, it item[K, V]) *node[K, V] {
 	n.items = slices.Insert(n.items, i, it)
 	if len(n.items) <= maxItems && (it.kid == nil || len(n.items) <= maxKids) {
 		return nil
 	}
 	half := len(n.items)/2 + 1 // the right half fits a maxKids-sized node
+	if i == len(n.items)-1 {
+		half = i // an append (keys arriving in order) leaves n full
+	}
 	right := newNode(o, n.items[half:], 0)
 	// Zero the moved tail: n's array still holds it, and a stale value there
 	// would keep a replaced record alive.

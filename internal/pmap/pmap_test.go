@@ -92,6 +92,34 @@ func TestMapMatchesModel(t *testing.T) {
 	}
 }
 
+// TestInOrderInsertsFillLeaves: keys set in increasing order, as links and
+// minted IDs arrive, leave every leaf full, where splitting at the middle
+// would leave them half full and the map twice its size.
+func TestInOrderInsertsFillLeaves(t *testing.T) {
+	var m Map[int, int]
+	o := new(Owner)
+	want := map[int]int{}
+	for k := range 10 * maxItems {
+		m.Set(o, k, -k)
+		want[k] = -k
+	}
+	check(t, m, want)
+	var leaves func(n *node[int, int]) int
+	leaves = func(n *node[int, int]) int {
+		if n.items[0].kid == nil {
+			return 1
+		}
+		c := 0
+		for _, it := range n.items {
+			c += leaves(it.kid)
+		}
+		return c
+	}
+	if got := leaves(m.root); got != 10 {
+		t.Fatalf("%d keys set in order fill %d leaves, want 10", m.Len(), got)
+	}
+}
+
 // TestNestedMapsFreezeTogether: a map held as a value freezes with the map
 // that holds it, and DeleteIn drops an inner map once it empties.
 func TestNestedMapsFreezeTogether(t *testing.T) {

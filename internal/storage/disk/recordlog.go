@@ -199,12 +199,13 @@ func segmentNumber(name string) (uint64, bool) {
 
 // writeManifestLocked durably publishes a new segment list: temp file, fsync,
 // rename over the manifest, directory fsync. The rename is the atomic commit
-// point for every structural log change.
-func (l *RecordLog) writeManifestLocked(names []string) error {
+// point for every structural log change: once renamed, the new list is the
+// log's even if err is not nil, and the caller must adopt it.
+func (l *RecordLog) writeManifestLocked(names []string) (renamed bool, err error) {
 	tmp := filepath.Join(l.dir, manifestName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("disk: create manifest temp: %w", err)
+		return false, fmt.Errorf("disk: create manifest temp: %w", err)
 	}
 	var buf bytes.Buffer
 	for _, name := range names {
@@ -213,20 +214,24 @@ func (l *RecordLog) writeManifestLocked(names []string) error {
 	}
 	if _, err := f.Write(buf.Bytes()); err != nil {
 		f.Close()
-		return fmt.Errorf("disk: write manifest temp: %w", err)
+		return false, fmt.Errorf("disk: write manifest temp: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("disk: sync manifest temp: %w", err)
+		return false, fmt.Errorf("disk: sync manifest temp: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("disk: close manifest temp: %w", err)
+		return false, fmt.Errorf("disk: close manifest temp: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, manifestName)); err != nil {
-		return fmt.Errorf("disk: publish manifest: %w", err)
+		return false, fmt.Errorf("disk: publish manifest: %w", err)
 	}
-	return l.syncDirLocked()
+	return true, l.syncDirLocked()
 }
+
+// syncDirHook, when set (tests only), runs after every directory fsync and
+// can fail it.
+var syncDirHook func(dir string) error
 
 func (l *RecordLog) syncDirLocked() error {
 	d, err := os.Open(l.dir)
@@ -234,6 +239,9 @@ func (l *RecordLog) syncDirLocked() error {
 		return fmt.Errorf("disk: open record log dir: %w", err)
 	}
 	serr := d.Sync()
+	if serr == nil && syncDirHook != nil {
+		serr = syncDirHook(l.dir)
+	}
 	d.Close()
 	if serr != nil {
 		return fmt.Errorf("disk: sync record log dir: %w", serr)
@@ -243,7 +251,8 @@ func (l *RecordLog) syncDirLocked() error {
 
 // rotateLocked creates the next segment and publishes it in the manifest
 // BEFORE any record lands in it: a crash between file creation and manifest
-// publish leaves an orphan holding no acknowledged data.
+// publish leaves an orphan holding no acknowledged data. A renamed manifest
+// adopts the segment, whatever the directory fsync after it returns.
 func (l *RecordLog) rotateLocked() error {
 	name := segmentName(l.nextSeg)
 	f, err := os.OpenFile(filepath.Join(l.dir, name), os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
@@ -254,7 +263,8 @@ func (l *RecordLog) rotateLocked() error {
 		f.Close()
 		return err
 	}
-	if err := l.writeManifestLocked(append(append([]string(nil), l.names...), name)); err != nil {
+	renamed, err := l.writeManifestLocked(append(append([]string(nil), l.names...), name))
+	if !renamed {
 		f.Close()
 		return err
 	}
@@ -263,7 +273,7 @@ func (l *RecordLog) rotateLocked() error {
 	l.segs = append(l.segs, f)
 	l.sizes = append(l.sizes, 0)
 	l.offs = append(l.offs, nil)
-	return nil
+	return err
 }
 
 // Append implements storage.RecordLog: frame the parts as one record, write,
@@ -369,7 +379,8 @@ const rewriteBuffer = 64 << 10
 // the log's write buffer and a frameWriter that keeps the payload's length
 // and CRC, and WriteAt patches it in. The bytes are those of the payload
 // framed whole in memory, and the payload is never held. The new segment is
-// the active one: appends continue in it.
+// the active one: appends continue in it. A renamed manifest adopts it,
+// whatever the directory fsync after it returns.
 func (l *RecordLog) Compact(write func(io.Writer) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -385,10 +396,11 @@ func (l *RecordLog) Compact(write func(io.Writer) error) error {
 	if err == nil {
 		err = l.syncDirLocked()
 	}
+	renamed := false
 	if err == nil {
-		err = l.writeManifestLocked([]string{name})
+		renamed, err = l.writeManifestLocked([]string{name})
 	}
-	if err != nil {
+	if !renamed {
 		nf.Close()
 		os.Remove(filepath.Join(l.dir, name)) //saga:errok — unreferenced, never adopted
 		return err
@@ -403,7 +415,7 @@ func (l *RecordLog) Compact(write func(io.Writer) error) error {
 	l.segs = []*os.File{nf}
 	l.sizes = []int64{size}
 	l.offs = [][]int64{{0}}
-	return nil
+	return err
 }
 
 // writeFrameLocked writes one frame holding what write writes to the empty

@@ -54,12 +54,14 @@ type RecordLog interface {
 	// Compact atomically replaces every record with one record, whose
 	// payload is what write writes to the writer it is given: the record
 	// streams to the medium as it comes, so no whole copy of it need exist.
-	// An error from write (or from the medium) fails the Compact and leaves
-	// every old record in place. The swap is atomic with respect to
-	// crashes: a reader reopening the log sees either the old records or
-	// the new one, never a mix — durable implementations write the record
-	// to a fresh segment and flip a manifest. write runs under the log's
-	// lock, so it must not call the log.
+	// An error from write (or from the medium) before the swap commits
+	// fails the Compact and leaves every old record in place; one after it
+	// (a directory sync) is returned with the new record in place. The swap
+	// is atomic with respect to crashes: a reader reopening the log sees
+	// either the old records or the new one, never a mix — durable
+	// implementations write the record to a fresh segment and flip a
+	// manifest. write runs under the log's lock, so it must not call the
+	// log.
 	Compact(write func(io.Writer) error) error
 	// Len returns the number of records currently in the log.
 	Len() int

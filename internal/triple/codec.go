@@ -64,23 +64,34 @@ func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
-type binReader struct {
+// Reader reads the codec's fields — canonical uvarints, bounded counts,
+// length-prefixed strings — from a buffer's front; the first error sticks.
+type Reader struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (r *binReader) fail(what string) {
+// NewReader returns a Reader over buf.
+func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+
+// Rest returns the bytes not read yet.
+func (r *Reader) Rest() []byte { return r.buf[r.off:] }
+
+// Err returns the first error met.
+func (r *Reader) Err() error { return r.err }
+
+func (r *Reader) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("triple: truncated binary record reading %s at offset %d", what, r.off)
 	}
 }
 
-// u64 reads a canonical uvarint. An overlong encoding (trailing zero group)
-// is rejected: every accepted record is then exactly what AppendBinary
-// produces for the decoded entity, which is what lets replay hand a store
-// the frame's bytes instead of re-encoding.
-func (r *binReader) u64(what string) uint64 {
+// Uvarint reads a canonical uvarint. An overlong encoding (trailing zero
+// group) is rejected: every accepted record is then exactly what
+// AppendBinary produces for the decoded entity, which is what lets replay
+// hand a store the frame's bytes instead of re-encoding.
+func (r *Reader) Uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -93,8 +104,8 @@ func (r *binReader) u64(what string) uint64 {
 	return v
 }
 
-func (r *binReader) i64(what string) int64 {
-	u := r.u64(what)
+func (r *Reader) i64(what string) int64 {
+	u := r.Uvarint(what)
 	v := int64(u >> 1)
 	if u&1 != 0 {
 		v = ^v
@@ -102,11 +113,11 @@ func (r *binReader) i64(what string) int64 {
 	return v
 }
 
-// count reads an element count and bounds it by the bytes left, each element
+// Count reads an element count and bounds it by the bytes left, each element
 // taking at least size bytes: a corrupt count can never size an allocation
 // past the input.
-func (r *binReader) count(what string, size int) int {
-	n := r.u64(what)
+func (r *Reader) Count(what string, size int) int {
+	n := r.Uvarint(what)
 	if r.err == nil && n > uint64((len(r.buf)-r.off)/size) {
 		r.fail(what)
 		return 0
@@ -114,9 +125,9 @@ func (r *binReader) count(what string, size int) int {
 	return int(n)
 }
 
-// bytes returns the next length-prefixed field as a sub-slice of the input.
-func (r *binReader) bytes(what string) []byte {
-	n := r.count(what, 1)
+// Bytes returns the next length-prefixed field as a sub-slice of the input.
+func (r *Reader) Bytes(what string) []byte {
+	n := r.Count(what, 1)
 	if r.err != nil {
 		return nil
 	}
@@ -125,9 +136,9 @@ func (r *binReader) bytes(what string) []byte {
 	return b
 }
 
-func (r *binReader) str(what string) string { return string(r.bytes(what)) }
+func (r *Reader) str(what string) string { return string(r.Bytes(what)) }
 
-func (r *binReader) f64(what string) float64 {
+func (r *Reader) f64(what string) float64 {
 	if r.err != nil {
 		return 0
 	}
@@ -140,7 +151,7 @@ func (r *binReader) f64(what string) float64 {
 	return v
 }
 
-func (r *binReader) byteVal(what string) byte {
+func (r *Reader) byteVal(what string) byte {
 	if r.err != nil {
 		return 0
 	}
@@ -178,7 +189,7 @@ func valueLen(v Value) int {
 	return 1
 }
 
-func readValue(r *binReader) Value {
+func readValue(r *Reader) Value {
 	kind := Kind(r.byteVal("value kind"))
 	v := Value{kind: kind}
 	switch kind {
@@ -246,11 +257,11 @@ func (e *Entity) MarshalBinary() ([]byte, error) {
 // encodings are accepted, so an accepted record re-encodes to the same
 // bytes. The entity does not retain data.
 func (e *Entity) UnmarshalBinary(data []byte) error {
-	r := &binReader{buf: data}
+	r := NewReader(data)
 	e.ID = EntityID(r.str("entity id"))
 	// A triple takes at least 8 bytes: six empty strings, a null value and
 	// two zero counts.
-	n := r.count("triple count", 8)
+	n := r.Count("triple count", 8)
 	if r.err != nil {
 		return r.err
 	}
@@ -259,7 +270,7 @@ func (e *Entity) UnmarshalBinary(data []byte) error {
 		var t Triple
 		// Validate requires every subject to equal the entity ID: share the
 		// one string instead of allocating it again per triple.
-		if subj := r.bytes("subject"); string(subj) == string(e.ID) {
+		if subj := r.Bytes("subject"); string(subj) == string(e.ID) {
 			t.Subject = e.ID
 		} else {
 			t.Subject = EntityID(subj)
@@ -269,13 +280,13 @@ func (e *Entity) UnmarshalBinary(data []byte) error {
 		t.RelPred = r.str("rel pred")
 		t.Object = readValue(r)
 		t.Locale = r.str("locale")
-		if ns := r.count("source count", 1); ns > 0 {
+		if ns := r.Count("source count", 1); ns > 0 {
 			t.Sources = make([]string, 0, ns)
 			for j := 0; j < ns; j++ {
 				t.Sources = append(t.Sources, r.str("source"))
 			}
 		}
-		if nt := r.count("trust count", 8); nt > 0 {
+		if nt := r.Count("trust count", 8); nt > 0 {
 			t.Trust = make([]float64, 0, nt)
 			for j := 0; j < nt; j++ {
 				t.Trust = append(t.Trust, r.f64("trust"))
